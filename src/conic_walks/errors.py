@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numerical routine failed (LP did not solve, NNLS did not converge)."""
+    """A numerical routine failed (NNLS did not converge, rank-deficient input)."""
 
 
 class DegenerateInputError(NumericError):

@@ -5,7 +5,9 @@ Everything reduces to one primitive: deciding whether the origin lies in
 the convex hull of a point set, which for points in general position is
 equivalent to the positive hull of those points not being pointed.  In
 dimensions one and two the decision is a sign test respectively an
-angular-gap test; from dimension three on it is a small margin LP.
+angular-gap test.  From dimension three on it is exact: a pattern of signs
+of d x d minors, certified by a floating-point filter with an exact
+integer fallback, and decided without tolerance for degenerate input too.
 
 Face tests use the projection characterization: a subset of generators
 spans a face exactly when the remaining generators, projected onto the
@@ -20,7 +22,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DegenerateInputError, DomainError, NumericError, SamplingError
 
@@ -37,7 +38,9 @@ class ConeSample:
 
     Walk cones carry all n partial sums, bridge cones the first n-1.  The
     matrix is frozen read-only after construction.  ``tol`` is the slack
-    used by the LP and support-classification predicates on this cone.
+    of the projection predicates on this cone (nonnegative least squares in
+    ``project_onto_cone`` and ``cone_contains``); the hull, face and
+    full-cone tests do not use it.
     """
 
     generators: np.ndarray
@@ -66,7 +69,8 @@ class ConeSample:
 
     def in_general_position(self, rel_tol: float = 1e-12) -> bool:
         """Every d-subset of generators has a determinant bounded away from 0
-        relative to its Hadamard bound."""
+        relative to its Hadamard bound.  Raises DomainError when there are
+        more than ``MAX_SUBSETS`` d-subsets."""
         return _general_position_ok(self.generators, rel_tol)
 
 
@@ -118,16 +122,41 @@ class ConeProjection:
 # ---------------------------------------------------------------------------
 # origin-in-hull primitive
 
+MAX_SUBSETS = 200_000
+"""Most row subsets a minor table or general-position check may enumerate;
+larger inputs raise DomainError before anything is allocated."""
 
-def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray,
-                          tol: float = DEFAULT_TOL) -> bool:
+# Filter for the sign of a d x d minor.  Rows are first scaled by powers of
+# two so that their largest entry lies in [1/2, 1); that is exact and
+# changes no minor's sign.  Level k of the expansion multiplies once and
+# adds k terms, so each monomial of a d x d minor passes through at most
+# D = 2 + 3 + ... + d = d(d+1)/2 - 1 roundings.  With unit roundoff
+# u = 2^-53 the computed minor m~ then satisfies |m~ - m| <= gamma_D * P,
+# where gamma_D = D u / (1 - D u) and P, the sum of the absolute values of
+# the monomials, is the permanent of |minor| (Higham, "Accuracy and
+# Stability of Numerical Algorithms", Lemma 3.1).  The computed permanent
+# P~ takes the same roundings on nonnegative terms, so P <= P~ / (1 - D u),
+# and 2 D u P~ exceeds gamma_D * P with room for rounding the bound itself.
+# An underflowing product errs by at most 2^-1075 more; later factors have
+# magnitude below one, so at most e * d! such errors reach one minor, and
+# MAX_SUBSETS keeps d <= 17 (2^d - 1 subsets at least), so the absolute
+# term 2^-1000 covers them.  A minor with |m~| above the bound has the sign
+# of m~; the others get an exact integer determinant (Shewchuk 1997,
+# "Adaptive precision floating-point arithmetic and fast robust geometric
+# predicates", filters the same way).
+_UNDERFLOW_SLACK = 2.0 ** -1000
+
+
+def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> bool:
     """Whether the origin is a convex combination of the given points.
 
-    In one dimension this is a sign test and in two an angular-gap test;
-    otherwise it is decided by maximizing the margin delta of a separating
-    functional (<u, x_i> <= -delta for all i, box-bounded u): the origin is
-    in the hull exactly when no margin above ``tol`` is attainable.  Points
-    may be rescaled individually without changing the verdict.
+    In one dimension this is a sign test and in two an angular-gap test.
+    From dimension three on the verdict is exact, with no tolerance: it is
+    read off the signs of the d x d minors of the points, which a
+    floating-point filter certifies and integer arithmetic decides where
+    the filter cannot.  Points may be rescaled individually without
+    changing the verdict.  In d >= 3, inputs whose minor table would
+    exceed ``MAX_SUBSETS`` row subsets raise DomainError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -136,42 +165,226 @@ def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray,
         raise DomainError("points must be finite")
     if np.any(np.all(pts == 0.0, axis=1)):
         return True
-    return _origin_in_hull(pts, tol)
+    return _origin_in_hull(pts)
 
 
-def _origin_in_hull(pts: np.ndarray, tol: float) -> bool:
+def _origin_in_hull(pts: np.ndarray) -> bool:
     # validation-free core; callers guarantee a finite 2-d array
-    d = pts.shape[1]
+    n, d = pts.shape
     if d == 1:
         x = pts[:, 0]
         return not (x.min() > 0.0 or x.max() < 0.0)
     if d == 2:
-        ang = np.arctan2(pts[:, 1], pts[:, 0])
-        ang.sort()
-        gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
-        return float(gaps.max()) <= np.pi
-    norms = np.linalg.norm(pts, axis=1)
-    tiny = norms <= 1e-300
-    if np.any(tiny):
-        if np.all(tiny):
+        return _max_angular_gap(pts) <= np.pi
+    if n >= d:
+        table = _minor_table(n, d)
+        signs = _minor_signs(pts, table)
+        if signs.all():
+            # general position: the origin is outside exactly when some
+            # (d-1)-subset has every other point strictly on one side
+            sides = signs[table.facet_minor] * table.facet_parity
+            return not bool(np.any(np.abs(sides.sum(axis=1)) == n - d + 1))
+    return _origin_in_hull_exact(pts)
+
+
+def _max_angular_gap(pts: np.ndarray) -> float:
+    """Largest angle between circularly consecutive directions in the plane."""
+    ang = np.arctan2(pts[:, 1], pts[:, 0])
+    ang.sort()
+    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+    return float(gaps.max())
+
+
+def _origin_in_hull_exact(pts: np.ndarray) -> bool:
+    """Exact verdict for any finite points, in general position or not.
+
+    A zero point answers at once.  Otherwise the points are restricted to
+    coordinates on which their span maps one-to-one, so they have full rank
+    r there.  If no (r-1)-subset spanning a hyperplane has every other
+    point weakly on one side, the points positively span R^r and the origin
+    is inside.  If one does, a convex combination giving the origin can use
+    only points on that hyperplane, so the question passes to them, one
+    dimension lower.
+    """
+    while True:
+        if not pts.any(axis=1).all():
             return True
-        pts = pts[~tiny]
-        norms = norms[~tiny]
-    return not _strictly_separable(pts / norms[:, None], tol)
+        pts = pts[:, _pivot_columns(_integer_rows(pts))]
+        n, r = pts.shape
+        if r == 1:
+            return bool(pts.min() < 0.0 < pts.max())
+        table = _minor_table(n, r)
+        sides = _minor_signs(pts, table)[table.facet_minor] * table.facet_parity
+        support = _weakly_supporting(sides)
+        if not support.any():
+            return True
+        t = int(np.argmax(support))
+        on_wall = table.facet_others[t][sides[t] == 0]
+        pts = pts[np.sort(np.concatenate([table.facet_rows[t], on_wall]))]
 
 
-def _strictly_separable(unit_points: np.ndarray, tol: float) -> bool:
-    n, d = unit_points.shape
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([unit_points, np.ones((n, 1))])
-    bounds = [(-1.0, 1.0)] * d + [(0.0, float(d) + 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), bounds=bounds, method="highs")
-    if res.status != 0 or res.x is None:
-        raise NumericError(
-            f"separation LP failed with status {res.status}: {res.message} "
-            f"(n={n}, d={d}, max|x|={np.abs(unit_points).max():.3e})")
-    return float(res.x[-1]) > tol
+def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
+    """Per (d-1)-subset: some other point is off its hyperplane and all
+    other points lie weakly on one side of it."""
+    off = np.abs(sides).sum(axis=1)
+    return (off > 0) & (np.abs(sides.sum(axis=1)) == off)
+
+
+@dataclass(frozen=True)
+class _MinorTable:
+    """Index tables for the d x d minors of an n x d matrix, n >= d.
+
+    ``levels[k - 2]`` holds, for every k-subset R of rows in combinations
+    order, its rows, the positions of R without R_i among the
+    (k-1)-subsets, and the cofactor signs: the k x k minor on the first k
+    columns is sum_i (-1)^(i+k-1) x[R_i, k-1] minor(R without R_i).  For
+    every (d-1)-subset S, ``facet_minor`` and ``facet_parity`` turn the
+    minors into det[x_S; x_j] for each other row j (in ``facet_others``),
+    the side of x_j relative to the hyperplane spanned by S.
+    """
+
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    facet_rows: np.ndarray
+    facet_others: np.ndarray
+    facet_minor: np.ndarray
+    facet_parity: np.ndarray
+
+
+_MINOR_CACHE: dict[tuple[int, int], _MinorTable] = {}
+
+
+def _check_subset_count(n: int, d: int, count: int) -> None:
+    if count > MAX_SUBSETS:
+        raise DomainError(
+            f"n={n}, d={d} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
+
+
+def _minor_table(n: int, d: int) -> _MinorTable:
+    key = (n, d)
+    table = _MINOR_CACHE.get(key)
+    if table is None:
+        _check_subset_count(n, d, sum(math.comb(n, k) for k in range(1, d + 1)))
+        table = _build_minor_table(n, d)
+        if len(_MINOR_CACHE) < 256:
+            _MINOR_CACHE[key] = table
+    return table
+
+
+def _build_minor_table(n: int, d: int) -> _MinorTable:
+    position = {(r,): r for r in range(n)}
+    levels = []
+    for k in range(2, d + 1):
+        subsets = list(combinations(range(n), k))
+        below = [[position[s[:i] + s[i + 1:]] for i in range(k)] for s in subsets]
+        cofactor = np.array([(-1.0) ** (i + k - 1) for i in range(k)])
+        levels.append((np.array(subsets, dtype=np.intp), np.array(below, dtype=np.intp), cofactor))
+        position = {s: t for t, s in enumerate(subsets)}
+    walls = list(combinations(range(n), d - 1))
+    others = [[j for j in range(n) if j not in wall] for wall in walls]
+    minor = [[position[tuple(sorted(wall + (j,)))] for j in rest]
+             for wall, rest in zip(walls, others)]
+    # moving row j from its sorted place to the end passes the rows after it
+    parity = [[(-1) ** sum(i > j for i in wall) for j in rest]
+              for wall, rest in zip(walls, others)]
+    return _MinorTable(
+        levels=tuple(levels),
+        facet_rows=np.array(walls, dtype=np.intp).reshape(len(walls), d - 1),
+        facet_others=np.array(others, dtype=np.intp),
+        facet_minor=np.array(minor, dtype=np.intp),
+        facet_parity=np.array(parity, dtype=np.int8))
+
+
+def _minor_estimates(x: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np.ndarray]:
+    """Floating-point values of all d x d minors of x, and of the same
+    expansion over |x| with every sign positive."""
+    m = x[:, 0]
+    p = np.abs(m)
+    for k, (rows, below, cofactor) in enumerate(table.levels, start=2):
+        col = x[:, k - 1][rows]
+        m = (col * cofactor * m[below]).sum(axis=1)
+        p = (np.abs(col) * p[below]).sum(axis=1)
+    return m, p
+
+
+def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np.ndarray]:
+    """Signs of all d x d minors as the filter sees them, and the mask of
+    those it cannot certify."""
+    d = pts.shape[1]
+    _, expo = np.frexp(np.abs(pts).max(axis=1))
+    scaled = np.ldexp(pts, -expo[:, None])
+    est, perm = _minor_estimates(scaled, table)
+    bound = (d * (d + 1) // 2 - 1) * 2.0 ** -52 * perm + _UNDERFLOW_SLACK
+    unsure = ~(np.abs(est) > bound)
+    if not np.array_equal(np.ldexp(scaled, expo[:, None]), pts):
+        unsure[:] = True  # a row lost low bits to underflow when scaled down
+    return np.sign(est).astype(np.int8), unsure
+
+
+def _minor_signs(pts: np.ndarray, table: _MinorTable) -> np.ndarray:
+    """Exact signs of all d x d minors of pts (d >= 2), in combinations order."""
+    signs, unsure = _filtered_signs(pts, table)
+    if unsure.any():
+        rows = _integer_rows(pts)
+        subsets = table.levels[-1][0]
+        for t in np.flatnonzero(unsure):
+            det = _int_det([rows[i] for i in subsets[t]])
+            signs[t] = (det > 0) - (det < 0)
+    return signs
+
+
+def _integer_rows(pts: np.ndarray) -> list[list[int]]:
+    """Each row times a positive power of two, as exact integers.
+
+    Doubles are dyadic rationals, so this is exact, and it keeps the sign
+    of every minor."""
+    out = []
+    for row in pts.tolist():
+        ratios = [x.as_integer_ratio() for x in row]
+        den = max(q for _, q in ratios)
+        out.append([p * (den // q) for p, q in ratios])
+    return out
+
+
+def _int_det(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _pivot_columns(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of a row-echelon form of an integer matrix: the
+    matrix restricted to them has the same rank, with independent columns."""
+    a = [row[:] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(a[0])):
+        top = len(pivots)
+        p = next((i for i in range(top, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[top], a[p] = a[p], a[top]
+        for i in range(top + 1, len(a)):
+            if a[i][c] != 0:
+                f, g = a[top][c], a[i][c]
+                a[i] = [x * f - y * g for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return pivots
 
 
 def _general_position_ok(gens: np.ndarray, rel_tol: float = 1e-12) -> bool:
@@ -192,6 +405,7 @@ def _d_subsets(n: int, d: int) -> np.ndarray:
     key = (n, d)
     cached = _SUBSET_CACHE.get(key)
     if cached is None:
+        _check_subset_count(n, d, math.comb(n, d))
         cached = np.array(list(combinations(range(n), d)), dtype=np.intp)
         if len(_SUBSET_CACHE) < 4096:
             _SUBSET_CACHE[key] = cached
@@ -203,14 +417,31 @@ def _d_subsets(n: int, d: int) -> np.ndarray:
 
 
 def is_full_cone(cone: ConeSample) -> bool:
-    """Whether the positive hull of the generators is all of R^d.
+    """Whether the generators positively span R^d, i.e. the cone is R^d.
 
-    For generators in general position this is the complement of
-    pointedness, i.e. of the existence of a strictly separating functional.
+    In one and two dimensions this is a strict sign respectively
+    angular-gap test over the nonzero generators.  From dimension three on
+    it is exact: the cone is full exactly when the generators have rank d
+    and no (d-1)-subset spanning a hyperplane has every other generator
+    weakly on one side of it.  For generators in general position this is
+    the origin lying in their convex hull.
     """
-    if cone.n_generators < cone.d:
+    gens = cone.generators
+    n, d = gens.shape
+    if d == 1:
+        return bool(gens.min() < 0.0 < gens.max())
+    if d == 2:
+        nonzero = gens.any(axis=1)
+        if not nonzero.all():
+            gens = gens[nonzero]
+        return gens.shape[0] > 0 and _max_angular_gap(gens) < np.pi
+    if n < d:
         return False
-    return origin_in_convex_hull(cone.generators, cone.tol)
+    table = _minor_table(n, d)
+    signs = _minor_signs(gens, table)
+    if not signs.any():
+        return False  # rank below d
+    return not bool(_weakly_supporting(signs[table.facet_minor] * table.facet_parity).any())
 
 
 def _row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -282,7 +513,7 @@ def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
     projected = _projected_complement(cone, idx)
     if projected.shape[0] == 0:
         return True
-    return not _origin_in_hull(projected, cone.tol)
+    return not _origin_in_hull(projected)
 
 
 def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
@@ -290,10 +521,10 @@ def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
     if subspace.d != cone.d:
         raise DomainError(
             f"subspace lives in dimension {subspace.d}, cone in {cone.d}")
-    return _meets_subspace(cone.generators, subspace, cone.tol)
+    return _meets_subspace(cone.generators, subspace)
 
 
-def _meets_subspace(gens: np.ndarray, subspace: Subspace, tol: float) -> bool:
+def _meets_subspace(gens: np.ndarray, subspace: Subspace) -> bool:
     m = subspace.dim
     d = gens.shape[1]
     if m == 0:
@@ -301,18 +532,21 @@ def _meets_subspace(gens: np.ndarray, subspace: Subspace, tol: float) -> bool:
     if m == d:
         return True
     perp, _ = _row_complement(subspace.basis.T)
-    return _origin_in_hull(gens @ perp, tol)
+    return _origin_in_hull(gens @ perp)
 
 
 def count_k_faces(cone: ConeSample, k: int) -> int:
     """Number of k-dimensional faces, 0 <= k <= d-1.
 
-    A full cone has no proper faces; a pointed cone has exactly one 0-face.
+    A pointed cone has exactly one 0-face, the apex; a cone containing a
+    line (a full cone, a half-space, ...) has none.
     """
     if not 0 <= k <= cone.d - 1:
         raise DomainError(f"count_k_faces requires 0 <= k <= d-1, got k={k}, d={cone.d}")
     if k == 0:
-        return 0 if is_full_cone(cone) else 1
+        gens = cone.generators
+        nonzero = gens[gens.any(axis=1)]
+        return 0 if nonzero.shape[0] and _origin_in_hull(nonzero) else 1
     total = 0
     for subset in combinations(range(cone.n_generators), k):
         if is_face(cone, subset):
@@ -331,7 +565,7 @@ def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> Con
         return cone
     idx = _validated_subset(cone, subset)
     projected = _projected_complement(cone, idx)
-    if projected.shape[0] > 0 and origin_in_convex_hull(projected, cone.tol):
+    if projected.shape[0] > 0 and origin_in_convex_hull(projected):
         raise DomainError(f"subset {idx} is not a face; tangent cone base undefined")
     return ConeSample(projected, TAG_PROJECTED, cone.tol)
 

@@ -223,19 +223,17 @@ def _index_splits(n_gen: int, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return cached
 
 
-def _is_face_split(gens: np.ndarray, sel: np.ndarray, rest: np.ndarray,
-                   tol: float) -> np.ndarray | None:
+def _is_face_split(gens: np.ndarray, sel: np.ndarray, rest: np.ndarray) -> np.ndarray | None:
     """Complement basis of the selected rows if they span a face, else None."""
     basis = geometry._complement_basis(gens[sel])
     if basis is None:
         raise DegenerateInputError("rank-deficient generator subset in a face test")
-    if rest.size and geometry._origin_in_hull(gens[rest] @ basis, tol):
+    if rest.size and geometry._origin_in_hull(gens[rest] @ basis):
         return None
     return basis
 
 
-def _hits_random_subspace(gens: np.ndarray, perp_dim: int, tol: float,
-                          rng: np.random.Generator) -> bool:
+def _hits_random_subspace(gens: np.ndarray, perp_dim: int, rng: np.random.Generator) -> bool:
     """Whether the cone meets a Haar subspace of codimension ``perp_dim``.
 
     Sampling the orthogonal complement directly is equivalent (complements
@@ -245,13 +243,15 @@ def _hits_random_subspace(gens: np.ndarray, perp_dim: int, tol: float,
     if perp_dim == 0:
         return True
     basis = geometry._haar_basis(gens.shape[1], perp_dim, rng)
-    return geometry._origin_in_hull(gens @ basis, tol)
+    return geometry._origin_in_hull(gens @ basis)
 
 
 def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Generator], float]:
     """Per-cone measurement whose expectation is the queried functional."""
     name = query.functional
     model = query.model
+    # a conditioned query only ever sees cones the sampler found not full
+    is_full = (lambda cone: False) if query.conditioned else is_full_cone
     if name == "absorption":
         return lambda cone, rng: 1.0 if is_full_cone(cone) else 0.0
     if name == "nonabsorption":
@@ -259,13 +259,13 @@ def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Gener
     if name == "fk":
         k = query.k
         if k == 0:
-            return lambda cone, rng: 0.0 if is_full_cone(cone) else 1.0
+            return lambda cone, rng: 0.0 if is_full(cone) else 1.0
 
         def measure_f(cone, rng):
             gens = cone.generators
             total = 0.0
             for sel, rest in _index_splits(cone.n_generators, k):
-                if _is_face_split(gens, sel, rest, cone.tol) is not None:
+                if _is_face_split(gens, sel, rest) is not None:
                     total += 1.0
             return total
 
@@ -283,12 +283,12 @@ def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Gener
 
         def measure_u(cone, rng):
             d = cone.d
-            if is_full_cone(cone):
+            if is_full(cone):
                 # the full space scores by the subspace convention
                 return 1.0 if (d - k) % 2 == 1 else 0.0
             if k == d:
                 return 0.0
-            return 0.5 if _hits_random_subspace(cone.generators, k, cone.tol, rng) else 0.0
+            return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
 
         return measure_u
     if name in ("Y", "Lambda"):
@@ -299,9 +299,9 @@ def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Gener
             gens = cone.generators
             total = 0.0
             for sel, rest in _index_splits(cone.n_generators, m):
-                if _is_face_split(gens, sel, rest, cone.tol) is None:
+                if _is_face_split(gens, sel, rest) is None:
                     continue
-                if _hits_random_subspace(gens[sel], l, cone.tol, rng):
+                if _hits_random_subspace(gens[sel], l, rng):
                     total += 0.5
             return total
 
@@ -312,19 +312,19 @@ def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Gener
         def measure_z(cone, rng):
             d = cone.d
             if j == 0:
-                if k == d or is_full_cone(cone):
+                if k == d or is_full(cone):
                     return 0.0
-                return 0.5 if _hits_random_subspace(cone.generators, k, cone.tol, rng) else 0.0
+                return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
             if k == d:
                 return 0.0  # top quermassintegral of a tangent cone vanishes
             gens = cone.generators
             total = 0.0
             for sel, rest in _index_splits(cone.n_generators, j):
-                basis = _is_face_split(gens, sel, rest, cone.tol)
+                basis = _is_face_split(gens, sel, rest)
                 if basis is None:
                     continue
                 projected = gens[rest] @ basis
-                if _hits_random_subspace(projected, k - j, cone.tol, rng):
+                if _hits_random_subspace(projected, k - j, rng):
                     total += 0.5
             return total
 
@@ -339,7 +339,7 @@ def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Gener
             gens = cone.generators
             total = 0.0
             for sel, rest in _index_splits(cone.n_generators, m):
-                if _is_face_split(gens, sel, rest, cone.tol) is None:
+                if _is_face_split(gens, sel, rest) is None:
                     continue
                 g = rng.standard_normal(cone.d)
                 if geometry._projection_face_dim(gens[sel], g, cone.tol) == l:
@@ -353,14 +353,14 @@ def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Gener
         def measure_ti(cone, rng):
             d = cone.d
             if j == 0:
-                if is_full_cone(cone):
+                if is_full(cone):
                     return 0.0
                 g = rng.standard_normal(d)
                 return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == k else 0.0
             gens = cone.generators
             total = 0.0
             for sel, rest in _index_splits(cone.n_generators, j):
-                basis = _is_face_split(gens, sel, rest, cone.tol)
+                basis = _is_face_split(gens, sel, rest)
                 if basis is None:
                     continue
                 projected = gens[rest] @ basis
@@ -380,7 +380,7 @@ def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Gener
     if name == "subspace_prob":
         k = query.k
         return lambda cone, rng: (
-            1.0 if _hits_random_subspace(cone.generators, k, cone.tol, rng) else 0.0)
+            1.0 if _hits_random_subspace(cone.generators, k, rng) else 0.0)
     raise DomainError(f"functional {name!r} is not supported by the simulator")
 
 

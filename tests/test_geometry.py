@@ -6,9 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conic_walks import geometry
 from conic_walks.errors import DegenerateInputError, DomainError
 from conic_walks.geometry import (
+    MAX_SUBSETS,
     ConeSample,
     Subspace,
     cone_contains,
@@ -23,7 +27,14 @@ from conic_walks.geometry import (
 )
 
 
-from oracles import brute_force_is_face, random_cone_generators
+from oracles import (
+    brute_force_is_face,
+    fraction_det,
+    fraction_origin_in_hull,
+    fraction_positively_spans,
+    lp_origin_in_hull,
+    random_cone_generators,
+)
 
 
 def random_cone(rng, n, d, bridge=False):
@@ -349,3 +360,145 @@ class TestConeSampleValidation:
         assert good.in_general_position()
         bad = ConeSample(np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
         assert not bad.in_general_position()
+
+
+def exact_minor_signs(pts):
+    d = pts.shape[1]
+    return [int(np.sign(fraction_det(pts[list(rows)])))
+            for rows in combinations(range(pts.shape[0]), d)]
+
+
+def filter_signs(pts):
+    n, d = pts.shape
+    return geometry._filtered_signs(pts, geometry._minor_table(n, d))
+
+
+def minor_signs(pts):
+    n, d = pts.shape
+    return geometry._minor_signs(pts, geometry._minor_table(n, d)).tolist()
+
+
+class TestExactHullPredicate:
+    def test_agrees_with_lp_oracle_on_random_cones(self):
+        rng = np.random.default_rng(2024)
+        for d in (3, 4, 5):
+            for law in ("gaussian", "cauchy"):
+                for bridge in (False, True):
+                    for _ in range(25):
+                        n = int(rng.integers(d + 1, d + 6))
+                        steps = (rng.standard_normal((n, d)) if law == "gaussian"
+                                 else rng.standard_cauchy((n, d)))
+                        if bridge:
+                            steps = steps - steps.mean(axis=0)
+                        gens = np.cumsum(steps, axis=0)[:-1] if bridge else np.cumsum(steps, axis=0)
+                        want = lp_origin_in_hull(gens)
+                        assert origin_in_convex_hull(gens) == want, (d, law, bridge, gens)
+                        assert is_full_cone(ConeSample(gens)) == want, (d, law, bridge, gens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 4).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=7)))
+    def test_small_integer_points_against_fraction_oracle(self, rows):
+        # small integer coordinates make many minors exactly zero
+        pts = np.array(rows, dtype=float)
+        assert origin_in_convex_hull(pts) == fraction_origin_in_hull(pts)
+        assert is_full_cone(ConeSample(pts)) == fraction_positively_spans(pts)
+
+    def test_degenerate_inputs_take_the_exact_path(self):
+        # coplanar points around the origin, in a plane tilted out of the axes
+        plane = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, -2.0]])
+        assert origin_in_convex_hull(plane)
+        assert not is_full_cone(ConeSample(plane))
+        assert not origin_in_convex_hull(plane[:2])
+        assert not origin_in_convex_hull(np.vstack([plane[:2], plane[0] + plane[1]]))
+        # a collinear pair through the origin hides among generic points
+        line = np.array([[2.0, 1.0, 3.0], [-4.0, -2.0, -6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert origin_in_convex_hull(line)
+        assert not is_full_cone(ConeSample(line))
+
+    def test_filter_defers_on_last_ulp_rows(self):
+        up = np.nextafter(1.0, 2.0)
+        pts = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, up], [1.0, up, 1.0], [up, 1.0, 1.0],
+                        [1.0, 1.0, 1.0]])
+        _, unsure = filter_signs(pts)
+        assert unsure.all()
+        signs = minor_signs(pts)
+        assert signs == exact_minor_signs(pts)
+        assert {-1, 0, 1} <= set(signs)
+
+    def test_filter_defers_on_rounded_coplanar_rows(self):
+        # a third row rounded from a combination of two others leaves a
+        # minor far below the rounding noise of its floating-point value
+        rng = np.random.default_rng(21)
+        deferred = 0
+        for _ in range(40):
+            a, b, c = rng.standard_normal((3, 3))
+            pts = np.vstack([a, b, 0.3 * a + 0.7 * b, c])
+            _, unsure = filter_signs(pts)
+            deferred += int(unsure.sum())
+            assert minor_signs(pts) == exact_minor_signs(pts)
+        assert deferred >= 40
+
+    def test_underflow_range_rows_keep_exact_signs(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-300, 1e-305, 1e-310, 5e-324):
+            pts = np.vstack([rng.standard_normal((4, 3)), scale * rng.integers(-9, 10, (2, 3))])
+            assert minor_signs(pts) == exact_minor_signs(pts)
+        # the LP dropped points of norm below 1e-300; the origin is inside here
+        tiny = np.vstack([np.eye(3), np.full((1, 3), -1e-305)])
+        assert origin_in_convex_hull(tiny)
+        assert is_full_cone(ConeSample(tiny))
+        assert not lp_origin_in_hull(tiny)
+
+    def test_rows_too_wide_to_scale_go_exact(self):
+        pts = np.array([[1e300, 1e-300, 1.0], [1.0, 1e300, -1e-300], [-1e-300, 1.0, 1e300],
+                        [-1e300, 3e-300, -1.0]])
+        _, unsure = filter_signs(pts)
+        assert unsure.all()
+        assert minor_signs(pts) == exact_minor_signs(pts)
+
+    def test_certified_signs_match_fraction_determinants(self):
+        rng = np.random.default_rng(12)
+        for d in (3, 4, 5):
+            pts = rng.standard_normal((d + 3, d)) * rng.uniform(1e-3, 1e3, (d + 3, 1))
+            signs, unsure = filter_signs(pts)
+            exact = exact_minor_signs(pts)
+            assert not unsure.any()
+            assert signs.tolist() == exact
+
+
+class TestFullConeDegenerate:
+    def test_half_planes_are_not_full(self):
+        e = np.eye(3)
+        assert not is_full_cone(ConeSample(np.array([e[0], -e[0], e[1]])))
+        assert not is_full_cone(ConeSample(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])))
+
+    def test_line_is_not_full(self):
+        assert not is_full_cone(ConeSample(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])))
+
+    def test_zero_generator_does_not_fill(self):
+        for d in (1, 2, 3):
+            gens = np.vstack([np.zeros(d), np.eye(d)])
+            assert not is_full_cone(ConeSample(gens))
+            assert count_k_faces(ConeSample(gens), 0) == 1
+            full = np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])
+            assert is_full_cone(ConeSample(full))
+
+    def test_cones_with_a_line_have_no_apex(self):
+        e = np.eye(3)
+        assert count_k_faces(ConeSample(np.array([e[0], -e[0], e[1]])), 0) == 0
+        assert count_k_faces(ConeSample(np.array([e[0], -e[0]])), 0) == 0
+
+
+class TestSubsetCap:
+    def test_large_hull_query_fails_fast(self):
+        pts = np.random.default_rng(0).standard_normal((500, 3))
+        with pytest.raises(DomainError, match=r"n=500, d=3 needs 20833750 row subsets"):
+            origin_in_convex_hull(pts)
+        with pytest.raises(DomainError, match=r"n=500, d=3 needs 20708500 row subsets"):
+            ConeSample(pts).in_general_position()
+
+    def test_benchmark_shapes_are_far_below_the_cap(self):
+        # the largest sampled shape is 10 points in R^3
+        assert sum(math.comb(10, k) for k in (1, 2, 3)) * 1000 < MAX_SUBSETS
+        assert len(geometry._minor_table(10, 3).facet_minor) == math.comb(10, 2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conic_walks import simulation
 from conic_walks.errors import DomainError
 from conic_walks.formulas import FunctionalQuery, Model
 from conic_walks.geometry import count_k_faces, is_full_cone
@@ -219,3 +220,24 @@ class TestVerifySuite:
         result = run_gate(gate, "gaussian_iid", 15_000, seed=3)
         assert result["status"] == "pass"
         assert result["exact"]["num"] == "3"
+
+
+class TestConditionedFullConeTest:
+    @pytest.mark.parametrize("query", [
+        FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True),
+        FunctionalQuery("fk", Model("B", 4, 2), k=0, conditioned=True),
+        FunctionalQuery("Z", Model("A", 4, 2), j=0, k=1, conditioned=True),
+    ])
+    def test_runs_once_per_draw(self, query, monkeypatch):
+        # the conditioning loop has already rejected full cones, so the
+        # measurement must not test the accepted cone again
+        verdicts = []
+
+        def counting(cone):
+            verdicts.append(is_full_cone(cone))
+            return verdicts[-1]
+
+        monkeypatch.setattr(simulation, "is_full_cone", counting)
+        samples = 64
+        estimate(RunConfig(query=query, dist=GAUSS2, samples=samples, seed=3))
+        assert len(verdicts) == samples + sum(verdicts)
