@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, NumericError, SamplingError
-from .formulas import FunctionalQuery, Model, evaluate_query
+from .formulas import FUNCTIONALS, FunctionalQuery, Model, evaluate_query
 from .simulation import DistributionSpec, MCEstimate, RunConfig, estimate
 from .verify import report_to_json, verify_suite
 
@@ -134,6 +134,20 @@ def _canonical_functional(name: str) -> tuple[str, Optional[int]]:
     return _FUNCTIONAL_ALIASES.get(name.lower(), name), None
 
 
+def _parse_int(text: str, source: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{source} must be an integer, got {text!r}") from None
+
+
+def _parse_ints(text: Optional[str], flag: str) -> Optional[tuple[int, ...]]:
+    """A comma-separated list of integers, or None for an absent flag."""
+    if not text:
+        return None
+    return tuple(_parse_int(x, f"each entry of {flag}") for x in text.split(","))
+
+
 def _parse_sweep(text: str, d: Optional[int]) -> list[int]:
     """An index flag is either one integer or an inclusive range ``a..b``;
     the symbol ``d`` stands for the model dimension."""
@@ -143,7 +157,7 @@ def _parse_sweep(text: str, d: Optional[int]) -> list[int]:
             if d is None:
                 raise DomainError("range bound 'd' needs a model dimension")
             return d
-        return int(token)
+        return _parse_int(token, "--k")
 
     if ".." in text:
         lo_txt, hi_txt = text.split("..", 1)
@@ -166,9 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="number of increments")
         p.add_argument("--d", type=int, help="ambient dimension")
         p.add_argument("--functional", required=True,
-                       help="absorption, nonabsorption, wendel, fk, Uk, vk, Lambda, Y, Z, "
-                            "face_intrinsic, tangent_intrinsic, Y_dual, face_prob, "
-                            "subspace_prob, joint_absorption (f1/U2/v0 shorthand works)")
+                       help=", ".join(FUNCTIONALS) + " (f1/U2/v0 shorthand works)")
         p.add_argument("--k", help="index k; sweeps like 0..d are allowed")
         p.add_argument("--m", type=int, help="index m")
         p.add_argument("--l", type=int, help="index l")
@@ -207,13 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _queries_from_args(args: argparse.Namespace) -> list[FunctionalQuery]:
     functional, pinned_k = _canonical_functional(args.functional)
     model = None
-    if functional not in ("wendel", "joint_absorption"):
+    spec = FUNCTIONALS.get(functional)
+    if spec is None or spec.needs_model:
         if args.model is None or args.n is None or args.d is None:
             raise DomainError(f"functional {functional!r} requires --model, --n and --d")
         model = Model(args.model, args.n, args.d)
-    indices = tuple(int(x) for x in args.indices.split(",")) if args.indices else None
-    walks = tuple(int(x) for x in args.walks.split(",")) if args.walks else ()
-    bridges = tuple(int(x) for x in args.bridges.split(",")) if args.bridges else ()
+    indices = _parse_ints(args.indices, "--indices")
+    walks = _parse_ints(args.walks, "--walks") or ()
+    bridges = _parse_ints(args.bridges, "--bridges") or ()
     if pinned_k is not None:
         ks: list[Optional[int]] = [pinned_k]
     elif args.k is not None:
@@ -234,7 +247,7 @@ def _query_dict(q: FunctionalQuery) -> dict:
         "functional": q.functional,
         "model": q.model.tag if q.model else None,
         "n": q.model.n if q.model else q.n,
-        "d": q.model.d if q.model else q.d,
+        "d": q.dimension,
         "k": q.k, "m": q.m, "l": q.l, "j": q.j,
         "indices": list(q.indices) if q.indices else [],
         "conditioned": q.conditioned, "dual": q.dual,
@@ -257,7 +270,7 @@ def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    return _parse_int(env, f"${SEED_ENV_VAR}") if env else 0
 
 
 def _cmd_exact(args: argparse.Namespace, out) -> int:
@@ -274,8 +287,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
     seed = _resolve_seed(args.seed)
     records = []
     for query in _queries_from_args(args):
-        dim = query.model.d if query.model is not None else query.d
-        dist = DistributionSpec(_DIST_NAMES[args.dist], dim)
+        dist = DistributionSpec(_DIST_NAMES[args.dist], query.dimension)
         config = RunConfig(query=query, dist=dist, samples=args.samples,
                            seed=seed, workers=args.workers)
         est = estimate(config)

@@ -17,18 +17,34 @@ tangent-cone sums ``Z_{j,k}``, per-face intrinsic-volume sums, the dual-cone
 probabilities, and the absorption probability of joint hulls of several
 walks and bridges.
 
+Each closed form is written once, for both models, over a :class:`Family`
+record picked by the model tag.  The bridge and walk cases differ only in
+its five parameters: the index shift ``s`` (1 for a bridge, 0 for a walk),
+the first- and second-kind lookups (``first``/``second`` for a bridge,
+``first_b``/``second_b`` for a walk), the per-step denominator ``base``
+(1 or 2; every value is a numerator over ``base**n * n!``), and the block
+polynomial of the face probabilities (``coeff_Q_poly`` or
+``coeff_P_poly``).  Most expectations are built from
+``bulk(j, x) = sum over i = x-1+s, x-3+s, ... >= 0 of first(n, i) * second(i, j+s)``
+and the weight ``(j+s)! * base**j``.
+
 Conditioned variants (``conditioned=True``) refer to the cone conditioned
 on being a proper subset of R^d; for functionals vanishing on R^d this is
 plain division by the nonabsorption probability, while ``U_k`` and the top
 intrinsic volume carry dedicated conditioned formulas because they do not
 vanish on R^d.
+
+:data:`FUNCTIONALS` is the registry of functional names: per name its
+evaluator, the indices it requires, whether it has a conditioned variant
+and whether it needs a model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .combinatorics import (
@@ -60,12 +76,10 @@ class Model:
             raise DomainError(f"model tag must be 'A' (bridge) or 'B' (walk), got {self.tag!r}")
         if self.d < 1:
             raise DomainError(f"ambient dimension must be >= 1, got d={self.d}")
-        if self.tag == A_BRIDGE and self.n < self.d + 1:
-            raise DomainError(
-                f"bridge model requires n >= d+1 (general position), got n={self.n}, d={self.d}")
-        if self.tag == B_WALK and self.n < self.d:
-            raise DomainError(
-                f"walk model requires n >= d (general position), got n={self.n}, d={self.d}")
+        if self.n < self.d + self.is_bridge:
+            kind, bound = ("bridge", "d+1") if self.is_bridge else ("walk", "d")
+            raise DomainError(f"{kind} model requires n >= {bound} (general position), "
+                              f"got n={self.n}, d={self.d}")
 
     @property
     def is_bridge(self) -> bool:
@@ -111,18 +125,46 @@ def _sum_alternating_down(f: Callable[[int], int], start: int) -> int:
     return total
 
 
-def _bridge_profile(model: Model, tables: StirlingTables):
-    n = model.n
-    s1 = lambda i: tables.first(n, i)
-    s2 = tables.second
-    return n, s1, s2
+@dataclass(frozen=True)
+class Family:
+    """The parameters that turn one closed form into its bridge or walk case."""
+
+    shift: int
+    first: Callable[[StirlingTables, int, int], int]
+    second: Callable[[StirlingTables, int, int], int]
+    base: int
+    block_poly: Callable[..., list[int]]
+
+    def row(self, t: StirlingTables, n: int) -> Callable[[int], int]:
+        """i -> first(n, i)."""
+        return partial(self.first, t, n)
+
+    def term(self, t: StirlingTables, n: int, j: int) -> Callable[[int], int]:
+        """i -> first(n, i) * second(i, j+s)."""
+        first, second, js = self.first, self.second, j + self.shift
+        return lambda i: first(t, n, i) * second(t, i, js)
+
+    def bulk(self, t: StirlingTables, n: int, j: int, x: int) -> int:
+        """first(n, i) * second(i, j+s) summed over i = x-1+s, x-3+s, ... >= 0."""
+        return _sum_down(self.term(t, n, j), x - 1 + self.shift)
+
+    def weight(self, j: int) -> int:
+        """(j+s)! * base**j."""
+        return math.factorial(j + self.shift) * self.base ** j
+
+    def ratio(self, num: int, n: int) -> Fraction:
+        """num / (base**n * n!)."""
+        return Fraction(num, self.base ** n * math.factorial(n))
 
 
-def _walk_profile(model: Model, tables: StirlingTables):
-    n = model.n
-    b1 = lambda i: tables.first_b(n, i)
-    b2 = tables.second_b
-    return n, b1, b2
+_FAMILY = {
+    A_BRIDGE: Family(1, StirlingTables.first, StirlingTables.second, 1, coeff_Q_poly),
+    B_WALK: Family(0, StirlingTables.first_b, StirlingTables.second_b, 2, coeff_P_poly),
+}
+
+
+def _family(model: Model, tables: StirlingTables | None) -> tuple[StirlingTables, Family]:
+    return (tables if tables is not None else default_tables()), _FAMILY[model.tag]
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +184,15 @@ def wendel_probability(n: int, d: int) -> Fraction:
 
 def nonabsorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
     """P[cone != R^d], equivalently that the origin avoids the path's convex hull."""
-    t = tables if tables is not None else default_tables()
-    n, d = model.n, model.d
-    if model.is_bridge:
-        return Fraction(2 * _sum_down(lambda i: t.first(n, i), d), math.factorial(n))
-    return Fraction(2 * _sum_down(lambda i: t.first_b(n, i), d - 1),
-                    (1 << n) * math.factorial(n))
+    t, f = _family(model, tables)
+    return f.ratio(2 * _sum_down(f.row(t, model.n), model.d - 1 + f.shift), model.n)
 
 
 def absorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
     """P[cone = R^d]."""
-    t = tables if tables is not None else default_tables()
-    n, d = model.n, model.d
-    if model.is_bridge:
-        return Fraction(2 * _sum_up(lambda i: t.first(n, i), d + 2, n), math.factorial(n))
-    return Fraction(2 * _sum_up(lambda i: t.first_b(n, i), d + 1, n),
-                    (1 << n) * math.factorial(n))
+    t, f = _family(model, tables)
+    n = model.n
+    return f.ratio(2 * _sum_up(f.row(t, n), model.d + 1 + f.shift, n), n)
 
 
 def _conditioned(value: Fraction, model: Model, tables: StirlingTables) -> Fraction:
@@ -171,39 +206,23 @@ def _conditioned(value: Fraction, model: Model, tables: StirlingTables) -> Fract
 def expected_Y(model: Model, m: int, l: int, conditioned: bool = False,
                tables: StirlingTables | None = None) -> Fraction:
     """Expected sum over m-faces of the l-th conic quermassintegral."""
-    t = tables if tables is not None else default_tables()
-    d = model.d
+    t, f = _family(model, tables)
+    n, d, s = model.n, model.d, f.shift
     if not 0 <= l < m <= d - 1:
         raise DomainError(f"expected_Y requires 0 <= l < m <= d-1, got m={m}, l={l}, d={d}")
-    if model.is_bridge:
-        n, s1, s2 = _bridge_profile(model, t)
-        edge = _sum_up(lambda i: t.first(m + 1, i), l + 2, m + 1)
-        bulk = _sum_down(lambda i: s1(i) * s2(i, m + 1), d)
-        value = Fraction(2 * edge * bulk, math.factorial(n))
-    else:
-        n, b1, b2 = _walk_profile(model, t)
-        edge = _sum_up(lambda i: t.first_b(m, i), l + 1, m)
-        bulk = _sum_down(lambda i: b1(i) * b2(i, m), d - 1)
-        value = Fraction(2 * edge * bulk, (1 << n) * math.factorial(n))
+    edge = _sum_up(f.row(t, m + s), l + 1 + s, m + s)
+    value = f.ratio(2 * edge * f.bulk(t, n, m, d), n)
     return _conditioned(value, model, t) if conditioned else value
 
 
 def expected_Z(model: Model, j: int, k: int, conditioned: bool = False,
                tables: StirlingTables | None = None) -> Fraction:
     """Expected sum over j-faces of the k-th quermassintegral of the tangent cone."""
-    t = tables if tables is not None else default_tables()
-    d = model.d
+    t, f = _family(model, tables)
+    n, d = model.n, model.d
     if not 0 <= j <= k <= d:
         raise DomainError(f"expected_Z requires 0 <= j <= k <= d, got j={j}, k={k}, d={d}")
-    if model.is_bridge:
-        n, s1, s2 = _bridge_profile(model, t)
-        tail = lambda x: _sum_down(lambda i: s1(i) * s2(i, j + 1), x)
-        value = Fraction(math.factorial(j + 1) * (tail(d) - tail(k)), math.factorial(n))
-    else:
-        n, b1, b2 = _walk_profile(model, t)
-        tail = lambda x: _sum_down(lambda i: b1(i) * b2(i, j), x - 1)
-        value = Fraction(math.factorial(j) * (tail(d) - tail(k)),
-                         (1 << (n - j)) * math.factorial(n))
+    value = f.ratio(f.weight(j) * (f.bulk(t, n, j, d) - f.bulk(t, n, j, k)), n)
     return _conditioned(value, model, t) if conditioned else value
 
 
@@ -214,18 +233,11 @@ def expected_fk(model: Model, k: int, conditioned: bool = False,
     k = 0 counts the apex, so the unconditioned value equals the
     nonabsorption probability.
     """
-    t = tables if tables is not None else default_tables()
-    d = model.d
+    t, f = _family(model, tables)
+    n, d = model.n, model.d
     if not 0 <= k <= d - 1:
         raise DomainError(f"expected_fk requires 0 <= k <= d-1, got k={k}, d={d}")
-    if model.is_bridge:
-        n, s1, s2 = _bridge_profile(model, t)
-        bulk = _sum_down(lambda i: s1(i) * s2(i, k + 1), d)
-        value = Fraction(2 * math.factorial(k + 1) * bulk, math.factorial(n))
-    else:
-        n, b1, b2 = _walk_profile(model, t)
-        bulk = _sum_down(lambda i: b1(i) * b2(i, k), d - 1)
-        value = Fraction(2 * math.factorial(k) * bulk, (1 << (n - k)) * math.factorial(n))
+    value = f.ratio(2 * f.weight(k) * f.bulk(t, n, k, d), n)
     return _conditioned(value, model, t) if conditioned else value
 
 
@@ -237,89 +249,57 @@ def expected_Uk(model: Model, k: int, conditioned: bool = False,
     space contributes U_k(R^d) = 1 exactly when d-k is odd; the conditioned
     cone is never R^d, so it has its own ratio formula.
     """
-    t = tables if tables is not None else default_tables()
-    n, d = model.n, model.d
+    t, f = _family(model, tables)
+    n, d, s = model.n, model.d, f.shift
     if not 0 <= k <= d:
         raise DomainError(f"expected_Uk requires 0 <= k <= d, got k={k}, d={d}")
-    if model.is_bridge:
-        row = lambda i: t.first(n, i)
-        if conditioned:
-            full, part = _sum_down(row, d), _sum_down(row, k)
-            return Fraction(full - part, 2 * full)
-        if (d - k) % 2 == 1:
-            total = _sum_up(row, k + 2, n) + _sum_up(row, d + 2, n)
-        else:
-            total = _sum_up(row, k + 2, d)
-        return Fraction(total, math.factorial(n))
-    row = lambda i: t.first_b(n, i)
+    row = f.row(t, n)
     if conditioned:
-        full, part = _sum_down(row, d - 1), _sum_down(row, k - 1)
+        full, part = _sum_down(row, d - 1 + s), _sum_down(row, k - 1 + s)
         return Fraction(full - part, 2 * full)
     if (d - k) % 2 == 1:
-        total = _sum_up(row, k + 1, n) + _sum_up(row, d + 1, n)
+        total = _sum_up(row, k + 1 + s, n) + _sum_up(row, d + 1 + s, n)
     else:
-        total = _sum_up(row, k + 1, d - 1)
-    return Fraction(total, (1 << n) * math.factorial(n))
+        total = _sum_up(row, k + 1 + s, d - 1 + s)
+    return f.ratio(total, n)
 
 
 def expected_vk(model: Model, k: int, conditioned: bool = False,
                 tables: StirlingTables | None = None) -> Fraction:
     """Expected k-th conic intrinsic volume, 0 <= k <= d."""
-    t = tables if tables is not None else default_tables()
-    n, d = model.n, model.d
+    t, f = _family(model, tables)
+    n, d, s = model.n, model.d, f.shift
     if not 0 <= k <= d:
         raise DomainError(f"expected_vk requires 0 <= k <= d, got k={k}, d={d}")
-    if model.is_bridge:
-        row = lambda i: t.first(n, i)
-        if conditioned:
-            denom = 2 * _sum_down(row, d)
-            num = _sum_alternating_down(row, d) if k == d else row(k + 1)
-            return Fraction(num, denom)
-        if k == d:
-            return Fraction(sum(row(i) for i in range(d + 1, n + 1)), math.factorial(n))
-        return Fraction(row(k + 1), math.factorial(n))
-    row = lambda i: t.first_b(n, i)
+    row = f.row(t, n)
     if conditioned:
-        denom = 2 * _sum_down(row, d - 1)
-        num = _sum_alternating_down(row, d - 1) if k == d else row(k)
-        return Fraction(num, denom)
+        num = _sum_alternating_down(row, d - 1 + s) if k == d else row(k + s)
+        return Fraction(num, 2 * _sum_down(row, d - 1 + s))
     if k == d:
-        return Fraction(sum(row(i) for i in range(d, n + 1)), (1 << n) * math.factorial(n))
-    return Fraction(row(k), (1 << n) * math.factorial(n))
+        return f.ratio(sum(row(i) for i in range(d + s, n + 1)), n)
+    return f.ratio(row(k + s), n)
 
 
 def expected_Lambda(model: Model, k: int, conditioned: bool = False,
                     tables: StirlingTables | None = None) -> Fraction:
     """Expected total solid-angle content of the k-faces, 1 <= k <= d-1."""
-    t = tables if tables is not None else default_tables()
-    d = model.d
+    t, f = _family(model, tables)
+    n, d = model.n, model.d
     if not 1 <= k <= d - 1:
         raise DomainError(f"expected_Lambda requires 1 <= k <= d-1, got k={k}, d={d}")
-    if model.is_bridge:
-        n, s1, s2 = _bridge_profile(model, t)
-        value = Fraction(2 * _sum_down(lambda i: s1(i) * s2(i, k + 1), d), math.factorial(n))
-    else:
-        n, b1, b2 = _walk_profile(model, t)
-        value = Fraction(2 * _sum_down(lambda i: b1(i) * b2(i, k), d - 1),
-                         (1 << n) * math.factorial(n))
+    value = f.ratio(2 * f.bulk(t, n, k, d), n)
     return _conditioned(value, model, t) if conditioned else value
 
 
 def expected_face_intrinsic_sum(model: Model, m: int, l: int,
                                 tables: StirlingTables | None = None) -> Fraction:
     """Expected sum over m-faces of the l-th conic intrinsic volume."""
-    t = tables if tables is not None else default_tables()
-    d = model.d
+    t, f = _family(model, tables)
+    n, d, s = model.n, model.d, f.shift
     if not 0 <= l <= m <= d:
         raise DomainError(
             f"expected_face_intrinsic_sum requires 0 <= l <= m <= d, got m={m}, l={l}, d={d}")
-    if model.is_bridge:
-        n, s1, s2 = _bridge_profile(model, t)
-        bulk = _sum_down(lambda i: s1(i) * s2(i, m + 1), d)
-        return Fraction(2 * t.first(m + 1, l + 1) * bulk, math.factorial(n))
-    n, b1, b2 = _walk_profile(model, t)
-    bulk = _sum_down(lambda i: b1(i) * b2(i, m), d - 1)
-    return Fraction(2 * t.first_b(m, l) * bulk, (1 << n) * math.factorial(n))
+    return f.ratio(2 * f.first(t, m + s, l + s) * f.bulk(t, n, m, d), n)
 
 
 def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
@@ -329,25 +309,15 @@ def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
     The case k = j gives the internal-angle sum, k = d the external-style
     alternating tail.
     """
-    t = tables if tables is not None else default_tables()
-    d = model.d
+    t, f = _family(model, tables)
+    n, d, s = model.n, model.d, f.shift
     if not (0 <= j <= d - 1 and j <= k <= d):
         raise DomainError(
             f"expected_tangent_intrinsic_sum requires 0 <= j <= d-1 and j <= k <= d, "
             f"got j={j}, k={k}, d={d}")
-    if model.is_bridge:
-        n = model.n
-        if k == d:
-            total = _sum_alternating_down(lambda i: t.first(n, i) * t.second(i, j + 1), d)
-        else:
-            total = t.first(n, k + 1) * t.second(k + 1, j + 1)
-        return Fraction(math.factorial(j + 1) * total, math.factorial(n))
-    n = model.n
-    if k == d:
-        total = _sum_alternating_down(lambda i: t.first_b(n, i) * t.second_b(i, j), d - 1)
-    else:
-        total = t.first_b(n, k) * t.second_b(k, j)
-    return Fraction(math.factorial(j) * total, (1 << (n - j)) * math.factorial(n))
+    term = f.term(t, n, j)
+    total = _sum_alternating_down(term, d - 1 + s) if k == d else term(k + s)
+    return f.ratio(f.weight(j) * total, n)
 
 
 def expected_Y_dual(model: Model, m: int, l: int,
@@ -357,17 +327,11 @@ def expected_Y_dual(model: Model, m: int, l: int,
     Obtained from the duality  Y_{m,l}(dual C) = f_{d-m}(C)/2 - Z_{d-m,d-l}(C)
     for full-dimensional C.
     """
-    t = tables if tables is not None else default_tables()
-    d = model.d
+    t, f = _family(model, tables)
+    n, d = model.n, model.d
     if not 0 <= l < m <= d:
         raise DomainError(f"expected_Y_dual requires 0 <= l < m <= d, got m={m}, l={l}, d={d}")
-    if model.is_bridge:
-        n, s1, s2 = _bridge_profile(model, t)
-        bulk = _sum_down(lambda i: s1(i) * s2(i, d - m + 1), d - l)
-        return Fraction(math.factorial(d - m + 1) * bulk, math.factorial(n))
-    n, b1, b2 = _walk_profile(model, t)
-    bulk = _sum_down(lambda i: b1(i) * b2(i, d - m), d - l - 1)
-    return Fraction(math.factorial(d - m) * bulk, (1 << (n - d + m)) * math.factorial(n))
+    return f.ratio(f.weight(d - m) * f.bulk(t, n, d - m, d - l), n)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +360,13 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
     With ``complement=True`` returns the probability that they do not; the
     two always add to one.
     """
-    t = tables if tables is not None else default_tables()
+    t, f = _family(model, tables)
     idx = _validated_face_indices(model, indices)
     n, d, k = model.n, model.d, len(idx)
     gaps = tuple(b - a for a, b in zip((0,) + idx, idx))
     tail = n - idx[-1]
-    denom = math.prod(math.factorial(g) for g in gaps) * math.factorial(tail)
-    if model.is_bridge:
-        poly = coeff_Q_poly(n, gaps, t)
-    else:
-        poly = coeff_P_poly(n, gaps, t)
-        denom *= 1 << tail
+    denom = math.prod(math.factorial(g) for g in gaps) * math.factorial(tail) * f.base ** tail
+    poly = f.block_poly(n, gaps, t)
     if complement:
         total = sum(poly[r] for r in range(d - k + 1, len(poly), 2))
     else:
@@ -417,14 +377,11 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
 def subspace_intersection_probability(model: Model, k: int,
                                       tables: StirlingTables | None = None) -> Fraction:
     """Probability that the cone meets a fixed generic (d-k)-subspace nontrivially."""
-    t = tables if tables is not None else default_tables()
+    t, f = _family(model, tables)
     n, d = model.n, model.d
     if not 0 <= k <= d - 1:
         raise DomainError(f"subspace intersection requires 0 <= k <= d-1, got k={k}, d={d}")
-    if model.is_bridge:
-        return Fraction(2 * _sum_up(lambda i: t.first(n, i), k + 2, n), math.factorial(n))
-    return Fraction(2 * _sum_up(lambda i: t.first_b(n, i), k + 1, n),
-                    (1 << n) * math.factorial(n))
+    return f.ratio(2 * _sum_up(f.row(t, n), k + 1 + f.shift, n), n)
 
 
 def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Sequence[int],
@@ -465,13 +422,49 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
 # ---------------------------------------------------------------------------
 # query layer
 
-FUNCTIONALS = (
-    "absorption", "nonabsorption", "wendel", "fk", "Uk", "vk", "Lambda",
-    "Y", "Z", "face_intrinsic", "tangent_intrinsic", "Y_dual",
-    "face_prob", "subspace_prob", "joint_absorption",
-)
 
-_CONDITIONABLE = frozenset({"fk", "Uk", "vk", "Lambda", "Y", "Z"})
+@dataclass(frozen=True)
+class Functional:
+    """One registry row: how a functional name is evaluated.
+
+    ``evaluate`` takes the query, the tables and the values of the
+    ``indices`` it requires, in that order.
+    """
+
+    evaluate: Callable[..., Fraction]
+    indices: tuple[str, ...] = ()
+    conditionable: bool = False
+    needs_model: bool = True
+
+
+FUNCTIONALS: dict[str, Functional] = {
+    "absorption": Functional(lambda q, t: absorption_probability(q.model, t)),
+    "nonabsorption": Functional(lambda q, t: nonabsorption_probability(q.model, t)),
+    "wendel": Functional(lambda q, t, n, d: wendel_probability(n, d), ("n", "d"),
+                         needs_model=False),
+    "fk": Functional(lambda q, t, k: expected_fk(q.model, k, q.conditioned, t), ("k",), True),
+    "Uk": Functional(lambda q, t, k: expected_Uk(q.model, k, q.conditioned, t), ("k",), True),
+    "vk": Functional(lambda q, t, k: expected_vk(q.model, k, q.conditioned, t), ("k",), True),
+    "Lambda": Functional(lambda q, t, k: expected_Lambda(q.model, k, q.conditioned, t),
+                         ("k",), True),
+    "Y": Functional(lambda q, t, m, l: expected_Y(q.model, m, l, q.conditioned, t),
+                    ("m", "l"), True),
+    "Z": Functional(lambda q, t, j, k: expected_Z(q.model, j, k, q.conditioned, t),
+                    ("j", "k"), True),
+    "face_intrinsic": Functional(
+        lambda q, t, m, l: expected_face_intrinsic_sum(q.model, m, l, t), ("m", "l")),
+    "tangent_intrinsic": Functional(
+        lambda q, t, j, k: expected_tangent_intrinsic_sum(q.model, j, k, t), ("j", "k")),
+    "Y_dual": Functional(lambda q, t, m, l: expected_Y_dual(q.model, m, l, t), ("m", "l")),
+    "face_prob": Functional(lambda q, t, idx: face_probability(q.model, idx, tables=t),
+                            ("indices",)),
+    "subspace_prob": Functional(
+        lambda q, t, k: subspace_intersection_probability(q.model, k, t), ("k",)),
+    "joint_absorption": Functional(
+        lambda q, t, d: joint_absorption_probability(q.walk_lengths, q.bridge_lengths, d,
+                                                     tables=t),
+        ("d",), needs_model=False),
+}
 
 
 @dataclass(frozen=True)
@@ -503,102 +496,47 @@ class FunctionalQuery:
             object.__setattr__(self, "functional", "Y_dual")
             object.__setattr__(self, "dual", False)
             name = "Y_dual"
-        if name not in FUNCTIONALS:
-            raise DomainError(f"unknown functional {self.functional!r}; expected one of {FUNCTIONALS}")
-        if self.conditioned and name not in _CONDITIONABLE:
+        spec = FUNCTIONALS.get(name)
+        if spec is None:
+            raise DomainError(f"unknown functional {name!r}; expected one of {tuple(FUNCTIONALS)}")
+        if self.conditioned and not spec.conditionable:
             raise DomainError(f"functional {name!r} has no conditioned variant")
-        if self.dual and name not in ("Y", "Y_dual"):
+        if self.dual and name != "Y_dual":
             raise DomainError("the dual flag applies only to the Y functional")
-        needs_model = name not in ("wendel", "joint_absorption")
-        if needs_model and self.model is None:
+        if spec.needs_model and self.model is None:
             raise DomainError(f"functional {name!r} requires a model")
         if self.indices is not None:
             object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
-    def _require(self, **kw: Optional[int]) -> list[int]:
+    @property
+    def dimension(self) -> Optional[int]:
+        """Ambient dimension: the model's, else ``d``."""
+        return self.model.d if self.model is not None else self.d
+
+    def _require(self, names: tuple[str, ...]) -> list:
         out = []
-        for key, val in kw.items():
+        for key in names:
+            val = getattr(self, key)
             if val is None:
                 raise DomainError(f"functional {self.functional!r} requires index {key!r}")
-            out.append(int(val))
+            out.append(val if key == "indices" else int(val))
         return out
 
 
 @dataclass(frozen=True)
 class FormulaResult:
-    """An exact value, its float shadow, and an identifier of the formula used."""
+    """An exact value and its float shadow."""
 
     exact: Fraction
-    decimal: float = field(default=0.0)
-    citation: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "decimal", float(self.exact))
+    @property
+    def decimal(self) -> float:
+        return float(self.exact)
 
 
 def evaluate_query(query: FunctionalQuery,
                    tables: StirlingTables | None = None) -> FormulaResult:
-    """Dispatch a query to its closed form and wrap the exact result."""
+    """Evaluate a query through its registry row and wrap the exact result."""
     t = tables if tables is not None else default_tables()
-    q = query
-    name = q.functional
-    model = q.model
-    cond = q.conditioned
-    suffix = ""
-    if model is not None:
-        suffix = ".bridge" if model.is_bridge else ".walk"
-    if cond:
-        suffix += ".conditioned"
-
-    if name == "wendel":
-        n, d = q._require(n=q.n, d=q.d)
-        return FormulaResult(wendel_probability(n, d), citation="wendel")
-    if name == "joint_absorption":
-        if q.d is None:
-            raise DomainError("joint_absorption requires d")
-        value = joint_absorption_probability(q.walk_lengths, q.bridge_lengths, q.d, tables=t)
-        return FormulaResult(value, citation="joint-absorption")
-    if name == "absorption":
-        return FormulaResult(absorption_probability(model, t), citation="absorption" + suffix)
-    if name == "nonabsorption":
-        return FormulaResult(nonabsorption_probability(model, t),
-                             citation="nonabsorption" + suffix)
-    if name == "fk":
-        (k,) = q._require(k=q.k)
-        return FormulaResult(expected_fk(model, k, cond, t), citation="face-count" + suffix)
-    if name == "Uk":
-        (k,) = q._require(k=q.k)
-        return FormulaResult(expected_Uk(model, k, cond, t), citation="quermassintegral" + suffix)
-    if name == "vk":
-        (k,) = q._require(k=q.k)
-        return FormulaResult(expected_vk(model, k, cond, t), citation="intrinsic-volume" + suffix)
-    if name == "Lambda":
-        (k,) = q._require(k=q.k)
-        return FormulaResult(expected_Lambda(model, k, cond, t), citation="face-content" + suffix)
-    if name == "Y":
-        m, l = q._require(m=q.m, l=q.l)
-        return FormulaResult(expected_Y(model, m, l, cond, t), citation="face-sum-U" + suffix)
-    if name == "Z":
-        j, k = q._require(j=q.j, k=q.k)
-        return FormulaResult(expected_Z(model, j, k, cond, t), citation="tangent-sum-U" + suffix)
-    if name == "face_intrinsic":
-        m, l = q._require(m=q.m, l=q.l)
-        return FormulaResult(expected_face_intrinsic_sum(model, m, l, t),
-                             citation="face-sum-v" + suffix)
-    if name == "tangent_intrinsic":
-        j, k = q._require(j=q.j, k=q.k)
-        return FormulaResult(expected_tangent_intrinsic_sum(model, j, k, t),
-                             citation="tangent-sum-v" + suffix)
-    if name == "Y_dual":
-        m, l = q._require(m=q.m, l=q.l)
-        return FormulaResult(expected_Y_dual(model, m, l, t), citation="dual-face-sum-U" + suffix)
-    if name == "face_prob":
-        if q.indices is None:
-            raise DomainError("face_prob requires indices i1<...<ik")
-        return FormulaResult(face_probability(model, q.indices, tables=t),
-                             citation="face-probability" + suffix)
-    if name == "subspace_prob":
-        (k,) = q._require(k=q.k)
-        return FormulaResult(subspace_intersection_probability(model, k, t),
-                             citation="subspace-intersection" + suffix)
-    raise DomainError(f"unhandled functional {name!r}")
+    spec = FUNCTIONALS[query.functional]
+    return FormulaResult(spec.evaluate(query, t, *query._require(spec.indices)))

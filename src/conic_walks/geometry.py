@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -253,17 +253,16 @@ class _MinorTable:
 _MINOR_CACHE: dict[tuple[int, int], _MinorTable] = {}
 
 
-def _check_subset_count(n: int, d: int, count: int) -> None:
+def _check_subset_count(shape: str, count: int) -> None:
     if count > MAX_SUBSETS:
-        raise DomainError(
-            f"n={n}, d={d} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
+        raise DomainError(f"{shape} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
 
 
 def _minor_table(n: int, d: int) -> _MinorTable:
     key = (n, d)
     table = _MINOR_CACHE.get(key)
     if table is None:
-        _check_subset_count(n, d, sum(math.comb(n, k) for k in range(1, d + 1)))
+        _check_subset_count(f"n={n}, d={d}", sum(math.comb(n, k) for k in range(1, d + 1)))
         table = _build_minor_table(n, d)
         if len(_MINOR_CACHE) < 256:
             _MINOR_CACHE[key] = table
@@ -405,7 +404,7 @@ def _d_subsets(n: int, d: int) -> np.ndarray:
     key = (n, d)
     cached = _SUBSET_CACHE.get(key)
     if cached is None:
-        _check_subset_count(n, d, math.comb(n, d))
+        _check_subset_count(f"n={n}, d={d}", math.comb(n, d))
         cached = np.array(list(combinations(range(n), d)), dtype=np.intp)
         if len(_SUBSET_CACHE) < 4096:
             _SUBSET_CACHE[key] = cached
@@ -490,16 +489,53 @@ def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...
     return tuple(sorted(idx))
 
 
-def _projected_complement(cone: ConeSample, idx: tuple[int, ...]) -> np.ndarray:
-    """Remaining generators expressed in an orthonormal basis of the
-    orthogonal complement of the span of the selected ones."""
-    gens = cone.generators
-    basis = _complement_basis(gens[list(idx)])
+def _split(n_gen: int, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the selection and of the other generators."""
+    rest = [i for i in range(n_gen) if i not in idx]
+    return np.array(idx, dtype=np.intp), np.array(rest, dtype=np.intp)
+
+
+_SPLIT_CACHE: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+_CACHED_SPLITS = 4096
+"""Largest enumeration the cache keeps: every split holds two arrays, and
+sampled cones need at most C(10, 5) = 252 splits."""
+
+
+def _index_splits(n_gen: int, size: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """(subset, complement) row-index pairs for every subset of the given
+    size; raises DomainError when there are more than ``MAX_SUBSETS``."""
+    key = (n_gen, size)
+    cached = _SPLIT_CACHE.get(key)
+    if cached is not None:
+        return cached
+    count = math.comb(n_gen, size)
+    _check_subset_count(f"n={n_gen}, k={size}", count)
+    splits = (_split(n_gen, subset) for subset in combinations(range(n_gen), size))
+    if count > _CACHED_SPLITS or len(_SPLIT_CACHE) >= 1024:
+        return splits
+    _SPLIT_CACHE[key] = cached = list(splits)
+    return cached
+
+
+def _is_face_split(gens: np.ndarray, sel: np.ndarray, rest: np.ndarray) -> np.ndarray | None:
+    """Complement basis of the selected rows if they span a face (the test of
+    :func:`is_face`), else None."""
+    basis = _complement_basis(gens[sel])
     if basis is None:
         raise DegenerateInputError(
-            f"selected generators {idx} are rank-deficient; face test undefined")
-    keep = [i for i in range(gens.shape[0]) if i not in idx]
-    return gens[keep] @ basis
+            f"selected generators {tuple(sel.tolist())} are rank-deficient; face test undefined")
+    if rest.size and _origin_in_hull(gens[rest] @ basis):
+        return None
+    return basis
+
+
+def _faces(gens: np.ndarray, size: int):
+    """(selected rows, other rows, complement basis) of every face spanned
+    by ``size`` generators, in combinations order."""
+    for sel, rest in _index_splits(gens.shape[0], size):
+        basis = _is_face_split(gens, sel, rest)
+        if basis is not None:
+            yield sel, rest, basis
 
 
 def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
@@ -509,11 +545,8 @@ def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
     complement of the selection's span, leave the origin outside their
     convex hull there.
     """
-    idx = _validated_subset(cone, subset)
-    projected = _projected_complement(cone, idx)
-    if projected.shape[0] == 0:
-        return True
-    return not _origin_in_hull(projected)
+    sel, rest = _split(cone.n_generators, _validated_subset(cone, subset))
+    return _is_face_split(cone.generators, sel, rest) is not None
 
 
 def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
@@ -521,25 +554,21 @@ def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
     if subspace.d != cone.d:
         raise DomainError(
             f"subspace lives in dimension {subspace.d}, cone in {cone.d}")
-    return _meets_subspace(cone.generators, subspace)
-
-
-def _meets_subspace(gens: np.ndarray, subspace: Subspace) -> bool:
-    m = subspace.dim
-    d = gens.shape[1]
-    if m == 0:
+    if subspace.dim == 0:
         return False
-    if m == d:
+    if subspace.dim == cone.d:
         return True
     perp, _ = _row_complement(subspace.basis.T)
-    return _origin_in_hull(gens @ perp)
+    return _origin_in_hull(cone.generators @ perp)
 
 
 def count_k_faces(cone: ConeSample, k: int) -> int:
     """Number of k-dimensional faces, 0 <= k <= d-1.
 
     A pointed cone has exactly one 0-face, the apex; a cone containing a
-    line (a full cone, a half-space, ...) has none.
+    line (a full cone, a half-space, ...) has none.  Counting k >= 1 faces
+    enumerates the k-subsets of generators and raises DomainError when
+    there are more than ``MAX_SUBSETS``.
     """
     if not 0 <= k <= cone.d - 1:
         raise DomainError(f"count_k_faces requires 0 <= k <= d-1, got k={k}, d={cone.d}")
@@ -547,11 +576,7 @@ def count_k_faces(cone: ConeSample, k: int) -> int:
         gens = cone.generators
         nonzero = gens[gens.any(axis=1)]
         return 0 if nonzero.shape[0] and _origin_in_hull(nonzero) else 1
-    total = 0
-    for subset in combinations(range(cone.n_generators), k):
-        if is_face(cone, subset):
-            total += 1
-    return total
+    return sum(1 for _ in _faces(cone.generators, k))
 
 
 def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> ConeSample:
@@ -564,17 +589,16 @@ def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> Con
     if len(tuple(subset)) == 0:
         return cone
     idx = _validated_subset(cone, subset)
-    projected = _projected_complement(cone, idx)
-    if projected.shape[0] > 0 and origin_in_convex_hull(projected):
+    sel, rest = _split(cone.n_generators, idx)
+    basis = _is_face_split(cone.generators, sel, rest)
+    if basis is None:
         raise DomainError(f"subset {idx} is not a face; tangent cone base undefined")
-    return ConeSample(projected, TAG_PROJECTED, cone.tol)
+    return ConeSample(cone.generators[rest] @ basis, TAG_PROJECTED, cone.tol)
 
 
 def cone_contains(cone: ConeSample, x: Sequence[float]) -> bool:
     """Membership of a point in the positive hull, via the NNLS residual."""
-    x = np.asarray(x, dtype=float)
-    _, resid = _nnls_lowest_index(cone.generators.T, x, cone.tol)
-    return float(np.linalg.norm(resid)) <= cone.tol * max(1.0, float(np.linalg.norm(x)))
+    return _nnls_projection(cone.generators, np.asarray(x, dtype=float), cone.tol)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +617,8 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     g = np.asarray(g, dtype=float)
     if g.shape != (cone.d,):
         raise DomainError(f"point has shape {g.shape}, expected ({cone.d},)")
-    coeff, resid = _nnls_lowest_index(cone.generators.T, g, cone.tol)
-    inside = float(np.linalg.norm(resid)) <= cone.tol * max(1.0, float(np.linalg.norm(g)))
-    top = float(coeff.max(initial=0.0))
-    if top > 0.0:
-        active = tuple(int(i) for i in np.flatnonzero(coeff > cone.tol * top))
-    else:
-        active = ()
+    resid, active, inside = _nnls_projection(cone.generators, g, cone.tol)
+    active = tuple(int(i) for i in active)
     if inside:
         return ConeProjection(point=g.copy(), active_set=active, face_dim=cone.d)
     return ConeProjection(point=g - resid, active_set=active, face_dim=len(active))
@@ -607,13 +626,20 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
 
 def _projection_face_dim(gens: np.ndarray, g: np.ndarray, tol: float) -> int:
     """Dimension of the face the metric projection of g lands in (d if inside)."""
+    _, active, inside = _nnls_projection(gens, g, tol)
+    return gens.shape[1] if inside else len(active)
+
+
+def _nnls_projection(gens: np.ndarray, g: np.ndarray,
+                     tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Residual of the metric projection of g onto the positive hull of the
+    rows, the rows whose coefficient exceeds tol times the largest (the
+    coefficients are nonnegative, so none when all vanish), and whether g
+    lies in the cone: its squared residual is within (tol * max(1, |g|))^2."""
     coeff, resid = _nnls_lowest_index(gens.T, g, tol)
-    if float(resid @ resid) <= (tol * max(1.0, float(np.linalg.norm(g)))) ** 2:
-        return gens.shape[1]
-    top = float(coeff.max(initial=0.0))
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(coeff > tol * top))
+    active = np.flatnonzero(coeff > tol * float(coeff.max(initial=0.0)))
+    inside = float(resid @ resid) <= (tol * max(1.0, float(np.linalg.norm(g)))) ** 2
+    return resid, active, inside
 
 
 def _nnls_lowest_index(a: np.ndarray, b: np.ndarray, tol: float,

@@ -17,13 +17,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateInputError, DomainError, SamplingError
+from .errors import DomainError, SamplingError
 from .formulas import (
     A_BRIDGE,
     B_WALK,
@@ -35,6 +34,7 @@ from .geometry import (
     ConeSample,
     TAG_BRIDGE,
     TAG_WALK,
+    count_k_faces,
     is_face,
     is_full_cone,
     origin_in_convex_hull,
@@ -97,13 +97,10 @@ def _draw_cone(model: Model, dist: DistributionSpec, rng: np.random.Generator,
                max_retries: int = _MAX_DRAW_RETRIES) -> tuple[ConeSample, int]:
     if dist.d != model.d:
         raise DomainError(f"distribution dimension {dist.d} != model dimension {model.d}")
+    draw, tag = ((_bridge_generators, TAG_BRIDGE) if model.is_bridge
+                 else (_walk_generators, TAG_WALK))
     for attempt in range(max_retries):
-        if model.is_bridge:
-            gens = _bridge_generators(dist, model.n, rng)
-            tag = TAG_BRIDGE
-        else:
-            gens = _walk_generators(dist, model.n, rng)
-            tag = TAG_WALK
+        gens = draw(dist, model.n, rng)
         if geometry._general_position_ok(gens):
             return ConeSample(gens, tag), attempt
     raise SamplingError(
@@ -193,44 +190,9 @@ class RunConfig:
             raise DomainError("need at least one sample")
         if self.workers < 1:
             raise DomainError("worker count must be >= 1")
-        if self.query.model is not None and self.query.model.d != self.dist.d:
+        if self.query.dimension != self.dist.d:
             raise DomainError(
-                f"query model dimension {self.query.model.d} != distribution dimension {self.dist.d}")
-        if self.query.functional == "joint_absorption" and self.query.d != self.dist.d:
-            raise DomainError("joint_absorption query dimension must match the distribution")
-
-
-_SIMULATABLE = frozenset({
-    "absorption", "nonabsorption", "fk", "Uk", "vk", "Lambda", "Y", "Z",
-    "face_intrinsic", "tangent_intrinsic", "face_prob", "subspace_prob",
-    "joint_absorption",
-})
-
-_SPLIT_CACHE: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-
-
-def _index_splits(n_gen: int, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(subset, complement) row-index pairs for every subset of the given size."""
-    key = (n_gen, size)
-    cached = _SPLIT_CACHE.get(key)
-    if cached is None:
-        cached = []
-        for subset in combinations(range(n_gen), size):
-            rest = [i for i in range(n_gen) if i not in subset]
-            cached.append((np.array(subset, dtype=np.intp), np.array(rest, dtype=np.intp)))
-        if len(_SPLIT_CACHE) < 1024:
-            _SPLIT_CACHE[key] = cached
-    return cached
-
-
-def _is_face_split(gens: np.ndarray, sel: np.ndarray, rest: np.ndarray) -> np.ndarray | None:
-    """Complement basis of the selected rows if they span a face, else None."""
-    basis = geometry._complement_basis(gens[sel])
-    if basis is None:
-        raise DegenerateInputError("rank-deficient generator subset in a face test")
-    if rest.size and geometry._origin_in_hull(gens[rest] @ basis):
-        return None
-    return basis
+                f"query dimension {self.query.dimension} != distribution dimension {self.dist.d}")
 
 
 def _hits_random_subspace(gens: np.ndarray, perp_dim: int, rng: np.random.Generator) -> bool:
@@ -246,142 +208,106 @@ def _hits_random_subspace(gens: np.ndarray, perp_dim: int, rng: np.random.Genera
     return geometry._origin_in_hull(gens @ basis)
 
 
-def _measure_fn(query: FunctionalQuery) -> Callable[[ConeSample, np.random.Generator], float]:
-    """Per-cone measurement whose expectation is the queried functional."""
-    name = query.functional
-    model = query.model
+def _full(query: FunctionalQuery, cone: ConeSample) -> bool:
     # a conditioned query only ever sees cones the sampler found not full
-    is_full = (lambda cone: False) if query.conditioned else is_full_cone
-    if name == "absorption":
-        return lambda cone, rng: 1.0 if is_full_cone(cone) else 0.0
-    if name == "nonabsorption":
-        return lambda cone, rng: 0.0 if is_full_cone(cone) else 1.0
-    if name == "fk":
-        k = query.k
-        if k == 0:
-            return lambda cone, rng: 0.0 if is_full(cone) else 1.0
+    return not query.conditioned and is_full_cone(cone)
 
-        def measure_f(cone, rng):
-            gens = cone.generators
-            total = 0.0
-            for sel, rest in _index_splits(cone.n_generators, k):
-                if _is_face_split(gens, sel, rest) is not None:
-                    total += 1.0
-            return total
 
-        return measure_f
-    if name == "vk":
-        k = query.k
+def _face_count(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    if q.k == 0:
+        return 0.0 if _full(q, cone) else 1.0
+    return float(count_k_faces(cone, q.k))
 
-        def measure_v(cone, rng):
-            g = rng.standard_normal(cone.d)
-            return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == k else 0.0
 
-        return measure_v
-    if name == "Uk":
-        k = query.k
+def _intrinsic_volume(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    g = rng.standard_normal(cone.d)
+    return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == q.k else 0.0
 
-        def measure_u(cone, rng):
-            d = cone.d
-            if is_full(cone):
-                # the full space scores by the subspace convention
-                return 1.0 if (d - k) % 2 == 1 else 0.0
-            if k == d:
-                return 0.0
-            return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
 
-        return measure_u
-    if name in ("Y", "Lambda"):
-        m = query.m if name == "Y" else query.k
-        l = query.l if name == "Y" else query.k - 1
+def _quermassintegral(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    d, k = cone.d, q.k
+    if _full(q, cone):
+        # the full space scores by the subspace convention
+        return 1.0 if (d - k) % 2 == 1 else 0.0
+    if k == d:
+        return 0.0
+    return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
 
-        def measure_y(cone, rng):
-            gens = cone.generators
-            total = 0.0
-            for sel, rest in _index_splits(cone.n_generators, m):
-                if _is_face_split(gens, sel, rest) is None:
-                    continue
-                if _hits_random_subspace(gens[sel], l, rng):
-                    total += 0.5
-            return total
 
-        return measure_y
-    if name == "Z":
-        j, k = query.j, query.k
+def _face_sum_u(m: int, l: int, cone: ConeSample, rng: np.random.Generator) -> float:
+    gens = cone.generators
+    total = 0.0
+    for sel, _, _ in geometry._faces(gens, m):
+        if _hits_random_subspace(gens[sel], l, rng):
+            total += 0.5
+    return total
 
-        def measure_z(cone, rng):
-            d = cone.d
-            if j == 0:
-                if k == d or is_full(cone):
-                    return 0.0
-                return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
-            if k == d:
-                return 0.0  # top quermassintegral of a tangent cone vanishes
-            gens = cone.generators
-            total = 0.0
-            for sel, rest in _index_splits(cone.n_generators, j):
-                basis = _is_face_split(gens, sel, rest)
-                if basis is None:
-                    continue
-                projected = gens[rest] @ basis
-                if _hits_random_subspace(projected, k - j, rng):
-                    total += 0.5
-            return total
 
-        return measure_z
-    if name == "face_intrinsic":
-        m, l = query.m, query.l
-        if m > model.d - 1:
-            raise DomainError(
-                "face_intrinsic simulation enumerates proper faces and requires m <= d-1")
+def _tangent_sum_u(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    j, k, d = q.j, q.k, cone.d
+    if j == 0:
+        if k == d or _full(q, cone):
+            return 0.0
+        return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
+    if k == d:
+        return 0.0  # top quermassintegral of a tangent cone vanishes
+    gens = cone.generators
+    total = 0.0
+    for _, rest, basis in geometry._faces(gens, j):
+        if _hits_random_subspace(gens[rest] @ basis, k - j, rng):
+            total += 0.5
+    return total
 
-        def measure_fi(cone, rng):
-            gens = cone.generators
-            total = 0.0
-            for sel, rest in _index_splits(cone.n_generators, m):
-                if _is_face_split(gens, sel, rest) is None:
-                    continue
-                g = rng.standard_normal(cone.d)
-                if geometry._projection_face_dim(gens[sel], g, cone.tol) == l:
-                    total += 1.0
-            return total
 
-        return measure_fi
-    if name == "tangent_intrinsic":
-        j, k = query.j, query.k
+def _face_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    if q.m > cone.d - 1:
+        raise DomainError(
+            "face_intrinsic simulation enumerates proper faces and requires m <= d-1")
+    gens = cone.generators
+    total = 0.0
+    for sel, _, _ in geometry._faces(gens, q.m):
+        g = rng.standard_normal(cone.d)
+        if geometry._projection_face_dim(gens[sel], g, cone.tol) == q.l:
+            total += 1.0
+    return total
 
-        def measure_ti(cone, rng):
-            d = cone.d
-            if j == 0:
-                if is_full(cone):
-                    return 0.0
-                g = rng.standard_normal(d)
-                return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == k else 0.0
-            gens = cone.generators
-            total = 0.0
-            for sel, rest in _index_splits(cone.n_generators, j):
-                basis = _is_face_split(gens, sel, rest)
-                if basis is None:
-                    continue
-                projected = gens[rest] @ basis
-                g = rng.standard_normal(d - j)
-                if geometry._projection_face_dim(projected, g, cone.tol) == k - j:
-                    total += 1.0
-            return total
 
-        return measure_ti
-    if name == "face_prob":
-        rows = tuple(i - 1 for i in query.indices)  # 1-based partial sums -> rows
+def _tangent_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    j, k, d = q.j, q.k, cone.d
+    if j == 0:
+        if _full(q, cone):
+            return 0.0
+        g = rng.standard_normal(d)
+        return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == k else 0.0
+    gens = cone.generators
+    total = 0.0
+    for _, rest, basis in geometry._faces(gens, j):
+        g = rng.standard_normal(d - j)
+        if geometry._projection_face_dim(gens[rest] @ basis, g, cone.tol) == k - j:
+            total += 1.0
+    return total
 
-        def measure_fp(cone, rng):
-            return 1.0 if is_face(cone, rows) else 0.0
 
-        return measure_fp
-    if name == "subspace_prob":
-        k = query.k
-        return lambda cone, rng: (
-            1.0 if _hits_random_subspace(cone.generators, k, rng) else 0.0)
-    raise DomainError(f"functional {name!r} is not supported by the simulator")
+MEASURES: dict[str, Callable[[FunctionalQuery, object, np.random.Generator], float]] = {
+    "absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
+    "nonabsorption": lambda q, cone, rng: 0.0 if is_full_cone(cone) else 1.0,
+    "fk": _face_count,
+    "Uk": _quermassintegral,
+    "vk": _intrinsic_volume,
+    "Lambda": lambda q, cone, rng: _face_sum_u(q.k, q.k - 1, cone, rng),
+    "Y": lambda q, cone, rng: _face_sum_u(q.m, q.l, cone, rng),
+    "Z": _tangent_sum_u,
+    "face_intrinsic": _face_sum_v,
+    "tangent_intrinsic": _tangent_sum_v,
+    # 1-based partial sums -> generator rows
+    "face_prob": lambda q, cone, rng: 1.0 if is_face(cone, [i - 1 for i in q.indices]) else 0.0,
+    "subspace_prob": lambda q, cone, rng: (
+        1.0 if _hits_random_subspace(cone.generators, q.k, rng) else 0.0),
+    "joint_absorption": lambda q, points, rng: 1.0 if origin_in_convex_hull(points) else 0.0,
+}
+"""Per functional name, the measurement (query, sample, rng) -> value whose
+expectation is the functional.  A joint_absorption sample is the stacked
+points of all blocks, every other sample a cone of the query's model."""
 
 
 def _draw_joint(query: FunctionalQuery, dist: DistributionSpec,
@@ -395,37 +321,35 @@ def _draw_joint(query: FunctionalQuery, dist: DistributionSpec,
     raise SamplingError(f"no joint draw in general position after {_MAX_DRAW_RETRIES} attempts")
 
 
+def _draw_sample(query: FunctionalQuery, dist: DistributionSpec,
+                 rng: np.random.Generator) -> tuple[object, int]:
+    if query.model is None:
+        return _draw_joint(query, dist, rng)
+    model = query.model
+    cone, rejected = _draw_cone(model, dist, rng)
+    if query.conditioned:
+        guard = 0
+        while is_full_cone(cone):
+            guard += 1
+            if guard > _MAX_CONDITION_RETRIES:
+                raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
+            cone, rej = _draw_cone(model, dist, rng)
+            rejected += rej
+    return cone, rejected
+
+
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:
     query, dist, seed, start, count = args
     streams = _SampleStreams(seed)
+    measure = MEASURES[query.functional]
     total = 0.0
     total_sq = 0.0
     rejected = 0
-    if query.functional == "joint_absorption":
-        for i in range(start, start + count):
-            rng = streams.at(i)
-            points, rej = _draw_joint(query, dist, rng)
-            rejected += rej
-            value = 1.0 if origin_in_convex_hull(points) else 0.0
-            total += value
-            total_sq += value * value
-        return total, total_sq, rejected
-    model = query.model
-    measure = _measure_fn(query)
-    conditioned = query.conditioned
     for i in range(start, start + count):
         rng = streams.at(i)
-        cone, rej = _draw_cone(model, dist, rng)
+        sample, rej = _draw_sample(query, dist, rng)
         rejected += rej
-        if conditioned:
-            guard = 0
-            while is_full_cone(cone):
-                guard += 1
-                if guard > _MAX_CONDITION_RETRIES:
-                    raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
-                cone, rej2 = _draw_cone(model, dist, rng)
-                rejected += rej2
-        value = measure(cone, rng)
+        value = measure(query, sample, rng)
         total += value
         total_sq += value * value
     return total, total_sq, rejected
@@ -438,7 +362,7 @@ def estimate(config: RunConfig) -> MCEstimate:
     the exact value from the formula layer.
     """
     query = config.query
-    if query.functional not in _SIMULATABLE:
+    if query.functional not in MEASURES:
         raise DomainError(
             f"functional {query.functional!r} has no Monte Carlo measurement; "
             "evaluate it exactly instead")

@@ -417,8 +417,7 @@ def _gate_seed(base_seed: int, gate_name: str, family: str) -> int:
 
 def run_gate(gate: Gate, family: str, budget: int, seed: int, workers: int = 1) -> dict:
     """Estimate one gate under one distribution and compare to the exact value."""
-    dim = gate.query.model.d if gate.query.model is not None else gate.query.d
-    dist = DistributionSpec(family, dim)
+    dist = DistributionSpec(family, gate.query.dimension)
     config = RunConfig(query=gate.query, dist=dist, samples=budget,
                        seed=_gate_seed(seed, gate.name, family), workers=workers)
     est = estimate(config)

@@ -1,10 +1,16 @@
-"""Brute-force oracles shared by the geometry and acceptance tests."""
+"""Brute-force oracles shared by the geometry, formula and acceptance tests."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+
+from conic_walks.combinatorics import StirlingTables, coeff_P_poly, coeff_Q_poly, default_tables
+from conic_walks.errors import DomainError
+from conic_walks.formulas import Model
 
 
 def brute_force_is_face(gens, subset, tol=1e-9):
@@ -125,3 +131,337 @@ def fraction_det(rows):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+# ---------------------------------------------------------------------------
+# closed forms with separate bridge and walk branches
+#
+# The formula layer evaluated every expectation through these twin
+# branches before one parametrised family record replaced them; they are
+# kept unchanged as the reference the family form must match exactly.
+
+def _sum_down(f: Callable[[int], int], start: int) -> int:
+    """f(start) + f(start-2) + ... over nonnegative indices."""
+    total = 0
+    i = start
+    while i >= 0:
+        total += f(i)
+        i -= 2
+    return total
+
+
+def _sum_up(f: Callable[[int], int], start: int, stop: int) -> int:
+    """f(start) + f(start+2) + ... while the index stays <= stop."""
+    total = 0
+    i = start
+    while i <= stop:
+        total += f(i)
+        i += 2
+    return total
+
+
+def _sum_alternating_down(f: Callable[[int], int], start: int) -> int:
+    """f(start) - f(start-1) + f(start-2) - ... over nonnegative indices."""
+    total = 0
+    sign = 1
+    for i in range(start, -1, -1):
+        total += sign * f(i)
+        sign = -sign
+    return total
+
+
+def _bridge_profile(model: Model, tables: StirlingTables):
+    n = model.n
+    s1 = lambda i: tables.first(n, i)
+    s2 = tables.second
+    return n, s1, s2
+
+
+def _walk_profile(model: Model, tables: StirlingTables):
+    n = model.n
+    b1 = lambda i: tables.first_b(n, i)
+    b2 = tables.second_b
+    return n, b1, b2
+
+
+def nonabsorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
+    """P[cone != R^d], equivalently that the origin avoids the path's convex hull."""
+    t = tables if tables is not None else default_tables()
+    n, d = model.n, model.d
+    if model.is_bridge:
+        return Fraction(2 * _sum_down(lambda i: t.first(n, i), d), math.factorial(n))
+    return Fraction(2 * _sum_down(lambda i: t.first_b(n, i), d - 1),
+                    (1 << n) * math.factorial(n))
+
+
+def absorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
+    """P[cone = R^d]."""
+    t = tables if tables is not None else default_tables()
+    n, d = model.n, model.d
+    if model.is_bridge:
+        return Fraction(2 * _sum_up(lambda i: t.first(n, i), d + 2, n), math.factorial(n))
+    return Fraction(2 * _sum_up(lambda i: t.first_b(n, i), d + 1, n),
+                    (1 << n) * math.factorial(n))
+
+
+def _conditioned(value: Fraction, model: Model, tables: StirlingTables) -> Fraction:
+    return value / nonabsorption_probability(model, tables)
+
+
+# ---------------------------------------------------------------------------
+# size functionals
+
+
+def expected_Y(model: Model, m: int, l: int, conditioned: bool = False,
+               tables: StirlingTables | None = None) -> Fraction:
+    """Expected sum over m-faces of the l-th conic quermassintegral."""
+    t = tables if tables is not None else default_tables()
+    d = model.d
+    if not 0 <= l < m <= d - 1:
+        raise DomainError(f"expected_Y requires 0 <= l < m <= d-1, got m={m}, l={l}, d={d}")
+    if model.is_bridge:
+        n, s1, s2 = _bridge_profile(model, t)
+        edge = _sum_up(lambda i: t.first(m + 1, i), l + 2, m + 1)
+        bulk = _sum_down(lambda i: s1(i) * s2(i, m + 1), d)
+        value = Fraction(2 * edge * bulk, math.factorial(n))
+    else:
+        n, b1, b2 = _walk_profile(model, t)
+        edge = _sum_up(lambda i: t.first_b(m, i), l + 1, m)
+        bulk = _sum_down(lambda i: b1(i) * b2(i, m), d - 1)
+        value = Fraction(2 * edge * bulk, (1 << n) * math.factorial(n))
+    return _conditioned(value, model, t) if conditioned else value
+
+
+def expected_Z(model: Model, j: int, k: int, conditioned: bool = False,
+               tables: StirlingTables | None = None) -> Fraction:
+    """Expected sum over j-faces of the k-th quermassintegral of the tangent cone."""
+    t = tables if tables is not None else default_tables()
+    d = model.d
+    if not 0 <= j <= k <= d:
+        raise DomainError(f"expected_Z requires 0 <= j <= k <= d, got j={j}, k={k}, d={d}")
+    if model.is_bridge:
+        n, s1, s2 = _bridge_profile(model, t)
+        tail = lambda x: _sum_down(lambda i: s1(i) * s2(i, j + 1), x)
+        value = Fraction(math.factorial(j + 1) * (tail(d) - tail(k)), math.factorial(n))
+    else:
+        n, b1, b2 = _walk_profile(model, t)
+        tail = lambda x: _sum_down(lambda i: b1(i) * b2(i, j), x - 1)
+        value = Fraction(math.factorial(j) * (tail(d) - tail(k)),
+                         (1 << (n - j)) * math.factorial(n))
+    return _conditioned(value, model, t) if conditioned else value
+
+
+def expected_fk(model: Model, k: int, conditioned: bool = False,
+                tables: StirlingTables | None = None) -> Fraction:
+    """Expected number of k-dimensional faces, 0 <= k <= d-1.
+
+    k = 0 counts the apex, so the unconditioned value equals the
+    nonabsorption probability.
+    """
+    t = tables if tables is not None else default_tables()
+    d = model.d
+    if not 0 <= k <= d - 1:
+        raise DomainError(f"expected_fk requires 0 <= k <= d-1, got k={k}, d={d}")
+    if model.is_bridge:
+        n, s1, s2 = _bridge_profile(model, t)
+        bulk = _sum_down(lambda i: s1(i) * s2(i, k + 1), d)
+        value = Fraction(2 * math.factorial(k + 1) * bulk, math.factorial(n))
+    else:
+        n, b1, b2 = _walk_profile(model, t)
+        bulk = _sum_down(lambda i: b1(i) * b2(i, k), d - 1)
+        value = Fraction(2 * math.factorial(k) * bulk, (1 << (n - k)) * math.factorial(n))
+    return _conditioned(value, model, t) if conditioned else value
+
+
+def expected_Uk(model: Model, k: int, conditioned: bool = False,
+                tables: StirlingTables | None = None) -> Fraction:
+    """Expected k-th conic quermassintegral, 0 <= k <= d.
+
+    The unconditioned value splits on the parity of d-k because the full
+    space contributes U_k(R^d) = 1 exactly when d-k is odd; the conditioned
+    cone is never R^d, so it has its own ratio formula.
+    """
+    t = tables if tables is not None else default_tables()
+    n, d = model.n, model.d
+    if not 0 <= k <= d:
+        raise DomainError(f"expected_Uk requires 0 <= k <= d, got k={k}, d={d}")
+    if model.is_bridge:
+        row = lambda i: t.first(n, i)
+        if conditioned:
+            full, part = _sum_down(row, d), _sum_down(row, k)
+            return Fraction(full - part, 2 * full)
+        if (d - k) % 2 == 1:
+            total = _sum_up(row, k + 2, n) + _sum_up(row, d + 2, n)
+        else:
+            total = _sum_up(row, k + 2, d)
+        return Fraction(total, math.factorial(n))
+    row = lambda i: t.first_b(n, i)
+    if conditioned:
+        full, part = _sum_down(row, d - 1), _sum_down(row, k - 1)
+        return Fraction(full - part, 2 * full)
+    if (d - k) % 2 == 1:
+        total = _sum_up(row, k + 1, n) + _sum_up(row, d + 1, n)
+    else:
+        total = _sum_up(row, k + 1, d - 1)
+    return Fraction(total, (1 << n) * math.factorial(n))
+
+
+def expected_vk(model: Model, k: int, conditioned: bool = False,
+                tables: StirlingTables | None = None) -> Fraction:
+    """Expected k-th conic intrinsic volume, 0 <= k <= d."""
+    t = tables if tables is not None else default_tables()
+    n, d = model.n, model.d
+    if not 0 <= k <= d:
+        raise DomainError(f"expected_vk requires 0 <= k <= d, got k={k}, d={d}")
+    if model.is_bridge:
+        row = lambda i: t.first(n, i)
+        if conditioned:
+            denom = 2 * _sum_down(row, d)
+            num = _sum_alternating_down(row, d) if k == d else row(k + 1)
+            return Fraction(num, denom)
+        if k == d:
+            return Fraction(sum(row(i) for i in range(d + 1, n + 1)), math.factorial(n))
+        return Fraction(row(k + 1), math.factorial(n))
+    row = lambda i: t.first_b(n, i)
+    if conditioned:
+        denom = 2 * _sum_down(row, d - 1)
+        num = _sum_alternating_down(row, d - 1) if k == d else row(k)
+        return Fraction(num, denom)
+    if k == d:
+        return Fraction(sum(row(i) for i in range(d, n + 1)), (1 << n) * math.factorial(n))
+    return Fraction(row(k), (1 << n) * math.factorial(n))
+
+
+def expected_Lambda(model: Model, k: int, conditioned: bool = False,
+                    tables: StirlingTables | None = None) -> Fraction:
+    """Expected total solid-angle content of the k-faces, 1 <= k <= d-1."""
+    t = tables if tables is not None else default_tables()
+    d = model.d
+    if not 1 <= k <= d - 1:
+        raise DomainError(f"expected_Lambda requires 1 <= k <= d-1, got k={k}, d={d}")
+    if model.is_bridge:
+        n, s1, s2 = _bridge_profile(model, t)
+        value = Fraction(2 * _sum_down(lambda i: s1(i) * s2(i, k + 1), d), math.factorial(n))
+    else:
+        n, b1, b2 = _walk_profile(model, t)
+        value = Fraction(2 * _sum_down(lambda i: b1(i) * b2(i, k), d - 1),
+                         (1 << n) * math.factorial(n))
+    return _conditioned(value, model, t) if conditioned else value
+
+
+def expected_face_intrinsic_sum(model: Model, m: int, l: int,
+                                tables: StirlingTables | None = None) -> Fraction:
+    """Expected sum over m-faces of the l-th conic intrinsic volume."""
+    t = tables if tables is not None else default_tables()
+    d = model.d
+    if not 0 <= l <= m <= d:
+        raise DomainError(
+            f"expected_face_intrinsic_sum requires 0 <= l <= m <= d, got m={m}, l={l}, d={d}")
+    if model.is_bridge:
+        n, s1, s2 = _bridge_profile(model, t)
+        bulk = _sum_down(lambda i: s1(i) * s2(i, m + 1), d)
+        return Fraction(2 * t.first(m + 1, l + 1) * bulk, math.factorial(n))
+    n, b1, b2 = _walk_profile(model, t)
+    bulk = _sum_down(lambda i: b1(i) * b2(i, m), d - 1)
+    return Fraction(2 * t.first_b(m, l) * bulk, (1 << n) * math.factorial(n))
+
+
+def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
+                                   tables: StirlingTables | None = None) -> Fraction:
+    """Expected sum over j-faces of the k-th intrinsic volume of the tangent cone.
+
+    The case k = j gives the internal-angle sum, k = d the external-style
+    alternating tail.
+    """
+    t = tables if tables is not None else default_tables()
+    d = model.d
+    if not (0 <= j <= d - 1 and j <= k <= d):
+        raise DomainError(
+            f"expected_tangent_intrinsic_sum requires 0 <= j <= d-1 and j <= k <= d, "
+            f"got j={j}, k={k}, d={d}")
+    if model.is_bridge:
+        n = model.n
+        if k == d:
+            total = _sum_alternating_down(lambda i: t.first(n, i) * t.second(i, j + 1), d)
+        else:
+            total = t.first(n, k + 1) * t.second(k + 1, j + 1)
+        return Fraction(math.factorial(j + 1) * total, math.factorial(n))
+    n = model.n
+    if k == d:
+        total = _sum_alternating_down(lambda i: t.first_b(n, i) * t.second_b(i, j), d - 1)
+    else:
+        total = t.first_b(n, k) * t.second_b(k, j)
+    return Fraction(math.factorial(j) * total, (1 << (n - j)) * math.factorial(n))
+
+
+def expected_Y_dual(model: Model, m: int, l: int,
+                    tables: StirlingTables | None = None) -> Fraction:
+    """Expected sum over m-faces of the dual cone of the l-th quermassintegral.
+
+    Obtained from the duality  Y_{m,l}(dual C) = f_{d-m}(C)/2 - Z_{d-m,d-l}(C)
+    for full-dimensional C.
+    """
+    t = tables if tables is not None else default_tables()
+    d = model.d
+    if not 0 <= l < m <= d:
+        raise DomainError(f"expected_Y_dual requires 0 <= l < m <= d, got m={m}, l={l}, d={d}")
+    if model.is_bridge:
+        n, s1, s2 = _bridge_profile(model, t)
+        bulk = _sum_down(lambda i: s1(i) * s2(i, d - m + 1), d - l)
+        return Fraction(math.factorial(d - m + 1) * bulk, math.factorial(n))
+    n, b1, b2 = _walk_profile(model, t)
+    bulk = _sum_down(lambda i: b1(i) * b2(i, d - m), d - l - 1)
+    return Fraction(math.factorial(d - m) * bulk, (1 << (n - d + m)) * math.factorial(n))
+
+
+def _validated_face_indices(model: Model, indices: Sequence[int]) -> tuple[int, ...]:
+    idx = tuple(int(i) for i in indices)
+    k = len(idx)
+    if not 1 <= k <= model.d - 1:
+        raise DomainError(
+            f"face probability requires 1 <= len(indices) <= d-1, got {k} with d={model.d}")
+    if any(i < 1 for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+        raise DomainError(f"indices must be strictly increasing and >= 1, got {idx}")
+    if idx[-1] > model.generator_count:
+        raise DomainError(
+            f"largest index {idx[-1]} exceeds the {model.generator_count} partial sums "
+            f"of the {'bridge' if model.is_bridge else 'walk'} model")
+    return idx
+
+
+def face_probability(model: Model, indices: Sequence[int], complement: bool = False,
+                     tables: StirlingTables | None = None) -> Fraction:
+    """Probability that the partial sums at ``indices`` (1-based) span a face.
+
+    With ``complement=True`` returns the probability that they do not; the
+    two always add to one.
+    """
+    t = tables if tables is not None else default_tables()
+    idx = _validated_face_indices(model, indices)
+    n, d, k = model.n, model.d, len(idx)
+    gaps = tuple(b - a for a, b in zip((0,) + idx, idx))
+    tail = n - idx[-1]
+    denom = math.prod(math.factorial(g) for g in gaps) * math.factorial(tail)
+    if model.is_bridge:
+        poly = coeff_Q_poly(n, gaps, t)
+    else:
+        poly = coeff_P_poly(n, gaps, t)
+        denom *= 1 << tail
+    if complement:
+        total = sum(poly[r] for r in range(d - k + 1, len(poly), 2))
+    else:
+        total = _sum_down(lambda r: poly[r] if r < len(poly) else 0, d - k - 1)
+    return Fraction(2 * total, denom)
+
+
+def subspace_intersection_probability(model: Model, k: int,
+                                      tables: StirlingTables | None = None) -> Fraction:
+    """Probability that the cone meets a fixed generic (d-k)-subspace nontrivially."""
+    t = tables if tables is not None else default_tables()
+    n, d = model.n, model.d
+    if not 0 <= k <= d - 1:
+        raise DomainError(f"subspace intersection requires 0 <= k <= d-1, got k={k}, d={d}")
+    if model.is_bridge:
+        return Fraction(2 * _sum_up(lambda i: t.first(n, i), k + 2, n), math.factorial(n))
+    return Fraction(2 * _sum_up(lambda i: t.first_b(n, i), k + 1, n),
+                    (1 << n) * math.factorial(n))

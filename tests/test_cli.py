@@ -103,6 +103,19 @@ class TestExact:
                           "--frobnicate")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--model", "B", "--functional", "fk", "--n", "3", "--d", "2", "--k", "x"), "--k"),
+        (("--model", "B", "--functional", "fk", "--n", "3", "--d", "2", "--k", "0..x"), "--k"),
+        (("--model", "B", "--functional", "face_prob", "--n", "3", "--d", "3",
+          "--indices", "1,a"), "--indices"),
+        (("--functional", "joint_absorption", "--d", "1", "--walks", "2,b"), "--walks"),
+        (("--functional", "joint_absorption", "--d", "1", "--bridges", "3,"), "--bridges"),
+    ])
+    def test_malformed_integer_exits_usage(self, flags, named, capsys):
+        code, _ = run_cli("exact", *flags)
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_seeded_runs_are_byte_identical(self):
@@ -130,6 +143,13 @@ class TestSimulate:
         _, text_env = run_cli(*args)
         _, text_explicit = run_cli(*args, "--seed", "123")
         assert text_env == text_explicit
+
+    def test_malformed_env_var_seed_exits_usage(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONIC_WALKS_SEED", "abc")
+        code, _ = run_cli("simulate", "--model", "B", "--functional", "nonabsorption",
+                          "--n", "2", "--d", "1", "--samples", "100")
+        assert code == EXIT_USAGE
+        assert "CONIC_WALKS_SEED" in capsys.readouterr().err
 
     def test_worker_flag_does_not_change_bytes(self):
         args = ("simulate", "--model", "B", "--functional", "nonabsorption",

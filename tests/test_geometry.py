@@ -498,6 +498,18 @@ class TestSubsetCap:
         with pytest.raises(DomainError, match=r"n=500, d=3 needs 20708500 row subsets"):
             ConeSample(pts).in_general_position()
 
+    def test_large_face_count_fails_fast(self):
+        # 200 generators in R^5 have 64.7 million 4-subsets to test
+        cone = ConeSample(np.random.default_rng(0).standard_normal((200, 5)))
+        with pytest.raises(DomainError, match=r"n=200, k=4 needs 64684950 row subsets"):
+            count_k_faces(cone, 4)
+
+    def test_large_face_enumeration_is_not_cached(self):
+        # C(31, 3) = 4495 splits of two arrays each stay out of the cache
+        cone = ConeSample(np.random.default_rng(1).standard_normal((31, 4)))
+        count_k_faces(cone, 3)
+        assert (31, 3) not in geometry._SPLIT_CACHE
+
     def test_benchmark_shapes_are_far_below_the_cap(self):
         # the largest sampled shape is 10 points in R^3
         assert sum(math.comb(10, k) for k in (1, 2, 3)) * 1000 < MAX_SUBSETS
