@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -117,7 +118,9 @@ class OutputRecord:
 
 
 def _exact_dict(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator),
+    # through Decimal, which is exact for integers: at large n the numbers
+    # outgrow the interpreter's 4300-digit limit on int-to-str conversion
+    return {"num": str(Decimal(value.numerator)), "den": str(Decimal(value.denominator)),
             "approx": float(value)}
 
 
@@ -233,11 +236,13 @@ def _queries_from_args(args: argparse.Namespace) -> list[FunctionalQuery]:
         ks = list(_parse_sweep(args.k, model.d if model else args.d))
     else:
         ks = [None]
+    # with a model, --n and --d are its size, not indices of the functional
+    n, d = (None, None) if model else (args.n, args.d)
     return [
         FunctionalQuery(
             functional, model=model, k=k, m=args.m, l=args.l, j=args.j,
             indices=indices, walk_lengths=walks, bridge_lengths=bridges,
-            n=args.n, d=args.d, conditioned=args.conditioned, dual=args.dual)
+            n=n, d=d, conditioned=args.conditioned, dual=args.dual)
         for k in ks
     ]
 

@@ -7,9 +7,16 @@ analogues obtained from the odd rising product ``(t+1)(t+3)...(t+2n-1)``
 and from a doubled partition sum.  All values are exact Python integers;
 rational results elsewhere are built on :class:`fractions.Fraction`.
 
-The module also provides the composition-indexed coefficient polynomials
-(``coeff_P`` for walk-terminated block products, ``coeff_Q`` for pure
-bridge block products) that drive the per-index-tuple face probabilities.
+Every first-kind row, and every block product behind the face and joint
+probabilities, is the coefficient list of a product of linear factors
+``prod (t + a)`` over a list of integer roots.  The closed forms read only
+its lowest coefficients and its values at t = 1 and t = -1, which
+:func:`root_product` and :class:`LowOrderProduct` compute in time nearly
+linear in the number of factors.  The full triangles and the
+composition-indexed coefficient polynomials (``coeff_P`` for
+walk-terminated block products, ``coeff_Q`` for pure bridge block
+products) are built by recurrence instead; they serve as lookups for the
+small second-kind rows and as independent oracles for the products.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import DomainError
 
@@ -35,7 +42,9 @@ class StirlingTables:
     Entry ``(n, k)`` with ``k`` outside ``{0, ..., n}`` reads as 0, and the
     ``(0, 0)`` entry of every family is 1.  Rows are appended once and never
     mutated, so a warm instance can be shared read-only across threads or
-    forked worker processes.
+    forked worker processes.  The instance also caches the low-order row
+    products of :meth:`low_row`; an entry is only ever replaced by an equal
+    or longer one, so two threads racing on it at worst compute it twice.
     """
 
     def __init__(self, max_n: int = 0) -> None:
@@ -43,6 +52,7 @@ class StirlingTables:
         self._second: list[list[int]] = [[1]]
         self._first_b: list[list[int]] = [[1]]
         self._second_b: list[list[int]] = [[1]]
+        self._low_rows: dict[tuple[Callable[[int], Sequence[int]], int], LowOrderProduct] = {}
         if max_n > 0:
             self.grow(max_n)
 
@@ -126,6 +136,18 @@ class StirlingTables:
     def second_b(self, n: int, k: int) -> int:
         """Signed-permutation analogue of the second-kind numbers."""
         return self._lookup(self._second_b, self._grow_second_b, n, k)
+
+    def low_row(self, roots: Callable[[int], Sequence[int]], n: int,
+                m: int) -> LowOrderProduct:
+        """``LowOrderProduct.of(roots(n), m)``, cached on this instance per (roots, n).
+
+        A cached product with at least ``m`` coefficients is reused as is.
+        """
+        key = (roots, n)
+        row = self._low_rows.get(key)
+        if row is None or len(row.coeffs) < m:
+            row = self._low_rows[key] = LowOrderProduct.of(roots(n), m)
+        return row
 
     @staticmethod
     def _lookup(rows, grow, n: int, k: int) -> int:
@@ -215,6 +237,91 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+# Leaves of the binary splitting multiply in this many linear factors one at
+# a time; above it the two halves' truncated products are convolved.
+_LEAF = 16
+
+
+def _mul_truncated(a: list[int], b: list[int], m: int) -> list[int]:
+    """The first ``m`` coefficients of the product of two coefficient lists."""
+    out = [0] * min(len(a) + len(b) - 1, m)
+    for i, ai in enumerate(a[:m]):
+        if ai:
+            for j, bj in enumerate(b[:m - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def _split_product(roots: list[int], lo: int, hi: int, m: int) -> list[int]:
+    """The coefficients of prod (t + a) over roots[lo:hi] up to degree
+    min(m - 1, hi - lo), for m >= 1."""
+    if hi - lo > _LEAF:
+        mid = (lo + hi) // 2
+        return _mul_truncated(_split_product(roots, lo, mid, m),
+                              _split_product(roots, mid, hi, m), m)
+    poly = [1]
+    for a in roots[lo:hi]:
+        if len(poly) < m:
+            poly.append(0)
+        for i in range(len(poly) - 1, 0, -1):
+            poly[i] = a * poly[i] + poly[i - 1]
+        poly[0] *= a
+    return poly
+
+
+def root_product(roots: Sequence[int], m: int) -> list[int]:
+    """The first ``m`` coefficients of prod (t + a) over ``roots``, lowest first.
+
+    Entries past the degree are 0.  Balanced binary splitting: each node
+    convolves the truncated products of its two halves, so the operands of
+    every big multiplication have about the same size, and a leaf of at most
+    ``_LEAF`` roots multiplies in one linear factor at a time.  A product of
+    n factors costs O(m^2) multiplications per level of the split instead of
+    the O(n^2) entries of a triangle.
+    """
+    if m < 0:
+        raise DomainError(f"coefficient count must be nonnegative, got m={m}")
+    roots = list(roots)
+    poly = _split_product(roots, 0, len(roots), m) if m else []
+    return poly + [0] * (m - len(poly))
+
+
+@dataclass(frozen=True)
+class LowOrderProduct:
+    """The low-order view of P(t) = prod (t + a): the coefficients c_r of
+    t^r for r < len(coeffs), and the values P(1) and P(-1).
+
+    That is all the closed forms read.  Sums over low indices come from
+    ``coeffs``; upper tails follow from P(1) = sum of all c_r and
+    P(-1) = sum of (-1)^r c_r.  Asking for a coefficient past ``coeffs``
+    raises IndexError rather than reading a truncated sum.
+    """
+
+    coeffs: list[int]
+    at_one: int
+    at_minus_one: int
+
+    @classmethod
+    def of(cls, roots: Sequence[int], m: int) -> LowOrderProduct:
+        """The first ``m`` coefficients and the values at +-1 of prod (t + a)."""
+        roots = list(roots)
+        return cls(root_product(roots, m), math.prod(a + 1 for a in roots),
+                   math.prod(a - 1 for a in roots))
+
+    def down(self, start: int) -> int:
+        """c_start + c_(start-2) + ... over nonnegative indices."""
+        return sum(self.coeffs[r] for r in range(start, -1, -2))
+
+    def parity_tail(self, a: int) -> int:
+        """Sum of c_r over r >= a with r = a (mod 2), from P(1) and P(-1)."""
+        half = (self.at_one + (-1) ** a * self.at_minus_one) // 2
+        return half - self.down(a - 2)
+
+    def tail(self, a: int) -> int:
+        """Sum of c_r over r >= a."""
+        return self.at_one - sum(self.coeffs[r] for r in range(a))
 
 
 def bridge_block_poly(j: int, tables: StirlingTables | None = None) -> list[int]:

@@ -19,14 +19,23 @@ walks and bridges.
 
 Each closed form is written once, for both models, over a :class:`Family`
 record picked by the model tag.  The bridge and walk cases differ only in
-its five parameters: the index shift ``s`` (1 for a bridge, 0 for a walk),
-the first- and second-kind lookups (``first``/``second`` for a bridge,
-``first_b``/``second_b`` for a walk), the per-step denominator ``base``
-(1 or 2; every value is a numerator over ``base**n * n!``), and the block
-polynomial of the face probabilities (``coeff_Q_poly`` or
-``coeff_P_poly``).  Most expectations are built from
-``bulk(j, x) = sum over i = x-1+s, x-3+s, ... >= 0 of first(n, i) * second(i, j+s)``
-and the weight ``(j+s)! * base**j``.
+its four parameters: the index shift ``s`` (1 for a bridge, 0 for a walk),
+the roots of the first-kind row (row n is the coefficient list of
+``t(t+1)...(t+n-1)``, roots ``0..n-1``, for a bridge and of
+``(t+1)(t+3)...(t+2n-1)``, roots ``1, 3, ..., 2n-1``, for a walk), the
+second-kind lookup (``second`` or ``second_b``) and the per-step
+denominator ``base`` (1 or 2).  Every value is a numerator over
+``base**n * n!``, which is the row's value at t = 1.  Most expectations are
+built from ``bulk(j, x) = sum over i = x-1+s, x-3+s, ... >= 0 of
+row_n[i] * second(i, j+s)`` and the weight ``(j+s)! * base**j``.
+
+The closed forms read only the coefficients of index below d+s of row n,
+below d-k of a face product and below d of a joint block product, so rows
+and products are built as truncated root products
+(:class:`~conic_walks.combinatorics.LowOrderProduct`), rows cached on the
+tables instance passed in; no first-kind triangle is built.  Upper tails
+come from the product's values at t = 1 and t = -1.  The second-kind
+numbers are read from the tables, at rows i <= d only.
 
 Conditioned variants (``conditioned=True``) refer to the cone conditioned
 on being a proper subset of R^d; for functionals vanishing on R^d this is
@@ -44,19 +53,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .combinatorics import (
-    StirlingTables,
-    binomial,
-    bridge_block_poly,
-    coeff_P_poly,
-    coeff_Q_poly,
-    default_tables,
-    poly_mul,
-    walk_block_poly,
-)
+from .combinatorics import LowOrderProduct, StirlingTables, binomial, default_tables
 from .errors import DomainError
 
 A_BRIDGE = "A"
@@ -105,16 +104,6 @@ def _sum_down(f: Callable[[int], int], start: int) -> int:
     return total
 
 
-def _sum_up(f: Callable[[int], int], start: int, stop: int) -> int:
-    """f(start) + f(start+2) + ... while the index stays <= stop."""
-    total = 0
-    i = start
-    while i <= stop:
-        total += f(i)
-        i += 2
-    return total
-
-
 def _sum_alternating_down(f: Callable[[int], int], start: int) -> int:
     """f(start) - f(start-1) + f(start-2) - ... over nonnegative indices."""
     total = 0
@@ -125,41 +114,55 @@ def _sum_alternating_down(f: Callable[[int], int], start: int) -> int:
     return total
 
 
+def _bridge_roots(n: int) -> range:
+    """Roots of t(t+1)...(t+n-1), the first-kind row n."""
+    return range(n)
+
+
+def _walk_roots(n: int) -> range:
+    """Roots of (t+1)(t+3)...(t+2n-1), the first-kind-B row n."""
+    return range(1, 2 * n, 2)
+
+
 @dataclass(frozen=True)
 class Family:
     """The parameters that turn one closed form into its bridge or walk case."""
 
     shift: int
-    first: Callable[[StirlingTables, int, int], int]
+    roots: Callable[[int], range]
     second: Callable[[StirlingTables, int, int], int]
     base: int
-    block_poly: Callable[..., list[int]]
 
-    def row(self, t: StirlingTables, n: int) -> Callable[[int], int]:
-        """i -> first(n, i)."""
-        return partial(self.first, t, n)
+    def row(self, t: StirlingTables, n: int, d: int) -> LowOrderProduct:
+        """Row n to index d-1+s, the highest a closed form in R^d reads from it."""
+        return t.low_row(self.roots, n, d + self.shift)
 
-    def term(self, t: StirlingTables, n: int, j: int) -> Callable[[int], int]:
-        """i -> first(n, i) * second(i, j+s)."""
-        first, second, js = self.first, self.second, j + self.shift
-        return lambda i: first(t, n, i) * second(t, i, js)
+    def full_row(self, t: StirlingTables, n: int) -> LowOrderProduct:
+        """All of row n; the face sums read such rows for n <= d+1."""
+        return t.low_row(self.roots, n, n + 1)
 
-    def bulk(self, t: StirlingTables, n: int, j: int, x: int) -> int:
-        """first(n, i) * second(i, j+s) summed over i = x-1+s, x-3+s, ... >= 0."""
-        return _sum_down(self.term(t, n, j), x - 1 + self.shift)
+    def block(self, g: int) -> range:
+        """Roots of a block of length g of a face product: the row without its
+        s factors t, i.e. (t+1)...(t+g-1) or (t+1)(t+3)...(t+2g-1)."""
+        return self.roots(g)[self.shift:]
+
+    def term(self, t: StirlingTables, row: LowOrderProduct, j: int) -> Callable[[int], int]:
+        """i -> row[i] * second(i, j+s)."""
+        c, second, js = row.coeffs, self.second, j + self.shift
+        return lambda i: c[i] * second(t, i, js)
+
+    def bulk(self, t: StirlingTables, row: LowOrderProduct, j: int, x: int) -> int:
+        """row[i] * second(i, j+s) summed over i = x-1+s, x-3+s, ... >= 0."""
+        return _sum_down(self.term(t, row, j), x - 1 + self.shift)
 
     def weight(self, j: int) -> int:
         """(j+s)! * base**j."""
         return math.factorial(j + self.shift) * self.base ** j
 
-    def ratio(self, num: int, n: int) -> Fraction:
-        """num / (base**n * n!)."""
-        return Fraction(num, self.base ** n * math.factorial(n))
-
 
 _FAMILY = {
-    A_BRIDGE: Family(1, StirlingTables.first, StirlingTables.second, 1, coeff_Q_poly),
-    B_WALK: Family(0, StirlingTables.first_b, StirlingTables.second_b, 2, coeff_P_poly),
+    A_BRIDGE: Family(1, _bridge_roots, StirlingTables.second, 1),
+    B_WALK: Family(0, _walk_roots, StirlingTables.second_b, 2),
 }
 
 
@@ -185,14 +188,15 @@ def wendel_probability(n: int, d: int) -> Fraction:
 def nonabsorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
     """P[cone != R^d], equivalently that the origin avoids the path's convex hull."""
     t, f = _family(model, tables)
-    return f.ratio(2 * _sum_down(f.row(t, model.n), model.d - 1 + f.shift), model.n)
+    row = f.row(t, model.n, model.d)
+    return Fraction(2 * row.down(model.d - 1 + f.shift), row.at_one)
 
 
 def absorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
     """P[cone = R^d]."""
     t, f = _family(model, tables)
-    n = model.n
-    return f.ratio(2 * _sum_up(f.row(t, n), model.d + 1 + f.shift, n), n)
+    row = f.row(t, model.n, model.d)
+    return Fraction(2 * row.parity_tail(model.d + 1 + f.shift), row.at_one)
 
 
 def _conditioned(value: Fraction, model: Model, tables: StirlingTables) -> Fraction:
@@ -210,8 +214,9 @@ def expected_Y(model: Model, m: int, l: int, conditioned: bool = False,
     n, d, s = model.n, model.d, f.shift
     if not 0 <= l < m <= d - 1:
         raise DomainError(f"expected_Y requires 0 <= l < m <= d-1, got m={m}, l={l}, d={d}")
-    edge = _sum_up(f.row(t, m + s), l + 1 + s, m + s)
-    value = f.ratio(2 * edge * f.bulk(t, n, m, d), n)
+    row = f.row(t, n, d)
+    edge = f.full_row(t, m + s).parity_tail(l + 1 + s)
+    value = Fraction(2 * edge * f.bulk(t, row, m, d), row.at_one)
     return _conditioned(value, model, t) if conditioned else value
 
 
@@ -222,7 +227,8 @@ def expected_Z(model: Model, j: int, k: int, conditioned: bool = False,
     n, d = model.n, model.d
     if not 0 <= j <= k <= d:
         raise DomainError(f"expected_Z requires 0 <= j <= k <= d, got j={j}, k={k}, d={d}")
-    value = f.ratio(f.weight(j) * (f.bulk(t, n, j, d) - f.bulk(t, n, j, k)), n)
+    row = f.row(t, n, d)
+    value = Fraction(f.weight(j) * (f.bulk(t, row, j, d) - f.bulk(t, row, j, k)), row.at_one)
     return _conditioned(value, model, t) if conditioned else value
 
 
@@ -237,7 +243,8 @@ def expected_fk(model: Model, k: int, conditioned: bool = False,
     n, d = model.n, model.d
     if not 0 <= k <= d - 1:
         raise DomainError(f"expected_fk requires 0 <= k <= d-1, got k={k}, d={d}")
-    value = f.ratio(2 * f.weight(k) * f.bulk(t, n, k, d), n)
+    row = f.row(t, n, d)
+    value = Fraction(2 * f.weight(k) * f.bulk(t, row, k, d), row.at_one)
     return _conditioned(value, model, t) if conditioned else value
 
 
@@ -253,15 +260,15 @@ def expected_Uk(model: Model, k: int, conditioned: bool = False,
     n, d, s = model.n, model.d, f.shift
     if not 0 <= k <= d:
         raise DomainError(f"expected_Uk requires 0 <= k <= d, got k={k}, d={d}")
-    row = f.row(t, n)
+    row = f.row(t, n, d)
+    full, part = row.down(d - 1 + s), row.down(k - 1 + s)
     if conditioned:
-        full, part = _sum_down(row, d - 1 + s), _sum_down(row, k - 1 + s)
         return Fraction(full - part, 2 * full)
     if (d - k) % 2 == 1:
-        total = _sum_up(row, k + 1 + s, n) + _sum_up(row, d + 1 + s, n)
+        total = row.parity_tail(k + 1 + s) + row.parity_tail(d + 1 + s)
     else:
-        total = _sum_up(row, k + 1 + s, d - 1 + s)
-    return f.ratio(total, n)
+        total = full - part
+    return Fraction(total, row.at_one)
 
 
 def expected_vk(model: Model, k: int, conditioned: bool = False,
@@ -271,13 +278,12 @@ def expected_vk(model: Model, k: int, conditioned: bool = False,
     n, d, s = model.n, model.d, f.shift
     if not 0 <= k <= d:
         raise DomainError(f"expected_vk requires 0 <= k <= d, got k={k}, d={d}")
-    row = f.row(t, n)
+    row = f.row(t, n, d)
+    c = row.coeffs
     if conditioned:
-        num = _sum_alternating_down(row, d - 1 + s) if k == d else row(k + s)
-        return Fraction(num, 2 * _sum_down(row, d - 1 + s))
-    if k == d:
-        return f.ratio(sum(row(i) for i in range(d + s, n + 1)), n)
-    return f.ratio(row(k + s), n)
+        num = _sum_alternating_down(c.__getitem__, d - 1 + s) if k == d else c[k + s]
+        return Fraction(num, 2 * row.down(d - 1 + s))
+    return Fraction(row.tail(d + s) if k == d else c[k + s], row.at_one)
 
 
 def expected_Lambda(model: Model, k: int, conditioned: bool = False,
@@ -287,7 +293,8 @@ def expected_Lambda(model: Model, k: int, conditioned: bool = False,
     n, d = model.n, model.d
     if not 1 <= k <= d - 1:
         raise DomainError(f"expected_Lambda requires 1 <= k <= d-1, got k={k}, d={d}")
-    value = f.ratio(2 * f.bulk(t, n, k, d), n)
+    row = f.row(t, n, d)
+    value = Fraction(2 * f.bulk(t, row, k, d), row.at_one)
     return _conditioned(value, model, t) if conditioned else value
 
 
@@ -299,7 +306,9 @@ def expected_face_intrinsic_sum(model: Model, m: int, l: int,
     if not 0 <= l <= m <= d:
         raise DomainError(
             f"expected_face_intrinsic_sum requires 0 <= l <= m <= d, got m={m}, l={l}, d={d}")
-    return f.ratio(2 * f.first(t, m + s, l + s) * f.bulk(t, n, m, d), n)
+    row = f.row(t, n, d)
+    face = f.full_row(t, m + s).coeffs[l + s]
+    return Fraction(2 * face * f.bulk(t, row, m, d), row.at_one)
 
 
 def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
@@ -315,9 +324,10 @@ def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
         raise DomainError(
             f"expected_tangent_intrinsic_sum requires 0 <= j <= d-1 and j <= k <= d, "
             f"got j={j}, k={k}, d={d}")
-    term = f.term(t, n, j)
+    row = f.row(t, n, d)
+    term = f.term(t, row, j)
     total = _sum_alternating_down(term, d - 1 + s) if k == d else term(k + s)
-    return f.ratio(f.weight(j) * total, n)
+    return Fraction(f.weight(j) * total, row.at_one)
 
 
 def expected_Y_dual(model: Model, m: int, l: int,
@@ -331,7 +341,8 @@ def expected_Y_dual(model: Model, m: int, l: int,
     n, d = model.n, model.d
     if not 0 <= l < m <= d:
         raise DomainError(f"expected_Y_dual requires 0 <= l < m <= d, got m={m}, l={l}, d={d}")
-    return f.ratio(f.weight(d - m) * f.bulk(t, n, d - m, d - l), n)
+    row = f.row(t, n, d)
+    return Fraction(f.weight(d - m) * f.bulk(t, row, d - m, d - l), row.at_one)
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +369,19 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
     """Probability that the partial sums at ``indices`` (1-based) span a face.
 
     With ``complement=True`` returns the probability that they do not; the
-    two always add to one.
+    two always add to one.  The block product is built per call, so
+    ``tables`` is not read.
     """
-    t, f = _family(model, tables)
     idx = _validated_face_indices(model, indices)
     n, d, k = model.n, model.d, len(idx)
     gaps = tuple(b - a for a, b in zip((0,) + idx, idx))
-    tail = n - idx[-1]
-    denom = math.prod(math.factorial(g) for g in gaps) * math.factorial(tail) * f.base ** tail
-    poly = f.block_poly(n, gaps, t)
-    if complement:
-        total = sum(poly[r] for r in range(d - k + 1, len(poly), 2))
-    else:
-        total = _sum_down(lambda r: poly[r] if r < len(poly) else 0, d - k - 1)
-    return Fraction(2 * total, denom)
+    # one bridge block per gap, then a final block of the model's own kind;
+    # the product's value at t = 1 is prod g! * tail! * base**tail
+    roots = [a for g in gaps for a in _FAMILY[A_BRIDGE].block(g)]
+    roots += _FAMILY[model.tag].block(n - idx[-1])
+    prod = LowOrderProduct.of(roots, d - k)
+    total = prod.parity_tail(d - k + 1) if complement else prod.down(d - k - 1)
+    return Fraction(2 * total, prod.at_one)
 
 
 def subspace_intersection_probability(model: Model, k: int,
@@ -381,7 +391,8 @@ def subspace_intersection_probability(model: Model, k: int,
     n, d = model.n, model.d
     if not 0 <= k <= d - 1:
         raise DomainError(f"subspace intersection requires 0 <= k <= d-1, got k={k}, d={d}")
-    return f.ratio(2 * _sum_up(f.row(t, n), k + 1 + f.shift, n), n)
+    row = f.row(t, n, d)
+    return Fraction(2 * row.parity_tail(k + 1 + f.shift), row.at_one)
 
 
 def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Sequence[int],
@@ -392,9 +403,9 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
 
     A walk of length n contributes its n partial sums, a bridge of length m
     its first m-1; the block coefficient polynomial is the product of one
-    odd rising factor per walk and one plain rising factor per bridge.
+    odd rising factor per walk and one plain rising factor per bridge.  It is
+    built per call, so ``tables`` is not read.
     """
-    t = tables if tables is not None else default_tables()
     walks = tuple(int(x) for x in walk_lengths)
     bridges = tuple(int(x) for x in bridge_lengths)
     if not walks and not bridges:
@@ -405,18 +416,12 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
         raise DomainError(f"bridge lengths must be >= 2, got {bridges}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got d={d}")
-    poly = [1]
-    for w in walks:
-        poly = poly_mul(poly, walk_block_poly(w, t))
-    for b in bridges:
-        poly = poly_mul(poly, bridge_block_poly(b, t))
-    denom = math.prod((1 << w) * math.factorial(w) for w in walks)
-    denom *= math.prod(math.factorial(b) for b in bridges)
-    if complement:
-        total = _sum_down(lambda r: poly[r] if r < len(poly) else 0, d - 1)
-    else:
-        total = sum(poly[r] for r in range(d + 1, len(poly), 2))
-    return Fraction(2 * total, denom)
+    # the product's value at t = 1 is prod 2**w w! * prod b!
+    roots = [a for w in walks for a in _FAMILY[B_WALK].block(w)]
+    roots += [a for b in bridges for a in _FAMILY[A_BRIDGE].block(b)]
+    prod = LowOrderProduct.of(roots, d)
+    total = prod.down(d - 1) if complement else prod.parity_tail(d + 1)
+    return Fraction(2 * total, prod.at_one)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +472,21 @@ FUNCTIONALS: dict[str, Functional] = {
 }
 
 
+# FunctionalQuery fields that hold indices; a query may set only those its
+# registry row declares.  n and d are indices of wendel and joint_absorption
+# only: a model carries its own size.
+_INDEX_FIELDS = ("k", "m", "l", "j", "indices", "n", "d")
+
+
 @dataclass(frozen=True)
 class FunctionalQuery:
     """One evaluation request: a functional plus the indices it needs.
 
     ``model`` is required for all functionals except ``wendel`` (which takes
     bare ``n``/``d``) and ``joint_absorption`` (which takes block lengths
-    and ``d``).  ``dual=True`` on a ``Y`` query redirects to the dual cone.
+    and ``d``).  An index the functional does not declare raises
+    :class:`DomainError`.  ``dual=True`` on a ``Y`` query redirects to the
+    dual cone.
     """
 
     functional: str
@@ -505,6 +518,10 @@ class FunctionalQuery:
             raise DomainError("the dual flag applies only to the Y functional")
         if spec.needs_model and self.model is None:
             raise DomainError(f"functional {name!r} requires a model")
+        for key in _INDEX_FIELDS:
+            if getattr(self, key) is not None and key not in spec.indices:
+                raise DomainError(f"functional {name!r} takes no index {key!r}; "
+                                  f"it declares {', '.join(spec.indices) or 'none'}")
         if self.indices is not None:
             object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 

@@ -1,7 +1,8 @@
 """Self-verification: exact identity suite plus a Monte Carlo gate matrix.
 
 The identity suite holds the combinatorial backbone to account: recurrences
-against direct polynomial expansion, row sums, signed convolution
+against direct polynomial expansion, row sums, the truncated root products
+the closed forms read against the full triangles, signed convolution
 identities, the composition convolutions behind the face probabilities,
 and the web of exact cross-identities tying every expectation formula to
 the others.  The Monte Carlo matrix then samples cones and checks each
@@ -22,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .combinatorics import (
+    LowOrderProduct,
     StirlingTables,
     binomial,
     coeff_P,
@@ -29,6 +31,7 @@ from .combinatorics import (
     compositions,
     default_tables,
     poly_mul,
+    root_product,
 )
 from .errors import DomainError
 from .formulas import (
@@ -126,6 +129,23 @@ def _check_row_sums(t: StirlingTables, max_n: int) -> None:
         even = sum(t.first_b(n, k) for k in range(0, n + 1, 2))
         assert odd == even == (1 << (n - 1)) * math.factorial(n), \
             f"first-kind-B parity halves at n={n}"
+
+
+def _check_low_order_products(t: StirlingTables, max_n: int) -> None:
+    # the closed forms read truncated root products instead of the triangles:
+    # their coefficients must be the triangle rows, whole and truncated, and
+    # their upper tails from P(1) and P(-1) the direct sums over the row
+    for n in range(max_n + 1):
+        for name, roots, lookup in (("first", range(n), t.first),
+                                    ("first_B", range(1, 2 * n, 2), t.first_b)):
+            row = [lookup(n, k) for k in range(n + 1)]
+            assert root_product(roots, n + 1) == row, f"{name} product row {n}"
+            half = n // 2 + 1
+            assert root_product(roots, half) == row[:half], f"{name} truncated row {n}"
+            low = LowOrderProduct.of(roots, n + 1)
+            for a in range(n + 2):
+                assert low.parity_tail(a) == sum(row[a::2]), f"{name} parity tail ({n},{a})"
+                assert low.tail(a) == sum(row[a:]), f"{name} tail ({n},{a})"
 
 
 def _check_convolution_identities(t: StirlingTables, max_n: int) -> None:
@@ -348,6 +368,8 @@ def identity_checks(tables: StirlingTables | None = None,
         _check("recurrences vs product expansion", lambda: _check_recurrences_vs_expansion(t, 12)),
         _check("doubled partition family recurrence", lambda: _check_second_b_recurrence(t, 12)),
         _check("row sums and parity halves", lambda: _check_row_sums(t, max_n_tables)),
+        _check("low-order products vs triangles",
+               lambda: _check_low_order_products(t, max_n_tables)),
         _check("signed convolution identities", lambda: _check_convolution_identities(t, max_n_tables)),
         _check("composition convolutions", lambda: _check_composition_convolutions(t, max_n_compositions)),
         _check("cross-formula identities", lambda: _check_formula_identities(t, max_n_formulas, max_d_formulas)),

@@ -8,7 +8,15 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from conic_walks.combinatorics import StirlingTables, coeff_P_poly, coeff_Q_poly, default_tables
+from conic_walks.combinatorics import (
+    StirlingTables,
+    bridge_block_poly,
+    coeff_P_poly,
+    coeff_Q_poly,
+    default_tables,
+    poly_mul,
+    walk_block_poly,
+)
 from conic_walks.errors import DomainError
 from conic_walks.formulas import Model
 
@@ -139,6 +147,9 @@ def fraction_det(rows):
 # The formula layer evaluated every expectation through these twin
 # branches before one parametrised family record replaced them; they are
 # kept unchanged as the reference the family form must match exactly.
+# They read whole rows of the full triangles and whole block polynomials,
+# so they are also the reference for the truncated root products and the
+# P(1)/P(-1) tails that replaced those reads.
 
 def _sum_down(f: Callable[[int], int], start: int) -> int:
     """f(start) + f(start-2) + ... over nonnegative indices."""
@@ -465,3 +476,25 @@ def subspace_intersection_probability(model: Model, k: int,
         return Fraction(2 * _sum_up(lambda i: t.first(n, i), k + 2, n), math.factorial(n))
     return Fraction(2 * _sum_up(lambda i: t.first_b(n, i), k + 1, n),
                     (1 << n) * math.factorial(n))
+
+
+def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Sequence[int],
+                                 d: int, complement: bool = False,
+                                 tables: StirlingTables | None = None) -> Fraction:
+    """Joint-hull absorption from the full block polynomial built out of
+    table rows, and its upper sum read term by term."""
+    t = tables if tables is not None else default_tables()
+    walks = tuple(int(x) for x in walk_lengths)
+    bridges = tuple(int(x) for x in bridge_lengths)
+    poly = [1]
+    for w in walks:
+        poly = poly_mul(poly, walk_block_poly(w, t))
+    for b in bridges:
+        poly = poly_mul(poly, bridge_block_poly(b, t))
+    denom = math.prod((1 << w) * math.factorial(w) for w in walks)
+    denom *= math.prod(math.factorial(b) for b in bridges)
+    if complement:
+        total = _sum_down(lambda r: poly[r] if r < len(poly) else 0, d - 1)
+    else:
+        total = sum(poly[r] for r in range(d + 1, len(poly), 2))
+    return Fraction(2 * total, denom)

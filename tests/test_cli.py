@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +104,28 @@ class TestExact:
         code, _ = run_cli("exact", "--functional", "wendel", "--n", "4", "--d", "3",
                           "--frobnicate")
         assert code == EXIT_USAGE
+
+    def test_undeclared_index_exits_usage(self, capsys):
+        code, text = run_cli("exact", "--model", "A", "--functional", "absorption",
+                             "--n", "4", "--d", "2", "--k", "0..2")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "takes no index 'k'" in capsys.readouterr().err
+
+    def test_large_n_absorption_split_is_exact(self):
+        # row n = 10^4 from the first d+2 coefficients of its root product;
+        # a full triangle of that size would take minutes and gigabytes
+        # and its numbers have more digits than str/int convert by default
+        args = ("--model", "B", "--n", "10000", "--d", "10")
+        records = []
+        for name in ("absorption", "nonabsorption"):
+            code, text = run_cli("exact", "--functional", name, *args)
+            assert code == EXIT_OK
+            records.append(json.loads(text)["exact"])
+        assert len(records[0]["den"]) > 4300
+        values = [Fraction(Decimal(e["num"])) / Fraction(Decimal(e["den"])) for e in records]
+        assert values[0] + values[1] == 1
+        assert 0 < values[1] < 1
 
     @pytest.mark.parametrize("flags, named", [
         (("--model", "B", "--functional", "fk", "--n", "3", "--d", "2", "--k", "x"), "--k"),

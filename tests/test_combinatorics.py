@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conic_walks.combinatorics import (
     Composition,
+    LowOrderProduct,
     StirlingTables,
     binomial,
     coeff_P,
@@ -18,6 +19,7 @@ from conic_walks.combinatorics import (
     coeff_Q_poly,
     compositions,
     poly_mul,
+    root_product,
     stirling,
 )
 from conic_walks.errors import DomainError
@@ -260,3 +262,64 @@ def test_recurrences_hold_everywhere(n, k):
 def test_second_b_matches_definition(n, k):
     assert T.second_b(n, k) == sum(
         (1 << (m - k)) * math.comb(n, m) * T.second(m, k) for m in range(k, n + 1))
+
+
+def expand(roots):
+    poly = [1]
+    for a in roots:
+        poly = poly_mul(poly, [a, 1])
+    return poly
+
+
+class TestRootProduct:
+    def test_rows_are_the_triangle_rows(self):
+        for n in range(41):
+            assert root_product(range(n), n + 1) == [T.first(n, k) for k in range(n + 1)]
+            assert root_product(range(1, 2 * n, 2), n + 1) == [
+                T.first_b(n, k) for k in range(n + 1)]
+
+    def test_long_rows_match_triangle_prefix(self):
+        t = StirlingTables(200)
+        for n in (17, 33, 64, 65, 200):  # around and above the leaf size
+            for m in (1, 2, 5, 12):
+                assert root_product(range(n), m) == [t.first(n, k) for k in range(m)]
+                assert root_product(range(1, 2 * n, 2), m) == [t.first_b(n, k) for k in range(m)]
+
+    def test_empty_and_zero_length(self):
+        assert root_product([], 3) == [1, 0, 0]
+        assert root_product([5, 7], 0) == []
+        with pytest.raises(DomainError):
+            root_product([1], -1)
+
+    def test_cached_rows_are_reused_and_extended(self):
+        t = StirlingTables()
+        rule = lambda n: range(1, 2 * n, 2)
+        row = t.low_row(rule, 50, 6)
+        assert t.low_row(rule, 50, 4) is row
+        longer = t.low_row(rule, 50, 9)
+        assert longer.coeffs[:6] == row.coeffs and len(longer.coeffs) == 9
+        assert t.low_row(rule, 50, 6) is longer
+
+    def test_reading_past_the_truncation_raises(self):
+        low = LowOrderProduct.of(range(1, 20), 3)
+        with pytest.raises(IndexError):
+            low.down(3)
+        with pytest.raises(IndexError):
+            low.parity_tail(5)
+        with pytest.raises(IndexError):
+            low.tail(4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=st.lists(st.integers(-6, 40), max_size=45), extra=st.integers(0, 3),
+       data=st.data())
+def test_root_product_and_tails_match_full_expansion(roots, extra, data):
+    full = expand(roots)
+    m = data.draw(st.integers(0, len(full) + extra))
+    assert root_product(roots, m) == (full + [0] * extra)[:m]
+    low = LowOrderProduct.of(roots, len(full))
+    assert low.at_one == sum(full)
+    assert low.at_minus_one == sum((-1) ** r * c for r, c in enumerate(full))
+    for a in range(len(full) + 1):
+        assert low.parity_tail(a) == sum(full[a::2])
+        assert low.tail(a) == sum(full[a:])

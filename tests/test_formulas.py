@@ -474,3 +474,76 @@ def test_family_forms_match_twin_branch_oracle():
             assert got == want, f"{name}{args}: {got} != {want}"
             checked += 1
     assert checked > 20_000
+
+
+def edge_face_tuples(model):
+    """Index tuples at the edges of the face block product: every gap 1,
+    gaps 1 up to the last generator, a final block of length 1, and gaps 1
+    followed by the last generator."""
+    n, gens = model.n, model.generator_count
+    out = set()
+    for k in range(1, model.d):
+        out.add(tuple(range(1, k + 1)))
+        out.add(tuple(range(gens - k + 1, gens + 1)))
+        out.add(tuple(range(n - k, n)))
+        out.add(tuple(range(1, k)) + (gens,))
+    return sorted(out)
+
+
+def edge_grid_models():
+    """Every model at its smallest legal n (walk n = d, bridge n = d+1) and
+    one above it for d <= 10, and n = 300 for a spread of d."""
+    for d in range(1, 11):
+        for tag in "AB":
+            low = d + (tag == "A")
+            for n in (low, low + 1):
+                yield Model(tag, n, d)
+    for d in (1, 2, 3, 5, 10):
+        for tag in "AB":
+            yield Model(tag, 300, d)
+
+
+JOINT_BLOCKS = [
+    ((1,), ()), ((), (2,)), ((1,), (2,)), ((1, 1), (2, 2)), ((1,) * 5, ()), ((), (2,) * 5),
+    ((1, 4), (2,)), ((3,), (2, 6)), ((7,), ()), ((), (9,)), ((100, 50), (80, 70)),
+]
+
+
+def test_low_order_forms_match_full_triangle_oracle_at_the_edges():
+    # the truncated root products and the P(1)/P(-1) tails must give the
+    # exact value the full-row oracle gives where the products are
+    # degenerate or long: smallest legal n, n = 300, all-1 gaps, a final
+    # block of length 1, the last generator, walks of length 1 and bridges
+    # of length 2, both complements
+    rng = random.Random(5)
+    checked = 0
+    for model in edge_grid_models():
+        calls = oracle_grid_calls(model, rng)
+        if model.n == 300:  # the oracle's full block polynomials are slow here
+            calls = [c for c in calls if c[0] != "face_probability"]
+        calls += [("face_probability", (model, idx, c))
+                  for idx in edge_face_tuples(model) for c in (False, True)]
+        for name, args in calls:
+            got = getattr(formulas, name)(*args)
+            want = getattr(oracles, name)(*args)
+            assert got == want, f"{name}{args}: {got} != {want}"
+            checked += 1
+    for walks, bridges in JOINT_BLOCKS:
+        for d in range(1, 8):
+            for complement in (False, True):
+                got = joint_absorption_probability(walks, bridges, d, complement)
+                want = oracles.joint_absorption_probability(walks, bridges, d, complement)
+                assert got == want, f"joint {walks} {bridges} d={d} {complement}: {got} != {want}"
+                checked += 1
+    assert checked > 10_000
+
+
+def test_cold_tables_build_no_first_kind_triangle():
+    t = cw.StirlingTables()
+    for tag in "AB":
+        model = Model(tag, 300, 6)
+        expected_fk(model, 2, True, t)
+        expected_vk(model, 6, False, t)
+        face_probability(model, (1, 2, 299), True, t)
+    joint_absorption_probability((1, 40), (2, 60), 5, tables=t)
+    assert len(t._first) == 1 and len(t._first_b) == 1

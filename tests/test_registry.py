@@ -51,6 +51,16 @@ def test_missing_declared_index_is_named(name, key):
         evaluate_query(example_query(name, leave_out=key))
 
 
+@pytest.mark.parametrize("name, key", [(name, key) for name, spec in FUNCTIONALS.items()
+                                       for key in INDEX_VALUES if key not in spec.indices])
+def test_undeclared_index_is_rejected(name, key):
+    spec = FUNCTIONALS[name]
+    kw = {k: INDEX_VALUES[k] for k in spec.indices}
+    kw[key] = INDEX_VALUES[key]
+    with pytest.raises(DomainError, match=f"takes no index '{key}'"):
+        FunctionalQuery(name, MODEL if spec.needs_model else None, **kw)
+
+
 def test_help_lists_every_functional(capsys):
     assert main(["exact", "--help"]) == EXIT_OK
     text = " ".join(capsys.readouterr().out.split())
