@@ -1,25 +1,28 @@
-"""Floating-point computational geometry for finitely generated cones.
+"""Exact computational geometry for finitely generated cones.
 
 The cone is always the positive hull of the rows of a generator matrix.
-Everything reduces to one primitive: deciding whether the origin lies in
-the convex hull of a point set, which for points in general position is
-equivalent to the positive hull of those points not being pointed.  In
-dimensions one and two the decision is a sign test respectively an
-angular-gap test.  From dimension three on it is exact: a pattern of signs
-of d x d minors, certified by a floating-point filter with an exact
-integer fallback, and decided without tolerance for degenerate input too.
+Every verdict reads one record per cone: the exact signs of all d x d
+minors of the generators, certified by a floating-point filter with an
+exact integer fallback, and the facet mask they imply.  A facet is a
+(d-1)-subset of generators with every other generator strictly on one
+side of its span.
 
-Face tests use the projection characterization: a subset of generators
-spans a face exactly when the remaining generators, projected onto the
-orthogonal complement of the subset's span, form a pointed cone there.
+In general position (no minor exactly zero) a cone is either all of R^d
+or pointed with simplicial facets.  So the cone is full exactly when it
+has no facet, it has an apex exactly when it is not full, and a subset of
+generators spans a face exactly when it lies inside some facet.  The same
+minors decide whether the origin lies in the convex hull of loose points
+(one-dimensional points take a plain sign test), and degenerate input
+takes an exact descent through supporting hyperplanes, with no tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +42,9 @@ class ConeSample:
     Walk cones carry all n partial sums, bridge cones the first n-1.  The
     matrix is frozen read-only after construction.  ``tol`` is the slack
     of the projection predicates on this cone (nonnegative least squares in
-    ``project_onto_cone`` and ``cone_contains``); the hull, face and
-    full-cone tests do not use it.
+    ``project_onto_cone`` and ``cone_contains``); the general-position,
+    full-cone and face tests are exact and read the cone's minor signs,
+    computed once on first use.
     """
 
     generators: np.ndarray
@@ -67,11 +71,17 @@ class ConeSample:
     def n_generators(self) -> int:
         return self.generators.shape[0]
 
-    def in_general_position(self, rel_tol: float = 1e-12) -> bool:
-        """Every d-subset of generators has a determinant bounded away from 0
-        relative to its Hadamard bound.  Raises DomainError when there are
-        more than ``MAX_SUBSETS`` d-subsets."""
-        return _general_position_ok(self.generators, rel_tol)
+    @cached_property
+    def _signs(self) -> _SignRecord | None:
+        # None when there are fewer generators than dimensions: no d x d minor
+        return _SignRecord(self.generators) if self.n_generators >= self.d else None
+
+    def in_general_position(self) -> bool:
+        """There are at least d generators and no d x d minor of them is
+        exactly zero.  Raises DomainError when the minor table would exceed
+        ``MAX_SUBSETS`` row subsets."""
+        rec = self._signs
+        return rec is not None and rec.general
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,8 @@ class ConeProjection:
 # origin-in-hull primitive
 
 MAX_SUBSETS = 200_000
-"""Most row subsets a minor table or general-position check may enumerate;
-larger inputs raise DomainError before anything is allocated."""
+"""Most row subsets a minor table may enumerate; larger inputs raise
+DomainError before anything is allocated."""
 
 # Filter for the sign of a d x d minor.  Rows are first scaled by powers of
 # two so that their largest entry lies in [1/2, 1); that is exact and
@@ -133,30 +143,27 @@ larger inputs raise DomainError before anything is allocated."""
 # D = 2 + 3 + ... + d = d(d+1)/2 - 1 roundings.  With unit roundoff
 # u = 2^-53 the computed minor m~ then satisfies |m~ - m| <= gamma_D * P,
 # where gamma_D = D u / (1 - D u) and P, the sum of the absolute values of
-# the monomials, is the permanent of |minor| (Higham, "Accuracy and
-# Stability of Numerical Algorithms", Lemma 3.1).  The computed permanent
-# P~ takes the same roundings on nonnegative terms, so P <= P~ / (1 - D u),
-# and 2 D u P~ exceeds gamma_D * P with room for rounding the bound itself.
+# the d! monomials, is below d! because every scaled entry is below one
+# (Higham, "Accuracy and Stability of Numerical Algorithms", Lemma 3.1).
 # An underflowing product errs by at most 2^-1075 more; later factors have
-# magnitude below one, so at most e * d! such errors reach one minor, and
-# MAX_SUBSETS keeps d <= 17 (2^d - 1 subsets at least), so the absolute
-# term 2^-1000 covers them.  A minor with |m~| above the bound has the sign
-# of m~; the others get an exact integer determinant (Shewchuk 1997,
-# "Adaptive precision floating-point arithmetic and fast robust geometric
-# predicates", filters the same way).
-_UNDERFLOW_SLACK = 2.0 ** -1000
+# magnitude below one, so at most e * d! such errors reach one minor.
+# MAX_SUBSETS keeps d <= 17 (2^d - 1 subsets at least), so D u < 2^-45 and
+# the bound 2 D u d! exceeds gamma_D * d! by more than D u d! / 2, which
+# covers those errors and the rounding of the bound itself.  A minor with
+# |m~| above the bound has the sign of m~; the others get an exact integer
+# determinant (Shewchuk 1997, "Adaptive precision floating-point arithmetic
+# and fast robust geometric predicates", filters the same way).
 
 
 def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> bool:
     """Whether the origin is a convex combination of the given points.
 
-    In one dimension this is a sign test and in two an angular-gap test.
-    From dimension three on the verdict is exact, with no tolerance: it is
-    read off the signs of the d x d minors of the points, which a
-    floating-point filter certifies and integer arithmetic decides where
-    the filter cannot.  Points may be rescaled individually without
-    changing the verdict.  In d >= 3, inputs whose minor table would
-    exceed ``MAX_SUBSETS`` row subsets raise DomainError.
+    The verdict is exact, with no tolerance.  In one dimension it is a sign
+    test; from two on it is read off the signs of the d x d minors of the
+    points, which a floating-point filter certifies and integer arithmetic
+    decides where the filter cannot.  Points may be rescaled individually
+    without changing the verdict.  In d >= 2, inputs whose minor table
+    would exceed ``MAX_SUBSETS`` row subsets raise DomainError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -174,25 +181,36 @@ def _origin_in_hull(pts: np.ndarray) -> bool:
     if d == 1:
         x = pts[:, 0]
         return not (x.min() > 0.0 or x.max() < 0.0)
-    if d == 2:
-        return _max_angular_gap(pts) <= np.pi
     if n >= d:
-        table = _minor_table(n, d)
-        signs = _minor_signs(pts, table)
-        if signs.all():
-            # general position: the origin is outside exactly when some
-            # (d-1)-subset has every other point strictly on one side
-            sides = signs[table.facet_minor] * table.facet_parity
-            return not bool(np.any(np.abs(sides.sum(axis=1)) == n - d + 1))
+        rec = _SignRecord(pts)
+        if rec.general:
+            # in general position the origin is outside exactly when a facet exists
+            return not rec.facets.any()
     return _origin_in_hull_exact(pts)
 
 
-def _max_angular_gap(pts: np.ndarray) -> float:
-    """Largest angle between circularly consecutive directions in the plane."""
-    ang = np.arctan2(pts[:, 1], pts[:, 0])
-    ang.sort()
-    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
-    return float(gaps.max())
+class _SignRecord:
+    """Exact signs of all d x d minors of n >= d points, read as geometry.
+
+    ``general`` says no minor is zero.  ``sides[t]`` holds the side of
+    every point outside (d-1)-subset t (``table.facet_others[t]``) relative
+    to the hyperplane that subset spans, 0 on it, and ``facets`` marks the
+    subsets with every other point strictly on one side; both are derived
+    on first use.
+    """
+
+    def __init__(self, pts: np.ndarray) -> None:
+        self.table = _minor_table(*pts.shape)
+        self.signs = _minor_signs(pts, self.table)
+        self.general = bool(self.signs.all())
+
+    @cached_property
+    def sides(self) -> np.ndarray:
+        return self.signs[self.table.facet_minor] * self.table.facet_parity
+
+    @cached_property
+    def facets(self) -> np.ndarray:
+        return np.abs(self.sides.sum(axis=1)) == self.sides.shape[1]
 
 
 def _origin_in_hull_exact(pts: np.ndarray) -> bool:
@@ -210,17 +228,15 @@ def _origin_in_hull_exact(pts: np.ndarray) -> bool:
         if not pts.any(axis=1).all():
             return True
         pts = pts[:, _pivot_columns(_integer_rows(pts))]
-        n, r = pts.shape
-        if r == 1:
+        if pts.shape[1] == 1:
             return bool(pts.min() < 0.0 < pts.max())
-        table = _minor_table(n, r)
-        sides = _minor_signs(pts, table)[table.facet_minor] * table.facet_parity
-        support = _weakly_supporting(sides)
+        rec = _SignRecord(pts)
+        support = _weakly_supporting(rec.sides)
         if not support.any():
             return True
         t = int(np.argmax(support))
-        on_wall = table.facet_others[t][sides[t] == 0]
-        pts = pts[np.sort(np.concatenate([table.facet_rows[t], on_wall]))]
+        on_wall = rec.table.facet_others[t][rec.sides[t] == 0]
+        pts = pts[np.sort(np.concatenate([rec.table.facet_rows[t], on_wall]))]
 
 
 def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
@@ -293,16 +309,12 @@ def _build_minor_table(n: int, d: int) -> _MinorTable:
         facet_parity=np.array(parity, dtype=np.int8))
 
 
-def _minor_estimates(x: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np.ndarray]:
-    """Floating-point values of all d x d minors of x, and of the same
-    expansion over |x| with every sign positive."""
+def _minor_estimates(x: np.ndarray, table: _MinorTable) -> np.ndarray:
+    """Floating-point values of all d x d minors of x."""
     m = x[:, 0]
-    p = np.abs(m)
     for k, (rows, below, cofactor) in enumerate(table.levels, start=2):
-        col = x[:, k - 1][rows]
-        m = (col * cofactor * m[below]).sum(axis=1)
-        p = (np.abs(col) * p[below]).sum(axis=1)
-    return m, p
+        m = (x[:, k - 1][rows] * cofactor * m[below]).sum(axis=1)
+    return m
 
 
 def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np.ndarray]:
@@ -311,16 +323,17 @@ def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np
     d = pts.shape[1]
     _, expo = np.frexp(np.abs(pts).max(axis=1))
     scaled = np.ldexp(pts, -expo[:, None])
-    est, perm = _minor_estimates(scaled, table)
-    bound = (d * (d + 1) // 2 - 1) * 2.0 ** -52 * perm + _UNDERFLOW_SLACK
-    unsure = ~(np.abs(est) > bound)
-    if not np.array_equal(np.ldexp(scaled, expo[:, None]), pts):
+    est = _minor_estimates(scaled, table)
+    unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)
+    if (np.ldexp(scaled, expo[:, None]) != pts).any():
         unsure[:] = True  # a row lost low bits to underflow when scaled down
     return np.sign(est).astype(np.int8), unsure
 
 
 def _minor_signs(pts: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Exact signs of all d x d minors of pts (d >= 2), in combinations order."""
+    """Exact signs of all d x d minors of pts, in combinations order."""
+    if pts.shape[1] == 1:
+        return np.sign(pts[:, 0]).astype(np.int8)  # the 1 x 1 minors are the entries
     signs, unsure = _filtered_signs(pts, table)
     if unsure.any():
         rows = _integer_rows(pts)
@@ -386,31 +399,6 @@ def _pivot_columns(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _general_position_ok(gens: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    n, d = gens.shape
-    if n < d:
-        return False
-    idx = _d_subsets(n, d)
-    mats = gens[idx]
-    dets = np.abs(np.linalg.det(mats))
-    hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
-    return bool(np.all(dets > rel_tol * np.maximum(hadamard, 1e-300)))
-
-
-_SUBSET_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _d_subsets(n: int, d: int) -> np.ndarray:
-    key = (n, d)
-    cached = _SUBSET_CACHE.get(key)
-    if cached is None:
-        _check_subset_count(f"n={n}, d={d}", math.comb(n, d))
-        cached = np.array(list(combinations(range(n), d)), dtype=np.intp)
-        if len(_SUBSET_CACHE) < 4096:
-            _SUBSET_CACHE[key] = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # cone predicates
 
@@ -418,29 +406,18 @@ def _d_subsets(n: int, d: int) -> np.ndarray:
 def is_full_cone(cone: ConeSample) -> bool:
     """Whether the generators positively span R^d, i.e. the cone is R^d.
 
-    In one and two dimensions this is a strict sign respectively
-    angular-gap test over the nonzero generators.  From dimension three on
-    it is exact: the cone is full exactly when the generators have rank d
-    and no (d-1)-subset spanning a hyperplane has every other generator
-    weakly on one side of it.  For generators in general position this is
-    the origin lying in their convex hull.
+    Exact for any input: the cone is full exactly when the generators have
+    rank d and no (d-1)-subset spanning a hyperplane has every other
+    generator weakly on one side of it.  In general position no generator
+    lies on such a hyperplane, so this reads: the cone has no facet; and
+    it is the origin lying in the generators' convex hull.
     """
-    gens = cone.generators
-    n, d = gens.shape
-    if d == 1:
-        return bool(gens.min() < 0.0 < gens.max())
-    if d == 2:
-        nonzero = gens.any(axis=1)
-        if not nonzero.all():
-            gens = gens[nonzero]
-        return gens.shape[0] > 0 and _max_angular_gap(gens) < np.pi
-    if n < d:
+    rec = cone._signs
+    if rec is None:
         return False
-    table = _minor_table(n, d)
-    signs = _minor_signs(gens, table)
-    if not signs.any():
-        return False  # rank below d
-    return not bool(_weakly_supporting(signs[table.facet_minor] * table.facet_parity).any())
+    if rec.general:
+        return not rec.facets.any()
+    return bool(rec.signs.any()) and not _weakly_supporting(rec.sides).any()
 
 
 def _row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -489,64 +466,53 @@ def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...
     return tuple(sorted(idx))
 
 
-def _split(n_gen: int, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of the selection and of the other generators."""
-    rest = [i for i in range(n_gen) if i not in idx]
-    return np.array(idx, dtype=np.intp), np.array(rest, dtype=np.intp)
+def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of generators (1 <= k <= d-1) that span a face of the
+    cone, in combinations order.
+
+    A full cone has none.  Fewer than d independent generators span a
+    simplicial cone, whose every subset spans a face.  Otherwise, in
+    general position, a subset spans a face exactly when it lies inside a
+    facet.  A cone that is not full and has an exactly zero minor, or
+    fewer than d dependent generators, raises DegenerateInputError.
+    """
+    rec = cone._signs
+    n, d = cone.generators.shape
+    if rec is None:
+        if len(_pivot_columns(_integer_rows(cone.generators))) < n:
+            raise DegenerateInputError(
+                f"{n} generators in R^{d} are linearly dependent; face test undefined")
+        return list(combinations(range(n), k))
+    if not rec.general:
+        if is_full_cone(cone):
+            return []
+        raise DegenerateInputError(
+            "the cone is not full and has an exactly zero d x d minor; face test undefined")
+    walls = rec.table.facet_rows[rec.facets].tolist()
+    return sorted({face for wall in walls for face in combinations(wall, k)})
 
 
-_SPLIT_CACHE: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-_CACHED_SPLITS = 4096
-"""Largest enumeration the cache keeps: every split holds two arrays, and
-sampled cones need at most C(10, 5) = 252 splits."""
-
-
-def _index_splits(n_gen: int, size: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """(subset, complement) row-index pairs for every subset of the given
-    size; raises DomainError when there are more than ``MAX_SUBSETS``."""
-    key = (n_gen, size)
-    cached = _SPLIT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    count = math.comb(n_gen, size)
-    _check_subset_count(f"n={n_gen}, k={size}", count)
-    splits = (_split(n_gen, subset) for subset in combinations(range(n_gen), size))
-    if count > _CACHED_SPLITS or len(_SPLIT_CACHE) >= 1024:
-        return splits
-    _SPLIT_CACHE[key] = cached = list(splits)
-    return cached
-
-
-def _is_face_split(gens: np.ndarray, sel: np.ndarray, rest: np.ndarray) -> np.ndarray | None:
-    """Complement basis of the selected rows if they span a face (the test of
-    :func:`is_face`), else None."""
-    basis = _complement_basis(gens[sel])
+def _tangent_base(gens: np.ndarray, face: Sequence[int]) -> np.ndarray:
+    """The generators outside a face, projected onto the orthogonal
+    complement of the face's span."""
+    basis = _complement_basis(gens[list(face)])
     if basis is None:
         raise DegenerateInputError(
-            f"selected generators {tuple(sel.tolist())} are rank-deficient; face test undefined")
-    if rest.size and _origin_in_hull(gens[rest] @ basis):
-        return None
-    return basis
-
-
-def _faces(gens: np.ndarray, size: int):
-    """(selected rows, other rows, complement basis) of every face spanned
-    by ``size`` generators, in combinations order."""
-    for sel, rest in _index_splits(gens.shape[0], size):
-        basis = _is_face_split(gens, sel, rest)
-        if basis is not None:
-            yield sel, rest, basis
+            f"face generators {tuple(face)} are numerically rank-deficient")
+    rest = [i for i in range(gens.shape[0]) if i not in face]
+    return gens[rest] @ basis
 
 
 def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
     """Whether the selected generators (0-based rows) span a face of the cone.
 
-    True exactly when the other generators, projected onto the orthogonal
-    complement of the selection's span, leave the origin outside their
-    convex hull there.
+    Exact, under the contract of the face enumeration: a full cone has no
+    proper face; fewer than d independent generators make every subset a
+    face; in general position a subset spans a face exactly when it lies
+    inside a facet; other input raises DegenerateInputError.
     """
-    sel, rest = _split(cone.n_generators, _validated_subset(cone, subset))
-    return _is_face_split(cone.generators, sel, rest) is not None
+    idx = _validated_subset(cone, subset)
+    return idx in _faces(cone, len(idx))
 
 
 def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
@@ -566,17 +532,20 @@ def count_k_faces(cone: ConeSample, k: int) -> int:
     """Number of k-dimensional faces, 0 <= k <= d-1.
 
     A pointed cone has exactly one 0-face, the apex; a cone containing a
-    line (a full cone, a half-space, ...) has none.  Counting k >= 1 faces
-    enumerates the k-subsets of generators and raises DomainError when
-    there are more than ``MAX_SUBSETS``.
+    line (a full cone, a half-space, ...) has none.  Faces with k >= 1
+    follow the contract of :func:`is_face`.  Inputs whose minor table
+    would exceed ``MAX_SUBSETS`` row subsets raise DomainError.
     """
     if not 0 <= k <= cone.d - 1:
         raise DomainError(f"count_k_faces requires 0 <= k <= d-1, got k={k}, d={cone.d}")
     if k == 0:
+        rec = cone._signs
+        if rec is not None and rec.general:
+            return int(rec.facets.any())  # full or pointed, and pointed has a facet
         gens = cone.generators
         nonzero = gens[gens.any(axis=1)]
         return 0 if nonzero.shape[0] and _origin_in_hull(nonzero) else 1
-    return sum(1 for _ in _faces(cone.generators, k))
+    return len(_faces(cone, k))
 
 
 def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> ConeSample:
@@ -589,11 +558,9 @@ def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> Con
     if len(tuple(subset)) == 0:
         return cone
     idx = _validated_subset(cone, subset)
-    sel, rest = _split(cone.n_generators, idx)
-    basis = _is_face_split(cone.generators, sel, rest)
-    if basis is None:
+    if idx not in _faces(cone, len(idx)):
         raise DomainError(f"subset {idx} is not a face; tangent cone base undefined")
-    return ConeSample(cone.generators[rest] @ basis, TAG_PROJECTED, cone.tol)
+    return ConeSample(_tangent_base(cone.generators, idx), TAG_PROJECTED, cone.tol)
 
 
 def cone_contains(cone: ConeSample, x: Sequence[float]) -> bool:

@@ -37,7 +37,6 @@ from .geometry import (
     count_k_faces,
     is_face,
     is_full_cone,
-    origin_in_convex_hull,
 )
 
 FAMILIES = ("gaussian_iid", "heavy_tail_iid", "scaled_gaussian_exchangeable")
@@ -100,9 +99,9 @@ def _draw_cone(model: Model, dist: DistributionSpec, rng: np.random.Generator,
     draw, tag = ((_bridge_generators, TAG_BRIDGE) if model.is_bridge
                  else (_walk_generators, TAG_WALK))
     for attempt in range(max_retries):
-        gens = draw(dist, model.n, rng)
-        if geometry._general_position_ok(gens):
-            return ConeSample(gens, tag), attempt
+        cone = ConeSample(draw(dist, model.n, rng), tag)
+        if cone.in_general_position():
+            return cone, attempt
     raise SamplingError(
         f"no draw in general position after {max_retries} attempts "
         f"({dist.family}, n={model.n}, d={model.d})")
@@ -237,8 +236,8 @@ def _quermassintegral(q: FunctionalQuery, cone: ConeSample, rng: np.random.Gener
 def _face_sum_u(m: int, l: int, cone: ConeSample, rng: np.random.Generator) -> float:
     gens = cone.generators
     total = 0.0
-    for sel, _, _ in geometry._faces(gens, m):
-        if _hits_random_subspace(gens[sel], l, rng):
+    for face in geometry._faces(cone, m):
+        if _hits_random_subspace(gens[list(face)], l, rng):
             total += 0.5
     return total
 
@@ -251,10 +250,9 @@ def _tangent_sum_u(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generato
         return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
     if k == d:
         return 0.0  # top quermassintegral of a tangent cone vanishes
-    gens = cone.generators
     total = 0.0
-    for _, rest, basis in geometry._faces(gens, j):
-        if _hits_random_subspace(gens[rest] @ basis, k - j, rng):
+    for face in geometry._faces(cone, j):
+        if _hits_random_subspace(geometry._tangent_base(cone.generators, face), k - j, rng):
             total += 0.5
     return total
 
@@ -265,9 +263,9 @@ def _face_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) 
             "face_intrinsic simulation enumerates proper faces and requires m <= d-1")
     gens = cone.generators
     total = 0.0
-    for sel, _, _ in geometry._faces(gens, q.m):
+    for face in geometry._faces(cone, q.m):
         g = rng.standard_normal(cone.d)
-        if geometry._projection_face_dim(gens[sel], g, cone.tol) == q.l:
+        if geometry._projection_face_dim(gens[list(face)], g, cone.tol) == q.l:
             total += 1.0
     return total
 
@@ -279,16 +277,16 @@ def _tangent_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generato
             return 0.0
         g = rng.standard_normal(d)
         return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == k else 0.0
-    gens = cone.generators
     total = 0.0
-    for _, rest, basis in geometry._faces(gens, j):
+    for face in geometry._faces(cone, j):
         g = rng.standard_normal(d - j)
-        if geometry._projection_face_dim(gens[rest] @ basis, g, cone.tol) == k - j:
+        base = geometry._tangent_base(cone.generators, face)
+        if geometry._projection_face_dim(base, g, cone.tol) == k - j:
             total += 1.0
     return total
 
 
-MEASURES: dict[str, Callable[[FunctionalQuery, object, np.random.Generator], float]] = {
+MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Generator], float]] = {
     "absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
     "nonabsorption": lambda q, cone, rng: 0.0 if is_full_cone(cone) else 1.0,
     "fk": _face_count,
@@ -303,26 +301,28 @@ MEASURES: dict[str, Callable[[FunctionalQuery, object, np.random.Generator], flo
     "face_prob": lambda q, cone, rng: 1.0 if is_face(cone, [i - 1 for i in q.indices]) else 0.0,
     "subspace_prob": lambda q, cone, rng: (
         1.0 if _hits_random_subspace(cone.generators, q.k, rng) else 0.0),
-    "joint_absorption": lambda q, points, rng: 1.0 if origin_in_convex_hull(points) else 0.0,
+    # in general position the origin is in the points' hull iff they span R^d
+    "joint_absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
 }
-"""Per functional name, the measurement (query, sample, rng) -> value whose
-expectation is the functional.  A joint_absorption sample is the stacked
-points of all blocks, every other sample a cone of the query's model."""
+"""Per functional name, the measurement (query, cone, rng) -> value whose
+expectation is the functional.  A joint_absorption cone is spanned by the
+stacked points of all blocks, every other cone is drawn from the query's
+model."""
 
 
 def _draw_joint(query: FunctionalQuery, dist: DistributionSpec,
-                rng: np.random.Generator) -> tuple[np.ndarray, int]:
+                rng: np.random.Generator) -> tuple[ConeSample, int]:
     for attempt in range(_MAX_DRAW_RETRIES):
         blocks = [_walk_generators(dist, n, rng) for n in query.walk_lengths]
         blocks += [_bridge_generators(dist, m, rng) for m in query.bridge_lengths]
-        points = np.vstack(blocks)
-        if geometry._general_position_ok(points):
-            return points, attempt
+        cone = ConeSample(np.vstack(blocks))
+        if cone.in_general_position():
+            return cone, attempt
     raise SamplingError(f"no joint draw in general position after {_MAX_DRAW_RETRIES} attempts")
 
 
 def _draw_sample(query: FunctionalQuery, dist: DistributionSpec,
-                 rng: np.random.Generator) -> tuple[object, int]:
+                 rng: np.random.Generator) -> tuple[ConeSample, int]:
     if query.model is None:
         return _draw_joint(query, dist, rng)
     model = query.model

@@ -55,6 +55,7 @@ from .formulas import (
     subspace_intersection_probability,
     wendel_probability,
 )
+from .formulas import _FAMILY
 from .simulation import FAMILIES, DistributionSpec, MCEstimate, RunConfig, estimate
 
 SCHEMA_VERSION = 1
@@ -384,6 +385,8 @@ def corrupted_tables() -> StirlingTables:
     """A deliberately damaged table set for mutation-testing the suite."""
     t = StirlingTables(12)
     t._first[6][3] += 1  # test-only: poke one triangle entry
+    # and the same coefficient of the cached product the closed forms read
+    _FAMILY[A_BRIDGE].full_row(t, 6).coeffs[3] += 1
     return t
 
 

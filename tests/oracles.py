@@ -41,8 +41,23 @@ def brute_force_is_face(gens, subset, tol=1e-9):
     return False
 
 
-def random_cone_generators(rng, n, d, bridge=False):
-    steps = rng.standard_normal((n, d))
+def projection_is_face(gens, subset):
+    """The projection face test that production used before the facet
+    mask replaced it: the subset spans a face exactly when the other
+    generators, projected onto the orthogonal complement of the subset's
+    span, leave the origin outside their convex hull there (here decided
+    by the margin LP below)."""
+    gens = np.asarray(gens, dtype=float)
+    sel = sorted(subset)
+    rest = [i for i in range(gens.shape[0]) if i not in sel]
+    _, s, vt = np.linalg.svd(gens[sel], full_matrices=True)
+    rank = int(np.sum(s > max(len(sel), gens.shape[1]) * np.finfo(float).eps * s[0]))
+    assert rank == len(sel), f"selected generators {sel} are rank-deficient"
+    return not rest or not lp_origin_in_hull(gens[rest] @ vt[rank:].T)
+
+
+def random_cone_generators(rng, n, d, bridge=False, law="gaussian"):
+    steps = rng.standard_normal((n, d)) if law == "gaussian" else rng.standard_cauchy((n, d))
     if bridge:
         steps = steps - steps.mean(axis=0)
         return np.cumsum(steps, axis=0)[:-1]

@@ -100,7 +100,7 @@ def test_criterion_4_brute_force_face_oracle():
                         f"instance {instances}: disagreement at subset {subset}")
         assert time.perf_counter() - started < 120.0, "face oracle exceeded 2 minutes"
 
-    announce(4, "projection face test vs supporting-hyperplane search, 1000 cones", body)
+    announce(4, "facet-mask face test vs supporting-hyperplane search, 1000 cones", body)
 
 
 def run_acceptance_gates(family):

@@ -33,12 +33,13 @@ from oracles import (
     fraction_origin_in_hull,
     fraction_positively_spans,
     lp_origin_in_hull,
+    projection_is_face,
     random_cone_generators,
 )
 
 
-def random_cone(rng, n, d, bridge=False):
-    gens = random_cone_generators(rng, n, d, bridge=bridge)
+def random_cone(rng, n, d, bridge=False, law="gaussian"):
+    gens = random_cone_generators(rng, n, d, bridge=bridge, law=law)
     return ConeSample(gens, "A_bridge" if bridge else "B_walk")
 
 
@@ -110,6 +111,11 @@ class TestFullCone:
     def test_too_few_generators_never_fill(self):
         assert not is_full_cone(ConeSample(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])[:2]))
 
+    def test_near_antipodal_planar_pair(self):
+        # the angle of (-1, 1e-20) rounds to pi; the 2 x 2 minors do not
+        assert is_full_cone(ConeSample(np.array([(1.0, 0.0), (-1.0, 1e-20), (0.0, -1.0)])))
+        assert not origin_in_convex_hull([(1.0, 0.0), (-1.0, 1e-20), (0.0, 1.0)])
+
 
 class TestIsFace:
     def test_simplicial_cone_every_subset(self):
@@ -134,6 +140,25 @@ class TestIsFace:
         with pytest.raises(DegenerateInputError):
             is_face(ConeSample(gens), (0, 1))
 
+    def test_pointed_cone_with_a_zero_minor_is_rejected(self):
+        # {e1, 2e1, e2, e3, e4}: projecting 2e1 along e1 gave a zero row
+        # that the hull test counted as the origin, so e1 was no edge
+        cone = ConeSample(np.vstack([np.eye(4)[0], 2.0 * np.eye(4)[0], np.eye(4)[1:]]))
+        with pytest.raises(DegenerateInputError):
+            is_face(cone, (0,))
+        with pytest.raises(DegenerateInputError):
+            count_k_faces(cone, 1)
+        with pytest.raises(DegenerateInputError):
+            tangent_cone_projection_base(cone, (0,))
+
+    def test_fewer_than_d_generators(self):
+        cone = ConeSample(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+        assert is_face(cone, (0,)) and is_face(cone, (1,)) and is_face(cone, (0, 1))
+        assert count_k_faces(cone, 1) == 2
+        assert count_k_faces(cone, 2) == 1
+        with pytest.raises(DegenerateInputError):
+            is_face(ConeSample(np.array([[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]])), (0,))
+
     def test_subset_validation(self):
         cone = ConeSample(np.eye(3))
         with pytest.raises(DomainError):
@@ -146,17 +171,23 @@ class TestIsFace:
             is_face(cone, (5,))
 
     def test_matches_supporting_hyperplane_search(self):
+        # the facet mask against the supporting-hyperplane search and the
+        # projection test it replaced
         rng = np.random.default_rng(42)
-        for trial in range(200):
-            d = int(rng.integers(2, 4))
-            n = int(rng.integers(d, 7))
-            bridge = bool(rng.integers(0, 2)) and n >= d + 1
-            cone = random_cone(rng, n, d, bridge=bridge)
-            for k in range(1, d):
-                for subset in combinations(range(cone.n_generators), k):
-                    assert is_face(cone, subset) == \
-                        brute_force_is_face(cone.generators, subset), \
-                        f"trial {trial}, subset {subset}"
+        for d in (2, 3, 4, 5):
+            for law in ("gaussian", "cauchy"):
+                for bridge in (False, True):
+                    for trial in range(6):
+                        n = int(rng.integers(d + bridge, d + 4))
+                        cone = random_cone(rng, n, d, bridge=bridge, law=law)
+                        for k in range(1, d):
+                            faces = 0
+                            for subset in combinations(range(cone.n_generators), k):
+                                want = brute_force_is_face(cone.generators, subset)
+                                assert projection_is_face(cone.generators, subset) == want
+                                assert is_face(cone, subset) == want, (d, law, bridge, trial, subset)
+                                faces += want
+                            assert count_k_faces(cone, k) == faces
 
     def test_face_monotonicity(self):
         # every generator inside a 2-face must itself be an edge
@@ -282,6 +313,18 @@ class TestCountFaces:
         assert count_k_faces(cone, 0) == 0
         assert count_k_faces(cone, 1) == 0
 
+    def test_full_cone_has_no_face_of_any_dimension(self):
+        # one cone in general position, one with exactly zero minors
+        generic = np.random.default_rng(4).standard_normal((20, 4))
+        degenerate = np.vstack([np.eye(4), -np.eye(4), 2.0 * np.eye(4)[0]])
+        for gens in (generic, degenerate):
+            cone = ConeSample(gens)
+            assert is_full_cone(cone)
+            for k in range(4):
+                assert count_k_faces(cone, k) == 0
+            for k in (1, 2, 3):
+                assert not any(is_face(cone, s) for s in combinations(range(len(gens)), k))
+
     def test_range_checked(self):
         with pytest.raises(DomainError):
             count_k_faces(ConeSample(np.eye(2)), 2)
@@ -396,7 +439,7 @@ class TestExactHullPredicate:
                         assert is_full_cone(ConeSample(gens)) == want, (d, law, bridge, gens)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(3, 4).flatmap(lambda d: st.lists(
+    @given(st.integers(2, 4).flatmap(lambda d: st.lists(
         st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=7)))
     def test_small_integer_points_against_fraction_oracle(self, rows):
         # small integer coordinates make many minors exactly zero
@@ -495,20 +538,14 @@ class TestSubsetCap:
         pts = np.random.default_rng(0).standard_normal((500, 3))
         with pytest.raises(DomainError, match=r"n=500, d=3 needs 20833750 row subsets"):
             origin_in_convex_hull(pts)
-        with pytest.raises(DomainError, match=r"n=500, d=3 needs 20708500 row subsets"):
+        with pytest.raises(DomainError, match=r"n=500, d=3 needs 20833750 row subsets"):
             ConeSample(pts).in_general_position()
 
     def test_large_face_count_fails_fast(self):
-        # 200 generators in R^5 have 64.7 million 4-subsets to test
+        # 200 generators in R^5 have 2.6 billion row subsets of size <= 5
         cone = ConeSample(np.random.default_rng(0).standard_normal((200, 5)))
-        with pytest.raises(DomainError, match=r"n=200, k=4 needs 64684950 row subsets"):
+        with pytest.raises(DomainError, match=r"n=200, d=5 needs 2601668490 row subsets"):
             count_k_faces(cone, 4)
-
-    def test_large_face_enumeration_is_not_cached(self):
-        # C(31, 3) = 4495 splits of two arrays each stay out of the cache
-        cone = ConeSample(np.random.default_rng(1).standard_normal((31, 4)))
-        count_k_faces(cone, 3)
-        assert (31, 3) not in geometry._SPLIT_CACHE
 
     def test_benchmark_shapes_are_far_below_the_cap(self):
         # the largest sampled shape is 10 points in R^3

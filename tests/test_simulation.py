@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conic_walks import simulation
+from conic_walks import geometry, simulation
 from conic_walks.errors import DomainError
 from conic_walks.formulas import FunctionalQuery, Model
 from conic_walks.geometry import count_k_faces, is_full_cone
@@ -200,6 +200,11 @@ class TestVerifySuite:
         tampered = identity_checks(tables=corrupted_tables())
         assert any(c.status == "fail" for c in tampered)
 
+    def test_tampering_reaches_the_closed_forms(self):
+        tampered = identity_checks(tables=corrupted_tables())
+        failed = {c.name for c in tampered if c.status == "fail"}
+        assert "cross-formula identities" in failed
+
     def test_small_budget_skips_mc(self):
         report = verify_suite(budget=100, seed=5)
         assert report["summary"]["overall"] == "pass"
@@ -241,3 +246,22 @@ class TestConditionedFullConeTest:
         samples = 64
         estimate(RunConfig(query=query, dist=GAUSS2, samples=samples, seed=3))
         assert len(verdicts) == samples + sum(verdicts)
+
+
+class TestSharedMinorTable:
+    @pytest.mark.parametrize("gate", ["f1/A n=4 d=2", "Y m=2 l=1/B n=5 d=3"])
+    def test_one_minor_table_per_draw(self, gate, monkeypatch):
+        # the general-position check and every verdict on the cone read one
+        # sign record; the Y gate's 1-d Haar projections take the sign test
+        calls = []
+        signs = geometry._minor_signs
+
+        def counting(pts, table):
+            calls.append(pts.shape)
+            return signs(pts, table)
+
+        monkeypatch.setattr(geometry, "_minor_signs", counting)
+        query = next(g.query for g in default_gates() if g.name == gate)
+        dist = DistributionSpec("gaussian_iid", query.dimension)
+        est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
+        assert len(calls) == est.samples + est.rejected
