@@ -28,11 +28,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, NumericError, SamplingError
 
-TAG_BRIDGE = "A_bridge"
-TAG_WALK = "B_walk"
-TAG_PROJECTED = "projected"
-
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # slack of the nonnegative least squares projection predicates
 
 
 @dataclass(frozen=True)
@@ -40,16 +36,12 @@ class ConeSample:
     """Generators of a sampled cone: one partial sum per row.
 
     Walk cones carry all n partial sums, bridge cones the first n-1.  The
-    matrix is frozen read-only after construction.  ``tol`` is the slack
-    of the projection predicates on this cone (nonnegative least squares in
-    ``project_onto_cone`` and ``cone_contains``); the general-position,
+    matrix is frozen read-only after construction.  The general-position,
     full-cone and face tests are exact and read the cone's minor signs,
     computed once on first use.
     """
 
     generators: np.ndarray
-    model: str = TAG_WALK
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generators, dtype=float)
@@ -57,8 +49,6 @@ class ConeSample:
             raise DomainError("generators must form a nonempty 2-d matrix")
         if not np.all(np.isfinite(gens)):
             raise DomainError("generators must be finite")
-        if self.tol <= 0:
-            raise DomainError("tolerance must be positive")
         gens = gens.copy()
         gens.flags.writeable = False
         object.__setattr__(self, "generators", gens)
@@ -429,32 +419,6 @@ def _row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
     return vt[rank:].T, rank
 
 
-def _complement_basis(rows: np.ndarray) -> np.ndarray | None:
-    """Like :func:`_row_complement` for full-rank rows, with closed forms in
-    the low dimensions that dominate sampling loops; None when rank-deficient."""
-    k, d = rows.shape
-    if k == 1 and d == 2:
-        x, y = rows[0]
-        nrm = math.hypot(x, y)
-        if nrm <= 1e-300:
-            return None
-        return np.array(((-y / nrm,), (x / nrm,)))
-    if k == 2 and d == 3:
-        (a0, a1, a2), (b0, b1, b2) = rows
-        v0 = a1 * b2 - a2 * b1
-        v1 = a2 * b0 - a0 * b2
-        v2 = a0 * b1 - a1 * b0
-        nrm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-        scale = math.sqrt((a0 * a0 + a1 * a1 + a2 * a2) * (b0 * b0 + b1 * b1 + b2 * b2))
-        if nrm <= 1e-12 * max(scale, 1e-300):
-            return None
-        return np.array(((v0 / nrm,), (v1 / nrm,), (v2 / nrm,)))
-    basis, rank = _row_complement(rows)
-    if rank < k:
-        return None
-    return basis
-
-
 def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(int(i) for i in subset)
     k = len(idx)
@@ -467,17 +431,26 @@ def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...
 
 
 def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
-    """The k-subsets of generators (1 <= k <= d-1) that span a face of the
+    """The k-subsets of generators (0 <= k <= d-1) that span a face of the
     cone, in combinations order.
 
-    A full cone has none.  Fewer than d independent generators span a
-    simplicial cone, whose every subset spans a face.  Otherwise, in
-    general position, a subset spans a face exactly when it lies inside a
-    facet.  A cone that is not full and has an exactly zero minor, or
-    fewer than d dependent generators, raises DegenerateInputError.
+    The apex ``()`` is the 0-face of every pointed cone, for any input; a
+    cone containing a line has none.  For k >= 1, a full cone has no face.
+    Fewer than d independent generators span a simplicial cone, whose every
+    subset spans a face.  Otherwise, in general position, a subset spans a
+    face exactly when it lies inside a facet.  A cone that is not full and
+    has an exactly zero minor, or fewer than d dependent generators, raises
+    DegenerateInputError.
     """
     rec = cone._signs
     n, d = cone.generators.shape
+    if k == 0:
+        if rec is not None and rec.general:
+            pointed = rec.facets.any()  # full or pointed, and pointed has a facet
+        else:
+            nonzero = cone.generators[cone.generators.any(axis=1)]
+            pointed = not (nonzero.shape[0] and _origin_in_hull(nonzero))
+        return [()] if pointed else []
     if rec is None:
         if len(_pivot_columns(_integer_rows(cone.generators))) < n:
             raise DegenerateInputError(
@@ -494,9 +467,11 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
 
 def _tangent_base(gens: np.ndarray, face: Sequence[int]) -> np.ndarray:
     """The generators outside a face, projected onto the orthogonal
-    complement of the face's span."""
-    basis = _complement_basis(gens[list(face)])
-    if basis is None:
+    complement of the face's span.  The apex's is ``gens`` itself."""
+    if not face:
+        return gens
+    basis, rank = _row_complement(gens[list(face)])
+    if rank < len(face):
         raise DegenerateInputError(
             f"face generators {tuple(face)} are numerically rank-deficient")
     rest = [i for i in range(gens.shape[0]) if i not in face]
@@ -516,16 +491,20 @@ def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
 
 
 def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
-    """Whether the cone meets the subspace in more than the origin."""
+    """Whether the cone meets the subspace in more than the origin.
+
+    Zero generators span nothing, so a cone without a nonzero generator
+    meets no subspace."""
     if subspace.d != cone.d:
         raise DomainError(
             f"subspace lives in dimension {subspace.d}, cone in {cone.d}")
-    if subspace.dim == 0:
+    gens = cone.generators[cone.generators.any(axis=1)]
+    if subspace.dim == 0 or gens.shape[0] == 0:
         return False
     if subspace.dim == cone.d:
         return True
     perp, _ = _row_complement(subspace.basis.T)
-    return _origin_in_hull(cone.generators @ perp)
+    return _origin_in_hull(gens @ perp)
 
 
 def count_k_faces(cone: ConeSample, k: int) -> int:
@@ -538,13 +517,6 @@ def count_k_faces(cone: ConeSample, k: int) -> int:
     """
     if not 0 <= k <= cone.d - 1:
         raise DomainError(f"count_k_faces requires 0 <= k <= d-1, got k={k}, d={cone.d}")
-    if k == 0:
-        rec = cone._signs
-        if rec is not None and rec.general:
-            return int(rec.facets.any())  # full or pointed, and pointed has a facet
-        gens = cone.generators
-        nonzero = gens[gens.any(axis=1)]
-        return 0 if nonzero.shape[0] and _origin_in_hull(nonzero) else 1
     return len(_faces(cone, k))
 
 
@@ -560,12 +532,22 @@ def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> Con
     idx = _validated_subset(cone, subset)
     if idx not in _faces(cone, len(idx)):
         raise DomainError(f"subset {idx} is not a face; tangent cone base undefined")
-    return ConeSample(_tangent_base(cone.generators, idx), TAG_PROJECTED, cone.tol)
+    return ConeSample(_tangent_base(cone.generators, idx))
+
+
+def _validated_point(cone: ConeSample, x: Sequence[float]) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (cone.d,):
+        raise DomainError(f"point has shape {x.shape}, expected ({cone.d},)")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("point must be finite")
+    return x
 
 
 def cone_contains(cone: ConeSample, x: Sequence[float]) -> bool:
-    """Membership of a point in the positive hull, via the NNLS residual."""
-    return _nnls_projection(cone.generators, np.asarray(x, dtype=float), cone.tol)[2]
+    """Membership of a finite point of R^d in the positive hull, via the
+    NNLS residual."""
+    return _nnls_projection(cone.generators, _validated_point(cone, x))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -581,36 +563,34 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     strictly positive coefficients, which under general position matches
     the face actually containing the projection.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (cone.d,):
-        raise DomainError(f"point has shape {g.shape}, expected ({cone.d},)")
-    resid, active, inside = _nnls_projection(cone.generators, g, cone.tol)
+    g = _validated_point(cone, g)
+    resid, active, inside = _nnls_projection(cone.generators, g)
     active = tuple(int(i) for i in active)
     if inside:
         return ConeProjection(point=g.copy(), active_set=active, face_dim=cone.d)
     return ConeProjection(point=g - resid, active_set=active, face_dim=len(active))
 
 
-def _projection_face_dim(gens: np.ndarray, g: np.ndarray, tol: float) -> int:
+def _projection_face_dim(gens: np.ndarray, g: np.ndarray) -> int:
     """Dimension of the face the metric projection of g lands in (d if inside)."""
-    _, active, inside = _nnls_projection(gens, g, tol)
+    _, active, inside = _nnls_projection(gens, g)
     return gens.shape[1] if inside else len(active)
 
 
-def _nnls_projection(gens: np.ndarray, g: np.ndarray,
-                     tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+def _nnls_projection(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Residual of the metric projection of g onto the positive hull of the
-    rows, the rows whose coefficient exceeds tol times the largest (the
-    coefficients are nonnegative, so none when all vanish), and whether g
-    lies in the cone: its squared residual is within (tol * max(1, |g|))^2."""
+    rows, the rows whose coefficient exceeds tol = ``DEFAULT_TOL`` times the
+    largest (the coefficients are nonnegative, so none when all vanish), and
+    whether g lies in the cone: its squared residual is within
+    (tol * max(1, |g|))^2."""
+    tol = DEFAULT_TOL
     coeff, resid = _nnls_lowest_index(gens.T, g, tol)
     active = np.flatnonzero(coeff > tol * float(coeff.max(initial=0.0)))
     inside = float(resid @ resid) <= (tol * max(1.0, float(np.linalg.norm(g)))) ** 2
     return resid, active, inside
 
 
-def _nnls_lowest_index(a: np.ndarray, b: np.ndarray, tol: float,
-                       max_iter: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _nnls_lowest_index(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Active-set nonnegative least squares  min ||a x - b||, x >= 0.
 
     Deterministic pivot: among stationarity violations pick the lowest
@@ -618,8 +598,7 @@ def _nnls_lowest_index(a: np.ndarray, b: np.ndarray, tol: float,
     reduction order.  Returns the coefficients and the residual b - a x.
     """
     d, m = a.shape
-    if max_iter is None:
-        max_iter = 3 * m + 30
+    max_iter = 3 * m + 30
     x = np.zeros(m)
     passive: list[int] = []
     banned: set[int] = set()

@@ -2,8 +2,9 @@
 
 Sampling distributions only need the model's symmetry hypotheses, so three
 stress levels are provided: i.i.d. Gaussian increments, componentwise
-Cauchy increments (no mean), and Gaussians multiplied by one shared random
-scale (dependent but still exchangeable with symmetric signs).
+Cauchy increments (no mean), and Gaussians multiplied by one shared
+standard log-normal scale (dependent but still exchangeable with symmetric
+signs).
 
 Estimates are reproducible by construction: the random stream of sample
 ``i`` is the Philox stream with key ``seed`` and counter block ``i``, so
@@ -30,14 +31,7 @@ from .formulas import (
     Model,
     evaluate_query,
 )
-from .geometry import (
-    ConeSample,
-    TAG_BRIDGE,
-    TAG_WALK,
-    count_k_faces,
-    is_face,
-    is_full_cone,
-)
+from .geometry import ConeSample, is_face, is_full_cone
 
 FAMILIES = ("gaussian_iid", "heavy_tail_iid", "scaled_gaussian_exchangeable")
 
@@ -53,21 +47,17 @@ class DistributionSpec:
 
     Every family has a joint density assigning zero mass to affine
     hyperplanes, so sampled partial sums are in general position almost
-    surely.  ``scale_sigma`` is the log-normal sigma of the shared scale in
-    the dependent family.
+    surely.
     """
 
     family: str
     d: int
-    scale_sigma: float = 1.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown distribution family {self.family!r}; expected {FAMILIES}")
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got d={self.d}")
-        if self.scale_sigma <= 0:
-            raise DomainError("scale_sigma must be positive")
 
 
 def sample_increments(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,7 +68,7 @@ def sample_increments(dist: DistributionSpec, n: int, rng: np.random.Generator) 
         return rng.standard_normal((n, dist.d))
     if dist.family == "heavy_tail_iid":
         return rng.standard_cauchy((n, dist.d))
-    scale = rng.lognormal(mean=0.0, sigma=dist.scale_sigma)
+    scale = rng.lognormal(mean=0.0, sigma=1.0)
     return scale * rng.standard_normal((n, dist.d))
 
 
@@ -92,19 +82,23 @@ def _bridge_generators(dist, n, rng):
     return np.cumsum(centered, axis=0)[:-1]
 
 
-def _draw_cone(model: Model, dist: DistributionSpec, rng: np.random.Generator,
-               max_retries: int = _MAX_DRAW_RETRIES) -> tuple[ConeSample, int]:
-    if dist.d != model.d:
-        raise DomainError(f"distribution dimension {dist.d} != model dimension {model.d}")
-    draw, tag = ((_bridge_generators, TAG_BRIDGE) if model.is_bridge
-                 else (_walk_generators, TAG_WALK))
-    for attempt in range(max_retries):
-        cone = ConeSample(draw(dist, model.n, rng), tag)
+def _general_position_draw(draw: Callable[[], np.ndarray], what: str) -> tuple[ConeSample, int]:
+    """The first cone of generators from ``draw`` that is in general
+    position, and the number of draws rejected before it."""
+    for attempt in range(_MAX_DRAW_RETRIES):
+        cone = ConeSample(draw())
         if cone.in_general_position():
             return cone, attempt
-    raise SamplingError(
-        f"no draw in general position after {max_retries} attempts "
-        f"({dist.family}, n={model.n}, d={model.d})")
+    raise SamplingError(f"no {what} in general position after {_MAX_DRAW_RETRIES} attempts")
+
+
+def _draw_cone(model: Model, dist: DistributionSpec,
+               rng: np.random.Generator) -> tuple[ConeSample, int]:
+    if dist.d != model.d:
+        raise DomainError(f"distribution dimension {dist.d} != model dimension {model.d}")
+    draw = _bridge_generators if model.is_bridge else _walk_generators
+    return _general_position_draw(lambda: draw(dist, model.n, rng),
+                                  f"draw ({dist.family}, n={model.n}, d={model.d})")
 
 
 def sample_walk(dist: DistributionSpec, n: int, rng: np.random.Generator) -> ConeSample:
@@ -194,113 +188,73 @@ class RunConfig:
                 f"query dimension {self.query.dimension} != distribution dimension {self.dist.d}")
 
 
-def _hits_random_subspace(gens: np.ndarray, perp_dim: int, rng: np.random.Generator) -> bool:
-    """Whether the cone meets a Haar subspace of codimension ``perp_dim``.
+def _u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
+    """Half the indicator that the cone of the rows meets a Haar subspace of
+    codimension k; its expectation is the quermassintegral U_k of a pointed
+    cone.
 
     Sampling the orthogonal complement directly is equivalent (complements
     of Haar subspaces are Haar) and reduces the test to projecting the
-    generators onto ``perp_dim`` coordinates.
+    generators onto k coordinates.
     """
-    if perp_dim == 0:
-        return True
-    basis = geometry._haar_basis(gens.shape[1], perp_dim, rng)
-    return geometry._origin_in_hull(gens @ basis)
+    if k == 0:
+        return 0.5
+    basis = geometry._haar_basis(gens.shape[1], k, rng)
+    return 0.5 if geometry._origin_in_hull(gens @ basis) else 0.0
 
 
-def _full(query: FunctionalQuery, cone: ConeSample) -> bool:
-    # a conditioned query only ever sees cones the sampler found not full
-    return not query.conditioned and is_full_cone(cone)
+def _v(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
+    """Whether the metric projection of a standard Gaussian point lands in a
+    k-face of the cone of the rows (k = d inside it); its expectation is the
+    conic intrinsic volume v_k."""
+    g = rng.standard_normal(gens.shape[1])
+    return 1.0 if geometry._projection_face_dim(gens, g) == k else 0.0
 
 
-def _face_count(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    if q.k == 0:
-        return 0.0 if _full(q, cone) else 1.0
-    return float(count_k_faces(cone, q.k))
-
-
-def _intrinsic_volume(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    g = rng.standard_normal(cone.d)
-    return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == q.k else 0.0
+def _face_sum(cone: ConeSample, j: int, tangent: bool,
+              value: Callable[[np.ndarray], float]) -> float:
+    """Sum of ``value`` over the j-faces of the cone, applied to the face's
+    generators, or with ``tangent`` to the base of its tangent cone.  The
+    apex is the 0-face of a pointed cone, and its tangent cone is the cone."""
+    gens = cone.generators
+    total = 0.0
+    for face in geometry._faces(cone, j):
+        total += value(geometry._tangent_base(gens, face) if tangent else gens[list(face)])
+    return total
 
 
 def _quermassintegral(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
     d, k = cone.d, q.k
-    if _full(q, cone):
+    if not geometry._faces(cone, 0):
         # the full space scores by the subspace convention
         return 1.0 if (d - k) % 2 == 1 else 0.0
-    if k == d:
-        return 0.0
-    return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
+    return 0.0 if k == d else _u(cone.generators, k, rng)
 
 
-def _face_sum_u(m: int, l: int, cone: ConeSample, rng: np.random.Generator) -> float:
-    gens = cone.generators
-    total = 0.0
-    for face in geometry._faces(cone, m):
-        if _hits_random_subspace(gens[list(face)], l, rng):
-            total += 0.5
-    return total
-
-
-def _tangent_sum_u(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    j, k, d = q.j, q.k, cone.d
-    if j == 0:
-        if k == d or _full(q, cone):
-            return 0.0
-        return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
-    if k == d:
-        return 0.0  # top quermassintegral of a tangent cone vanishes
-    total = 0.0
-    for face in geometry._faces(cone, j):
-        if _hits_random_subspace(geometry._tangent_base(cone.generators, face), k - j, rng):
-            total += 0.5
-    return total
-
-
-def _face_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+def _face_intrinsic(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
     if q.m > cone.d - 1:
         raise DomainError(
             "face_intrinsic simulation enumerates proper faces and requires m <= d-1")
-    gens = cone.generators
-    total = 0.0
-    for face in geometry._faces(cone, q.m):
-        g = rng.standard_normal(cone.d)
-        if geometry._projection_face_dim(gens[list(face)], g, cone.tol) == q.l:
-            total += 1.0
-    return total
-
-
-def _tangent_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    j, k, d = q.j, q.k, cone.d
-    if j == 0:
-        if _full(q, cone):
-            return 0.0
-        g = rng.standard_normal(d)
-        return 1.0 if geometry._projection_face_dim(cone.generators, g, cone.tol) == k else 0.0
-    total = 0.0
-    for face in geometry._faces(cone, j):
-        g = rng.standard_normal(d - j)
-        base = geometry._tangent_base(cone.generators, face)
-        if geometry._projection_face_dim(base, g, cone.tol) == k - j:
-            total += 1.0
-    return total
+    return _face_sum(cone, q.m, False, lambda b: _v(b, q.l, rng))
 
 
 MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Generator], float]] = {
     "absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
     "nonabsorption": lambda q, cone, rng: 0.0 if is_full_cone(cone) else 1.0,
-    "fk": _face_count,
+    "fk": lambda q, cone, rng: float(len(geometry._faces(cone, q.k))),
     "Uk": _quermassintegral,
-    "vk": _intrinsic_volume,
-    "Lambda": lambda q, cone, rng: _face_sum_u(q.k, q.k - 1, cone, rng),
-    "Y": lambda q, cone, rng: _face_sum_u(q.m, q.l, cone, rng),
-    "Z": _tangent_sum_u,
-    "face_intrinsic": _face_sum_v,
-    "tangent_intrinsic": _tangent_sum_v,
+    "vk": lambda q, cone, rng: _v(cone.generators, q.k, rng),
+    "Lambda": lambda q, cone, rng: _face_sum(cone, q.k, False, lambda b: _u(b, q.k - 1, rng)),
+    "Y": lambda q, cone, rng: _face_sum(cone, q.m, False, lambda b: _u(b, q.l, rng)),
+    # the top quermassintegral of a tangent cone vanishes
+    "Z": lambda q, cone, rng: 0.0 if q.k == cone.d else _face_sum(
+        cone, q.j, True, lambda b: _u(b, q.k - q.j, rng)),
+    "face_intrinsic": _face_intrinsic,
+    "tangent_intrinsic": lambda q, cone, rng: _face_sum(
+        cone, q.j, True, lambda b: _v(b, q.k - q.j, rng)),
     # 1-based partial sums -> generator rows
     "face_prob": lambda q, cone, rng: 1.0 if is_face(cone, [i - 1 for i in q.indices]) else 0.0,
-    "subspace_prob": lambda q, cone, rng: (
-        1.0 if _hits_random_subspace(cone.generators, q.k, rng) else 0.0),
+    "subspace_prob": lambda q, cone, rng: 2.0 * _u(cone.generators, q.k, rng),
     # in general position the origin is in the points' hull iff they span R^d
     "joint_absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
 }
@@ -310,21 +264,12 @@ stacked points of all blocks, every other cone is drawn from the query's
 model."""
 
 
-def _draw_joint(query: FunctionalQuery, dist: DistributionSpec,
-                rng: np.random.Generator) -> tuple[ConeSample, int]:
-    for attempt in range(_MAX_DRAW_RETRIES):
-        blocks = [_walk_generators(dist, n, rng) for n in query.walk_lengths]
-        blocks += [_bridge_generators(dist, m, rng) for m in query.bridge_lengths]
-        cone = ConeSample(np.vstack(blocks))
-        if cone.in_general_position():
-            return cone, attempt
-    raise SamplingError(f"no joint draw in general position after {_MAX_DRAW_RETRIES} attempts")
-
-
 def _draw_sample(query: FunctionalQuery, dist: DistributionSpec,
                  rng: np.random.Generator) -> tuple[ConeSample, int]:
     if query.model is None:
-        return _draw_joint(query, dist, rng)
+        return _general_position_draw(lambda: np.vstack(
+            [_walk_generators(dist, n, rng) for n in query.walk_lengths]
+            + [_bridge_generators(dist, m, rng) for m in query.bridge_lengths]), "joint draw")
     model = query.model
     cone, rejected = _draw_cone(model, dist, rng)
     if query.conditioned:

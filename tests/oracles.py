@@ -17,8 +17,10 @@ from conic_walks.combinatorics import (
     poly_mul,
     walk_block_poly,
 )
+from conic_walks import geometry
 from conic_walks.errors import DomainError
-from conic_walks.formulas import Model
+from conic_walks.formulas import FunctionalQuery, Model
+from conic_walks.geometry import ConeSample, count_k_faces, is_full_cone
 
 
 def brute_force_is_face(gens, subset, tol=1e-9):
@@ -513,3 +515,137 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
     else:
         total = sum(poly[r] for r in range(d + 1, len(poly), 2))
     return Fraction(2 * total, denom)
+
+
+# ---------------------------------------------------------------------------
+# per-functional face loops
+#
+# The Monte Carlo measurements before one face loop and two per-cone kernels
+# replaced them, with the apex and the full cone special-cased in each.
+# They are kept unchanged, except that the NNLS slack no longer travels on
+# the cone, as the reference the registry rows must match sample by sample.
+
+def _hits_random_subspace(gens: np.ndarray, perp_dim: int, rng: np.random.Generator) -> bool:
+    """Whether the cone meets a Haar subspace of codimension ``perp_dim``.
+
+    Sampling the orthogonal complement directly is equivalent (complements
+    of Haar subspaces are Haar) and reduces the test to projecting the
+    generators onto ``perp_dim`` coordinates.
+    """
+    if perp_dim == 0:
+        return True
+    basis = geometry._haar_basis(gens.shape[1], perp_dim, rng)
+    return geometry._origin_in_hull(gens @ basis)
+
+
+def _full(query: FunctionalQuery, cone: ConeSample) -> bool:
+    # a conditioned query only ever sees cones the sampler found not full
+    return not query.conditioned and is_full_cone(cone)
+
+
+def _face_count(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    if q.k == 0:
+        return 0.0 if _full(q, cone) else 1.0
+    return float(count_k_faces(cone, q.k))
+
+
+def _intrinsic_volume(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    g = rng.standard_normal(cone.d)
+    return 1.0 if geometry._projection_face_dim(cone.generators, g) == q.k else 0.0
+
+
+def _quermassintegral(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    d, k = cone.d, q.k
+    if _full(q, cone):
+        # the full space scores by the subspace convention
+        return 1.0 if (d - k) % 2 == 1 else 0.0
+    if k == d:
+        return 0.0
+    return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
+
+
+def _face_sum_u(m: int, l: int, cone: ConeSample, rng: np.random.Generator) -> float:
+    gens = cone.generators
+    total = 0.0
+    for face in geometry._faces(cone, m):
+        if _hits_random_subspace(gens[list(face)], l, rng):
+            total += 0.5
+    return total
+
+
+def _tangent_sum_u(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    j, k, d = q.j, q.k, cone.d
+    if j == 0:
+        if k == d or _full(q, cone):
+            return 0.0
+        return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
+    if k == d:
+        return 0.0  # top quermassintegral of a tangent cone vanishes
+    total = 0.0
+    for face in geometry._faces(cone, j):
+        if _hits_random_subspace(geometry._tangent_base(cone.generators, face), k - j, rng):
+            total += 0.5
+    return total
+
+
+def _face_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    if q.m > cone.d - 1:
+        raise DomainError(
+            "face_intrinsic simulation enumerates proper faces and requires m <= d-1")
+    gens = cone.generators
+    total = 0.0
+    for face in geometry._faces(cone, q.m):
+        g = rng.standard_normal(cone.d)
+        if geometry._projection_face_dim(gens[list(face)], g) == q.l:
+            total += 1.0
+    return total
+
+
+def _tangent_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    j, k, d = q.j, q.k, cone.d
+    if j == 0:
+        if _full(q, cone):
+            return 0.0
+        g = rng.standard_normal(d)
+        return 1.0 if geometry._projection_face_dim(cone.generators, g) == k else 0.0
+    total = 0.0
+    for face in geometry._faces(cone, j):
+        g = rng.standard_normal(d - j)
+        base = geometry._tangent_base(cone.generators, face)
+        if geometry._projection_face_dim(base, g) == k - j:
+            total += 1.0
+    return total
+
+
+FACE_LOOP_MEASURES = {
+    "fk": _face_count,
+    "Uk": _quermassintegral,
+    "vk": _intrinsic_volume,
+    "Lambda": lambda q, cone, rng: _face_sum_u(q.k, q.k - 1, cone, rng),
+    "Y": lambda q, cone, rng: _face_sum_u(q.m, q.l, cone, rng),
+    "Z": _tangent_sum_u,
+    "face_intrinsic": _face_sum_v,
+    "tangent_intrinsic": _tangent_sum_v,
+}
+"""The replaced rows of ``simulation.MEASURES``, by functional name."""
+
+
+def face_loop_queries(model: Model) -> list[FunctionalQuery]:
+    """Every legal query of the face and tangent functionals on a model,
+    conditioned variants included; face_intrinsic stops at m = d-1."""
+    d = model.d
+    out = []
+    for cond in (False, True):
+        out += [FunctionalQuery("fk", model, k=k, conditioned=cond) for k in range(d)]
+        out += [FunctionalQuery("Uk", model, k=k, conditioned=cond) for k in range(d + 1)]
+        out += [FunctionalQuery("vk", model, k=k, conditioned=cond) for k in range(d + 1)]
+        out += [FunctionalQuery("Lambda", model, k=k, conditioned=cond) for k in range(1, d)]
+        out += [FunctionalQuery("Y", model, m=m, l=l, conditioned=cond)
+                for m in range(1, d) for l in range(m)]
+        out += [FunctionalQuery("Z", model, j=j, k=k, conditioned=cond)
+                for j in range(d + 1) for k in range(j, d + 1)]
+    out += [FunctionalQuery("face_intrinsic", model, m=m, l=l)
+            for m in range(d) for l in range(m + 1)]
+    out += [FunctionalQuery("tangent_intrinsic", model, j=j, k=k)
+            for j in range(d) for k in range(j, d + 1)]
+    return out

@@ -40,7 +40,7 @@ from oracles import (
 
 def random_cone(rng, n, d, bridge=False, law="gaussian"):
     gens = random_cone_generators(rng, n, d, bridge=bridge, law=law)
-    return ConeSample(gens, "A_bridge" if bridge else "B_walk")
+    return ConeSample(gens)
 
 
 class TestOriginInConvexHull:
@@ -236,6 +236,15 @@ class TestSubspaceIntersection:
         with pytest.raises(DomainError):
             intersects_subspace(ConeSample(np.eye(2)), Subspace(np.eye(3)))
 
+    def test_zero_generators_meet_nothing(self):
+        e = np.eye(3)
+        axis = Subspace(e[:, 2:])
+        assert not intersects_subspace(ConeSample(np.array([e[0], np.zeros(3)])), axis)
+        assert intersects_subspace(ConeSample(np.array([e[2], np.zeros(3)])), axis)
+        assert not intersects_subspace(ConeSample(np.zeros((1, 2))), Subspace(np.eye(2)))
+        assert intersects_subspace(ConeSample(np.array([[0.0, 0.0], [1.0, 0.0]])),
+                                   Subspace(np.eye(2)))
+
 
 class TestProjection:
     def test_interior_point_fixed(self):
@@ -299,6 +308,14 @@ class TestProjection:
         cone = ConeSample(np.eye(2))
         assert cone_contains(cone, np.array([0.5, 0.25]))
         assert not cone_contains(cone, np.array([-0.5, 0.25]))
+
+    def test_points_are_validated(self):
+        cone = ConeSample(np.eye(2))
+        for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0]], [np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(DomainError):
+                cone_contains(cone, bad)
+            with pytest.raises(DomainError):
+                project_onto_cone(bad, cone)
 
 
 class TestCountFaces:
@@ -390,8 +407,6 @@ class TestConeSampleValidation:
             ConeSample(np.zeros((0, 2)))
         with pytest.raises(DomainError):
             ConeSample(np.array([[np.inf, 0.0]]))
-        with pytest.raises(DomainError):
-            ConeSample(np.eye(2), tol=0.0)
 
     def test_read_only(self):
         cone = ConeSample(np.eye(2))
