@@ -8,8 +8,6 @@ the two routes can be checked against each other.
 """
 
 from .combinatorics import (
-    Composition,
-    ExactRational,
     StirlingTables,
     binomial,
     coeff_P,
@@ -70,10 +68,10 @@ from .verify import identity_checks, verify_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_BRIDGE", "B_WALK", "Composition", "ConeProjection", "ConeSample",
-    "DegenerateInputError", "DistributionSpec", "DomainError", "ExactRational",
-    "FormulaResult", "FunctionalQuery", "MCEstimate", "Model", "NumericError",
-    "RunConfig", "SamplingError", "StirlingTables", "Subspace",
+    "A_BRIDGE", "B_WALK", "ConeProjection", "ConeSample", "DegenerateInputError",
+    "DistributionSpec", "DomainError", "FormulaResult", "FunctionalQuery",
+    "MCEstimate", "Model", "NumericError", "RunConfig", "SamplingError",
+    "StirlingTables", "Subspace",
     "absorption_probability", "binomial", "coeff_P", "coeff_Q", "compositions",
     "cone_contains", "count_k_faces", "default_tables", "estimate",
     "evaluate_query", "expected_Lambda", "expected_Uk", "expected_Y",

@@ -16,14 +16,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, NumericError, SamplingError
 from .formulas import FUNCTIONALS, FunctionalQuery, Model, evaluate_query
 from .simulation import DistributionSpec, MCEstimate, RunConfig, estimate
-from .verify import report_to_json, verify_suite
+from .verify import fraction_dict, report_to_json, verify_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,13 +113,6 @@ class OutputRecord:
                    "samples": as_int(get("samples")), "z": as_float(get("z")),
                    "rejected": as_int(get("rejected"))}
         return cls(query=query, exact=exact, estimate=est, status=get("status") or "ok")
-
-
-def _exact_dict(value: Fraction) -> dict:
-    # through Decimal, which is exact for integers: at large n the numbers
-    # outgrow the interpreter's 4300-digit limit on int-to-str conversion
-    return {"num": str(Decimal(value.numerator)), "den": str(Decimal(value.denominator)),
-            "approx": float(value)}
 
 
 def _estimate_dict(est: MCEstimate) -> dict:
@@ -283,7 +274,7 @@ def _cmd_exact(args: argparse.Namespace, out) -> int:
     for query in _queries_from_args(args):
         result = evaluate_query(query)
         records.append(OutputRecord(query=_query_dict(query),
-                                    exact=_exact_dict(result.exact), estimate=None))
+                                    exact=fraction_dict(result.exact), estimate=None))
     _emit(records, args.format, out)
     return EXIT_OK
 
@@ -297,7 +288,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
                            seed=seed, workers=args.workers)
         est = estimate(config)
         records.append(OutputRecord(query=_query_dict(query),
-                                    exact=_exact_dict(est.exact_ref),
+                                    exact=fraction_dict(est.exact_ref),
                                     estimate=_estimate_dict(est)))
     _emit(records, args.format, out)
     return EXIT_OK

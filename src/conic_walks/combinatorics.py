@@ -12,28 +12,33 @@ probabilities, is the coefficient list of a product of linear factors
 ``prod (t + a)`` over a list of integer roots.  The closed forms read only
 its lowest coefficients and its values at t = 1 and t = -1, which
 :func:`root_product` and :class:`LowOrderProduct` compute in time nearly
-linear in the number of factors.  The full triangles and the
-composition-indexed coefficient polynomials (``coeff_P`` for
-walk-terminated block products, ``coeff_Q`` for pure bridge block
-products) are built by recurrence instead; they serve as lookups for the
-small second-kind rows and as independent oracles for the products.
+linear in the number of factors.  The roots are written once, here:
+:func:`bridge_roots` and :func:`walk_roots` for the rows, :func:`block_roots`
+for the block products, whose coefficients ``coeff_P`` (walk-terminated)
+and ``coeff_Q`` (pure bridge) read.  The full triangles are built by
+recurrence; they serve as lookups for the small second-kind rows, and they
+and the triangle-built block polynomials (``coeff_P_poly``,
+``coeff_Q_poly``) are independent oracles for the products.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
-# All probabilities and expectations are carried losslessly as Fractions:
-# numerator/denominator pairs of arbitrary-precision integers, stored in
-# lowest terms with positive denominator.
-ExactRational = Fraction
-
 KINDS = ("first", "second", "first_B", "second_B")
+
+# Each recurrence family grows row n from row n-1 by one rule,
+# row[k] = prev[k-1] + w(n, k) * prev[k]; these give w(n, k) for k = 0, 1, ...
+_WEIGHTS: dict[str, Callable[[int], Iterable[int]]] = {
+    "first": lambda n: itertools.repeat(n - 1),
+    "second": lambda n: itertools.count(),
+    "first_B": lambda n: itertools.repeat(2 * n - 1),
+}
 
 
 class StirlingTables:
@@ -48,94 +53,56 @@ class StirlingTables:
     """
 
     def __init__(self, max_n: int = 0) -> None:
-        self._first: list[list[int]] = [[1]]
-        self._second: list[list[int]] = [[1]]
-        self._first_b: list[list[int]] = [[1]]
-        self._second_b: list[list[int]] = [[1]]
+        self._rows: dict[str, list[list[int]]] = {kind: [[1]] for kind in KINDS}
         self._low_rows: dict[tuple[Callable[[int], Sequence[int]], int], LowOrderProduct] = {}
         if max_n > 0:
             self.grow(max_n)
-
-    @property
-    def max_n(self) -> int:
-        """Largest row index available in every family without regrowth."""
-        return min(len(self._first), len(self._second),
-                   len(self._first_b), len(self._second_b)) - 1
 
     def grow(self, n: int) -> None:
         """Precompute all four triangles up to row ``n``."""
         if n < 0:
             raise DomainError("table size must be nonnegative")
-        self._grow_first(n)
-        self._grow_second(n)
-        self._grow_first_b(n)
-        self._grow_second_b(n)
+        for kind in KINDS:
+            self._grow(kind, n)
 
-    # -- row builders --------------------------------------------------
-
-    def _grow_first(self, n: int) -> None:
-        rows = self._first
+    def _grow(self, kind: str, n: int) -> None:
+        rows = self._rows[kind]
+        if kind == "second_B":
+            # Defined by the sum  sum_m 2^(m-k) C(n,m) {m k}  rather than a
+            # recurrence; the recurrence form is only validated in tests.
+            self._grow("second", n)
+            second = self._rows["second"]
+            while len(rows) <= n:
+                m = len(rows)
+                rows.append([
+                    sum((1 << (i - k)) * math.comb(m, i) * second[i][k]
+                        for i in range(k, m + 1))
+                    for k in range(m + 1)
+                ])
+            return
+        weights = _WEIGHTS[kind]
         while len(rows) <= n:
-            m = len(rows)
             prev = rows[-1]
-            row = [0] * (m + 1)
-            for k in range(1, m + 1):
-                row[k] = prev[k - 1] + (m - 1) * (prev[k] if k < m else 0)
-            rows.append(row)
-
-    def _grow_second(self, n: int) -> None:
-        rows = self._second
-        while len(rows) <= n:
-            m = len(rows)
-            prev = rows[-1]
-            row = [0] * (m + 1)
-            for k in range(1, m + 1):
-                row[k] = prev[k - 1] + k * (prev[k] if k < m else 0)
-            rows.append(row)
-
-    def _grow_first_b(self, n: int) -> None:
-        rows = self._first_b
-        while len(rows) <= n:
-            m = len(rows)
-            prev = rows[-1]
-            row = [0] * (m + 1)
-            for k in range(0, m + 1):
-                above = prev[k] if k < m else 0
-                left = prev[k - 1] if k >= 1 else 0
-                row[k] = left + (2 * m - 1) * above
-            rows.append(row)
-
-    def _grow_second_b(self, n: int) -> None:
-        # Defined by the sum  sum_m 2^(m-k) C(n,m) {m k}  rather than a
-        # recurrence; the recurrence form is only validated in tests.
-        rows = self._second_b
-        self._grow_second(n)
-        while len(rows) <= n:
-            m = len(rows)
-            row = [
-                sum((1 << (i - k)) * math.comb(m, i) * self._second[i][k]
-                    for i in range(k, m + 1))
-                for k in range(m + 1)
-            ]
-            rows.append(row)
+            rows.append([left + w * above
+                         for left, w, above in zip([0] + prev, weights(len(rows)), prev + [0])])
 
     # -- lookups ---------------------------------------------------------
 
     def first(self, n: int, k: int) -> int:
         """Signless first-kind number: permutations of n elements with k cycles."""
-        return self._lookup(self._first, self._grow_first, n, k)
+        return self._lookup("first", n, k)
 
     def second(self, n: int, k: int) -> int:
         """Second-kind number: partitions of an n-set into k nonempty blocks."""
-        return self._lookup(self._second, self._grow_second, n, k)
+        return self._lookup("second", n, k)
 
     def first_b(self, n: int, k: int) -> int:
         """Coefficient of t^k in (t+1)(t+3)...(t+2n-1)."""
-        return self._lookup(self._first_b, self._grow_first_b, n, k)
+        return self._lookup("first_B", n, k)
 
     def second_b(self, n: int, k: int) -> int:
         """Signed-permutation analogue of the second-kind numbers."""
-        return self._lookup(self._second_b, self._grow_second_b, n, k)
+        return self._lookup("second_B", n, k)
 
     def low_row(self, roots: Callable[[int], Sequence[int]], n: int,
                 m: int) -> LowOrderProduct:
@@ -149,14 +116,14 @@ class StirlingTables:
             row = self._low_rows[key] = LowOrderProduct.of(roots(n), m)
         return row
 
-    @staticmethod
-    def _lookup(rows, grow, n: int, k: int) -> int:
+    def _lookup(self, kind: str, n: int, k: int) -> int:
         if n < 0:
             raise DomainError(f"row index must be nonnegative, got n={n}")
         if k < 0 or k > n:
             return 0
+        rows = self._rows[kind]
         if n >= len(rows):
-            grow(n)
+            self._grow(kind, n)
         return rows[n][k]
 
 
@@ -170,16 +137,9 @@ def default_tables() -> StirlingTables:
 
 def stirling(kind: str, n: int, k: int, tables: StirlingTables | None = None) -> int:
     """Exact value of the requested family at (n, k); 0 outside the triangle."""
-    t = tables if tables is not None else _TABLES
-    if kind == "first":
-        return t.first(n, k)
-    if kind == "second":
-        return t.second(n, k)
-    if kind == "first_B":
-        return t.first_b(n, k)
-    if kind == "second_B":
-        return t.second_b(n, k)
-    raise DomainError(f"unknown family {kind!r}; expected one of {KINDS}")
+    if kind not in KINDS:
+        raise DomainError(f"unknown family {kind!r}; expected one of {KINDS}")
+    return (tables if tables is not None else _TABLES)._lookup(kind, n, k)
 
 
 def binomial(n: int, k: int) -> int:
@@ -191,41 +151,38 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered block lengths (each >= 1) placed inside ``total`` steps.
-
-    ``tail`` is the number of steps left over after the listed blocks; the
-    walk-terminated coefficient polynomial uses it as the final
-    sign-symmetric block, the bridge one requires it to be >= 1.
-    """
-
-    parts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.total < 0:
-            raise DomainError("composition total must be nonnegative")
-        if any((not isinstance(p, int)) or p < 1 for p in self.parts):
-            raise DomainError("composition parts must be integers >= 1")
-        if sum(self.parts) > self.total:
-            raise DomainError(
-                f"composition parts sum to {sum(self.parts)} > total {self.total}")
-
-    @property
-    def tail(self) -> int:
-        return self.total - sum(self.parts)
+def bridge_roots(n: int) -> range:
+    """Roots of t(t+1)...(t+n-1), the first-kind row n."""
+    return range(n)
 
 
-PartsLike = Union[Composition, Sequence[int]]
+def walk_roots(n: int) -> range:
+    """Roots of (t+1)(t+3)...(t+2n-1), the first-kind-B row n."""
+    return range(1, 2 * n, 2)
 
 
-def _as_composition(n: int, parts: PartsLike) -> Composition:
-    if isinstance(parts, Composition):
-        if parts.total != n:
-            raise DomainError(f"composition total {parts.total} does not match n={n}")
-        return parts
-    return Composition(tuple(int(p) for p in parts), n)
+def block_roots(bridges: Iterable[int], walks: Iterable[int] = ()) -> list[int]:
+    """Roots of a block product: (t+1)...(t+g-1) per bridge block of length g,
+    the bridge row without its factor t, and (t+1)(t+3)...(t+2w-1) per walk
+    block of length w."""
+    return ([a for g in bridges for a in bridge_roots(g)[1:]]
+            + [a for w in walks for a in walk_roots(w)])
+
+
+def _validated_parts(n: int, parts: Sequence[int],
+                     final_bridge: bool = False) -> tuple[tuple[int, ...], int]:
+    """The parts as a tuple and the n - sum(parts) steps left after them: every
+    part >= 1, and with ``final_bridge`` those steps form a nonempty block."""
+    parts = tuple(int(p) for p in parts)
+    if any(p < 1 for p in parts):
+        raise DomainError("composition parts must be integers >= 1")
+    tail = n - sum(parts)
+    if tail < 0:
+        raise DomainError(f"composition parts sum to {sum(parts)} > total {n}")
+    if final_bridge and tail < 1:
+        raise DomainError(
+            f"bridge composition needs a nonempty final block: parts {parts} fill n={n}")
+    return parts, tail
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -327,7 +284,8 @@ class LowOrderProduct:
 def bridge_block_poly(j: int, tables: StirlingTables | None = None) -> list[int]:
     """Coefficients of (t+1)(t+2)...(t+j-1); the empty product for j = 1.
 
-    These are the first-kind numbers of row j shifted down by one index.
+    These are the first-kind numbers of row j shifted down by one index,
+    read from the triangle.
     """
     if j < 1:
         raise DomainError(f"bridge block length must be >= 1, got {j}")
@@ -336,57 +294,60 @@ def bridge_block_poly(j: int, tables: StirlingTables | None = None) -> list[int]
 
 
 def walk_block_poly(w: int, tables: StirlingTables | None = None) -> list[int]:
-    """Coefficients of (t+1)(t+3)...(t+2w-1); the empty product for w = 0."""
+    """Coefficients of (t+1)(t+3)...(t+2w-1), read from the triangle; the
+    empty product for w = 0."""
     if w < 0:
         raise DomainError(f"walk block length must be >= 0, got {w}")
     t = tables if tables is not None else _TABLES
     return [t.first_b(w, r) for r in range(w + 1)]
 
 
-def coeff_P_poly(n: int, parts: PartsLike,
+def coeff_P_poly(n: int, parts: Sequence[int],
                  tables: StirlingTables | None = None) -> list[int]:
-    """Full coefficient list of the walk-terminated block product.
+    """Full coefficient list of the walk-terminated block product, from the triangles.
 
     One factor (t+1)(t+2)...(t+j-1) per bridge block of length j, times the
     odd rising product for the remaining n - sum(parts) walk steps.  The
     degree is n - len(parts).
     """
-    comp = _as_composition(n, parts)
-    poly = walk_block_poly(comp.tail, tables)
-    for j in comp.parts:
+    parts, tail = _validated_parts(n, parts)
+    poly = walk_block_poly(tail, tables)
+    for j in parts:
         poly = poly_mul(poly, bridge_block_poly(j, tables))
     return poly
 
 
-def coeff_Q_poly(n: int, parts: PartsLike,
+def coeff_Q_poly(n: int, parts: Sequence[int],
                  tables: StirlingTables | None = None) -> list[int]:
-    """Full coefficient list of the pure bridge block product.
+    """Full coefficient list of the pure bridge block product, from the triangles.
 
     The leftover steps form an implicit final bridge block, which must be
     nonempty.  The degree is n - len(parts) - 1.
     """
-    comp = _as_composition(n, parts)
-    if comp.tail < 1:
-        raise DomainError(
-            f"bridge composition needs a nonempty final block: parts {comp.parts} fill n={n}")
+    parts, tail = _validated_parts(n, parts, final_bridge=True)
     poly = [1]
-    for j in comp.parts + (comp.tail,):
+    for j in parts + (tail,):
         poly = poly_mul(poly, bridge_block_poly(j, tables))
     return poly
 
 
-def coeff_P(n: int, parts: PartsLike, r: int,
-            tables: StirlingTables | None = None) -> int:
-    """Coefficient of t^r in the walk-terminated block product (0 off-range)."""
-    poly = coeff_P_poly(n, parts, tables)
-    return poly[r] if 0 <= r < len(poly) else 0
+def _coefficient(roots: list[int], r: int) -> int:
+    # past the degree the coefficient is 0; no padded product is built for it
+    return root_product(roots, r + 1)[r] if 0 <= r <= len(roots) else 0
 
 
-def coeff_Q(n: int, parts: PartsLike, r: int,
-            tables: StirlingTables | None = None) -> int:
-    """Coefficient of t^r in the pure bridge block product (0 off-range)."""
-    poly = coeff_Q_poly(n, parts, tables)
-    return poly[r] if 0 <= r < len(poly) else 0
+def coeff_P(n: int, parts: Sequence[int], r: int) -> int:
+    """Coefficient of t^r in the walk-terminated block product, the one
+    ``face_probability`` builds for a walk (0 off-range)."""
+    parts, tail = _validated_parts(n, parts)
+    return _coefficient(block_roots(parts, (tail,)), r)
+
+
+def coeff_Q(n: int, parts: Sequence[int], r: int) -> int:
+    """Coefficient of t^r in the pure bridge block product, the one
+    ``face_probability`` builds for a bridge (0 off-range)."""
+    parts, tail = _validated_parts(n, parts, final_bridge=True)
+    return _coefficient(block_roots(parts + (tail,)), r)
 
 
 def compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:

@@ -21,8 +21,9 @@ Each closed form is written once, for both models, over a :class:`Family`
 record picked by the model tag.  The bridge and walk cases differ only in
 its four parameters: the index shift ``s`` (1 for a bridge, 0 for a walk),
 the roots of the first-kind row (row n is the coefficient list of
-``t(t+1)...(t+n-1)``, roots ``0..n-1``, for a bridge and of
-``(t+1)(t+3)...(t+2n-1)``, roots ``1, 3, ..., 2n-1``, for a walk), the
+``t(t+1)...(t+n-1)`` for a bridge and of ``(t+1)(t+3)...(t+2n-1)`` for a
+walk; :func:`~conic_walks.combinatorics.bridge_roots` and
+:func:`~conic_walks.combinatorics.walk_roots`), the
 second-kind lookup (``second`` or ``second_b``) and the per-step
 denominator ``base`` (1 or 2).  Every value is a numerator over
 ``base**n * n!``, which is the row's value at t = 1.  Most expectations are
@@ -55,7 +56,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .combinatorics import LowOrderProduct, StirlingTables, binomial, default_tables
+from .combinatorics import (LowOrderProduct, StirlingTables, binomial, block_roots,
+                            bridge_roots, default_tables, walk_roots)
 from .errors import DomainError
 
 A_BRIDGE = "A"
@@ -114,16 +116,6 @@ def _sum_alternating_down(f: Callable[[int], int], start: int) -> int:
     return total
 
 
-def _bridge_roots(n: int) -> range:
-    """Roots of t(t+1)...(t+n-1), the first-kind row n."""
-    return range(n)
-
-
-def _walk_roots(n: int) -> range:
-    """Roots of (t+1)(t+3)...(t+2n-1), the first-kind-B row n."""
-    return range(1, 2 * n, 2)
-
-
 @dataclass(frozen=True)
 class Family:
     """The parameters that turn one closed form into its bridge or walk case."""
@@ -141,11 +133,6 @@ class Family:
         """All of row n; the face sums read such rows for n <= d+1."""
         return t.low_row(self.roots, n, n + 1)
 
-    def block(self, g: int) -> range:
-        """Roots of a block of length g of a face product: the row without its
-        s factors t, i.e. (t+1)...(t+g-1) or (t+1)(t+3)...(t+2g-1)."""
-        return self.roots(g)[self.shift:]
-
     def term(self, t: StirlingTables, row: LowOrderProduct, j: int) -> Callable[[int], int]:
         """i -> row[i] * second(i, j+s)."""
         c, second, js = row.coeffs, self.second, j + self.shift
@@ -161,8 +148,8 @@ class Family:
 
 
 _FAMILY = {
-    A_BRIDGE: Family(1, _bridge_roots, StirlingTables.second, 1),
-    B_WALK: Family(0, _walk_roots, StirlingTables.second_b, 2),
+    A_BRIDGE: Family(1, bridge_roots, StirlingTables.second, 1),
+    B_WALK: Family(0, walk_roots, StirlingTables.second_b, 2),
 }
 
 
@@ -375,10 +362,10 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
     idx = _validated_face_indices(model, indices)
     n, d, k = model.n, model.d, len(idx)
     gaps = tuple(b - a for a, b in zip((0,) + idx, idx))
+    tail = n - idx[-1]
     # one bridge block per gap, then a final block of the model's own kind;
     # the product's value at t = 1 is prod g! * tail! * base**tail
-    roots = [a for g in gaps for a in _FAMILY[A_BRIDGE].block(g)]
-    roots += _FAMILY[model.tag].block(n - idx[-1])
+    roots = block_roots(gaps + (tail,)) if model.is_bridge else block_roots(gaps, (tail,))
     prod = LowOrderProduct.of(roots, d - k)
     total = prod.parity_tail(d - k + 1) if complement else prod.down(d - k - 1)
     return Fraction(2 * total, prod.at_one)
@@ -417,9 +404,7 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got d={d}")
     # the product's value at t = 1 is prod 2**w w! * prod b!
-    roots = [a for w in walks for a in _FAMILY[B_WALK].block(w)]
-    roots += [a for b in bridges for a in _FAMILY[A_BRIDGE].block(b)]
-    prod = LowOrderProduct.of(roots, d)
+    prod = LowOrderProduct.of(block_roots(bridges, walks), d)
     total = prod.down(d - 1) if complement else prod.parity_tail(d + 1)
     return Fraction(2 * total, prod.at_one)
 

@@ -87,6 +87,8 @@ class Subspace:
         d, m = basis.shape
         if m > d:
             raise DomainError(f"subspace dimension {m} exceeds ambient dimension {d}")
+        if not np.all(np.isfinite(basis)):
+            raise DomainError("subspace basis must be finite")
         if m > 0:
             gram_err = np.max(np.abs(basis.T @ basis - np.eye(m)))
             if gram_err > 1e-12:

@@ -19,21 +19,23 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .combinatorics import (
     LowOrderProduct,
     StirlingTables,
     binomial,
+    bridge_roots,
     coeff_P,
     coeff_Q,
     compositions,
     default_tables,
     poly_mul,
     root_product,
+    walk_roots,
 )
-from .errors import DomainError
 from .formulas import (
     A_BRIDGE,
     B_WALK,
@@ -56,7 +58,7 @@ from .formulas import (
     wendel_probability,
 )
 from .formulas import _FAMILY
-from .simulation import FAMILIES, DistributionSpec, MCEstimate, RunConfig, estimate
+from .simulation import FAMILIES, DistributionSpec, RunConfig, estimate
 
 SCHEMA_VERSION = 1
 Z_GATE = 4.0
@@ -137,8 +139,8 @@ def _check_low_order_products(t: StirlingTables, max_n: int) -> None:
     # their coefficients must be the triangle rows, whole and truncated, and
     # their upper tails from P(1) and P(-1) the direct sums over the row
     for n in range(max_n + 1):
-        for name, roots, lookup in (("first", range(n), t.first),
-                                    ("first_B", range(1, 2 * n, 2), t.first_b)):
+        for name, roots, lookup in (("first", bridge_roots(n), t.first),
+                                    ("first_B", walk_roots(n), t.first_b)):
             row = [lookup(n, k) for k in range(n + 1)]
             assert root_product(roots, n + 1) == row, f"{name} product row {n}"
             half = n // 2 + 1
@@ -174,8 +176,9 @@ def _check_convolution_identities(t: StirlingTables, max_n: int) -> None:
 
 
 def _check_composition_convolutions(t: StirlingTables, max_n: int) -> None:
-    # walk-terminated blocks: summing the coefficient polynomial over all
-    # block compositions collapses to a product of the two B families
+    # walk-terminated blocks: summing the block product that face_probability
+    # builds for a walk over all block compositions collapses to a product of
+    # the two B families, read from the triangles
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             for q in range(0, n - m + 1):
@@ -184,18 +187,19 @@ def _check_composition_convolutions(t: StirlingTables, max_n: int) -> None:
                     for parts in compositions(n - tail, m):
                         denom = math.prod(math.factorial(p) for p in parts)
                         denom *= math.factorial(tail) * (1 << tail)
-                        acc += Fraction(coeff_P(n, parts, q, t), denom)
+                        acc += Fraction(coeff_P(n, parts, q), denom)
                 rhs = Fraction(math.factorial(m) * t.first_b(n, q + m) * t.second_b(q + m, m),
                                (1 << (n - m)) * math.factorial(n))
                 assert acc == rhs, f"walk composition convolution at (n={n}, m={m}, q={q})"
-    # pure bridge blocks: same collapse onto the plain families
+    # pure bridge blocks, the product built for a bridge: same collapse onto
+    # the plain families
     for n in range(2, max_n + 1):
         for m in range(1, n):
             for q in range(0, n - m):
                 acc = Fraction(0)
                 for parts in compositions(n, m + 1):
                     denom = math.prod(math.factorial(p) for p in parts)
-                    acc += Fraction(coeff_Q(n, parts[:m], q, t), denom)
+                    acc += Fraction(coeff_Q(n, parts[:m], q), denom)
                 rhs = Fraction(math.factorial(m + 1) * t.first(n, q + m + 1)
                                * t.second(q + m + 1, m + 1), math.factorial(n))
                 assert acc == rhs, f"bridge composition convolution at (n={n}, m={m}, q={q})"
@@ -384,7 +388,7 @@ def identity_checks(tables: StirlingTables | None = None,
 def corrupted_tables() -> StirlingTables:
     """A deliberately damaged table set for mutation-testing the suite."""
     t = StirlingTables(12)
-    t._first[6][3] += 1  # test-only: poke one triangle entry
+    t._rows["first"][6][3] += 1  # test-only: poke one triangle entry
     # and the same coefficient of the cached product the closed forms read
     _FAMILY[A_BRIDGE].full_row(t, 6).coeffs[3] += 1
     return t
@@ -455,7 +459,7 @@ def run_gate(gate: Gate, family: str, budget: int, seed: int, workers: int = 1) 
         "name": gate.name,
         "distribution": family,
         "functional": gate.query.functional,
-        "exact": _fraction_dict(exact),
+        "exact": fraction_dict(exact),
         "mean": est.mean,
         "stderr": est.stderr,
         "z": est.z,
@@ -465,15 +469,18 @@ def run_gate(gate: Gate, family: str, budget: int, seed: int, workers: int = 1) 
     }
 
 
-def _fraction_dict(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator), "approx": float(x)}
+def fraction_dict(x: Fraction) -> dict:
+    """Numerator and denominator as decimal strings, plus the float value.
+
+    Through Decimal, which is exact for integers: at large n the numbers
+    outgrow the interpreter's 4300-digit limit on int-to-str conversion."""
+    return {"num": str(Decimal(x.numerator)), "den": str(Decimal(x.denominator)),
+            "approx": float(x)}
 
 
 def verify_suite(budget: int = 100_000,
                  seed: int = 0,
                  workers: int = 1,
-                 distributions: tuple[str, ...] = FAMILIES,
-                 gates: Optional[list[Gate]] = None,
                  tamper: bool = False) -> dict:
     """Run the identity suite and the gate matrix; return the report dict.
 
@@ -482,21 +489,17 @@ def verify_suite(budget: int = 100_000,
     With ``tamper=True`` the identities run against deliberately corrupted
     tables, which must make at least one of them fail.
     """
-    for family in distributions:
-        if family not in FAMILIES:
-            raise DomainError(f"unknown distribution family {family!r}")
     tables = corrupted_tables() if tamper else None
     identities = identity_checks(tables=tables)
     if tamper and all(c.status == "pass" for c in identities):
         identities.append(CheckResult("tamper detection", "fail",
                                       "corrupted tables went unnoticed"))
     mc_checks: list[dict] = []
-    gate_list = gates if gates is not None else default_gates()
     run_mc = budget >= MIN_MC_BUDGET and not tamper
     skip_note = (f"budget {budget} below the minimum of {MIN_MC_BUDGET}"
                  if budget < MIN_MC_BUDGET else "tampered run checks identities only")
-    for family in distributions:
-        for gate in gate_list:
+    for family in FAMILIES:
+        for gate in default_gates():
             if run_mc:
                 mc_checks.append(run_gate(gate, family, budget, seed, workers))
             else:
@@ -516,7 +519,7 @@ def verify_suite(budget: int = 100_000,
         "seed": int(seed),
         "budget": int(budget),
         "workers": int(workers),
-        "distributions": list(distributions),
+        "distributions": list(FAMILIES),
         "tampered": bool(tamper),
         "identities": [c.as_dict() for c in identities],
         "mc_checks": mc_checks,

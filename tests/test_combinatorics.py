@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_walks.combinatorics import (
-    Composition,
     LowOrderProduct,
     StirlingTables,
     binomial,
@@ -232,7 +231,27 @@ class TestCoefficientPolynomials:
         with pytest.raises(DomainError):
             coeff_Q(3, (3,), 0)  # no room for the final bridge block
         with pytest.raises(DomainError):
-            Composition((1, -2), 5)
+            coeff_P(5, (1, -2), 0)
+
+
+def test_coefficients_match_the_triangle_polynomials():
+    # coeff_P/coeff_Q are root products; the triangle-built polynomials they
+    # replaced are the oracle, compared at every index around the degree
+    checked = 0
+    for n in range(10):
+        for total in range(n + 1):
+            for count in range(total + 1):
+                for parts in compositions(total, count):
+                    walk = coeff_P_poly(n, parts)
+                    bridge = coeff_Q_poly(n, parts) if total < n else []
+                    for r in range(-1, n + 2):
+                        assert coeff_P(n, parts, r) == (walk[r] if 0 <= r < len(walk) else 0)
+                        if total < n:
+                            assert coeff_Q(n, parts, r) == \
+                                (bridge[r] if 0 <= r < len(bridge) else 0)
+                        checked += 1
+    assert checked > 10_000
+    assert coeff_P(9, (2,), 10**12) == coeff_Q(9, (2,), 10**12) == 0
 
 
 class TestCompositionEnumeration:

@@ -546,4 +546,4 @@ def test_cold_tables_build_no_first_kind_triangle():
         expected_vk(model, 6, False, t)
         face_probability(model, (1, 2, 299), True, t)
     joint_absorption_probability((1, 40), (2, 60), 5, tables=t)
-    assert len(t._first) == 1 and len(t._first_b) == 1
+    assert len(t._rows["first"]) == 1 and len(t._rows["first_B"]) == 1

@@ -245,6 +245,13 @@ class TestSubspaceIntersection:
         assert intersects_subspace(ConeSample(np.array([[0.0, 0.0], [1.0, 0.0]])),
                                    Subspace(np.eye(2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        with pytest.raises(DomainError):
+            Subspace(np.array([[bad], [0.0]]))
+        with pytest.raises(DomainError):
+            Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, bad]]))
+
 
 class TestProjection:
     def test_interior_point_fixed(self):

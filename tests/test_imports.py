@@ -17,3 +17,8 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in conic_walks.__all__ if not hasattr(conic_walks, name)]
+    assert missing == []

@@ -19,6 +19,7 @@ from conic_walks.simulation import (
     sample_walk,
 )
 from conic_walks.verify import (
+    Gate,
     corrupted_tables,
     default_gates,
     identity_checks,
@@ -225,6 +226,15 @@ class TestVerifySuite:
         result = run_gate(gate, "gaussian_iid", 15_000, seed=3)
         assert result["status"] == "pass"
         assert result["exact"]["num"] == "3"
+
+    def test_long_exact_values_serialize(self):
+        # the denominator of this exact value has about 18,000 digits, past
+        # the interpreter's limit on int-to-str conversion
+        gate = Gate("big", FunctionalQuery("nonabsorption", Model("B", 9000, 1)))
+        result = run_gate(gate, "gaussian_iid", 4, 0)
+        exact = result["exact"]
+        assert len(exact["den"]) > 4300
+        assert exact["num"].isdigit() and exact["den"].isdigit()
 
 
 class TestConditionedFullConeTest:
