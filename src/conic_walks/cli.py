@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, NumericError, SamplingError
 from .formulas import FUNCTIONALS, FunctionalQuery, Model, evaluate_query
@@ -142,7 +142,7 @@ def _parse_ints(text: Optional[str], flag: str) -> Optional[tuple[int, ...]]:
     return tuple(_parse_int(x, f"each entry of {flag}") for x in text.split(","))
 
 
-def _parse_sweep(text: str, d: Optional[int]) -> list[int]:
+def _parse_sweep(text: str, d: Optional[int]) -> Sequence[int]:
     """An index flag is either one integer or an inclusive range ``a..b``;
     the symbol ``d`` stands for the model dimension."""
 
@@ -158,7 +158,7 @@ def _parse_sweep(text: str, d: Optional[int]) -> list[int]:
         lo, hi = bound(lo_txt), bound(hi_txt)
         if lo > hi:
             raise DomainError(f"empty index range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return [bound(text)]
 
 
@@ -210,7 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _queries_from_args(args: argparse.Namespace) -> list[FunctionalQuery]:
+def _queries_from_args(args: argparse.Namespace) -> Iterator[FunctionalQuery]:
+    """The queries the flags ask for, built one at a time, so a sweep that
+    reaches an invalid index fails there without building the rest."""
     functional, pinned_k = _canonical_functional(args.functional)
     model = None
     spec = FUNCTIONALS.get(functional)
@@ -222,20 +224,20 @@ def _queries_from_args(args: argparse.Namespace) -> list[FunctionalQuery]:
     walks = _parse_ints(args.walks, "--walks") or ()
     bridges = _parse_ints(args.bridges, "--bridges") or ()
     if pinned_k is not None:
-        ks: list[Optional[int]] = [pinned_k]
+        ks: Sequence[Optional[int]] = [pinned_k]
     elif args.k is not None:
-        ks = list(_parse_sweep(args.k, model.d if model else args.d))
+        ks = _parse_sweep(args.k, model.d if model else args.d)
     else:
         ks = [None]
     # with a model, --n and --d are its size, not indices of the functional
     n, d = (None, None) if model else (args.n, args.d)
-    return [
+    return (
         FunctionalQuery(
             functional, model=model, k=k, m=args.m, l=args.l, j=args.j,
             indices=indices, walk_lengths=walks, bridge_lengths=bridges,
             n=n, d=d, conditioned=args.conditioned, dual=args.dual)
         for k in ks
-    ]
+    )
 
 
 def _query_dict(q: FunctionalQuery) -> dict:

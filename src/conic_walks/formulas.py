@@ -165,11 +165,12 @@ def wendel_probability(n: int, d: int) -> Fraction:
     """Probability that n i.i.d. symmetric points do not positively span R^d.
 
     Equals 2^-(n-1) * sum_{k<d} C(n-1, k); in particular 7/8 for four
-    symmetric points around the origin in dimension three.
+    symmetric points around the origin in dimension three.  For d >= n the
+    sum holds every C(n-1, k) and the probability is 1.
     """
     if n < 1 or d < 1:
         raise DomainError(f"wendel probability requires n >= 1 and d >= 1, got n={n}, d={d}")
-    return Fraction(sum(binomial(n - 1, k) for k in range(d)), 1 << (n - 1))
+    return Fraction(sum(binomial(n - 1, k) for k in range(min(d, n))), 1 << (n - 1))
 
 
 def nonabsorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
@@ -391,7 +392,8 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
     A walk of length n contributes its n partial sums, a bridge of length m
     its first m-1; the block coefficient polynomial is the product of one
     odd rising factor per walk and one plain rising factor per bridge.  It is
-    built per call, so ``tables`` is not read.
+    built per call, so ``tables`` is not read.  Its degree is the number of
+    points, and when d reaches it the points never positively span R^d.
     """
     walks = tuple(int(x) for x in walk_lengths)
     bridges = tuple(int(x) for x in bridge_lengths)
@@ -403,8 +405,11 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
         raise DomainError(f"bridge lengths must be >= 2, got {bridges}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got d={d}")
+    roots = block_roots(bridges, walks)
+    if d >= len(roots):
+        return Fraction(int(complement))
     # the product's value at t = 1 is prod 2**w w! * prod b!
-    prod = LowOrderProduct.of(block_roots(bridges, walks), d)
+    prod = LowOrderProduct.of(roots, d)
     total = prod.down(d - 1) if complement else prod.parity_tail(d + 1)
     return Fraction(2 * total, prod.at_one)
 

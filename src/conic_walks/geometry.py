@@ -162,23 +162,38 @@ def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> boo
         raise DomainError("need at least one point, all of the same dimension")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
-    if np.any(np.all(pts == 0.0, axis=1)):
-        return True
     return _origin_in_hull(pts)
 
 
 def _origin_in_hull(pts: np.ndarray) -> bool:
-    # validation-free core; callers guarantee a finite 2-d array
-    n, d = pts.shape
-    if d == 1:
-        x = pts[:, 0]
-        return not (x.min() > 0.0 or x.max() < 0.0)
-    if n >= d:
-        rec = _SignRecord(pts)
-        if rec.general:
-            # in general position the origin is outside exactly when a facet exists
+    """Exact verdict for any finite 2-d array of points; callers validate.
+
+    In general position the origin is outside exactly when a facet exists.
+    Otherwise a zero point is inside; points with no nonzero d x d minor
+    pass to coordinates on which their span maps one-to-one; and full-rank
+    points positively span R^d unless some (d-1)-subset spanning a
+    hyperplane has every other point weakly on one side, when a convex
+    combination giving the origin can use only the points on it.
+    """
+    while True:
+        n, d = pts.shape
+        if d == 1:
+            x = pts[:, 0]
+            return not (x.min() > 0.0 or x.max() < 0.0)
+        rec = _SignRecord(pts) if n >= d else None
+        if rec is not None and rec.general:
             return not rec.facets.any()
-    return _origin_in_hull_exact(pts)
+        if not pts.any(axis=1).all():
+            return True
+        if rec is None or not rec.signs.any():
+            pts = pts[:, _bareiss(_integer_rows(pts))[0]]
+            continue
+        support = _weakly_supporting(rec.sides)
+        if not support.any():
+            return True
+        t = int(np.argmax(support))
+        on_wall = rec.table.facet_others[t][rec.sides[t] == 0]
+        pts = pts[np.sort(np.concatenate([rec.table.facet_rows[t], on_wall]))]
 
 
 class _SignRecord:
@@ -203,32 +218,6 @@ class _SignRecord:
     @cached_property
     def facets(self) -> np.ndarray:
         return np.abs(self.sides.sum(axis=1)) == self.sides.shape[1]
-
-
-def _origin_in_hull_exact(pts: np.ndarray) -> bool:
-    """Exact verdict for any finite points, in general position or not.
-
-    A zero point answers at once.  Otherwise the points are restricted to
-    coordinates on which their span maps one-to-one, so they have full rank
-    r there.  If no (r-1)-subset spanning a hyperplane has every other
-    point weakly on one side, the points positively span R^r and the origin
-    is inside.  If one does, a convex combination giving the origin can use
-    only points on that hyperplane, so the question passes to them, one
-    dimension lower.
-    """
-    while True:
-        if not pts.any(axis=1).all():
-            return True
-        pts = pts[:, _pivot_columns(_integer_rows(pts))]
-        if pts.shape[1] == 1:
-            return bool(pts.min() < 0.0 < pts.max())
-        rec = _SignRecord(pts)
-        support = _weakly_supporting(rec.sides)
-        if not support.any():
-            return True
-        t = int(np.argmax(support))
-        on_wall = rec.table.facet_others[t][rec.sides[t] == 0]
-        pts = pts[np.sort(np.concatenate([rec.table.facet_rows[t], on_wall]))]
 
 
 def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
@@ -261,16 +250,14 @@ class _MinorTable:
 _MINOR_CACHE: dict[tuple[int, int], _MinorTable] = {}
 
 
-def _check_subset_count(shape: str, count: int) -> None:
-    if count > MAX_SUBSETS:
-        raise DomainError(f"{shape} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
-
-
 def _minor_table(n: int, d: int) -> _MinorTable:
     key = (n, d)
     table = _MINOR_CACHE.get(key)
     if table is None:
-        _check_subset_count(f"n={n}, d={d}", sum(math.comb(n, k) for k in range(1, d + 1)))
+        count = sum(math.comb(n, k) for k in range(1, d + 1))
+        if count > MAX_SUBSETS:
+            raise DomainError(
+                f"n={n}, d={d} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
         table = _build_minor_table(n, d)
         if len(_MINOR_CACHE) < 256:
             _MINOR_CACHE[key] = table
@@ -331,7 +318,7 @@ def _minor_signs(pts: np.ndarray, table: _MinorTable) -> np.ndarray:
         rows = _integer_rows(pts)
         subsets = table.levels[-1][0]
         for t in np.flatnonzero(unsure):
-            det = _int_det([rows[i] for i in subsets[t]])
+            det = _bareiss([rows[i] for i in subsets[t]])[1]
             signs[t] = (det > 0) - (det < 0)
     return signs
 
@@ -349,46 +336,37 @@ def _integer_rows(pts: np.ndarray) -> list[list[int]]:
     return out
 
 
-def _int_det(mat: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
 
-
-def _pivot_columns(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of a row-echelon form of an integer matrix: the
-    matrix restricted to them has the same rank, with independent columns."""
+    Returns the pivot columns of its row-echelon form, on which the matrix
+    keeps its rank with independent columns, and the determinant, which is
+    0 unless the matrix is square and nonsingular.  After each step every
+    entry below the pivots is a minor of the input, so every division is
+    exact (Bareiss 1968).
+    """
     a = [row[:] for row in rows]
     pivots: list[int] = []
+    sign = 1
+    prev = 1
     for c in range(len(a[0])):
         top = len(pivots)
+        if top == len(a):
+            break
         p = next((i for i in range(top, len(a)) if a[i][c] != 0), None)
         if p is None:
             continue
-        a[top], a[p] = a[p], a[top]
+        if p != top:
+            a[top], a[p] = a[p], a[top]
+            sign = -sign
+        f = a[top][c]
         for i in range(top + 1, len(a)):
-            if a[i][c] != 0:
-                f, g = a[top][c], a[i][c]
-                a[i] = [x * f - y * g for x, y in zip(a[i], a[top])]
+            g = a[i][c]
+            a[i] = [(x * f - y * g) // prev for x, y in zip(a[i], a[top])]
+        prev = f
         pivots.append(c)
-        if len(pivots) == len(a):
-            break
-    return pivots
+    square = len(pivots) == len(a) == len(a[0])
+    return pivots, sign * prev if square else 0
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +432,7 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
             pointed = not (nonzero.shape[0] and _origin_in_hull(nonzero))
         return [()] if pointed else []
     if rec is None:
-        if len(_pivot_columns(_integer_rows(cone.generators))) < n:
+        if len(_bareiss(_integer_rows(cone.generators))[0]) < n:
             raise DegenerateInputError(
                 f"{n} generators in R^{d} are linearly dependent; face test undefined")
         return list(combinations(range(n), k))
@@ -670,23 +648,18 @@ def sample_uniform_subspace(d: int, m: int, rng: np.random.Generator) -> Subspac
     """
     if not 0 <= m <= d:
         raise DomainError(f"subspace dimension must satisfy 0 <= m <= d, got m={m}, d={d}")
-    return Subspace(_haar_basis(d, m, rng))
-
-
-def _haar_basis(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal d x m basis of a rotation-invariant random subspace."""
     if m == 0:
-        return np.zeros((d, 0))
+        return Subspace(np.zeros((d, 0)))
     for _ in range(32):
         gauss = rng.standard_normal((d, m))
         if m == 1:
             nrm = math.sqrt(float(gauss[:, 0] @ gauss[:, 0]))
             if nrm <= 1e-154:
                 continue
-            return gauss / nrm
+            return Subspace(gauss / nrm)
         q, r = np.linalg.qr(gauss)
         diag = np.diagonal(r)
         if np.min(np.abs(diag)) <= 1e-12 * max(float(np.abs(diag).max()), 1e-300):
             continue
-        return q * np.sign(diag)
+        return Subspace(q * np.sign(diag))
     raise SamplingError("could not orthonormalize a Gaussian basis after 32 draws")

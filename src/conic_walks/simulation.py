@@ -193,14 +193,17 @@ def _u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
     codimension k; its expectation is the quermassintegral U_k of a pointed
     cone.
 
-    Sampling the orthogonal complement directly is equivalent (complements
-    of Haar subspaces are Haar) and reduces the test to projecting the
-    generators onto k coordinates.
+    The orthogonal complement of a Haar subspace is Haar, and so is the
+    column span of a d x k standard Gaussian matrix.  The cone meets the
+    subspace exactly when the origin lies in the hull of the generators
+    projected onto that span, and any basis of it gives the same verdict:
+    bases differ by an invertible map of the k coordinates.  So the
+    generators are multiplied by the Gaussian matrix itself.
     """
     if k == 0:
         return 0.5
-    basis = geometry._haar_basis(gens.shape[1], k, rng)
-    return 0.5 if geometry._origin_in_hull(gens @ basis) else 0.0
+    gauss = rng.standard_normal((gens.shape[1], k))
+    return 0.5 if geometry._origin_in_hull(gens @ gauss) else 0.0
 
 
 def _v(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:

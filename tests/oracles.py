@@ -18,7 +18,7 @@ from conic_walks.combinatorics import (
     walk_block_poly,
 )
 from conic_walks import geometry
-from conic_walks.errors import DomainError
+from conic_walks.errors import DomainError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
 from conic_walks.geometry import ConeSample, count_k_faces, is_full_cone
 
@@ -156,6 +156,55 @@ def fraction_det(rows):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+# ---------------------------------------------------------------------------
+# integer eliminations
+#
+# The geometry took determinants and pivot columns from these two
+# eliminations before one Bareiss elimination returned both; they are kept
+# unchanged as its reference.
+
+def int_det(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def pivot_columns(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of a row-echelon form of an integer matrix: the
+    matrix restricted to them has the same rank, with independent columns."""
+    a = [row[:] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(a[0])):
+        top = len(pivots)
+        p = next((i for i in range(top, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[top], a[p] = a[p], a[top]
+        for i in range(top + 1, len(a)):
+            if a[i][c] != 0:
+                f, g = a[top][c], a[i][c]
+                a[i] = [x * f - y * g for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +573,38 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
 # replaced them, with the apex and the full cone special-cased in each.
 # They are kept unchanged, except that the NNLS slack no longer travels on
 # the cone, as the reference the registry rows must match sample by sample.
+# Their Haar hits project onto an orthonormal basis, which the simulator
+# no longer builds.
+
+def haar_basis(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal d x m basis of a rotation-invariant random subspace."""
+    if m == 0:
+        return np.zeros((d, 0))
+    for _ in range(32):
+        gauss = rng.standard_normal((d, m))
+        if m == 1:
+            nrm = math.sqrt(float(gauss[:, 0] @ gauss[:, 0]))
+            if nrm <= 1e-154:
+                continue
+            return gauss / nrm
+        q, r = np.linalg.qr(gauss)
+        diag = np.diagonal(r)
+        if np.min(np.abs(diag)) <= 1e-12 * max(float(np.abs(diag).max()), 1e-300):
+            continue
+        return q * np.sign(diag)
+    raise SamplingError("could not orthonormalize a Gaussian basis after 32 draws")
+
 
 def _hits_random_subspace(gens: np.ndarray, perp_dim: int, rng: np.random.Generator) -> bool:
     """Whether the cone meets a Haar subspace of codimension ``perp_dim``.
 
     Sampling the orthogonal complement directly is equivalent (complements
     of Haar subspaces are Haar) and reduces the test to projecting the
-    generators onto ``perp_dim`` coordinates.
+    generators onto an orthonormal basis of ``perp_dim`` coordinates.
     """
     if perp_dim == 0:
         return True
-    basis = geometry._haar_basis(gens.shape[1], perp_dim, rng)
+    basis = haar_basis(gens.shape[1], perp_dim, rng)
     return geometry._origin_in_hull(gens @ basis)
 
 
@@ -626,13 +696,16 @@ FACE_LOOP_MEASURES = {
     "Z": _tangent_sum_u,
     "face_intrinsic": _face_sum_v,
     "tangent_intrinsic": _tangent_sum_v,
+    "subspace_prob": lambda q, cone, rng: float(_hits_random_subspace(cone.generators, q.k, rng)),
 }
-"""The replaced rows of ``simulation.MEASURES``, by functional name."""
+"""The replaced rows of ``simulation.MEASURES``, and the orthonormal-basis
+reference for its subspace_prob row, by functional name."""
 
 
 def face_loop_queries(model: Model) -> list[FunctionalQuery]:
-    """Every legal query of the face and tangent functionals on a model,
-    conditioned variants included; face_intrinsic stops at m = d-1."""
+    """Every legal query of the face and tangent functionals and of
+    subspace_prob on a model, conditioned variants included; face_intrinsic
+    stops at m = d-1."""
     d = model.d
     out = []
     for cond in (False, True):
@@ -648,4 +721,5 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
             for m in range(d) for l in range(m + 1)]
     out += [FunctionalQuery("tangent_intrinsic", model, j=j, k=k)
             for j in range(d) for k in range(j, d + 1)]
+    out += [FunctionalQuery("subspace_prob", model, k=k) for k in range(d)]
     return out

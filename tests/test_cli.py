@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -82,6 +83,23 @@ class TestExact:
         assert code == EXIT_OK
         rec = json.loads(text.strip())
         assert rec["exact"]["num"] == "1" and rec["exact"]["den"] == "2"
+
+    def test_joint_absorption_in_huge_dimension(self):
+        code, text = run_cli("exact", "--functional", "joint_absorption",
+                             "--walks", "1", "--bridges", "2", "--d", "1000000000")
+        assert code == EXIT_OK
+        rec = json.loads(text.strip())
+        assert rec["exact"]["num"] == "0" and rec["exact"]["den"] == "1"
+
+    def test_sweep_fails_at_the_first_bad_index(self, capsys):
+        # the queries are built one at a time, not all before the first runs
+        start = time.perf_counter()
+        code, text = run_cli("exact", "--model", "A", "--functional", "vk",
+                             "--n", "4", "--d", "2", "--k", "0..1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "k=3" in capsys.readouterr().err
 
     def test_dual_flag(self):
         code, text = run_cli("exact", "--model", "A", "--functional", "Y",

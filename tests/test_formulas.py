@@ -1,6 +1,8 @@
 """Exact expectation formulas: frozen values and the identity web."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,17 @@ class TestWendel:
 
     def test_two_points_on_a_line(self):
         assert wendel_probability(2, 1) == F(1, 2)
+
+    def test_full_sum_up_to_three_past_the_point_count(self):
+        for n in range(1, 9):
+            for d in range(1, n + 4):
+                want = F(sum(math.comb(n - 1, k) for k in range(d)), 2 ** (n - 1))
+                assert wendel_probability(n, d) == want
+
+    def test_huge_dimension_returns_at_once(self):
+        start = time.perf_counter()
+        assert wendel_probability(4, 10 ** 9) == 1
+        assert time.perf_counter() - start < 0.1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -341,6 +354,21 @@ class TestJointAbsorption:
             p = joint_absorption_probability(walks, bridges, d)
             q = joint_absorption_probability(walks, bridges, d, complement=True)
             assert p + q == 1
+
+    def test_oracle_up_to_three_past_the_point_count(self):
+        for walks, bridges in [((1,), (2,)), ((2,), (3, 2)), ((), (4,)), ((3, 1), ())]:
+            points = sum(walks) + sum(b - 1 for b in bridges)
+            for d in range(1, points + 4):
+                for complement in (False, True):
+                    got = joint_absorption_probability(walks, bridges, d, complement)
+                    want = oracles.joint_absorption_probability(walks, bridges, d, complement)
+                    assert got == want, (walks, bridges, d, complement)
+
+    def test_huge_dimension_returns_at_once(self):
+        for complement, want in ((False, 0), (True, 1)):
+            start = time.perf_counter()
+            assert joint_absorption_probability([1], [2], 10 ** 9, complement) == want
+            assert time.perf_counter() - start < 0.1
 
     def test_rejects_bad_blocks(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic_walks import geometry
@@ -32,7 +32,9 @@ from oracles import (
     fraction_det,
     fraction_origin_in_hull,
     fraction_positively_spans,
+    int_det,
     lp_origin_in_hull,
+    pivot_columns,
     projection_is_face,
     random_cone_generators,
 )
@@ -530,6 +532,25 @@ class TestExactHullPredicate:
             exact = exact_minor_signs(pts)
             assert not unsure.any()
             assert signs.tolist() == exact
+
+
+class TestBareiss:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda c: st.lists(
+        st.lists(st.one_of(st.integers(-2, 2), st.integers(-2 ** 70, 2 ** 70)),
+                 min_size=c, max_size=c),
+        min_size=1, max_size=5)))
+    @example([[0, 0], [1, 2]])
+    @example([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+    @example([[0, 1, 2], [0, 2, 4]])
+    def test_matches_the_replaced_eliminations(self, rows):
+        # small entries make many matrices rank-deficient or with zero rows
+        pivots, det = geometry._bareiss(rows)
+        assert pivots == pivot_columns(rows)
+        if len(rows) == len(rows[0]):
+            assert det == int_det(rows) == fraction_det(rows)
+        else:
+            assert det == 0
 
 
 class TestFullConeDegenerate:

@@ -277,6 +277,22 @@ class TestSharedMinorTable:
         assert len(calls) == est.samples + est.rejected
 
 
+class TestHaarHits:
+    @pytest.mark.parametrize("query", [
+        FunctionalQuery("Uk", Model("B", 6, 4), k=2, conditioned=True),
+        FunctionalQuery("Y", Model("A", 7, 4), m=3, l=2),
+    ])
+    def test_no_orthonormal_basis(self, query, monkeypatch):
+        # a hit projects onto the Gaussian matrix itself, even for k >= 2
+        def qr(*args, **kwargs):
+            raise AssertionError("a Haar hit orthonormalized its subspace")
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        dist = DistributionSpec("gaussian_iid", 4)
+        est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
+        assert est.samples == 64
+
+
 class TestFaceLoopOracle:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_rows_match_the_replaced_face_loops(self, family):
