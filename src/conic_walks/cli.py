@@ -216,7 +216,7 @@ def _queries_from_args(args: argparse.Namespace) -> Iterator[FunctionalQuery]:
     functional, pinned_k = _canonical_functional(args.functional)
     model = None
     spec = FUNCTIONALS.get(functional)
-    if spec is None or spec.needs_model:
+    if spec is None or spec.needs_model or args.model is not None:
         if args.model is None or args.n is None or args.d is None:
             raise DomainError(f"functional {functional!r} requires --model, --n and --d")
         model = Model(args.model, args.n, args.d)

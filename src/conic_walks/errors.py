@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check raising one."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -6,7 +8,7 @@ class DomainError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numerical routine failed (NNLS did not converge, rank-deficient input)."""
+    """A numerical routine failed on its input (rank-deficient geometry)."""
 
 
 class DegenerateInputError(NumericError):
@@ -15,3 +17,11 @@ class DegenerateInputError(NumericError):
 
 class SamplingError(RuntimeError):
     """Random sampling exceeded its retry budget."""
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as an exact integer; a non-integer raises DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

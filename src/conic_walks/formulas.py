@@ -58,7 +58,7 @@ from typing import Callable, Optional, Sequence
 
 from .combinatorics import (LowOrderProduct, StirlingTables, binomial, block_roots,
                             bridge_roots, default_tables, walk_roots)
-from .errors import DomainError
+from .errors import DomainError, as_index
 
 A_BRIDGE = "A"
 B_WALK = "B"
@@ -75,6 +75,8 @@ class Model:
     def __post_init__(self) -> None:
         if self.tag not in (A_BRIDGE, B_WALK):
             raise DomainError(f"model tag must be 'A' (bridge) or 'B' (walk), got {self.tag!r}")
+        object.__setattr__(self, "n", as_index(self.n, "n"))
+        object.__setattr__(self, "d", as_index(self.d, "d"))
         if self.d < 1:
             raise DomainError(f"ambient dimension must be >= 1, got d={self.d}")
         if self.n < self.d + self.is_bridge:
@@ -338,7 +340,7 @@ def expected_Y_dual(model: Model, m: int, l: int,
 
 
 def _validated_face_indices(model: Model, indices: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(as_index(i, "a face index") for i in indices)
     k = len(idx)
     if not 1 <= k <= model.d - 1:
         raise DomainError(
@@ -395,8 +397,8 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
     built per call, so ``tables`` is not read.  Its degree is the number of
     points, and when d reaches it the points never positively span R^d.
     """
-    walks = tuple(int(x) for x in walk_lengths)
-    bridges = tuple(int(x) for x in bridge_lengths)
+    walks = tuple(as_index(x, "a walk length") for x in walk_lengths)
+    bridges = tuple(as_index(x, "a bridge length") for x in bridge_lengths)
     if not walks and not bridges:
         raise DomainError("joint absorption needs at least one walk or bridge block")
     if any(w < 1 for w in walks):
@@ -430,6 +432,7 @@ class Functional:
     indices: tuple[str, ...] = ()
     conditionable: bool = False
     needs_model: bool = True
+    blocks: bool = False
 
 
 FUNCTIONALS: dict[str, Functional] = {
@@ -458,7 +461,7 @@ FUNCTIONALS: dict[str, Functional] = {
     "joint_absorption": Functional(
         lambda q, t, d: joint_absorption_probability(q.walk_lengths, q.bridge_lengths, d,
                                                      tables=t),
-        ("d",), needs_model=False),
+        ("d",), needs_model=False, blocks=True),
 }
 
 
@@ -474,9 +477,10 @@ class FunctionalQuery:
 
     ``model`` is required for all functionals except ``wendel`` (which takes
     bare ``n``/``d``) and ``joint_absorption`` (which takes block lengths
-    and ``d``).  An index the functional does not declare raises
-    :class:`DomainError`.  ``dual=True`` on a ``Y`` query redirects to the
-    dual cone.
+    and ``d``), and those two take none; block lengths belong to
+    ``joint_absorption`` only.  A field the functional does not declare, or
+    an index or length that is not an integer, raises :class:`DomainError`.
+    ``dual=True`` on a ``Y`` query redirects to the dual cone.
     """
 
     functional: str
@@ -508,12 +512,17 @@ class FunctionalQuery:
             raise DomainError("the dual flag applies only to the Y functional")
         if spec.needs_model and self.model is None:
             raise DomainError(f"functional {name!r} requires a model")
-        for key in _INDEX_FIELDS:
-            if getattr(self, key) is not None and key not in spec.indices:
+        if not spec.needs_model and self.model is not None:
+            raise DomainError(f"functional {name!r} takes no model")
+        if (self.walk_lengths or self.bridge_lengths) and not spec.blocks:
+            raise DomainError(f"functional {name!r} takes no walk or bridge lengths")
+        for key in (key for key in _INDEX_FIELDS if getattr(self, key) is not None):
+            if key not in spec.indices:
                 raise DomainError(f"functional {name!r} takes no index {key!r}; "
                                   f"it declares {', '.join(spec.indices) or 'none'}")
-        if self.indices is not None:
-            object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+            val = getattr(self, key)
+            object.__setattr__(self, key, tuple(as_index(i, key) for i in val)
+                               if key == "indices" else as_index(val, key))
 
     @property
     def dimension(self) -> Optional[int]:
@@ -521,13 +530,10 @@ class FunctionalQuery:
         return self.model.d if self.model is not None else self.d
 
     def _require(self, names: tuple[str, ...]) -> list:
-        out = []
         for key in names:
-            val = getattr(self, key)
-            if val is None:
+            if getattr(self, key) is None:
                 raise DomainError(f"functional {self.functional!r} requires index {key!r}")
-            out.append(val if key == "indices" else int(val))
-        return out
+        return [getattr(self, key) for key in names]
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, NumericError, SamplingError
+from .errors import DegenerateInputError, DomainError, SamplingError, as_index
 
-DEFAULT_TOL = 1e-9  # slack of the nonnegative least squares projection predicates
+DEFAULT_TOL = 1e-9  # relative slack on the residual of the "inside" test of projections
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,10 @@ class Subspace:
 class ConeProjection:
     """Metric projection of a point onto a cone.
 
-    ``active_set`` holds the generator indices with strictly positive
-    coefficients; under general position its size is the dimension of the
-    face containing the projection, except that a point inside the cone
-    reports ``face_dim = d``.
+    ``active_set`` holds the support the projection took: the generators
+    whose positive coefficients give the projected point.  Its size is the
+    dimension of the face containing the projection, except that a point
+    inside the cone reports ``face_dim = d``.
     """
 
     point: np.ndarray
@@ -247,33 +247,35 @@ class _MinorTable:
     facet_parity: np.ndarray
 
 
-_MINOR_CACHE: dict[tuple[int, int], _MinorTable] = {}
+def _check_subset_count(n: int, d: int) -> None:
+    """Raise DomainError when the row subsets of size 1..d exceed the cap."""
+    count = sum(math.comb(n, k) for k in range(1, d + 1))
+    if count > MAX_SUBSETS:
+        raise DomainError(
+            f"n={n}, d={d} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
 
 
+@lru_cache(maxsize=256)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in combinations order, one per row."""
+    rows = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=256)
 def _minor_table(n: int, d: int) -> _MinorTable:
-    key = (n, d)
-    table = _MINOR_CACHE.get(key)
-    if table is None:
-        count = sum(math.comb(n, k) for k in range(1, d + 1))
-        if count > MAX_SUBSETS:
-            raise DomainError(
-                f"n={n}, d={d} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
-        table = _build_minor_table(n, d)
-        if len(_MINOR_CACHE) < 256:
-            _MINOR_CACHE[key] = table
-    return table
-
-
-def _build_minor_table(n: int, d: int) -> _MinorTable:
+    _check_subset_count(n, d)
     position = {(r,): r for r in range(n)}
     levels = []
     for k in range(2, d + 1):
-        subsets = list(combinations(range(n), k))
+        rows = _subsets(n, k)
+        subsets = [tuple(s) for s in rows.tolist()]
         below = [[position[s[:i] + s[i + 1:]] for i in range(k)] for s in subsets]
         cofactor = np.array([(-1.0) ** (i + k - 1) for i in range(k)])
-        levels.append((np.array(subsets, dtype=np.intp), np.array(below, dtype=np.intp), cofactor))
+        levels.append((rows, np.array(below, dtype=np.intp), cofactor))
         position = {s: t for t, s in enumerate(subsets)}
-    walls = list(combinations(range(n), d - 1))
+    walls = [tuple(s) for s in _subsets(n, d - 1).tolist()]
     others = [[j for j in range(n) if j not in wall] for wall in walls]
     minor = [[position[tuple(sorted(wall + (j,)))] for j in rest]
              for wall, rest in zip(walls, others)]
@@ -282,7 +284,7 @@ def _build_minor_table(n: int, d: int) -> _MinorTable:
               for wall, rest in zip(walls, others)]
     return _MinorTable(
         levels=tuple(levels),
-        facet_rows=np.array(walls, dtype=np.intp).reshape(len(walls), d - 1),
+        facet_rows=_subsets(n, d - 1),
         facet_others=np.array(others, dtype=np.intp),
         facet_minor=np.array(minor, dtype=np.intp),
         facet_parity=np.array(parity, dtype=np.int8))
@@ -400,7 +402,7 @@ def _row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in subset)
+    idx = tuple(as_index(i, "a generator index") for i in subset)
     k = len(idx)
     if not 1 <= k <= cone.d - 1:
         raise DomainError(f"face test requires 1 <= k <= d-1, got k={k}, d={cone.d}")
@@ -408,6 +410,25 @@ def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...
         raise DomainError(
             f"subset must hold distinct generator row indices in [0, {cone.n_generators}), got {idx}")
     return tuple(sorted(idx))
+
+
+def _full_or_checked(cone: ConeSample) -> bool:
+    """Whether the cone is full.  A cone that is not full must have
+    independent generators when they are fewer than d, and no exactly zero
+    minor otherwise; else DegenerateInputError."""
+    rec = cone._signs
+    n, d = cone.generators.shape
+    if rec is None:
+        if len(_bareiss(_integer_rows(cone.generators))[0]) < n:
+            raise DegenerateInputError(
+                f"{n} generators in R^{d} are linearly dependent; face test undefined")
+        return False
+    if rec.general:
+        return not rec.facets.any()
+    if is_full_cone(cone):
+        return True
+    raise DegenerateInputError(
+        "the cone is not full and has an exactly zero d x d minor; face test undefined")
 
 
 def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
@@ -418,12 +439,10 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     cone containing a line has none.  For k >= 1, a full cone has no face.
     Fewer than d independent generators span a simplicial cone, whose every
     subset spans a face.  Otherwise, in general position, a subset spans a
-    face exactly when it lies inside a facet.  A cone that is not full and
-    has an exactly zero minor, or fewer than d dependent generators, raises
-    DegenerateInputError.
+    face exactly when it lies inside a facet.  Other input raises
+    DegenerateInputError (see :func:`_full_or_checked`).
     """
     rec = cone._signs
-    n, d = cone.generators.shape
     if k == 0:
         if rec is not None and rec.general:
             pointed = rec.facets.any()  # full or pointed, and pointed has a facet
@@ -431,16 +450,10 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
             nonzero = cone.generators[cone.generators.any(axis=1)]
             pointed = not (nonzero.shape[0] and _origin_in_hull(nonzero))
         return [()] if pointed else []
+    if _full_or_checked(cone):
+        return []
     if rec is None:
-        if len(_bareiss(_integer_rows(cone.generators))[0]) < n:
-            raise DegenerateInputError(
-                f"{n} generators in R^{d} are linearly dependent; face test undefined")
-        return list(combinations(range(n), k))
-    if not rec.general:
-        if is_full_cone(cone):
-            return []
-        raise DegenerateInputError(
-            "the cone is not full and has an exactly zero d x d minor; face test undefined")
+        return [tuple(s) for s in _subsets(cone.n_generators, k).tolist()]
     walls = rec.table.facet_rows[rec.facets].tolist()
     return sorted({face for wall in walls for face in combinations(wall, k)})
 
@@ -495,6 +508,7 @@ def count_k_faces(cone: ConeSample, k: int) -> int:
     follow the contract of :func:`is_face`.  Inputs whose minor table
     would exceed ``MAX_SUBSETS`` row subsets raise DomainError.
     """
+    k = as_index(k, "the face dimension k")
     if not 0 <= k <= cone.d - 1:
         raise DomainError(f"count_k_faces requires 0 <= k <= d-1, got k={k}, d={cone.d}")
     return len(_faces(cone, k))
@@ -525,9 +539,10 @@ def _validated_point(cone: ConeSample, x: Sequence[float]) -> np.ndarray:
 
 
 def cone_contains(cone: ConeSample, x: Sequence[float]) -> bool:
-    """Membership of a finite point of R^d in the positive hull, via the
-    NNLS residual."""
-    return _nnls_projection(cone.generators, _validated_point(cone, x))[2]
+    """Membership of a finite point of R^d in the positive hull: the point
+    is its own projection under :func:`project_onto_cone`, whose contract
+    and ``DEFAULT_TOL`` slack apply."""
+    return project_onto_cone(x, cone).face_dim == cone.d
 
 
 # ---------------------------------------------------------------------------
@@ -537,103 +552,71 @@ def cone_contains(cone: ConeSample, x: Sequence[float]) -> bool:
 def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     """Nearest point of the cone to ``g`` with its face classification.
 
-    Solved as nonnegative least squares over the generators.  A point whose
-    residual vanishes lies in the cone and is classified as interior
-    (``face_dim = d``); otherwise the face dimension is the number of
-    strictly positive coefficients, which under general position matches
-    the face actually containing the projection.
+    The support comes from :func:`_projection_support`.  A residual within
+    ``DEFAULT_TOL`` * max(1, |g|), or a full cone, puts g inside
+    (``face_dim = d``); otherwise the face dimension is the support's size.
+    The cone follows the contract of :func:`is_face`, and the supports obey
+    ``MAX_SUBSETS`` like the minor table.
     """
     g = _validated_point(cone, g)
-    resid, active, inside = _nnls_projection(cone.generators, g)
-    active = tuple(int(i) for i in active)
-    if inside:
-        return ConeProjection(point=g.copy(), active_set=active, face_dim=cone.d)
-    return ConeProjection(point=g - resid, active_set=active, face_dim=len(active))
+    _check_subset_count(cone.n_generators, cone.d)
+    full = _full_or_checked(cone)
+    support, resid = _projection_support(cone.generators, g)
+    if full or np.linalg.norm(resid) <= DEFAULT_TOL * max(1.0, np.linalg.norm(g)):
+        return ConeProjection(point=g.copy(), active_set=support, face_dim=cone.d)
+    return ConeProjection(point=g - resid, active_set=support, face_dim=len(support))
 
 
-def _projection_face_dim(gens: np.ndarray, g: np.ndarray) -> int:
-    """Dimension of the face the metric projection of g lands in (d if inside)."""
-    _, active, inside = _nnls_projection(gens, g)
-    return gens.shape[1] if inside else len(active)
+def _projection_support(gens: np.ndarray, g: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Support of the metric projection p of g onto the positive hull of the
+    rows, and the residual g - p.
 
-
-def _nnls_projection(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Residual of the metric projection of g onto the positive hull of the
-    rows, the rows whose coefficient exceeds tol = ``DEFAULT_TOL`` times the
-    largest (the coefficients are nonnegative, so none when all vanish), and
-    whether g lies in the cone: its squared residual is within
-    (tol * max(1, |g|))^2."""
-    tol = DEFAULT_TOL
-    coeff, resid = _nnls_lowest_index(gens.T, g, tol)
-    active = np.flatnonzero(coeff > tol * float(coeff.max(initial=0.0)))
-    inside = float(resid @ resid) <= (tol * max(1.0, float(np.linalg.norm(g)))) ** 2
-    return resid, active, inside
-
-
-def _nnls_lowest_index(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Active-set nonnegative least squares  min ||a x - b||, x >= 0.
-
-    Deterministic pivot: among stationarity violations pick the lowest
-    column index, so the recovered support never depends on platform
-    reduction order.  Returns the coefficients and the residual b - a x.
+    The projection is the least-squares point of the support S whose
+    coefficients are all positive and whose residual has a nonpositive
+    inner product with every row outside S (Moreau decomposition).  The
+    supports of at most min(n, d) rows are tried by size, each size in one
+    batched solve, and the first that passes is taken.  A positive square
+    solve of size d puts g inside the cone, with zero residual.  Every
+    positive candidate is a point of the cone, so when rounding lets no
+    support pass, the one nearest to g is taken; the empty support, with
+    residual g, always is a candidate.  Nothing iterates and nothing raises.
     """
-    d, m = a.shape
-    max_iter = 3 * m + 30
-    x = np.zeros(m)
-    passive: list[int] = []
-    banned: set[int] = set()
-    resid = b.astype(float).copy()
-    scale = max(float(np.abs(a).max(initial=0.0)), 1.0) * max(float(np.linalg.norm(b)), 1.0)
-    w_tol = tol * scale
-    for _ in range(max_iter):
-        w = a.T @ resid
-        entering = -1
-        for jdx in range(m):
-            if jdx not in passive and jdx not in banned and w[jdx] > w_tol:
-                entering = jdx
-                break
-        if entering < 0:
-            return x, resid
-        passive.append(entering)
-        passive.sort()
-        for _inner in range(max_iter):
-            sub = a[:, passive]
-            z = _least_squares(sub, b)
-            if np.all(z > 0.0):
-                x.fill(0.0)
-                x[passive] = z
-                break
-            xs = x[passive]
-            neg = z <= 0.0
-            denom = xs - z
-            movable = neg & (denom > 0.0)
-            if not np.any(movable):
-                # cannot happen in exact arithmetic; freeze the column so the
-                # outer loop terminates instead of re-entering it
-                passive.remove(entering)
-                banned.add(entering)
-                x[entering] = 0.0
-                break
-            alpha = float(np.min(xs[movable] / denom[movable]))
-            xs = xs + alpha * (z - xs)
-            x[passive] = xs
-            keep_cut = 1e-12 * max(float(xs.max(initial=0.0)), 1e-300)
-            dropped = [p for p, val in zip(passive, xs) if val <= keep_cut]
-            for p in dropped:
-                x[p] = 0.0
-            passive = [p for p in passive if p not in dropped]
-        else:
-            raise NumericError("NNLS inner loop failed to converge")
-        resid = b - a @ x
-    raise NumericError(f"NNLS did not converge within {max_iter} iterations")
+    n, d = gens.shape
+    best, best_resid = (), g
+    if (gens @ g <= 0.0).all():
+        return best, best_resid
+    for k in range(1, min(n, d) + 1):
+        rows = _subsets(n, k)
+        a = gens[rows]
+        if k < d:
+            coef = _solve(a @ a.transpose(0, 2, 1), a @ g)
+            resid = g - (coef[:, None, :] @ a)[:, 0]
+        else:  # g is a combination of the d rows
+            coef = _solve(a.transpose(0, 2, 1), np.broadcast_to(g, (len(rows), d)))
+            resid = np.zeros((len(rows), d))
+        outside = resid @ gens.T
+        outside[np.arange(len(rows))[:, None], rows] = 0.0  # rows inside S
+        positive = (coef > 0.0).all(axis=1)
+        passing = np.flatnonzero(positive & (outside <= 0.0).all(axis=1))
+        if passing.size:
+            t = passing[0]
+            return tuple(rows[t].tolist()), resid[t]
+        dist = np.where(positive, (resid * resid).sum(axis=1), np.inf)
+        t = int(np.argmin(dist))
+        if dist[t] < best_resid @ best_resid:
+            best, best_resid = tuple(rows[t].tolist()), resid[t]
+    return best, best_resid
 
 
-def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    gram = a.T @ a
+def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve of lhs[t] x = rhs[t]; a system that rounds to singular
+    gets NaN, which is no positive candidate."""
     try:
-        return np.linalg.solve(gram, a.T @ b)
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+        if len(lhs) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve(lhs[t:t + 1], rhs[t:t + 1]) for t in range(len(lhs))])
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def _v(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
     k-face of the cone of the rows (k = d inside it); its expectation is the
     conic intrinsic volume v_k."""
     g = rng.standard_normal(gens.shape[1])
-    return 1.0 if geometry._projection_face_dim(gens, g) == k else 0.0
+    return 1.0 if len(geometry._projection_support(gens, g)[0]) == k else 0.0
 
 
 def _face_sum(cone: ConeSample, j: int, tangent: bool,

@@ -18,9 +18,9 @@ from conic_walks.combinatorics import (
     walk_block_poly,
 )
 from conic_walks import geometry
-from conic_walks.errors import DomainError, SamplingError
+from conic_walks.errors import DomainError, NumericError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
-from conic_walks.geometry import ConeSample, count_k_faces, is_full_cone
+from conic_walks.geometry import DEFAULT_TOL, ConeSample, count_k_faces, is_full_cone
 
 
 def brute_force_is_face(gens, subset, tol=1e-9):
@@ -567,12 +567,106 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
 
 
 # ---------------------------------------------------------------------------
+# active-set NNLS
+#
+# The Lawson-Hanson projection the support rule of geometry replaced,
+# moved unchanged: a lowest-index pivot, two iteration caps, a banned-column
+# set and NumericError when a cap runs out.  The face-loop rows below read
+# it, so the simulator's rows are compared with it sample by sample.
+
+def _projection_face_dim(gens: np.ndarray, g: np.ndarray) -> int:
+    """Dimension of the face the metric projection of g lands in (d if inside)."""
+    _, active, inside = _nnls_projection(gens, g)
+    return gens.shape[1] if inside else len(active)
+
+
+def _nnls_projection(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Residual of the metric projection of g onto the positive hull of the
+    rows, the rows whose coefficient exceeds tol = ``DEFAULT_TOL`` times the
+    largest (the coefficients are nonnegative, so none when all vanish), and
+    whether g lies in the cone: its squared residual is within
+    (tol * max(1, |g|))^2."""
+    tol = DEFAULT_TOL
+    coeff, resid = _nnls_lowest_index(gens.T, g, tol)
+    active = np.flatnonzero(coeff > tol * float(coeff.max(initial=0.0)))
+    inside = float(resid @ resid) <= (tol * max(1.0, float(np.linalg.norm(g)))) ** 2
+    return resid, active, inside
+
+
+def _nnls_lowest_index(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Active-set nonnegative least squares  min ||a x - b||, x >= 0.
+
+    Deterministic pivot: among stationarity violations pick the lowest
+    column index, so the recovered support never depends on platform
+    reduction order.  Returns the coefficients and the residual b - a x.
+    """
+    d, m = a.shape
+    max_iter = 3 * m + 30
+    x = np.zeros(m)
+    passive: list[int] = []
+    banned: set[int] = set()
+    resid = b.astype(float).copy()
+    scale = max(float(np.abs(a).max(initial=0.0)), 1.0) * max(float(np.linalg.norm(b)), 1.0)
+    w_tol = tol * scale
+    for _ in range(max_iter):
+        w = a.T @ resid
+        entering = -1
+        for jdx in range(m):
+            if jdx not in passive and jdx not in banned and w[jdx] > w_tol:
+                entering = jdx
+                break
+        if entering < 0:
+            return x, resid
+        passive.append(entering)
+        passive.sort()
+        for _inner in range(max_iter):
+            sub = a[:, passive]
+            z = _least_squares(sub, b)
+            if np.all(z > 0.0):
+                x.fill(0.0)
+                x[passive] = z
+                break
+            xs = x[passive]
+            neg = z <= 0.0
+            denom = xs - z
+            movable = neg & (denom > 0.0)
+            if not np.any(movable):
+                # cannot happen in exact arithmetic; freeze the column so the
+                # outer loop terminates instead of re-entering it
+                passive.remove(entering)
+                banned.add(entering)
+                x[entering] = 0.0
+                break
+            alpha = float(np.min(xs[movable] / denom[movable]))
+            xs = xs + alpha * (z - xs)
+            x[passive] = xs
+            keep_cut = 1e-12 * max(float(xs.max(initial=0.0)), 1e-300)
+            dropped = [p for p, val in zip(passive, xs) if val <= keep_cut]
+            for p in dropped:
+                x[p] = 0.0
+            passive = [p for p in passive if p not in dropped]
+        else:
+            raise NumericError("NNLS inner loop failed to converge")
+        resid = b - a @ x
+    raise NumericError(f"NNLS did not converge within {max_iter} iterations")
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    gram = a.T @ a
+    try:
+        return np.linalg.solve(gram, a.T @ b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+# ---------------------------------------------------------------------------
 # per-functional face loops
 #
 # The Monte Carlo measurements before one face loop and two per-cone kernels
 # replaced them, with the apex and the full cone special-cased in each.
 # They are kept unchanged, except that the NNLS slack no longer travels on
-# the cone, as the reference the registry rows must match sample by sample.
+# the cone, as the reference the registry rows must match sample by sample;
+# their projections run the active-set NNLS above.
 # Their Haar hits project onto an orthonormal basis, which the simulator
 # no longer builds.
 
@@ -621,7 +715,7 @@ def _face_count(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) 
 
 def _intrinsic_volume(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
     g = rng.standard_normal(cone.d)
-    return 1.0 if geometry._projection_face_dim(cone.generators, g) == q.k else 0.0
+    return 1.0 if _projection_face_dim(cone.generators, g) == q.k else 0.0
 
 
 def _quermassintegral(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
@@ -666,7 +760,7 @@ def _face_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) 
     total = 0.0
     for face in geometry._faces(cone, q.m):
         g = rng.standard_normal(cone.d)
-        if geometry._projection_face_dim(gens[list(face)], g) == q.l:
+        if _projection_face_dim(gens[list(face)], g) == q.l:
             total += 1.0
     return total
 
@@ -677,12 +771,12 @@ def _tangent_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generato
         if _full(q, cone):
             return 0.0
         g = rng.standard_normal(d)
-        return 1.0 if geometry._projection_face_dim(cone.generators, g) == k else 0.0
+        return 1.0 if _projection_face_dim(cone.generators, g) == k else 0.0
     total = 0.0
     for face in geometry._faces(cone, j):
         g = rng.standard_normal(d - j)
         base = geometry._tangent_base(cone.generators, face)
-        if geometry._projection_face_dim(base, g) == k - j:
+        if _projection_face_dim(base, g) == k - j:
             total += 1.0
     return total
 

@@ -113,6 +113,7 @@ def run_acceptance_gates(family):
     return results
 
 
+@pytest.mark.slow
 def test_criterion_5_monte_carlo_gates():
     def body():
         started = time.perf_counter()
@@ -125,6 +126,7 @@ def test_criterion_5_monte_carlo_gates():
     announce(5, "Monte Carlo gates at 10^5 samples, |z| <= 4, Gaussian increments", body)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("family", ["heavy_tail_iid", "scaled_gaussian_exchangeable"])
 def test_criterion_6_distribution_freeness(family):
     def body():
@@ -136,6 +138,7 @@ def test_criterion_6_distribution_freeness(family):
     announce(6, f"distribution-freeness of the gates under {family}", body)
 
 
+@pytest.mark.slow
 def test_criterion_7_reproducibility():
     def body():
         first = report_to_json(verify_suite(budget=10_000, seed=ACCEPTANCE_SEED, workers=1))

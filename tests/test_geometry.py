@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic_walks import geometry
-from conic_walks.errors import DegenerateInputError, DomainError
+from conic_walks.errors import DegenerateInputError, DomainError, NumericError
 from conic_walks.geometry import (
     MAX_SUBSETS,
     ConeSample,
@@ -28,6 +28,7 @@ from conic_walks.geometry import (
 
 
 from oracles import (
+    _nnls_projection,
     brute_force_is_face,
     fraction_det,
     fraction_origin_in_hull,
@@ -171,6 +172,8 @@ class TestIsFace:
             is_face(cone, (0, 0))
         with pytest.raises(DomainError):
             is_face(cone, (5,))
+        with pytest.raises(DomainError, match="must be an integer"):
+            is_face(cone, [0.7])
 
     def test_matches_supporting_hyperplane_search(self):
         # the facet mask against the supporting-hyperplane search and the
@@ -327,6 +330,80 @@ class TestProjection:
                 project_onto_cone(bad, cone)
 
 
+class TestSupportRule:
+    def test_matches_the_active_set_nnls(self):
+        # wherever the replaced NNLS converges, same face dimension and
+        # point; outside the cone the support is unique, so the same active
+        # set, and inside it any positive d-subset giving g will do
+        rng = np.random.default_rng(29)
+        compared = inside = 0
+        for law in ("gaussian", "cauchy"):
+            for d in range(2, 6):
+                for n in range(d, d + 5):
+                    for _ in range(25):
+                        gens = random_cone_generators(rng, n, d, law=law)
+                        g = rng.standard_normal(d)
+                        try:
+                            resid, active, was_inside = _nnls_projection(gens, g)
+                        except NumericError:
+                            continue
+                        proj = project_onto_cone(g, ConeSample(gens))
+                        want = g if was_inside else g - resid
+                        scale = max(1.0, float(np.linalg.norm(g)))
+                        assert np.linalg.norm(proj.point - want) <= 1e-9 * scale
+                        compared += 1
+                        if not was_inside:
+                            assert proj.face_dim == len(active)
+                            assert proj.active_set == tuple(active.tolist())
+                            continue
+                        inside += 1
+                        assert proj.face_dim == d and len(proj.active_set) == d
+                        sub = gens[list(proj.active_set)]
+                        coef = np.linalg.solve(sub.T, g)
+                        assert (coef > 0).all()
+        assert compared > 900 and inside > 50
+
+    def test_full_cone_contains_every_point(self):
+        cone = ConeSample(np.vstack([np.eye(3), -np.ones((1, 3))]))
+        for g in np.random.default_rng(4).standard_normal((50, 3)):
+            assert cone_contains(cone, g)
+            proj = project_onto_cone(g, cone)
+            assert proj.face_dim == 3 and np.array_equal(proj.point, g)
+
+    def test_contract_of_the_face_enumeration(self):
+        # fewer than d generators must be independent
+        line = ConeSample(np.array([[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]]))
+        with pytest.raises(DegenerateInputError):
+            project_onto_cone([1.0, 0.0, 0.0], line)
+        # a pointed cone with an exactly zero minor
+        flat = ConeSample(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DegenerateInputError):
+            cone_contains(flat, [1.0, 1.0])
+        # fewer than d independent generators project onto a simplicial cone
+        pair = ConeSample(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        proj = project_onto_cone([1.0, -1.0, 3.0], pair)
+        assert proj.active_set == (0,) and np.allclose(proj.point, [1.0, 0.0, 0.0])
+        # the support count obeys the cap
+        wide = ConeSample(np.random.default_rng(0).standard_normal((20, 30)))
+        with pytest.raises(DomainError, match=r"n=20, d=30 needs 1048575 row subsets"):
+            project_onto_cone(np.ones(30), wide)
+
+    def test_a_support_that_rounds_to_singular_is_no_candidate(self):
+        # det = 3 * fl(1/3) - 1 is nonzero, but LU pivots it to exactly zero
+        gens = np.array([[3.0, 1.0], [1.0, 1.0 / 3.0]])
+        cone = ConeSample(gens)
+        assert cone.in_general_position()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gens.T, [1.0, 1.0])
+        batch = np.stack([gens.T, np.diag([2.0, 1.0])])
+        coef = geometry._solve(batch, np.ones((2, 2)))
+        assert np.isnan(coef[0]).all() and coef[1].tolist() == [0.5, 1.0]
+        for g in ([1.0, 1.0], gens[0] + gens[1], [-1.0, 3.0]):
+            assert np.isfinite(project_onto_cone(g, cone).point).all()
+        assert cone_contains(cone, gens[0] + gens[1])
+        assert not cone_contains(cone, [1.0, 1.0])
+
+
 class TestCountFaces:
     def test_simplicial_counts_binomials(self):
         for d in (2, 3, 4):
@@ -354,6 +431,8 @@ class TestCountFaces:
     def test_range_checked(self):
         with pytest.raises(DomainError):
             count_k_faces(ConeSample(np.eye(2)), 2)
+        with pytest.raises(DomainError, match="must be an integer"):
+            count_k_faces(ConeSample(np.eye(3)), 1.5)
 
 
 class TestTangentBase:

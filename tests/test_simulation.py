@@ -20,6 +20,7 @@ from conic_walks.simulation import (
 )
 from conic_walks.verify import (
     Gate,
+    _gate_seed,
     corrupted_tables,
     default_gates,
     identity_checks,
@@ -293,6 +294,7 @@ class TestHaarHits:
         assert est.samples == 64
 
 
+@pytest.mark.slow
 class TestFaceLoopOracle:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_rows_match_the_replaced_face_loops(self, family):
@@ -315,3 +317,22 @@ class TestFaceLoopOracle:
                             rng.bit_generator.state = state
                             want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
                             assert got == want, (family, q, i)
+
+
+class TestProjectionOnFullCones:
+    @pytest.mark.parametrize("family, index", [("gaussian_iid", 39647),
+                                               ("scaled_gaussian_exchangeable", 25876)])
+    def test_v2_gate_draws_that_aborted_the_nnls(self, family, index):
+        # both draws are full cones on which the active-set NNLS ran out its
+        # iteration cap; the support rule finds g inside, so v_2 scores 0
+        seed = 20_250_810
+        gate = next(g for g in default_gates() if g.name == "v2/A n=6 d=4")
+        rng = _SampleStreams(_gate_seed(seed, gate.name, family)).at(index)
+        cone, _ = simulation._draw_sample(gate.query, DistributionSpec(family, 4), rng)
+        assert is_full_cone(cone)
+        state = rng.bit_generator.state
+        assert simulation.MEASURES["vk"](gate.query, cone, rng) == 0.0
+        rng.bit_generator.state = state
+        g = rng.standard_normal(4)
+        assert geometry.project_onto_cone(g, cone).face_dim == 4
+        assert len(geometry._projection_support(cone.generators, g)[0]) == 4
