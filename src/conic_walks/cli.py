@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, NumericError, SamplingError
@@ -30,12 +29,13 @@ EXIT_VERIFY = 4
 
 SEED_ENV_VAR = "CONIC_WALKS_SEED"
 
-CSV_HEADER = (
-    "functional", "model", "n", "d", "k", "m", "l", "j", "indices",
-    "conditioned", "dual", "walks", "bridges",
-    "exact_num", "exact_den", "exact_approx",
-    "mean", "stderr", "samples", "z", "rejected", "status",
-)
+# the keys of a record's "query" and "estimate" dicts, which are also their
+# CSV columns, in order
+QUERY_COLUMNS = ("functional", "model", "n", "d", "k", "m", "l", "j", "indices",
+                 "conditioned", "walks", "bridges")
+ESTIMATE_COLUMNS = ("mean", "stderr", "samples", "z", "rejected")
+CSV_HEADER = (QUERY_COLUMNS + ("exact_num", "exact_den", "exact_approx")
+              + ESTIMATE_COLUMNS + ("status",))
 
 _DIST_NAMES = {
     "gaussian": "gaussian_iid",
@@ -50,74 +50,6 @@ _FUNCTIONAL_ALIASES = {
     "face_intrinsic_sum": "face_intrinsic",
     "tangent_intrinsic_sum": "tangent_intrinsic",
 }
-
-
-@dataclass
-class OutputRecord:
-    """One emitted result row; round-trips through JSON and CSV."""
-
-    query: dict
-    exact: Optional[dict]
-    estimate: Optional[dict]
-    status: str = "ok"
-
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {"query": self.query, "exact": self.exact, "estimate": self.estimate,
-             "status": self.status},
-            sort_keys=True)
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "OutputRecord":
-        raw = json.loads(line)
-        return cls(query=raw["query"], exact=raw["exact"],
-                   estimate=raw["estimate"], status=raw["status"])
-
-    def to_csv_row(self) -> list[str]:
-        q, e, s = self.query, self.exact or {}, self.estimate or {}
-        fmt = lambda v: "" if v is None else str(v)
-        return [
-            fmt(q.get("functional")), fmt(q.get("model")), fmt(q.get("n")), fmt(q.get("d")),
-            fmt(q.get("k")), fmt(q.get("m")), fmt(q.get("l")), fmt(q.get("j")),
-            " ".join(str(i) for i in q.get("indices") or []),
-            fmt(q.get("conditioned")), fmt(q.get("dual")),
-            " ".join(str(i) for i in q.get("walks") or []),
-            " ".join(str(i) for i in q.get("bridges") or []),
-            fmt(e.get("num")), fmt(e.get("den")), fmt(e.get("approx")),
-            fmt(s.get("mean")), fmt(s.get("stderr")), fmt(s.get("samples")),
-            fmt(s.get("z")), fmt(s.get("rejected")), self.status,
-        ]
-
-    @classmethod
-    def from_csv_row(cls, row: Sequence[str]) -> "OutputRecord":
-        get = dict(zip(CSV_HEADER, row)).get
-        as_int = lambda v: int(v) if v else None
-        as_float = lambda v: float(v) if v else None
-        as_bool = lambda v: v == "True" if v else None
-        as_ints = lambda v: [int(x) for x in v.split()] if v else []
-        query = {
-            "functional": get("functional") or None, "model": get("model") or None,
-            "n": as_int(get("n")), "d": as_int(get("d")), "k": as_int(get("k")),
-            "m": as_int(get("m")), "l": as_int(get("l")), "j": as_int(get("j")),
-            "indices": as_ints(get("indices")),
-            "conditioned": as_bool(get("conditioned")), "dual": as_bool(get("dual")),
-            "walks": as_ints(get("walks")), "bridges": as_ints(get("bridges")),
-        }
-        exact = None
-        if get("exact_num"):
-            exact = {"num": get("exact_num"), "den": get("exact_den"),
-                     "approx": as_float(get("exact_approx"))}
-        est = None
-        if get("mean"):
-            est = {"mean": as_float(get("mean")), "stderr": as_float(get("stderr")),
-                   "samples": as_int(get("samples")), "z": as_float(get("z")),
-                   "rejected": as_int(get("rejected"))}
-        return cls(query=query, exact=exact, estimate=est, status=get("status") or "ok")
-
-
-def _estimate_dict(est: MCEstimate) -> dict:
-    return {"mean": est.mean, "stderr": est.stderr, "samples": est.samples,
-            "z": est.z, "rejected": est.rejected}
 
 
 def _canonical_functional(name: str) -> tuple[str, Optional[int]]:
@@ -184,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bridges", help="comma-separated bridge block lengths")
         p.add_argument("--conditioned", action="store_true",
                        help="condition the cone on not being all of R^d")
-        p.add_argument("--dual", action="store_true", help="dual cone (Y only)")
+        p.add_argument("--dual", action="store_true",
+                       help="dual cone: --functional Y --dual spells Y_dual")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_exact = sub.add_parser("exact", help="evaluate closed forms exactly")
@@ -214,9 +147,16 @@ def _queries_from_args(args: argparse.Namespace) -> Iterator[FunctionalQuery]:
     """The queries the flags ask for, built one at a time, so a sweep that
     reaches an invalid index fails there without building the rest."""
     functional, pinned_k = _canonical_functional(args.functional)
-    model = None
+    if args.dual:  # a spelling of Y_dual
+        if functional not in ("Y", "Y_dual"):
+            raise DomainError("--dual applies only to the Y functional")
+        functional = "Y_dual"
     spec = FUNCTIONALS.get(functional)
-    if spec is None or spec.needs_model or args.model is not None:
+    if spec is None:
+        raise DomainError(f"unknown functional {args.functional!r}; "
+                          f"expected one of {tuple(FUNCTIONALS)}")
+    model = None
+    if "model" in spec.fields or args.model is not None:
         if args.model is None or args.n is None or args.d is None:
             raise DomainError(f"functional {functional!r} requires --model, --n and --d")
         model = Model(args.model, args.n, args.d)
@@ -224,6 +164,9 @@ def _queries_from_args(args: argparse.Namespace) -> Iterator[FunctionalQuery]:
     walks = _parse_ints(args.walks, "--walks") or ()
     bridges = _parse_ints(args.bridges, "--bridges") or ()
     if pinned_k is not None:
+        if args.k is not None:
+            raise DomainError(f"{args.functional!r} already sets k; drop --k or use "
+                              f"--functional {functional}")
         ks: Sequence[Optional[int]] = [pinned_k]
     elif args.k is not None:
         ks = _parse_sweep(args.k, model.d if model else args.d)
@@ -235,33 +178,46 @@ def _queries_from_args(args: argparse.Namespace) -> Iterator[FunctionalQuery]:
         FunctionalQuery(
             functional, model=model, k=k, m=args.m, l=args.l, j=args.j,
             indices=indices, walk_lengths=walks, bridge_lengths=bridges,
-            n=n, d=d, conditioned=args.conditioned, dual=args.dual)
+            n=n, d=d, conditioned=args.conditioned)
         for k in ks
     )
 
 
-def _query_dict(q: FunctionalQuery) -> dict:
+def _record(query: FunctionalQuery, exact: Fraction, est: Optional[MCEstimate] = None) -> dict:
+    """One output record; with a model, n and d are its size."""
+    model = query.model
+    values = {"model": model.tag if model else None, "n": model.n if model else query.n,
+              "d": query.dimension, "indices": query.indices or (),
+              "walks": query.walk_lengths, "bridges": query.bridge_lengths}
     return {
-        "functional": q.functional,
-        "model": q.model.tag if q.model else None,
-        "n": q.model.n if q.model else q.n,
-        "d": q.dimension,
-        "k": q.k, "m": q.m, "l": q.l, "j": q.j,
-        "indices": list(q.indices) if q.indices else [],
-        "conditioned": q.conditioned, "dual": q.dual,
-        "walks": list(q.walk_lengths), "bridges": list(q.bridge_lengths),
+        "query": {key: values[key] if key in values else getattr(query, key)
+                  for key in QUERY_COLUMNS},
+        "exact": fraction_dict(exact),
+        "estimate": est and {key: getattr(est, key) for key in ESTIMATE_COLUMNS},
+        "status": "ok",
     }
 
 
-def _emit(records: list[OutputRecord], fmt: str, out) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _emit(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
-            out.write(rec.to_json_line() + "\n")
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow(rec.to_csv_row())
+        exact, est = rec["exact"], rec["estimate"] or {}
+        writer.writerow([_cell(rec["query"][key]) for key in QUERY_COLUMNS]
+                        + [_cell(exact[key]) for key in ("num", "den", "approx")]
+                        + [_cell(est.get(key)) for key in ESTIMATE_COLUMNS] + [rec["status"]])
 
 
 def _resolve_seed(value: Optional[int]) -> int:
@@ -272,11 +228,7 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace, out) -> int:
-    records = []
-    for query in _queries_from_args(args):
-        result = evaluate_query(query)
-        records.append(OutputRecord(query=_query_dict(query),
-                                    exact=fraction_dict(result.exact), estimate=None))
+    records = [_record(query, evaluate_query(query).exact) for query in _queries_from_args(args)]
     _emit(records, args.format, out)
     return EXIT_OK
 
@@ -289,9 +241,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         config = RunConfig(query=query, dist=dist, samples=args.samples,
                            seed=seed, workers=args.workers)
         est = estimate(config)
-        records.append(OutputRecord(query=_query_dict(query),
-                                    exact=fraction_dict(est.exact_ref),
-                                    estimate=_estimate_dict(est)))
+        records.append(_record(query, est.exact_ref, est))
     _emit(records, args.format, out)
     return EXIT_OK
 

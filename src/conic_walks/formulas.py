@@ -45,14 +45,14 @@ intrinsic volume carry dedicated conditioned formulas because they do not
 vanish on R^d.
 
 :data:`FUNCTIONALS` is the registry of functional names: per name its
-evaluator, the indices it requires, whether it has a conditioned variant
-and whether it needs a model.
+evaluator, the query fields it takes and whether it has a conditioned
+variant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -424,63 +424,62 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
 class Functional:
     """One registry row: how a functional name is evaluated.
 
-    ``evaluate`` takes the query, the tables and the values of the
-    ``indices`` it requires, in that order.
+    ``fields`` names the query fields the functional takes (its model, its
+    indices, its block lengths); ``evaluate`` takes the query, the tables
+    and the values of those fields, in that order.
     """
 
     evaluate: Callable[..., Fraction]
-    indices: tuple[str, ...] = ()
+    fields: tuple[str, ...]
     conditionable: bool = False
-    needs_model: bool = True
-    blocks: bool = False
 
 
 FUNCTIONALS: dict[str, Functional] = {
-    "absorption": Functional(lambda q, t: absorption_probability(q.model, t)),
-    "nonabsorption": Functional(lambda q, t: nonabsorption_probability(q.model, t)),
-    "wendel": Functional(lambda q, t, n, d: wendel_probability(n, d), ("n", "d"),
-                         needs_model=False),
-    "fk": Functional(lambda q, t, k: expected_fk(q.model, k, q.conditioned, t), ("k",), True),
-    "Uk": Functional(lambda q, t, k: expected_Uk(q.model, k, q.conditioned, t), ("k",), True),
-    "vk": Functional(lambda q, t, k: expected_vk(q.model, k, q.conditioned, t), ("k",), True),
-    "Lambda": Functional(lambda q, t, k: expected_Lambda(q.model, k, q.conditioned, t),
-                         ("k",), True),
-    "Y": Functional(lambda q, t, m, l: expected_Y(q.model, m, l, q.conditioned, t),
-                    ("m", "l"), True),
-    "Z": Functional(lambda q, t, j, k: expected_Z(q.model, j, k, q.conditioned, t),
-                    ("j", "k"), True),
+    "absorption": Functional(lambda q, t, model: absorption_probability(model, t), ("model",)),
+    "nonabsorption": Functional(lambda q, t, model: nonabsorption_probability(model, t),
+                                ("model",)),
+    "wendel": Functional(lambda q, t, n, d: wendel_probability(n, d), ("n", "d")),
+    "fk": Functional(lambda q, t, model, k: expected_fk(model, k, q.conditioned, t),
+                     ("model", "k"), True),
+    "Uk": Functional(lambda q, t, model, k: expected_Uk(model, k, q.conditioned, t),
+                     ("model", "k"), True),
+    "vk": Functional(lambda q, t, model, k: expected_vk(model, k, q.conditioned, t),
+                     ("model", "k"), True),
+    "Lambda": Functional(lambda q, t, model, k: expected_Lambda(model, k, q.conditioned, t),
+                         ("model", "k"), True),
+    "Y": Functional(lambda q, t, model, m, l: expected_Y(model, m, l, q.conditioned, t),
+                    ("model", "m", "l"), True),
+    "Z": Functional(lambda q, t, model, j, k: expected_Z(model, j, k, q.conditioned, t),
+                    ("model", "j", "k"), True),
     "face_intrinsic": Functional(
-        lambda q, t, m, l: expected_face_intrinsic_sum(q.model, m, l, t), ("m", "l")),
+        lambda q, t, model, m, l: expected_face_intrinsic_sum(model, m, l, t),
+        ("model", "m", "l")),
     "tangent_intrinsic": Functional(
-        lambda q, t, j, k: expected_tangent_intrinsic_sum(q.model, j, k, t), ("j", "k")),
-    "Y_dual": Functional(lambda q, t, m, l: expected_Y_dual(q.model, m, l, t), ("m", "l")),
-    "face_prob": Functional(lambda q, t, idx: face_probability(q.model, idx, tables=t),
-                            ("indices",)),
+        lambda q, t, model, j, k: expected_tangent_intrinsic_sum(model, j, k, t),
+        ("model", "j", "k")),
+    "Y_dual": Functional(lambda q, t, model, m, l: expected_Y_dual(model, m, l, t),
+                         ("model", "m", "l")),
+    "face_prob": Functional(lambda q, t, model, idx: face_probability(model, idx, tables=t),
+                            ("model", "indices")),
     "subspace_prob": Functional(
-        lambda q, t, k: subspace_intersection_probability(q.model, k, t), ("k",)),
+        lambda q, t, model, k: subspace_intersection_probability(model, k, t), ("model", "k")),
     "joint_absorption": Functional(
-        lambda q, t, d: joint_absorption_probability(q.walk_lengths, q.bridge_lengths, d,
-                                                     tables=t),
-        ("d",), needs_model=False, blocks=True),
+        lambda q, t, walks, bridges, d: joint_absorption_probability(walks, bridges, d,
+                                                                     tables=t),
+        ("walk_lengths", "bridge_lengths", "d")),
 }
-
-
-# FunctionalQuery fields that hold indices; a query may set only those its
-# registry row declares.  n and d are indices of wendel and joint_absorption
-# only: a model carries its own size.
-_INDEX_FIELDS = ("k", "m", "l", "j", "indices", "n", "d")
 
 
 @dataclass(frozen=True)
 class FunctionalQuery:
-    """One evaluation request: a functional plus the indices it needs.
+    """One evaluation request: a functional plus the fields its registry
+    row declares.
 
-    ``model`` is required for all functionals except ``wendel`` (which takes
-    bare ``n``/``d``) and ``joint_absorption`` (which takes block lengths
-    and ``d``), and those two take none; block lengths belong to
-    ``joint_absorption`` only.  A field the functional does not declare, or
-    an index or length that is not an integer, raises :class:`DomainError`.
-    ``dual=True`` on a ``Y`` query redirects to the dual cone.
+    A declared field must be set: a model, an index, or a tuple of integers
+    (block lengths may be empty).  An undeclared field must be left unset.
+    Either mistake, or an index or length that is not an integer, raises
+    :class:`DomainError` naming the field.  ``n`` and ``d`` are fields of
+    ``wendel`` and ``joint_absorption`` only: a model carries its own size.
     """
 
     functional: str
@@ -495,45 +494,30 @@ class FunctionalQuery:
     n: Optional[int] = None
     d: Optional[int] = None
     conditioned: bool = False
-    dual: bool = False
 
     def __post_init__(self) -> None:
         name = self.functional
-        if name == "Y" and self.dual:
-            object.__setattr__(self, "functional", "Y_dual")
-            object.__setattr__(self, "dual", False)
-            name = "Y_dual"
         spec = FUNCTIONALS.get(name)
         if spec is None:
             raise DomainError(f"unknown functional {name!r}; expected one of {tuple(FUNCTIONALS)}")
         if self.conditioned and not spec.conditionable:
             raise DomainError(f"functional {name!r} has no conditioned variant")
-        if self.dual and name != "Y_dual":
-            raise DomainError("the dual flag applies only to the Y functional")
-        if spec.needs_model and self.model is None:
-            raise DomainError(f"functional {name!r} requires a model")
-        if not spec.needs_model and self.model is not None:
-            raise DomainError(f"functional {name!r} takes no model")
-        if (self.walk_lengths or self.bridge_lengths) and not spec.blocks:
-            raise DomainError(f"functional {name!r} takes no walk or bridge lengths")
-        for key in (key for key in _INDEX_FIELDS if getattr(self, key) is not None):
-            if key not in spec.indices:
-                raise DomainError(f"functional {name!r} takes no index {key!r}; "
-                                  f"it declares {', '.join(spec.indices) or 'none'}")
-            val = getattr(self, key)
-            object.__setattr__(self, key, tuple(as_index(i, key) for i in val)
-                               if key == "indices" else as_index(val, key))
+        for field in dataclass_fields(self)[1:-1]:  # between functional and conditioned
+            key, value = field.name, getattr(self, field.name)
+            if key not in spec.fields:
+                if value is not None and value != ():
+                    raise DomainError(f"functional {name!r} takes no {key!r}; "
+                                      f"it takes {', '.join(spec.fields)}")
+            elif value is None:
+                raise DomainError(f"functional {name!r} requires {key!r}")
+            elif key != "model":
+                object.__setattr__(self, key, tuple(as_index(i, key) for i in value)
+                                   if "tuple" in str(field.type) else as_index(value, key))
 
     @property
     def dimension(self) -> Optional[int]:
         """Ambient dimension: the model's, else ``d``."""
         return self.model.d if self.model is not None else self.d
-
-    def _require(self, names: tuple[str, ...]) -> list:
-        for key in names:
-            if getattr(self, key) is None:
-                raise DomainError(f"functional {self.functional!r} requires index {key!r}")
-        return [getattr(self, key) for key in names]
 
 
 @dataclass(frozen=True)
@@ -552,4 +536,4 @@ def evaluate_query(query: FunctionalQuery,
     """Evaluate a query through its registry row and wrap the exact result."""
     t = tables if tables is not None else default_tables()
     spec = FUNCTIONALS[query.functional]
-    return FormulaResult(spec.evaluate(query, t, *query._require(spec.indices)))
+    return FormulaResult(spec.evaluate(query, t, *(getattr(query, key) for key in spec.fields)))

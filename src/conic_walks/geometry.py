@@ -580,7 +580,11 @@ def _projection_support(gens: np.ndarray, g: np.ndarray) -> tuple[tuple[int, ...
     positive candidate is a point of the cone, so when rounding lets no
     support pass, the one nearest to g is taken; the empty support, with
     residual g, always is a candidate.  Nothing iterates and nothing raises.
+
+    The rows are first scaled by one power of two to keep the Gram products
+    finite; that is exact, and LU with partial pivoting is invariant under it.
     """
+    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(initial=0.0))[1])
     n, d = gens.shape
     best, best_resid = (), g
     if (gens @ g <= 0.0).all():

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, SamplingError
+from .errors import DomainError, SamplingError, as_index
 from .formulas import (
     A_BRIDGE,
     B_WALK,
@@ -56,12 +56,14 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown distribution family {self.family!r}; expected {FAMILIES}")
+        object.__setattr__(self, "d", as_index(self.d, "d"))
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got d={self.d}")
 
 
 def sample_increments(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n increment vectors in R^d according to the family."""
+    n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"need at least one increment, got n={n}")
     if dist.family == "gaussian_iid":
@@ -179,6 +181,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for key in ("samples", "seed", "workers"):
+            object.__setattr__(self, key, as_index(getattr(self, key), key))
         if self.samples < 1:
             raise DomainError("need at least one sample")
         if self.workers < 1:

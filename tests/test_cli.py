@@ -9,14 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conic_walks.cli import (
-    CSV_HEADER,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFY,
-    OutputRecord,
-    main,
-)
+from conic_walks.cli import CSV_HEADER, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, QUERY_COLUMNS, main
+from conic_walks.formulas import FUNCTIONALS
 
 
 def run_cli(*argv):
@@ -66,16 +60,28 @@ class TestExact:
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(text)))
         assert tuple(rows[0]) == CSV_HEADER
-        rec = OutputRecord.from_csv_row(rows[1])
-        assert rec.exact["num"] == "3" and rec.exact["den"] == "8"
-        assert rec.query["functional"] == "vk" and rec.query["k"] == 0
+        rec = dict(zip(CSV_HEADER, rows[1]))
+        assert rec["exact_num"] == "3" and rec["exact_den"] == "8"
+        assert rec["functional"] == "vk" and rec["k"] == "0"
+        assert rec["indices"] == rec["mean"] == "" and rec["status"] == "ok"
 
     def test_json_round_trip(self):
         code, text = run_cli("exact", "--model", "B", "--functional", "face_prob",
                              "--n", "3", "--d", "2", "--indices", "1")
-        rec = OutputRecord.from_json_line(text.strip())
-        assert rec.to_json_line() == text.strip()
-        assert rec.query["indices"] == [1]
+        rec = json.loads(text)
+        assert json.dumps(rec, sort_keys=True) == text.strip()
+        assert rec["query"]["indices"] == [1]
+
+    def test_csv_query_columns_are_the_json_query_keys(self):
+        args = ("--functional", "joint_absorption", "--walks", "1,2", "--bridges", "2", "--d", "2")
+        _, text = run_cli("exact", *args)
+        _, table = run_cli("exact", *args, "--format", "csv")
+        query = json.loads(text)["query"]
+        header, row = list(csv.reader(io.StringIO(table)))
+        assert tuple(header[:len(QUERY_COLUMNS)]) == QUERY_COLUMNS
+        assert set(QUERY_COLUMNS) == set(query)
+        cells = dict(zip(header, row))
+        assert cells["walks"] == "1 2" and query["walks"] == [1, 2]
 
     def test_joint_absorption(self):
         code, text = run_cli("exact", "--functional", "joint_absorption",
@@ -106,8 +112,39 @@ class TestExact:
                              "--n", "3", "--d", "2", "--m", "2", "--l", "0", "--dual")
         assert code == EXIT_OK
         rec = json.loads(text.strip())
-        assert rec["query"]["functional"] == "Y_dual"
+        assert rec["query"]["functional"] == "Y_dual" and "dual" not in rec["query"]
         assert rec["exact"]["num"] == "1" and rec["exact"]["den"] == "2"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_dual_spellings_print_one_record(self, fmt):
+        base = ("exact", "--model", "A", "--n", "3", "--d", "2", "--m", "2", "--l", "0",
+                "--format", fmt)
+        outputs = {run_cli(*base, "--functional", name, *flag)
+                   for name, flag in [("Y", ["--dual"]), ("Y_dual", []), ("Y_dual", ["--dual"])]}
+        assert len(outputs) == 1
+        code, text = outputs.pop()
+        assert code == EXIT_OK and "Y_dual" in text
+
+    def test_dual_flag_rejected_elsewhere(self, capsys):
+        code, text = run_cli("exact", "--model", "A", "--functional", "fk",
+                             "--n", "4", "--d", "2", "--k", "1", "--dual")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "--dual" in capsys.readouterr().err
+
+    def test_shorthand_with_k_exits_usage(self, capsys):
+        code, text = run_cli("exact", "--model", "A", "--functional", "f1",
+                             "--n", "4", "--d", "2", "--k", "0")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "--k" in capsys.readouterr().err
+
+    def test_unknown_functional_lists_the_registry(self, capsys):
+        code, _ = run_cli("exact", "--functional", "xyz")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown functional 'xyz'" in err
+        assert all(repr(name) in err for name in FUNCTIONALS)
 
     def test_violated_hypothesis_exits_usage(self):
         code, _ = run_cli("exact", "--model", "A", "--functional", "Y",
@@ -128,7 +165,7 @@ class TestExact:
                              "--n", "4", "--d", "2", "--k", "0..2")
         assert code == EXIT_USAGE
         assert text == ""
-        assert "takes no index 'k'" in capsys.readouterr().err
+        assert "takes no 'k'" in capsys.readouterr().err
 
     def test_large_n_absorption_split_is_exact(self):
         # row n = 10^4 from the first d+2 coefficients of its root product;

@@ -419,19 +419,14 @@ class TestModelValidation:
 
 
 class TestQueryLayer:
-    def test_dual_flag_redirects(self):
-        q = FunctionalQuery("Y", A32, m=2, l=0, dual=True)
-        assert q.functional == "Y_dual"
-        assert evaluate_query(q).exact == F(1, 2)
-
     def test_decimal_shadow(self):
         res = evaluate_query(FunctionalQuery("wendel", n=4, d=3))
         assert res.exact == F(7, 8)
         assert res.decimal == 0.875
 
     def test_missing_index_rejected(self):
-        with pytest.raises(DomainError):
-            evaluate_query(FunctionalQuery("fk", B32))
+        with pytest.raises(DomainError, match="requires 'k'"):
+            FunctionalQuery("fk", B32)
 
     def test_unknown_functional_rejected(self):
         with pytest.raises(DomainError):

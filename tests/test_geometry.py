@@ -388,6 +388,16 @@ class TestSupportRule:
         with pytest.raises(DomainError, match=r"n=20, d=30 needs 1048575 row subsets"):
             project_onto_cone(np.ones(30), wide)
 
+    def test_huge_generators_do_not_overflow(self):
+        # their Gram products would exceed the double range; the suite turns
+        # the overflow warning into an error
+        cone = ConeSample(np.array([[1e200, 0.0], [1e200, 1e200]]))
+        proj = project_onto_cone([1.0, -1.0], cone)
+        assert proj.active_set == (0,) and proj.face_dim == 1
+        assert proj.point.tolist() == [1.0, 0.0]
+        support, resid = geometry._projection_support(cone.generators, np.array([1.0, -1.0]))
+        assert support == (0,) and resid.tolist() == [0.0, -1.0]
+
     def test_a_support_that_rounds_to_singular_is_no_candidate(self):
         # det = 3 * fl(1/3) - 1 is nonzero, but LU pivots it to exactly zero
         gens = np.array([[3.0, 1.0], [1.0, 1.0 / 3.0]])

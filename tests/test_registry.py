@@ -1,5 +1,6 @@
 """The functional registry drives exact evaluation, the CLI and the simulator."""
 
+import dataclasses
 import io
 import json
 import re
@@ -12,28 +13,41 @@ from conic_walks.formulas import FUNCTIONALS, FunctionalQuery, Model, evaluate_q
 from conic_walks.simulation import MEASURES, DistributionSpec, RunConfig, estimate
 
 MODEL = Model("B", 5, 3)
-INDEX_VALUES = {"k": 1, "m": 2, "l": 1, "j": 1, "indices": (1, 3), "n": 4, "d": 3}
-BLOCKS = {"walk_lengths": (2,), "bridge_lengths": (3,)}
+# one value for every optional FunctionalQuery field
+VALUES = {"model": MODEL, "k": 1, "m": 2, "l": 1, "j": 1, "indices": (1, 3),
+          "walk_lengths": (2,), "bridge_lengths": (3,), "n": 4, "d": 3}
+BLOCK_KEYS = ("walk_lengths", "bridge_lengths")
+INDEX_KEYS = tuple(key for key in VALUES if key != "model" and key not in BLOCK_KEYS)
+FLAGS = {"walk_lengths": "--walks", "bridge_lengths": "--bridges"}
 
 
-def example_query(name, leave_out=None):
-    spec = FUNCTIONALS[name]
-    kw = {key: INDEX_VALUES[key] for key in spec.indices if key != leave_out}
-    blocks = BLOCKS if spec.blocks else {}
-    return FunctionalQuery(name, MODEL if spec.needs_model else None, **kw, **blocks)
+def example_query(name, **changes):
+    kw = {key: VALUES[key] for key in FUNCTIONALS[name].fields}
+    return FunctionalQuery(name, **{**kw, **changes})
 
 
 def cli_args(name):
-    spec = FUNCTIONALS[name]
     args = ["exact", "--functional", name]
-    if spec.blocks:
-        args += ["--walks", "2", "--bridges", "3"]
-    if spec.needs_model:
-        args += ["--model", MODEL.tag, "--n", str(MODEL.n), "--d", str(MODEL.d)]
-    for key in spec.indices:
-        value = INDEX_VALUES[key]
-        args += [f"--{key}", ",".join(map(str, value)) if key == "indices" else str(value)]
+    for key in FUNCTIONALS[name].fields:
+        value = VALUES[key]
+        if key == "model":
+            args += ["--model", value.tag, "--n", str(value.n), "--d", str(value.d)]
+        elif isinstance(value, tuple):
+            args += [FLAGS.get(key, f"--{key}"), ",".join(map(str, value))]
+        else:
+            args += [f"--{key}", str(value)]
     return args
+
+
+def undeclared(keys):
+    return [(name, key) for name, spec in FUNCTIONALS.items()
+            for key in keys if key not in spec.fields]
+
+
+def test_query_fields_are_the_optional_dataclass_fields():
+    names = [f.name for f in dataclasses.fields(FunctionalQuery)]
+    assert names == ["functional", *VALUES, "conditioned"]
+    assert all(set(spec.fields) <= set(VALUES) for spec in FUNCTIONALS.values())
 
 
 @pytest.mark.parametrize("name", list(FUNCTIONALS))
@@ -48,46 +62,41 @@ def test_row_evaluates_through_query_and_cli(name):
 
 
 @pytest.mark.parametrize("name, key", [(name, key) for name, spec in FUNCTIONALS.items()
-                                       for key in spec.indices])
+                                       for key in spec.fields])
 def test_missing_declared_index_is_named(name, key):
-    with pytest.raises(DomainError, match=f"requires index '{key}'"):
-        evaluate_query(example_query(name, leave_out=key))
+    # raised when the query is built, not when it is evaluated
+    with pytest.raises(DomainError, match=f"requires '{key}'"):
+        example_query(name, **{key: None})
 
 
-@pytest.mark.parametrize("name, key", [(name, key) for name, spec in FUNCTIONALS.items()
-                                       for key in INDEX_VALUES if key not in spec.indices])
+@pytest.mark.parametrize("name, key", undeclared(INDEX_KEYS))
 def test_undeclared_index_is_rejected(name, key):
-    spec = FUNCTIONALS[name]
-    kw = {k: INDEX_VALUES[k] for k in spec.indices}
-    kw[key] = INDEX_VALUES[key]
-    with pytest.raises(DomainError, match=f"takes no index '{key}'"):
-        FunctionalQuery(name, MODEL if spec.needs_model else None, **kw)
+    with pytest.raises(DomainError, match=f"takes no '{key}'"):
+        example_query(name, **{key: VALUES[key]})
 
 
-@pytest.mark.parametrize("name", [name for name, spec in FUNCTIONALS.items()
-                                  if not spec.needs_model])
+@pytest.mark.parametrize("name", [name for name, _ in undeclared(["model"])])
 def test_model_is_rejected_where_none_is_needed(name):
-    spec = FUNCTIONALS[name]
-    kw = {key: INDEX_VALUES[key] for key in spec.indices}
-    blocks = BLOCKS if spec.blocks else {}
-    with pytest.raises(DomainError, match="takes no model"):
-        FunctionalQuery(name, Model("A", 6, 2), **kw, **blocks)
+    with pytest.raises(DomainError, match="takes no 'model'"):
+        example_query(name, model=Model("A", 6, 2))
 
 
-@pytest.mark.parametrize("name, field", [(name, field) for name, spec in FUNCTIONALS.items()
-                                         if not spec.blocks for field in BLOCKS])
+@pytest.mark.parametrize("name, field", undeclared(BLOCK_KEYS))
 def test_block_lengths_are_rejected_outside_joint_absorption(name, field):
-    spec = FUNCTIONALS[name]
-    kw = {key: INDEX_VALUES[key] for key in spec.indices}
-    with pytest.raises(DomainError, match="takes no walk or bridge lengths"):
-        FunctionalQuery(name, MODEL if spec.needs_model else None, **kw,
-                        **{field: BLOCKS[field]})
+    with pytest.raises(DomainError, match=f"takes no '{field}'"):
+        example_query(name, **{field: VALUES[field]})
+
+
+def test_block_lengths_may_be_empty():
+    query = example_query("joint_absorption", bridge_lengths=())
+    assert query.bridge_lengths == ()
+    assert evaluate_query(query).exact == 0  # one 2-step walk never absorbs in d = 3
 
 
 @pytest.mark.parametrize("args, message", [
     (["--model", "A", "--n", "4", "--d", "2", "--functional", "absorption",
-      "--walks", "3", "--bridges", "5"], "takes no walk or bridge lengths"),
-    (["--model", "A", "--n", "4", "--d", "3", "--functional", "wendel"], "takes no model"),
+      "--walks", "3", "--bridges", "5"], "takes no 'walk_lengths'"),
+    (["--model", "A", "--n", "4", "--d", "3", "--functional", "wendel"], "takes no 'model'"),
 ])
 def test_cli_rejects_stray_fields(args, message, capsys):
     assert main(["exact"] + args, out=io.StringIO()) == EXIT_USAGE
@@ -99,8 +108,8 @@ def test_cli_rejects_stray_fields(args, message, capsys):
     lambda: FunctionalQuery("Y", Model("B", 5, 3), m=2.0, l=1),
     lambda: FunctionalQuery("face_prob", Model("B", 5, 3), indices=(1, 2.5)),
     lambda: FunctionalQuery("wendel", n=4, d=2.5),
-    lambda: evaluate_query(FunctionalQuery("joint_absorption", walk_lengths=(1.5,), d=1)),
-    lambda: evaluate_query(FunctionalQuery("joint_absorption", bridge_lengths=(2.0,), d=1)),
+    lambda: FunctionalQuery("joint_absorption", walk_lengths=(1.5,), d=1),
+    lambda: FunctionalQuery("joint_absorption", bridge_lengths=(2.0,), d=1),
     lambda: Model("A", 4.5, 2),
     lambda: Model("B", 4, 2.0),
 ])

@@ -51,6 +51,20 @@ class TestDistributions:
         with pytest.raises(DomainError):
             DistributionSpec("uniform_ball", 2)
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: DistributionSpec("gaussian_iid", 2.0), "d"),
+        (lambda: sample_increments(GAUSS2, 2.5, rng_for(0)), "n"),
+        (lambda: RunConfig(query=FunctionalQuery("fk", Model("B", 3, 2), k=1),
+                           dist=GAUSS2, samples=100.5, seed=0), "samples"),
+        (lambda: RunConfig(query=FunctionalQuery("fk", Model("B", 3, 2), k=1),
+                           dist=GAUSS2, samples=100, seed=0.5), "seed"),
+        (lambda: RunConfig(query=FunctionalQuery("fk", Model("B", 3, 2), k=1),
+                           dist=GAUSS2, samples=100, seed=0, workers=2.0), "workers"),
+    ])
+    def test_non_integer_arguments_are_rejected(self, build, named):
+        with pytest.raises(DomainError, match=f"^{named} must be an integer"):
+            build()
+
     def test_heavy_tails_are_heavy(self):
         rng = rng_for(1)
         steps = sample_increments(DistributionSpec("heavy_tail_iid", 1), 20_000, rng)
