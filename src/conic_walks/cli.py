@@ -43,20 +43,20 @@ _DIST_NAMES = {
     "scaled": "scaled_gaussian_exchangeable",
 }
 
+# registry names in any case, and the spellings none of them gives
 _FUNCTIONAL_ALIASES = {
-    "f_k": "fk", "u_k": "Uk", "uk": "Uk", "v_k": "vk",
-    "lambda": "Lambda", "lambda_k": "Lambda",
-    "y": "Y", "z": "Z", "y_dual": "Y_dual",
+    "f_k": "fk", "u_k": "Uk", "v_k": "vk", "lambda_k": "Lambda",
     "face_intrinsic_sum": "face_intrinsic",
     "tangent_intrinsic_sum": "tangent_intrinsic",
+    **{name.lower(): name for name in FUNCTIONALS},
 }
 
 
 def _canonical_functional(name: str) -> tuple[str, Optional[int]]:
     """Resolve CLI spellings; shorthand like f1/U2/v0 pins the index."""
-    short = re.fullmatch(r"([fUv])(\d+)", name)
+    short = re.fullmatch(r"([fuv])(\d+)", name, re.IGNORECASE)
     if short:
-        return {"f": "fk", "U": "Uk", "v": "vk"}[short.group(1)], int(short.group(2))
+        return _FUNCTIONAL_ALIASES[short.group(1).lower() + "k"], int(short.group(2))
     return _FUNCTIONAL_ALIASES.get(name.lower(), name), None
 
 

@@ -38,6 +38,7 @@ _WEIGHTS: dict[str, Callable[[int], Iterable[int]]] = {
     "first": lambda n: itertools.repeat(n - 1),
     "second": lambda n: itertools.count(),
     "first_B": lambda n: itertools.repeat(2 * n - 1),
+    "second_B": lambda n: itertools.count(1, 2),
 }
 
 
@@ -67,19 +68,6 @@ class StirlingTables:
 
     def _grow(self, kind: str, n: int) -> None:
         rows = self._rows[kind]
-        if kind == "second_B":
-            # Defined by the sum  sum_m 2^(m-k) C(n,m) {m k}  rather than a
-            # recurrence; the recurrence form is only validated in tests.
-            self._grow("second", n)
-            second = self._rows["second"]
-            while len(rows) <= n:
-                m = len(rows)
-                rows.append([
-                    sum((1 << (i - k)) * math.comb(m, i) * second[i][k]
-                        for i in range(k, m + 1))
-                    for k in range(m + 1)
-                ])
-            return
         weights = _WEIGHTS[kind]
         while len(rows) <= n:
             prev = rows[-1]

@@ -45,7 +45,7 @@ intrinsic volume carry dedicated conditioned formulas because they do not
 vanish on R^d.
 
 :data:`FUNCTIONALS` is the registry of functional names: per name its
-evaluator, the query fields it takes and whether it has a conditioned
+closed form, the query fields it takes and whether it has a conditioned
 variant.
 """
 
@@ -170,6 +170,7 @@ def wendel_probability(n: int, d: int) -> Fraction:
     symmetric points around the origin in dimension three.  For d >= n the
     sum holds every C(n-1, k) and the probability is 1.
     """
+    n, d = as_index(n, "n"), as_index(d, "d")
     if n < 1 or d < 1:
         raise DomainError(f"wendel probability requires n >= 1 and d >= 1, got n={n}, d={d}")
     return Fraction(sum(binomial(n - 1, k) for k in range(min(d, n))), 1 << (n - 1))
@@ -399,6 +400,7 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
     """
     walks = tuple(as_index(x, "a walk length") for x in walk_lengths)
     bridges = tuple(as_index(x, "a bridge length") for x in bridge_lengths)
+    d = as_index(d, "d")
     if not walks and not bridges:
         raise DomainError("joint absorption needs at least one walk or bridge block")
     if any(w < 1 for w in walks):
@@ -422,11 +424,12 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
 
 @dataclass(frozen=True)
 class Functional:
-    """One registry row: how a functional name is evaluated.
+    """One registry row: the closed form behind a functional name.
 
     ``fields`` names the query fields the functional takes (its model, its
-    indices, its block lengths); ``evaluate`` takes the query, the tables
-    and the values of those fields, in that order.
+    indices, its block lengths); ``evaluate`` is the closed form, called
+    with the values of those fields in that order, ``tables=`` and, on a
+    conditionable row, ``conditioned=``.
     """
 
     evaluate: Callable[..., Fraction]
@@ -435,38 +438,22 @@ class Functional:
 
 
 FUNCTIONALS: dict[str, Functional] = {
-    "absorption": Functional(lambda q, t, model: absorption_probability(model, t), ("model",)),
-    "nonabsorption": Functional(lambda q, t, model: nonabsorption_probability(model, t),
-                                ("model",)),
-    "wendel": Functional(lambda q, t, n, d: wendel_probability(n, d), ("n", "d")),
-    "fk": Functional(lambda q, t, model, k: expected_fk(model, k, q.conditioned, t),
-                     ("model", "k"), True),
-    "Uk": Functional(lambda q, t, model, k: expected_Uk(model, k, q.conditioned, t),
-                     ("model", "k"), True),
-    "vk": Functional(lambda q, t, model, k: expected_vk(model, k, q.conditioned, t),
-                     ("model", "k"), True),
-    "Lambda": Functional(lambda q, t, model, k: expected_Lambda(model, k, q.conditioned, t),
-                         ("model", "k"), True),
-    "Y": Functional(lambda q, t, model, m, l: expected_Y(model, m, l, q.conditioned, t),
-                    ("model", "m", "l"), True),
-    "Z": Functional(lambda q, t, model, j, k: expected_Z(model, j, k, q.conditioned, t),
-                    ("model", "j", "k"), True),
-    "face_intrinsic": Functional(
-        lambda q, t, model, m, l: expected_face_intrinsic_sum(model, m, l, t),
-        ("model", "m", "l")),
-    "tangent_intrinsic": Functional(
-        lambda q, t, model, j, k: expected_tangent_intrinsic_sum(model, j, k, t),
-        ("model", "j", "k")),
-    "Y_dual": Functional(lambda q, t, model, m, l: expected_Y_dual(model, m, l, t),
-                         ("model", "m", "l")),
-    "face_prob": Functional(lambda q, t, model, idx: face_probability(model, idx, tables=t),
-                            ("model", "indices")),
-    "subspace_prob": Functional(
-        lambda q, t, model, k: subspace_intersection_probability(model, k, t), ("model", "k")),
-    "joint_absorption": Functional(
-        lambda q, t, walks, bridges, d: joint_absorption_probability(walks, bridges, d,
-                                                                     tables=t),
-        ("walk_lengths", "bridge_lengths", "d")),
+    "absorption": Functional(absorption_probability, ("model",)),
+    "nonabsorption": Functional(nonabsorption_probability, ("model",)),
+    "wendel": Functional(lambda n, d, tables: wendel_probability(n, d), ("n", "d")),
+    "fk": Functional(expected_fk, ("model", "k"), True),
+    "Uk": Functional(expected_Uk, ("model", "k"), True),
+    "vk": Functional(expected_vk, ("model", "k"), True),
+    "Lambda": Functional(expected_Lambda, ("model", "k"), True),
+    "Y": Functional(expected_Y, ("model", "m", "l"), True),
+    "Z": Functional(expected_Z, ("model", "j", "k"), True),
+    "face_intrinsic": Functional(expected_face_intrinsic_sum, ("model", "m", "l")),
+    "tangent_intrinsic": Functional(expected_tangent_intrinsic_sum, ("model", "j", "k")),
+    "Y_dual": Functional(expected_Y_dual, ("model", "m", "l")),
+    "face_prob": Functional(face_probability, ("model", "indices")),
+    "subspace_prob": Functional(subspace_intersection_probability, ("model", "k")),
+    "joint_absorption": Functional(joint_absorption_probability,
+                                   ("walk_lengths", "bridge_lengths", "d")),
 }
 
 
@@ -534,6 +521,7 @@ class FormulaResult:
 def evaluate_query(query: FunctionalQuery,
                    tables: StirlingTables | None = None) -> FormulaResult:
     """Evaluate a query through its registry row and wrap the exact result."""
-    t = tables if tables is not None else default_tables()
     spec = FUNCTIONALS[query.functional]
-    return FormulaResult(spec.evaluate(query, t, *(getattr(query, key) for key in spec.fields)))
+    flags = {"conditioned": query.conditioned} if spec.conditionable else {}
+    return FormulaResult(spec.evaluate(*(getattr(query, key) for key in spec.fields),
+                                       tables=tables, **flags))

@@ -556,15 +556,21 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     ``DEFAULT_TOL`` * max(1, |g|), or a full cone, puts g inside
     (``face_dim = d``); otherwise the face dimension is the support's size.
     The cone follows the contract of :func:`is_face`, and the supports obey
-    ``MAX_SUBSETS`` like the minor table.
+    ``MAX_SUBSETS`` like the minor table.  The projection is positively
+    homogeneous, so a point of magnitude 1 or more is first scaled down by
+    one power of two, which is exact and keeps huge finite points finite.
     """
     g = _validated_point(cone, g)
     _check_subset_count(cone.n_generators, cone.d)
     full = _full_or_checked(cone)
-    support, resid = _projection_support(cone.generators, g)
-    if full or np.linalg.norm(resid) <= DEFAULT_TOL * max(1.0, np.linalg.norm(g)):
+    expo = max(np.frexp(np.abs(g).max())[1], 0)
+    unit = np.ldexp(g, -expo)
+    support, resid = _projection_support(cone.generators, unit)
+    slack = DEFAULT_TOL * max(np.ldexp(1.0, -expo), np.linalg.norm(unit))  # in unit's scale
+    if full or np.linalg.norm(resid) <= slack:
         return ConeProjection(point=g.copy(), active_set=support, face_dim=cone.d)
-    return ConeProjection(point=g - resid, active_set=support, face_dim=len(support))
+    point = g - np.ldexp(resid, expo)
+    return ConeProjection(point=point, active_set=support, face_dim=len(support))
 
 
 def _projection_support(gens: np.ndarray, g: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:

@@ -96,8 +96,6 @@ def _general_position_draw(draw: Callable[[], np.ndarray], what: str) -> tuple[C
 
 def _draw_cone(model: Model, dist: DistributionSpec,
                rng: np.random.Generator) -> tuple[ConeSample, int]:
-    if dist.d != model.d:
-        raise DomainError(f"distribution dimension {dist.d} != model dimension {model.d}")
     draw = _bridge_generators if model.is_bridge else _walk_generators
     return _general_position_draw(lambda: draw(dist, model.n, rng),
                                   f"draw ({dist.family}, n={model.n}, d={model.d})")
@@ -238,13 +236,6 @@ def _quermassintegral(q: FunctionalQuery, cone: ConeSample, rng: np.random.Gener
     return 0.0 if k == d else _u(cone.generators, k, rng)
 
 
-def _face_intrinsic(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    if q.m > cone.d - 1:
-        raise DomainError(
-            "face_intrinsic simulation enumerates proper faces and requires m <= d-1")
-    return _face_sum(cone, q.m, False, lambda b: _v(b, q.l, rng))
-
-
 MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Generator], float]] = {
     "absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
     "nonabsorption": lambda q, cone, rng: 0.0 if is_full_cone(cone) else 1.0,
@@ -256,7 +247,8 @@ MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Generator],
     # the top quermassintegral of a tangent cone vanishes
     "Z": lambda q, cone, rng: 0.0 if q.k == cone.d else _face_sum(
         cone, q.j, True, lambda b: _u(b, q.k - q.j, rng)),
-    "face_intrinsic": _face_intrinsic,
+    # _faces lists no d-face, so m = d measures 0, as the closed form reads
+    "face_intrinsic": lambda q, cone, rng: _face_sum(cone, q.m, False, lambda b: _v(b, q.l, rng)),
     "tangent_intrinsic": lambda q, cone, rng: _face_sum(
         cone, q.j, True, lambda b: _v(b, q.k - q.j, rng)),
     # 1-based partial sums -> generator rows

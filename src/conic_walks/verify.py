@@ -109,11 +109,12 @@ def _check_recurrences_vs_expansion(t: StirlingTables, max_n: int) -> None:
 
 
 def _check_second_b_recurrence(t: StirlingTables, max_n: int) -> None:
-    # the definitional sum must satisfy  B2(n,k) = B2(n-1,k-1) + (2k+1) B2(n-1,k)
+    # the rows grown by  B2(n,k) = B2(n-1,k-1) + (2k+1) B2(n-1,k)  must equal
+    # the defining sum  sum_i 2^(i-k) C(n,i) {i k}
     for n in range(1, max_n + 1):
         for k in range(n + 1):
             lhs = t.second_b(n, k)
-            rhs = t.second_b(n - 1, k - 1) + (2 * k + 1) * t.second_b(n - 1, k)
+            rhs = sum((1 << (i - k)) * math.comb(n, i) * t.second(i, k) for i in range(k, n + 1))
             assert lhs == rhs, f"second kind B recurrence at ({n},{k}): {lhs} != {rhs}"
 
 

@@ -54,6 +54,18 @@ class TestExact:
         assert code == EXIT_OK
         assert json.loads(text.strip())["exact"]["num"] == "11"
 
+    @pytest.mark.parametrize("canonical, spellings", [
+        ("fk --k 1", ["FK --k 1", "Fk --k 1", "f1", "F1"]),
+        ("vk --k 0", ["VK --k 0", "v0", "V0"]),
+        ("Uk --k 2", ["U2", "u2"]),
+    ])
+    def test_names_match_in_any_case(self, canonical, spellings):
+        base = ("exact", "--model", "B", "--n", "5", "--d", "3", "--functional")
+        expected = run_cli(*base, *canonical.split())
+        assert expected[0] == EXIT_OK
+        for spelling in spellings:
+            assert run_cli(*base, *spelling.split()) == expected
+
     def test_csv_format_and_round_trip(self):
         code, text = run_cli("exact", "--model", "B", "--functional", "vk",
                              "--n", "2", "--d", "2", "--k", "0..2", "--format", "csv")
@@ -229,6 +241,15 @@ class TestSimulate:
                           "--n", "2", "--d", "1", "--samples", "100")
         assert code == EXIT_USAGE
         assert "CONIC_WALKS_SEED" in capsys.readouterr().err
+
+    def test_face_intrinsic_at_m_equal_d_is_zero(self):
+        code, text = run_cli("simulate", "--model", "A", "--n", "4", "--d", "2",
+                             "--functional", "face_intrinsic", "--m", "2", "--l", "1",
+                             "--samples", "200", "--seed", "1")
+        assert code == EXIT_OK
+        rec = json.loads(text.strip())
+        assert rec["exact"]["num"] == "0"
+        assert rec["estimate"]["mean"] == rec["estimate"]["stderr"] == 0.0
 
     def test_worker_flag_does_not_change_bytes(self):
         args = ("simulate", "--model", "B", "--functional", "nonabsorption",

@@ -1,7 +1,8 @@
 """Cone geometry predicates against brute-force and library oracles."""
 
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conic_walks import geometry
 from conic_walks.errors import DegenerateInputError, DomainError, NumericError
+from conic_walks.formulas import Model, absorption_probability, expected_fk, face_probability
 from conic_walks.geometry import (
     MAX_SUBSETS,
     ConeSample,
@@ -398,6 +400,15 @@ class TestSupportRule:
         support, resid = geometry._projection_support(cone.generators, np.array([1.0, -1.0]))
         assert support == (0,) and resid.tolist() == [0.0, -1.0]
 
+    def test_huge_points_do_not_overflow(self):
+        # their norms would exceed the double range
+        proj = project_onto_cone([1e200, -1e200], ConeSample([[1.0, 0.0], [1.0, 1.0]]))
+        assert proj.active_set == (0,) and proj.face_dim == 1
+        assert proj.point.tolist() == [1e200, 0.0]
+        proj = project_onto_cone([1e300, 1e300], ConeSample(np.eye(2)))
+        assert proj.face_dim == 2 and proj.point.tolist() == [1e300, 1e300]
+        assert not cone_contains(ConeSample(np.eye(2)), [1e300, -1e300])
+
     def test_a_support_that_rounds_to_singular_is_no_candidate(self):
         # det = 3 * fl(1/3) - 1 is nonzero, but LU pivots it to exactly zero
         gens = np.array([[3.0, 1.0], [1.0, 1.0 / 3.0]])
@@ -443,6 +454,48 @@ class TestCountFaces:
             count_k_faces(ConeSample(np.eye(2)), 2)
         with pytest.raises(DomainError, match="must be an integer"):
             count_k_faces(ConeSample(np.eye(3)), 1.5)
+
+
+# One list of Gaussian increments per model, drawn in this order from one
+# seeded generator.
+_ORBIT_RNG = np.random.default_rng(20250810)
+ORBIT_STEPS = {model: _ORBIT_RNG.standard_normal((model.n, model.d)) for model in (
+    Model("A", 4, 2), Model("A", 5, 3), Model("B", 3, 2), Model("B", 4, 3), Model("A", 6, 3))}
+
+
+def orbit_cones(model, steps):
+    """The cones of every permutation of the increments (a bridge, recentred
+    by their mean) or every signed permutation (a walk)."""
+    if model.is_bridge:
+        steps = steps - steps.mean(axis=0)
+        return [ConeSample(np.cumsum(steps[list(p)], axis=0)[:-1])
+                for p in permutations(range(model.n))]
+    signs = [np.array(s)[:, None] for s in product((1.0, -1.0), repeat=model.n)]
+    return [ConeSample(np.cumsum(s * steps[list(p)], axis=0))
+            for p in permutations(range(model.n)) for s in signs]
+
+
+class TestOrbitAverages:
+    """A uniformly random permutation of fixed increments is exchangeable, and
+    a uniformly random signed permutation is also sign-symmetric; the closed
+    forms need nothing more.  So over an orbit in general position every
+    expectation is a finite average, and it equals its closed form exactly."""
+
+    @pytest.mark.parametrize("model", list(ORBIT_STEPS), ids=lambda m: f"{m.tag}-n{m.n}-d{m.d}")
+    def test_face_counts_absorption_and_face_probabilities(self, model):
+        cones = orbit_cones(model, ORBIT_STEPS[model])
+        assert all(cone.in_general_position() for cone in cones)
+
+        def average(value):
+            return Fraction(sum(value(cone) for cone in cones), len(cones))
+
+        for k in range(model.d):
+            assert average(lambda cone: count_k_faces(cone, k)) == expected_fk(model, k)
+        assert average(is_full_cone) == absorption_probability(model)
+        for size in range(1, model.d):
+            for idx in combinations(range(1, model.generator_count + 1), size):
+                assert average(lambda cone: is_face(cone, [i - 1 for i in idx])) == \
+                    face_probability(model, idx)
 
 
 class TestTangentBase:

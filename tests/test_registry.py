@@ -9,7 +9,27 @@ import pytest
 
 from conic_walks.cli import EXIT_OK, EXIT_USAGE, main
 from conic_walks.errors import DomainError
-from conic_walks.formulas import FUNCTIONALS, FunctionalQuery, Model, evaluate_query
+from conic_walks.formulas import (
+    FUNCTIONALS,
+    FunctionalQuery,
+    Model,
+    absorption_probability,
+    evaluate_query,
+    expected_face_intrinsic_sum,
+    expected_fk,
+    expected_Lambda,
+    expected_tangent_intrinsic_sum,
+    expected_Uk,
+    expected_vk,
+    expected_Y,
+    expected_Y_dual,
+    expected_Z,
+    face_probability,
+    joint_absorption_probability,
+    nonabsorption_probability,
+    subspace_intersection_probability,
+    wendel_probability,
+)
 from conic_walks.simulation import MEASURES, DistributionSpec, RunConfig, estimate
 
 MODEL = Model("B", 5, 3)
@@ -59,6 +79,36 @@ def test_row_evaluates_through_query_and_cli(name):
     assert rec["query"]["functional"] == name
     assert (int(rec["exact"]["num"]), int(rec["exact"]["den"])) == (
         exact.numerator, exact.denominator)
+
+
+# each row's public closed form, called directly with the VALUES its row
+# declares and the conditioned flag where it has one
+DIRECT_CALLS = {
+    "absorption": lambda c: absorption_probability(MODEL),
+    "nonabsorption": lambda c: nonabsorption_probability(MODEL),
+    "wendel": lambda c: wendel_probability(4, 3),
+    "fk": lambda c: expected_fk(MODEL, 1, c),
+    "Uk": lambda c: expected_Uk(MODEL, 1, c),
+    "vk": lambda c: expected_vk(MODEL, 1, c),
+    "Lambda": lambda c: expected_Lambda(MODEL, 1, c),
+    "Y": lambda c: expected_Y(MODEL, 2, 1, c),
+    "Z": lambda c: expected_Z(MODEL, 1, 1, c),
+    "face_intrinsic": lambda c: expected_face_intrinsic_sum(MODEL, 2, 1),
+    "tangent_intrinsic": lambda c: expected_tangent_intrinsic_sum(MODEL, 1, 1),
+    "Y_dual": lambda c: expected_Y_dual(MODEL, 2, 1),
+    "face_prob": lambda c: face_probability(MODEL, (1, 3)),
+    "subspace_prob": lambda c: subspace_intersection_probability(MODEL, 1),
+    "joint_absorption": lambda c: joint_absorption_probability((2,), (3,), 3),
+}
+
+
+@pytest.mark.parametrize("name, conditioned", [
+    (name, conditioned) for name, spec in FUNCTIONALS.items()
+    for conditioned in sorted({False, spec.conditionable})])
+def test_query_equals_a_direct_call_of_the_closed_form(name, conditioned):
+    assert set(DIRECT_CALLS) == set(FUNCTIONALS)
+    query = example_query(name, conditioned=conditioned)
+    assert evaluate_query(query).exact == DIRECT_CALLS[name](conditioned)
 
 
 @pytest.mark.parametrize("name, key", [(name, key) for name, spec in FUNCTIONALS.items()
@@ -112,6 +162,9 @@ def test_cli_rejects_stray_fields(args, message, capsys):
     lambda: FunctionalQuery("joint_absorption", bridge_lengths=(2.0,), d=1),
     lambda: Model("A", 4.5, 2),
     lambda: Model("B", 4, 2.0),
+    lambda: wendel_probability(4.0, 3),
+    lambda: wendel_probability(4, 2.5),
+    lambda: joint_absorption_probability([2], [3], 2.0),
 ])
 def test_non_integer_sizes_and_indices_are_rejected(build):
     with pytest.raises(DomainError, match="must be an integer"):
