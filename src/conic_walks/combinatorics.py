@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, as_index
 
 KINDS = ("first", "second", "first_B", "second_B")
 
@@ -161,10 +161,10 @@ def _validated_parts(n: int, parts: Sequence[int],
                      final_bridge: bool = False) -> tuple[tuple[int, ...], int]:
     """The parts as a tuple and the n - sum(parts) steps left after them: every
     part >= 1, and with ``final_bridge`` those steps form a nonempty block."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(as_index(p, "a composition part") for p in parts)
     if any(p < 1 for p in parts):
         raise DomainError("composition parts must be integers >= 1")
-    tail = n - sum(parts)
+    tail = as_index(n, "n") - sum(parts)
     if tail < 0:
         raise DomainError(f"composition parts sum to {sum(parts)} > total {n}")
     if final_bridge and tail < 1:
@@ -238,10 +238,10 @@ class LowOrderProduct:
     """The low-order view of P(t) = prod (t + a): the coefficients c_r of
     t^r for r < len(coeffs), and the values P(1) and P(-1).
 
-    That is all the closed forms read.  Sums over low indices come from
-    ``coeffs``; upper tails follow from P(1) = sum of all c_r and
-    P(-1) = sum of (-1)^r c_r.  Asking for a coefficient past ``coeffs``
-    raises IndexError rather than reading a truncated sum.
+    That is all the closed forms read, and only through the sums below:
+    low indices, optionally weighted per index, from ``coeffs``; upper
+    tails from P(1) = sum of all c_r and P(-1) = sum of (-1)^r c_r.  Asking
+    for a coefficient past ``coeffs`` raises IndexError, not a truncated sum.
     """
 
     coeffs: list[int]
@@ -255,9 +255,14 @@ class LowOrderProduct:
         return cls(root_product(roots, m), math.prod(a + 1 for a in roots),
                    math.prod(a - 1 for a in roots))
 
-    def down(self, start: int) -> int:
-        """c_start + c_(start-2) + ... over nonnegative indices."""
-        return sum(self.coeffs[r] for r in range(start, -1, -2))
+    def down(self, start: int, weight: Callable[[int], int] = lambda r: 1) -> int:
+        """c_start w(start) + c_(start-2) w(start-2) + ... over nonnegative indices."""
+        return sum(self.coeffs[r] * weight(r) for r in range(start, -1, -2))
+
+    def alternating(self, start: int, weight: Callable[[int], int] = lambda r: 1) -> int:
+        """c_start w(start) - c_(start-1) w(start-1) + ... down to index 0."""
+        return sum((-1) ** (start - r) * self.coeffs[r] * weight(r)
+                   for r in range(start, -1, -1))
 
     def parity_tail(self, a: int) -> int:
         """Sum of c_r over r >= a with r = a (mod 2), from P(1) and P(-1)."""
@@ -321,6 +326,7 @@ def coeff_Q_poly(n: int, parts: Sequence[int],
 
 def _coefficient(roots: list[int], r: int) -> int:
     # past the degree the coefficient is 0; no padded product is built for it
+    r = as_index(r, "r")
     return root_product(roots, r + 1)[r] if 0 <= r <= len(roots) else 0
 
 
@@ -340,6 +346,7 @@ def coeff_Q(n: int, parts: Sequence[int], r: int) -> int:
 
 def compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of ``count`` integers >= 1 summing to ``total``."""
+    total, count = as_index(total, "total"), as_index(count, "count")
     if count < 0 or total < 0:
         raise DomainError("composition enumeration needs nonnegative arguments")
     if count == 0:

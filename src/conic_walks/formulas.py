@@ -34,9 +34,11 @@ The closed forms read only the coefficients of index below d+s of row n,
 below d-k of a face product and below d of a joint block product, so rows
 and products are built as truncated root products
 (:class:`~conic_walks.combinatorics.LowOrderProduct`), rows cached on the
-tables instance passed in; no first-kind triangle is built.  Upper tails
-come from the product's values at t = 1 and t = -1.  The second-kind
-numbers are read from the tables, at rows i <= d only.
+tables instance passed in; no first-kind triangle is built.  Every sum
+over a row or product is one of its methods (``down``, ``alternating``,
+``parity_tail``, ``tail``); upper tails come from the product's values at
+t = 1 and t = -1.  The second-kind numbers are read from the tables, at
+rows i <= d only.
 
 Conditioned variants (``conditioned=True``) refer to the cone conditioned
 on being a proper subset of R^d; for functionals vanishing on R^d this is
@@ -94,30 +96,6 @@ class Model:
         return self.n - 1 if self.is_bridge else self.n
 
 
-# ---------------------------------------------------------------------------
-# tail-sum helpers
-
-
-def _sum_down(f: Callable[[int], int], start: int) -> int:
-    """f(start) + f(start-2) + ... over nonnegative indices."""
-    total = 0
-    i = start
-    while i >= 0:
-        total += f(i)
-        i -= 2
-    return total
-
-
-def _sum_alternating_down(f: Callable[[int], int], start: int) -> int:
-    """f(start) - f(start-1) + f(start-2) - ... over nonnegative indices."""
-    total = 0
-    sign = 1
-    for i in range(start, -1, -1):
-        total += sign * f(i)
-        sign = -sign
-    return total
-
-
 @dataclass(frozen=True)
 class Family:
     """The parameters that turn one closed form into its bridge or walk case."""
@@ -135,14 +113,10 @@ class Family:
         """All of row n; the face sums read such rows for n <= d+1."""
         return t.low_row(self.roots, n, n + 1)
 
-    def term(self, t: StirlingTables, row: LowOrderProduct, j: int) -> Callable[[int], int]:
-        """i -> row[i] * second(i, j+s)."""
-        c, second, js = row.coeffs, self.second, j + self.shift
-        return lambda i: c[i] * second(t, i, js)
-
     def bulk(self, t: StirlingTables, row: LowOrderProduct, j: int, x: int) -> int:
         """row[i] * second(i, j+s) summed over i = x-1+s, x-3+s, ... >= 0."""
-        return _sum_down(self.term(t, row, j), x - 1 + self.shift)
+        second, js = self.second, j + self.shift
+        return row.down(x - 1 + self.shift, lambda i: second(t, i, js))
 
     def weight(self, j: int) -> int:
         """(j+s)! * base**j."""
@@ -270,11 +244,10 @@ def expected_vk(model: Model, k: int, conditioned: bool = False,
     if not 0 <= k <= d:
         raise DomainError(f"expected_vk requires 0 <= k <= d, got k={k}, d={d}")
     row = f.row(t, n, d)
-    c = row.coeffs
     if conditioned:
-        num = _sum_alternating_down(c.__getitem__, d - 1 + s) if k == d else c[k + s]
+        num = row.alternating(d - 1 + s) if k == d else row.coeffs[k + s]
         return Fraction(num, 2 * row.down(d - 1 + s))
-    return Fraction(row.tail(d + s) if k == d else c[k + s], row.at_one)
+    return Fraction(row.tail(d + s) if k == d else row.coeffs[k + s], row.at_one)
 
 
 def expected_Lambda(model: Model, k: int, conditioned: bool = False,
@@ -316,8 +289,8 @@ def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
             f"expected_tangent_intrinsic_sum requires 0 <= j <= d-1 and j <= k <= d, "
             f"got j={j}, k={k}, d={d}")
     row = f.row(t, n, d)
-    term = f.term(t, row, j)
-    total = _sum_alternating_down(term, d - 1 + s) if k == d else term(k + s)
+    total = (row.alternating(d - 1 + s, lambda i: f.second(t, i, j + s)) if k == d
+             else row.coeffs[k + s] * f.second(t, k + s, j + s))
     return Fraction(f.weight(j) * total, row.at_one)
 
 

@@ -158,8 +158,8 @@ def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> boo
     would exceed ``MAX_SUBSETS`` row subsets raise DomainError.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise DomainError("need at least one point, all of the same dimension")
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        raise DomainError("need at least one point, all of the same dimension >= 1")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
     return _origin_in_hull(pts)
@@ -639,6 +639,7 @@ def sample_uniform_subspace(d: int, m: int, rng: np.random.Generator) -> Subspac
     Orthonormalizes a d x m standard Gaussian matrix; numerically
     rank-deficient draws (probability ~0) are resampled.
     """
+    d, m = as_index(d, "d"), as_index(m, "m")
     if not 0 <= m <= d:
         raise DomainError(f"subspace dimension must satisfy 0 <= m <= d, got m={m}, d={d}")
     if m == 0:

@@ -36,6 +36,7 @@ from .combinatorics import (
     root_product,
     walk_roots,
 )
+from .errors import DomainError, as_index
 from .formulas import (
     A_BRIDGE,
     B_WALK,
@@ -488,8 +489,15 @@ def verify_suite(budget: int = 100_000,
     Budgets below 10^4 samples have too little power for the |z| <= 4 gates,
     so the Monte Carlo matrix is marked skipped and only identities count.
     With ``tamper=True`` the identities run against deliberately corrupted
-    tables, which must make at least one of them fail.
+    tables, which must make at least one of them fail.  Non-integer
+    arguments, a negative budget or no worker raise DomainError at once.
     """
+    budget, seed, workers = (as_index(budget, "budget"), as_index(seed, "seed"),
+                             as_index(workers, "workers"))
+    if budget < 0:
+        raise DomainError(f"budget must be nonnegative, got {budget}")
+    if workers < 1:
+        raise DomainError("worker count must be >= 1")
     tables = corrupted_tables() if tamper else None
     identities = identity_checks(tables=tables)
     if tamper and all(c.status == "pass" for c in identities):
@@ -517,9 +525,9 @@ def verify_suite(budget: int = 100_000,
     overall = "pass" if id_failed == 0 and (rate is None or rate >= MC_PASS_RATE) else "fail"
     return {
         "schema": SCHEMA_VERSION,
-        "seed": int(seed),
-        "budget": int(budget),
-        "workers": int(workers),
+        "seed": seed,
+        "budget": budget,
+        "workers": workers,
         "distributions": list(FAMILIES),
         "tampered": bool(tamper),
         "identities": [c.as_dict() for c in identities],

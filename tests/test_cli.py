@@ -278,6 +278,15 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["summary"]["identities_failed"] >= 1
 
+    def test_zero_workers_is_a_usage_error(self, tmp_path):
+        # rejected although the small budget would skip every gate
+        out = tmp_path / "report.json"
+        code, text = run_cli("verify", "--budget", "100", "--workers", "0",
+                             "--out", str(out))
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert not out.exists()
+
     def test_report_bytes_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("verify", "--budget", "100", "--seed", "11", "--out", str(out_a))

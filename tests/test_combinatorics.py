@@ -232,6 +232,15 @@ class TestCoefficientPolynomials:
             coeff_Q(3, (3,), 0)  # no room for the final bridge block
         with pytest.raises(DomainError):
             coeff_P(5, (1, -2), 0)
+        # non-integers are rejected, not truncated to a neighbouring composition
+        with pytest.raises(DomainError):
+            coeff_P(5, (1.5, 2), 0)
+        with pytest.raises(DomainError):
+            coeff_Q(6, (2.9, 1), 1)
+        with pytest.raises(DomainError):
+            coeff_P(5, (1, 2), 1.0)
+        with pytest.raises(DomainError):
+            list(compositions(4.0, 2))
 
 
 def test_coefficients_match_the_triangle_polynomials():
@@ -327,6 +336,8 @@ class TestRootProduct:
             low.parity_tail(5)
         with pytest.raises(IndexError):
             low.tail(4)
+        with pytest.raises(IndexError):
+            low.alternating(3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -342,3 +353,11 @@ def test_root_product_and_tails_match_full_expansion(roots, extra, data):
     for a in range(len(full) + 1):
         assert low.parity_tail(a) == sum(full[a::2])
         assert low.tail(a) == sum(full[a:])
+    for a in range(-1, len(full)):
+        assert low.down(a) == sum(full[r] for r in range(a, -1, -2))
+        assert low.alternating(a) == sum((-1) ** (a - r) * full[r] for r in range(a + 1))
+        # a weight that is zero at r = 2 and negative at r = 0 and 1
+        assert low.down(a, lambda r: r * r - 4) == sum(
+            full[r] * (r * r - 4) for r in range(a, -1, -2))
+        assert low.alternating(a, lambda r: r * r - 4) == sum(
+            (-1) ** (a - r) * full[r] * (r * r - 4) for r in range(a + 1))

@@ -71,6 +71,8 @@ class TestOriginInConvexHull:
             origin_in_convex_hull(np.zeros((0, 2)))
         with pytest.raises(DomainError):
             origin_in_convex_hull([(np.nan, 0.0)])
+        with pytest.raises(DomainError):
+            origin_in_convex_hull(np.zeros((3, 0)))  # points with no coordinate
 
     def test_fast_paths_agree_with_lp_feasibility(self):
         # the sign and angular-gap shortcuts against a plain feasibility LP
@@ -529,6 +531,9 @@ class TestSubspaceSampling:
         assert sample_uniform_subspace(4, 4, rng).dim == 4
         with pytest.raises(DomainError):
             sample_uniform_subspace(3, 4, rng)
+        with pytest.raises(DomainError):
+            sample_uniform_subspace(2.5, 1, rng)
+        assert sample_uniform_subspace(0, 0, rng).basis.shape == (0, 0)
 
     def test_projection_lengths_have_trace_mean(self):
         # squared projection of a fixed unit vector onto a Haar m-subspace

@@ -1,5 +1,8 @@
-"""Import-time footprint of the package."""
+"""Import-time footprint of the package, and the names that use it."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -22,3 +25,54 @@ def test_import_loads_no_scipy():
 def test_every_exported_name_resolves():
     missing = [name for name in conic_walks.__all__ if not hasattr(conic_walks, name)]
     assert missing == []
+
+
+def _resolve(module, name):
+    """``module.name``, importing it if it is a submodule; None if it is neither."""
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module.__name__}.{name}")
+    except ImportError:
+        return None
+
+
+def _package_references(path):
+    """(line, dotted name, whether it resolves) for every name the file
+    imports from the package and every attribute it reads on a package module
+    it imported."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, refs = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "conic_walks":
+                    if alias.asname:
+                        modules[alias.asname] = importlib.import_module(alias.name)
+                    else:
+                        modules["conic_walks"] = conic_walks
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "conic_walks"):
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                value = _resolve(source, alias.name)
+                refs.append((node.lineno, f"{node.module}.{alias.name}", value is not None))
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            module = modules[node.value.id]
+            refs.append((node.lineno, f"{module.__name__}.{node.attr}",
+                         hasattr(module, node.attr)))
+    return refs
+
+
+def test_benchmark_harness_names_resolve():
+    # the traced benchmark imports perfbench/layers.py, which no other test
+    # runs, so a package name it uses that moved or went must fail here
+    harness = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+    refs = [(path.name, line, name, ok)
+            for path in harness for line, name, ok in _package_references(path)]
+    assert len(refs) > 50
+    assert [(file, line, name) for file, line, name, ok in refs if not ok] == []

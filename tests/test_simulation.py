@@ -227,6 +227,13 @@ class TestVerifySuite:
         assert report["summary"]["mc_run"] == 0
         assert all(c["status"] == "skipped" for c in report["mc_checks"])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"budget": 100.5}, {"budget": 100, "seed": 0.5}, {"budget": 100, "workers": 0},
+        {"budget": 100.5, "seed": 0.5, "workers": 0}, {"budget": -3}])
+    def test_bad_arguments_are_rejected_before_anything_runs(self, kwargs):
+        with pytest.raises(DomainError):
+            verify_suite(**kwargs)
+
     def test_small_budget_reports_are_byte_identical(self):
         a = report_to_json(verify_suite(budget=100, seed=5))
         b = report_to_json(verify_suite(budget=100, seed=5))
