@@ -175,6 +175,7 @@ def _conditioned(value: Fraction, model: Model, tables: StirlingTables) -> Fract
 def expected_Y(model: Model, m: int, l: int, conditioned: bool = False,
                tables: StirlingTables | None = None) -> Fraction:
     """Expected sum over m-faces of the l-th conic quermassintegral."""
+    m, l = as_index(m, "m"), as_index(l, "l")
     t, f = _family(model, tables)
     n, d, s = model.n, model.d, f.shift
     if not 0 <= l < m <= d - 1:
@@ -188,6 +189,7 @@ def expected_Y(model: Model, m: int, l: int, conditioned: bool = False,
 def expected_Z(model: Model, j: int, k: int, conditioned: bool = False,
                tables: StirlingTables | None = None) -> Fraction:
     """Expected sum over j-faces of the k-th quermassintegral of the tangent cone."""
+    j, k = as_index(j, "j"), as_index(k, "k")
     t, f = _family(model, tables)
     n, d = model.n, model.d
     if not 0 <= j <= k <= d:
@@ -204,6 +206,7 @@ def expected_fk(model: Model, k: int, conditioned: bool = False,
     k = 0 counts the apex, so the unconditioned value equals the
     nonabsorption probability.
     """
+    k = as_index(k, "k")
     t, f = _family(model, tables)
     n, d = model.n, model.d
     if not 0 <= k <= d - 1:
@@ -221,6 +224,7 @@ def expected_Uk(model: Model, k: int, conditioned: bool = False,
     space contributes U_k(R^d) = 1 exactly when d-k is odd; the conditioned
     cone is never R^d, so it has its own ratio formula.
     """
+    k = as_index(k, "k")
     t, f = _family(model, tables)
     n, d, s = model.n, model.d, f.shift
     if not 0 <= k <= d:
@@ -239,6 +243,7 @@ def expected_Uk(model: Model, k: int, conditioned: bool = False,
 def expected_vk(model: Model, k: int, conditioned: bool = False,
                 tables: StirlingTables | None = None) -> Fraction:
     """Expected k-th conic intrinsic volume, 0 <= k <= d."""
+    k = as_index(k, "k")
     t, f = _family(model, tables)
     n, d, s = model.n, model.d, f.shift
     if not 0 <= k <= d:
@@ -253,6 +258,7 @@ def expected_vk(model: Model, k: int, conditioned: bool = False,
 def expected_Lambda(model: Model, k: int, conditioned: bool = False,
                     tables: StirlingTables | None = None) -> Fraction:
     """Expected total solid-angle content of the k-faces, 1 <= k <= d-1."""
+    k = as_index(k, "k")
     t, f = _family(model, tables)
     n, d = model.n, model.d
     if not 1 <= k <= d - 1:
@@ -265,6 +271,7 @@ def expected_Lambda(model: Model, k: int, conditioned: bool = False,
 def expected_face_intrinsic_sum(model: Model, m: int, l: int,
                                 tables: StirlingTables | None = None) -> Fraction:
     """Expected sum over m-faces of the l-th conic intrinsic volume."""
+    m, l = as_index(m, "m"), as_index(l, "l")
     t, f = _family(model, tables)
     n, d, s = model.n, model.d, f.shift
     if not 0 <= l <= m <= d:
@@ -282,6 +289,7 @@ def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
     The case k = j gives the internal-angle sum, k = d the external-style
     alternating tail.
     """
+    j, k = as_index(j, "j"), as_index(k, "k")
     t, f = _family(model, tables)
     n, d, s = model.n, model.d, f.shift
     if not (0 <= j <= d - 1 and j <= k <= d):
@@ -301,6 +309,7 @@ def expected_Y_dual(model: Model, m: int, l: int,
     Obtained from the duality  Y_{m,l}(dual C) = f_{d-m}(C)/2 - Z_{d-m,d-l}(C)
     for full-dimensional C.
     """
+    m, l = as_index(m, "m"), as_index(l, "l")
     t, f = _family(model, tables)
     n, d = model.n, model.d
     if not 0 <= l < m <= d:
@@ -351,6 +360,7 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
 def subspace_intersection_probability(model: Model, k: int,
                                       tables: StirlingTables | None = None) -> Fraction:
     """Probability that the cone meets a fixed generic (d-k)-subspace nontrivially."""
+    k = as_index(k, "k")
     t, f = _family(model, tables)
     n, d = model.n, model.d
     if not 0 <= k <= d - 1:

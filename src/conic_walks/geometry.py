@@ -1,11 +1,11 @@
 """Exact computational geometry for finitely generated cones.
 
 The cone is always the positive hull of the rows of a generator matrix.
-Every verdict reads one record per cone: the exact signs of all d x d
-minors of the generators, certified by a floating-point filter with an
-exact integer fallback, and the facet mask they imply.  A facet is a
-(d-1)-subset of generators with every other generator strictly on one
-side of its span.
+Every verdict reads one sign record per batch of cones (a single cone is a
+batch of one): the exact signs of all d x d minors of each cone's
+generators, certified by a floating-point filter with an exact integer
+fallback, and the facet masks they imply.  A facet is a (d-1)-subset of
+generators with every other generator strictly on one side of its span.
 
 In general position (no minor exactly zero) a cone is either all of R^d
 or pointed with simplicial facets.  So the cone is full exactly when it
@@ -63,15 +63,16 @@ class ConeSample:
 
     @cached_property
     def _signs(self) -> _SignRecord | None:
-        # None when there are fewer generators than dimensions: no d x d minor
-        return _SignRecord(self.generators) if self.n_generators >= self.d else None
+        # a batch of one; None when there are fewer generators than
+        # dimensions: no d x d minor
+        return _SignRecord.of(self.generators[None]) if self.n_generators >= self.d else None
 
     def in_general_position(self) -> bool:
         """There are at least d generators and no d x d minor of them is
         exactly zero.  Raises DomainError when the minor table would exceed
         ``MAX_SUBSETS`` row subsets."""
         rec = self._signs
-        return rec is not None and rec.general
+        return rec is not None and bool(rec.general[0])
 
 
 @dataclass(frozen=True)
@@ -166,65 +167,129 @@ def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> boo
 
 
 def _origin_in_hull(pts: np.ndarray) -> bool:
-    """Exact verdict for any finite 2-d array of points; callers validate.
+    """Exact verdict for any finite 2-d array of points; callers validate."""
+    return bool(_origin_in_hulls(pts[None])[0])
 
-    In general position the origin is outside exactly when a facet exists.
-    Otherwise a zero point is inside; points with no nonzero d x d minor
-    pass to coordinates on which their span maps one-to-one; and full-rank
-    points positively span R^d unless some (d-1)-subset spanning a
-    hyperplane has every other point weakly on one side, when a convex
-    combination giving the origin can use only the points on it.
+
+def _origin_in_hulls(pts: np.ndarray) -> np.ndarray:
+    """Exact verdicts for a batch of point sets of shape (S, n, d), one per set.
+
+    In one dimension the verdict is a sign test.  In general position the
+    origin is outside exactly when a facet exists; every other set takes
+    :func:`_hull_descent`.
     """
-    while True:
-        n, d = pts.shape
-        if d == 1:
-            x = pts[:, 0]
-            return not (x.min() > 0.0 or x.max() < 0.0)
-        rec = _SignRecord(pts) if n >= d else None
-        if rec is not None and rec.general:
-            return not rec.facets.any()
-        if not pts.any(axis=1).all():
-            return True
-        if rec is None or not rec.signs.any():
-            pts = pts[:, _bareiss(_integer_rows(pts))[0]]
-            continue
-        support = _weakly_supporting(rec.sides)
-        if not support.any():
-            return True
-        t = int(np.argmax(support))
-        on_wall = rec.table.facet_others[t][rec.sides[t] == 0]
-        pts = pts[np.sort(np.concatenate([rec.table.facet_rows[t], on_wall]))]
+    _, n, d = pts.shape
+    if d == 1:
+        x = pts[:, :, 0]
+        return ~((x.min(axis=1) > 0.0) | (x.max(axis=1) < 0.0))
+    if n < d:
+        return np.array([_hull_descent(p, None) for p in pts], dtype=bool)
+    rec = _SignRecord.of(pts)
+    inside = ~rec.facets.any(axis=1)
+    for s in np.flatnonzero(~rec.general):
+        inside[s] = _hull_descent(pts[s], rec.take([s]))
+    return inside
+
+
+def _hull_descent(pts: np.ndarray, rec: _SignRecord | None) -> bool:
+    """Verdict for one set of points with an exactly zero d x d minor, or
+    fewer points than dimensions (``rec`` its sign record, or None).
+
+    A zero point is inside; points with no nonzero d x d minor pass to
+    coordinates on which their span maps one-to-one; and full-rank points
+    positively span R^d unless some (d-1)-subset spanning a hyperplane has
+    every other point weakly on one side, when a convex combination giving
+    the origin can use only the points on it.  Each step drops a point or
+    a coordinate.
+    """
+    if not pts.any(axis=1).all():
+        return True
+    if rec is None or not rec.signs.any():
+        return _origin_in_hull(pts[:, _bareiss(_integer_rows(pts))[0]])
+    sides = rec.sides[0]
+    support = _weakly_supporting(sides)
+    if not support.any():
+        return True
+    t = int(np.argmax(support))
+    on_wall = rec.table.facet_others[t][sides[:, t] == 0]
+    return _origin_in_hull(pts[np.sort(np.concatenate([rec.table.facet_rows[t], on_wall]))])
 
 
 class _SignRecord:
-    """Exact signs of all d x d minors of n >= d points, read as geometry.
+    """Exact signs of all d x d minors of S sets of n >= d points each, read
+    as geometry.  A single cone is a batch of one.
 
-    ``general`` says no minor is zero.  ``sides[t]`` holds the side of
-    every point outside (d-1)-subset t (``table.facet_others[t]``) relative
-    to the hyperplane that subset spans, 0 on it, and ``facets`` marks the
+    ``signs`` has shape (S, T), T = C(n, d), and ``general[s]`` says no
+    minor of set s is zero.  ``sides[s, :, t]`` holds the side of every
+    point outside (d-1)-subset t (``table.facet_others[t]``) relative to
+    the hyperplane that subset spans, 0 on it, and ``facets[s]`` marks the
     subsets with every other point strictly on one side; both are derived
-    on first use.
+    on first use.  The other points run along the middle axis of
+    ``sides``, so each facet test reduces across contiguous rows.
     """
 
-    def __init__(self, pts: np.ndarray) -> None:
-        self.table = _minor_table(*pts.shape)
-        self.signs = _minor_signs(pts, self.table)
-        self.general = bool(self.signs.all())
+    def __init__(self, table: _MinorTable, signs: np.ndarray) -> None:
+        self.table = table
+        self.signs = signs
+        self.general = signs.all(axis=1)
+
+    @classmethod
+    def of(cls, pts: np.ndarray) -> _SignRecord:
+        table = _minor_table(*pts.shape[1:])
+        return cls(table, _minor_signs(pts, table))
+
+    def take(self, which) -> _SignRecord:
+        """The record of the selected sets."""
+        return _SignRecord(self.table, self.signs[which])
 
     @cached_property
     def sides(self) -> np.ndarray:
-        return self.signs[self.table.facet_minor] * self.table.facet_parity
+        return self.signs.take(self.table.facet_minor.T, axis=1) * self.table.facet_parity.T
 
     @cached_property
     def facets(self) -> np.ndarray:
-        return np.abs(self.sides.sum(axis=1)) == self.sides.shape[1]
+        return np.abs(self.sides.sum(axis=1, dtype=np.int32)) == self.sides.shape[1]
 
 
 def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
-    """Per (d-1)-subset: some other point is off its hyperplane and all
-    other points lie weakly on one side of it."""
-    off = np.abs(sides).sum(axis=1)
-    return (off > 0) & (np.abs(sides.sum(axis=1)) == off)
+    """Per (d-1)-subset (the last axis; the one before it holds the other
+    points): some other point is off its hyperplane and all other points
+    lie weakly on one side of it."""
+    off = np.abs(sides).sum(axis=-2, dtype=np.int32)
+    return (off > 0) & (np.abs(sides.sum(axis=-2, dtype=np.int32)) == off)
+
+
+def _full_cones(rec: _SignRecord) -> np.ndarray:
+    """Per set: whether its points positively span R^d.
+
+    Exact for any input: they do exactly when they have rank d and no
+    (d-1)-subset spanning a hyperplane has every other point weakly on one
+    side of it.  In general position no point lies on such a hyperplane,
+    so this reads: the set has no facet.
+    """
+    full = ~rec.facets.any(axis=1)
+    odd = ~rec.general
+    if odd.any():
+        full[odd] = rec.signs[odd].any(axis=1) & ~_weakly_supporting(rec.sides[odd]).any(axis=1)
+    return full
+
+
+def _face_masks(rec: _SignRecord, k: int) -> np.ndarray:
+    """Per set in general position, which k-subsets of its points span a
+    face of their cone (0 <= k <= d-1): a mask of shape (S, C(n, k)) over
+    the k-subsets in combinations order.
+
+    In general position a cone is full or pointed with simplicial facets,
+    so a subset spans a face exactly when it lies inside a facet.  The
+    apex, k = 0, lies inside every facet, so a cone has it exactly when it
+    is pointed.
+    """
+    n, d = rec.table.shape
+    inside = _facet_subsets(n, d, k)
+    mask = np.zeros((len(rec.signs), math.comb(n, k)), dtype=bool)
+    s, f = np.nonzero(rec.facets)
+    mask[s[:, None], inside[f]] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -234,12 +299,15 @@ class _MinorTable:
     ``levels[k - 2]`` holds, for every k-subset R of rows in combinations
     order, its rows, the positions of R without R_i among the
     (k-1)-subsets, and the cofactor signs: the k x k minor on the first k
-    columns is sum_i (-1)^(i+k-1) x[R_i, k-1] minor(R without R_i).  For
+    columns is sum_i (-1)^(i+k-1) x[R_i, k-1] minor(R without R_i).  The
+    rows and positions are stored transposed, one row per i, and the signs
+    as a column, so a batch gathers and sums along contiguous rows.  For
     every (d-1)-subset S, ``facet_minor`` and ``facet_parity`` turn the
     minors into det[x_S; x_j] for each other row j (in ``facet_others``),
     the side of x_j relative to the hyperplane spanned by S.
     """
 
+    shape: tuple[int, int]
     levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     facet_rows: np.ndarray
     facet_others: np.ndarray
@@ -273,7 +341,8 @@ def _minor_table(n: int, d: int) -> _MinorTable:
         subsets = [tuple(s) for s in rows.tolist()]
         below = [[position[s[:i] + s[i + 1:]] for i in range(k)] for s in subsets]
         cofactor = np.array([(-1.0) ** (i + k - 1) for i in range(k)])
-        levels.append((rows, np.array(below, dtype=np.intp), cofactor))
+        levels.append((np.ascontiguousarray(rows.T), np.array(below, dtype=np.intp).T.copy(),
+                       cofactor[:, None]))
         position = {s: t for t, s in enumerate(subsets)}
     walls = [tuple(s) for s in _subsets(n, d - 1).tolist()]
     others = [[j for j in range(n) if j not in wall] for wall in walls]
@@ -283,6 +352,7 @@ def _minor_table(n: int, d: int) -> _MinorTable:
     parity = [[(-1) ** sum(i > j for i in wall) for j in rest]
               for wall, rest in zip(walls, others)]
     return _MinorTable(
+        shape=(n, d),
         levels=tuple(levels),
         facet_rows=_subsets(n, d - 1),
         facet_others=np.array(others, dtype=np.intp),
@@ -290,38 +360,55 @@ def _minor_table(n: int, d: int) -> _MinorTable:
         facet_parity=np.array(parity, dtype=np.int8))
 
 
+@lru_cache(maxsize=256)
+def _facet_subsets(n: int, d: int, k: int) -> np.ndarray:
+    """The incidence of k-subsets and (d-1)-subsets of range(n): per
+    (d-1)-subset in combinations order, the positions of its k-subsets
+    among all k-subsets of range(n)."""
+    position = {tuple(s): t for t, s in enumerate(_subsets(n, k).tolist())}
+    walls = _subsets(n, d - 1).tolist()
+    inside = np.array([[position[c] for c in combinations(wall, k)] for wall in walls],
+                      dtype=np.intp).reshape(len(walls), math.comb(d - 1, k))
+    inside.flags.writeable = False
+    return inside
+
+
 def _minor_estimates(x: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Floating-point values of all d x d minors of x."""
-    m = x[:, 0]
+    """Floating-point values of all d x d minors of each set in x, (S, n, d)."""
+    m = x[:, :, 0]
     for k, (rows, below, cofactor) in enumerate(table.levels, start=2):
-        m = (x[:, k - 1][rows] * cofactor * m[below]).sum(axis=1)
+        m = (x[:, :, k - 1].take(rows, axis=1) * cofactor * m.take(below, axis=1)).sum(axis=1)
     return m
 
 
 def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np.ndarray]:
-    """Signs of all d x d minors as the filter sees them, and the mask of
-    those it cannot certify."""
-    d = pts.shape[1]
-    _, expo = np.frexp(np.abs(pts).max(axis=1))
-    scaled = np.ldexp(pts, -expo[:, None])
+    """Signs of all d x d minors of each set in pts, (S, n, d), as the
+    filter sees them, and the mask of those it cannot certify."""
+    d = pts.shape[2]
+    _, expo = np.frexp(np.abs(pts).max(axis=2))
+    scaled = np.ldexp(pts, -expo[..., None])
     est = _minor_estimates(scaled, table)
     unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)
-    if (np.ldexp(scaled, expo[:, None]) != pts).any():
-        unsure[:] = True  # a row lost low bits to underflow when scaled down
+    lost = np.ldexp(scaled, expo[..., None]) != pts
+    if lost.any():  # a set with a row that lost low bits to underflow when scaled down
+        unsure[lost.any(axis=(1, 2))] = True
     return np.sign(est).astype(np.int8), unsure
 
 
 def _minor_signs(pts: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Exact signs of all d x d minors of pts, in combinations order."""
-    if pts.shape[1] == 1:
-        return np.sign(pts[:, 0]).astype(np.int8)  # the 1 x 1 minors are the entries
+    """Exact signs of all d x d minors of each set in pts, (S, n, d), in
+    combinations order."""
+    if pts.shape[2] == 1:
+        return np.sign(pts[:, :, 0]).astype(np.int8)  # the 1 x 1 minors are the entries
     signs, unsure = _filtered_signs(pts, table)
-    if unsure.any():
-        rows = _integer_rows(pts)
-        subsets = table.levels[-1][0]
-        for t in np.flatnonzero(unsure):
+    if not unsure.any():
+        return signs
+    subsets = _subsets(*table.shape)
+    for s in np.flatnonzero(unsure.any(axis=1)):
+        rows = _integer_rows(pts[s])
+        for t in np.flatnonzero(unsure[s]):
             det = _bareiss([rows[i] for i in subsets[t]])[1]
-            signs[t] = (det > 0) - (det < 0)
+            signs[s, t] = (det > 0) - (det < 0)
     return signs
 
 
@@ -385,11 +472,7 @@ def is_full_cone(cone: ConeSample) -> bool:
     it is the origin lying in the generators' convex hull.
     """
     rec = cone._signs
-    if rec is None:
-        return False
-    if rec.general:
-        return not rec.facets.any()
-    return bool(rec.signs.any()) and not _weakly_supporting(rec.sides).any()
+    return rec is not None and bool(_full_cones(rec)[0])
 
 
 def _row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -423,10 +506,10 @@ def _full_or_checked(cone: ConeSample) -> bool:
             raise DegenerateInputError(
                 f"{n} generators in R^{d} are linearly dependent; face test undefined")
         return False
-    if rec.general:
-        return not rec.facets.any()
-    if is_full_cone(cone):
+    if _full_cones(rec)[0]:
         return True
+    if rec.general[0]:
+        return False
     raise DegenerateInputError(
         "the cone is not full and has an exactly zero d x d minor; face test undefined")
 
@@ -443,19 +526,15 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     DegenerateInputError (see :func:`_full_or_checked`).
     """
     rec = cone._signs
+    subsets = _subsets(cone.n_generators, k)
+    if rec is not None and rec.general[0]:
+        return [tuple(s) for s in subsets[_face_masks(rec, k)[0]].tolist()]
     if k == 0:
-        if rec is not None and rec.general:
-            pointed = rec.facets.any()  # full or pointed, and pointed has a facet
-        else:
-            nonzero = cone.generators[cone.generators.any(axis=1)]
-            pointed = not (nonzero.shape[0] and _origin_in_hull(nonzero))
-        return [()] if pointed else []
+        nonzero = cone.generators[cone.generators.any(axis=1)]
+        return [] if nonzero.shape[0] and _origin_in_hull(nonzero) else [()]
     if _full_or_checked(cone):
         return []
-    if rec is None:
-        return [tuple(s) for s in _subsets(cone.n_generators, k).tolist()]
-    walls = rec.table.facet_rows[rec.facets].tolist()
-    return sorted({face for wall in walls for face in combinations(wall, k)})
+    return [tuple(s) for s in subsets.tolist()]
 
 
 def _tangent_base(gens: np.ndarray, face: Sequence[int]) -> np.ndarray:

@@ -17,10 +17,10 @@ from conic_walks.combinatorics import (
     poly_mul,
     walk_block_poly,
 )
-from conic_walks import geometry
+from conic_walks import geometry, simulation
 from conic_walks.errors import DomainError, NumericError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
-from conic_walks.geometry import DEFAULT_TOL, ConeSample, count_k_faces, is_full_cone
+from conic_walks.geometry import DEFAULT_TOL, ConeSample, count_k_faces, is_face, is_full_cone
 
 
 def brute_force_is_face(gens, subset, tol=1e-9):
@@ -817,3 +817,127 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
             for j in range(d) for k in range(j, d + 1)]
     out += [FunctionalQuery("subspace_prob", model, k=k) for k in range(d)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-sample Monte Carlo loop
+#
+# The chunk loop of the simulator before one array program decided each
+# chunk, moved with its names prefixed and its docstrings dropped.  Every
+# sample draws a ConeSample from its own stream, redraws until the cone is
+# in general position and, under ``conditioned``, until it is not full,
+# then measures it with per-cone kernels that draw their Gaussians when
+# they need them.  The batched chunks must give the same sums.
+
+def _loop_walk_generators(dist, n, rng):
+    return np.cumsum(simulation.sample_increments(dist, n, rng), axis=0)
+
+
+def _loop_bridge_generators(dist, n, rng):
+    steps = simulation.sample_increments(dist, n, rng)
+    centered = steps - steps.mean(axis=0)
+    return np.cumsum(centered, axis=0)[:-1]
+
+
+def _loop_general_position_draw(draw: Callable[[], np.ndarray], what: str) -> tuple[ConeSample, int]:
+    for attempt in range(simulation._MAX_DRAW_RETRIES):
+        cone = ConeSample(draw())
+        if cone.in_general_position():
+            return cone, attempt
+    raise SamplingError(f"no {what} in general position after {simulation._MAX_DRAW_RETRIES} attempts")
+
+
+def _loop_draw_cone(model: Model, dist, rng: np.random.Generator) -> tuple[ConeSample, int]:
+    draw = _loop_bridge_generators if model.is_bridge else _loop_walk_generators
+    return _loop_general_position_draw(lambda: draw(dist, model.n, rng),
+                                       f"draw ({dist.family}, n={model.n}, d={model.d})")
+
+
+def loop_draw_sample(query: FunctionalQuery, dist,
+                     rng: np.random.Generator) -> tuple[ConeSample, int]:
+    """One sample's cone drawn alone from ``rng``, and the draws rejected."""
+    if query.model is None:
+        return _loop_general_position_draw(lambda: np.vstack(
+            [_loop_walk_generators(dist, n, rng) for n in query.walk_lengths]
+            + [_loop_bridge_generators(dist, m, rng) for m in query.bridge_lengths]),
+            "joint draw")
+    model = query.model
+    cone, rejected = _loop_draw_cone(model, dist, rng)
+    if query.conditioned:
+        guard = 0
+        while is_full_cone(cone):
+            guard += 1
+            if guard > simulation._MAX_CONDITION_RETRIES:
+                raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
+            cone, rej = _loop_draw_cone(model, dist, rng)
+            rejected += rej
+    return cone, rejected
+
+
+def _loop_u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
+    if k == 0:
+        return 0.5
+    gauss = rng.standard_normal((gens.shape[1], k))
+    return 0.5 if geometry._origin_in_hull(gens @ gauss) else 0.0
+
+
+def _loop_v(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
+    g = rng.standard_normal(gens.shape[1])
+    return 1.0 if len(geometry._projection_support(gens, g)[0]) == k else 0.0
+
+
+def _loop_face_sum(cone: ConeSample, j: int, tangent: bool,
+                   value: Callable[[np.ndarray], float]) -> float:
+    gens = cone.generators
+    total = 0.0
+    for face in geometry._faces(cone, j):
+        total += value(geometry._tangent_base(gens, face) if tangent else gens[list(face)])
+    return total
+
+
+def _loop_quermassintegral(q: FunctionalQuery, cone: ConeSample,
+                           rng: np.random.Generator) -> float:
+    d, k = cone.d, q.k
+    if not geometry._faces(cone, 0):
+        return 1.0 if (d - k) % 2 == 1 else 0.0
+    return 0.0 if k == d else _loop_u(cone.generators, k, rng)
+
+
+LOOP_MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Generator], float]] = {
+    "absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
+    "nonabsorption": lambda q, cone, rng: 0.0 if is_full_cone(cone) else 1.0,
+    "fk": lambda q, cone, rng: float(len(geometry._faces(cone, q.k))),
+    "Uk": _loop_quermassintegral,
+    "vk": lambda q, cone, rng: _loop_v(cone.generators, q.k, rng),
+    "Lambda": lambda q, cone, rng: _loop_face_sum(
+        cone, q.k, False, lambda b: _loop_u(b, q.k - 1, rng)),
+    "Y": lambda q, cone, rng: _loop_face_sum(cone, q.m, False, lambda b: _loop_u(b, q.l, rng)),
+    "Z": lambda q, cone, rng: 0.0 if q.k == cone.d else _loop_face_sum(
+        cone, q.j, True, lambda b: _loop_u(b, q.k - q.j, rng)),
+    "face_intrinsic": lambda q, cone, rng: _loop_face_sum(
+        cone, q.m, False, lambda b: _loop_v(b, q.l, rng)),
+    "tangent_intrinsic": lambda q, cone, rng: _loop_face_sum(
+        cone, q.j, True, lambda b: _loop_v(b, q.k - q.j, rng)),
+    "face_prob": lambda q, cone, rng: 1.0 if is_face(cone, [i - 1 for i in q.indices]) else 0.0,
+    "subspace_prob": lambda q, cone, rng: 2.0 * _loop_u(cone.generators, q.k, rng),
+    "joint_absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
+}
+"""Per functional name, the replaced per-cone measurement (query, cone, rng) -> value."""
+
+
+def loop_chunk_stats(args: tuple) -> tuple[float, float, int]:
+    """(total, total_sq, rejected) of one chunk, one sample at a time."""
+    query, dist, seed, start, count = args
+    streams = simulation._SampleStreams(seed)
+    measure = LOOP_MEASURES[query.functional]
+    total = 0.0
+    total_sq = 0.0
+    rejected = 0
+    for i in range(start, start + count):
+        rng = streams.at(i)
+        sample, rej = loop_draw_sample(query, dist, rng)
+        rejected += rej
+        value = measure(query, sample, rng)
+        total += value
+        total_sq += value * value
+    return total, total_sq, rejected

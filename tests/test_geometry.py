@@ -10,9 +10,15 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conic_walks import geometry
+from conic_walks import geometry, simulation
 from conic_walks.errors import DegenerateInputError, DomainError, NumericError
-from conic_walks.formulas import Model, absorption_probability, expected_fk, face_probability
+from conic_walks.formulas import (
+    FunctionalQuery,
+    Model,
+    absorption_probability,
+    expected_fk,
+    face_probability,
+)
 from conic_walks.geometry import (
     MAX_SUBSETS,
     ConeSample,
@@ -477,6 +483,13 @@ def orbit_cones(model, steps):
             for p in permutations(range(model.n)) for s in signs]
 
 
+def orbit_chunk(model):
+    """The whole orbit of a model's increments as one chunk of cones."""
+    gens = np.stack([cone.generators for cone in orbit_cones(model, ORBIT_STEPS[model])])
+    rec = geometry._SignRecord.of(gens)
+    return simulation._Chunk(gens, rec, geometry._full_cones(rec), np.empty((len(gens), 0)))
+
+
 class TestOrbitAverages:
     """A uniformly random permutation of fixed increments is exchangeable, and
     a uniformly random signed permutation is also sign-symmetric; the closed
@@ -498,6 +511,39 @@ class TestOrbitAverages:
             for idx in combinations(range(1, model.generator_count + 1), size):
                 assert average(lambda cone: is_face(cone, [i - 1 for i in idx])) == \
                     face_probability(model, idx)
+
+    @pytest.mark.parametrize("model", list(ORBIT_STEPS), ids=lambda m: f"{m.tag}-n{m.n}-d{m.d}")
+    def test_whole_orbit_as_one_batch(self, model):
+        # the batched sign record and the simulator's counting measurements
+        # decide the whole orbit at once
+        chunk = orbit_chunk(model)
+        assert chunk.rec.general.all()
+
+        def average(query, c=chunk):
+            return Fraction(simulation.MEASURES[query.functional].value(query, c).sum()) \
+                / len(c.gens)
+
+        for k in range(model.d):
+            assert average(FunctionalQuery("fk", model, k=k)) == expected_fk(model, k)
+        assert average(FunctionalQuery("absorption", model)) == absorption_probability(model)
+        for size in range(1, model.d):
+            for idx in combinations(range(1, model.generator_count + 1), size):
+                assert average(FunctionalQuery("face_prob", model, indices=idx)) == \
+                    face_probability(model, idx)
+        pointed = chunk.take(~chunk.full)
+        for k in range(model.d):
+            assert average(FunctionalQuery("fk", model, k=k, conditioned=True), pointed) == \
+                expected_fk(model, k, conditioned=True)
+
+    def test_conditioned_edge_count_of_a_bridge_orbit(self):
+        # the orbit members that are not full, as the conditioned simulator
+        # keeps them
+        model = Model("A", 6, 3)
+        chunk = orbit_chunk(model)
+        pointed = chunk.take(~chunk.full)
+        q = FunctionalQuery("fk", model, k=1, conditioned=True)
+        edges = simulation.MEASURES["fk"].value(q, pointed)
+        assert Fraction(edges.sum()) / len(edges) == Fraction(90, 23)
 
 
 class TestTangentBase:
@@ -584,12 +630,13 @@ def exact_minor_signs(pts):
 
 def filter_signs(pts):
     n, d = pts.shape
-    return geometry._filtered_signs(pts, geometry._minor_table(n, d))
+    signs, unsure = geometry._filtered_signs(pts[None], geometry._minor_table(n, d))
+    return signs[0], unsure[0]
 
 
 def minor_signs(pts):
     n, d = pts.shape
-    return geometry._minor_signs(pts, geometry._minor_table(n, d)).tolist()
+    return geometry._minor_signs(pts[None], geometry._minor_table(n, d))[0].tolist()
 
 
 class TestExactHullPredicate:

@@ -165,6 +165,18 @@ def test_cli_rejects_stray_fields(args, message, capsys):
     lambda: wendel_probability(4.0, 3),
     lambda: wendel_probability(4, 2.5),
     lambda: joint_absorption_probability([2], [3], 2.0),
+    # the public closed forms check their indices at entry
+    lambda: expected_fk(Model("A", 5, 3), 1.0),
+    lambda: expected_Uk(Model("A", 5, 3), 1.0),
+    lambda: expected_Z(Model("A", 5, 3), 1.0, 2),
+    lambda: expected_face_intrinsic_sum(Model("A", 5, 3), 2, 1.0),
+    lambda: subspace_intersection_probability(Model("A", 5, 3), 1.0),
+    lambda: expected_vk(Model("A", 5, 3), 1.5),
+    lambda: expected_Y(Model("A", 5, 3), 2, 0.0),
+    lambda: expected_tangent_intrinsic_sum(Model("A", 5, 3), 1.5, 2),
+    lambda: expected_tangent_intrinsic_sum(Model("A", 4, 2), 1, 2.0),
+    lambda: expected_Lambda(Model("A", 5, 3), 1.0),
+    lambda: expected_Y_dual(Model("A", 5, 3), 2.0, 1),
 ])
 def test_non_integer_sizes_and_indices_are_rejected(build):
     with pytest.raises(DomainError, match="must be an integer"):

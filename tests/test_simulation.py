@@ -29,7 +29,7 @@ from conic_walks.verify import (
     verify_suite,
 )
 
-from oracles import FACE_LOOP_MEASURES, face_loop_queries
+from oracles import FACE_LOOP_MEASURES, face_loop_queries, loop_chunk_stats, loop_draw_sample
 
 GAUSS2 = DistributionSpec("gaussian_iid", 2)
 
@@ -259,6 +259,42 @@ class TestVerifySuite:
         assert exact["num"].isdigit() and exact["den"].isdigit()
 
 
+def count_draws(monkeypatch):
+    """Record the length of every increment draw."""
+    draws = []
+    increments = simulation.sample_increments
+
+    def drawing(dist, n, rng):
+        draws.append(n)
+        return increments(dist, n, rng)
+
+    monkeypatch.setattr(simulation, "sample_increments", drawing)
+    return draws
+
+
+def zero_first_draws(monkeypatch, chosen):
+    """Make the first increment draw after positioning the stream of each
+    sample in ``chosen`` all zeros: a cone not in general position, which
+    the sample must reject and draw again."""
+    current = {"index": None}
+    at = simulation._SampleStreams.at
+    increments = simulation.sample_increments
+
+    def positioned(self, index):
+        current["index"] = index
+        return at(self, index)
+
+    def drawing(dist, n, rng):
+        steps = increments(dist, n, rng)
+        if current["index"] in chosen:
+            current["index"] = None
+            return np.zeros_like(steps)
+        return steps
+
+    monkeypatch.setattr(simulation._SampleStreams, "at", positioned)
+    monkeypatch.setattr(simulation, "sample_increments", drawing)
+
+
 class TestConditionedFullConeTest:
     @pytest.mark.parametrize("query", [
         FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True),
@@ -266,25 +302,32 @@ class TestConditionedFullConeTest:
         FunctionalQuery("Z", Model("A", 4, 2), j=0, k=1, conditioned=True),
     ])
     def test_runs_once_per_draw(self, query, monkeypatch):
-        # the conditioning loop has already rejected full cones, so the
-        # measurement must not test the accepted cone again
-        verdicts = []
+        # the chunk takes one full-cone verdict per cone, and a replayed
+        # sample one per draw; the measurement reads the chunk's verdicts,
+        # so it never tests an accepted cone again
+        decided = []
+        full_cones = geometry._full_cones
 
-        def counting(cone):
-            verdicts.append(is_full_cone(cone))
-            return verdicts[-1]
+        def counting(rec):
+            decided.append(len(rec.signs))
+            return full_cones(rec)
 
-        monkeypatch.setattr(simulation, "is_full_cone", counting)
+        monkeypatch.setattr(geometry, "_full_cones", counting)
+        draws = count_draws(monkeypatch)
         samples = 64
-        estimate(RunConfig(query=query, dist=GAUSS2, samples=samples, seed=3))
-        assert len(verdicts) == samples + sum(verdicts)
+        est = estimate(RunConfig(query=query, dist=GAUSS2, samples=samples, seed=3))
+        assert est.rejected == 0
+        assert decided[0] == samples
+        assert len(draws) > samples  # some full cones were conditioned away
+        assert sum(decided) == len(draws)
 
 
 class TestSharedMinorTable:
     @pytest.mark.parametrize("gate", ["f1/A n=4 d=2", "Y m=2 l=1/B n=5 d=3"])
     def test_one_minor_table_per_draw(self, gate, monkeypatch):
-        # the general-position check and every verdict on the cone read one
-        # sign record; the Y gate's 1-d Haar projections take the sign test
+        # the general-position check and every verdict on the chunk read one
+        # sign record, computed in one call for the whole chunk; the Y
+        # gate's 1-d Haar projections take the sign test
         calls = []
         signs = geometry._minor_signs
 
@@ -296,7 +339,25 @@ class TestSharedMinorTable:
         query = next(g.query for g in default_gates() if g.name == gate)
         dist = DistributionSpec("gaussian_iid", query.dimension)
         est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
-        assert len(calls) == est.samples + est.rejected
+        assert est.rejected == 0
+        assert calls == [(64, query.model.generator_count, query.dimension)]
+
+    def test_replayed_draws_compute_their_minors_once(self, monkeypatch):
+        # a sample whose first draw is rejected is replayed alone: its two
+        # draws take one sign record each, after the chunk's one
+        calls = []
+        signs = geometry._minor_signs
+
+        def counting(pts, table):
+            calls.append(pts.shape)
+            return signs(pts, table)
+
+        monkeypatch.setattr(geometry, "_minor_signs", counting)
+        zero_first_draws(monkeypatch, {5, 40})
+        query = FunctionalQuery("fk", Model("A", 4, 2), k=1)
+        est = estimate(RunConfig(query=query, dist=GAUSS2, samples=64, seed=3))
+        assert est.rejected == 2
+        assert calls == [(64, 3, 2)] + [(1, 3, 2)] * 4
 
 
 class TestHaarHits:
@@ -319,8 +380,10 @@ class TestHaarHits:
 class TestFaceLoopOracle:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_rows_match_the_replaced_face_loops(self, family):
-        # every face and tangent row against the per-functional loop it
-        # replaced, at zero tolerance, sample by sample on the same streams
+        # every face and tangent row of the batched chunk against the
+        # per-functional loop it replaced, at zero tolerance, sample by
+        # sample on the same streams
+        samples = 64
         for d in (1, 2, 3, 4):
             dist = DistributionSpec(family, d)
             for model in (Model("A", d + 2, d), Model("B", d + 2, d)):
@@ -328,16 +391,76 @@ class TestFaceLoopOracle:
                 for conditioned in (False, True):
                     draw = FunctionalQuery("fk", model, k=0, conditioned=conditioned)
                     streams = _SampleStreams(17)
-                    for i in range(64):
+                    drawn = []
+                    for i in range(samples):
                         rng = streams.at(i)
-                        cone, _ = simulation._draw_sample(draw, dist, rng)
-                        state = rng.bit_generator.state
-                        for q in (q for q in queries if q.conditioned == conditioned):
-                            rng.bit_generator.state = state
-                            got = simulation.MEASURES[q.functional](q, cone, rng)
+                        cone, _ = loop_draw_sample(draw, dist, rng)
+                        drawn.append((cone, rng.bit_generator.state))
+                    for q in (q for q in queries if q.conditioned == conditioned):
+                        got, _ = simulation._Sampler(q, dist).values(streams, range(samples))
+                        for i, (cone, state) in enumerate(drawn):
+                            rng = streams.at(i)
                             rng.bit_generator.state = state
                             want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
-                            assert got == want, (family, q, i)
+                            assert got[i] == want, (family, q, i)
+
+
+def oracle_queries(model):
+    """Every legal query of every measured functional on a model,
+    conditioned variants included, with two face_prob index tuples."""
+    out = face_loop_queries(model) + [FunctionalQuery("absorption", model),
+                                      FunctionalQuery("nonabsorption", model)]
+    if model.d >= 2:
+        out += [FunctionalQuery("face_prob", model, indices=(1,)),
+                FunctionalQuery("face_prob", model, indices=tuple(range(2, model.d + 1)))]
+    return out
+
+
+class TestChunkOracle:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("family", simulation.FAMILIES)
+    def test_chunks_match_the_per_sample_loop(self, family):
+        # every measurement, on walks and bridges with d = 1..4 and
+        # n = d+1, d+2, two seeds, chunks not starting at sample 0
+        for d in (1, 2, 3, 4):
+            dist = DistributionSpec(family, d)
+            queries = [FunctionalQuery("joint_absorption", walk_lengths=(2,),
+                                       bridge_lengths=(3,), d=d)]
+            for n in (d + 1, d + 2):
+                for model in (Model("A", n, d), Model("B", n, d)):
+                    queries += oracle_queries(model)
+            for q in queries:
+                for seed in (1, 77):
+                    args = (q, dist, seed, 5, 16)
+                    assert simulation._chunk_stats(args) == loop_chunk_stats(args), (q, seed)
+
+    @pytest.mark.parametrize("query", [
+        FunctionalQuery("fk", Model("A", 30, 3), k=2, conditioned=True),
+        FunctionalQuery("Y", Model("B", 24, 3), m=2, l=1),
+    ])
+    def test_large_cones_are_decided_in_several_batches(self, query):
+        # a chunk whose minor tables would be large is split into batches
+        dist = DistributionSpec("gaussian_iid", 3)
+        assert simulation._Sampler(query, dist).batch < 40
+        args = (query, dist, 2, 3, 40)
+        assert simulation._chunk_stats(args) == loop_chunk_stats(args)
+
+    @pytest.mark.parametrize("query", [
+        FunctionalQuery("fk", Model("A", 5, 3), k=1, conditioned=True),
+        FunctionalQuery("Y", Model("B", 4, 3), m=2, l=1),
+        FunctionalQuery("Uk", Model("B", 5, 3), k=2, conditioned=True),
+        FunctionalQuery("tangent_intrinsic", Model("A", 4, 2), j=1, k=2),
+        FunctionalQuery("joint_absorption", walk_lengths=(2,), bridge_lengths=(3,), d=2),
+    ])
+    def test_replayed_samples_match_the_per_sample_loop(self, query, monkeypatch):
+        # the chosen samples reject their first draw, so they are replayed
+        # alone from their streams; the chunk stays bit-identical
+        zero_first_draws(monkeypatch, {0, 7, 8, 30})
+        dist = DistributionSpec("gaussian_iid", query.dimension)
+        args = (query, dist, 11, 0, 32)
+        got = simulation._chunk_stats(args)
+        assert got == loop_chunk_stats(args)
+        assert got[2] == 4
 
 
 class TestProjectionOnFullCones:
@@ -348,12 +471,13 @@ class TestProjectionOnFullCones:
         # iteration cap; the support rule finds g inside, so v_2 scores 0
         seed = 20_250_810
         gate = next(g for g in default_gates() if g.name == "v2/A n=6 d=4")
-        rng = _SampleStreams(_gate_seed(seed, gate.name, family)).at(index)
-        cone, _ = simulation._draw_sample(gate.query, DistributionSpec(family, 4), rng)
+        dist = DistributionSpec(family, 4)
+        streams = _SampleStreams(_gate_seed(seed, gate.name, family))
+        values, _ = simulation._Sampler(gate.query, dist).values(streams, range(index, index + 1))
+        assert values[0] == 0.0
+        rng = streams.at(index)
+        cone, _ = loop_draw_sample(gate.query, dist, rng)
         assert is_full_cone(cone)
-        state = rng.bit_generator.state
-        assert simulation.MEASURES["vk"](gate.query, cone, rng) == 0.0
-        rng.bit_generator.state = state
         g = rng.standard_normal(4)
         assert geometry.project_onto_cone(g, cone).face_dim == 4
         assert len(geometry._projection_support(cone.generators, g)[0]) == 4
