@@ -300,8 +300,8 @@ class _MinorTable:
     order, its rows, the positions of R without R_i among the
     (k-1)-subsets, and the cofactor signs: the k x k minor on the first k
     columns is sum_i (-1)^(i+k-1) x[R_i, k-1] minor(R without R_i).  The
-    rows and positions are stored transposed, one row per i, and the signs
-    as a column, so a batch gathers and sums along contiguous rows.  For
+    rows and positions are stored transposed, one row per i, so a batch
+    gathers each term i along a contiguous row.  For
     every (d-1)-subset S, ``facet_minor`` and ``facet_parity`` turn the
     minors into det[x_S; x_j] for each other row j (in ``facet_others``),
     the side of x_j relative to the hyperplane spanned by S.
@@ -342,7 +342,7 @@ def _minor_table(n: int, d: int) -> _MinorTable:
         below = [[position[s[:i] + s[i + 1:]] for i in range(k)] for s in subsets]
         cofactor = np.array([(-1.0) ** (i + k - 1) for i in range(k)])
         levels.append((np.ascontiguousarray(rows.T), np.array(below, dtype=np.intp).T.copy(),
-                       cofactor[:, None]))
+                       cofactor))
         position = {s: t for t, s in enumerate(subsets)}
     walls = [tuple(s) for s in _subsets(n, d - 1).tolist()]
     others = [[j for j in range(n) if j not in wall] for wall in walls]
@@ -374,10 +374,20 @@ def _facet_subsets(n: int, d: int, k: int) -> np.ndarray:
 
 
 def _minor_estimates(x: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Floating-point values of all d x d minors of each set in x, (S, n, d)."""
+    """Floating-point values of all d x d minors of each set in x, (S, n, d).
+
+    The k cofactor terms of a level are added one at a time, so every
+    temporary has the shape (S, C(n, k)) of one level.  Stacked k-fold, a
+    batch's products are large enough that the allocator maps them afresh,
+    and the kernel faults them in page by page, on every batch.
+    """
     m = x[:, :, 0]
     for k, (rows, below, cofactor) in enumerate(table.levels, start=2):
-        m = (x[:, :, k - 1].take(rows, axis=1) * cofactor * m.take(below, axis=1)).sum(axis=1)
+        col = x[:, :, k - 1]
+        level = np.zeros((len(x), rows.shape[1]))
+        for r, b, c in zip(rows, below, cofactor):
+            level += col.take(r, axis=1) * c * m.take(b, axis=1)
+        m = level
     return m
 
 

@@ -1,6 +1,7 @@
 """Cone geometry predicates against brute-force and library oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -726,6 +727,21 @@ class TestExactHullPredicate:
             exact = exact_minor_signs(pts)
             assert not unsure.any()
             assert signs.tolist() == exact
+
+    def test_batch_temporaries_stay_one_level_wide(self):
+        # a level's k cofactor terms are summed one at a time: stacked
+        # k-fold, a chunk's products are mapped afresh on every batch
+        x = np.random.default_rng(5).standard_normal((128, 9, 3))
+        table = geometry._minor_table(9, 3)
+        geometry._minor_estimates(x, table)
+        tracemalloc.start()
+        try:
+            est = geometry._minor_estimates(x, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.shape == (128, 84)
+        assert peak < 6 * est.nbytes
 
 
 class TestBareiss:
