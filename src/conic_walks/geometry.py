@@ -547,17 +547,28 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     return [tuple(s) for s in subsets.tolist()]
 
 
-def _tangent_base(gens: np.ndarray, face: Sequence[int]) -> np.ndarray:
-    """The generators outside a face, projected onto the orthogonal
-    complement of the face's span.  The apex's is ``gens`` itself."""
-    if not face:
+def _tangent_bases(gens: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Per cone p, the rows of gens[p] (P, n, d) outside its face
+    ``faces[p]`` (P, j, sorted rows), projected onto the orthogonal
+    complement of the face's span: (P, n - j, d - j).  The apex's are the
+    generators themselves.
+
+    One stacked SVD gives every complement.  A face whose rows are
+    numerically rank-deficient, with a singular value at most
+    max(j, d) * eps times the largest, raises DegenerateInputError.
+    """
+    p, n, d = gens.shape
+    j = faces.shape[1]
+    if j == 0:
         return gens
-    basis, rank = _row_complement(gens[list(face)])
-    if rank < len(face):
-        raise DegenerateInputError(
-            f"face generators {tuple(face)} are numerically rank-deficient")
-    rest = [i for i in range(gens.shape[0]) if i not in face]
-    return gens[rest] @ basis
+    _, s, vt = np.linalg.svd(np.take_along_axis(gens, faces[:, :, None], axis=1))
+    low = s[:, -1] <= max(j, d) * np.finfo(float).eps * s[:, 0]
+    if low.any():
+        face = tuple(faces[np.argmax(low)].tolist())
+        raise DegenerateInputError(f"face generators {face} are numerically rank-deficient")
+    rest = np.ones((p, n), dtype=bool)
+    np.put_along_axis(rest, faces, False, axis=1)
+    return gens[rest].reshape(p, n - j, d) @ vt[:, j:].transpose(0, 2, 1)
 
 
 def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
@@ -615,7 +626,7 @@ def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> Con
     idx = _validated_subset(cone, subset)
     if idx not in _faces(cone, len(idx)):
         raise DomainError(f"subset {idx} is not a face; tangent cone base undefined")
-    return ConeSample(_tangent_base(cone.generators, idx))
+    return ConeSample(_tangent_bases(cone.generators[None], np.array([idx]))[0])
 
 
 def _validated_point(cone: ConeSample, x: Sequence[float]) -> np.ndarray:
@@ -641,9 +652,10 @@ def cone_contains(cone: ConeSample, x: Sequence[float]) -> bool:
 def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     """Nearest point of the cone to ``g`` with its face classification.
 
-    The support comes from :func:`_projection_support`.  A residual within
-    ``DEFAULT_TOL`` * max(1, |g|), or a full cone, puts g inside
-    (``face_dim = d``); otherwise the face dimension is the support's size.
+    The support comes from :func:`_projection_supports` as a batch of one.
+    A residual within ``DEFAULT_TOL`` * max(1, |g|), or a full cone, puts g
+    inside (``face_dim = d``); otherwise the face dimension is the support's
+    size.
     The cone follows the contract of :func:`is_face`, and the supports obey
     ``MAX_SUBSETS`` like the minor table.  The projection is positively
     homogeneous, so a point of magnitude 1 or more is first scaled down by
@@ -654,7 +666,8 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     full = _full_or_checked(cone)
     expo = max(np.frexp(np.abs(g).max())[1], 0)
     unit = np.ldexp(g, -expo)
-    support, resid = _projection_support(cone.generators, unit)
+    mask, resid = _projection_supports(cone.generators[None], unit[None])
+    support, resid = tuple(np.flatnonzero(mask[0]).tolist()), resid[0]
     slack = DEFAULT_TOL * max(np.ldexp(1.0, -expo), np.linalg.norm(unit))  # in unit's scale
     if full or np.linalg.norm(resid) <= slack:
         return ConeProjection(point=g.copy(), active_set=support, face_dim=cone.d)
@@ -662,60 +675,79 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     return ConeProjection(point=point, active_set=support, face_dim=len(support))
 
 
-def _projection_support(gens: np.ndarray, g: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Support of the metric projection p of g onto the positive hull of the
-    rows, and the residual g - p.
+def _projection_supports(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Supports of the metric projections p of the points g (S, d) onto the
+    positive hulls of the rows of gens (S, n, d), as masks over the rows
+    (S, n), and the residuals g - p (S, d).
 
-    The projection is the least-squares point of the support S whose
+    A projection is the least-squares point of the support whose
     coefficients are all positive and whose residual has a nonpositive
-    inner product with every row outside S (Moreau decomposition).  The
-    supports of at most min(n, d) rows are tried by size, each size in one
-    batched solve, and the first that passes is taken.  A positive square
-    solve of size d puts g inside the cone, with zero residual.  Every
-    positive candidate is a point of the cone, so when rounding lets no
-    support pass, the one nearest to g is taken; the empty support, with
-    residual g, always is a candidate.  Nothing iterates and nothing raises.
+    inner product with every row outside it (Moreau decomposition).  A
+    point with no positive inner product with a row takes the empty
+    support, with residual g.  The supports of at most min(n, d) rows are
+    then tried by size, each size in one solve over all supports of the
+    sets still undecided, and a set takes its first passing support in
+    combinations order.  A positive square solve of size d puts g inside
+    the cone, with zero residual.  Every positive candidate is a point of
+    the cone, so when rounding lets no support of a set pass, the one
+    nearest to g is taken; the empty support always is a candidate.
+    Nothing iterates and nothing raises.
 
-    The rows are first scaled by one power of two to keep the Gram products
-    finite; that is exact, and LU with partial pivoting is invariant under it.
+    Each set's rows are first scaled by one power of two to keep the Gram
+    products finite; that is exact, and LU with partial pivoting is
+    invariant under it.  Every product has the shape it has for a single
+    set, so a set's support and residual do not depend on the batch.
     """
-    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(initial=0.0))[1])
-    n, d = gens.shape
-    best, best_resid = (), g
-    if (gens @ g <= 0.0).all():
-        return best, best_resid
+    count, n, d = gens.shape
+    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(axis=(1, 2), initial=0.0))[1][:, None, None])
+    support = np.zeros((count, n), dtype=bool)
+    resid = g.copy()
+    undecided = ~((gens @ g[:, :, None])[:, :, 0] <= 0.0).all(axis=1)
     for k in range(1, min(n, d) + 1):
+        at = np.flatnonzero(undecided)
+        if not at.size:
+            break
         rows = _subsets(n, k)
-        a = gens[rows]
+        x, y = gens[at], g[at]
+        a = x[:, rows]  # (P, T, k, d)
+        shape = a.shape[:2]
         if k < d:
-            coef = _solve(a @ a.transpose(0, 2, 1), a @ g)
-            resid = g - (coef[:, None, :] @ a)[:, 0]
+            lhs, rhs = a @ a.transpose(0, 1, 3, 2), (a @ y[:, None, :, None])[..., 0]
         else:  # g is a combination of the d rows
-            coef = _solve(a.transpose(0, 2, 1), np.broadcast_to(g, (len(rows), d)))
-            resid = np.zeros((len(rows), d))
-        outside = resid @ gens.T
-        outside[np.arange(len(rows))[:, None], rows] = 0.0  # rows inside S
-        positive = (coef > 0.0).all(axis=1)
-        passing = np.flatnonzero(positive & (outside <= 0.0).all(axis=1))
-        if passing.size:
-            t = passing[0]
-            return tuple(rows[t].tolist()), resid[t]
-        dist = np.where(positive, (resid * resid).sum(axis=1), np.inf)
-        t = int(np.argmin(dist))
-        if dist[t] < best_resid @ best_resid:
-            best, best_resid = tuple(rows[t].tolist()), resid[t]
-    return best, best_resid
+            lhs, rhs = a.transpose(0, 1, 3, 2), np.broadcast_to(y[:, None], (*shape, d))
+        coef = _solve(lhs.reshape(-1, k, k), rhs.reshape(-1, k)).reshape(*shape, k)
+        res = y[:, None] - (coef[..., None, :] @ a)[:, :, 0] if k < d else np.zeros((*shape, d))
+        outside = res @ x.transpose(0, 2, 1)
+        outside[:, np.arange(len(rows))[:, None], rows] = 0.0  # rows inside the support
+        positive = (coef > 0.0).all(axis=2)
+        passing = positive & (outside <= 0.0).all(axis=2)
+        hit = passing.any(axis=1)
+        dist = np.where(positive, (res * res).sum(axis=2), np.inf)
+        near = np.argmin(dist, axis=1)
+        best = resid[at]
+        nearer = dist[np.arange(len(at)), near] < (best[:, None, :] @ best[:, :, None])[:, 0, 0]
+        taken = hit | nearer
+        t = np.where(hit, np.argmax(passing, axis=1), near)[taken]
+        which = at[taken]
+        support[which] = False
+        support[which[:, None], rows[t]] = True
+        resid[which] = res[taken, t]
+        undecided[at[hit]] = False
+    return support, resid
 
 
 def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched solve of lhs[t] x = rhs[t]; a system that rounds to singular
-    gets NaN, which is no positive candidate."""
+    gets NaN, which is no positive candidate.  A failing stack is halved
+    until each singular system stands alone, so one singular system among
+    T costs O(log T) solves."""
     try:
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(lhs) == 1:
             return np.full(rhs.shape, np.nan)
-        return np.concatenate([_solve(lhs[t:t + 1], rhs[t:t + 1]) for t in range(len(lhs))])
+        h = len(lhs) // 2
+        return np.concatenate([_solve(lhs[:h], rhs[:h]), _solve(lhs[h:], rhs[h:])])
 
 
 # ---------------------------------------------------------------------------

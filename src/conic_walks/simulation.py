@@ -271,10 +271,8 @@ def _haar_hits(gens: np.ndarray, gauss: np.ndarray) -> np.ndarray:
 def _v(gens: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
     """Per sample p, whether the metric projection of the standard Gaussian
     point g[p] lands in a k-face of the cone of the rows of gens[p] (k = d
-    inside it); its expectation is the conic intrinsic volume v_k.  Each
-    cone is projected onto alone."""
-    return np.array([len(geometry._projection_support(x, y)[0]) == k
-                     for x, y in zip(gens, g)], dtype=float)
+    inside it); its expectation is the conic intrinsic volume v_k."""
+    return (geometry._projection_supports(gens, g)[0].sum(axis=1) == k).astype(float)
 
 
 def _face_sum(c: _Chunk, j: int, tangent: bool,
@@ -289,13 +287,7 @@ def _face_sum(c: _Chunk, j: int, tangent: bool,
     s, f = np.nonzero(mask)
     rank = np.cumsum(mask, axis=1)[s, f] - 1
     faces = geometry._subsets(c.gens.shape[1], j)[f]
-    if tangent:
-        n, d = c.gens.shape[1:]
-        bases = np.empty((len(s), n - j, d - j))
-        for p, (i, face) in enumerate(zip(s, faces.tolist())):
-            bases[p] = geometry._tangent_base(c.gens[i], face)
-    else:
-        bases = c.gens[s[:, None], faces]
+    bases = geometry._tangent_bases(c.gens[s], faces) if tangent else c.gens[s[:, None], faces]
     return np.bincount(s, weights=value(bases, c.gauss[s, rank]), minlength=len(c.gens))
 
 

@@ -18,7 +18,7 @@ from conic_walks.combinatorics import (
     walk_block_poly,
 )
 from conic_walks import geometry, simulation
-from conic_walks.errors import DomainError, NumericError, SamplingError
+from conic_walks.errors import DegenerateInputError, DomainError, NumericError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
 from conic_walks.geometry import DEFAULT_TOL, ConeSample, count_k_faces, is_face, is_full_cone
 
@@ -660,6 +660,72 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-cone projection supports and tangent bases
+#
+# The kernels the stacked support solve and the stacked SVD of geometry
+# replaced, moved unchanged, with the solve's one-at-a-time fallback.  The
+# loops below read them, and the stacked kernels must give the same bits.
+
+def projection_support(gens: np.ndarray, g: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Support of the metric projection of g onto the positive hull of the
+    rows, and the residual: one cone at a time, one batched solve per
+    support size, the first passing support or else the nearest positive
+    candidate."""
+    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(initial=0.0))[1])
+    n, d = gens.shape
+    best, best_resid = (), g
+    if (gens @ g <= 0.0).all():
+        return best, best_resid
+    for k in range(1, min(n, d) + 1):
+        rows = geometry._subsets(n, k)
+        a = gens[rows]
+        if k < d:
+            coef = _solve_one_by_one(a @ a.transpose(0, 2, 1), a @ g)
+            resid = g - (coef[:, None, :] @ a)[:, 0]
+        else:  # g is a combination of the d rows
+            coef = _solve_one_by_one(a.transpose(0, 2, 1), np.broadcast_to(g, (len(rows), d)))
+            resid = np.zeros((len(rows), d))
+        outside = resid @ gens.T
+        outside[np.arange(len(rows))[:, None], rows] = 0.0  # rows inside S
+        positive = (coef > 0.0).all(axis=1)
+        passing = np.flatnonzero(positive & (outside <= 0.0).all(axis=1))
+        if passing.size:
+            t = passing[0]
+            return tuple(rows[t].tolist()), resid[t]
+        dist = np.where(positive, (resid * resid).sum(axis=1), np.inf)
+        t = int(np.argmin(dist))
+        if dist[t] < best_resid @ best_resid:
+            best, best_resid = tuple(rows[t].tolist()), resid[t]
+    return best, best_resid
+
+
+def _solve_one_by_one(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve; a failing stack is solved again one system at a time,
+    and a system that rounds to singular gets NaN."""
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(lhs) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve_one_by_one(lhs[t:t + 1], rhs[t:t + 1])
+                               for t in range(len(lhs))])
+
+
+def tangent_base(gens: np.ndarray, face: Sequence[int]) -> np.ndarray:
+    """The generators outside a face, projected onto the orthogonal
+    complement of the face's span, from one SVD of the face's rows.  The
+    apex's is ``gens`` itself."""
+    if not face:
+        return gens
+    basis, rank = geometry._row_complement(gens[list(face)])
+    if rank < len(face):
+        raise DegenerateInputError(
+            f"face generators {tuple(face)} are numerically rank-deficient")
+    rest = [i for i in range(gens.shape[0]) if i not in face]
+    return gens[rest] @ basis
+
+
+# ---------------------------------------------------------------------------
 # per-functional face loops
 #
 # The Monte Carlo measurements before one face loop and two per-cone kernels
@@ -747,7 +813,7 @@ def _tangent_sum_u(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generato
         return 0.0  # top quermassintegral of a tangent cone vanishes
     total = 0.0
     for face in geometry._faces(cone, j):
-        if _hits_random_subspace(geometry._tangent_base(cone.generators, face), k - j, rng):
+        if _hits_random_subspace(tangent_base(cone.generators, face), k - j, rng):
             total += 0.5
     return total
 
@@ -775,7 +841,7 @@ def _tangent_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generato
     total = 0.0
     for face in geometry._faces(cone, j):
         g = rng.standard_normal(d - j)
-        base = geometry._tangent_base(cone.generators, face)
+        base = tangent_base(cone.generators, face)
         if _projection_face_dim(base, g) == k - j:
             total += 1.0
     return total
@@ -883,7 +949,7 @@ def _loop_u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
 
 def _loop_v(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
     g = rng.standard_normal(gens.shape[1])
-    return 1.0 if len(geometry._projection_support(gens, g)[0]) == k else 0.0
+    return 1.0 if len(projection_support(gens, g)[0]) == k else 0.0
 
 
 def _loop_face_sum(cone: ConeSample, j: int, tangent: bool,
@@ -891,7 +957,7 @@ def _loop_face_sum(cone: ConeSample, j: int, tangent: bool,
     gens = cone.generators
     total = 0.0
     for face in geometry._faces(cone, j):
-        total += value(geometry._tangent_base(gens, face) if tangent else gens[list(face)])
+        total += value(tangent_base(gens, face) if tangent else gens[list(face)])
     return total
 
 

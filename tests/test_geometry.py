@@ -38,6 +38,8 @@ from conic_walks.geometry import (
 
 from oracles import (
     _nnls_projection,
+    projection_support,
+    tangent_base,
     brute_force_is_face,
     fraction_det,
     fraction_origin_in_hull,
@@ -406,8 +408,9 @@ class TestSupportRule:
         proj = project_onto_cone([1.0, -1.0], cone)
         assert proj.active_set == (0,) and proj.face_dim == 1
         assert proj.point.tolist() == [1.0, 0.0]
-        support, resid = geometry._projection_support(cone.generators, np.array([1.0, -1.0]))
-        assert support == (0,) and resid.tolist() == [0.0, -1.0]
+        support, resid = geometry._projection_supports(cone.generators[None],
+                                                       np.array([[1.0, -1.0]]))
+        assert support.tolist() == [[True, False]] and resid.tolist() == [[0.0, -1.0]]
 
     def test_huge_points_do_not_overflow(self):
         # their norms would exceed the double range
@@ -432,6 +435,82 @@ class TestSupportRule:
             assert np.isfinite(project_onto_cone(g, cone).point).all()
         assert cone_contains(cone, gens[0] + gens[1])
         assert not cone_contains(cone, [1.0, 1.0])
+
+    @staticmethod
+    def assert_stack_matches_per_cone_rule(gens, g):
+        support, resid = geometry._projection_supports(gens, g)
+        for x, y, mask, r in zip(gens, g, support, resid):
+            want, want_resid = projection_support(x, y)
+            assert tuple(np.flatnonzero(mask).tolist()) == want
+            assert r.tobytes() == np.asarray(want_resid).tobytes()
+
+    def test_stacked_supports_match_the_per_cone_rule(self):
+        rng = np.random.default_rng(41)
+        for law in ("gaussian", "cauchy", "scaled"):
+            for d in range(1, 5):
+                for n in range(1, d + 3):
+                    gens = np.stack([random_cone_generators(
+                        rng, n, d, law="cauchy" if law == "cauchy" else "gaussian")
+                        for _ in range(60)])
+                    if law == "scaled":
+                        gens *= np.exp2(rng.integers(-900, 900, size=(60, 1, 1)))
+                    g = rng.standard_normal((60, d))
+                    self.assert_stack_matches_per_cone_rule(gens, g)
+
+    def test_stacked_supports_on_the_edge_cases_of_the_rule(self):
+        rng = np.random.default_rng(43)
+        gens = rng.standard_normal((40, 2, 2))
+        g = rng.standard_normal((40, 2))
+        # one stack: generators near 1e-200 and near 1e+200
+        gens[:10] *= 1e-200
+        gens[10:20] *= 1e200
+        # no generator has a positive inner product with g: the empty support
+        gens[20:24] = np.abs(gens[20:24])
+        g[20:24] = -np.abs(g[20:24])
+        # det = 3 * fl(1/3) - 1 is nonzero, but LU pivots the square support
+        # to exactly zero
+        gens[24:27] = [[3.0, 1.0], [1.0, 1.0 / 3.0]]
+        g[24:27] = [1.0, 1.0], [4.0, 4.0 / 3.0], [-1.0, 3.0]
+        # g on the ray of the first generator: its residual rounds to a
+        # positive inner product with the second, and no support passes
+        gens[27] = [[1.13, 1.03], [-1.42, 0.15]]
+        g[27] = 1.75 * gens[27, 0]
+        self.assert_stack_matches_per_cone_rule(gens, g)
+        support, resid = geometry._projection_supports(gens, g)
+        assert not support[20:24].any() and resid[20:24].tobytes() == g[20:24].tobytes()
+        assert support[27].tolist() == [True, False] and resid[27] @ gens[27, 1] > 0.0
+
+    def test_one_singular_system_costs_logarithmic_solves(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        lhs = rng.standard_normal((1000, 2, 2))
+        rhs = rng.standard_normal((1000, 2))
+        want = geometry._solve(lhs, rhs)
+        lhs[613] = [[3.0, 1.0], [1.0, 1.0 / 3.0]]  # rounds to singular under LU
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        got = geometry._solve(lhs, rhs)
+        assert np.isnan(got[613]).all()
+        keep = np.arange(1000) != 613
+        assert got[keep].tobytes() == want[keep].tobytes()
+        assert len(calls) <= 2 * math.ceil(math.log2(1000)) + 1
+
+    def test_batch_temporaries_stay_one_support_level_wide(self):
+        # a full batch of the v2/A n=6 d=4 gate: 5 bridge generators in R^4
+        rng = np.random.default_rng(53)
+        steps = rng.standard_normal((636, 6, 4))
+        gens = np.cumsum(steps - steps.mean(axis=1, keepdims=True), axis=1)[:, :-1]
+        g = rng.standard_normal((636, 4))
+        geometry._projection_supports(gens, g)
+        tracemalloc.start()
+        try:
+            geometry._projection_supports(gens, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the widest level stacks C(5, 3) supports of 3 rows per sample
+        level = 636 * math.comb(5, 3) * 3 * 4 * 8
+        assert peak < 2.5 * level
 
 
 class TestCountFaces:
@@ -562,6 +641,26 @@ class TestTangentBase:
         cone = ConeSample(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(DomainError):
             tangent_cone_projection_base(cone, (1,))
+
+    def test_stacked_bases_match_the_per_face_svd(self):
+        rng = np.random.default_rng(59)
+        for d in range(2, 5):
+            for n in range(d, d + 3):
+                for j in range(1, d):
+                    gens = np.stack([random_cone_generators(rng, n, d, law="cauchy")
+                                     for _ in range(40)])
+                    faces = geometry._subsets(n, j)[rng.integers(0, math.comb(n, j), 40)]
+                    bases = geometry._tangent_bases(gens, faces)
+                    assert bases.shape == (40, n - j, d - j)
+                    for x, face, base in zip(gens, faces.tolist(), bases):
+                        assert base.tobytes() == tangent_base(x, face).tobytes()
+
+    def test_rank_deficient_face_is_named(self):
+        gens = np.array([[1.0, 0.0, 0.0], [1.0, 1e-17, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(DegenerateInputError, match=r"\(0, 1\) are numerically rank-deficient"):
+            geometry._tangent_bases(np.stack([gens, gens]), np.array([[0, 2], [0, 1]]))
+        with pytest.raises(DegenerateInputError, match=r"\(0, 1\)"):
+            tangent_base(gens, (0, 1))
 
 
 class TestSubspaceSampling:

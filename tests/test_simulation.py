@@ -480,4 +480,4 @@ class TestProjectionOnFullCones:
         assert is_full_cone(cone)
         g = rng.standard_normal(4)
         assert geometry.project_onto_cone(g, cone).face_dim == 4
-        assert len(geometry._projection_support(cone.generators, g)[0]) == 4
+        assert geometry._projection_supports(cone.generators[None], g[None])[0].sum() == 4
