@@ -485,15 +485,6 @@ def is_full_cone(cone: ConeSample) -> bool:
     return rec is not None and bool(_full_cones(rec)[0])
 
 
-def _row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthonormal columns spanning the orthogonal complement of the row span."""
-    k, d = rows.shape
-    u, s, vt = np.linalg.svd(rows, full_matrices=True)
-    cutoff = max(k, d) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T, rank
-
-
 def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(as_index(i, "a generator index") for i in subset)
     k = len(idx)
@@ -547,28 +538,29 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     return [tuple(s) for s in subsets.tolist()]
 
 
-def _tangent_bases(gens: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Per cone p, the rows of gens[p] (P, n, d) outside its face
-    ``faces[p]`` (P, j, sorted rows), projected onto the orthogonal
-    complement of the face's span: (P, n - j, d - j).  The apex's are the
-    generators themselves.
+def _tangent_bases(gens: np.ndarray, which: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Per face p, the rows of gens[which[p]] (gens is (S, n, d)) outside
+    its rows ``faces[p]`` (P, j, sorted rows), projected onto the
+    orthogonal complement of the face's span: (P, n - j, d - j).  The
+    apex's are the generators themselves.
 
-    One stacked SVD gives every complement.  A face whose rows are
-    numerically rank-deficient, with a singular value at most
-    max(j, d) * eps times the largest, raises DegenerateInputError.
+    Rows are gathered straight from ``gens`` by (sample, row), and one
+    stacked SVD gives every complement.  A face whose rows are numerically
+    rank-deficient, with a singular value at most max(j, d) * eps times
+    the largest, raises DegenerateInputError.
     """
-    p, n, d = gens.shape
-    j = faces.shape[1]
+    n, d = gens.shape[1:]
+    p, j = faces.shape
     if j == 0:
-        return gens
-    _, s, vt = np.linalg.svd(np.take_along_axis(gens, faces[:, :, None], axis=1))
+        return gens[which]
+    _, s, vt = np.linalg.svd(gens[which[:, None], faces])
     low = s[:, -1] <= max(j, d) * np.finfo(float).eps * s[:, 0]
     if low.any():
         face = tuple(faces[np.argmax(low)].tolist())
         raise DegenerateInputError(f"face generators {face} are numerically rank-deficient")
-    rest = np.ones((p, n), dtype=bool)
-    np.put_along_axis(rest, faces, False, axis=1)
-    return gens[rest].reshape(p, n - j, d) @ vt[:, j:].transpose(0, 2, 1)
+    rest = (np.arange(n) != faces[:, :, None]).all(axis=1)
+    others = np.nonzero(rest)[1].reshape(p, n - j)
+    return gens[which[:, None], others] @ vt[:, j:].transpose(0, 2, 1)
 
 
 def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
@@ -596,8 +588,9 @@ def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
         return False
     if subspace.dim == cone.d:
         return True
-    perp, _ = _row_complement(subspace.basis.T)
-    return _origin_in_hull(gens @ perp)
+    # the projected generators are the tangent base of the basis rows
+    rows = np.vstack([subspace.basis.T, gens])[None]
+    return _origin_in_hull(_tangent_bases(rows, np.zeros(1, int), np.arange(subspace.dim)[None])[0])
 
 
 def count_k_faces(cone: ConeSample, k: int) -> int:
@@ -626,7 +619,7 @@ def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> Con
     idx = _validated_subset(cone, subset)
     if idx not in _faces(cone, len(idx)):
         raise DomainError(f"subset {idx} is not a face; tangent cone base undefined")
-    return ConeSample(_tangent_bases(cone.generators[None], np.array([idx]))[0])
+    return ConeSample(_tangent_bases(cone.generators[None], np.zeros(1, int), np.array([idx]))[0])
 
 
 def _validated_point(cone: ConeSample, x: Sequence[float]) -> np.ndarray:

@@ -187,6 +187,10 @@ class _SampleStreams:
         self._bg.state = self._state
         return self._gen
 
+    def resume(self, state: dict) -> np.random.Generator:
+        self._bg.state = state
+        return self._gen
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimates
@@ -287,7 +291,7 @@ def _face_sum(c: _Chunk, j: int, tangent: bool,
     s, f = np.nonzero(mask)
     rank = np.cumsum(mask, axis=1)[s, f] - 1
     faces = geometry._subsets(c.gens.shape[1], j)[f]
-    bases = geometry._tangent_bases(c.gens[s], faces) if tangent else c.gens[s[:, None], faces]
+    bases = geometry._tangent_bases(c.gens, s, faces) if tangent else c.gens[s[:, None], faces]
     return np.bincount(s, weights=value(bases, c.gauss[s, rank]), minlength=len(c.gens))
 
 
@@ -371,47 +375,49 @@ class _Sampler:
         """Each sample's value, and the draws rejected on the way.
 
         Every sample draws its increments and then its Gaussian block from
-        its own stream; the batch is then decided at once.  A sample whose
-        first draw is not in general position, or is a full cone under
-        ``conditioned``, is replayed alone.
+        its own stream, and each round decides its batch at once.  A sample
+        whose draw is not in general position, or is a full cone under
+        ``conditioned``, draws again in the next round from where its last
+        increments ended, so it consumes its stream as if drawn alone.
         """
-        steps = np.empty((len(indices), self.draw.n_steps, self.draw.dist.d))
-        gauss = np.empty((len(indices), *self.block))
-        for s, i in enumerate(indices):
-            rng = streams.at(i)
-            self.draw.increments(rng, steps[s])
-            if gauss.size:
-                rng.standard_normal(out=gauss[s])
-        gens = self.draw.partial_sums(steps)
-        rec = geometry._SignRecord.of(gens)
-        chunk = _Chunk(gens, rec, geometry._full_cones(rec), gauss)
-        redo = ~rec.general
-        if self.query.conditioned:
-            redo |= chunk.full
         values = np.empty(len(indices))
-        if not redo.all():
-            values[~redo] = self.measure.value(
-                self.query, chunk.take(~redo) if redo.any() else chunk)
+        states: list[Optional[dict]] = [None] * len(indices)  # after the last increments
+        misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
+        pending = np.arange(len(indices))
         rejected = 0
-        for s in np.flatnonzero(redo):
-            values[s], rej = self.replay(streams.at(indices[s]))
-            rejected += rej
+        while pending.size:
+            steps = np.empty((len(pending), self.draw.n_steps, self.draw.dist.d))
+            gauss = np.empty((len(pending), *self.block))
+            for s, p in enumerate(pending):
+                rng = streams.at(indices[p]) if states[p] is None else streams.resume(states[p])
+                self.draw.increments(rng, steps[s])
+                if states[p] is not None:
+                    states[p] = rng.bit_generator.state
+                if gauss.size:
+                    rng.standard_normal(out=gauss[s])
+            gens = self.draw.partial_sums(steps)
+            rec = geometry._SignRecord.of(gens)
+            chunk = _Chunk(gens, rec, geometry._full_cones(rec), gauss)
+            redo = ~rec.general
+            if self.query.conditioned:
+                redo |= chunk.full
+                fulls[pending] += chunk.full & rec.general
+            if not redo.all():
+                values[pending[~redo]] = self.measure.value(
+                    self.query, chunk.take(~redo) if redo.any() else chunk)
+            rejected += int(np.count_nonzero(~rec.general))
+            misses[pending] = np.where(rec.general, 0, misses[pending] + 1)
+            if misses.max() >= _MAX_DRAW_RETRIES:
+                raise self.draw.failed()
+            if fulls.max() > _MAX_CONDITION_RETRIES:
+                raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
+            pending = pending[redo]
+            for p in pending:  # position a sample's stream after its first increments
+                if states[p] is None:
+                    rng = streams.at(indices[p])
+                    self.draw.increments(rng, steps[0])
+                    states[p] = rng.bit_generator.state
         return values, rejected
-
-    def replay(self, rng: np.random.Generator) -> tuple[float, int]:
-        """One sample drawn and decided alone, for draws that depend on a
-        verdict: draws not in general position are rejected and, under
-        ``conditioned``, full cones are drawn again."""
-        rejected = 0
-        for _ in range(_MAX_CONDITION_RETRIES + 1):
-            cone, rej = self.draw.accepted(rng)
-            rejected += rej
-            full = geometry._full_cones(cone._signs)
-            if not (self.query.conditioned and full[0]):
-                chunk = _Chunk(cone.generators[None], cone._signs, full,
-                               rng.standard_normal((1, *self.block)))
-                return float(self.measure.value(self.query, chunk)[0]), rejected
-        raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
 
 
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:

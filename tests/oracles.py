@@ -711,13 +711,23 @@ def _solve_one_by_one(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                                for t in range(len(lhs))])
 
 
+def row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthonormal columns spanning the orthogonal complement of the row
+    span, and the rank of the rows."""
+    k, d = rows.shape
+    u, s, vt = np.linalg.svd(rows, full_matrices=True)
+    cutoff = max(k, d) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank = int(np.sum(s > cutoff))
+    return vt[rank:].T, rank
+
+
 def tangent_base(gens: np.ndarray, face: Sequence[int]) -> np.ndarray:
     """The generators outside a face, projected onto the orthogonal
     complement of the face's span, from one SVD of the face's rows.  The
     apex's is ``gens`` itself."""
     if not face:
         return gens
-    basis, rank = geometry._row_complement(gens[list(face)])
+    basis, rank = row_complement(gens[list(face)])
     if rank < len(face):
         raise DegenerateInputError(
             f"face generators {tuple(face)} are numerically rank-deficient")

@@ -49,6 +49,7 @@ from oracles import (
     pivot_columns,
     projection_is_face,
     random_cone_generators,
+    row_complement,
 )
 
 
@@ -262,6 +263,21 @@ class TestSubspaceIntersection:
         assert not intersects_subspace(ConeSample(np.zeros((1, 2))), Subspace(np.eye(2)))
         assert intersects_subspace(ConeSample(np.array([[0.0, 0.0], [1.0, 0.0]])),
                                    Subspace(np.eye(2)))
+
+    def test_projection_matches_the_row_complement(self, monkeypatch):
+        # the generators are projected as the tangent base of the basis
+        # rows, bit for bit what one SVD complement of those rows gives
+        projected = []
+        monkeypatch.setattr(geometry, "_origin_in_hull", lambda pts: projected.append(pts) or False)
+        rng = np.random.default_rng(61)
+        for d in range(2, 6):
+            for m in range(1, d):
+                for _ in range(300):
+                    gens = random_cone_generators(rng, int(rng.integers(1, d + 3)), d)
+                    sub = sample_uniform_subspace(d, m, rng)
+                    intersects_subspace(ConeSample(gens), sub)
+                    want = gens @ row_complement(sub.basis.T)[0]
+                    assert projected.pop().tobytes() == want.tobytes(), (d, m)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_basis_rejected(self, bad):
@@ -646,19 +662,23 @@ class TestTangentBase:
         rng = np.random.default_rng(59)
         for d in range(2, 5):
             for n in range(d, d + 3):
-                for j in range(1, d):
+                for j in range(d):
+                    # faces gathered by (sample, row) from 40 cones, in any
+                    # order and some twice; the apex's base is the cone
                     gens = np.stack([random_cone_generators(rng, n, d, law="cauchy")
                                      for _ in range(40)])
-                    faces = geometry._subsets(n, j)[rng.integers(0, math.comb(n, j), 40)]
-                    bases = geometry._tangent_bases(gens, faces)
-                    assert bases.shape == (40, n - j, d - j)
-                    for x, face, base in zip(gens, faces.tolist(), bases):
-                        assert base.tobytes() == tangent_base(x, face).tobytes()
+                    which = rng.integers(0, 40, 60)
+                    faces = geometry._subsets(n, j)[rng.integers(0, math.comb(n, j), 60)]
+                    bases = geometry._tangent_bases(gens, which, faces)
+                    assert bases.shape == (60, n - j, d - j)
+                    for p, face, base in zip(which, faces.tolist(), bases):
+                        assert base.tobytes() == tangent_base(gens[p], face).tobytes()
 
     def test_rank_deficient_face_is_named(self):
         gens = np.array([[1.0, 0.0, 0.0], [1.0, 1e-17, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(DegenerateInputError, match=r"\(0, 1\) are numerically rank-deficient"):
-            geometry._tangent_bases(np.stack([gens, gens]), np.array([[0, 2], [0, 1]]))
+            geometry._tangent_bases(np.stack([gens, gens]), np.array([1, 0]),
+                                    np.array([[0, 2], [0, 1]]))
         with pytest.raises(DegenerateInputError, match=r"\(0, 1\)"):
             tangent_base(gens, (0, 1))
 

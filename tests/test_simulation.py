@@ -1,12 +1,15 @@
 """Samplers, estimator plumbing, and the verification harness."""
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conic_walks import geometry, simulation
-from conic_walks.errors import DomainError
+from conic_walks.cli import EXIT_NUMERIC, main
+from conic_walks.errors import DomainError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
 from conic_walks.geometry import count_k_faces, is_full_cone
 from conic_walks.simulation import (
@@ -259,40 +262,102 @@ class TestVerifySuite:
         assert exact["num"].isdigit() and exact["den"].isdigit()
 
 
+def replace_draws(monkeypatch, replace):
+    """Pass every increment draw through ``replace(sample, t, steps)``,
+    where t counts the distinct stream positions that sample has drawn
+    from, in stream order.  A draw from the same position again, however
+    the sampler comes back to it, gets the same t and so the same steps.
+    Returns the (sample, t) of every draw, in order."""
+    seen = {}
+    drawn = []
+    increments = simulation.sample_increments
+
+    def drawing(dist, n, rng):
+        state = rng.bit_generator.state
+        sample = int(state["state"]["counter"][3])
+        positions = seen.setdefault(sample, [])
+        at = (int(state["state"]["counter"][0]), state["buffer_pos"])
+        if at not in positions:
+            positions.append(at)
+        drawn.append((sample, positions.index(at)))
+        return replace(sample, drawn[-1][1], increments(dist, n, rng))
+
+    monkeypatch.setattr(simulation, "sample_increments", drawing)
+    return drawn
+
+
 def count_draws(monkeypatch):
-    """Record the length of every increment draw."""
-    draws = []
-    increments = simulation.sample_increments
-
-    def drawing(dist, n, rng):
-        draws.append(n)
-        return increments(dist, n, rng)
-
-    monkeypatch.setattr(simulation, "sample_increments", drawing)
-    return draws
+    """Record the (sample, t) of every increment draw, as replace_draws."""
+    return replace_draws(monkeypatch, lambda i, t, steps: steps)
 
 
-def zero_first_draws(monkeypatch, chosen):
-    """Make the first increment draw after positioning the stream of each
-    sample in ``chosen`` all zeros: a cone not in general position, which
-    the sample must reject and draw again."""
-    current = {"index": None}
-    at = simulation._SampleStreams.at
-    increments = simulation.sample_increments
+def zero_draws(monkeypatch, counts):
+    """Zero the first counts[i] draws of each sample i: cones not in
+    general position, which the sample must reject and draw again."""
+    replace_draws(monkeypatch, lambda i, t, steps: 0.0 * steps if t < counts.get(i, 0) else steps)
 
-    def positioned(self, index):
-        current["index"] = index
-        return at(self, index)
 
-    def drawing(dist, n, rng):
-        steps = increments(dist, n, rng)
-        if current["index"] in chosen:
-            current["index"] = None
-            return np.zeros_like(steps)
-        return steps
+class TestRetryCaps:
+    FK = FunctionalQuery("fk", Model("A", 4, 2), k=1)
+    CONDITIONED = FunctionalQuery("fk", Model("B", 2, 1), k=0, conditioned=True)
+    NO_DRAW = "no draw (gaussian_iid, n=4, d=2) in general position after 128 attempts"
+    BUDGET = "conditioning on a non-full cone exceeded the retry budget"
+    # walk steps in d = 1 whose partial sums 1, -2 span the line, and 1, 2 a ray
+    FULL = np.array([[1.0], [-3.0]])
+    POINTED = np.array([[1.0], [1.0]])
 
-    monkeypatch.setattr(simulation._SampleStreams, "at", positioned)
-    monkeypatch.setattr(simulation, "sample_increments", drawing)
+    def test_draws_never_in_general_position_fail(self, monkeypatch):
+        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: np.zeros((n, dist.d)))
+        with pytest.raises(SamplingError, match=re.escape(self.NO_DRAW)):
+            estimate(RunConfig(query=self.FK, dist=GAUSS2, samples=8, seed=3))
+
+    def test_cones_always_full_exceed_the_condition_budget(self, monkeypatch):
+        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: self.FULL)
+        monkeypatch.setattr(simulation, "_MAX_CONDITION_RETRIES", 5)
+        with pytest.raises(SamplingError, match=re.escape(self.BUDGET)):
+            estimate(RunConfig(query=self.CONDITIONED, dist=DistributionSpec("gaussian_iid", 1),
+                               samples=8, seed=3))
+
+    def test_simulate_exits_numeric_when_no_draw_is_in_general_position(self, monkeypatch, capsys):
+        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: np.zeros((n, dist.d)))
+        code = main(["simulate", "--model", "A", "--functional", "fk", "--k", "1", "--n", "4",
+                     "--d", "2", "--samples", "8"], out=io.StringIO())
+        assert code == EXIT_NUMERIC
+        assert self.NO_DRAW in capsys.readouterr().err
+
+    @pytest.mark.parametrize("misses, fails", [(127, False), (128, True)])
+    def test_the_draw_cap_counts_misses(self, misses, fails, monkeypatch):
+        zero_draws(monkeypatch, {5: misses})
+        config = RunConfig(query=self.FK, dist=GAUSS2, samples=8, seed=3)
+        if fails:
+            with pytest.raises(SamplingError, match=re.escape(self.NO_DRAW)):
+                estimate(config)
+        else:
+            assert estimate(config).rejected == misses
+
+    def test_the_draw_cap_restarts_after_a_full_cone(self, monkeypatch):
+        # 100 misses, a full cone, 100 misses: never 128 in a row, and the
+        # one full cone is within a condition budget of one
+        replace_draws(monkeypatch, lambda i, t, steps: steps if i != 2 else
+                      0.0 * steps if t < 100 or 100 < t < 201 else
+                      self.FULL if t == 100 else self.POINTED)
+        monkeypatch.setattr(simulation, "_MAX_CONDITION_RETRIES", 1)
+        est = estimate(RunConfig(query=self.CONDITIONED, dist=DistributionSpec("gaussian_iid", 1),
+                                 samples=4, seed=3))
+        assert est.rejected == 200
+
+    @pytest.mark.parametrize("full, fails", [(5, False), (6, True)])
+    def test_the_condition_cap_counts_full_cones(self, full, fails, monkeypatch):
+        replace_draws(monkeypatch, lambda i, t, steps: steps if i != 2 else
+                      self.FULL if t < full else self.POINTED)
+        monkeypatch.setattr(simulation, "_MAX_CONDITION_RETRIES", 5)
+        config = RunConfig(query=self.CONDITIONED, dist=DistributionSpec("gaussian_iid", 1),
+                           samples=4, seed=3)
+        if fails:
+            with pytest.raises(SamplingError, match=re.escape(self.BUDGET)):
+                estimate(config)
+        else:
+            assert estimate(config).rejected == 0
 
 
 class TestConditionedFullConeTest:
@@ -302,9 +367,10 @@ class TestConditionedFullConeTest:
         FunctionalQuery("Z", Model("A", 4, 2), j=0, k=1, conditioned=True),
     ])
     def test_runs_once_per_draw(self, query, monkeypatch):
-        # the chunk takes one full-cone verdict per cone, and a replayed
-        # sample one per draw; the measurement reads the chunk's verdicts,
-        # so it never tests an accepted cone again
+        # every round takes one full-cone verdict per cone it draws; a
+        # sample entering round 2 draws its first increments once more to
+        # position its stream, and that redraw takes none; the measurement
+        # reads the rounds' verdicts, so it never tests an accepted cone again
         decided = []
         full_cones = geometry._full_cones
 
@@ -313,13 +379,14 @@ class TestConditionedFullConeTest:
             return full_cones(rec)
 
         monkeypatch.setattr(geometry, "_full_cones", counting)
-        draws = count_draws(monkeypatch)
+        drawn = count_draws(monkeypatch)
         samples = 64
         est = estimate(RunConfig(query=query, dist=GAUSS2, samples=samples, seed=3))
         assert est.rejected == 0
         assert decided[0] == samples
-        assert len(draws) > samples  # some full cones were conditioned away
-        assert sum(decided) == len(draws)
+        assert len(set(drawn)) > samples  # some full cones were conditioned away
+        assert sum(decided) == len(set(drawn))
+        assert len(drawn) - len(set(drawn)) == decided[1]
 
 
 class TestSharedMinorTable:
@@ -343,8 +410,9 @@ class TestSharedMinorTable:
         assert calls == [(64, query.model.generator_count, query.dimension)]
 
     def test_replayed_draws_compute_their_minors_once(self, monkeypatch):
-        # a sample whose first draw is rejected is replayed alone: its two
-        # draws take one sign record each, after the chunk's one
+        # two samples reject their first draw and draw again in round 2:
+        # one sign record per round, and none for the redraws that position
+        # their streams
         calls = []
         signs = geometry._minor_signs
 
@@ -353,11 +421,11 @@ class TestSharedMinorTable:
             return signs(pts, table)
 
         monkeypatch.setattr(geometry, "_minor_signs", counting)
-        zero_first_draws(monkeypatch, {5, 40})
+        zero_draws(monkeypatch, {5: 1, 40: 1})
         query = FunctionalQuery("fk", Model("A", 4, 2), k=1)
         est = estimate(RunConfig(query=query, dist=GAUSS2, samples=64, seed=3))
         assert est.rejected == 2
-        assert calls == [(64, 3, 2)] + [(1, 3, 2)] * 4
+        assert calls == [(64, 3, 2), (2, 3, 2)]
 
 
 class TestHaarHits:
@@ -453,14 +521,43 @@ class TestChunkOracle:
         FunctionalQuery("joint_absorption", walk_lengths=(2,), bridge_lengths=(3,), d=2),
     ])
     def test_replayed_samples_match_the_per_sample_loop(self, query, monkeypatch):
-        # the chosen samples reject their first draw, so they are replayed
-        # alone from their streams; the chunk stays bit-identical
-        zero_first_draws(monkeypatch, {0, 7, 8, 30})
+        # the chosen samples reject their first draw, so they draw again in
+        # later rounds; the chunk stays bit-identical
+        zero_draws(monkeypatch, {0: 1, 7: 1, 8: 1, 30: 1})
         dist = DistributionSpec("gaussian_iid", query.dimension)
         args = (query, dist, 11, 0, 32)
         got = simulation._chunk_stats(args)
         assert got == loop_chunk_stats(args)
         assert got[2] == 4
+
+    @pytest.mark.parametrize("query", [
+        FunctionalQuery("Y", Model("B", 5, 3), m=2, l=1),
+        FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True),
+        FunctionalQuery("fk", Model("B", 5, 3), k=1, conditioned=True),
+    ])
+    def test_samples_redrawn_over_several_rounds_match_the_per_sample_loop(
+            self, query, monkeypatch):
+        # the first one or three draws of the chosen samples are rejected,
+        # so they take two or four rounds, more where a full cone is
+        # conditioned away; every zeroed draw counts as rejected
+        counts = {0: 3, 4: 1, 7: 3, 8: 1, 19: 3, 30: 1}
+        zero_draws(monkeypatch, counts)
+        dist = DistributionSpec("gaussian_iid", query.dimension)
+        args = (query, dist, 11, 0, 32)
+        got = simulation._chunk_stats(args)
+        assert got == loop_chunk_stats(args)
+        assert got[2] == sum(counts.values())
+
+    def test_rounds_build_no_single_cone(self, monkeypatch):
+        # redrawn samples are decided in batches, never as one ConeSample
+        def single(*args, **kwargs):
+            raise AssertionError("a sample was decided alone")
+
+        zero_draws(monkeypatch, {3: 2, 9: 1})
+        monkeypatch.setattr(simulation, "ConeSample", single)
+        query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
+        est = estimate(RunConfig(query=query, dist=GAUSS2, samples=64, seed=3))
+        assert est.rejected == 3
 
 
 class TestProjectionOnFullCones:
