@@ -139,6 +139,16 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# Most linear factors in one product of roots; a cold bridge fk in d = 3 took 0.08 s
+# at n = 10^4, 0.89 s at 3 * 10^4 and 9.3 s at 10^5 (2-core x86, single runs).
+MAX_FACTORS = 100_000
+
+
+def _check_factor_count(count: int) -> None:
+    if count > MAX_FACTORS:
+        raise DomainError(f"a product of {count} linear factors exceeds the cap of {MAX_FACTORS}")
+
+
 def bridge_roots(n: int) -> range:
     """Roots of t(t+1)...(t+n-1), the first-kind row n."""
     return range(n)
@@ -149,10 +159,11 @@ def walk_roots(n: int) -> range:
     return range(1, 2 * n, 2)
 
 
-def block_roots(bridges: Iterable[int], walks: Iterable[int] = ()) -> list[int]:
+def block_roots(bridges: Sequence[int], walks: Sequence[int] = ()) -> list[int]:
     """Roots of a block product: (t+1)...(t+g-1) per bridge block of length g,
     the bridge row without its factor t, and (t+1)(t+3)...(t+2w-1) per walk
-    block of length w."""
+    block of length w.  More than ``MAX_FACTORS`` roots raise DomainError."""
+    _check_factor_count(sum(bridges) - len(bridges) + sum(walks))
     return ([a for g in bridges for a in bridge_roots(g)[1:]]
             + [a for w in walks for a in walk_roots(w)])
 
@@ -251,6 +262,7 @@ class LowOrderProduct:
     @classmethod
     def of(cls, roots: Sequence[int], m: int) -> LowOrderProduct:
         """The first ``m`` coefficients and the values at +-1 of prod (t + a)."""
+        _check_factor_count(len(roots))
         roots = list(roots)
         return cls(root_product(roots, m), math.prod(a + 1 for a in roots),
                    math.prod(a - 1 for a in roots))

@@ -11,9 +11,9 @@ In general position (no minor exactly zero) a cone is either all of R^d
 or pointed with simplicial facets.  So the cone is full exactly when it
 has no facet, it has an apex exactly when it is not full, and a subset of
 generators spans a face exactly when it lies inside some facet.  The same
-minors decide whether the origin lies in the convex hull of loose points
-(one-dimensional points take a plain sign test), and degenerate input
-takes an exact descent through supporting hyperplanes, with no tolerance.
+minors decide whether the origin lies in the convex hull of loose points,
+and degenerate input, fewer points than dimensions included, takes an
+exact descent through supporting hyperplanes, with no tolerance.
 """
 
 from __future__ import annotations
@@ -62,17 +62,14 @@ class ConeSample:
         return self.generators.shape[0]
 
     @cached_property
-    def _signs(self) -> _SignRecord | None:
-        # a batch of one; None when there are fewer generators than
-        # dimensions: no d x d minor
-        return _SignRecord.of(self.generators[None]) if self.n_generators >= self.d else None
+    def _signs(self) -> _SignRecord:
+        return _SignRecord.of(self.generators[None])  # a batch of one
 
     def in_general_position(self) -> bool:
         """There are at least d generators and no d x d minor of them is
         exactly zero.  Raises DomainError when the minor table would exceed
         ``MAX_SUBSETS`` row subsets."""
-        rec = self._signs
-        return rec is not None and bool(rec.general[0])
+        return bool(self._signs.general[0])
 
 
 @dataclass(frozen=True)
@@ -151,12 +148,12 @@ DomainError before anything is allocated."""
 def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> bool:
     """Whether the origin is a convex combination of the given points.
 
-    The verdict is exact, with no tolerance.  In one dimension it is a sign
-    test; from two on it is read off the signs of the d x d minors of the
-    points, which a floating-point filter certifies and integer arithmetic
+    The verdict is exact, with no tolerance.  It is read off the signs of
+    the d x d minors of the points (in one dimension, the points' own
+    signs), which a floating-point filter certifies and integer arithmetic
     decides where the filter cannot.  Points may be rescaled individually
-    without changing the verdict.  In d >= 2, inputs whose minor table
-    would exceed ``MAX_SUBSETS`` row subsets raise DomainError.
+    without changing the verdict.  Inputs whose minor table would exceed
+    ``MAX_SUBSETS`` row subsets raise DomainError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -174,16 +171,10 @@ def _origin_in_hull(pts: np.ndarray) -> bool:
 def _origin_in_hulls(pts: np.ndarray) -> np.ndarray:
     """Exact verdicts for a batch of point sets of shape (S, n, d), one per set.
 
-    In one dimension the verdict is a sign test.  In general position the
-    origin is outside exactly when a facet exists; every other set takes
+    In general position the origin is outside exactly when a facet exists;
+    every other set, including any of fewer points than dimensions, takes
     :func:`_hull_descent`.
     """
-    _, n, d = pts.shape
-    if d == 1:
-        x = pts[:, :, 0]
-        return ~((x.min(axis=1) > 0.0) | (x.max(axis=1) < 0.0))
-    if n < d:
-        return np.array([_hull_descent(p, None) for p in pts], dtype=bool)
     rec = _SignRecord.of(pts)
     inside = ~rec.facets.any(axis=1)
     for s in np.flatnonzero(~rec.general):
@@ -191,9 +182,9 @@ def _origin_in_hulls(pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _hull_descent(pts: np.ndarray, rec: _SignRecord | None) -> bool:
+def _hull_descent(pts: np.ndarray, rec: _SignRecord) -> bool:
     """Verdict for one set of points with an exactly zero d x d minor, or
-    fewer points than dimensions (``rec`` its sign record, or None).
+    fewer points than dimensions (``rec`` its sign record).
 
     A zero point is inside; points with no nonzero d x d minor pass to
     coordinates on which their span maps one-to-one; and full-rank points
@@ -204,7 +195,7 @@ def _hull_descent(pts: np.ndarray, rec: _SignRecord | None) -> bool:
     """
     if not pts.any(axis=1).all():
         return True
-    if rec is None or not rec.signs.any():
+    if not rec.signs.any():
         return _origin_in_hull(pts[:, _bareiss(_integer_rows(pts))[0]])
     sides = rec.sides[0]
     support = _weakly_supporting(sides)
@@ -216,27 +207,28 @@ def _hull_descent(pts: np.ndarray, rec: _SignRecord | None) -> bool:
 
 
 class _SignRecord:
-    """Exact signs of all d x d minors of S sets of n >= d points each, read
-    as geometry.  A single cone is a batch of one.
+    """Exact signs of all d x d minors of S sets of n points each, read as
+    geometry.  A single cone is a batch of one.
 
-    ``signs`` has shape (S, T), T = C(n, d), and ``general[s]`` says no
-    minor of set s is zero.  ``sides[s, :, t]`` holds the side of every
-    point outside (d-1)-subset t (``table.facet_others[t]``) relative to
-    the hyperplane that subset spans, 0 on it, and ``facets[s]`` marks the
-    subsets with every other point strictly on one side; both are derived
-    on first use.  The other points run along the middle axis of
-    ``sides``, so each facet test reduces across contiguous rows.
+    ``signs`` has shape (S, T), T = C(n, d), and ``general[s]`` says set s
+    has a minor and none is zero (n < d gives T = 0).  ``sides[s, :, t]``
+    holds the side of every point outside (d-1)-subset t
+    (``table.facet_others[t]``) relative to the hyperplane it spans, 0 on
+    it, and ``facets[s]`` marks the subsets with every other point strictly
+    on one side; both are derived on first use.  The other points run along
+    the middle axis of ``sides``, so each facet test reduces across rows.
     """
 
     def __init__(self, table: _MinorTable, signs: np.ndarray) -> None:
         self.table = table
         self.signs = signs
-        self.general = signs.all(axis=1)
+        self.general = signs.all(axis=1) & (signs.shape[1] > 0)
 
     @classmethod
     def of(cls, pts: np.ndarray) -> _SignRecord:
-        table = _minor_table(*pts.shape[1:])
-        return cls(table, _minor_signs(pts, table))
+        count, n, d = pts.shape
+        table = _minor_table(n, d)
+        return cls(table, _minor_signs(pts, table) if n >= d else np.zeros((count, 0), np.int8))
 
     def take(self, which) -> _SignRecord:
         """The record of the selected sets."""
@@ -294,17 +286,17 @@ def _face_masks(rec: _SignRecord, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _MinorTable:
-    """Index tables for the d x d minors of an n x d matrix, n >= d.
+    """Index tables for the d x d minors of an n x d matrix.
 
-    ``levels[k - 2]`` holds, for every k-subset R of rows in combinations
-    order, its rows, the positions of R without R_i among the
-    (k-1)-subsets, and the cofactor signs: the k x k minor on the first k
-    columns is sum_i (-1)^(i+k-1) x[R_i, k-1] minor(R without R_i).  The
+    ``levels[k - 2]``, k <= min(n, d), holds, for every k-subset R of rows
+    in combinations order, its rows, the positions of R without R_i among
+    the (k-1)-subsets, and the cofactor signs: the k x k minor on the first
+    k columns is sum_i (-1)^(i+k-1) x[R_i, k-1] minor(R without R_i).  The
     rows and positions are stored transposed, one row per i, so a batch
-    gathers each term i along a contiguous row.  For
-    every (d-1)-subset S, ``facet_minor`` and ``facet_parity`` turn the
-    minors into det[x_S; x_j] for each other row j (in ``facet_others``),
-    the side of x_j relative to the hyperplane spanned by S.
+    gathers each term i along a contiguous row.  For every (d-1)-subset S,
+    ``facet_minor`` and ``facet_parity`` turn the minors into
+    det[x_S; x_j] for each other row j (in ``facet_others``), the side of
+    x_j relative to the hyperplane spanned by S.
     """
 
     shape: tuple[int, int]
@@ -317,7 +309,7 @@ class _MinorTable:
 
 def _check_subset_count(n: int, d: int) -> None:
     """Raise DomainError when the row subsets of size 1..d exceed the cap."""
-    count = sum(math.comb(n, k) for k in range(1, d + 1))
+    count = sum(math.comb(n, k) for k in range(1, min(n, d) + 1))
     if count > MAX_SUBSETS:
         raise DomainError(
             f"n={n}, d={d} needs {count} row subsets, above the cap of {MAX_SUBSETS}")
@@ -336,7 +328,7 @@ def _minor_table(n: int, d: int) -> _MinorTable:
     _check_subset_count(n, d)
     position = {(r,): r for r in range(n)}
     levels = []
-    for k in range(2, d + 1):
+    for k in range(2, min(n, d) + 1):
         rows = _subsets(n, k)
         subsets = [tuple(s) for s in rows.tolist()]
         below = [[position[s[:i] + s[i + 1:]] for i in range(k)] for s in subsets]
@@ -351,13 +343,14 @@ def _minor_table(n: int, d: int) -> _MinorTable:
     # moving row j from its sorted place to the end passes the rows after it
     parity = [[(-1) ** sum(i > j for i in wall) for j in rest]
               for wall, rest in zip(walls, others)]
+    shape = (len(walls), max(n - d + 1, 0))  # kept with no wall or no other row
     return _MinorTable(
         shape=(n, d),
         levels=tuple(levels),
         facet_rows=_subsets(n, d - 1),
-        facet_others=np.array(others, dtype=np.intp),
-        facet_minor=np.array(minor, dtype=np.intp),
-        facet_parity=np.array(parity, dtype=np.int8))
+        facet_others=np.array(others, dtype=np.intp).reshape(shape),
+        facet_minor=np.array(minor, dtype=np.intp).reshape(shape),
+        facet_parity=np.array(parity, dtype=np.int8).reshape(shape))
 
 
 @lru_cache(maxsize=256)
@@ -408,8 +401,6 @@ def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np
 def _minor_signs(pts: np.ndarray, table: _MinorTable) -> np.ndarray:
     """Exact signs of all d x d minors of each set in pts, (S, n, d), in
     combinations order."""
-    if pts.shape[2] == 1:
-        return np.sign(pts[:, :, 0]).astype(np.int8)  # the 1 x 1 minors are the entries
     signs, unsure = _filtered_signs(pts, table)
     if not unsure.any():
         return signs
@@ -481,8 +472,7 @@ def is_full_cone(cone: ConeSample) -> bool:
     lies on such a hyperplane, so this reads: the cone has no facet; and
     it is the origin lying in the generators' convex hull.
     """
-    rec = cone._signs
-    return rec is not None and bool(_full_cones(rec)[0])
+    return bool(_full_cones(cone._signs)[0])
 
 
 def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...]:
@@ -500,17 +490,14 @@ def _full_or_checked(cone: ConeSample) -> bool:
     """Whether the cone is full.  A cone that is not full must have
     independent generators when they are fewer than d, and no exactly zero
     minor otherwise; else DegenerateInputError."""
-    rec = cone._signs
     n, d = cone.generators.shape
-    if rec is None:
-        if len(_bareiss(_integer_rows(cone.generators))[0]) < n:
-            raise DegenerateInputError(
-                f"{n} generators in R^{d} are linearly dependent; face test undefined")
-        return False
-    if _full_cones(rec)[0]:
-        return True
-    if rec.general[0]:
-        return False
+    if n < d and len(_bareiss(_integer_rows(cone.generators))[0]) < n:
+        raise DegenerateInputError(
+            f"{n} generators in R^{d} are linearly dependent; face test undefined")
+    rec = cone._signs
+    full = bool(_full_cones(rec)[0])
+    if full or rec.general[0] or n < d:
+        return full
     raise DegenerateInputError(
         "the cone is not full and has an exactly zero d x d minor; face test undefined")
 
@@ -528,7 +515,7 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     """
     rec = cone._signs
     subsets = _subsets(cone.n_generators, k)
-    if rec is not None and rec.general[0]:
+    if rec.general[0]:
         return [tuple(s) for s in subsets[_face_masks(rec, k)[0]].tolist()]
     if k == 0:
         nonzero = cone.generators[cone.generators.any(axis=1)]

@@ -365,7 +365,7 @@ class _Sampler:
         self.measure = MEASURES[query.functional]
         n, d = self.draw.n_generators, dist.d
         if n < d:  # no d x d minor, so no draw is in general position
-            raise self.draw.failed()
+            raise DomainError(f"{self.draw.what} of {n} points in R^{d}: never in general position")
         self.block = self.measure.block(query, n, d)
         size = (self.draw.n_steps * d + math.prod(self.block)
                 + sum(math.comb(n, k) * k for k in range(1, d + 1)))

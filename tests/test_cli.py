@@ -109,6 +109,17 @@ class TestExact:
         rec = json.loads(text.strip())
         assert rec["exact"]["num"] == "0" and rec["exact"]["den"] == "1"
 
+    def test_huge_n_fails_fast(self, capsys):
+        # a row of 3 * 10^12 linear factors is refused before its roots are listed
+        start = time.perf_counter()
+        code, text = run_cli("exact", "--model", "A", "--functional", "fk",
+                             "--n", "3000000000000", "--d", "2", "--k", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "exceeds the cap of 100000" in err and "Traceback" not in err
+
     def test_sweep_fails_at_the_first_bad_index(self, capsys):
         # the queries are built one at a time, not all before the first runs
         start = time.perf_counter()

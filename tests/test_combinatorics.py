@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_walks.combinatorics import (
+    MAX_FACTORS,
     LowOrderProduct,
     StirlingTables,
     binomial,
+    block_roots,
     coeff_P,
     coeff_P_poly,
     coeff_Q,
@@ -327,6 +329,16 @@ class TestRootProduct:
         longer = t.low_row(rule, 50, 9)
         assert longer.coeffs[:6] == row.coeffs and len(longer.coeffs) == 9
         assert t.low_row(rule, 50, 6) is longer
+
+    def test_factor_cap(self):
+        # roots are counted before any list of them is built
+        assert len(block_roots([], [MAX_FACTORS])) == MAX_FACTORS
+        for call in (lambda: LowOrderProduct.of(range(MAX_FACTORS + 1), 3),
+                     lambda: block_roots([MAX_FACTORS + 2]),
+                     lambda: coeff_P(MAX_FACTORS + 1, [], 0),
+                     lambda: coeff_Q(10 ** 12, [1], 0)):
+            with pytest.raises(DomainError, match="linear factors exceeds the cap"):
+                call()
 
     def test_reading_past_the_truncation_raises(self):
         low = LowOrderProduct.of(range(1, 20), 3)

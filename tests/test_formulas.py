@@ -32,6 +32,7 @@ from conic_walks import (
     subspace_intersection_probability,
     wendel_probability,
 )
+from conic_walks.combinatorics import MAX_FACTORS
 from conic_walks.errors import DomainError
 
 F = Fraction
@@ -400,6 +401,21 @@ class TestLargeN:
     def test_conditioned_edge_count_approaches_partition_limit(self):
         value = expected_fk(Model("A", 500, 3), 1, conditioned=True)
         assert abs(value / 6 - 1) <= F(1, 10)
+
+    def test_products_past_the_factor_cap_fail_fast(self):
+        # each of these reads a product of MAX_FACTORS + 1 linear factors
+        big = MAX_FACTORS + 1
+        calls = [lambda: expected_fk(Model("A", big, 3), 1),
+                 lambda: expected_vk(Model("B", big, 3), 1),
+                 lambda: face_probability(Model("B", big + 1, 3), [1]),
+                 lambda: face_probability(Model("A", big + 2, 3), [1]),
+                 lambda: joint_absorption_probability([big], [], 3),
+                 lambda: joint_absorption_probability([], [big + 1], 3)]
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"product of {big} linear factors"):
+                call()
+            assert time.perf_counter() - start < 0.1
 
 
 class TestModelValidation:

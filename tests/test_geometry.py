@@ -1,6 +1,7 @@
 """Cone geometry predicates against brute-force and library oracles."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -861,6 +862,61 @@ class TestExactHullPredicate:
             tracemalloc.stop()
         assert est.shape == (128, 84)
         assert peak < 6 * est.nbytes
+
+
+class TestOneSignRecord:
+    """Sets of 1-d points, and sets of fewer points than dimensions, read the
+    same sign record as every other set; the latter's has no minor."""
+
+    @staticmethod
+    def short_sets():
+        # points in {-1, 0, 1}^d, each scaled, down to subnormals
+        rng = np.random.default_rng(20261019)
+        for _ in range(400):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 7)) if d == 1 else int(rng.integers(1, d))
+            ints = rng.integers(-1, 2, (n, d))
+            if rng.random() < 0.25:
+                ints[-1] = ints[0]  # a repeated point
+            yield ints, ints * rng.choice([1.0, 3.0, 1e200, 1e-310, 5e-324], (n, 1))
+
+    def test_short_and_one_dimensional_sets_match_the_oracles(self):
+        for ints, pts in self.short_sets():
+            n, d = pts.shape
+            cone = ConeSample(pts)
+            assert origin_in_convex_hull(pts) == fraction_origin_in_hull(pts), pts
+            assert is_full_cone(cone) == fraction_positively_spans(pts), pts
+            assert cone.in_general_position() == (n >= d and ints.all()), pts
+            nonzero = pts[ints.any(axis=1)]
+            pointed = not len(nonzero) or not fraction_origin_in_hull(nonzero)
+            assert count_k_faces(cone, 0) == pointed, pts
+            for k in range(1, d):
+                if len(pivot_columns(ints.tolist())) == n:
+                    assert count_k_faces(cone, k) == math.comb(n, k), pts
+                else:
+                    with pytest.raises(DegenerateInputError):
+                        count_k_faces(cone, k)
+
+    def test_wide_sets_answer_in_milliseconds(self):
+        start = time.perf_counter()
+        cone = ConeSample(np.ones((1, 3000)))
+        assert not cone.in_general_position() and not is_full_cone(cone)
+        assert [count_k_faces(cone, k) for k in (0, 1, 2)] == [1, 1, 0]
+        assert not origin_in_convex_hull(np.ones((2, 3000)))
+        assert origin_in_convex_hull(np.vstack([np.ones(3000), -np.ones(3000)]))
+        assert time.perf_counter() - start < 0.1
+
+    def test_short_records_have_no_minor_and_no_level_above_n(self):
+        rec = geometry._SignRecord.of(np.ones((4, 2, 3)))
+        assert rec.signs.shape == (4, 0) and not rec.general.any()
+        misses = geometry._subsets.cache_info().misses
+        for n, d in ((1, 2999), (2, 2999), (3, 7)):
+            table = geometry._minor_table(n, d)
+            assert len(table.levels) == n - 1
+            shape = (math.comb(n, d - 1), max(n - d + 1, 0))
+            assert table.facet_others.shape == table.facet_minor.shape == shape
+            assert table.facet_parity.shape == shape
+        assert geometry._subsets.cache_info().misses - misses <= 6
 
 
 class TestBareiss:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conic_walks import geometry, simulation
-from conic_walks.cli import EXIT_NUMERIC, main
+from conic_walks.cli import EXIT_NUMERIC, EXIT_USAGE, main
 from conic_walks.errors import DomainError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
 from conic_walks.geometry import count_k_faces, is_full_cone
@@ -325,6 +325,19 @@ class TestRetryCaps:
         assert code == EXIT_NUMERIC
         assert self.NO_DRAW in capsys.readouterr().err
 
+    def test_joint_draws_too_short_for_general_position_are_refused(self, capsys):
+        # one point in R^5 has no 5 x 5 minor: refused before any draw
+        query = FunctionalQuery("joint_absorption", walk_lengths=(1,), d=5)
+        short = "joint draw of 1 points in R^5: never in general position"
+        with pytest.raises(DomainError, match=re.escape(short)):
+            estimate(RunConfig(query=query, dist=DistributionSpec("gaussian_iid", 5),
+                               samples=8, seed=3))
+        code = main(["simulate", "--functional", "joint_absorption", "--walks", "1",
+                     "--d", "5", "--samples", "8"], out=io.StringIO())
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert short in err and "Traceback" not in err
+
     @pytest.mark.parametrize("misses, fails", [(127, False), (128, True)])
     def test_the_draw_cap_counts_misses(self, misses, fails, monkeypatch):
         zero_draws(monkeypatch, {5: misses})
@@ -393,8 +406,9 @@ class TestSharedMinorTable:
     @pytest.mark.parametrize("gate", ["f1/A n=4 d=2", "Y m=2 l=1/B n=5 d=3"])
     def test_one_minor_table_per_draw(self, gate, monkeypatch):
         # the general-position check and every verdict on the chunk read one
-        # sign record, computed in one call for the whole chunk; the Y
-        # gate's 1-d Haar projections take the sign test
+        # sign record, computed in one call for the whole chunk; the Y gate
+        # projects the generators of every m-face to 1-d points for its Haar
+        # hits, and those read one more record, for all the faces at once
         calls = []
         signs = geometry._minor_signs
 
@@ -402,12 +416,17 @@ class TestSharedMinorTable:
             calls.append(pts.shape)
             return signs(pts, table)
 
-        monkeypatch.setattr(geometry, "_minor_signs", counting)
         query = next(g.query for g in default_gates() if g.name == gate)
         dist = DistributionSpec("gaussian_iid", query.dimension)
+        projections = []
+        if query.functional == "Y":  # the m-faces come from the same increments
+            faces = FunctionalQuery("fk", query.model, k=query.m)
+            count = estimate(RunConfig(query=faces, dist=dist, samples=64, seed=3)).mean * 64
+            projections = [(int(count), query.m, query.l)]
+        monkeypatch.setattr(geometry, "_minor_signs", counting)
         est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
         assert est.rejected == 0
-        assert calls == [(64, query.model.generator_count, query.dimension)]
+        assert calls == [(64, query.model.generator_count, query.dimension)] + projections
 
     def test_replayed_draws_compute_their_minors_once(self, monkeypatch):
         # two samples reject their first draw and draw again in round 2:
