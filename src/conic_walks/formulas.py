@@ -58,8 +58,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .combinatorics import (LowOrderProduct, StirlingTables, binomial, block_roots,
-                            bridge_roots, default_tables, walk_roots)
+from .combinatorics import (LowOrderProduct, StirlingTables, _check_factor_count, binomial,
+                            block_roots, bridge_roots, default_tables, walk_roots)
 from .errors import DomainError, as_index
 
 A_BRIDGE = "A"
@@ -142,11 +142,13 @@ def wendel_probability(n: int, d: int) -> Fraction:
 
     Equals 2^-(n-1) * sum_{k<d} C(n-1, k); in particular 7/8 for four
     symmetric points around the origin in dimension three.  For d >= n the
-    sum holds every C(n-1, k) and the probability is 1.
+    sum holds every C(n-1, k) and the probability is 1.  The C(n-1, k) are
+    the coefficients of (1 + t)^(n-1), so its n - 1 factors are capped.
     """
     n, d = as_index(n, "n"), as_index(d, "d")
     if n < 1 or d < 1:
         raise DomainError(f"wendel probability requires n >= 1 and d >= 1, got n={n}, d={d}")
+    _check_factor_count(n - 1)
     return Fraction(sum(binomial(n - 1, k) for k in range(min(d, n))), 1 << (n - 1))
 
 

@@ -10,10 +10,16 @@ Estimates are reproducible by construction: the random stream of sample
 ``i`` is the Philox stream with key ``seed`` and counter block ``i``, so
 results do not depend on worker count or scheduling, and chunk partial
 sums are reduced in fixed chunk order.
+
+The first round of every batch is drawn in arrays, bit for bit as numpy's
+Generator draws it.  numpy itself draws a sample whose increments leave its
+ziggurat's fast path, a Gaussian block from its first word off it on, and
+every later round; so each stream is consumed as if each sample were drawn alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +42,7 @@ from .geometry import ConeSample
 FAMILIES = ("gaussian_iid", "heavy_tail_iid", "scaled_gaussian_exchangeable")
 
 _MASK64 = (1 << 64) - 1
+_LO32 = 0xFFFFFFFF
 _CHUNK = 2048
 _MAX_DRAW_RETRIES = 128
 _MAX_CONDITION_RETRIES = 200_000
@@ -77,6 +84,24 @@ def sample_increments(dist: DistributionSpec, n: int, rng: np.random.Generator) 
     return scale * rng.standard_normal((n, dist.d))
 
 
+def _word_count(dist: DistributionSpec, n: int) -> int:
+    """Words that sample_increments reads for n increments on the fast path."""
+    per = 2 if dist.family == "heavy_tail_iid" else 1
+    return per * n * dist.d + (dist.family == "scaled_gaussian_exchangeable")
+
+
+def _fast_increments(dist: DistributionSpec, n: int, normals: _Normals, at: int) -> np.ndarray:
+    """sample_increments (S, n, d) for the streams of ``normals`` from word
+    ``at`` on, wherever those words are on the fast path (round 1's seam)."""
+    z = normals.z[:, at:at + _word_count(dist, n)]
+    if dist.family == "gaussian_iid":
+        return z.reshape(-1, n, dist.d)
+    if dist.family == "heavy_tail_iid":  # numerator, then denominator
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (z[:, 0::2] / z[:, 1::2]).reshape(-1, n, dist.d)
+    scale = np.array([math.exp(v) for v in z[:, 0].tolist()])  # libm's exp, as numpy's
+    return scale[:, None, None] * z[:, 1:].reshape(-1, n, dist.d)
+
 
 @dataclass(frozen=True)
 class _Draw:
@@ -105,6 +130,11 @@ class _Draw:
     @property
     def n_generators(self) -> int:
         return sum(n - bridge for n, bridge in self.blocks)
+
+    @property
+    def n_words(self) -> int:
+        """Words one sample's increments read on the fast path."""
+        return sum(_word_count(self.dist, n) for n, _ in self.blocks)
 
     def increments(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Draw one sample's increments into ``out``, block by block."""
@@ -166,30 +196,135 @@ def sample_bridge(dist: DistributionSpec, n: int, rng: np.random.Generator) -> C
 # per-sample random streams
 
 
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): the multipliers of
+# counter words 0 and 2, and the Weyl steps of the key words
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def _philox(x: np.ndarray, y: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Philox4x64-10 of the counters with words 0, 2 in x (2, N) and 1, 3
+    in y (2, N), which it overwrites; the blocks come back split alike."""
+    m = np.empty_like(x)
+    m[:] = _PHILOX_M  # full rows: ufuncs on equal shapes skip the broadcast
+    m_lo, m_hi = m & _LO32, m >> 32
+    for k in keys:
+        x0, x1 = x & _LO32, x >> 32  # the high words of x * m from 32-bit halves
+        t = x1 * m_lo + ((x0 * m_lo) >> 32)
+        hi = x1 * m_hi + (t >> 32) + (((t & _LO32) + x0 * m_hi) >> 32)
+        x *= m
+        y ^= hi[::-1]
+        y ^= k
+        x, y = y, x[::-1]
+    return x, y
+
+
+class _Normals(NamedTuple):
+    """numpy's normals z[s, w] of word w of stream samples[s], if fast[s, w]."""
+
+    samples: np.ndarray
+    z: np.ndarray
+    fast: np.ndarray
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's 256-layer ziggurat (Marsaglia & Tsang, JSS 2000), unexported:
+    a word with idx = bits 0-7, sign = bit 8 and rabs = bits 9-60 gives
+    +-rabs * wi[idx], reading no other word, iff rabs < ki[idx].  numpy reads
+    them with its buffer set to (word, 1, 0, 0): at rabs = 1 the wedge test
+    too accepts x = wi[idx], and the next word shows if it took the fast path."""
+    bg = np.random.Philox(key=0)
+    gen, state = np.random.Generator(bg), bg.state
+    buffer = state["buffer"]
+    buffer[1:] = (1, 0, 0)
+
+    def probe(idx, rabs):  # numpy's normal of the word, and whether it read no other
+        buffer[0], state["buffer_pos"] = idx | rabs << 9, 0
+        bg.state = state
+        return gen.standard_normal(), bg.random_raw() == 1
+
+    wi, ki = np.array([probe(i, 1)[0] for i in range(256)]), []
+    for i, (w_prev, w) in enumerate(zip(np.roll(wi, 1).tolist(), wi.tolist())):
+        (a, b), (c, e) = w_prev.as_integer_ratio(), w.as_integer_ratio()
+        g = (a * e << 52) // (b * c)  # 2^52 wi[idx - 1] / wi[idx]: ki is near, then bisect
+        lo, hi, tries = -1, 1 << 52, iter((g, g + 1, g - 1, 0))  # rabs lo fast, hi not
+        while hi - lo > 1:
+            r = next(tries, (lo + hi) // 2)
+            if lo < r < hi:
+                lo, hi = (r, hi) if probe(i, r)[1] else (lo, r)
+        ki.append(hi)
+    ki = np.array(ki, dtype=np.uint64)
+    wi.flags.writeable = ki.flags.writeable = False  # cached, so shared by every caller
+    streams, samples = _SampleStreams(1), np.arange(16, dtype=np.uint64)
+    normals = _Normals(samples, *_ziggurat(streams.words(samples, 13), wi, ki))
+    for dist in [DistributionSpec(family, 2) for family in FAMILIES]:  # check numpy's layouts
+        count, got = _word_count(dist, 3), _fast_increments(dist, 3, normals, 0)
+        for s, ok in enumerate(normals.fast[:, :count].all(axis=1)):
+            want = sample_increments(dist, 3, streams.at(s)).tobytes()
+            if ok != (streams.tell() == count) or ok and want != got[s].tobytes():
+                raise SamplingError(f"numpy {np.__version__} draws {dist.family} unlike the arrays")
+    return wi, ki
+
+
+def _ziggurat(words: np.ndarray, wi: np.ndarray, ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard normal of each word on the fast path, and which are."""
+    layer = (words & 0x1FF).astype(np.intp)  # idx and the sign bit
+    rabs = (words >> 9) & ((1 << 52) - 1)
+    return rabs.astype(np.float64) * np.concatenate([wi, -wi])[layer], rabs < np.tile(ki, 2)[layer]
+
+
 class _SampleStreams:
     """Generators addressed by sample index over one Philox key.
 
-    Stream i is the Philox sequence with key ``seed`` and starting counter
-    block (0, 0, 0, i); each stream has 2^192 values of room, and resetting
-    the counter on one reused bit generator avoids per-sample construction
-    cost.
+    Stream i is the Philox sequence with key (seed, 0) and starting counter
+    (0, 0, 0, i), with 2^192 values of room.  ``at`` resets one reused bit
+    generator to any word of one stream; ``normals`` reads the first words
+    of many streams in arrays.
     """
 
     def __init__(self, seed: int) -> None:
         seed = int(seed) & _MASK64
+        self._keys = (np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W  # round keys
+                      + np.array([[seed], [0]], dtype=np.uint64))
         self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
         self._state = self._bg.state  # a copy; setting it copies it back
         self._state["buffer_pos"] = 4  # mark the output buffer as drained
 
-    def at(self, index: int) -> np.random.Generator:
-        self._state["state"]["counter"][:] = (0, 0, 0, index & _MASK64)
+    def at(self, index: int, word: int = 0) -> np.random.Generator:
+        """numpy's generator on stream ``index``, before its word ``word``."""
+        self._state["state"]["counter"][:] = (word // 4, 0, 0, index & _MASK64)
         self._bg.state = self._state
+        if word % 4:
+            self._bg.random_raw(word % 4)
         return self._gen
 
-    def resume(self, state: dict) -> np.random.Generator:
-        self._bg.state = state
-        return self._gen
+    def tell(self) -> int:
+        """The word the generator last given by ``at`` stands before."""
+        state = self._bg.state
+        return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+    def words(self, samples: np.ndarray, count: int) -> np.ndarray:
+        """The first ``count`` words (S, count) of the streams ``samples``:
+        numpy steps the counter before it fills its buffer, so words 4b to
+        4b + 3 of stream i are the block of the counter (b + 1, 0, 0, i)."""
+        blocks = -(-count // 4)
+        x, y = np.zeros((2, 2, len(samples) * blocks), dtype=np.uint64)
+        x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(samples))
+        y[1] = np.repeat(samples, blocks)
+        x, y = _philox(x, y, self._keys)
+        return np.stack([x[0], y[0], x[1], y[1]], axis=1).reshape(len(samples), -1)[:, :count]
+
+    def normals(self, samples: np.ndarray, count: int) -> _Normals:
+        """The normals of the first ``count`` words of the streams ``samples``."""
+        z = np.empty((len(samples), count))
+        fast = np.empty(z.shape, dtype=bool)
+        step = max(1, 4096 // -(-count // 4))  # 4,096 blocks a pass; more leave the cache
+        for lo in range(0, len(samples), step):
+            z[lo:lo + step], fast[lo:lo + step] = _ziggurat(
+                self.words(samples[lo:lo + step], count), *_ziggurat_tables())
+        return _Normals(samples, z, fast)
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +516,21 @@ class _Sampler:
         increments ended, so it consumes its stream as if drawn alone.
         """
         values = np.empty(len(indices))
-        states: list[Optional[dict]] = [None] * len(indices)  # after the last increments
         misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
+        words = None  # each stream's word after its last increments
         pending = np.arange(len(indices))
         rejected = 0
         while pending.size:
-            steps = np.empty((len(pending), self.draw.n_steps, self.draw.dist.d))
-            gauss = np.empty((len(pending), *self.block))
-            for s, p in enumerate(pending):
-                rng = streams.at(indices[p]) if states[p] is None else streams.resume(states[p])
-                self.draw.increments(rng, steps[s])
-                if states[p] is not None:
-                    states[p] = rng.bit_generator.state
-                if gauss.size:
-                    rng.standard_normal(out=gauss[s])
+            if words is None:
+                steps, gauss, words = self.first_round(streams, np.array(indices, dtype=np.uint64))
+            else:
+                steps = np.empty((len(pending), self.draw.n_steps, self.draw.dist.d))
+                gauss = np.empty((len(pending), *self.block))
+                for s, p in enumerate(pending):
+                    if words[p] < 0:  # drawn whole in round 1: find where its increments end
+                        self.draw.increments(streams.at(indices[p]), steps[s])
+                        words[p] = streams.tell()
+                    words[p] = self.draw_alone(streams, indices[p], words[p], steps[s], gauss[s])
             gens = self.draw.partial_sums(steps)
             rec = geometry._SignRecord.of(gens)
             chunk = _Chunk(gens, rec, geometry._full_cones(rec), gauss)
@@ -412,12 +548,42 @@ class _Sampler:
             if fulls.max() > _MAX_CONDITION_RETRIES:
                 raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
             pending = pending[redo]
-            for p in pending:  # position a sample's stream after its first increments
-                if states[p] is None:
-                    rng = streams.at(indices[p])
-                    self.draw.increments(rng, steps[0])
-                    states[p] = rng.bit_generator.state
         return values, rejected
+
+    def draw_alone(self, streams: _SampleStreams, index: int, word: int,
+                   steps: np.ndarray, gauss: np.ndarray) -> int:
+        """One sample's draw by numpy from word ``word`` of its stream on;
+        returns the word after its increments, or -1 from word 0: ``tell``
+        costs more than the draw, and few first draws are redone."""
+        rng = streams.at(index, int(word))
+        self.draw.increments(rng, steps)
+        word = streams.tell() if word else -1
+        if gauss.size:
+            rng.standard_normal(out=gauss)
+        return word
+
+    def first_round(self, streams: _SampleStreams,
+                    samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each sample's first increments and Gaussian block, bit for bit as
+        numpy draws them, and the word after its increments.  numpy draws a
+        sample whose increments leave the fast path (its word is then -1),
+        and a block's tail from its first word off it."""
+        count = self.draw.n_words
+        normals = streams.normals(samples, count + math.prod(self.block))
+        steps = np.empty((len(samples), self.draw.n_steps, self.draw.dist.d))
+        at = word = 0
+        for n, _ in self.draw.blocks:
+            steps[:, at:at + n] = _fast_increments(self.draw.dist, n, normals, word)
+            at, word = at + n, word + _word_count(self.draw.dist, n)
+        gauss = normals.z[:, count:].reshape(len(samples), *self.block)
+        fast = normals.fast[:, :count].all(axis=1)
+        for p in np.flatnonzero(~fast):
+            self.draw_alone(streams, int(samples[p]), 0, steps[p], gauss[p])
+        block = normals.fast[:, count:]
+        tails = np.flatnonzero(fast & ~block.all(axis=1))
+        for p, j in zip(tails, block[tails].argmin(axis=1) if tails.size else ()):
+            streams.at(int(samples[p]), count + j).standard_normal(out=gauss[p].reshape(-1)[j:])
+        return steps, gauss, np.where(fast, count, -1)
 
 
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:

@@ -120,6 +120,16 @@ class TestExact:
         err = capsys.readouterr().err
         assert "exceeds the cap of 100000" in err and "Traceback" not in err
 
+    def test_huge_wendel_fails_fast(self, capsys):
+        # 2^(n-1) with n = 10^8 would take hours to build and print
+        start = time.perf_counter()
+        code, text = run_cli("exact", "--functional", "wendel", "--n", "100000000", "--d", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "exceeds the cap of 100000" in err and "Traceback" not in err
+
     def test_sweep_fails_at_the_first_bad_index(self, capsys):
         # the queries are built one at a time, not all before the first runs
         start = time.perf_counter()

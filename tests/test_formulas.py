@@ -417,6 +417,14 @@ class TestLargeN:
                 call()
             assert time.perf_counter() - start < 0.1
 
+    def test_wendel_past_the_factor_cap_fails_fast(self):
+        # the C(n-1, k) are the coefficients of (1 + t)^(n-1), n - 1 linear factors
+        assert wendel_probability(MAX_FACTORS + 1, 1) == F(1, 2 ** MAX_FACTORS)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"product of {MAX_FACTORS + 1} linear factors"):
+            wendel_probability(MAX_FACTORS + 2, 3)
+        assert time.perf_counter() - start < 0.1
+
 
 class TestModelValidation:
     def test_bridge_needs_one_extra_increment(self):

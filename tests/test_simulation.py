@@ -132,6 +132,135 @@ class TestSampleStreams:
         assert not np.allclose(a, b)
 
 
+def first_draws_alone(sampler, streams, samples):
+    """Round 1 of ``sampler`` one sample at a time through numpy: each
+    sample's increments, its Gaussian block and the word after its
+    increments, or -1 where they read a word off the fast path (more than
+    one word for some normal), as the batched round leaves it."""
+    draw = sampler.draw
+    steps = np.empty((len(samples), draw.n_steps, draw.dist.d))
+    gauss = np.empty((len(samples), *sampler.block))
+    words = []
+    for s, i in enumerate(samples):
+        rng = streams.at(int(i))
+        draw.increments(rng, steps[s])
+        state = rng.bit_generator.state
+        word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+        words.append(word if word == draw.n_words else -1)
+        rng.standard_normal(out=gauss[s])
+    return steps, gauss, words
+
+
+def assert_first_round_alone(sampler, streams, samples):
+    steps, gauss, words = sampler.first_round(streams, np.array(samples, dtype=np.uint64))
+    want_steps, want_gauss, want_words = first_draws_alone(sampler, streams, samples)
+    # bit for bit: the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
+    assert steps.tobytes() == want_steps.tobytes()
+    assert gauss.tobytes() == want_gauss.tobytes()
+    assert words.tolist() == want_words
+
+
+class TestBatchedDraws:
+    KEY = 987654321
+
+    @pytest.mark.parametrize("index", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_philox_words_match_numpy(self, index):
+        # 13 words span four blocks, so every word offset mod 4 meets a
+        # block boundary; at(i, w) positions numpy at each of them
+        streams = _SampleStreams(self.KEY)
+        want = np.random.Philox(key=np.array([self.KEY, 0], dtype=np.uint64),
+                                counter=np.array([0, 0, 0, index], dtype=np.uint64)).random_raw(13)
+        assert np.array_equal(streams.words(np.array([index], dtype=np.uint64), 13)[0], want)
+        for word in range(9):
+            rng = streams.at(index, word)
+            assert streams.tell() == word
+            assert np.array_equal(rng.bit_generator.random_raw(4), want[word:word + 4])
+
+    def test_tables_match_a_full_bisection_of_numpy(self):
+        # numpy reads the words (w, 1, 0, 0) of its output buffer next; rabs
+        # is on the fast path iff numpy's normal reads one word, so the next word is 1
+        bg = np.random.Philox(key=7)
+        gen, state = np.random.Generator(bg), bg.state
+
+        def numpy_normals(words):
+            out = []
+            for w in words.tolist():
+                state["buffer"][:], state["buffer_pos"] = (w, 1, 0, 0), 0
+                bg.state = state
+                out.append((gen.standard_normal(), bg.random_raw() == 1))
+            return out
+
+        layers = np.arange(256, dtype=np.uint64)
+        lo = np.full(256, -1, dtype=object)  # rabs lo is on the fast path, rabs hi is not
+        hi = np.full(256, 2 ** 52, dtype=object)
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            fast = np.array([f for _, f in numpy_normals(layers | mid.astype(np.uint64) << 9)])
+            lo, hi = np.where(fast, mid, lo), np.where(fast, hi, mid)
+        wi, ki = simulation._ziggurat_tables()
+        assert ki.tolist() == hi.tolist()
+        assert ki[1] == 0 and (ki[2:] > 2 ** 51).all()
+        # rabs = 1 and the largest fast rabs give wi[idx] and its multiple
+        assert [z for z, _ in numpy_normals(layers | 1 << 9)] == wi.tolist()
+        top = [z for z, f in numpy_normals(layers[2:] | (ki[2:] - 1) << 9)]
+        assert top == ((ki[2:] - 1).astype(float) * wi[2:]).tolist()
+
+    def test_tables_check_that_numpy_draws_as_the_arrays_assume(self, monkeypatch):
+        # a numpy that drew a Cauchy value's denominator first
+        increments = simulation.sample_increments
+        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: (
+            1 / increments(dist, n, rng) if dist.family == "heavy_tail_iid" else
+            increments(dist, n, rng)))
+        with pytest.raises(SamplingError, match="heavy_tail_iid"):
+            simulation._ziggurat_tables.__wrapped__()
+
+    @pytest.mark.parametrize("family", simulation.FAMILIES)
+    def test_first_round_matches_numpy_for_every_block_shape(self, family):
+        # every measured functional's block shape on walks and bridges in
+        # d = 1..4, and a joint draw; each batch holds samples off the fast path
+        streams = _SampleStreams(self.KEY)
+        samples = range(3, 83)
+        for d in (1, 2, 3, 4):
+            dist = DistributionSpec(family, d)
+            seen = set()
+            queries = [FunctionalQuery("joint_absorption", walk_lengths=(2,),
+                                       bridge_lengths=(3,), d=d)]
+            for model in (Model("A", d + 2, d), Model("B", d + 1, d)):
+                queries += oracle_queries(model)
+            for q in queries:
+                sampler = simulation._Sampler(q, dist)
+                if (sampler.draw.blocks, sampler.block) not in seen:
+                    seen.add((sampler.draw.blocks, sampler.block))
+                    assert_first_round_alone(sampler, streams, samples)
+
+    @pytest.mark.parametrize("family, where", [
+        ("gaussian_iid", 0), ("gaussian_iid", 7), ("gaussian_iid", 8), ("gaussian_iid", 9),
+        ("scaled_gaussian_exchangeable", 0), ("scaled_gaussian_exchangeable", 8),
+        ("heavy_tail_iid", 0), ("heavy_tail_iid", 15), ("heavy_tail_iid", 16),
+    ])
+    def test_first_word_off_the_fast_path(self, family, where):
+        # a bridge of 4 steps in d = 2 and a U1 block of 2 words: the first
+        # word off the fast path is the first or last increment word, the
+        # scale, or the first or last block word
+        query = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
+        sampler = simulation._Sampler(query, DistributionSpec(family, 2))
+        streams = _SampleStreams(self.KEY)
+        count = sampler.draw.n_words + 2
+        fast = streams.normals(np.arange(20_000, dtype=np.uint64), count).fast
+        first = np.where(fast.all(axis=1), count, np.argmin(fast, axis=1))
+        index = int(np.flatnonzero(first == where)[0])
+        assert_first_round_alone(sampler, streams, [index, index + 1, index + 2])
+
+    def test_cauchy_denominator_alone_off_the_fast_path(self):
+        query = FunctionalQuery("fk", Model("B", 3, 2), k=1)
+        sampler = simulation._Sampler(query, DistributionSpec("heavy_tail_iid", 2))
+        streams = _SampleStreams(self.KEY)
+        fast = streams.normals(np.arange(20_000, dtype=np.uint64), sampler.draw.n_words).fast
+        alone = np.flatnonzero((~fast).sum(axis=1) == 1)
+        index = int(next(i for i in alone if np.argmin(fast[i]) % 2 == 1))
+        assert_first_round_alone(sampler, streams, [index])
+
+
 class TestEstimate:
     def test_reproducible_and_worker_invariant(self):
         query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
@@ -267,22 +396,34 @@ def replace_draws(monkeypatch, replace):
     where t counts the distinct stream positions that sample has drawn
     from, in stream order.  A draw from the same position again, however
     the sampler comes back to it, gets the same t and so the same steps.
-    Returns the (sample, t) of every draw, in order."""
+    Draws come through the two seams: sample_increments, one sample on a
+    numpy generator, and _fast_increments, the first increments of a
+    batch of streams in arrays.  Returns the (sample, t) of every draw, in
+    order."""
+    simulation._ziggurat_tables()  # derived and checked before the seams change
     seen = {}
     drawn = []
     increments = simulation.sample_increments
+    fast_increments = simulation._fast_increments
+
+    def replaced(sample, word, steps):
+        positions = seen.setdefault(sample, [])
+        if word not in positions:
+            positions.append(word)
+        drawn.append((sample, positions.index(word)))
+        return replace(sample, drawn[-1][1], steps)
 
     def drawing(dist, n, rng):
         state = rng.bit_generator.state
-        sample = int(state["state"]["counter"][3])
-        positions = seen.setdefault(sample, [])
-        at = (int(state["state"]["counter"][0]), state["buffer_pos"])
-        if at not in positions:
-            positions.append(at)
-        drawn.append((sample, positions.index(at)))
-        return replace(sample, drawn[-1][1], increments(dist, n, rng))
+        word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+        return replaced(int(state["state"]["counter"][3]), word, increments(dist, n, rng))
+
+    def fast_drawing(dist, n, normals, at):
+        steps = fast_increments(dist, n, normals, at)
+        return np.stack([replaced(int(i), at, x) for i, x in zip(normals.samples, steps)])
 
     monkeypatch.setattr(simulation, "sample_increments", drawing)
+    monkeypatch.setattr(simulation, "_fast_increments", fast_drawing)
     return drawn
 
 
@@ -307,19 +448,19 @@ class TestRetryCaps:
     POINTED = np.array([[1.0], [1.0]])
 
     def test_draws_never_in_general_position_fail(self, monkeypatch):
-        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: np.zeros((n, dist.d)))
+        replace_draws(monkeypatch, lambda i, t, steps: 0.0 * steps)
         with pytest.raises(SamplingError, match=re.escape(self.NO_DRAW)):
             estimate(RunConfig(query=self.FK, dist=GAUSS2, samples=8, seed=3))
 
     def test_cones_always_full_exceed_the_condition_budget(self, monkeypatch):
-        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: self.FULL)
+        replace_draws(monkeypatch, lambda i, t, steps: self.FULL)
         monkeypatch.setattr(simulation, "_MAX_CONDITION_RETRIES", 5)
         with pytest.raises(SamplingError, match=re.escape(self.BUDGET)):
             estimate(RunConfig(query=self.CONDITIONED, dist=DistributionSpec("gaussian_iid", 1),
                                samples=8, seed=3))
 
     def test_simulate_exits_numeric_when_no_draw_is_in_general_position(self, monkeypatch, capsys):
-        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: np.zeros((n, dist.d)))
+        replace_draws(monkeypatch, lambda i, t, steps: 0.0 * steps)
         code = main(["simulate", "--model", "A", "--functional", "fk", "--k", "1", "--n", "4",
                      "--d", "2", "--samples", "8"], out=io.StringIO())
         assert code == EXIT_NUMERIC
@@ -380,10 +521,13 @@ class TestConditionedFullConeTest:
         FunctionalQuery("Z", Model("A", 4, 2), j=0, k=1, conditioned=True),
     ])
     def test_runs_once_per_draw(self, query, monkeypatch):
-        # every round takes one full-cone verdict per cone it draws; a
-        # sample entering round 2 draws its first increments once more to
-        # position its stream, and that redraw takes none; the measurement
-        # reads the rounds' verdicts, so it never tests an accepted cone again
+        # every round takes one full-cone verdict per cone it draws, and the
+        # measurement reads the rounds' verdicts, so it never tests an
+        # accepted cone again; a position is drawn twice only by a sample
+        # whose first increments leave numpy's fast path: round 1 draws it in
+        # arrays and then whole through numpy, and if it draws again, its
+        # first increments are drawn once more to find where they end; those
+        # redraws take no verdict
         decided = []
         full_cones = geometry._full_cones
 
@@ -399,7 +543,17 @@ class TestConditionedFullConeTest:
         assert decided[0] == samples
         assert len(set(drawn)) > samples  # some full cones were conditioned away
         assert sum(decided) == len(set(drawn))
-        assert len(drawn) - len(set(drawn)) == decided[1]
+        streams = _SampleStreams(3)
+        off_path = []
+        for i in range(samples):  # a normal off the fast path reads more than one word
+            rng = streams.at(i)
+            rng.standard_normal((query.model.n, 2))
+            state = rng.bit_generator.state
+            if 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] > 2 * query.model.n:
+                off_path.append(i)
+        redrawn = {i for i, t in drawn if t > 0}
+        assert off_path
+        assert len(drawn) - len(set(drawn)) == sum(1 + (i in redrawn) for i in off_path)
 
 
 class TestSharedMinorTable:
