@@ -142,6 +142,10 @@ def binomial(n: int, k: int) -> int:
 # Most linear factors in one product of roots; a cold bridge fk in d = 3 took 0.08 s
 # at n = 10^4, 0.89 s at 3 * 10^4 and 9.3 s at 10^5 (2-core x86, single runs).
 MAX_FACTORS = 100_000
+# Most factors times coefficients in one truncated product; a cold bridge fk took
+# 7.6 s at n = 10^5, d = 3 (4 coefficients), 3.8 s at n = 2,000, d = 199 (200)
+# and 48 s at n = 2,000, d = 1,000 (1,001) (2-core x86, single runs).
+MAX_PRODUCT_TERMS = 400_000
 
 
 def _check_factor_count(count: int) -> None:
@@ -230,7 +234,8 @@ def _split_product(roots: list[int], lo: int, hi: int, m: int) -> list[int]:
 def root_product(roots: Sequence[int], m: int) -> list[int]:
     """The first ``m`` coefficients of prod (t + a) over ``roots``, lowest first.
 
-    Entries past the degree are 0.  Balanced binary splitting: each node
+    Entries past the degree are 0.  More than ``MAX_PRODUCT_TERMS`` factors
+    times coefficients raise DomainError.  Balanced binary splitting: each node
     convolves the truncated products of its two halves, so the operands of
     every big multiplication have about the same size, and a leaf of at most
     ``_LEAF`` roots multiplies in one linear factor at a time.  A product of
@@ -240,6 +245,9 @@ def root_product(roots: Sequence[int], m: int) -> list[int]:
     if m < 0:
         raise DomainError(f"coefficient count must be nonnegative, got m={m}")
     roots = list(roots)
+    if len(roots) * m > MAX_PRODUCT_TERMS:
+        raise DomainError(f"{m} coefficients of a product of {len(roots)} linear factors "
+                          f"exceed the cap of {MAX_PRODUCT_TERMS} factors times coefficients")
     poly = _split_product(roots, 0, len(roots), m) if m else []
     return poly + [0] * (m - len(poly))
 

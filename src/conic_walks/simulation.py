@@ -11,10 +11,12 @@ Estimates are reproducible by construction: the random stream of sample
 results do not depend on worker count or scheduling, and chunk partial
 sums are reduced in fixed chunk order.
 
-The first round of every batch is drawn in arrays, bit for bit as numpy's
-Generator draws it.  numpy itself draws a sample whose increments leave its
-ziggurat's fast path, a Gaussian block from its first word off it on, and
-every later round; so each stream is consumed as if each sample were drawn alone.
+Every law is a fixed transform of i.i.d. standard normals, so a sample's
+draw is one run of them: its increments' normals, then its Gaussian
+block.  The first round of every batch computes the runs in arrays, bit
+for bit as numpy's Generator draws them, and numpy continues each run
+from its first word off the ziggurat's fast path; numpy draws every later
+round.  So each stream is consumed as if each sample were drawn alone.
 """
 
 from __future__ import annotations
@@ -76,30 +78,26 @@ def sample_increments(dist: DistributionSpec, n: int, rng: np.random.Generator) 
     n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"need at least one increment, got n={n}")
-    if dist.family == "gaussian_iid":
-        return rng.standard_normal((n, dist.d))
-    if dist.family == "heavy_tail_iid":
-        return rng.standard_cauchy((n, dist.d))
-    scale = rng.lognormal(mean=0.0, sigma=1.0)
-    return scale * rng.standard_normal((n, dist.d))
+    return _law(dist, n, rng.standard_normal((1, _word_count(dist, n))))[0]
 
 
 def _word_count(dist: DistributionSpec, n: int) -> int:
-    """Words that sample_increments reads for n increments on the fast path."""
+    """Standard normals that n increments are made of."""
     per = 2 if dist.family == "heavy_tail_iid" else 1
     return per * n * dist.d + (dist.family == "scaled_gaussian_exchangeable")
 
 
-def _fast_increments(dist: DistributionSpec, n: int, normals: _Normals, at: int) -> np.ndarray:
-    """sample_increments (S, n, d) for the streams of ``normals`` from word
-    ``at`` on, wherever those words are on the fast path (round 1's seam)."""
-    z = normals.z[:, at:at + _word_count(dist, n)]
+def _law(dist: DistributionSpec, n: int, z: np.ndarray) -> np.ndarray:
+    """Increments (S, n, d) made of runs z (S, _word_count) of standard
+    normals as numpy's own draws of the family make them: a Cauchy value is
+    a normal over the next one, and the log-normal scale is libm's exp of
+    the run's first normal."""
     if dist.family == "gaussian_iid":
         return z.reshape(-1, n, dist.d)
-    if dist.family == "heavy_tail_iid":  # numerator, then denominator
+    if dist.family == "heavy_tail_iid":
         with np.errstate(divide="ignore", invalid="ignore"):
             return (z[:, 0::2] / z[:, 1::2]).reshape(-1, n, dist.d)
-    scale = np.array([math.exp(v) for v in z[:, 0].tolist()])  # libm's exp, as numpy's
+    scale = np.array([math.exp(v) for v in z[:, 0].tolist()])
     return scale[:, None, None] * z[:, 1:].reshape(-1, n, dist.d)
 
 
@@ -133,15 +131,18 @@ class _Draw:
 
     @property
     def n_words(self) -> int:
-        """Words one sample's increments read on the fast path."""
+        """Standard normals one sample's increments are made of."""
         return sum(_word_count(self.dist, n) for n, _ in self.blocks)
 
-    def increments(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw one sample's increments into ``out``, block by block."""
-        at = 0
+    def increments(self, z: np.ndarray) -> np.ndarray:
+        """Increments (S, n_steps, d) made of runs z (S, >= n_words) of
+        standard normals, block by block."""
+        parts, at = [], 0
         for n, _ in self.blocks:
-            out[at:at + n] = sample_increments(self.dist, n, rng)
-            at += n
+            count = _word_count(self.dist, n)
+            parts.append(_law(self.dist, n, z[:, at:at + count]))
+            at += count
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def partial_sums(self, steps: np.ndarray) -> np.ndarray:
         """Generators (S, N, d) from increments (S, n_steps, d).
@@ -169,9 +170,8 @@ class _Draw:
     def accepted(self, rng: np.random.Generator) -> tuple[ConeSample, int]:
         """The first cone drawn from ``rng`` in general position, and the
         number of draws rejected before it."""
-        steps = np.empty((1, self.n_steps, self.dist.d))
         for attempt in range(_MAX_DRAW_RETRIES):
-            self.increments(rng, steps[0])
+            steps = self.increments(rng.standard_normal((1, self.n_words)))
             cone = ConeSample(self.partial_sums(steps)[0])
             if cone.in_general_position():
                 return cone, attempt
@@ -219,14 +219,6 @@ def _philox(x: np.ndarray, y: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray,
     return x, y
 
 
-class _Normals(NamedTuple):
-    """numpy's normals z[s, w] of word w of stream samples[s], if fast[s, w]."""
-
-    samples: np.ndarray
-    z: np.ndarray
-    fast: np.ndarray
-
-
 @functools.cache
 def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     """numpy's 256-layer ziggurat (Marsaglia & Tsang, JSS 2000), unexported:
@@ -256,14 +248,12 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
         ki.append(hi)
     ki = np.array(ki, dtype=np.uint64)
     wi.flags.writeable = ki.flags.writeable = False  # cached, so shared by every caller
-    streams, samples = _SampleStreams(1), np.arange(16, dtype=np.uint64)
-    normals = _Normals(samples, *_ziggurat(streams.words(samples, 13), wi, ki))
-    for dist in [DistributionSpec(family, 2) for family in FAMILIES]:  # check numpy's layouts
-        count, got = _word_count(dist, 3), _fast_increments(dist, 3, normals, 0)
-        for s, ok in enumerate(normals.fast[:, :count].all(axis=1)):
-            want = sample_increments(dist, 3, streams.at(s)).tobytes()
-            if ok != (streams.tell() == count) or ok and want != got[s].tobytes():
-                raise SamplingError(f"numpy {np.__version__} draws {dist.family} unlike the arrays")
+    streams, count = _SampleStreams(1), 13  # check numpy's word layout
+    z, fast = _ziggurat(streams.words(np.arange(16, dtype=np.uint64), count), wi, ki)
+    for s, ok in enumerate(fast.all(axis=1)):
+        want = streams.at(s).standard_normal(count).tobytes()
+        if ok != (streams.tell() == count) or ok and want != z[s].tobytes():
+            raise SamplingError(f"numpy {np.__version__} draws normals unlike the arrays")
     return wi, ki
 
 
@@ -316,15 +306,17 @@ class _SampleStreams:
         x, y = _philox(x, y, self._keys)
         return np.stack([x[0], y[0], x[1], y[1]], axis=1).reshape(len(samples), -1)[:, :count]
 
-    def normals(self, samples: np.ndarray, count: int) -> _Normals:
-        """The normals of the first ``count`` words of the streams ``samples``."""
+    def normals(self, samples: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The normals z (S, count) of the first ``count`` words of the
+        streams ``samples``, and which words are on the fast path: z is
+        numpy's normal there."""
         z = np.empty((len(samples), count))
         fast = np.empty(z.shape, dtype=bool)
         step = max(1, 4096 // -(-count // 4))  # 4,096 blocks a pass; more leave the cache
         for lo in range(0, len(samples), step):
             z[lo:lo + step], fast[lo:lo + step] = _ziggurat(
                 self.words(samples[lo:lo + step], count), *_ziggurat_tables())
-        return _Normals(samples, z, fast)
+        return z, fast
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +359,6 @@ class RunConfig:
         if self.query.dimension != self.dist.d:
             raise DomainError(
                 f"query dimension {self.query.dimension} != distribution dimension {self.dist.d}")
-
 
 
 @dataclass(frozen=True)
@@ -517,20 +508,12 @@ class _Sampler:
         """
         values = np.empty(len(indices))
         misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
-        words = None  # each stream's word after its last increments
+        samples = np.array(indices, dtype=np.uint64)
+        words = np.zeros(len(indices), dtype=np.int64)  # each stream's word before its next draw
         pending = np.arange(len(indices))
         rejected = 0
         while pending.size:
-            if words is None:
-                steps, gauss, words = self.first_round(streams, np.array(indices, dtype=np.uint64))
-            else:
-                steps = np.empty((len(pending), self.draw.n_steps, self.draw.dist.d))
-                gauss = np.empty((len(pending), *self.block))
-                for s, p in enumerate(pending):
-                    if words[p] < 0:  # drawn whole in round 1: find where its increments end
-                        self.draw.increments(streams.at(indices[p]), steps[s])
-                        words[p] = streams.tell()
-                    words[p] = self.draw_alone(streams, indices[p], words[p], steps[s], gauss[s])
+            steps, gauss, words[pending] = self.draws(streams, samples[pending], words[pending])
             gens = self.draw.partial_sums(steps)
             rec = geometry._SignRecord.of(gens)
             chunk = _Chunk(gens, rec, geometry._full_cones(rec), gauss)
@@ -550,40 +533,33 @@ class _Sampler:
             pending = pending[redo]
         return values, rejected
 
-    def draw_alone(self, streams: _SampleStreams, index: int, word: int,
-                   steps: np.ndarray, gauss: np.ndarray) -> int:
-        """One sample's draw by numpy from word ``word`` of its stream on;
-        returns the word after its increments, or -1 from word 0: ``tell``
-        costs more than the draw, and few first draws are redone."""
-        rng = streams.at(index, int(word))
-        self.draw.increments(rng, steps)
-        word = streams.tell() if word else -1
-        if gauss.size:
-            rng.standard_normal(out=gauss)
-        return word
-
-    def first_round(self, streams: _SampleStreams,
-                    samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each sample's first increments and Gaussian block, bit for bit as
-        numpy draws them, and the word after its increments.  numpy draws a
-        sample whose increments leave the fast path (its word is then -1),
-        and a block's tail from its first word off it."""
+    def draws(self, streams: _SampleStreams, samples: np.ndarray,
+              words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each sample's increments and Gaussian block, made of one run of
+        standard normals from word ``words[s]`` of stream ``samples[s]`` on,
+        bit for bit as numpy draws them, and the word after its increments.
+        Round 1 (every word 0) computes the runs in arrays, and numpy
+        continues each from its first word off the fast path; where that is
+        among the increments, their end is left unknown (-1): ``tell`` costs
+        more than drawing them again, and few first draws are redone.  numpy
+        draws every later round."""
         count = self.draw.n_words
-        normals = streams.normals(samples, count + math.prod(self.block))
-        steps = np.empty((len(samples), self.draw.n_steps, self.draw.dist.d))
-        at = word = 0
-        for n, _ in self.draw.blocks:
-            steps[:, at:at + n] = _fast_increments(self.draw.dist, n, normals, word)
-            at, word = at + n, word + _word_count(self.draw.dist, n)
-        gauss = normals.z[:, count:].reshape(len(samples), *self.block)
-        fast = normals.fast[:, :count].all(axis=1)
-        for p in np.flatnonzero(~fast):
-            self.draw_alone(streams, int(samples[p]), 0, steps[p], gauss[p])
-        block = normals.fast[:, count:]
-        tails = np.flatnonzero(fast & ~block.all(axis=1))
-        for p, j in zip(tails, block[tails].argmin(axis=1) if tails.size else ()):
-            streams.at(int(samples[p]), count + j).standard_normal(out=gauss[p].reshape(-1)[j:])
-        return steps, gauss, np.where(fast, count, -1)
+        if not words.any():
+            z, fast = streams.normals(samples, count + math.prod(self.block))
+            first = np.where(fast.all(axis=1), z.shape[1], fast.argmin(axis=1))
+            for p in np.flatnonzero(first < z.shape[1]):
+                streams.at(int(samples[p]), int(first[p])).standard_normal(out=z[p, first[p]:])
+            words = np.where(first < count, -1, count)
+        else:
+            z = np.empty((len(samples), count + math.prod(self.block)))
+            for s, (index, word) in enumerate(zip(samples.tolist(), words.tolist())):
+                rng = streams.at(index, max(word, 0))
+                if word < 0:
+                    rng.standard_normal(count)
+                rng.standard_normal(out=z[s, :count])
+                words[s] = streams.tell()
+                rng.standard_normal(out=z[s, count:])
+        return self.draw.increments(z), z[:, count:].reshape(len(samples), *self.block), words
 
 
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:

@@ -903,14 +903,32 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
 # sample draws a ConeSample from its own stream, redraws until the cone is
 # in general position and, under ``conditioned``, until it is not full,
 # then measures it with per-cone kernels that draw their Gaussians when
-# they need them.  The batched chunks must give the same sums.
+# they need them.  It draws its increments with numpy's own distributions,
+# as the simulator did before it built every law from standard normals.
+# The batched chunks must give the same sums.
 
-def _loop_walk_generators(dist, n, rng):
-    return np.cumsum(simulation.sample_increments(dist, n, rng), axis=0)
+def numpy_increments(dist, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n increments of the family from numpy's own distributions: the
+    replaced family branches of ``simulation.sample_increments``."""
+    if dist.family == "gaussian_iid":
+        return rng.standard_normal((n, dist.d))
+    if dist.family == "heavy_tail_iid":
+        return rng.standard_cauchy((n, dist.d))
+    scale = rng.lognormal(mean=0.0, sigma=1.0)
+    return scale * rng.standard_normal((n, dist.d))
 
 
-def _loop_bridge_generators(dist, n, rng):
-    steps = simulation.sample_increments(dist, n, rng)
+def numpy_draw(dist, lengths: Sequence[int], rng: np.random.Generator) -> np.ndarray:
+    """One sample's increments (sum(lengths), d), drawn block by block by
+    ``numpy_increments``."""
+    return np.concatenate([numpy_increments(dist, n, rng) for n in lengths])
+
+
+def _loop_walk_generators(steps):
+    return np.cumsum(steps, axis=0)
+
+
+def _loop_bridge_generators(steps):
     centered = steps - steps.mean(axis=0)
     return np.cumsum(centered, axis=0)[:-1]
 
@@ -924,19 +942,25 @@ def _loop_general_position_draw(draw: Callable[[], np.ndarray], what: str) -> tu
 
 
 def _loop_draw_cone(model: Model, dist, rng: np.random.Generator) -> tuple[ConeSample, int]:
-    draw = _loop_bridge_generators if model.is_bridge else _loop_walk_generators
-    return _loop_general_position_draw(lambda: draw(dist, model.n, rng),
+    gens = _loop_bridge_generators if model.is_bridge else _loop_walk_generators
+    return _loop_general_position_draw(lambda: gens(numpy_draw(dist, [model.n], rng)),
                                        f"draw ({dist.family}, n={model.n}, d={model.d})")
+
+
+def _loop_joint_generators(query: FunctionalQuery, dist, rng: np.random.Generator) -> np.ndarray:
+    lengths = query.walk_lengths + query.bridge_lengths
+    blocks = np.split(numpy_draw(dist, lengths, rng), np.cumsum(lengths)[:-1])
+    walks = len(query.walk_lengths)
+    return np.vstack([_loop_walk_generators(b) for b in blocks[:walks]]
+                     + [_loop_bridge_generators(b) for b in blocks[walks:]])
 
 
 def loop_draw_sample(query: FunctionalQuery, dist,
                      rng: np.random.Generator) -> tuple[ConeSample, int]:
     """One sample's cone drawn alone from ``rng``, and the draws rejected."""
     if query.model is None:
-        return _loop_general_position_draw(lambda: np.vstack(
-            [_loop_walk_generators(dist, n, rng) for n in query.walk_lengths]
-            + [_loop_bridge_generators(dist, m, rng) for m in query.bridge_lengths]),
-            "joint draw")
+        return _loop_general_position_draw(lambda: _loop_joint_generators(query, dist, rng),
+                                           "joint draw")
     model = query.model
     cone, rejected = _loop_draw_cone(model, dist, rng)
     if query.conditioned:

@@ -120,6 +120,18 @@ class TestExact:
         err = capsys.readouterr().err
         assert "exceeds the cap of 100000" in err and "Traceback" not in err
 
+    def test_huge_d_fails_fast(self, capsys):
+        # 1,001 coefficients of a product of 2,000 factors took 48 s to build
+        start = time.perf_counter()
+        code, text = run_cli("exact", "--model", "A", "--functional", "fk",
+                             "--n", "2000", "--d", "1000", "--k", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "exceed the cap of 400000 factors times coefficients" in err
+        assert "Traceback" not in err
+
     def test_huge_wendel_fails_fast(self, capsys):
         # 2^(n-1) with n = 10^8 would take hours to build and print
         start = time.perf_counter()

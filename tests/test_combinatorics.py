@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conic_walks.combinatorics import (
     MAX_FACTORS,
+    MAX_PRODUCT_TERMS,
     LowOrderProduct,
     StirlingTables,
     binomial,
@@ -329,6 +330,13 @@ class TestRootProduct:
         longer = t.low_row(rule, 50, 9)
         assert longer.coeffs[:6] == row.coeffs and len(longer.coeffs) == 9
         assert t.low_row(rule, 50, 6) is longer
+
+    def test_product_term_cap(self):
+        # 400 factors to 1,000 coefficients are at the cap and cheap: the
+        # product has degree 400; one more coefficient is refused
+        assert root_product(range(400), MAX_PRODUCT_TERMS // 400)[-1] == 0
+        with pytest.raises(DomainError, match="exceed the cap of 400000 factors times"):
+            root_product(range(400), MAX_PRODUCT_TERMS // 400 + 1)
 
     def test_factor_cap(self):
         # roots are counted before any list of them is built

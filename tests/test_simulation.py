@@ -32,6 +32,7 @@ from conic_walks.verify import (
     verify_suite,
 )
 
+import oracles
 from oracles import FACE_LOOP_MEASURES, face_loop_queries, loop_chunk_stats, loop_draw_sample
 
 GAUSS2 = DistributionSpec("gaussian_iid", 2)
@@ -67,6 +68,41 @@ class TestDistributions:
     def test_non_integer_arguments_are_rejected(self, build, named):
         with pytest.raises(DomainError, match=f"^{named} must be an integer"):
             build()
+
+    @pytest.mark.parametrize("family", simulation.FAMILIES)
+    def test_increments_match_numpys_own_distributions(self, family):
+        # runs of 20,000 normals or more, so numpy's ziggurat leaves its
+        # fast path (more words read than normals) and takes its tail
+        # (|z| past the base strip's edge R) in every run
+        R = 3.6541528853610088
+        for d in (1, 2, 3, 4):
+            dist = DistributionSpec(family, d)
+            n = 20_000 // d
+            rng = rng_for(d)
+            z = rng.standard_normal(simulation._word_count(dist, n))
+            assert position(rng)[1] > z.size and (np.abs(z) > R).any()
+            got, want = rng_for(d), rng_for(d)
+            assert sample_increments(dist, n, got).tobytes() == \
+                oracles.numpy_increments(dist, n, want).tobytes()
+            assert position(got) == position(want)
+
+    @pytest.mark.parametrize("family", simulation.FAMILIES)
+    def test_every_law_is_made_of_standard_normals(self, family, monkeypatch):
+        class NormalsOnly(np.random.Generator):
+            def standard_cauchy(self, *args, **kwargs):
+                raise AssertionError("drew numpy's Cauchy")
+
+            def lognormal(self, *args, **kwargs):
+                raise AssertionError("drew numpy's log-normal")
+
+        monkeypatch.setattr(np.random, "Generator", NormalsOnly)
+        dist = DistributionSpec(family, 2)
+        rng = NormalsOnly(np.random.Philox(key=5))
+        assert sample_walk(dist, 4, rng).generators.shape == (4, 2)
+        assert sample_bridge(dist, 4, rng).generators.shape == (3, 2)
+        # conditioned, so some samples draw again in later rounds
+        query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
+        assert estimate(RunConfig(query=query, dist=dist, samples=64, seed=3)).samples == 64
 
     def test_heavy_tails_are_heavy(self):
         rng = rng_for(1)
@@ -132,27 +168,35 @@ class TestSampleStreams:
         assert not np.allclose(a, b)
 
 
+def position(rng):
+    """(stream, word) of a Philox generator: its counter's stream word, as
+    ``_SampleStreams.at`` sets it, and the word it stands before."""
+    state = rng.bit_generator.state
+    counter = state["state"]["counter"]
+    return int(counter[3]), 4 * int(counter[0]) - 4 + state["buffer_pos"]
+
+
 def first_draws_alone(sampler, streams, samples):
-    """Round 1 of ``sampler`` one sample at a time through numpy: each
-    sample's increments, its Gaussian block and the word after its
-    increments, or -1 where they read a word off the fast path (more than
-    one word for some normal), as the batched round leaves it."""
+    """Round 1 of ``sampler`` one sample at a time through numpy's own
+    distributions: each sample's increments, its Gaussian block and the
+    word after its increments, or -1 where they read a word off the fast
+    path (more than one word for some normal), as the batched round leaves it."""
     draw = sampler.draw
     steps = np.empty((len(samples), draw.n_steps, draw.dist.d))
     gauss = np.empty((len(samples), *sampler.block))
     words = []
     for s, i in enumerate(samples):
         rng = streams.at(int(i))
-        draw.increments(rng, steps[s])
-        state = rng.bit_generator.state
-        word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+        steps[s] = oracles.numpy_draw(draw.dist, [n for n, _ in draw.blocks], rng)
+        word = position(rng)[1]
         words.append(word if word == draw.n_words else -1)
         rng.standard_normal(out=gauss[s])
     return steps, gauss, words
 
 
 def assert_first_round_alone(sampler, streams, samples):
-    steps, gauss, words = sampler.first_round(streams, np.array(samples, dtype=np.uint64))
+    steps, gauss, words = sampler.draws(streams, np.array(samples, dtype=np.uint64),
+                                        np.zeros(len(samples), dtype=np.int64))
     want_steps, want_gauss, want_words = first_draws_alone(sampler, streams, samples)
     # bit for bit: the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
     assert steps.tobytes() == want_steps.tobytes()
@@ -206,12 +250,15 @@ class TestBatchedDraws:
         assert top == ((ki[2:] - 1).astype(float) * wi[2:]).tolist()
 
     def test_tables_check_that_numpy_draws_as_the_arrays_assume(self, monkeypatch):
-        # a numpy that drew a Cauchy value's denominator first
-        increments = simulation.sample_increments
-        monkeypatch.setattr(simulation, "sample_increments", lambda dist, n, rng: (
-            1 / increments(dist, n, rng) if dist.family == "heavy_tail_iid" else
-            increments(dist, n, rng)))
-        with pytest.raises(SamplingError, match="heavy_tail_iid"):
+        # arrays that took the four words of each Philox block in reverse order
+        words = _SampleStreams.words
+
+        def reversed_blocks(self, samples, count):
+            blocks = words(self, samples, 4 * -(-count // 4)).reshape(len(samples), -1, 4)
+            return blocks[:, :, ::-1].reshape(len(samples), -1)[:, :count]
+
+        monkeypatch.setattr(_SampleStreams, "words", reversed_blocks)
+        with pytest.raises(SamplingError, match="draws normals unlike the arrays"):
             simulation._ziggurat_tables.__wrapped__()
 
     @pytest.mark.parametrize("family", simulation.FAMILIES)
@@ -246,7 +293,7 @@ class TestBatchedDraws:
         sampler = simulation._Sampler(query, DistributionSpec(family, 2))
         streams = _SampleStreams(self.KEY)
         count = sampler.draw.n_words + 2
-        fast = streams.normals(np.arange(20_000, dtype=np.uint64), count).fast
+        fast = streams.normals(np.arange(20_000, dtype=np.uint64), count)[1]
         first = np.where(fast.all(axis=1), count, np.argmin(fast, axis=1))
         index = int(np.flatnonzero(first == where)[0])
         assert_first_round_alone(sampler, streams, [index, index + 1, index + 2])
@@ -255,7 +302,7 @@ class TestBatchedDraws:
         query = FunctionalQuery("fk", Model("B", 3, 2), k=1)
         sampler = simulation._Sampler(query, DistributionSpec("heavy_tail_iid", 2))
         streams = _SampleStreams(self.KEY)
-        fast = streams.normals(np.arange(20_000, dtype=np.uint64), sampler.draw.n_words).fast
+        fast = streams.normals(np.arange(20_000, dtype=np.uint64), sampler.draw.n_words)[1]
         alone = np.flatnonzero((~fast).sum(axis=1) == 1)
         index = int(next(i for i in alone if np.argmin(fast[i]) % 2 == 1))
         assert_first_round_alone(sampler, streams, [index])
@@ -392,19 +439,18 @@ class TestVerifySuite:
 
 
 def replace_draws(monkeypatch, replace):
-    """Pass every increment draw through ``replace(sample, t, steps)``,
-    where t counts the distinct stream positions that sample has drawn
-    from, in stream order.  A draw from the same position again, however
-    the sampler comes back to it, gets the same t and so the same steps.
-    Draws come through the two seams: sample_increments, one sample on a
-    numpy generator, and _fast_increments, the first increments of a
-    batch of streams in arrays.  Returns the (sample, t) of every draw, in
-    order."""
+    """Pass every sample's increments through ``replace(sample, t, steps)``,
+    where t counts the distinct stream words that sample has drawn from, in
+    stream order.  A draw from the same word again, however the sampler
+    comes back to it, gets the same t and so the same steps.  The sampler's
+    draws come through one seam, ``_Sampler.draws``, each sample from its
+    own stream word; the per-sample loop's through ``oracles.numpy_draw``.
+    Returns the (sample, t) of every draw, in order."""
     simulation._ziggurat_tables()  # derived and checked before the seams change
     seen = {}
     drawn = []
-    increments = simulation.sample_increments
-    fast_increments = simulation._fast_increments
+    draws = simulation._Sampler.draws
+    numpy_draw = oracles.numpy_draw
 
     def replaced(sample, word, steps):
         positions = seen.setdefault(sample, [])
@@ -413,17 +459,25 @@ def replace_draws(monkeypatch, replace):
         drawn.append((sample, positions.index(word)))
         return replace(sample, drawn[-1][1], steps)
 
-    def drawing(dist, n, rng):
-        state = rng.bit_generator.state
-        word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
-        return replaced(int(state["state"]["counter"][3]), word, increments(dist, n, rng))
+    def start(streams, sample, word, count):
+        if word >= 0:
+            return word
+        streams.at(sample).standard_normal(count)  # -1: after the first increments
+        return streams.tell()
 
-    def fast_drawing(dist, n, normals, at):
-        steps = fast_increments(dist, n, normals, at)
-        return np.stack([replaced(int(i), at, x) for i, x in zip(normals.samples, steps)])
+    def drawing(self, streams, samples, words):
+        starts = [start(streams, i, w, self.draw.n_words)
+                  for i, w in zip(samples.tolist(), words.tolist())]
+        steps, gauss, ends = draws(self, streams, samples, words)
+        for s, (i, w) in enumerate(zip(samples.tolist(), starts)):
+            steps[s] = replaced(i, w, steps[s])
+        return steps, gauss, ends
 
-    monkeypatch.setattr(simulation, "sample_increments", drawing)
-    monkeypatch.setattr(simulation, "_fast_increments", fast_drawing)
+    def numpy_drawing(dist, lengths, rng):
+        return replaced(*position(rng), numpy_draw(dist, lengths, rng))
+
+    monkeypatch.setattr(simulation._Sampler, "draws", drawing)
+    monkeypatch.setattr(oracles, "numpy_draw", numpy_drawing)
     return drawn
 
 
@@ -523,11 +577,10 @@ class TestConditionedFullConeTest:
     def test_runs_once_per_draw(self, query, monkeypatch):
         # every round takes one full-cone verdict per cone it draws, and the
         # measurement reads the rounds' verdicts, so it never tests an
-        # accepted cone again; a position is drawn twice only by a sample
-        # whose first increments leave numpy's fast path: round 1 draws it in
-        # arrays and then whole through numpy, and if it draws again, its
-        # first increments are drawn once more to find where they end; those
-        # redraws take no verdict
+        # accepted cone again; every draw comes through the seam once, also
+        # for a sample whose first increments leave numpy's fast path:
+        # numpy continues its run in round 1, and a redraw finds where its
+        # first increments end without drawing them through the seam
         decided = []
         full_cones = geometry._full_cones
 
@@ -548,12 +601,10 @@ class TestConditionedFullConeTest:
         for i in range(samples):  # a normal off the fast path reads more than one word
             rng = streams.at(i)
             rng.standard_normal((query.model.n, 2))
-            state = rng.bit_generator.state
-            if 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] > 2 * query.model.n:
+            if position(rng)[1] > 2 * query.model.n:
                 off_path.append(i)
-        redrawn = {i for i, t in drawn if t > 0}
         assert off_path
-        assert len(drawn) - len(set(drawn)) == sum(1 + (i in redrawn) for i in off_path)
+        assert len(drawn) == len(set(drawn))
 
 
 class TestSharedMinorTable:
