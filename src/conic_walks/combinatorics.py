@@ -15,9 +15,10 @@ its lowest coefficients and its values at t = 1 and t = -1, which
 linear in the number of factors.  The roots are written once, here:
 :func:`bridge_roots` and :func:`walk_roots` for the rows, :func:`block_roots`
 for the block products, whose coefficients ``coeff_P`` (walk-terminated)
-and ``coeff_Q`` (pure bridge) read.  The full triangles are built by
-recurrence; they serve as lookups for the small second-kind rows, and they
-and the triangle-built block polynomials (``coeff_P_poly``,
+and ``coeff_Q`` (pure bridge) read.  A :class:`StirlingTables` instance
+caches the rows and the block products it has built.  The full triangles
+are built by recurrence; they serve as lookups for the small second-kind
+rows, and they and the triangle-built block polynomials (``coeff_P_poly``,
 ``coeff_Q_poly``) are independent oracles for the products.
 """
 
@@ -48,14 +49,17 @@ class StirlingTables:
     Entry ``(n, k)`` with ``k`` outside ``{0, ..., n}`` reads as 0, and the
     ``(0, 0)`` entry of every family is 1.  Rows are appended once and never
     mutated, so a warm instance can be shared read-only across threads or
-    forked worker processes.  The instance also caches the low-order row
-    products of :meth:`low_row`; an entry is only ever replaced by an equal
-    or longer one, so two threads racing on it at worst compute it twice.
+    forked worker processes.  The instance also caches low-order products:
+    the rows of :meth:`low_row` and the block products of
+    :meth:`block_product`, the latter keyed by the multiset of block
+    lengths, since the blocks commute.  An entry is only ever replaced by
+    an equal or longer one, so two threads racing on it at worst compute it
+    twice.  A new instance holds no product.
     """
 
     def __init__(self, max_n: int = 0) -> None:
         self._rows: dict[str, list[list[int]]] = {kind: [[1]] for kind in KINDS}
-        self._low_rows: dict[tuple[Callable[[int], Sequence[int]], int], LowOrderProduct] = {}
+        self._products: dict[tuple, LowOrderProduct] = {}
         if max_n > 0:
             self.grow(max_n)
 
@@ -92,17 +96,31 @@ class StirlingTables:
         """Signed-permutation analogue of the second-kind numbers."""
         return self._lookup("second_B", n, k)
 
+    def row(self, kind: str, n: int) -> tuple[int, ...]:
+        """Row ``n`` of a family, entries k = 0..n, as a read-only copy."""
+        self._lookup(kind, n, 0)
+        return tuple(self._rows[kind][n])
+
     def low_row(self, roots: Callable[[int], Sequence[int]], n: int,
                 m: int) -> LowOrderProduct:
-        """``LowOrderProduct.of(roots(n), m)``, cached on this instance per (roots, n).
+        """``LowOrderProduct.of(roots(n), m)``, cached on this instance per (roots, n)."""
+        return self._product((roots, n), lambda: roots(n), m)
 
-        A cached product with at least ``m`` coefficients is reused as is.
-        """
-        key = (roots, n)
-        row = self._low_rows.get(key)
-        if row is None or len(row.coeffs) < m:
-            row = self._low_rows[key] = LowOrderProduct.of(roots(n), m)
-        return row
+    def block_product(self, bridges: Sequence[int], walks: Sequence[int],
+                      m: int) -> LowOrderProduct:
+        """``LowOrderProduct.of(block_roots(bridges, walks), m)``, cached on this
+        instance per multiset of bridge lengths and of walk lengths; blocks
+        without roots (bridges of length 1, walks of length 0) are left out."""
+        key = (tuple(sorted(g for g in bridges if g > 1)), tuple(sorted(w for w in walks if w)))
+        return self._product(key, lambda: block_roots(*key), m)
+
+    def _product(self, key: tuple, roots: Callable[[], Sequence[int]],
+                 m: int) -> LowOrderProduct:
+        # a cached product with at least m coefficients is reused as is
+        prod = self._products.get(key)
+        if prod is None or len(prod.coeffs) < m:
+            prod = self._products[key] = LowOrderProduct.of(roots(), m)
+        return prod
 
     def _lookup(self, kind: str, n: int, k: int) -> int:
         if n < 0:
@@ -139,12 +157,13 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Most linear factors in one product of roots; a cold bridge fk in d = 3 took 0.08 s
-# at n = 10^4, 0.89 s at 3 * 10^4 and 9.3 s at 10^5 (2-core x86, single runs).
+# Most linear factors in one product of roots; a cold bridge fk in d = 3 took 0.05 s
+# at n = 10^4, 0.39 s at 3 * 10^4 and 3.8 s at 10^5 (2-core x86; median of 5 runs
+# at 10^5, single runs otherwise).
 MAX_FACTORS = 100_000
 # Most factors times coefficients in one truncated product; a cold bridge fk took
-# 7.6 s at n = 10^5, d = 3 (4 coefficients), 3.8 s at n = 2,000, d = 199 (200)
-# and 48 s at n = 2,000, d = 1,000 (1,001) (2-core x86, single runs).
+# 3.8 s at n = 10^5, d = 3 (4 coefficients), 3.8 s at n = 2,000, d = 199 (200)
+# and 48 s at n = 2,000, d = 1,000 (1,001) (2-core x86).
 MAX_PRODUCT_TERMS = 400_000
 
 
@@ -163,11 +182,19 @@ def walk_roots(n: int) -> range:
     return range(1, 2 * n, 2)
 
 
+def block_degree(bridges: Sequence[int], walks: Sequence[int] = ()) -> int:
+    """Number of roots of a block product (see :func:`block_roots`); more
+    than ``MAX_FACTORS`` raise DomainError."""
+    count = sum(bridges) - len(bridges) + sum(walks)
+    _check_factor_count(count)
+    return count
+
+
 def block_roots(bridges: Sequence[int], walks: Sequence[int] = ()) -> list[int]:
     """Roots of a block product: (t+1)...(t+g-1) per bridge block of length g,
     the bridge row without its factor t, and (t+1)(t+3)...(t+2w-1) per walk
     block of length w.  More than ``MAX_FACTORS`` roots raise DomainError."""
-    _check_factor_count(sum(bridges) - len(bridges) + sum(walks))
+    block_degree(bridges, walks)
     return ([a for g in bridges for a in bridge_roots(g)[1:]]
             + [a for w in walks for a in walk_roots(w)])
 
@@ -252,6 +279,19 @@ def root_product(roots: Sequence[int], m: int) -> list[int]:
     return poly + [0] * (m - len(poly))
 
 
+def _product_at(roots: list[int], x: int) -> int:
+    """prod (x + a) over ``roots``: 0 at once if a factor is 0, else products of
+    chunks of 32 factors multiplied in pairs, so that the big operands of
+    every multiplication have about the same size."""
+    factors = [x + a for a in roots]
+    if 0 in factors:
+        return 0
+    level = [math.prod(factors[i:i + 32]) for i in range(0, len(factors), 32)]
+    while len(level) > 1:
+        level = [math.prod(level[i:i + 2]) for i in range(0, len(level), 2)]
+    return level[0] if level else 1
+
+
 @dataclass(frozen=True)
 class LowOrderProduct:
     """The low-order view of P(t) = prod (t + a): the coefficients c_r of
@@ -272,8 +312,7 @@ class LowOrderProduct:
         """The first ``m`` coefficients and the values at +-1 of prod (t + a)."""
         _check_factor_count(len(roots))
         roots = list(roots)
-        return cls(root_product(roots, m), math.prod(a + 1 for a in roots),
-                   math.prod(a - 1 for a in roots))
+        return cls(root_product(roots, m), _product_at(roots, 1), _product_at(roots, -1))
 
     def down(self, start: int, weight: Callable[[int], int] = lambda r: 1) -> int:
         """c_start w(start) + c_(start-2) w(start-2) + ... over nonnegative indices."""
@@ -344,24 +383,27 @@ def coeff_Q_poly(n: int, parts: Sequence[int],
     return poly
 
 
-def _coefficient(roots: list[int], r: int) -> int:
-    # past the degree the coefficient is 0; no padded product is built for it
-    r = as_index(r, "r")
-    return root_product(roots, r + 1)[r] if 0 <= r <= len(roots) else 0
-
-
-def coeff_P(n: int, parts: Sequence[int], r: int) -> int:
+def coeff_P(n: int, parts: Sequence[int], r: int,
+            tables: StirlingTables | None = None) -> int:
     """Coefficient of t^r in the walk-terminated block product, the one
-    ``face_probability`` builds for a walk (0 off-range)."""
+    ``face_probability`` builds for a walk (0 off-range), read from the
+    block products cached on ``tables`` (the default instance if None)."""
     parts, tail = _validated_parts(n, parts)
-    return _coefficient(block_roots(parts, (tail,)), r)
+    r = as_index(r, "r")
+    if not 0 <= r <= block_degree(parts, (tail,)):
+        return 0  # past the degree; no padded product is built for it
+    t = tables if tables is not None else _TABLES
+    return t.block_product(parts, (tail,), r + 1).coeffs[r]
 
 
-def coeff_Q(n: int, parts: Sequence[int], r: int) -> int:
+def coeff_Q(n: int, parts: Sequence[int], r: int,
+            tables: StirlingTables | None = None) -> int:
     """Coefficient of t^r in the pure bridge block product, the one
-    ``face_probability`` builds for a bridge (0 off-range)."""
+    ``face_probability`` builds for a bridge (0 off-range): the walk-terminated
+    product whose last bridge block takes the leftover steps, with an empty
+    walk block."""
     parts, tail = _validated_parts(n, parts, final_bridge=True)
-    return _coefficient(block_roots(parts + (tail,)), r)
+    return coeff_P(n, parts + (tail,), r, tables)
 
 
 def compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:

@@ -33,11 +33,11 @@ row_n[i] * second(i, j+s)`` and the weight ``(j+s)! * base**j``.
 The closed forms read only the coefficients of index below d+s of row n,
 below d-k of a face product and below d of a joint block product, so rows
 and products are built as truncated root products
-(:class:`~conic_walks.combinatorics.LowOrderProduct`), rows cached on the
-tables instance passed in; no first-kind triangle is built.  Every sum
-over a row or product is one of its methods (``down``, ``alternating``,
-``parity_tail``, ``tail``); upper tails come from the product's values at
-t = 1 and t = -1.  The second-kind numbers are read from the tables, at
+(:class:`~conic_walks.combinatorics.LowOrderProduct`), rows and block
+products cached on the tables instance passed in; no first-kind triangle
+is built.  Every sum over a row or product is one of its methods
+(``down``, ``alternating``, ``parity_tail``, ``tail``); upper tails come
+from the product's values at t = 1 and t = -1.  The second-kind numbers are read from the tables, at
 rows i <= d only.
 
 Conditioned variants (``conditioned=True``) refer to the cone conditioned
@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .combinatorics import (LowOrderProduct, StirlingTables, _check_factor_count, binomial,
-                            block_roots, bridge_roots, default_tables, walk_roots)
+                            block_degree, bridge_roots, default_tables, walk_roots)
 from .errors import DomainError, as_index
 
 A_BRIDGE = "A"
@@ -344,17 +344,20 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
     """Probability that the partial sums at ``indices`` (1-based) span a face.
 
     With ``complement=True`` returns the probability that they do not; the
-    two always add to one.  The block product is built per call, so
-    ``tables`` is not read.
+    two always add to one.  The block product is read from the products
+    cached on ``tables`` (the default instance if None); it depends only on
+    the multiset of the gaps between the indices and on the steps after the
+    last one.
     """
     idx = _validated_face_indices(model, indices)
+    t = tables if tables is not None else default_tables()
     n, d, k = model.n, model.d, len(idx)
     gaps = tuple(b - a for a, b in zip((0,) + idx, idx))
     tail = n - idx[-1]
     # one bridge block per gap, then a final block of the model's own kind;
     # the product's value at t = 1 is prod g! * tail! * base**tail
-    roots = block_roots(gaps + (tail,)) if model.is_bridge else block_roots(gaps, (tail,))
-    prod = LowOrderProduct.of(roots, d - k)
+    bridges, walks = (gaps + (tail,), ()) if model.is_bridge else (gaps, (tail,))
+    prod = t.block_product(bridges, walks, d - k)
     total = prod.parity_tail(d - k + 1) if complement else prod.down(d - k - 1)
     return Fraction(2 * total, prod.at_one)
 
@@ -379,9 +382,10 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
 
     A walk of length n contributes its n partial sums, a bridge of length m
     its first m-1; the block coefficient polynomial is the product of one
-    odd rising factor per walk and one plain rising factor per bridge.  It is
-    built per call, so ``tables`` is not read.  Its degree is the number of
-    points, and when d reaches it the points never positively span R^d.
+    odd rising factor per walk and one plain rising factor per bridge, read
+    from the products cached on ``tables`` (the default instance if None).
+    Its degree is the number of points, and when d reaches it the points
+    never positively span R^d.
     """
     walks = tuple(as_index(x, "a walk length") for x in walk_lengths)
     bridges = tuple(as_index(x, "a bridge length") for x in bridge_lengths)
@@ -394,11 +398,10 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
         raise DomainError(f"bridge lengths must be >= 2, got {bridges}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got d={d}")
-    roots = block_roots(bridges, walks)
-    if d >= len(roots):
+    if d >= block_degree(bridges, walks):
         return Fraction(int(complement))
     # the product's value at t = 1 is prod 2**w w! * prod b!
-    prod = LowOrderProduct.of(roots, d)
+    prod = (tables if tables is not None else default_tables()).block_product(bridges, walks, d)
     total = prod.down(d - 1) if complement else prod.parity_tail(d + 1)
     return Fraction(2 * total, prod.at_one)
 

@@ -157,54 +157,63 @@ def _check_convolution_identities(t: StirlingTables, max_n: int) -> None:
     # signed and plain convolutions of first-kind against second-kind rows;
     # the alternating forms degenerate when only the top term survives,
     # hence the n >= j+2 (plain families) and n >= j+1 (B families) ranges.
+    # Each row is read once; second(k, j) and second_b(k, j) are 0 for k < j.
+    second = [t.row("second", k) for k in range(max_n + 1)]
+    second_b = [t.row("second_B", k) for k in range(max_n + 1)]
     for n in range(1, max_n + 1):
+        first, first_b = t.row("first", n), t.row("first_B", n)
         for j in range(n):
-            plain = sum(t.first(n, k) * t.second(k, j + 1) for k in range(n + 1))
+            terms = [first[k] * second[k][j + 1] for k in range(j + 1, n + 1)]
             expect = math.factorial(n) // math.factorial(j + 1) * binomial(n - 1, j)
-            assert plain == expect, f"plain convolution at (n={n}, j={j})"
+            assert sum(terms) == expect, f"plain convolution at (n={n}, j={j})"
             if n >= j + 2:
-                alt = sum((-1) ** k * t.first(n, k) * t.second(k, j + 1)
-                          for k in range(n + 1))
+                alt = sum((-1) ** k * x for k, x in enumerate(terms, j + 1))
                 assert alt == 0, f"alternating convolution at (n={n}, j={j})"
         for j in range(n + 1):
-            plain_b = sum(t.first_b(n, k) * t.second_b(k, j) for k in range(n + 1))
+            terms_b = [first_b[k] * second_b[k][j] for k in range(j, n + 1)]
             expect_b = ((1 << n) * math.factorial(n) * binomial(n, j)
                         // ((1 << j) * math.factorial(j)))
-            assert plain_b == expect_b, f"plain B convolution at (n={n}, j={j})"
+            assert sum(terms_b) == expect_b, f"plain B convolution at (n={n}, j={j})"
             if n >= j + 1:
-                alt_b = sum((-1) ** k * t.first_b(n, k) * t.second_b(k, j)
-                            for k in range(n + 1))
+                alt_b = sum((-1) ** k * x for k, x in enumerate(terms_b, j))
                 assert alt_b == 0, f"alternating B convolution at (n={n}, j={j})"
 
 
 def _check_composition_convolutions(t: StirlingTables, max_n: int) -> None:
     # walk-terminated blocks: summing the block product that face_probability
-    # builds for a walk over all block compositions collapses to a product of
-    # the two B families, read from the triangles
+    # reads for a walk over all block compositions collapses to a product of
+    # the two B families, read from the triangles.  The terms are added as
+    # integer numerators over n! 2^n (over n! for bridges), with the
+    # multinomial n! / (prod p! * tail!) as the weight; every q is read off one
+    # composition's product, the highest first so that it is built once.
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
-            for q in range(0, n - m + 1):
-                acc = Fraction(0)
-                for tail in range(0, n - m + 1):
-                    for parts in compositions(n - tail, m):
-                        denom = math.prod(math.factorial(p) for p in parts)
-                        denom *= math.factorial(tail) * (1 << tail)
-                        acc += Fraction(coeff_P(n, parts, q), denom)
+            acc = [0] * (n - m + 1)
+            for tail in range(0, n - m + 1):
+                for parts in compositions(n - tail, m):
+                    weight = (math.factorial(n) // math.prod(map(math.factorial, parts))
+                              // math.factorial(tail)) << (n - tail)
+                    for q in reversed(range(n - m + 1)):
+                        acc[q] += weight * coeff_P(n, parts, q, t)
+            for q, num in enumerate(acc):
                 rhs = Fraction(math.factorial(m) * t.first_b(n, q + m) * t.second_b(q + m, m),
                                (1 << (n - m)) * math.factorial(n))
-                assert acc == rhs, f"walk composition convolution at (n={n}, m={m}, q={q})"
-    # pure bridge blocks, the product built for a bridge: same collapse onto
+                assert Fraction(num, math.factorial(n) << n) == rhs, \
+                    f"walk composition convolution at (n={n}, m={m}, q={q})"
+    # pure bridge blocks, the product read for a bridge: same collapse onto
     # the plain families
     for n in range(2, max_n + 1):
         for m in range(1, n):
-            for q in range(0, n - m):
-                acc = Fraction(0)
-                for parts in compositions(n, m + 1):
-                    denom = math.prod(math.factorial(p) for p in parts)
-                    acc += Fraction(coeff_Q(n, parts[:m], q), denom)
+            acc = [0] * (n - m)
+            for parts in compositions(n, m + 1):
+                weight = math.factorial(n) // math.prod(map(math.factorial, parts))
+                for q in reversed(range(n - m)):
+                    acc[q] += weight * coeff_Q(n, parts[:m], q, t)
+            for q, num in enumerate(acc):
                 rhs = Fraction(math.factorial(m + 1) * t.first(n, q + m + 1)
                                * t.second(q + m + 1, m + 1), math.factorial(n))
-                assert acc == rhs, f"bridge composition convolution at (n={n}, m={m}, q={q})"
+                assert Fraction(num, math.factorial(n)) == rhs, \
+                    f"bridge composition convolution at (n={n}, m={m}, q={q})"
 
 
 def _desk_models(max_n: int, max_d: int) -> list[Model]:

@@ -9,12 +9,16 @@ import numpy as np
 from scipy.optimize import linprog
 
 from conic_walks.combinatorics import (
+    LowOrderProduct,
     StirlingTables,
+    _validated_parts,
+    block_roots,
     bridge_block_poly,
     coeff_P_poly,
     coeff_Q_poly,
     default_tables,
     poly_mul,
+    root_product,
     walk_block_poly,
 )
 from conic_walks import geometry, simulation
@@ -564,6 +568,49 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
     else:
         total = sum(poly[r] for r in range(d + 1, len(poly), 2))
     return Fraction(2 * total, denom)
+
+
+# ---------------------------------------------------------------------------
+# per-call block products
+#
+# face_probability, joint_absorption_probability and coeff_P/coeff_Q built
+# a fresh block product from its roots on every call before the tables
+# cached one per multiset of block lengths; moved unchanged, tables unread.
+
+def per_call_face_probability(model: Model, indices: Sequence[int],
+                              complement: bool = False) -> Fraction:
+    idx = _validated_face_indices(model, indices)
+    n, d, k = model.n, model.d, len(idx)
+    gaps = tuple(b - a for a, b in zip((0,) + idx, idx))
+    tail = n - idx[-1]
+    roots = block_roots(gaps + (tail,)) if model.is_bridge else block_roots(gaps, (tail,))
+    prod = LowOrderProduct.of(roots, d - k)
+    total = prod.parity_tail(d - k + 1) if complement else prod.down(d - k - 1)
+    return Fraction(2 * total, prod.at_one)
+
+
+def per_call_joint_absorption_probability(walks: Sequence[int], bridges: Sequence[int],
+                                          d: int, complement: bool = False) -> Fraction:
+    roots = block_roots(bridges, walks)
+    if d >= len(roots):
+        return Fraction(int(complement))
+    prod = LowOrderProduct.of(roots, d)
+    total = prod.down(d - 1) if complement else prod.parity_tail(d + 1)
+    return Fraction(2 * total, prod.at_one)
+
+
+def _per_call_coefficient(roots: list[int], r: int) -> int:
+    return root_product(roots, r + 1)[r] if 0 <= r <= len(roots) else 0
+
+
+def per_call_coeff_P(n: int, parts: Sequence[int], r: int) -> int:
+    parts, tail = _validated_parts(n, parts)
+    return _per_call_coefficient(block_roots(parts, (tail,)), r)
+
+
+def per_call_coeff_Q(n: int, parts: Sequence[int], r: int) -> int:
+    parts, tail = _validated_parts(n, parts, final_bridge=True)
+    return _per_call_coefficient(block_roots(parts + (tail,)), r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from conic_walks.combinatorics import (
     stirling,
 )
 from conic_walks.errors import DomainError
+from conic_walks.formulas import Model, face_probability
 
 T = StirlingTables(40)
 
@@ -330,6 +331,42 @@ class TestRootProduct:
         longer = t.low_row(rule, 50, 9)
         assert longer.coeffs[:6] == row.coeffs and len(longer.coeffs) == 9
         assert t.low_row(rule, 50, 6) is longer
+
+    def test_cached_block_products_are_shared_and_extended(self, monkeypatch):
+        built = []
+        of = LowOrderProduct.of
+        monkeypatch.setattr(LowOrderProduct, "of",
+                            staticmethod(lambda roots, m: built.append(m) or of(roots, m)))
+        t = StirlingTables()
+        assert t._products == {} and StirlingTables(12)._products == {}
+        # every index tuple of the models in d = 4, n ascending: one build per
+        # multiset of block lengths, blocks without roots left out
+        multisets = set()
+        for n in range(5, 11):
+            for tag in "AB":
+                model = Model(tag, n, 4)
+                for k in range(1, 4):
+                    for idx in combinations(range(1, model.generator_count + 1), k):
+                        face_probability(model, idx, tables=t)
+                        gaps = [b - a for a, b in zip((0,) + idx, idx)]
+                        tail = n - idx[-1]
+                        bridges = gaps + [tail] if tag == "A" else gaps
+                        walks = [tail] if tag == "B" and tail else []
+                        multisets.add((tuple(sorted(g for g in bridges if g > 1)), tuple(walks)))
+        assert len(built) == len(multisets) == len(t._products)
+        # permuted bridge gaps share one entry
+        count = len(built)
+        assert face_probability(Model("A", 9, 4), (2, 5), tables=t) == \
+            face_probability(Model("A", 9, 4), (3, 5), tables=t)
+        assert t.block_product((4, 2, 1, 3), (), 1) is t.block_product((2, 3, 4), (), 2)
+        assert len(built) == count
+        # a shorter request reuses the entry, a longer one replaces it
+        prod = t.block_product((5, 4), (3,), 2)
+        assert t.block_product((4, 5), (3, 0), 1) is prod
+        longer = t.block_product((4, 5), (3,), 5)
+        assert longer.coeffs[:2] == prod.coeffs and len(longer.coeffs) == 5
+        assert t.block_product((5, 4), (3,), 3) is longer
+        assert built[count:] == [2, 5]
 
     def test_product_term_cap(self):
         # 400 factors to 1,000 coefficients are at the cap and cheap: the

@@ -1,5 +1,6 @@
 """Exact expectation formulas: frozen values and the identity web."""
 
+import itertools
 import math
 import random
 import time
@@ -32,7 +33,7 @@ from conic_walks import (
     subspace_intersection_probability,
     wendel_probability,
 )
-from conic_walks.combinatorics import MAX_FACTORS
+from conic_walks.combinatorics import MAX_FACTORS, coeff_P, coeff_Q, compositions
 from conic_walks.errors import DomainError
 
 F = Fraction
@@ -583,6 +584,62 @@ def test_low_order_forms_match_full_triangle_oracle_at_the_edges():
                 assert got == want, f"joint {walks} {bridges} d={d} {complement}: {got} != {want}"
                 checked += 1
     assert checked > 10_000
+
+
+def test_cached_block_products_match_the_per_call_build():
+    # one warm tables instance serves every request: each value read from a
+    # cached block product must be the one a fresh product per call gave
+    t = cw.StirlingTables()
+    checked = 0
+    for model in small_models(10, 5):  # the identity suite's models
+        for k in range(1, model.d):
+            for idx in itertools.combinations(range(1, model.generator_count + 1), k):
+                for complement in (False, True):
+                    assert face_probability(model, idx, complement, t) == \
+                        oracles.per_call_face_probability(model, idx, complement)
+                    checked += 1
+    for total in range(9):
+        for count in range(total + 1):
+            for parts in compositions(total, count):
+                for n in range(total, 9):
+                    for r in range(-1, n + 2):
+                        assert coeff_P(n, parts, r, t) == oracles.per_call_coeff_P(n, parts, r)
+                        if total < n:
+                            assert coeff_Q(n, parts, r, t) == \
+                                oracles.per_call_coeff_Q(n, parts, r)
+                        checked += 1
+                # the parts as walks then bridges of length >= 2, cut anywhere
+                for cut in range(count + 1):
+                    walks, bridges = parts[:cut], parts[cut:]
+                    if parts and min(bridges, default=2) >= 2:
+                        for d in range(1, total + 2):
+                            for complement in (False, True):
+                                assert joint_absorption_probability(
+                                    walks, bridges, d, complement, t) == \
+                                    oracles.per_call_joint_absorption_probability(
+                                        walks, bridges, d, complement)
+                                checked += 1
+    assert checked > 15_000
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["short-first", "long-first"])
+def test_cached_block_products_extend_in_either_order(order):
+    # the bridge blocks (2, 3, 4) serve face probabilities in d = 2..6 and
+    # coeff_Q(9, (2, 3), r); the walk and bridge blocks (2), (3, 4) a joint
+    # hull in d = 1..7; short requests come first, or long ones
+    t = cw.StirlingTables()
+    for d in range(2, 7)[::order]:
+        for idx in [i for i in ((5,), (2, 5), (3, 5), (1, 2, 5)) if len(i) < d]:
+            for complement in (False, True):
+                assert face_probability(Model("A", 9, d), idx, complement, t) == \
+                    oracles.per_call_face_probability(Model("A", 9, d), idx, complement)
+    for r in range(8)[::order]:
+        assert coeff_Q(9, (2, 3), r, t) == oracles.per_call_coeff_Q(9, (2, 3), r)
+        assert coeff_P(9, (2, 3), r, t) == oracles.per_call_coeff_P(9, (2, 3), r)
+    for d in range(1, 8)[::order]:
+        for complement in (False, True):
+            assert joint_absorption_probability((2,), (3, 4), d, complement, t) == \
+                oracles.per_call_joint_absorption_probability((2,), (3, 4), d, complement)
 
 
 def test_cold_tables_build_no_first_kind_triangle():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conic_walks import geometry, simulation
+from conic_walks.combinatorics import StirlingTables
 from conic_walks.cli import EXIT_NUMERIC, EXIT_USAGE, main
 from conic_walks.errors import DomainError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
@@ -399,6 +400,15 @@ class TestVerifySuite:
         tampered = identity_checks(tables=corrupted_tables())
         failed = {c.name for c in tampered if c.status == "fail"}
         assert "cross-formula identities" in failed
+
+    def test_a_poked_block_product_is_caught(self):
+        # the block (2, 3) is read by coeff_Q(5, (2,), q) in the composition
+        # convolutions and by face_probability(A n=5, (2,)) in the formula
+        # web; cached at full length, it is never rebuilt during the run
+        t = StirlingTables()
+        t.block_product((2, 3), (), 4).coeffs[0] += 1  # test-only: poke one coefficient
+        failed = {c.name for c in identity_checks(tables=t) if c.status == "fail"}
+        assert {"cross-formula identities", "composition convolutions"} <= failed
 
     def test_small_budget_skips_mc(self):
         report = verify_suite(budget=100, seed=5)
