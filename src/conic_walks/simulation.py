@@ -366,9 +366,10 @@ class _Chunk:
     """Samples decided together, all in general position.
 
     ``gens`` (S, N, d) holds each sample's generators, ``rec`` their sign
-    record and ``full`` marks the full cones.  ``gauss`` (S, ...) holds the
-    Gaussian block each sample drew right after its increments, of the
-    shape its measurement's ``block`` gives.
+    record and ``full`` marks the full cones.  ``gauss`` (S, d, c) holds the
+    Gaussian block each sample drew right after its increments, which all
+    of its faces share: by linearity of expectation a sum over faces needs
+    no independence between them.
     """
 
     gens: np.ndarray
@@ -379,60 +380,88 @@ class _Chunk:
     def take(self, which: np.ndarray) -> _Chunk:
         return _Chunk(self.gens[which], self.rec.take(which), self.full[which], self.gauss[which])
 
+    @functools.cached_property
+    def proj(self) -> np.ndarray:
+        """The generators times the Gaussian block, (S, N, c): their
+        coordinates on the Haar c-subspace its columns span.  The first i
+        columns give the projection onto a Haar i-subspace, whose
+        orthogonal complement, the kernel of those columns, is a Haar
+        subspace of codimension i."""
+        return self.gens @ self.gauss
 
-def _haar_hits(gens: np.ndarray, gauss: np.ndarray) -> np.ndarray:
-    """Per sample p, whether the cone of the rows of gens[p] meets a Haar
-    subspace of codimension k, given a d x k standard Gaussian matrix
-    gauss[p]; half this indicator has expectation U_k for a pointed cone.
 
-    The orthogonal complement of a Haar subspace is Haar, and so is the
-    column span of a d x k standard Gaussian matrix.  The cone meets the
-    subspace exactly when the origin lies in the hull of the generators
-    projected onto that span, and any basis of it gives the same verdict:
-    bases differ by an invertible map of the k coordinates.  So the
-    generators are multiplied by the Gaussian matrix itself.  Every cone
-    meets a subspace of codimension 0.
+def _undecided(verdicts: np.ndarray, rec: geometry._SignRecord) -> np.ndarray:
+    """The verdicts as floats, NaN where the projected points ``rec`` have
+    an exactly zero minor: such a sample draws again."""
+    out = verdicts.astype(float)
+    out[~rec.general] = np.nan
+    return out
+
+
+def _tangent_u(c: _Chunk, j: int, i: int) -> np.ndarray:
+    """Per sample, the sum over its j-faces F of U_i(T_F C), the i-th conic
+    quermassintegral of the tangent cone at F; the apex is the 0-face of a
+    pointed cone, and its tangent cone is the cone.
+
+    By the conic Crofton formula, U_i of a cone that is not a subspace is
+    half the probability that it meets a Haar subspace of codimension i,
+    here the kernel of the first i columns G_i of the Gaussian block.  For
+    i > j, T_F C meets that kernel exactly when F is not a face of the
+    projected cone G_i^T C (Farkas), so the verdict reads the face masks of
+    the projected generators; a projected full cone has no face.  T_F C
+    contains the j-dimensional span of F, so it meets every subspace of
+    codimension i <= j, and it is no subspace, so U_i = 0 for i >= d.
     """
-    if gauss.shape[-1] == 0:
-        return np.ones(len(gens), dtype=bool)
-    return geometry._origin_in_hulls(gens @ gauss)
+    d = c.gens.shape[2]
+    if i >= d:
+        return np.zeros(len(c.gens))
+    faces = geometry._face_masks(c.rec, j)
+    if i <= j:
+        return 0.5 * faces.sum(axis=1)
+    rec = geometry._SignRecord.of(c.proj[:, :, :i])
+    return 0.5 * _undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=1), rec)
 
 
-def _v(gens: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
-    """Per sample p, whether the metric projection of the standard Gaussian
-    point g[p] lands in a k-face of the cone of the rows of gens[p] (k = d
-    inside it); its expectation is the conic intrinsic volume v_k."""
-    return (geometry._projection_supports(gens, g)[0].sum(axis=1) == k).astype(float)
+def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
+    """Per sample, the sum over its m-faces F of U_i(F), the i-th conic
+    quermassintegral of the face itself (1 <= m <= d-1).
 
-
-def _face_sum(c: _Chunk, j: int, tangent: bool,
-              value: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per sample, the sum of ``value`` over its j-faces, applied to the
-    faces' generators, or with ``tangent`` to the bases of their tangent
-    cones, and to the faces' Gaussian blocks.  The apex is the 0-face of a
-    pointed cone, and its tangent cone is the cone.  The f-th face of a
-    sample, in combinations order, reads block f of its Gaussians, as if
-    each face drew its own in turn."""
-    mask = geometry._face_masks(c.rec, j)
-    s, f = np.nonzero(mask)
-    rank = np.cumsum(mask, axis=1)[s, f] - 1
-    faces = geometry._subsets(c.gens.shape[1], j)[f]
-    bases = geometry._tangent_bases(c.gens, s, faces) if tangent else c.gens[s[:, None], faces]
-    return np.bincount(s, weights=value(bases, c.gauss[s, rank]), minlength=len(c.gens))
-
-
-def _half_hits(bases: np.ndarray, gauss: np.ndarray) -> np.ndarray:
-    return 0.5 * _haar_hits(bases, gauss)
+    F meets the kernel of G_i exactly when the origin lies in the hull of
+    its generators projected by G_i, that is when those points have no
+    facet.  F is a pointed m-dimensional cone: it meets every subspace of
+    codimension i <= 0 and almost surely none of codimension i >= m.  Every
+    face of a batch is projected from ``c.proj`` and decided in one record.
+    """
+    if i >= m:
+        return np.zeros(len(c.gens))
+    faces = geometry._face_masks(c.rec, m)
+    if i <= 0:
+        return 0.5 * faces.sum(axis=1)
+    s, f = np.nonzero(faces)
+    rows = geometry._subsets(c.gens.shape[1], m)[f]
+    rec = geometry._SignRecord.of(c.proj[s[:, None], rows, :i])
+    hits = _undecided(~rec.facets.any(axis=1), rec)
+    return 0.5 * np.bincount(s, weights=hits, minlength=len(c.gens))
 
 
 def _quermassintegral(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
-    d = c.gens.shape[2]
     # the full space scores by the subspace convention
-    out = np.where(c.full, float((d - q.k) % 2), 0.0)
-    if q.k < d:
-        pointed = ~c.full
-        out[pointed] = _half_hits(c.gens[pointed], c.gauss[pointed])
-    return out
+    return _tangent_u(c, 0, q.k) + np.where(c.full, float((c.gens.shape[2] - q.k) % 2), 0.0)
+
+
+def _intrinsic_volume(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
+    # Crofton: v_k = U_{k-1} - U_{k+1}, with U_{-1} = 1/2; the nested
+    # kernels make each value 0 or 1/2.  A full cone has v_d = 1.
+    top = c.full & (q.k == c.gens.shape[2])
+    return _tangent_u(c, 0, q.k - 1) - _tangent_u(c, 0, q.k + 1) + top
+
+
+def _face_intrinsic(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
+    if q.m == 0:  # the apex {0} is a subspace, with v_0 = 1
+        return (~c.full).astype(float)
+    if q.m == c.gens.shape[2]:  # no d-face, as the closed form reads
+        return np.zeros(len(c.gens))
+    return _face_u(c, q.m, q.l - 1) - _face_u(c, q.m, q.l + 1)
 
 
 def _face_prob(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
@@ -441,45 +470,49 @@ def _face_prob(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
     return geometry._face_masks(c.rec, len(rows))[:, at].astype(float)
 
 
+def _columns(low: int, high: int, *counts: int) -> int:
+    """The Gaussian columns a measurement reads: the largest of the
+    kernel codimensions ``counts`` strictly between low and high, the
+    others being decided without a block; 0 if none."""
+    return max((i for i in counts if low < i < high), default=0)
+
+
 class _Measure(NamedTuple):
     """``value(query, chunk)`` gives one value per sample whose expectation
-    is the functional; ``block(query, N, d)`` is the shape of the Gaussian
-    block each sample draws for it, for cones of N generators in R^d: the
-    largest it could need."""
+    is the functional, or NaN where a projection of the sample has an
+    exactly zero minor; ``block(query, d)`` is the shape (d, c) of the
+    Gaussian block each sample draws for it in R^d."""
 
     value: Callable[[FunctionalQuery, _Chunk], np.ndarray]
-    block: Callable[[FunctionalQuery, int, int], tuple[int, ...]] = lambda q, n, d: (0,)
+    block: Callable[[FunctionalQuery, int], tuple[int, int]] = lambda q, d: (d, 0)
 
 
 MEASURES: dict[str, _Measure] = {
     "absorption": _Measure(lambda q, c: c.full.astype(float)),
     "nonabsorption": _Measure(lambda q, c: (~c.full).astype(float)),
     "fk": _Measure(lambda q, c: geometry._face_masks(c.rec, q.k).sum(axis=1).astype(float)),
-    "Uk": _Measure(_quermassintegral, lambda q, n, d: (d, q.k if q.k < d else 0)),
-    "vk": _Measure(lambda q, c: _v(c.gens, q.k, c.gauss), lambda q, n, d: (d,)),
-    "Lambda": _Measure(lambda q, c: _face_sum(c, q.k, False, _half_hits),
-                       lambda q, n, d: (math.comb(n, q.k), d, q.k - 1)),
-    "Y": _Measure(lambda q, c: _face_sum(c, q.m, False, _half_hits),
-                  lambda q, n, d: (math.comb(n, q.m), d, q.l)),
-    # the top quermassintegral of a tangent cone vanishes
-    "Z": _Measure(lambda q, c: np.zeros(len(c.gens)) if q.k == c.gens.shape[2] else _face_sum(
-        c, q.j, True, _half_hits),
-        lambda q, n, d: (math.comb(n, q.j), d - q.j, q.k - q.j) if q.k < d else (0,)),
-    # the face masks hold no d-face, so m = d measures 0, as the closed form reads
-    "face_intrinsic": _Measure(lambda q, c: _face_sum(c, q.m, False, lambda b, g: _v(b, q.l, g)),
-                               lambda q, n, d: (math.comb(n, q.m), d)),
+    "Uk": _Measure(_quermassintegral, lambda q, d: (d, _columns(0, d, q.k))),
+    "vk": _Measure(_intrinsic_volume, lambda q, d: (d, _columns(0, d, q.k - 1, q.k + 1))),
+    "Lambda": _Measure(lambda q, c: _face_u(c, q.k, q.k - 1),
+                       lambda q, d: (d, _columns(0, q.k, q.k - 1))),
+    "Y": _Measure(lambda q, c: _face_u(c, q.m, q.l), lambda q, d: (d, _columns(0, q.m, q.l))),
+    "Z": _Measure(lambda q, c: _tangent_u(c, q.j, q.k), lambda q, d: (d, _columns(q.j, d, q.k))),
+    "face_intrinsic": _Measure(_face_intrinsic,
+                               lambda q, d: (d, _columns(0, q.m, q.l - 1, q.l + 1))),
     "tangent_intrinsic": _Measure(
-        lambda q, c: _face_sum(c, q.j, True, lambda b, g: _v(b, q.k - q.j, g)),
-        lambda q, n, d: (math.comb(n, q.j), d - q.j)),
+        lambda q, c: _tangent_u(c, q.j, q.k - 1) - _tangent_u(c, q.j, q.k + 1),
+        lambda q, d: (d, _columns(q.j, d, q.k - 1, q.k + 1))),
     "face_prob": _Measure(_face_prob),
-    "subspace_prob": _Measure(lambda q, c: _haar_hits(c.gens, c.gauss).astype(float),
-                              lambda q, n, d: (d, q.k)),
+    "subspace_prob": _Measure(lambda q, c: 2.0 * _tangent_u(c, 0, q.k) + c.full,
+                              lambda q, d: (d, _columns(0, d, q.k))),
     # in general position the origin is in the points' hull iff they span R^d
     "joint_absorption": _Measure(lambda q, c: c.full.astype(float)),
 }
 """Per functional name, the measurement over a chunk of cones.  A
 joint_absorption cone is spanned by the stacked points of all blocks,
-every other cone is drawn from the query's model."""
+every other cone is drawn from the query's model.  Every verdict reads the
+face masks of a sign record: of the cones, or of their generators (or a
+face's) projected by the first columns of their Gaussian block."""
 
 
 class _Sampler:
@@ -492,7 +525,7 @@ class _Sampler:
         n, d = self.draw.n_generators, dist.d
         if n < d:  # no d x d minor, so no draw is in general position
             raise DomainError(f"{self.draw.what} of {n} points in R^{d}: never in general position")
-        self.block = self.measure.block(query, n, d)
+        self.block = self.measure.block(query, d)
         size = (self.draw.n_steps * d + math.prod(self.block)
                 + sum(math.comb(n, k) * k for k in range(1, d + 1)))
         self.batch = max(1, _BATCH_ELEMENTS // size)
@@ -504,7 +537,10 @@ class _Sampler:
         its own stream, and each round decides its batch at once.  A sample
         whose draw is not in general position, or is a full cone under
         ``conditioned``, draws again in the next round from where its last
-        increments ended, so it consumes its stream as if drawn alone.
+        increments ended, so it consumes its stream as if drawn alone.  So
+        does a sample whose measurement projects points with an exactly zero
+        minor (probability zero): that draw counts as one not in general
+        position.
         """
         values = np.empty(len(indices))
         misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
@@ -517,15 +553,19 @@ class _Sampler:
             gens = self.draw.partial_sums(steps)
             rec = geometry._SignRecord.of(gens)
             chunk = _Chunk(gens, rec, geometry._full_cones(rec), gauss)
-            redo = ~rec.general
+            miss = ~rec.general
+            redo = miss.copy()
             if self.query.conditioned:
                 redo |= chunk.full
                 fulls[pending] += chunk.full & rec.general
-            if not redo.all():
-                values[pending[~redo]] = self.measure.value(
-                    self.query, chunk.take(~redo) if redo.any() else chunk)
-            rejected += int(np.count_nonzero(~rec.general))
-            misses[pending] = np.where(rec.general, 0, misses[pending] + 1)
+            kept = np.flatnonzero(~redo)
+            if kept.size:
+                got = self.measure.value(self.query, chunk.take(kept) if redo.any() else chunk)
+                values[pending[kept]] = got
+                lost = kept[np.isnan(got)]
+                miss[lost] = redo[lost] = True
+            rejected += int(np.count_nonzero(miss))
+            misses[pending] = np.where(miss, misses[pending] + 1, 0)
             if misses.max() >= _MAX_DRAW_RETRIES:
                 raise self.draw.failed()
             if fulls.max() > _MAX_CONDITION_RETRIES:

@@ -450,6 +450,24 @@ def default_gates() -> list[Gate]:
     ]
 
 
+def measurement_gates() -> list[Gate]:
+    """Gates on the face-sum measurements that no default gate samples:
+    Lambda, face_intrinsic, tangent_intrinsic, Z at j = 0 and j = 2, and
+    v_1 in dimension three.  ``verify_suite`` does not run them."""
+    a53 = Model(A_BRIDGE, 5, 3)
+    b53 = Model(B_WALK, 5, 3)
+    return [
+        Gate("Lambda2/B n=5 d=3", FunctionalQuery("Lambda", b53, k=2)),
+        Gate("face-intrinsic m=2 l=0/B n=5 d=3",
+             FunctionalQuery("face_intrinsic", b53, m=2, l=0)),
+        Gate("tangent-intrinsic j=1 k=1/A n=5 d=3",
+             FunctionalQuery("tangent_intrinsic", a53, j=1, k=1)),
+        Gate("Z j=0 k=1/A n=5 d=3", FunctionalQuery("Z", a53, j=0, k=1)),
+        Gate("Z j=2 k=3/B n=6 d=4", FunctionalQuery("Z", Model(B_WALK, 6, 4), j=2, k=3)),
+        Gate("v1/B n=5 d=3", FunctionalQuery("vk", b53, k=1)),
+    ]
+
+
 def _gate_seed(base_seed: int, gate_name: str, family: str) -> int:
     tag = zlib.crc32(f"{gate_name}|{family}".encode())
     return (int(base_seed) + (tag << 16)) & ((1 << 64) - 1)
@@ -487,6 +505,22 @@ def fraction_dict(x: Fraction) -> dict:
     outgrow the interpreter's 4300-digit limit on int-to-str conversion."""
     return {"num": str(Decimal(x.numerator)), "den": str(Decimal(x.denominator)),
             "approx": float(x)}
+
+
+def z_summary(zs: list[float]) -> dict:
+    """Aggregate statistics of gate z-scores: their count, the sum of their
+    squares (chi-square with that many degrees of freedom when every
+    estimate is unbiased), the largest |z|, and the Kolmogorov-Smirnov
+    distance of their empirical distribution from N(0, 1); None without
+    any z-score."""
+    n = len(zs)
+    cdf = [0.5 * (1.0 + math.erf(z / math.sqrt(2.0))) for z in sorted(zs)]
+    return {
+        "mc_z_count": n,
+        "mc_sum_z2": math.fsum(z * z for z in zs) if n else None,
+        "mc_max_abs_z": max(abs(z) for z in zs) if n else None,
+        "mc_ks_d": max(max((i + 1) / n - c, c - i / n) for i, c in enumerate(cdf)) if n else None,
+    }
 
 
 def verify_suite(budget: int = 100_000,
@@ -548,6 +582,9 @@ def verify_suite(budget: int = 100_000,
             "mc_run": len(mc_run),
             "mc_passed": mc_passed,
             "mc_pass_rate": rate,
+            # a pair with stderr 0 has no z-score: its mean matches exactly or fails
+            "mc_zero_stderr_count": sum(1 for c in mc_run if c["z"] is None),
+            **z_summary([c["z"] for c in mc_run if c["z"] is not None]),
             "overall": overall,
         },
     }

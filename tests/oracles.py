@@ -782,6 +782,85 @@ def tangent_base(gens: np.ndarray, face: Sequence[int]) -> np.ndarray:
     return gens[rest] @ basis
 
 
+def tangent_meets_kernel(gens: np.ndarray, face: Sequence[int], gauss: np.ndarray) -> bool:
+    """Whether the tangent cone at a face meets the kernel of gauss^T (a
+    d x k matrix) outside the origin, from the face's SVD tangent base: the
+    base meets the kernel projected onto the complement of the face's span
+    exactly when the origin lies in the hull of the base projected onto
+    that projection's orthogonal complement."""
+    d = gens.shape[1]
+    basis = row_complement(gens[list(face)])[0] if face else np.eye(d)
+    kernel = basis.T @ row_complement(gauss.T)[0]  # P_{F-perp}(ker G^T) in basis coordinates
+    normal = row_complement(kernel.T)[0]
+    return geometry._origin_in_hull(tangent_base(gens, face) @ normal)
+
+
+# ---------------------------------------------------------------------------
+# per-face Gaussian blocks and projection supports
+#
+# The rows of simulation.MEASURES before every face sum read the face masks
+# of one Gaussian projection, moved unchanged.  Each face of a sample read
+# its own Gaussian block, the f-th face (in combinations order) block f; v_k,
+# face_intrinsic and tangent_intrinsic counted the support of the metric
+# projection of a Gaussian point (the stacked support solve of geometry);
+# Z and tangent_intrinsic projected onto the stacked SVD tangent bases.
+# ``replaced_sampler`` gives a sampler that draws their blocks and measures
+# with them, so the face loops below check them sample by sample.
+
+def _haar_hits(gens: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    if gauss.shape[-1] == 0:
+        return np.ones(len(gens), dtype=bool)
+    return geometry._origin_in_hulls(gens @ gauss)
+
+
+def replaced_v(gens: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
+    """Per sample p, whether the metric projection of the Gaussian point
+    g[p] lands in a k-face of the cone of the rows of gens[p] (k = d inside
+    it): the projection estimator of v_k."""
+    return (geometry._projection_supports(gens, g)[0].sum(axis=1) == k).astype(float)
+
+
+def _face_sum(c, j: int, tangent: bool, value: Callable) -> np.ndarray:
+    mask = geometry._face_masks(c.rec, j)
+    s, f = np.nonzero(mask)
+    rank = np.cumsum(mask, axis=1)[s, f] - 1
+    faces = geometry._subsets(c.gens.shape[1], j)[f]
+    bases = geometry._tangent_bases(c.gens, s, faces) if tangent else c.gens[s[:, None], faces]
+    return np.bincount(s, weights=value(bases, c.gauss[s, rank]), minlength=len(c.gens))
+
+
+def _half_hits(bases: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    return 0.5 * _haar_hits(bases, gauss)
+
+
+REPLACED_MEASURES = {
+    "vk": (lambda q, c: replaced_v(c.gens, q.k, c.gauss), lambda q, n, d: (d,)),
+    "Lambda": (lambda q, c: _face_sum(c, q.k, False, _half_hits),
+               lambda q, n, d: (math.comb(n, q.k), d, q.k - 1)),
+    "Y": (lambda q, c: _face_sum(c, q.m, False, _half_hits),
+          lambda q, n, d: (math.comb(n, q.m), d, q.l)),
+    "Z": (lambda q, c: np.zeros(len(c.gens)) if q.k == c.gens.shape[2] else _face_sum(
+        c, q.j, True, _half_hits),
+        lambda q, n, d: (math.comb(n, q.j), d - q.j, q.k - q.j) if q.k < d else (0,)),
+    "face_intrinsic": (lambda q, c: _face_sum(c, q.m, False, lambda b, g: replaced_v(b, q.l, g)),
+                       lambda q, n, d: (math.comb(n, q.m), d)),
+    "tangent_intrinsic": (lambda q, c: _face_sum(c, q.j, True,
+                                                 lambda b, g: replaced_v(b, q.k - q.j, g)),
+                          lambda q, n, d: (math.comb(n, q.j), d - q.j)),
+}
+"""Per replaced functional, its measurement (query, chunk) -> values and
+its block shape (query, N, d)."""
+
+
+def replaced_sampler(query: FunctionalQuery, dist) -> "simulation._Sampler":
+    """A sampler of the query that draws and measures as the replaced row."""
+    sampler = simulation._Sampler(query, dist)
+    value, block = REPLACED_MEASURES[query.functional]
+    sampler.measure = simulation._Measure(value)
+    sampler.block = block(query, sampler.draw.n_generators, dist.d)
+    return sampler
+
+
 # ---------------------------------------------------------------------------
 # per-functional face loops
 #
@@ -915,8 +994,9 @@ FACE_LOOP_MEASURES = {
     "tangent_intrinsic": _tangent_sum_v,
     "subspace_prob": lambda q, cone, rng: float(_hits_random_subspace(cone.generators, q.k, rng)),
 }
-"""The replaced rows of ``simulation.MEASURES``, and the orthonormal-basis
-reference for its subspace_prob row, by functional name."""
+"""The rows ``replaced_sampler`` measures with, and the orthonormal-basis
+reference for the fk, Uk and subspace_prob rows of ``simulation.MEASURES``,
+by functional name."""
 
 
 def face_loop_queries(model: Model) -> list[FunctionalQuery]:
@@ -949,8 +1029,10 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
 # chunk, moved with its names prefixed and its docstrings dropped.  Every
 # sample draws a ConeSample from its own stream, redraws until the cone is
 # in general position and, under ``conditioned``, until it is not full,
-# then measures it with per-cone kernels that draw their Gaussians when
-# they need them.  It draws its increments with numpy's own distributions,
+# then measures it with per-cone kernels.  A face sum draws one Gaussian
+# block after the increments, shared by every face, and a projection with
+# an exactly zero minor makes the sample draw again from the word after its
+# increments.  It draws its increments with numpy's own distributions,
 # as the simulator did before it built every law from standard normals.
 # The batched chunks must give the same sums.
 
@@ -1028,18 +1110,73 @@ def _loop_u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
     return 0.5 if geometry._origin_in_hull(gens @ gauss) else 0.0
 
 
-def _loop_v(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
-    g = rng.standard_normal(gens.shape[1])
-    return 1.0 if len(projection_support(gens, g)[0]) == k else 0.0
+def numpy_block(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """One sample's Gaussian block, drawn after its increments."""
+    return rng.standard_normal(shape)
 
 
-def _loop_face_sum(cone: ConeSample, j: int, tangent: bool,
-                   value: Callable[[np.ndarray], float]) -> float:
-    gens = cone.generators
+def _loop_block(cone: ConeSample, rng: np.random.Generator, low: int, high: int,
+                *codims: int) -> np.ndarray:
+    """The d x c block of the kernels of codimension strictly between low
+    and high, the widest of them, shared by every face."""
+    return numpy_block((cone.d, max((i for i in codims if low < i < high), default=0)), rng)
+
+
+def _loop_tangent_u(cone: ConeSample, j: int, i: int, gauss: np.ndarray) -> float:
+    """Sum over j-faces F of U_i(T_F C): F is not a face of the projected cone."""
+    if i >= cone.d:
+        return 0.0
+    faces = geometry._faces(cone, j)
+    if i <= j:
+        return 0.5 * len(faces)
+    projected = ConeSample(cone.generators @ gauss[:, :i])
+    if not projected.in_general_position():
+        return math.nan
+    return 0.5 * len(set(faces) - set(geometry._faces(projected, j)))
+
+
+def _loop_face_u(cone: ConeSample, m: int, i: int, gauss: np.ndarray) -> float:
+    """Sum over m-faces F of U_i(F): the origin is in the projected face's hull."""
+    if i >= m:
+        return 0.0
+    faces = geometry._faces(cone, m)
+    if i <= 0:
+        return 0.5 * len(faces)
     total = 0.0
-    for face in geometry._faces(cone, j):
-        total += value(tangent_base(gens, face) if tangent else gens[list(face)])
+    for face in faces:
+        points = cone.generators[list(face)] @ gauss[:, :i]
+        if not ConeSample(points).in_general_position():
+            return math.nan
+        total += 0.5 * geometry._origin_in_hull(points)
     return total
+
+
+def _loop_vk(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    g = _loop_block(cone, rng, 0, cone.d, q.k - 1, q.k + 1)
+    top = 1.0 if q.k == cone.d and not geometry._faces(cone, 0) else 0.0
+    return _loop_tangent_u(cone, 0, q.k - 1, g) - _loop_tangent_u(cone, 0, q.k + 1, g) + top
+
+
+def _loop_face_intrinsic(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+    if q.m == 0:
+        return float(len(geometry._faces(cone, 0)))
+    if q.m == cone.d:
+        return 0.0
+    g = _loop_block(cone, rng, 0, q.m, q.l - 1, q.l + 1)
+    return _loop_face_u(cone, q.m, q.l - 1, g) - _loop_face_u(cone, q.m, q.l + 1, g)
+
+
+def _loop_tangent_intrinsic(q: FunctionalQuery, cone: ConeSample,
+                            rng: np.random.Generator) -> float:
+    g = _loop_block(cone, rng, q.j, cone.d, q.k - 1, q.k + 1)
+    return _loop_tangent_u(cone, q.j, q.k - 1, g) - _loop_tangent_u(cone, q.j, q.k + 1, g)
+
+
+def _loop_u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
+    if k == 0:
+        return 0.5
+    gauss = rng.standard_normal((gens.shape[1], k))
+    return 0.5 if geometry._origin_in_hull(gens @ gauss) else 0.0
 
 
 def _loop_quermassintegral(q: FunctionalQuery, cone: ConeSample,
@@ -1055,16 +1192,14 @@ LOOP_MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Genera
     "nonabsorption": lambda q, cone, rng: 0.0 if is_full_cone(cone) else 1.0,
     "fk": lambda q, cone, rng: float(len(geometry._faces(cone, q.k))),
     "Uk": _loop_quermassintegral,
-    "vk": lambda q, cone, rng: _loop_v(cone.generators, q.k, rng),
-    "Lambda": lambda q, cone, rng: _loop_face_sum(
-        cone, q.k, False, lambda b: _loop_u(b, q.k - 1, rng)),
-    "Y": lambda q, cone, rng: _loop_face_sum(cone, q.m, False, lambda b: _loop_u(b, q.l, rng)),
-    "Z": lambda q, cone, rng: 0.0 if q.k == cone.d else _loop_face_sum(
-        cone, q.j, True, lambda b: _loop_u(b, q.k - q.j, rng)),
-    "face_intrinsic": lambda q, cone, rng: _loop_face_sum(
-        cone, q.m, False, lambda b: _loop_v(b, q.l, rng)),
-    "tangent_intrinsic": lambda q, cone, rng: _loop_face_sum(
-        cone, q.j, True, lambda b: _loop_v(b, q.k - q.j, rng)),
+    "vk": _loop_vk,
+    "Lambda": lambda q, cone, rng: _loop_face_u(
+        cone, q.k, q.k - 1, _loop_block(cone, rng, 0, q.k, q.k - 1)),
+    "Y": lambda q, cone, rng: _loop_face_u(cone, q.m, q.l, _loop_block(cone, rng, 0, q.m, q.l)),
+    "Z": lambda q, cone, rng: _loop_tangent_u(
+        cone, q.j, q.k, _loop_block(cone, rng, q.j, cone.d, q.k)),
+    "face_intrinsic": _loop_face_intrinsic,
+    "tangent_intrinsic": _loop_tangent_intrinsic,
     "face_prob": lambda q, cone, rng: 1.0 if is_face(cone, [i - 1 for i in q.indices]) else 0.0,
     "subspace_prob": lambda q, cone, rng: 2.0 * _loop_u(cone.generators, q.k, rng),
     "joint_absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
@@ -1082,9 +1217,15 @@ def loop_chunk_stats(args: tuple) -> tuple[float, float, int]:
     rejected = 0
     for i in range(start, start + count):
         rng = streams.at(i)
-        sample, rej = loop_draw_sample(query, dist, rng)
-        rejected += rej
-        value = measure(query, sample, rng)
+        value = math.nan
+        while math.isnan(value):
+            sample, rej = loop_draw_sample(query, dist, rng)
+            rejected += rej
+            after = rng.bit_generator.state
+            value = measure(query, sample, rng)
+            if math.isnan(value):  # a projection out of general position
+                rejected += 1
+                rng.bit_generator.state = after
         total += value
         total_sq += value * value
     return total, total_sq, rejected

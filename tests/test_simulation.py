@@ -28,9 +28,11 @@ from conic_walks.verify import (
     corrupted_tables,
     default_gates,
     identity_checks,
+    measurement_gates,
     report_to_json,
     run_gate,
     verify_suite,
+    z_summary,
 )
 
 import oracles
@@ -334,9 +336,16 @@ class TestEstimate:
         assert abs(est.z) <= 4
 
     def test_face_histogram_gate(self):
+        # v_1 of a pointed planar cone is 1/2, and a 3-step planar bridge is
+        # always pointed: the Crofton difference is the constant 1/2
         query = FunctionalQuery("vk", Model("A", 3, 2), k=1)
         est = estimate(RunConfig(query=query, dist=GAUSS2, samples=20_000, seed=8))
-        assert abs(est.z) <= 4
+        assert est.mean == est.exact_ref == 0.5
+        assert est.stderr == 0.0 and est.z is None
+        query = FunctionalQuery("vk", Model("B", 5, 3), k=1)
+        est = estimate(RunConfig(query=query, dist=DistributionSpec("gaussian_iid", 3),
+                                 samples=20_000, seed=8))
+        assert est.stderr > 0 and abs(est.z) <= 4
 
     def test_conditioned_gate(self):
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
@@ -414,6 +423,7 @@ class TestVerifySuite:
         report = verify_suite(budget=100, seed=5)
         assert report["summary"]["overall"] == "pass"
         assert report["summary"]["mc_run"] == 0
+        assert report["summary"]["mc_z_count"] == report["summary"]["mc_zero_stderr_count"] == 0
         assert all(c["status"] == "skipped" for c in report["mc_checks"])
 
     @pytest.mark.parametrize("kwargs", [
@@ -438,6 +448,26 @@ class TestVerifySuite:
         assert result["status"] == "pass"
         assert result["exact"]["num"] == "3"
 
+    @pytest.mark.slow
+    def test_measurement_gates_pass(self):
+        # |z| <= 4, or an exact match where the estimate has stderr 0
+        for family in simulation.FAMILIES:
+            for gate in measurement_gates():
+                result = run_gate(gate, family, 20_000, seed=20_250_810)
+                assert result["status"] == "pass", result
+        assert not {g.name for g in measurement_gates()} & {g.name for g in default_gates()}
+
+    def test_z_summary_of_known_scores(self):
+        summary = z_summary([-1.0, 2.0, 0.0])
+        assert summary["mc_z_count"] == 3
+        assert summary["mc_sum_z2"] == 5.0
+        assert summary["mc_max_abs_z"] == 2.0
+        # the largest gap is just below z = 2: Phi(2) against 2/3
+        assert summary["mc_ks_d"] == pytest.approx(0.9772498680518208 - 2 / 3, abs=1e-15)
+        assert z_summary([0.0])["mc_ks_d"] == 0.5
+        assert z_summary([]) == {"mc_z_count": 0, "mc_sum_z2": None,
+                                 "mc_max_abs_z": None, "mc_ks_d": None}
+
     def test_long_exact_values_serialize(self):
         # the denominator of this exact value has about 18,000 digits, past
         # the interpreter's limit on int-to-str conversion
@@ -448,19 +478,22 @@ class TestVerifySuite:
         assert exact["num"].isdigit() and exact["den"].isdigit()
 
 
-def replace_draws(monkeypatch, replace):
+def replace_draws(monkeypatch, replace, block=lambda i, t, gauss: gauss):
     """Pass every sample's increments through ``replace(sample, t, steps)``,
-    where t counts the distinct stream words that sample has drawn from, in
-    stream order.  A draw from the same word again, however the sampler
-    comes back to it, gets the same t and so the same steps.  The sampler's
-    draws come through one seam, ``_Sampler.draws``, each sample from its
-    own stream word; the per-sample loop's through ``oracles.numpy_draw``.
-    Returns the (sample, t) of every draw, in order."""
+    and the Gaussian block drawn after them through ``block(sample, t,
+    gauss)``, where t counts the distinct stream words that sample has drawn
+    from, in stream order.  A draw from the same word again, however the
+    sampler comes back to it, gets the same t and so the same steps.  The
+    sampler's draws come through one seam, ``_Sampler.draws``, each sample
+    from its own stream word; the per-sample loop's through
+    ``oracles.numpy_draw`` and ``oracles.numpy_block``.  Returns the
+    (sample, t) of every draw, in order."""
     simulation._ziggurat_tables()  # derived and checked before the seams change
     seen = {}
     drawn = []
     draws = simulation._Sampler.draws
     numpy_draw = oracles.numpy_draw
+    numpy_block = oracles.numpy_block
 
     def replaced(sample, word, steps):
         positions = seen.setdefault(sample, [])
@@ -468,6 +501,9 @@ def replace_draws(monkeypatch, replace):
             positions.append(word)
         drawn.append((sample, positions.index(word)))
         return replace(sample, drawn[-1][1], steps)
+
+    def last(sample):
+        return next(t for i, t in reversed(drawn) if i == sample)
 
     def start(streams, sample, word, count):
         if word >= 0:
@@ -481,13 +517,19 @@ def replace_draws(monkeypatch, replace):
         steps, gauss, ends = draws(self, streams, samples, words)
         for s, (i, w) in enumerate(zip(samples.tolist(), starts)):
             steps[s] = replaced(i, w, steps[s])
+            gauss[s] = block(i, last(i), gauss[s])
         return steps, gauss, ends
 
     def numpy_drawing(dist, lengths, rng):
         return replaced(*position(rng), numpy_draw(dist, lengths, rng))
 
+    def numpy_blocking(shape, rng):
+        i = position(rng)[0]
+        return block(i, last(i), numpy_block(shape, rng))
+
     monkeypatch.setattr(simulation._Sampler, "draws", drawing)
     monkeypatch.setattr(oracles, "numpy_draw", numpy_drawing)
+    monkeypatch.setattr(oracles, "numpy_block", numpy_blocking)
     return drawn
 
 
@@ -678,13 +720,128 @@ class TestHaarHits:
         assert est.samples == 64
 
 
+class TestOnePredicate:
+    def test_no_support_solve_tangent_basis_or_svd(self, monkeypatch):
+        # every row of every measured functional in d = 2..4 reads sign
+        # records only, from one (d, c) Gaussian block per sample
+        def refuse(*args, **kwargs):
+            raise AssertionError("a measurement solved a support or took an SVD")
+
+        for name in ("_projection_supports", "_solve", "_tangent_bases"):
+            monkeypatch.setattr(geometry, name, refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        measured = set()
+        for d in (2, 3, 4):
+            dist = DistributionSpec("gaussian_iid", d)
+            queries = [FunctionalQuery("joint_absorption", walk_lengths=(2,),
+                                       bridge_lengths=(3,), d=d)]
+            for model in (Model("A", d + 2, d), Model("B", d + 1, d)):
+                queries += oracle_queries(model)
+            for q in queries:
+                block = simulation._Sampler(q, dist).block
+                assert len(block) == 2 and block[0] == d, (q, block)
+                assert estimate(RunConfig(query=q, dist=dist, samples=32, seed=3)).samples == 32
+                measured.add(q.functional)
+        assert measured == set(simulation.MEASURES)
+
+
+class TestDegenerateProjections:
+    @pytest.mark.parametrize("query", [
+        FunctionalQuery("Z", Model("A", 5, 3), j=1, k=2),
+        FunctionalQuery("vk", Model("A", 6, 4), k=2),
+        FunctionalQuery("Y", Model("B", 3, 3), m=2, l=1),
+        FunctionalQuery("tangent_intrinsic", Model("B", 5, 3), j=1, k=1),
+    ])
+    def test_a_zero_minor_draws_again(self, query, monkeypatch):
+        # a zero Gaussian block projects every generator to the origin, so
+        # every minor of the projection is zero: the sample draws again from
+        # the word after its increments, as a draw out of general position
+        # does, whatever the batch; the per-sample loop agrees bit for bit
+        counts = {0: 1, 7: 2, 19: 1}
+        replace_draws(monkeypatch, lambda i, t, steps: steps,
+                      lambda i, t, gauss: 0.0 * gauss if t < counts.get(i, 0) else gauss)
+        dist = DistributionSpec("gaussian_iid", query.dimension)
+        args = (query, dist, 11, 0, 32)
+        got = simulation._chunk_stats(args)
+        assert got[2] == sum(counts.values())
+        assert got == loop_chunk_stats(args)
+        monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 1)
+        assert simulation._Sampler(query, dist).batch == 1
+        assert simulation._chunk_stats(args) == got
+
+
+class TestTangentConesByProjection:
+    @pytest.mark.parametrize("family", simulation.FAMILIES)
+    def test_faces_of_the_projection_match_the_svd_tangent_bases(self, family):
+        # for every j-face F of every sample, F is not a face of the projected
+        # cone G^T C exactly when the SVD tangent base at F meets the kernel
+        # of G^T projected onto the complement of F's span; the Z row sums
+        # half these verdicts, sample by sample on the same streams
+        samples = 48
+        streams = _SampleStreams(23)
+        for d in (2, 3, 4):
+            dist = DistributionSpec(family, d)
+            for model in (Model("A", d + 2, d), Model("B", d + 2, d)):
+                for j, k in ((j, k) for j in range(d - 1) for k in range(j + 1, d)):
+                    query = FunctionalQuery("Z", model, j=j, k=k)
+                    got, _ = simulation._Sampler(query, dist).values(streams, range(samples))
+                    for i in range(samples):
+                        rng = streams.at(i)
+                        cone, _ = loop_draw_sample(query, dist, rng)
+                        gauss = rng.standard_normal((d, k))
+                        projected = geometry._faces(geometry.ConeSample(cone.generators @ gauss), j)
+                        meets = [oracles.tangent_meets_kernel(cone.generators, face, gauss)
+                                 for face in geometry._faces(cone, j)]
+                        assert meets == [face not in projected
+                                         for face in geometry._faces(cone, j)], (query, i)
+                        assert got[i] == 0.5 * sum(meets), (query, i)
+
+
+class TestCroftonOnFixedCones:
+    WEDGE = 1.0  # the angle of a planar wedge
+    CONES = {
+        "orthant R^3": (np.eye(3), [math.comb(3, k) / 8 for k in range(4)]),
+        "planar wedge": (np.array([[1.0, 0.0], [math.cos(WEDGE), math.sin(WEDGE)]]),
+                         [(math.pi - WEDGE) / (2 * math.pi), 0.5, WEDGE / (2 * math.pi)]),
+        "full plane": (np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]), [0.0, 0.0, 1.0]),
+        "walk in R^4": (np.cumsum(np.random.default_rng(4).standard_normal((6, 4)), axis=0), None),
+    }
+
+    @pytest.mark.parametrize("name", list(CONES))
+    def test_crofton_against_the_projection_estimator(self, name):
+        # the Crofton difference and the projection estimator measure the
+        # same v_k of one fixed cone, each from its own Gaussians; both
+        # agree with each other, and with v_k where it is known
+        gens, exact = self.CONES[name]
+        n, d = gens.shape
+        samples = 20_000
+        rng = np.random.default_rng(20_250_810)
+        batch = np.broadcast_to(gens, (samples, n, d)).copy()
+        rec = geometry._SignRecord.of(batch)
+        assert rec.general.all()
+        for k in range(d + 1):
+            query = FunctionalQuery("vk", Model("B", n, d), k=k)
+            gauss = rng.standard_normal((samples, *simulation.MEASURES["vk"].block(query, d)))
+            chunk = simulation._Chunk(batch, rec, geometry._full_cones(rec), gauss)
+            crofton = simulation.MEASURES["vk"].value(query, chunk)
+            projection = oracles.replaced_v(batch, k, rng.standard_normal((samples, d)))
+            assert set(np.unique(crofton)) <= {0.0, 0.5, 1.0}
+            se = math.sqrt((crofton.var(ddof=1) + projection.var(ddof=1)) / samples)
+            diff = crofton.mean() - projection.mean()
+            assert abs(diff) <= 4 * se if se > 0 else diff == 0, (name, k)
+            if exact is not None:
+                se = math.sqrt(crofton.var(ddof=1) / samples)
+                error = crofton.mean() - exact[k]
+                assert abs(error) <= 4 * se if se > 0 else abs(error) < 1e-12, (name, k)
+
+
 @pytest.mark.slow
 class TestFaceLoopOracle:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_rows_match_the_replaced_face_loops(self, family):
-        # every face and tangent row of the batched chunk against the
-        # per-functional loop it replaced, at zero tolerance, sample by
-        # sample on the same streams
+        # the replaced per-face-block rows (and the fk, Uk and subspace_prob
+        # rows of the batched chunk) against the per-functional loop they
+        # replaced, at zero tolerance, sample by sample on the same streams
         samples = 64
         for d in (1, 2, 3, 4):
             dist = DistributionSpec(family, d)
@@ -699,7 +856,10 @@ class TestFaceLoopOracle:
                         cone, _ = loop_draw_sample(draw, dist, rng)
                         drawn.append((cone, rng.bit_generator.state))
                     for q in (q for q in queries if q.conditioned == conditioned):
-                        got, _ = simulation._Sampler(q, dist).values(streams, range(samples))
+                        sampler = (oracles.replaced_sampler(q, dist)
+                                   if q.functional in oracles.REPLACED_MEASURES
+                                   else simulation._Sampler(q, dist))
+                        got, _ = sampler.values(streams, range(samples))
                         for i, (cone, state) in enumerate(drawn):
                             rng = streams.at(i)
                             rng.bit_generator.state = state
