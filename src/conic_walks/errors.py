@@ -25,3 +25,15 @@ def as_index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_indices(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of exact integers; the first non-integer raises
+    DomainError as :func:`as_index` words it."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for value in values:
+            as_index(value, what)
+        raise

@@ -24,7 +24,7 @@ the roots of the first-kind row (row n is the coefficient list of
 ``t(t+1)...(t+n-1)`` for a bridge and of ``(t+1)(t+3)...(t+2n-1)`` for a
 walk; :func:`~conic_walks.combinatorics.bridge_roots` and
 :func:`~conic_walks.combinatorics.walk_roots`), the
-second-kind lookup (``second`` or ``second_b``) and the per-step
+second-kind family (``second`` or ``second_B``) and the per-step
 denominator ``base`` (1 or 2).  Every value is a numerator over
 ``base**n * n!``, which is the row's value at t = 1.  Most expectations are
 built from ``bulk(j, x) = sum over i = x-1+s, x-3+s, ... >= 0 of
@@ -37,8 +37,8 @@ and products are built as truncated root products
 products cached on the tables instance passed in; no first-kind triangle
 is built.  Every sum over a row or product is one of its methods
 (``down``, ``alternating``, ``parity_tail``, ``tail``); upper tails come
-from the product's values at t = 1 and t = -1.  The second-kind numbers are read from the tables, at
-rows i <= d only.
+from the product's values at t = 1 and t = -1.  The second-kind numbers are
+read from the tables as one column per sum, at rows i <= d only.
 
 Conditioned variants (``conditioned=True``) refer to the cone conditioned
 on being a proper subset of R^d; for functionals vanishing on R^d this is
@@ -54,13 +54,14 @@ variant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .combinatorics import (LowOrderProduct, StirlingTables, _check_factor_count, binomial,
                             block_degree, bridge_roots, default_tables, walk_roots)
-from .errors import DomainError, as_index
+from .errors import DomainError, as_index, as_indices
 
 A_BRIDGE = "A"
 B_WALK = "B"
@@ -102,7 +103,7 @@ class Family:
 
     shift: int
     roots: Callable[[int], range]
-    second: Callable[[StirlingTables, int, int], int]
+    second: str
     base: int
 
     def row(self, t: StirlingTables, n: int, d: int) -> LowOrderProduct:
@@ -115,8 +116,7 @@ class Family:
 
     def bulk(self, t: StirlingTables, row: LowOrderProduct, j: int, x: int) -> int:
         """row[i] * second(i, j+s) summed over i = x-1+s, x-3+s, ... >= 0."""
-        second, js = self.second, j + self.shift
-        return row.down(x - 1 + self.shift, lambda i: second(t, i, js))
+        return row.down(x - 1 + self.shift, t.column(self.second, j + self.shift, x + self.shift))
 
     def weight(self, j: int) -> int:
         """(j+s)! * base**j."""
@@ -124,8 +124,8 @@ class Family:
 
 
 _FAMILY = {
-    A_BRIDGE: Family(1, bridge_roots, StirlingTables.second, 1),
-    B_WALK: Family(0, walk_roots, StirlingTables.second_b, 2),
+    A_BRIDGE: Family(1, bridge_roots, "second", 1),
+    B_WALK: Family(0, walk_roots, "second_B", 2),
 }
 
 
@@ -299,8 +299,8 @@ def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
             f"expected_tangent_intrinsic_sum requires 0 <= j <= d-1 and j <= k <= d, "
             f"got j={j}, k={k}, d={d}")
     row = f.row(t, n, d)
-    total = (row.alternating(d - 1 + s, lambda i: f.second(t, i, j + s)) if k == d
-             else row.coeffs[k + s] * f.second(t, k + s, j + s))
+    second = t.column(f.second, j + s, d + s)
+    total = row.alternating(d - 1 + s, second) if k == d else row.coeffs[k + s] * second[k + s]
     return Fraction(f.weight(j) * total, row.at_one)
 
 
@@ -325,12 +325,12 @@ def expected_Y_dual(model: Model, m: int, l: int,
 
 
 def _validated_face_indices(model: Model, indices: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(as_index(i, "a face index") for i in indices)
+    idx = as_indices(indices, "a face index")
     k = len(idx)
     if not 1 <= k <= model.d - 1:
         raise DomainError(
             f"face probability requires 1 <= len(indices) <= d-1, got {k} with d={model.d}")
-    if any(i < 1 for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+    if idx[0] < 1 or not all(map(operator.lt, idx, idx[1:])):
         raise DomainError(f"indices must be strictly increasing and >= 1, got {idx}")
     if idx[-1] > model.generator_count:
         raise DomainError(
@@ -352,7 +352,7 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
     idx = _validated_face_indices(model, indices)
     t = tables if tables is not None else default_tables()
     n, d, k = model.n, model.d, len(idx)
-    gaps = tuple(b - a for a, b in zip((0,) + idx, idx))
+    gaps = tuple(map(operator.sub, idx, (0,) + idx))
     tail = n - idx[-1]
     # one bridge block per gap, then a final block of the model's own kind;
     # the product's value at t = 1 is prod g! * tail! * base**tail
@@ -387,8 +387,8 @@ def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Se
     Its degree is the number of points, and when d reaches it the points
     never positively span R^d.
     """
-    walks = tuple(as_index(x, "a walk length") for x in walk_lengths)
-    bridges = tuple(as_index(x, "a bridge length") for x in bridge_lengths)
+    walks = as_indices(walk_lengths, "a walk length")
+    bridges = as_indices(bridge_lengths, "a bridge length")
     d = as_index(d, "d")
     if not walks and not bridges:
         raise DomainError("joint absorption needs at least one walk or bridge block")
@@ -486,7 +486,7 @@ class FunctionalQuery:
             elif value is None:
                 raise DomainError(f"functional {name!r} requires {key!r}")
             elif key != "model":
-                object.__setattr__(self, key, tuple(as_index(i, key) for i in value)
+                object.__setattr__(self, key, as_indices(value, key)
                                    if "tuple" in str(field.type) else as_index(value, key))
 
     @property

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, SamplingError, as_index
+from .errors import DegenerateInputError, DomainError, SamplingError, as_index, as_indices
 
 DEFAULT_TOL = 1e-9  # relative slack on the residual of the "inside" test of projections
 
@@ -476,7 +476,7 @@ def is_full_cone(cone: ConeSample) -> bool:
 
 
 def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(as_index(i, "a generator index") for i in subset)
+    idx = as_indices(subset, "a generator index")
     k = len(idx)
     if not 1 <= k <= cone.d - 1:
         raise DomainError(f"face test requires 1 <= k <= d-1, got k={k}, d={cone.d}")

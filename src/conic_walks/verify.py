@@ -217,8 +217,11 @@ def _check_composition_convolutions(t: StirlingTables, max_n: int) -> None:
 
 
 def _desk_models(max_n: int, max_d: int) -> list[Model]:
+    # largest d first: a closed form in R^d reads one more coefficient of a
+    # row or block product than in R^(d-1), so the first request for each
+    # asks for the most coefficients the suite reads, and it is built once
     models = []
-    for d in range(1, max_d + 1):
+    for d in range(max_d, 0, -1):
         for n in range(1, max_n + 1):
             if n >= d + 1:
                 models.append(Model(A_BRIDGE, n, d))
@@ -229,6 +232,21 @@ def _desk_models(max_n: int, max_d: int) -> list[Model]:
 
 def _check_formula_identities(t: StirlingTables, max_n: int, max_d: int) -> None:
     one = Fraction(1)
+    # joint hulls specialize to the single-block formulas; checked first and
+    # at the largest d first, since they read more coefficients of a block
+    # product than the face probabilities below
+    for d in range(max_d, 0, -1):
+        for n in range(d, max_n + 1):
+            walk = Model(B_WALK, n, d)
+            assert joint_absorption_probability([n], [], d, tables=t) == \
+                absorption_probability(walk, t), f"joint hull of one walk at {walk}"
+        for n in range(d + 1, max_n + 1):
+            bridge = Model(A_BRIDGE, n, d)
+            assert joint_absorption_probability([], [n], d, tables=t) == \
+                absorption_probability(bridge, t), f"joint hull of one bridge at {bridge}"
+    assert joint_absorption_probability([1], [2], 1, tables=t) == Fraction(1, 2)
+    assert joint_absorption_probability([1], [2], 1, complement=True, tables=t) == Fraction(1, 2)
+
     for model in _desk_models(max_n, max_d):
         d = model.d
         absorbed = absorption_probability(model, t)
@@ -331,19 +349,6 @@ def _check_formula_identities(t: StirlingTables, max_n: int, max_d: int) -> None
                 total += p_in
             assert total == expected_fk(model, k, False, t), \
                 f"face probability aggregation at {model}, k={k}"
-
-    # joint hulls specialize to the single-block formulas
-    for d in range(1, max_d + 1):
-        for n in range(d, max_n + 1):
-            walk = Model(B_WALK, n, d)
-            assert joint_absorption_probability([n], [], d, tables=t) == \
-                absorption_probability(walk, t)
-        for n in range(d + 1, max_n + 1):
-            bridge = Model(A_BRIDGE, n, d)
-            assert joint_absorption_probability([], [n], d, tables=t) == \
-                absorption_probability(bridge, t)
-    assert joint_absorption_probability([1], [2], 1, tables=t) == Fraction(1, 2)
-    assert joint_absorption_probability([1], [2], 1, complement=True, tables=t) == Fraction(1, 2)
 
 
 def _check_distinguished_values(t: StirlingTables) -> None:

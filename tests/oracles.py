@@ -251,6 +251,37 @@ def _sum_alternating_down(f: Callable[[int], int], start: int) -> int:
     return total
 
 
+# ---------------------------------------------------------------------------
+# LowOrderProduct sums with a callable weight
+#
+# The sums of LowOrderProduct called the weight once per index, and the
+# unweighted forms a default weight of 1, before they read coefficient
+# slices and a weight sequence; moved unchanged.
+
+def replaced_down(prod: LowOrderProduct, start: int,
+                  weight: Callable[[int], int] = lambda r: 1) -> int:
+    """c_start w(start) + c_(start-2) w(start-2) + ... over nonnegative indices."""
+    return sum(prod.coeffs[r] * weight(r) for r in range(start, -1, -2))
+
+
+def replaced_alternating(prod: LowOrderProduct, start: int,
+                         weight: Callable[[int], int] = lambda r: 1) -> int:
+    """c_start w(start) - c_(start-1) w(start-1) + ... down to index 0."""
+    return sum((-1) ** (start - r) * prod.coeffs[r] * weight(r)
+               for r in range(start, -1, -1))
+
+
+def replaced_parity_tail(prod: LowOrderProduct, a: int) -> int:
+    """Sum of c_r over r >= a with r = a (mod 2), from P(1) and P(-1)."""
+    half = (prod.at_one + (-1) ** a * prod.at_minus_one) // 2
+    return half - replaced_down(prod, a - 2)
+
+
+def replaced_tail(prod: LowOrderProduct, a: int) -> int:
+    """Sum of c_r over r >= a."""
+    return prod.at_one - sum(prod.coeffs[r] for r in range(a))
+
+
 def _bridge_profile(model: Model, tables: StirlingTables):
     n = model.n
     s1 = lambda i: tables.first(n, i)

@@ -1,13 +1,21 @@
 """Tables and coefficient polynomials against independent brute-force oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conic_walks import combinatorics
 from conic_walks.combinatorics import (
     MAX_FACTORS,
     MAX_PRODUCT_TERMS,
@@ -20,6 +28,7 @@ from conic_walks.combinatorics import (
     coeff_Q,
     coeff_Q_poly,
     compositions,
+    _footprint,
     poly_mul,
     root_product,
     stirling,
@@ -148,6 +157,16 @@ class TestConventions:
         with pytest.raises(DomainError):
             stirling("third", 3, 1)
 
+    @pytest.mark.parametrize("kind", ["first", "second", "first_B", "second_B"])
+    def test_columns_read_the_triangle(self, kind):
+        t = StirlingTables()
+        col = t.column(kind, 2, 5)
+        assert len(col) >= 5 and col == tuple(stirling(kind, i, 2, T) for i in range(len(col)))
+        assert t.column(kind, 2, 3) is col and t.column(kind, 0, 0)[:1] == (1,)
+        longer = t.column(kind, 2, 30)
+        assert len(longer) >= 30 and longer[:len(col)] == col
+        assert longer == tuple(stirling(kind, i, 2, T) for i in range(len(longer)))
+
 
 class TestBinomial:
     def test_small_values(self):
@@ -228,21 +247,29 @@ class TestCoefficientPolynomials:
                     assert acc == rhs
 
     def test_invalid_compositions_rejected(self):
-        with pytest.raises(DomainError):
+        below_one = r"^composition parts must be integers >= 1$"
+        with pytest.raises(DomainError, match=below_one):
             coeff_P(3, (0, 1), 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=below_one):
+            coeff_Q(9, (2, 0), 0)
+        with pytest.raises(DomainError, match=r"^composition parts sum to 4 > total 3$"):
             coeff_P(3, (2, 2), 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^composition parts sum to 4 > total 3$"):
+            coeff_Q(3, [2, 2], 0)
+        with pytest.raises(DomainError, match=r"^bridge composition needs a nonempty final "
+                           r"block: parts \(3,\) fill n=3$"):
             coeff_Q(3, (3,), 0)  # no room for the final bridge block
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=below_one):
             coeff_P(5, (1, -2), 0)
         # non-integers are rejected, not truncated to a neighbouring composition
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^a composition part must be an integer, got 1\.5$"):
             coeff_P(5, (1.5, 2), 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^a composition part must be an integer, got 2\.9$"):
             coeff_Q(6, (2.9, 1), 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^r must be an integer, got 1\.0$"):
             coeff_P(5, (1, 2), 1.0)
+        with pytest.raises(DomainError, match=r"^n must be an integer, got 5\.0$"):
+            coeff_P(5.0, (1, 2), 1)
         with pytest.raises(DomainError):
             list(compositions(4.0, 2))
 
@@ -368,6 +395,75 @@ class TestRootProduct:
         assert t.block_product((5, 4), (3,), 3) is longer
         assert built[count:] == [2, 5]
 
+    def test_store_drops_its_oldest_entries_past_its_bound(self, monkeypatch):
+        size = {g: _footprint(LowOrderProduct.of(block_roots((g,)), 3)) for g in (4, 5, 6, 7)}
+        # room for three of the four products, and then some
+        monkeypatch.setattr(combinatorics, "_STORE_BYTES",
+                            size[5] + size[6] + size[7] + size[4] // 2)
+        t = StirlingTables()
+        built = [t.block_product((g,), (), 3) for g in (4, 5, 6, 7)]
+        assert list(t._products) == [((5,), ()), ((6,), ()), ((7,), ())]
+        assert t._stored == size[5] + size[6] + size[7]
+        # a longer product replaces its entry and goes last; the oldest make room
+        longer = t.block_product((5,), (), 4)
+        assert list(t._products) == [((6,), ()), ((7,), ()), ((5,), ())]
+        assert t.block_product((4,), (), 2).coeffs == root_product(block_roots((4,)), 2)
+        assert list(t._products) == [((7,), ()), ((5,), ()), ((4,), ())]
+        assert t._products[(7,), ()] is built[3] and t._products[(5,), ()] is longer
+        assert t._stored == sum(map(_footprint, t._products.values()))
+        # an entry larger than the whole bound is still kept, alone
+        monkeypatch.setattr(combinatorics, "_STORE_BYTES", 1)
+        big = t.low_row(range, 30, 3)
+        assert list(t._products.values()) == [big] and t._stored == _footprint(big)
+
+    def test_store_count_survives_threads_racing(self, monkeypatch):
+        # four threads build and evict on one instance, switching every
+        # microsecond: a lost update would leave _stored off its entries
+        monkeypatch.setattr(combinatorics, "_STORE_BYTES", 4_000)
+        t = StirlingTables()
+
+        def build(first):
+            for g in range(first, first + 300):
+                t.block_product((g % 40 + 2, g // 40 + 2), (), 2)
+
+        threads = [threading.Thread(target=build, args=(300 * i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert t._stored == sum(map(_footprint, t._products.values())) <= 4_000
+
+    def test_default_store_stays_bounded(self):
+        # 20,000 cold three-index face probabilities on a long bridge, none
+        # passing tables: each builds a block product into the default tables.
+        # Without a bound they kept 19,979 products and 43.7 MB more peak RSS.
+        src = str(Path(combinatorics.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = textwrap.dedent("""
+            import random, resource
+            from conic_walks.combinatorics import _STORE_BYTES, default_tables
+            from conic_walks.formulas import Model, face_probability
+            model, rng = Model("A", 1000, 4), random.Random(20250810)
+            face_probability(model, (1, 2, 3))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            for _ in range(20_000):
+                face_probability(model, sorted(rng.sample(range(1, 1000), 3)))
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            print(grown / 1024, default_tables()._stored <= _STORE_BYTES)
+        """)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=600, check=True)
+        grown_mb, within = out.stdout.split()
+        assert within == "True"
+        assert float(grown_mb) < 16, f"peak RSS grew by {grown_mb} MB"
+
     def test_product_term_cap(self):
         # 400 factors to 1,000 coefficients are at the cap and cheap: the
         # product has degree 400; one more coefficient is refused
@@ -410,11 +506,45 @@ def test_root_product_and_tails_match_full_expansion(roots, extra, data):
     for a in range(len(full) + 1):
         assert low.parity_tail(a) == sum(full[a::2])
         assert low.tail(a) == sum(full[a:])
+    # weights that are zero at r = 2 and negative at r = 0 and 1
+    weights = [r * r - 4 for r in range(len(full))]
     for a in range(-1, len(full)):
         assert low.down(a) == sum(full[r] for r in range(a, -1, -2))
         assert low.alternating(a) == sum((-1) ** (a - r) * full[r] for r in range(a + 1))
-        # a weight that is zero at r = 2 and negative at r = 0 and 1
-        assert low.down(a, lambda r: r * r - 4) == sum(
+        assert low.down(a, weights) == sum(
             full[r] * (r * r - 4) for r in range(a, -1, -2))
-        assert low.alternating(a, lambda r: r * r - 4) == sum(
+        assert low.alternating(a, weights) == sum(
             (-1) ** (a - r) * full[r] * (r * r - 4) for r in range(a + 1))
+
+
+def _outcome(call):
+    """The value of a call, or IndexError if it reads past the truncation."""
+    try:
+        return call()
+    except IndexError:
+        return IndexError
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(st.integers(-6, 40), max_size=30), data=st.data())
+def test_slice_sums_match_the_replaced_callable_weight_sums(roots, data):
+    low = LowOrderProduct.of(roots, data.draw(st.integers(0, len(roots) + 3)))
+    kept = len(low.coeffs)
+    # weights may be shorter than the coefficients kept, or longer
+    weights = data.draw(st.lists(st.integers(-50, 50), max_size=kept + 2))
+    for a in range(-2, kept + 3):
+        for name, new, old in (("down", low.down, oracles.replaced_down),
+                               ("alternating", low.alternating, oracles.replaced_alternating)):
+            assert _outcome(lambda: new(a)) == _outcome(lambda: old(low, a)), (name, a)
+            assert _outcome(lambda: new(a, weights)) == \
+                _outcome(lambda: old(low, a, weights.__getitem__)), (name, a, "weighted")
+        assert _outcome(lambda: low.tail(a)) == _outcome(lambda: oracles.replaced_tail(low, a))
+        if a >= 0:
+            assert _outcome(lambda: low.parity_tail(a)) == \
+                _outcome(lambda: oracles.replaced_parity_tail(low, a))
+    # past the coefficients or the weights kept every form raises
+    for call in (lambda: low.down(kept), lambda: low.alternating(kept, [1] * (kept + 1)),
+                 lambda: low.down(len(weights), weights),
+                 lambda: low.parity_tail(kept + 2), lambda: low.tail(kept + 1)):
+        with pytest.raises(IndexError):
+            call()

@@ -312,14 +312,31 @@ class TestFaceProbabilities:
                 assert total == expected_fk(model, k)
 
     def test_bad_indices_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^face probability requires "
+                           r"1 <= len\(indices\) <= d-1, got 2 with d=2$"):
             face_probability(B32, (1, 2))  # k must stay below d
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"got 0 with d=2$"):
+            face_probability(B32, ())
+        with pytest.raises(DomainError,
+                           match=r"^indices must be strictly increasing and >= 1, got \(0,\)$"):
             face_probability(B32, (0,))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^largest index 4 exceeds the 3 partial sums "
+                           r"of the bridge model$"):
             face_probability(A42, (4,))  # bridge has n-1 partial sums
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^largest index 4 exceeds the 3 partial sums "
+                           r"of the walk model$"):
+            face_probability(B32, [4])
+        with pytest.raises(DomainError,
+                           match=r"^indices must be strictly increasing and >= 1, got \(2, 2\)$"):
             face_probability(Model("B", 5, 3), (2, 2))
+        with pytest.raises(DomainError,
+                           match=r"^indices must be strictly increasing and >= 1, got \(3, 2\)$"):
+            face_probability(Model("B", 5, 3), (3, 2))
+        # the first non-integer is named, before any other check
+        with pytest.raises(DomainError, match=r"^a face index must be an integer, got 1\.5$"):
+            face_probability(B32, (1.5,))
+        with pytest.raises(DomainError, match=r"^a face index must be an integer, got '2'$"):
+            face_probability(B32, iter([1, "2", 0.5]))
 
 
 class TestSubspaceIntersection:

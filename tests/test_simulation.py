@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conic_walks import geometry, simulation
+from conic_walks import combinatorics, geometry, simulation
 from conic_walks.combinatorics import StirlingTables
 from conic_walks.cli import EXIT_NUMERIC, EXIT_USAGE, main
 from conic_walks.errors import DomainError, SamplingError
@@ -409,6 +409,16 @@ class TestVerifySuite:
         tampered = identity_checks(tables=corrupted_tables())
         failed = {c.name for c in tampered if c.status == "fail"}
         assert "cross-formula identities" in failed
+
+    def test_one_block_product_build_per_multiset_per_pass(self, monkeypatch):
+        # the suite visits the largest d first, so every multiset of blocks is
+        # built once, at the most coefficients the pass reads from it
+        built = []
+        roots = combinatorics.block_roots
+        monkeypatch.setattr(combinatorics, "block_roots",
+                            lambda *blocks: built.append(blocks) or roots(*blocks))
+        assert all(c.status == "pass" for c in identity_checks(tables=StirlingTables()))
+        assert len(built) == len(set(built)) > 100
 
     def test_a_poked_block_product_is_caught(self):
         # the block (2, 3) is read by coeff_Q(5, (2,), q) in the composition
