@@ -164,22 +164,13 @@ def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> boo
 
 
 def _origin_in_hull(pts: np.ndarray) -> bool:
-    """Exact verdict for any finite 2-d array of points; callers validate."""
-    return bool(_origin_in_hulls(pts[None])[0])
-
-
-def _origin_in_hulls(pts: np.ndarray) -> np.ndarray:
-    """Exact verdicts for a batch of point sets of shape (S, n, d), one per set.
-
+    """Exact verdict for any finite 2-d array of points; callers validate.
     In general position the origin is outside exactly when a facet exists;
-    every other set, including any of fewer points than dimensions, takes
-    :func:`_hull_descent`.
-    """
-    rec = _SignRecord.of(pts)
-    inside = ~rec.facets.any(axis=1)
-    for s in np.flatnonzero(~rec.general):
-        inside[s] = _hull_descent(pts[s], rec.take([s]))
-    return inside
+    other points, fewer than dimensions included, take :func:`_hull_descent`."""
+    rec = _SignRecord.of(pts[None])
+    if rec.general[0]:
+        return not rec.facets[0].any()
+    return _hull_descent(pts, rec)
 
 
 def _hull_descent(pts: np.ndarray, rec: _SignRecord) -> bool:
@@ -465,13 +456,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
 
 def is_full_cone(cone: ConeSample) -> bool:
     """Whether the generators positively span R^d, i.e. the cone is R^d.
-
-    Exact for any input: the cone is full exactly when the generators have
-    rank d and no (d-1)-subset spanning a hyperplane has every other
-    generator weakly on one side of it.  In general position no generator
-    lies on such a hyperplane, so this reads: the cone has no facet; and
-    it is the origin lying in the generators' convex hull.
-    """
+    Exact for any input, by the rule of :func:`_full_cones`; in general
+    position it reads: the cone has no facet."""
     return bool(_full_cones(cone._signs)[0])
 
 
@@ -518,36 +504,30 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     if rec.general[0]:
         return [tuple(s) for s in subsets[_face_masks(rec, k)[0]].tolist()]
     if k == 0:
-        nonzero = cone.generators[cone.generators.any(axis=1)]
-        return [] if nonzero.shape[0] and _origin_in_hull(nonzero) else [()]
+        return [()] if _pointed(cone) else []
     if _full_or_checked(cone):
         return []
     return [tuple(s) for s in subsets.tolist()]
 
 
-def _tangent_bases(gens: np.ndarray, which: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Per face p, the rows of gens[which[p]] (gens is (S, n, d)) outside
-    its rows ``faces[p]`` (P, j, sorted rows), projected onto the
-    orthogonal complement of the face's span: (P, n - j, d - j).  The
-    apex's are the generators themselves.
+def _pointed(cone: ConeSample) -> bool:
+    """Whether the cone contains no line, for any input: the origin lies
+    outside the convex hull of its nonzero generators."""
+    nonzero = cone.generators[cone.generators.any(axis=1)]
+    return not (nonzero.shape[0] and _origin_in_hull(nonzero))
 
-    Rows are gathered straight from ``gens`` by (sample, row), and one
-    stacked SVD gives every complement.  A face whose rows are numerically
-    rank-deficient, with a singular value at most max(j, d) * eps times
-    the largest, raises DegenerateInputError.
-    """
-    n, d = gens.shape[1:]
-    p, j = faces.shape
-    if j == 0:
-        return gens[which]
-    _, s, vt = np.linalg.svd(gens[which[:, None], faces])
-    low = s[:, -1] <= max(j, d) * np.finfo(float).eps * s[:, 0]
-    if low.any():
-        face = tuple(faces[np.argmax(low)].tolist())
+
+def _tangent_base(gens: np.ndarray, face: tuple[int, ...]) -> np.ndarray:
+    """The rows of gens (n, d) outside the face's rows (j >= 1 of them,
+    sorted), projected onto the orthogonal complement of the face's span
+    by one SVD: (n - j, d - j).  Face rows that are numerically
+    rank-deficient, with a singular value at most max(j, d) * eps times the
+    largest, raise DegenerateInputError."""
+    n, d = gens.shape
+    _, s, vt = np.linalg.svd(gens[list(face)])
+    if s[-1] <= max(len(face), d) * np.finfo(float).eps * s[0]:
         raise DegenerateInputError(f"face generators {face} are numerically rank-deficient")
-    rest = (np.arange(n) != faces[:, :, None]).all(axis=1)
-    others = np.nonzero(rest)[1].reshape(p, n - j)
-    return gens[which[:, None], others] @ vt[:, j:].transpose(0, 2, 1)
+    return gens[[i for i in range(n) if i not in face]] @ vt[len(face):].T
 
 
 def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
@@ -565,8 +545,12 @@ def is_face(cone: ConeSample, subset: Sequence[int]) -> bool:
 def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
     """Whether the cone meets the subspace in more than the origin.
 
-    Zero generators span nothing, so a cone without a nonzero generator
-    meets no subspace."""
+    A cone without a nonzero generator meets no subspace, and a full cone
+    every subspace but {0}.  A pointed cone meets one exactly when the
+    origin lies in the hull of its generators projected onto the subspace's
+    orthogonal complement.  Any other cone raises DegenerateInputError for
+    a subspace of dimension 1 to d-1: its line projects to the origin.
+    """
     if subspace.d != cone.d:
         raise DomainError(
             f"subspace lives in dimension {subspace.d}, cone in {cone.d}")
@@ -575,9 +559,12 @@ def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
         return False
     if subspace.dim == cone.d:
         return True
-    # the projected generators are the tangent base of the basis rows
-    rows = np.vstack([subspace.basis.T, gens])[None]
-    return _origin_in_hull(_tangent_bases(rows, np.zeros(1, int), np.arange(subspace.dim)[None])[0])
+    if _pointed(cone):  # the projected generators are the tangent base of the basis rows
+        rows = np.vstack([subspace.basis.T, gens])
+        return _origin_in_hull(_tangent_base(rows, tuple(range(subspace.dim))))
+    if is_full_cone(cone):
+        return True
+    raise DegenerateInputError("the cone contains a line and is not full; subspace test undefined")
 
 
 def count_k_faces(cone: ConeSample, k: int) -> int:
@@ -606,7 +593,7 @@ def tangent_cone_projection_base(cone: ConeSample, subset: Sequence[int]) -> Con
     idx = _validated_subset(cone, subset)
     if idx not in _faces(cone, len(idx)):
         raise DomainError(f"subset {idx} is not a face; tangent cone base undefined")
-    return ConeSample(_tangent_bases(cone.generators[None], np.zeros(1, int), np.array([idx]))[0])
+    return ConeSample(_tangent_base(cone.generators, idx))
 
 
 def _validated_point(cone: ConeSample, x: Sequence[float]) -> np.ndarray:
@@ -632,10 +619,9 @@ def cone_contains(cone: ConeSample, x: Sequence[float]) -> bool:
 def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     """Nearest point of the cone to ``g`` with its face classification.
 
-    The support comes from :func:`_projection_supports` as a batch of one.
-    A residual within ``DEFAULT_TOL`` * max(1, |g|), or a full cone, puts g
-    inside (``face_dim = d``); otherwise the face dimension is the support's
-    size.
+    The support comes from :func:`_projection_support`.  A residual within
+    ``DEFAULT_TOL`` * max(1, |g|), or a full cone, puts g inside
+    (``face_dim = d``); otherwise the face dimension is the support's size.
     The cone follows the contract of :func:`is_face`, and the supports obey
     ``MAX_SUBSETS`` like the minor table.  The projection is positively
     homogeneous, so a point of magnitude 1 or more is first scaled down by
@@ -646,8 +632,7 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     full = _full_or_checked(cone)
     expo = max(np.frexp(np.abs(g).max())[1], 0)
     unit = np.ldexp(g, -expo)
-    mask, resid = _projection_supports(cone.generators[None], unit[None])
-    support, resid = tuple(np.flatnonzero(mask[0]).tolist()), resid[0]
+    support, resid = _projection_support(cone.generators, unit)
     slack = DEFAULT_TOL * max(np.ldexp(1.0, -expo), np.linalg.norm(unit))  # in unit's scale
     if full or np.linalg.norm(resid) <= slack:
         return ConeProjection(point=g.copy(), active_set=support, face_dim=cone.d)
@@ -655,65 +640,48 @@ def project_onto_cone(g: Sequence[float], cone: ConeSample) -> ConeProjection:
     return ConeProjection(point=point, active_set=support, face_dim=len(support))
 
 
-def _projection_supports(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Supports of the metric projections p of the points g (S, d) onto the
-    positive hulls of the rows of gens (S, n, d), as masks over the rows
-    (S, n), and the residuals g - p (S, d).
+def _projection_support(gens: np.ndarray, g: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Support of the metric projection p of the point g (d,) onto the
+    positive hull of the rows of gens (n, d), and the residual g - p.
 
     A projection is the least-squares point of the support whose
     coefficients are all positive and whose residual has a nonpositive
     inner product with every row outside it (Moreau decomposition).  A
     point with no positive inner product with a row takes the empty
-    support, with residual g.  The supports of at most min(n, d) rows are
-    then tried by size, each size in one solve over all supports of the
-    sets still undecided, and a set takes its first passing support in
-    combinations order.  A positive square solve of size d puts g inside
-    the cone, with zero residual.  Every positive candidate is a point of
-    the cone, so when rounding lets no support of a set pass, the one
-    nearest to g is taken; the empty support always is a candidate.
-    Nothing iterates and nothing raises.
-
-    Each set's rows are first scaled by one power of two to keep the Gram
-    products finite; that is exact, and LU with partial pivoting is
-    invariant under it.  Every product has the shape it has for a single
-    set, so a set's support and residual do not depend on the batch.
+    support, with residual g.  The supports of k <= min(n, d) rows are then
+    tried by size, each size in one solve over its C(n, k) supports, and the
+    first passing one in combinations order is taken; a positive square
+    solve of size d puts g inside the cone, with zero residual.  Every
+    positive candidate is a point of the cone, so when rounding lets no
+    support pass, the one nearest to g is taken (the empty support is one).
+    The rows are first scaled by one power of two to keep the Gram products
+    finite; that is exact, and LU with partial pivoting is invariant under it.
     """
-    count, n, d = gens.shape
-    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(axis=(1, 2), initial=0.0))[1][:, None, None])
-    support = np.zeros((count, n), dtype=bool)
-    resid = g.copy()
-    undecided = ~((gens @ g[:, :, None])[:, :, 0] <= 0.0).all(axis=1)
+    n, d = gens.shape
+    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(initial=0.0))[1])
+    best, best_resid = (), g
+    if (gens @ g <= 0.0).all():
+        return best, best_resid
     for k in range(1, min(n, d) + 1):
-        at = np.flatnonzero(undecided)
-        if not at.size:
-            break
         rows = _subsets(n, k)
-        x, y = gens[at], g[at]
-        a = x[:, rows]  # (P, T, k, d)
-        shape = a.shape[:2]
+        a = gens[rows]  # (T, k, d)
         if k < d:
-            lhs, rhs = a @ a.transpose(0, 1, 3, 2), (a @ y[:, None, :, None])[..., 0]
+            coef = _solve(a @ a.transpose(0, 2, 1), a @ g)
+            resid = g - (coef[:, None, :] @ a)[:, 0]
         else:  # g is a combination of the d rows
-            lhs, rhs = a.transpose(0, 1, 3, 2), np.broadcast_to(y[:, None], (*shape, d))
-        coef = _solve(lhs.reshape(-1, k, k), rhs.reshape(-1, k)).reshape(*shape, k)
-        res = y[:, None] - (coef[..., None, :] @ a)[:, :, 0] if k < d else np.zeros((*shape, d))
-        outside = res @ x.transpose(0, 2, 1)
-        outside[:, np.arange(len(rows))[:, None], rows] = 0.0  # rows inside the support
-        positive = (coef > 0.0).all(axis=2)
-        passing = positive & (outside <= 0.0).all(axis=2)
-        hit = passing.any(axis=1)
-        dist = np.where(positive, (res * res).sum(axis=2), np.inf)
-        near = np.argmin(dist, axis=1)
-        best = resid[at]
-        nearer = dist[np.arange(len(at)), near] < (best[:, None, :] @ best[:, :, None])[:, 0, 0]
-        taken = hit | nearer
-        t = np.where(hit, np.argmax(passing, axis=1), near)[taken]
-        which = at[taken]
-        support[which] = False
-        support[which[:, None], rows[t]] = True
-        resid[which] = res[taken, t]
-        undecided[at[hit]] = False
-    return support, resid
+            coef = _solve(a.transpose(0, 2, 1), np.broadcast_to(g, (len(rows), d)))
+            resid = np.zeros((len(rows), d))
+        outside = resid @ gens.T
+        outside[np.arange(len(rows))[:, None], rows] = 0.0  # rows inside the support
+        positive = (coef > 0.0).all(axis=1)
+        passing = np.flatnonzero(positive & (outside <= 0.0).all(axis=1))
+        if passing.size:
+            return tuple(rows[passing[0]].tolist()), resid[passing[0]]
+        dist = np.where(positive, (resid * resid).sum(axis=1), np.inf)
+        t = int(np.argmin(dist))
+        if dist[t] < best_resid @ best_resid:
+            best, best_resid = tuple(rows[t].tolist()), resid[t]
+    return best, best_resid
 
 
 def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

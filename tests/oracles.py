@@ -738,55 +738,84 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-cone projection supports and tangent bases
+# stacked projection supports, tangent bases and hull verdicts
 #
-# The kernels the stacked support solve and the stacked SVD of geometry
-# replaced, moved unchanged, with the solve's one-at-a-time fallback.  The
-# loops below read them, and the stacked kernels must give the same bits.
+# The batched kernels of geometry before it projected one cone and took one
+# face's tangent base at a time, moved unchanged but for their docstrings.
+# The replaced rows below measure with them, and the one-cone kernels must
+# give the same bits on every cone of a batch (S, n, d).
 
-def projection_support(gens: np.ndarray, g: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Support of the metric projection of g onto the positive hull of the
-    rows, and the residual: one cone at a time, one batched solve per
-    support size, the first passing support or else the nearest positive
-    candidate."""
-    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(initial=0.0))[1])
-    n, d = gens.shape
-    best, best_resid = (), g
-    if (gens @ g <= 0.0).all():
-        return best, best_resid
+def projection_supports(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of geometry._projection_support for the points g (S, d) and
+    the cones of gens (S, n, d): supports as masks over the rows (S, n), and
+    residuals (S, d).  Each support size is one solve over all supports of
+    the sets still undecided, and every product has the shape it has for a
+    single set, so a set's support and residual do not depend on the batch.
+    """
+    count, n, d = gens.shape
+    gens = np.ldexp(gens, -np.frexp(np.abs(gens).max(axis=(1, 2), initial=0.0))[1][:, None, None])
+    support = np.zeros((count, n), dtype=bool)
+    resid = g.copy()
+    undecided = ~((gens @ g[:, :, None])[:, :, 0] <= 0.0).all(axis=1)
     for k in range(1, min(n, d) + 1):
+        at = np.flatnonzero(undecided)
+        if not at.size:
+            break
         rows = geometry._subsets(n, k)
-        a = gens[rows]
+        x, y = gens[at], g[at]
+        a = x[:, rows]  # (P, T, k, d)
+        shape = a.shape[:2]
         if k < d:
-            coef = _solve_one_by_one(a @ a.transpose(0, 2, 1), a @ g)
-            resid = g - (coef[:, None, :] @ a)[:, 0]
+            lhs, rhs = a @ a.transpose(0, 1, 3, 2), (a @ y[:, None, :, None])[..., 0]
         else:  # g is a combination of the d rows
-            coef = _solve_one_by_one(a.transpose(0, 2, 1), np.broadcast_to(g, (len(rows), d)))
-            resid = np.zeros((len(rows), d))
-        outside = resid @ gens.T
-        outside[np.arange(len(rows))[:, None], rows] = 0.0  # rows inside S
-        positive = (coef > 0.0).all(axis=1)
-        passing = np.flatnonzero(positive & (outside <= 0.0).all(axis=1))
-        if passing.size:
-            t = passing[0]
-            return tuple(rows[t].tolist()), resid[t]
-        dist = np.where(positive, (resid * resid).sum(axis=1), np.inf)
-        t = int(np.argmin(dist))
-        if dist[t] < best_resid @ best_resid:
-            best, best_resid = tuple(rows[t].tolist()), resid[t]
-    return best, best_resid
+            lhs, rhs = a.transpose(0, 1, 3, 2), np.broadcast_to(y[:, None], (*shape, d))
+        coef = geometry._solve(lhs.reshape(-1, k, k), rhs.reshape(-1, k)).reshape(*shape, k)
+        res = y[:, None] - (coef[..., None, :] @ a)[:, :, 0] if k < d else np.zeros((*shape, d))
+        outside = res @ x.transpose(0, 2, 1)
+        outside[:, np.arange(len(rows))[:, None], rows] = 0.0  # rows inside the support
+        positive = (coef > 0.0).all(axis=2)
+        passing = positive & (outside <= 0.0).all(axis=2)
+        hit = passing.any(axis=1)
+        dist = np.where(positive, (res * res).sum(axis=2), np.inf)
+        near = np.argmin(dist, axis=1)
+        best = resid[at]
+        nearer = dist[np.arange(len(at)), near] < (best[:, None, :] @ best[:, :, None])[:, 0, 0]
+        taken = hit | nearer
+        t = np.where(hit, np.argmax(passing, axis=1), near)[taken]
+        which = at[taken]
+        support[which] = False
+        support[which[:, None], rows[t]] = True
+        resid[which] = res[taken, t]
+        undecided[at[hit]] = False
+    return support, resid
 
 
-def _solve_one_by_one(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve; a failing stack is solved again one system at a time,
-    and a system that rounds to singular gets NaN."""
-    try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(lhs) == 1:
-            return np.full(rhs.shape, np.nan)
-        return np.concatenate([_solve_one_by_one(lhs[t:t + 1], rhs[t:t + 1])
-                               for t in range(len(lhs))])
+def tangent_bases(gens: np.ndarray, which: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """geometry._tangent_base of face p, with rows ``faces[p]`` (P, j), of
+    the cone gens[which[p]] (gens is (S, n, d)): (P, n - j, d - j), gathered
+    by (sample, row) with one stacked SVD.  The apex's base is the cone."""
+    n, d = gens.shape[1:]
+    p, j = faces.shape
+    if j == 0:
+        return gens[which]
+    _, s, vt = np.linalg.svd(gens[which[:, None], faces])
+    low = s[:, -1] <= max(j, d) * np.finfo(float).eps * s[:, 0]
+    if low.any():
+        face = tuple(faces[np.argmax(low)].tolist())
+        raise DegenerateInputError(f"face generators {face} are numerically rank-deficient")
+    rest = (np.arange(n) != faces[:, :, None]).all(axis=1)
+    others = np.nonzero(rest)[1].reshape(p, n - j)
+    return gens[which[:, None], others] @ vt[:, j:].transpose(0, 2, 1)
+
+
+def origin_in_hulls(pts: np.ndarray) -> np.ndarray:
+    """geometry._origin_in_hull of each point set of pts (S, n, d), from
+    one sign record of the batch."""
+    rec = geometry._SignRecord.of(pts)
+    inside = ~rec.facets.any(axis=1)
+    for s in np.flatnonzero(~rec.general):
+        inside[s] = geometry._hull_descent(pts[s], rec.take([s]))
+    return inside
 
 
 def row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -833,22 +862,22 @@ def tangent_meets_kernel(gens: np.ndarray, face: Sequence[int], gauss: np.ndarra
 # of one Gaussian projection, moved unchanged.  Each face of a sample read
 # its own Gaussian block, the f-th face (in combinations order) block f; v_k,
 # face_intrinsic and tangent_intrinsic counted the support of the metric
-# projection of a Gaussian point (the stacked support solve of geometry);
-# Z and tangent_intrinsic projected onto the stacked SVD tangent bases.
+# projection of a Gaussian point (the stacked support solve above); Z and
+# tangent_intrinsic projected onto the stacked SVD tangent bases.
 # ``replaced_sampler`` gives a sampler that draws their blocks and measures
 # with them, so the face loops below check them sample by sample.
 
 def _haar_hits(gens: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     if gauss.shape[-1] == 0:
         return np.ones(len(gens), dtype=bool)
-    return geometry._origin_in_hulls(gens @ gauss)
+    return origin_in_hulls(gens @ gauss)
 
 
 def replaced_v(gens: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
     """Per sample p, whether the metric projection of the Gaussian point
     g[p] lands in a k-face of the cone of the rows of gens[p] (k = d inside
     it): the projection estimator of v_k."""
-    return (geometry._projection_supports(gens, g)[0].sum(axis=1) == k).astype(float)
+    return (projection_supports(gens, g)[0].sum(axis=1) == k).astype(float)
 
 
 def _face_sum(c, j: int, tangent: bool, value: Callable) -> np.ndarray:
@@ -856,7 +885,7 @@ def _face_sum(c, j: int, tangent: bool, value: Callable) -> np.ndarray:
     s, f = np.nonzero(mask)
     rank = np.cumsum(mask, axis=1)[s, f] - 1
     faces = geometry._subsets(c.gens.shape[1], j)[f]
-    bases = geometry._tangent_bases(c.gens, s, faces) if tangent else c.gens[s[:, None], faces]
+    bases = tangent_bases(c.gens, s, faces) if tangent else c.gens[s[:, None], faces]
     return np.bincount(s, weights=value(bases, c.gauss[s, rank]), minlength=len(c.gens))
 
 

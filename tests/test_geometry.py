@@ -39,18 +39,20 @@ from conic_walks.geometry import (
 
 from oracles import (
     _nnls_projection,
-    projection_support,
-    tangent_base,
     brute_force_is_face,
     fraction_det,
+    fraction_feasible,
     fraction_origin_in_hull,
     fraction_positively_spans,
     int_det,
     lp_origin_in_hull,
     pivot_columns,
     projection_is_face,
+    projection_supports,
     random_cone_generators,
     row_complement,
+    tangent_base,
+    tangent_bases,
 )
 
 
@@ -280,6 +282,47 @@ class TestSubspaceIntersection:
                     want = gens @ row_complement(sub.basis.T)[0]
                     assert projected.pop().tobytes() == want.tobytes(), (d, m)
 
+    def test_a_line_that_is_not_full_raises(self):
+        # the line's positive dependency projects to the origin; span(e1)
+        # meets span(e3) only there, and so does the half-plane of e1, -e1, e2
+        e = np.eye(3)
+        axis = Subspace(e[:, 2:])
+        for gens in ([e[0], -e[0]], [e[0], -e[0], e[1]]):
+            with pytest.raises(DegenerateInputError, match="contains a line"):
+                intersects_subspace(ConeSample(np.array(gens)), axis)
+        assert not intersects_subspace(ConeSample(np.array([e[0], -e[0]])), Subspace(e[:, :0]))
+        assert intersects_subspace(ConeSample(np.array([e[0], -e[0]])), Subspace(e))
+
+    def test_matches_an_exact_check_on_integer_cones(self):
+        # a pointed cone meets a coordinate subspace L exactly when a convex
+        # combination of its nonzero generators lies in L; a full cone meets
+        # every L; any other cone raises
+        rng = np.random.default_rng(67)
+        seen = set()
+        for d in (2, 3, 4):
+            for _ in range(200):
+                gens = rng.integers(-1, 2, size=(int(rng.integers(1, d + 3)), d)).astype(float)
+                cols = sorted(rng.choice(d, int(rng.integers(1, d)), replace=False).tolist())
+                cone, sub = ConeSample(gens), Subspace(np.eye(d)[:, cols])
+                nonzero = gens[gens.any(axis=1)]
+                if not len(nonzero):
+                    assert not intersects_subspace(cone, sub)
+                    continue
+                if fraction_positively_spans(nonzero):
+                    kind, want = "full", True
+                elif not fraction_origin_in_hull(nonzero):
+                    rows = [nonzero[:, c].tolist() for c in range(d) if c not in cols]
+                    rows.append([1.0] * len(nonzero))
+                    kind, want = "pointed", fraction_feasible(rows, [0] * (d - len(cols)) + [1])
+                else:
+                    kind, want = "line", None
+                    with pytest.raises(DegenerateInputError):
+                        intersects_subspace(cone, sub)
+                if want is not None:
+                    assert intersects_subspace(cone, sub) == want, (gens, cols)
+                seen.add((kind, want))
+        assert seen == {("full", True), ("pointed", True), ("pointed", False), ("line", None)}
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_basis_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -425,9 +468,8 @@ class TestSupportRule:
         proj = project_onto_cone([1.0, -1.0], cone)
         assert proj.active_set == (0,) and proj.face_dim == 1
         assert proj.point.tolist() == [1.0, 0.0]
-        support, resid = geometry._projection_supports(cone.generators[None],
-                                                       np.array([[1.0, -1.0]]))
-        assert support.tolist() == [[True, False]] and resid.tolist() == [[0.0, -1.0]]
+        support, resid = geometry._projection_support(cone.generators, np.array([1.0, -1.0]))
+        assert support == (0,) and resid.tolist() == [0.0, -1.0]
 
     def test_huge_points_do_not_overflow(self):
         # their norms would exceed the double range
@@ -455,11 +497,12 @@ class TestSupportRule:
 
     @staticmethod
     def assert_stack_matches_per_cone_rule(gens, g):
-        support, resid = geometry._projection_supports(gens, g)
+        # the replaced stacked solve against the one-cone support search
+        support, resid = projection_supports(gens, g)
         for x, y, mask, r in zip(gens, g, support, resid):
-            want, want_resid = projection_support(x, y)
-            assert tuple(np.flatnonzero(mask).tolist()) == want
-            assert r.tobytes() == np.asarray(want_resid).tobytes()
+            got, got_resid = geometry._projection_support(x, y)
+            assert tuple(np.flatnonzero(mask).tolist()) == got
+            assert r.tobytes() == np.asarray(got_resid).tobytes()
 
     def test_stacked_supports_match_the_per_cone_rule(self):
         rng = np.random.default_rng(41)
@@ -493,7 +536,7 @@ class TestSupportRule:
         gens[27] = [[1.13, 1.03], [-1.42, 0.15]]
         g[27] = 1.75 * gens[27, 0]
         self.assert_stack_matches_per_cone_rule(gens, g)
-        support, resid = geometry._projection_supports(gens, g)
+        support, resid = projection_supports(gens, g)
         assert not support[20:24].any() and resid[20:24].tobytes() == g[20:24].tobytes()
         assert support[27].tolist() == [True, False] and resid[27] @ gens[27, 1] > 0.0
 
@@ -518,10 +561,10 @@ class TestSupportRule:
         steps = rng.standard_normal((636, 6, 4))
         gens = np.cumsum(steps - steps.mean(axis=1, keepdims=True), axis=1)[:, :-1]
         g = rng.standard_normal((636, 4))
-        geometry._projection_supports(gens, g)
+        projection_supports(gens, g)
         tracemalloc.start()
         try:
-            geometry._projection_supports(gens, g)
+            projection_supports(gens, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,16 +713,19 @@ class TestTangentBase:
                                      for _ in range(40)])
                     which = rng.integers(0, 40, 60)
                     faces = geometry._subsets(n, j)[rng.integers(0, math.comb(n, j), 60)]
-                    bases = geometry._tangent_bases(gens, which, faces)
+                    bases = tangent_bases(gens, which, faces)
                     assert bases.shape == (60, n - j, d - j)
                     for p, face, base in zip(which, faces.tolist(), bases):
+                        one = geometry._tangent_base(gens[p], tuple(face)) if j else gens[p]
+                        assert base.tobytes() == one.tobytes()
                         assert base.tobytes() == tangent_base(gens[p], face).tobytes()
 
     def test_rank_deficient_face_is_named(self):
         gens = np.array([[1.0, 0.0, 0.0], [1.0, 1e-17, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(DegenerateInputError, match=r"\(0, 1\) are numerically rank-deficient"):
-            geometry._tangent_bases(np.stack([gens, gens]), np.array([1, 0]),
-                                    np.array([[0, 2], [0, 1]]))
+            tangent_bases(np.stack([gens, gens]), np.array([1, 0]), np.array([[0, 2], [0, 1]]))
+        with pytest.raises(DegenerateInputError, match=r"\(0, 1\) are numerically rank-deficient"):
+            geometry._tangent_base(gens, (0, 1))
         with pytest.raises(DegenerateInputError, match=r"\(0, 1\)"):
             tangent_base(gens, (0, 1))
 

@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import conic_walks
+from conic_walks import simulation
 
 
 def test_import_loads_no_scipy():
@@ -76,3 +79,20 @@ def test_benchmark_harness_names_resolve():
             for path in harness for line, name, ok in _package_references(path)]
     assert len(refs) > 50
     assert [(file, line, name) for file, line, name, ok in refs if not ok] == []
+
+
+def test_traced_geometry_replay_runs_clean(monkeypatch):
+    # only a traced benchmark run replays the gate and full-cone pairs through
+    # the public geometry; import its modules as its set-up child does, so a
+    # changed signature or contract there fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    layers, spans, workloads = (importlib.import_module(m) for m in ("layers", "spans", "workloads"))
+    replay = layers.Replay(spans.NullRecorder())
+    pairs = workloads.gate_pairs(1) + workloads.fullcone_pairs(1)
+    for pair in pairs:
+        dist = simulation.DistributionSpec(pair.family, pair.d)
+        rng = np.random.Generator(np.random.Philox(key=[pair.seed & workloads._MASK64, 7]))
+        for _ in range(16):
+            replay.sample(pair.query, dist, rng)
+    assert len(pairs) == 54
+    assert replay.errors == 0
