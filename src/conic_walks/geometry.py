@@ -504,17 +504,11 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     if rec.general[0]:
         return [tuple(s) for s in subsets[_face_masks(rec, k)[0]].tolist()]
     if k == 0:
-        return [()] if _pointed(cone) else []
+        nonzero = cone.generators[cone.generators.any(axis=1)]
+        return [] if nonzero.shape[0] and _origin_in_hull(nonzero) else [()]
     if _full_or_checked(cone):
         return []
     return [tuple(s) for s in subsets.tolist()]
-
-
-def _pointed(cone: ConeSample) -> bool:
-    """Whether the cone contains no line, for any input: the origin lies
-    outside the convex hull of its nonzero generators."""
-    nonzero = cone.generators[cone.generators.any(axis=1)]
-    return not (nonzero.shape[0] and _origin_in_hull(nonzero))
 
 
 def _tangent_base(gens: np.ndarray, face: tuple[int, ...]) -> np.ndarray:
@@ -559,7 +553,7 @@ def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
         return False
     if subspace.dim == cone.d:
         return True
-    if _pointed(cone):  # the projected generators are the tangent base of the basis rows
+    if not _origin_in_hull(gens):  # pointed: project as the tangent base of the basis rows
         rows = np.vstack([subspace.basis.T, gens])
         return _origin_in_hull(_tangent_base(rows, tuple(range(subspace.dim))))
     if is_full_cone(cone):
