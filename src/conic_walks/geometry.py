@@ -553,7 +553,7 @@ def intersects_subspace(cone: ConeSample, subspace: Subspace) -> bool:
         return False
     if subspace.dim == cone.d:
         return True
-    if not _origin_in_hull(gens):  # pointed: project as the tangent base of the basis rows
+    if _faces(cone, 0):  # pointed: project as the tangent base of the basis rows
         rows = np.vstack([subspace.basis.T, gens])
         return _origin_in_hull(_tangent_base(rows, tuple(range(subspace.dim))))
     if is_full_cone(cone):

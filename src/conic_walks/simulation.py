@@ -6,17 +6,19 @@ Cauchy increments (no mean), and Gaussians multiplied by one shared
 standard log-normal scale (dependent but still exchangeable with symmetric
 signs).
 
-Estimates are reproducible by construction: the random stream of sample
-``i`` is the Philox stream with key ``seed`` and counter block ``i``, so
-results do not depend on worker count or scheduling, and chunk partial
-sums are reduced in fixed chunk order.
+Estimates are reproducible by construction: draw t of sample ``i`` (t = 0
+first, then 1, 2, ... each time the sample draws again) is the Philox
+stream with key ``seed`` and counter (0, 0, t, i), read from its first
+word, so results do not depend on worker count or scheduling, and chunk
+partial sums are reduced in fixed chunk order.
 
 Every law is a fixed transform of i.i.d. standard normals, so a sample's
 draw is one run of them: its increments' normals, then its Gaussian
-block.  The first round of every batch computes the runs in arrays, bit
-for bit as numpy's Generator draws them, and numpy continues each run
-from its first word off the ziggurat's fast path; numpy draws every later
-round.  So each stream is consumed as if each sample were drawn alone.
+block.  Every draw 0 of a batch is computed in arrays, bit for bit as
+numpy's Generator draws it, and numpy continues each run from its first
+word off the ziggurat's fast path; numpy makes every later draw.
+``sample_walk`` and ``sample_bridge`` draw consecutively from the
+caller's generator instead.
 """
 
 from __future__ import annotations
@@ -249,10 +251,13 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     ki = np.array(ki, dtype=np.uint64)
     wi.flags.writeable = ki.flags.writeable = False  # cached, so shared by every caller
     streams, count = _SampleStreams(1), 13  # check numpy's word layout
-    z, fast = _ziggurat(streams.words(np.arange(16, dtype=np.uint64), count), wi, ki)
+    words = streams.words(np.arange(16, dtype=np.uint64), count + 1)
+    z, fast = _ziggurat(words[:, :count], wi, ki)
     for s, ok in enumerate(fast.all(axis=1)):
-        want = streams.at(s).standard_normal(count).tobytes()
-        if ok != (streams.tell() == count) or ok and want != z[s].tobytes():
+        rng = streams.at(s)
+        want = rng.standard_normal(count).tobytes()
+        after = rng.bit_generator.random_raw()  # word count, unless numpy read more words
+        if ok != (after == words[s, count]) or ok and want != z[s].tobytes():
             raise SamplingError(f"numpy {np.__version__} draws normals unlike the arrays")
     return wi, ki
 
@@ -265,12 +270,12 @@ def _ziggurat(words: np.ndarray, wi: np.ndarray, ki: np.ndarray) -> tuple[np.nda
 
 
 class _SampleStreams:
-    """Generators addressed by sample index over one Philox key.
+    """Generators addressed by sample index and draw number over one Philox key.
 
-    Stream i is the Philox sequence with key (seed, 0) and starting counter
-    (0, 0, 0, i), with 2^192 values of room.  ``at`` resets one reused bit
-    generator to any word of one stream; ``normals`` reads the first words
-    of many streams in arrays.
+    Draw t of sample i is the Philox sequence with key (seed, 0) and
+    starting counter (0, 0, t, i), with 2^130 words of room.  ``at`` resets
+    one reused bit generator to any word of one draw; ``normals`` reads the
+    first words of many samples' draw 0 in arrays.
     """
 
     def __init__(self, seed: int) -> None:
@@ -282,23 +287,19 @@ class _SampleStreams:
         self._state = self._bg.state  # a copy; setting it copies it back
         self._state["buffer_pos"] = 4  # mark the output buffer as drained
 
-    def at(self, index: int, word: int = 0) -> np.random.Generator:
-        """numpy's generator on stream ``index``, before its word ``word``."""
-        self._state["state"]["counter"][:] = (word // 4, 0, 0, index & _MASK64)
+    def at(self, index: int, draw: int = 0, word: int = 0) -> np.random.Generator:
+        """numpy's generator on draw ``draw`` of sample ``index``, before its
+        word ``word``."""
+        self._state["state"]["counter"][:] = (word // 4, 0, draw, index & _MASK64)
         self._bg.state = self._state
         if word % 4:
             self._bg.random_raw(word % 4)
         return self._gen
 
-    def tell(self) -> int:
-        """The word the generator last given by ``at`` stands before."""
-        state = self._bg.state
-        return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
-
     def words(self, samples: np.ndarray, count: int) -> np.ndarray:
-        """The first ``count`` words (S, count) of the streams ``samples``:
+        """The first ``count`` words (S, count) of draw 0 of the samples:
         numpy steps the counter before it fills its buffer, so words 4b to
-        4b + 3 of stream i are the block of the counter (b + 1, 0, 0, i)."""
+        4b + 3 of sample i are the block of the counter (b + 1, 0, 0, i)."""
         blocks = -(-count // 4)
         x, y = np.zeros((2, 2, len(samples) * blocks), dtype=np.uint64)
         x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(samples))
@@ -307,9 +308,9 @@ class _SampleStreams:
         return np.stack([x[0], y[0], x[1], y[1]], axis=1).reshape(len(samples), -1)[:, :count]
 
     def normals(self, samples: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The normals z (S, count) of the first ``count`` words of the
-        streams ``samples``, and which words are on the fast path: z is
-        numpy's normal there."""
+        """The normals z (S, count) of the first ``count`` words of draw 0
+        of the samples, and which words are on the fast path: z is numpy's
+        normal there."""
         z = np.empty((len(samples), count))
         fast = np.empty(z.shape, dtype=bool)
         step = max(1, 4096 // -(-count // 4))  # 4,096 blocks a pass; more leave the cache
@@ -533,23 +534,20 @@ class _Sampler:
     def values(self, streams: _SampleStreams, indices: range) -> tuple[np.ndarray, int]:
         """Each sample's value, and the draws rejected on the way.
 
-        Every sample draws its increments and then its Gaussian block from
-        its own stream, and each round decides its batch at once.  A sample
+        Every sample draws its increments and then its Gaussian block, and
+        round t decides draw t of every pending sample at once.  A sample
         whose draw is not in general position, or is a full cone under
-        ``conditioned``, draws again in the next round from where its last
-        increments ended, so it consumes its stream as if drawn alone.  So
-        does a sample whose measurement projects points with an exactly zero
-        minor (probability zero): that draw counts as one not in general
-        position.
+        ``conditioned``, is pending in the next round.  So is a sample whose
+        measurement projects points with an exactly zero minor (probability
+        zero): that draw counts as one not in general position.
         """
         values = np.empty(len(indices))
         misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
         samples = np.array(indices, dtype=np.uint64)
-        words = np.zeros(len(indices), dtype=np.int64)  # each stream's word before its next draw
         pending = np.arange(len(indices))
-        rejected = 0
+        rejected = draw = 0
         while pending.size:
-            steps, gauss, words[pending] = self.draws(streams, samples[pending], words[pending])
+            steps, gauss = self.draws(streams, samples[pending], draw)
             gens = self.draw.partial_sums(steps)
             rec = geometry._SignRecord.of(gens)
             chunk = _Chunk(gens, rec, geometry._full_cones(rec), gauss)
@@ -571,35 +569,26 @@ class _Sampler:
             if fulls.max() > _MAX_CONDITION_RETRIES:
                 raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
             pending = pending[redo]
+            draw += 1
         return values, rejected
 
     def draws(self, streams: _SampleStreams, samples: np.ndarray,
-              words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each sample's increments and Gaussian block, made of one run of
-        standard normals from word ``words[s]`` of stream ``samples[s]`` on,
-        bit for bit as numpy draws them, and the word after its increments.
-        Round 1 (every word 0) computes the runs in arrays, and numpy
-        continues each from its first word off the fast path; where that is
-        among the increments, their end is left unknown (-1): ``tell`` costs
-        more than drawing them again, and few first draws are redone.  numpy
-        draws every later round."""
+              draw: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's increments and Gaussian block, made of the first
+        standard normals of its draw ``draw``, bit for bit as numpy draws
+        them.  Draw 0 computes the runs in arrays, and numpy continues each
+        from its first word off the fast path; numpy draws every later draw
+        from its word 0."""
         count = self.draw.n_words
-        if not words.any():
-            z, fast = streams.normals(samples, count + math.prod(self.block))
-            first = np.where(fast.all(axis=1), z.shape[1], fast.argmin(axis=1))
-            for p in np.flatnonzero(first < z.shape[1]):
-                streams.at(int(samples[p]), int(first[p])).standard_normal(out=z[p, first[p]:])
-            words = np.where(first < count, -1, count)
+        width = count + math.prod(self.block)
+        if draw:
+            z, first = np.empty((len(samples), width)), np.zeros(len(samples), dtype=int)
         else:
-            z = np.empty((len(samples), count + math.prod(self.block)))
-            for s, (index, word) in enumerate(zip(samples.tolist(), words.tolist())):
-                rng = streams.at(index, max(word, 0))
-                if word < 0:
-                    rng.standard_normal(count)
-                rng.standard_normal(out=z[s, :count])
-                words[s] = streams.tell()
-                rng.standard_normal(out=z[s, count:])
-        return self.draw.increments(z), z[:, count:].reshape(len(samples), *self.block), words
+            z, fast = streams.normals(samples, width)
+            first = np.where(fast.all(axis=1), width, fast.argmin(axis=1))
+        for p in np.flatnonzero(first < width):
+            streams.at(int(samples[p]), draw, int(first[p])).standard_normal(out=z[p, first[p]:])
+        return self.draw.increments(z), z[:, count:].reshape(len(samples), *self.block)
 
 
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:

@@ -1,9 +1,10 @@
 """Brute-force oracles shared by the geometry, formula and acceptance tests."""
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -1087,14 +1088,14 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
 #
 # The chunk loop of the simulator before one array program decided each
 # chunk, moved with its names prefixed and its docstrings dropped.  Every
-# sample draws a ConeSample from its own stream, redraws until the cone is
-# in general position and, under ``conditioned``, until it is not full,
-# then measures it with per-cone kernels.  A face sum draws one Gaussian
-# block after the increments, shared by every face, and a projection with
-# an exactly zero minor makes the sample draw again from the word after its
-# increments.  It draws its increments with numpy's own distributions,
-# as the simulator did before it built every law from standard normals.
-# The batched chunks must give the same sums.
+# sample draws a ConeSample, attempt t from ``streams.at(i, t)``, redraws
+# until the cone is in general position and, under ``conditioned``, until
+# it is not full, then measures it with per-cone kernels.  A face sum draws
+# one Gaussian block after the increments, shared by every face, and a
+# projection with an exactly zero minor makes the sample draw again.  It
+# draws its increments with numpy's own distributions, as the simulator
+# did before it built every law from standard normals.  The batched chunks
+# must give the same sums.
 
 def numpy_increments(dist, n: int, rng: np.random.Generator) -> np.ndarray:
     """n increments of the family from numpy's own distributions: the
@@ -1122,17 +1123,21 @@ def _loop_bridge_generators(steps):
     return np.cumsum(centered, axis=0)[:-1]
 
 
-def _loop_general_position_draw(draw: Callable[[], np.ndarray], what: str) -> tuple[ConeSample, int]:
+def _loop_general_position_draw(draw: Callable[[np.random.Generator], np.ndarray],
+                                rngs: Iterator[np.random.Generator],
+                                what: str) -> tuple[ConeSample, int, np.random.Generator]:
     for attempt in range(simulation._MAX_DRAW_RETRIES):
-        cone = ConeSample(draw())
+        rng = next(rngs)
+        cone = ConeSample(draw(rng))
         if cone.in_general_position():
-            return cone, attempt
+            return cone, attempt, rng
     raise SamplingError(f"no {what} in general position after {simulation._MAX_DRAW_RETRIES} attempts")
 
 
-def _loop_draw_cone(model: Model, dist, rng: np.random.Generator) -> tuple[ConeSample, int]:
+def _loop_draw_cone(model: Model, dist, rngs: Iterator[np.random.Generator]
+                    ) -> tuple[ConeSample, int, np.random.Generator]:
     gens = _loop_bridge_generators if model.is_bridge else _loop_walk_generators
-    return _loop_general_position_draw(lambda: gens(numpy_draw(dist, [model.n], rng)),
+    return _loop_general_position_draw(lambda rng: gens(numpy_draw(dist, [model.n], rng)), rngs,
                                        f"draw ({dist.family}, n={model.n}, d={model.d})")
 
 
@@ -1144,23 +1149,31 @@ def _loop_joint_generators(query: FunctionalQuery, dist, rng: np.random.Generato
                      + [_loop_bridge_generators(b) for b in blocks[walks:]])
 
 
-def loop_draw_sample(query: FunctionalQuery, dist,
-                     rng: np.random.Generator) -> tuple[ConeSample, int]:
-    """One sample's cone drawn alone from ``rng``, and the draws rejected."""
+def sample_draws(streams, index: int) -> Iterator[np.random.Generator]:
+    """The generators of draws 0, 1, 2, ... of one sample, each set on its
+    first word when it is taken."""
+    return (streams.at(index, t) for t in itertools.count())
+
+
+def loop_draw_sample(query: FunctionalQuery, dist, rngs: Iterator[np.random.Generator]
+                     ) -> tuple[ConeSample, int, np.random.Generator]:
+    """One sample's cone drawn alone, each attempt from the next of
+    ``rngs``; the draws rejected; and the accepted attempt's generator,
+    after its increments."""
     if query.model is None:
-        return _loop_general_position_draw(lambda: _loop_joint_generators(query, dist, rng),
-                                           "joint draw")
+        return _loop_general_position_draw(lambda rng: _loop_joint_generators(query, dist, rng),
+                                           rngs, "joint draw")
     model = query.model
-    cone, rejected = _loop_draw_cone(model, dist, rng)
+    cone, rejected, rng = _loop_draw_cone(model, dist, rngs)
     if query.conditioned:
         guard = 0
         while is_full_cone(cone):
             guard += 1
             if guard > simulation._MAX_CONDITION_RETRIES:
                 raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
-            cone, rej = _loop_draw_cone(model, dist, rng)
+            cone, rej, rng = _loop_draw_cone(model, dist, rngs)
             rejected += rej
-    return cone, rejected
+    return cone, rejected, rng
 
 
 def _loop_u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
@@ -1276,16 +1289,12 @@ def loop_chunk_stats(args: tuple) -> tuple[float, float, int]:
     total_sq = 0.0
     rejected = 0
     for i in range(start, start + count):
-        rng = streams.at(i)
+        rngs = sample_draws(streams, i)
         value = math.nan
-        while math.isnan(value):
-            sample, rej = loop_draw_sample(query, dist, rng)
-            rejected += rej
-            after = rng.bit_generator.state
+        while math.isnan(value):  # NaN: a projection out of general position
+            sample, rej, rng = loop_draw_sample(query, dist, rngs)
             value = measure(query, sample, rng)
-            if math.isnan(value):  # a projection out of general position
-                rejected += 1
-                rng.bit_generator.state = after
+            rejected += rej + math.isnan(value)
         total += value
         total_sq += value * value
     return total, total_sq, rejected

@@ -269,7 +269,9 @@ class TestSubspaceIntersection:
 
     def test_projection_matches_the_row_complement(self, monkeypatch):
         # the generators are projected as the tangent base of the basis
-        # rows, bit for bit what one SVD complement of those rows gives
+        # rows, bit for bit what one SVD complement of those rows gives;
+        # every cone is taken for pointed, but one in general position
+        # that its own sign record calls full, which projects nothing
         projected = []
         monkeypatch.setattr(geometry, "_origin_in_hull", lambda pts: projected.append(pts) or False)
         rng = np.random.default_rng(61)
@@ -278,9 +280,37 @@ class TestSubspaceIntersection:
                 for _ in range(300):
                     gens = random_cone_generators(rng, int(rng.integers(1, d + 3)), d)
                     sub = sample_uniform_subspace(d, m, rng)
-                    intersects_subspace(ConeSample(gens), sub)
+                    cone = ConeSample(gens)
+                    intersects_subspace(cone, sub)
+                    if cone.in_general_position() and is_full_cone(cone):
+                        continue
                     want = gens @ row_complement(sub.basis.T)[0]
                     assert projected.pop().tobytes() == want.tobytes(), (d, m)
+
+    def test_pointedness_reads_the_cones_own_record(self, monkeypatch):
+        # in general position the apex face of the cached record says
+        # whether the cone is pointed, so a pointed cone builds one sign
+        # record, its projected generators', and a full cone none
+        calls = []
+        of = geometry._SignRecord.of.__func__
+
+        def counting(cls, pts):
+            calls.append(pts.shape)
+            return of(cls, pts)
+
+        monkeypatch.setattr(geometry._SignRecord, "of", classmethod(counting))
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(200):
+            cone = ConeSample(rng.standard_normal((5, 4)))
+            assert cone.in_general_position()
+            full = is_full_cone(cone)
+            sub = sample_uniform_subspace(4, 2, rng)
+            calls.clear()
+            assert intersects_subspace(cone, sub) or not full
+            assert calls == ([] if full else [(1, 5, 2)])
+            seen.add(full)
+        assert seen == {False, True}
 
     def test_a_line_that_is_not_full_raises(self):
         # the line's positive dependency projects to the origin; span(e1)

@@ -12,7 +12,7 @@ from conic_walks.combinatorics import StirlingTables
 from conic_walks.cli import EXIT_NUMERIC, EXIT_USAGE, main
 from conic_walks.errors import DomainError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
-from conic_walks.geometry import count_k_faces, is_full_cone
+from conic_walks.geometry import ConeSample, count_k_faces, is_full_cone
 from conic_walks.simulation import (
     DistributionSpec,
     RunConfig,
@@ -36,7 +36,13 @@ from conic_walks.verify import (
 )
 
 import oracles
-from oracles import FACE_LOOP_MEASURES, face_loop_queries, loop_chunk_stats, loop_draw_sample
+from oracles import (
+    FACE_LOOP_MEASURES,
+    face_loop_queries,
+    loop_chunk_stats,
+    loop_draw_sample,
+    sample_draws,
+)
 
 GAUSS2 = DistributionSpec("gaussian_iid", 2)
 
@@ -83,7 +89,7 @@ class TestDistributions:
             n = 20_000 // d
             rng = rng_for(d)
             z = rng.standard_normal(simulation._word_count(dist, n))
-            assert position(rng)[1] > z.size and (np.abs(z) > R).any()
+            assert position(rng)[2] > z.size and (np.abs(z) > R).any()
             got, want = rng_for(d), rng_for(d)
             assert sample_increments(dist, n, got).tobytes() == \
                 oracles.numpy_increments(dist, n, want).tobytes()
@@ -172,39 +178,35 @@ class TestSampleStreams:
 
 
 def position(rng):
-    """(stream, word) of a Philox generator: its counter's stream word, as
-    ``_SampleStreams.at`` sets it, and the word it stands before."""
+    """(sample, draw, word) of a Philox generator: its counter's sample and
+    draw words, as ``_SampleStreams.at`` sets them, and the word it stands
+    before."""
     state = rng.bit_generator.state
     counter = state["state"]["counter"]
-    return int(counter[3]), 4 * int(counter[0]) - 4 + state["buffer_pos"]
+    return int(counter[3]), int(counter[2]), 4 * int(counter[0]) - 4 + state["buffer_pos"]
 
 
-def first_draws_alone(sampler, streams, samples):
-    """Round 1 of ``sampler`` one sample at a time through numpy's own
-    distributions: each sample's increments, its Gaussian block and the
-    word after its increments, or -1 where they read a word off the fast
-    path (more than one word for some normal), as the batched round leaves it."""
-    draw = sampler.draw
-    steps = np.empty((len(samples), draw.n_steps, draw.dist.d))
+def draws_alone(sampler, streams, samples, draw):
+    """Draw ``draw`` of ``sampler`` one sample at a time through numpy's
+    own distributions: each sample's increments and its Gaussian block."""
+    spec = sampler.draw
+    steps = np.empty((len(samples), spec.n_steps, spec.dist.d))
     gauss = np.empty((len(samples), *sampler.block))
-    words = []
     for s, i in enumerate(samples):
-        rng = streams.at(int(i))
-        steps[s] = oracles.numpy_draw(draw.dist, [n for n, _ in draw.blocks], rng)
-        word = position(rng)[1]
-        words.append(word if word == draw.n_words else -1)
+        rng = streams.at(int(i), draw)
+        steps[s] = oracles.numpy_draw(spec.dist, [n for n, _ in spec.blocks], rng)
         rng.standard_normal(out=gauss[s])
-    return steps, gauss, words
+    return steps, gauss
 
 
-def assert_first_round_alone(sampler, streams, samples):
-    steps, gauss, words = sampler.draws(streams, np.array(samples, dtype=np.uint64),
-                                        np.zeros(len(samples), dtype=np.int64))
-    want_steps, want_gauss, want_words = first_draws_alone(sampler, streams, samples)
-    # bit for bit: the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
-    assert steps.tobytes() == want_steps.tobytes()
-    assert gauss.tobytes() == want_gauss.tobytes()
-    assert words.tolist() == want_words
+def assert_draws_alone(sampler, streams, samples):
+    # draw 0 from the arrays, continued by numpy, and a later draw from numpy alone
+    for draw in (0, 3):
+        steps, gauss = sampler.draws(streams, np.array(samples, dtype=np.uint64), draw)
+        want_steps, want_gauss = draws_alone(sampler, streams, samples, draw)
+        # bit for bit: the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
+        assert steps.tobytes() == want_steps.tobytes()
+        assert gauss.tobytes() == want_gauss.tobytes()
 
 
 class TestBatchedDraws:
@@ -213,15 +215,20 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("index", [0, 1, 2 ** 63, 2 ** 64 - 1])
     def test_philox_words_match_numpy(self, index):
         # 13 words span four blocks, so every word offset mod 4 meets a
-        # block boundary; at(i, w) positions numpy at each of them
+        # block boundary; at(i, t, w) positions numpy at each of them, on
+        # draw 0, which the arrays read too, and on later draws
         streams = _SampleStreams(self.KEY)
-        want = np.random.Philox(key=np.array([self.KEY, 0], dtype=np.uint64),
-                                counter=np.array([0, 0, 0, index], dtype=np.uint64)).random_raw(13)
-        assert np.array_equal(streams.words(np.array([index], dtype=np.uint64), 13)[0], want)
-        for word in range(9):
-            rng = streams.at(index, word)
-            assert streams.tell() == word
-            assert np.array_equal(rng.bit_generator.random_raw(4), want[word:word + 4])
+        for draw in (0, 1, 2 ** 64 - 1):
+            want = np.random.Philox(key=np.array([self.KEY, 0], dtype=np.uint64),
+                                    counter=np.array([0, 0, draw, index], dtype=np.uint64)
+                                    ).random_raw(13)
+            if draw == 0:
+                assert np.array_equal(streams.words(np.array([index], dtype=np.uint64), 13)[0],
+                                      want)
+            for word in range(9):
+                rng = streams.at(index, draw, word)
+                assert position(rng) == (index, draw, word)
+                assert np.array_equal(rng.bit_generator.random_raw(4), want[word:word + 4])
 
     def test_tables_match_a_full_bisection_of_numpy(self):
         # numpy reads the words (w, 1, 0, 0) of its output buffer next; rabs
@@ -281,7 +288,7 @@ class TestBatchedDraws:
                 sampler = simulation._Sampler(q, dist)
                 if (sampler.draw.blocks, sampler.block) not in seen:
                     seen.add((sampler.draw.blocks, sampler.block))
-                    assert_first_round_alone(sampler, streams, samples)
+                    assert_draws_alone(sampler, streams, samples)
 
     @pytest.mark.parametrize("family, where", [
         ("gaussian_iid", 0), ("gaussian_iid", 7), ("gaussian_iid", 8), ("gaussian_iid", 9),
@@ -299,7 +306,7 @@ class TestBatchedDraws:
         fast = streams.normals(np.arange(20_000, dtype=np.uint64), count)[1]
         first = np.where(fast.all(axis=1), count, np.argmin(fast, axis=1))
         index = int(np.flatnonzero(first == where)[0])
-        assert_first_round_alone(sampler, streams, [index, index + 1, index + 2])
+        assert_draws_alone(sampler, streams, [index, index + 1, index + 2])
 
     def test_cauchy_denominator_alone_off_the_fast_path(self):
         query = FunctionalQuery("fk", Model("B", 3, 2), k=1)
@@ -308,7 +315,44 @@ class TestBatchedDraws:
         fast = streams.normals(np.arange(20_000, dtype=np.uint64), sampler.draw.n_words)[1]
         alone = np.flatnonzero((~fast).sum(axis=1) == 1)
         index = int(next(i for i in alone if np.argmin(fast[i]) % 2 == 1))
-        assert_first_round_alone(sampler, streams, [index])
+        assert_draws_alone(sampler, streams, [index])
+
+
+class TestDrawNumbers:
+    def test_a_redraw_reads_the_philox_stream_of_its_draw_number(self):
+        # draw t of sample i is the Philox stream with counter (0, 0, t, i)
+        # from its first word: a conditioned sample whose draw 0 is a full
+        # cone is measured on draw 1, bit for bit, whatever draw 0 read,
+        # and draw 0 is the stream (0, 0, 0, i) that every first round reads
+        query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
+        seed, samples = 3, 128
+
+        def draw(i, t):  # increments, cone and generator after the increments of draw t
+            rng = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, 0, t, i]))
+            steps = oracles.numpy_draw(GAUSS2, [4], rng)
+            cone = ConeSample(np.cumsum(steps - steps.mean(axis=0), axis=0)[:-1])
+            assert cone.in_general_position()
+            return steps, cone, rng
+
+        sampler = simulation._Sampler(query, GAUSS2)
+        streams = _SampleStreams(seed)
+        got, rejected = sampler.values(streams, range(samples))
+        assert rejected == 0
+        first = [draw(i, 0) for i in range(samples)]
+        steps, _ = sampler.draws(streams, np.arange(samples, dtype=np.uint64), 0)
+        assert steps.tobytes() == np.stack([s for s, _, _ in first]).tobytes()
+        redrawn = [i for i, (_, cone, _) in enumerate(first) if is_full_cone(cone)]
+        assert len(redrawn) > 5
+        second = [draw(i, 1) for i in redrawn]
+        steps, _ = sampler.draws(streams, np.array(redrawn, dtype=np.uint64), 1)
+        assert steps.tobytes() == np.stack([s for s, _, _ in second]).tobytes()
+        measure = oracles.LOOP_MEASURES["Uk"]
+        for i, (_, cone, rng) in zip(redrawn, second):
+            assert not is_full_cone(cone), i
+            assert got[i] == measure(query, cone, rng), i
+        for i in sorted(set(range(samples)) - set(redrawn)):
+            _, cone, rng = first[i]
+            assert got[i] == measure(query, cone, rng), i
 
 
 class TestEstimate:
@@ -491,51 +535,34 @@ class TestVerifySuite:
 def replace_draws(monkeypatch, replace, block=lambda i, t, gauss: gauss):
     """Pass every sample's increments through ``replace(sample, t, steps)``,
     and the Gaussian block drawn after them through ``block(sample, t,
-    gauss)``, where t counts the distinct stream words that sample has drawn
-    from, in stream order.  A draw from the same word again, however the
-    sampler comes back to it, gets the same t and so the same steps.  The
-    sampler's draws come through one seam, ``_Sampler.draws``, each sample
-    from its own stream word; the per-sample loop's through
-    ``oracles.numpy_draw`` and ``oracles.numpy_block``.  Returns the
-    (sample, t) of every draw, in order."""
+    gauss)``, where t is the draw number: 0 for the sample's first draw,
+    then 1, 2, ... each time it draws again.  The sampler's draws come
+    through one seam, ``_Sampler.draws``, which is given the draw number;
+    the per-sample loop's through ``oracles.numpy_draw`` and
+    ``oracles.numpy_block``, each from a generator that ``at(i, t)`` set.
+    Returns the (sample, t) of every draw, in order."""
     simulation._ziggurat_tables()  # derived and checked before the seams change
-    seen = {}
     drawn = []
     draws = simulation._Sampler.draws
     numpy_draw = oracles.numpy_draw
     numpy_block = oracles.numpy_block
 
-    def replaced(sample, word, steps):
-        positions = seen.setdefault(sample, [])
-        if word not in positions:
-            positions.append(word)
-        drawn.append((sample, positions.index(word)))
-        return replace(sample, drawn[-1][1], steps)
-
-    def last(sample):
-        return next(t for i, t in reversed(drawn) if i == sample)
-
-    def start(streams, sample, word, count):
-        if word >= 0:
-            return word
-        streams.at(sample).standard_normal(count)  # -1: after the first increments
-        return streams.tell()
-
-    def drawing(self, streams, samples, words):
-        starts = [start(streams, i, w, self.draw.n_words)
-                  for i, w in zip(samples.tolist(), words.tolist())]
-        steps, gauss, ends = draws(self, streams, samples, words)
-        for s, (i, w) in enumerate(zip(samples.tolist(), starts)):
-            steps[s] = replaced(i, w, steps[s])
-            gauss[s] = block(i, last(i), gauss[s])
-        return steps, gauss, ends
+    def drawing(self, streams, samples, draw):
+        steps, gauss = draws(self, streams, samples, draw)
+        for s, i in enumerate(samples.tolist()):
+            drawn.append((i, draw))
+            steps[s] = replace(i, draw, steps[s])
+            gauss[s] = block(i, draw, gauss[s])
+        return steps, gauss
 
     def numpy_drawing(dist, lengths, rng):
-        return replaced(*position(rng), numpy_draw(dist, lengths, rng))
+        i, t, _ = position(rng)
+        drawn.append((i, t))
+        return replace(i, t, numpy_draw(dist, lengths, rng))
 
     def numpy_blocking(shape, rng):
-        i = position(rng)[0]
-        return block(i, last(i), numpy_block(shape, rng))
+        i, t, _ = position(rng)
+        return block(i, t, numpy_block(shape, rng))
 
     monkeypatch.setattr(simulation._Sampler, "draws", drawing)
     monkeypatch.setattr(oracles, "numpy_draw", numpy_drawing)
@@ -607,8 +634,9 @@ class TestRetryCaps:
 
     def test_the_draw_cap_restarts_after_a_full_cone(self, monkeypatch):
         # 100 misses, a full cone, 100 misses: never 128 in a row, and the
-        # one full cone is within a condition budget of one
-        replace_draws(monkeypatch, lambda i, t, steps: steps if i != 2 else
+        # one full cone is within a condition budget of one; the other
+        # samples draw no full cone
+        replace_draws(monkeypatch, lambda i, t, steps: self.POINTED if i != 2 else
                       0.0 * steps if t < 100 or 100 < t < 201 else
                       self.FULL if t == 100 else self.POINTED)
         monkeypatch.setattr(simulation, "_MAX_CONDITION_RETRIES", 1)
@@ -640,9 +668,8 @@ class TestConditionedFullConeTest:
         # every round takes one full-cone verdict per cone it draws, and the
         # measurement reads the rounds' verdicts, so it never tests an
         # accepted cone again; every draw comes through the seam once, also
-        # for a sample whose first increments leave numpy's fast path:
-        # numpy continues its run in round 1, and a redraw finds where its
-        # first increments end without drawing them through the seam
+        # for a sample whose first increments leave numpy's fast path and
+        # numpy continues its run in round 1
         decided = []
         full_cones = geometry._full_cones
 
@@ -663,7 +690,7 @@ class TestConditionedFullConeTest:
         for i in range(samples):  # a normal off the fast path reads more than one word
             rng = streams.at(i)
             rng.standard_normal((query.model.n, 2))
-            if position(rng)[1] > 2 * query.model.n:
+            if position(rng)[2] > 2 * query.model.n:
                 off_path.append(i)
         assert off_path
         assert len(drawn) == len(set(drawn))
@@ -697,8 +724,7 @@ class TestSharedMinorTable:
 
     def test_replayed_draws_compute_their_minors_once(self, monkeypatch):
         # two samples reject their first draw and draw again in round 2:
-        # one sign record per round, and none for the redraws that position
-        # their streams
+        # one sign record per round
         calls = []
         signs = geometry._minor_signs
 
@@ -765,9 +791,9 @@ class TestDegenerateProjections:
     ])
     def test_a_zero_minor_draws_again(self, query, monkeypatch):
         # a zero Gaussian block projects every generator to the origin, so
-        # every minor of the projection is zero: the sample draws again from
-        # the word after its increments, as a draw out of general position
-        # does, whatever the batch; the per-sample loop agrees bit for bit
+        # every minor of the projection is zero: the sample takes its next
+        # draw, as a draw out of general position does, whatever the batch;
+        # the per-sample loop agrees bit for bit
         counts = {0: 1, 7: 2, 19: 1}
         replace_draws(monkeypatch, lambda i, t, steps: steps,
                       lambda i, t, gauss: 0.0 * gauss if t < counts.get(i, 0) else gauss)
@@ -797,8 +823,7 @@ class TestTangentConesByProjection:
                     query = FunctionalQuery("Z", model, j=j, k=k)
                     got, _ = simulation._Sampler(query, dist).values(streams, range(samples))
                     for i in range(samples):
-                        rng = streams.at(i)
-                        cone, _ = loop_draw_sample(query, dist, rng)
+                        cone, _, rng = loop_draw_sample(query, dist, sample_draws(streams, i))
                         gauss = rng.standard_normal((d, k))
                         projected = geometry._faces(geometry.ConeSample(cone.generators @ gauss), j)
                         meets = [oracles.tangent_meets_kernel(cone.generators, face, gauss)
@@ -863,17 +888,15 @@ class TestFaceLoopOracle:
                     streams = _SampleStreams(17)
                     drawn = []
                     for i in range(samples):
-                        rng = streams.at(i)
-                        cone, _ = loop_draw_sample(draw, dist, rng)
-                        drawn.append((cone, rng.bit_generator.state))
+                        cone, _, rng = loop_draw_sample(draw, dist, sample_draws(streams, i))
+                        drawn.append((cone, position(rng)))
                     for q in (q for q in queries if q.conditioned == conditioned):
                         sampler = (oracles.replaced_sampler(q, dist)
                                    if q.functional in oracles.REPLACED_MEASURES
                                    else simulation._Sampler(q, dist))
                         got, _ = sampler.values(streams, range(samples))
-                        for i, (cone, state) in enumerate(drawn):
-                            rng = streams.at(i)
-                            rng.bit_generator.state = state
+                        for cone, (i, t, word) in drawn:  # after the accepted increments
+                            rng = streams.at(i, t, word)
                             want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
                             assert got[i] == want, (family, q, i)
 
@@ -977,8 +1000,7 @@ class TestProjectionOnFullCones:
         streams = _SampleStreams(_gate_seed(seed, gate.name, family))
         values, _ = simulation._Sampler(gate.query, dist).values(streams, range(index, index + 1))
         assert values[0] == 0.0
-        rng = streams.at(index)
-        cone, _ = loop_draw_sample(gate.query, dist, rng)
+        cone, _, rng = loop_draw_sample(gate.query, dist, sample_draws(streams, index))
         assert is_full_cone(cone)
         g = rng.standard_normal(4)
         assert geometry.project_onto_cone(g, cone).face_dim == 4
