@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -231,7 +231,9 @@ class _SignRecord:
 
     @cached_property
     def facets(self) -> np.ndarray:
-        return np.abs(self.sides.sum(axis=1, dtype=np.int32)) == self.sides.shape[1]
+        # point by point: numpy's sum over the short middle axis is slow
+        total = np.zeros((len(self.signs), self.sides.shape[2]), dtype=np.int32)
+        return np.abs(reduce(np.add, self.sides.transpose(1, 0, 2), total)) == self.sides.shape[1]
 
 
 def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
@@ -379,7 +381,8 @@ def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np
     """Signs of all d x d minors of each set in pts, (S, n, d), as the
     filter sees them, and the mask of those it cannot certify."""
     d = pts.shape[2]
-    _, expo = np.frexp(np.abs(pts).max(axis=2))
+    # each row's max, column by column: numpy's max over the short last axis is slow
+    _, expo = np.frexp(reduce(np.maximum, np.abs(pts).transpose(2, 0, 1)))
     scaled = np.ldexp(pts, -expo[..., None])
     est = _minor_estimates(scaled, table)
     unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)

@@ -15,8 +15,9 @@ partial sums are reduced in fixed chunk order.
 Every law is a fixed transform of i.i.d. standard normals, so a sample's
 draw is one run of them: its increments' normals, then its Gaussian
 block.  Every draw 0 of a batch is computed in arrays, bit for bit as
-numpy's Generator draws it, and numpy continues each run from its first
-word off the ziggurat's fast path; numpy makes every later draw.
+numpy's Generator draws it, wedge words of the ziggurat included; numpy
+continues a run from its first tail word, near-tie or try past the words
+the arrays read, and makes every later draw.
 ``sample_walk`` and ``sample_bridge`` draw consecutively from the
 caller's generator instead.
 """
@@ -207,38 +208,57 @@ _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint
 def _philox(x: np.ndarray, y: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Philox4x64-10 of the counters with words 0, 2 in x (2, N) and 1, 3
     in y (2, N), which it overwrites; the blocks come back split alike."""
-    m = np.empty_like(x)
-    m[:] = _PHILOX_M  # full rows: ufuncs on equal shapes skip the broadcast
+    m = np.repeat(_PHILOX_M, x.shape[1], axis=1)  # full rows: equal shapes skip the broadcast
     m_lo, m_hi = m & _LO32, m >> 32
-    for k in keys:
-        x0, x1 = x & _LO32, x >> 32  # the high words of x * m from 32-bit halves
-        t = x1 * m_lo + ((x0 * m_lo) >> 32)
-        hi = x1 * m_hi + (t >> 32) + (((t & _LO32) + x0 * m_hi) >> 32)
+    x0, x1, t, u = (np.empty_like(x) for _ in range(4))  # every ufunc writes into one of them
+    for k in keys:  # x1 becomes the high words of x * m, from 32-bit halves
+        np.bitwise_and(x, _LO32, out=x0)
+        np.right_shift(x, 32, out=x1)
+        np.multiply(x0, m_lo, out=t)
+        t >>= 32
+        t += np.multiply(x1, m_lo, out=u)  # x1 m_lo + (x0 m_lo >> 32)
+        x0 *= m_hi
+        x0 += np.bitwise_and(t, _LO32, out=u)
+        x0 >>= 32
+        x1 *= m_hi
+        t >>= 32
+        x1 += t
+        x1 += x0
         x *= m
-        y ^= hi[::-1]
+        y ^= x1[::-1]
         y ^= k
         x, y = y, x[::-1]
     return x, y
 
 
+# Words read past a draw-0 run for wedges' U words; 4 cost more than they saved.
+_SPARE_WORDS = 2
+# The share of exp(-x^2/2) by which the two sides of a wedge test must differ
+# to be decided in arrays: many times the error of np.exp, which need not be
+# libm's exp as numpy's C code calls it, and of fi, one ulp off at layer 38.
+_WEDGE_TIE = 2.0 ** -44
+
+
 @functools.cache
 def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     """numpy's 256-layer ziggurat (Marsaglia & Tsang, JSS 2000), unexported:
-    a word with idx = bits 0-7, sign = bit 8 and rabs = bits 9-60 gives
-    +-rabs * wi[idx], reading no other word, iff rabs < ki[idx].  numpy reads
-    them with its buffer set to (word, 1, 0, 0): at rabs = 1 the wedge test
-    too accepts x = wi[idx], and the next word shows if it took the fast path."""
+    a word with idx = bits 0-7, sign = bit 8 and rabs = bits 9-60 gives x =
+    +-rabs * wi[idx], reading no other word, iff rabs < ki[idx].  Off that
+    fast path, layer 0 is the tail, and another reads the next word's top
+    53 bits as U and accepts x iff (fi[idx-1] - fi[idx]) U + fi[idx] <
+    exp(-x^2/2), with fi from ``_heights``.  numpy gives wi and ki from its
+    buffer set to (word, 1, 0, 0): at rabs = 1 the wedge test too accepts
+    x = wi[idx], and the next word shows if it took the fast path."""
     bg = np.random.Philox(key=0)
     gen, state = np.random.Generator(bg), bg.state
     buffer = state["buffer"]
-    buffer[1:] = (1, 0, 0)
 
-    def probe(idx, rabs):  # numpy's normal of the word, and whether it read no other
-        buffer[0], state["buffer_pos"] = idx | rabs << 9, 0
+    def probe(words, count=1):  # numpy's first normals from these 4 words, and its next word
+        buffer[:], state["buffer_pos"] = words, 0
         bg.state = state
-        return gen.standard_normal(), bg.random_raw() == 1
+        return gen.standard_normal(count), bg.random_raw()
 
-    wi, ki = np.array([probe(i, 1)[0] for i in range(256)]), []
+    wi, ki = np.array([probe((i | 1 << 9, 1, 0, 0))[0][0] for i in range(256)]), []
     for i, (w_prev, w) in enumerate(zip(np.roll(wi, 1).tolist(), wi.tolist())):
         (a, b), (c, e) = w_prev.as_integer_ratio(), w.as_integer_ratio()
         g = (a * e << 52) // (b * c)  # 2^52 wi[idx - 1] / wi[idx]: ki is near, then bisect
@@ -246,27 +266,72 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
         while hi - lo > 1:
             r = next(tries, (lo + hi) // 2)
             if lo < r < hi:
-                lo, hi = (r, hi) if probe(i, r)[1] else (lo, r)
+                lo, hi = (r, hi) if probe((i | r << 9, 1, 0, 0))[1] == 1 else (lo, r)
         ki.append(hi)
     ki = np.array(ki, dtype=np.uint64)
     wi.flags.writeable = ki.flags.writeable = False  # cached, so shared by every caller
-    streams, count = _SampleStreams(1), 13  # check numpy's word layout
-    words = streams.words(np.arange(16, dtype=np.uint64), count + 1)
-    z, fast = _ziggurat(words[:, :count], wi, ki)
-    for s, ok in enumerate(fast.all(axis=1)):
-        rng = streams.at(s)
-        want = rng.standard_normal(count).tobytes()
-        after = rng.bit_generator.random_raw()  # word count, unless numpy read more words
-        if ok != (after == words[s, count]) or ok and want != z[s].tobytes():
-            raise SamplingError(f"numpy {np.__version__} draws normals unlike the arrays")
+    # per layer > 0, a word in mid-wedge that its U accepts, and one that
+    # its U rejects; fast words follow (layer 2, rabs 1)
+    fi, rabs = _heights(wi), (ki[1:] + (1 << 52)) // 2
+    tie = (np.exp(-0.5 * (rabs * wi[1:]) ** 2) - fi[1:]) / (fi[:-1] - fi[1:])  # U at lhs = rhs
+    wedges = np.full((510, 4), 2 | 1 << 9, dtype=np.uint64)
+    wedges[:, 0] = np.tile(np.arange(1, 256, dtype=np.uint64) | rabs << 9, 2)
+    wedges[:, 1] = (np.concatenate([tie / 2, (1 + tie) / 2]) * 2.0 ** 53).astype(np.uint64) << 11
+    z, made, _ = _runs(wedges, 2, wi, ki)
+    bad = (made < 2).any() or any(z[r].tobytes() != probe(w, 2)[0].tobytes()
+                                 for r, w in enumerate(wedges))
+    streams, count = _SampleStreams(1), 13  # and numpy's word layout, on 64 runs
+    z, made, word = _runs(streams.words(np.arange(64, dtype=np.uint64), 16), count, wi, ki)
+    for s in np.flatnonzero(made < count).tolist():  # as _Sampler.draws continues them
+        z[s, made[s]:] = streams.at(s, 0, int(word[s])).standard_normal(count - made[s])
+    if bad or any(streams.at(s).standard_normal(count).tobytes() != z[s].tobytes()
+                  for s in range(64)):
+        raise SamplingError(f"numpy {np.__version__} draws normals unlike the arrays")
     return wi, ki
 
 
+def _heights(wi: np.ndarray) -> np.ndarray:
+    """fi: exp(-x^2/2) at each layer's outer edge x = 2^52 wi[idx], and fi[0] = 1."""
+    return np.concatenate([[1.0], np.exp(-0.5 * (wi[1:] * 2.0 ** 52) ** 2)])
+
+
 def _ziggurat(words: np.ndarray, wi: np.ndarray, ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's standard normal of each word on the fast path, and which are."""
+    """numpy's x of each word read as the first of a try, and whether it is
+    on the fast path, where x is the normal the try gives."""
     layer = (words & 0x1FF).astype(np.intp)  # idx and the sign bit
     rabs = (words >> 9) & ((1 << 52) - 1)
     return rabs.astype(np.float64) * np.concatenate([wi, -wi])[layer], rabs < np.tile(ki, 2)[layer]
+
+
+def _runs(words: np.ndarray, count: int, wi: np.ndarray,
+          ki: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's first ``count`` normals from each row of words, as far as
+    the arrays decide them: the normals (S, count), how many each row
+    decides, and the word numpy continues the others from.  A try off the
+    fast path reads the next word as its U, so of adjacent words off it
+    every second is a U word; a row stops at the first try numpy decides:
+    the tail, a near-tie or a try with no next word."""
+    x, fast = _ziggurat(words, wi, ki)
+    width = words.shape[1]
+    flat = np.flatnonzero(~fast)  # in order along each row; 2-d nonzero is slower
+    s, p = np.divmod(flat, width)
+    new = (p == 0) | (np.diff(flat, prepend=-2) != 1)  # no word off it just before
+    tries = (flat - np.maximum.accumulate(np.where(new, flat, 0))) % 2 == 0
+    (rows, s), p = np.unique(s[tries], return_inverse=True), p[tries]
+    idx, fi = (words[rows[s], p] & 0xFF).astype(np.intp), _heights(wi)
+    lhs = (fi[idx - 1] - fi[idx]) * ((words[rows[s], (p + 1) % width] >> 11) * 2.0 ** -53) + fi[idx]
+    rhs = np.exp(-0.5 * x[rows[s], p] * x[rows[s], p])
+    sure = (idx > 0) & (p + 1 < width) & (np.abs(lhs - rhs) > _WEDGE_TIE * rhs)
+    stop = np.full(len(rows), width)
+    np.minimum.at(stop, s[~sure], p[~sure])
+    keep = np.arange(width) < stop[:, None]  # the words that give normals
+    keep[s[sure], p[sure] + 1] = False
+    keep[s[sure & (lhs > rhs)], p[sure & (lhs > rhs)]] = False
+    source = np.argsort(~keep, axis=1, kind="stable")[:, :count]  # the word of each normal
+    x[rows, :count] = x[rows[:, None], source]
+    made, word = np.full((2, len(words)), count)
+    made[rows], word[rows] = np.minimum(keep.sum(axis=1), count), stop
+    return x[:, :count], made, word
 
 
 class _SampleStreams:
@@ -274,8 +339,8 @@ class _SampleStreams:
 
     Draw t of sample i is the Philox sequence with key (seed, 0) and
     starting counter (0, 0, t, i), with 2^130 words of room.  ``at`` resets
-    one reused bit generator to any word of one draw; ``normals`` reads the
-    first words of many samples' draw 0 in arrays.
+    one reused bit generator to any word of one draw; ``normals`` makes the
+    runs of many samples' draw 0 in arrays, as far as they decide them.
     """
 
     def __init__(self, seed: int) -> None:
@@ -307,17 +372,21 @@ class _SampleStreams:
         x, y = _philox(x, y, self._keys)
         return np.stack([x[0], y[0], x[1], y[1]], axis=1).reshape(len(samples), -1)[:, :count]
 
-    def normals(self, samples: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The normals z (S, count) of the first ``count`` words of draw 0
-        of the samples, and which words are on the fast path: z is numpy's
-        normal there."""
+    def normals(self, samples: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first ``count`` normals z (S, count) of draw 0 of the
+        samples as far as the arrays decide them, how many they decide
+        (``made``), and the word numpy continues the others from
+        (``_runs``).  Each run reads whole Philox blocks, _SPARE_WORDS
+        words or more past it."""
         z = np.empty((len(samples), count))
-        fast = np.empty(z.shape, dtype=bool)
-        step = max(1, 4096 // -(-count // 4))  # 4,096 blocks a pass; more leave the cache
+        made, word = np.empty((2, len(samples)), dtype=int)
+        blocks = -(-(count + _SPARE_WORDS) // 4)
+        step = max(1, 4096 // blocks)  # 4,096 blocks a pass; more leave the cache
         for lo in range(0, len(samples), step):
-            z[lo:lo + step], fast[lo:lo + step] = _ziggurat(
-                self.words(samples[lo:lo + step], count), *_ziggurat_tables())
-        return z, fast
+            at = slice(lo, lo + step)
+            z[at], made[at], word[at] = _runs(self.words(samples[at], 4 * blocks), count,
+                                              *_ziggurat_tables())
+        return z, made, word
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +646,16 @@ class _Sampler:
         """Each sample's increments and Gaussian block, made of the first
         standard normals of its draw ``draw``, bit for bit as numpy draws
         them.  Draw 0 computes the runs in arrays, and numpy continues each
-        from its first word off the fast path; numpy draws every later draw
-        from its word 0."""
+        from the first word they leave undecided; numpy draws every later
+        draw from its word 0."""
         count = self.draw.n_words
         width = count + math.prod(self.block)
         if draw:
-            z, first = np.empty((len(samples), width)), np.zeros(len(samples), dtype=int)
+            z, made, word = np.empty((len(samples), width)), *np.zeros((2, len(samples)), int)
         else:
-            z, fast = streams.normals(samples, width)
-            first = np.where(fast.all(axis=1), width, fast.argmin(axis=1))
-        for p in np.flatnonzero(first < width):
-            streams.at(int(samples[p]), draw, int(first[p])).standard_normal(out=z[p, first[p]:])
+            z, made, word = streams.normals(samples, width)
+        for p in np.flatnonzero(made < width):
+            streams.at(int(samples[p]), draw, int(word[p])).standard_normal(out=z[p, made[p]:])
         return self.draw.increments(z), z[:, count:].reshape(len(samples), *self.block)
 
 

@@ -819,6 +819,25 @@ def origin_in_hulls(pts: np.ndarray) -> np.ndarray:
     return inside
 
 
+def axis_max_filtered_signs(pts: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """``geometry._filtered_signs`` with each row's max as numpy's max over
+    the coordinate axis: the replaced reduction."""
+    d = pts.shape[2]
+    _, expo = np.frexp(np.abs(pts).max(axis=2))
+    scaled = np.ldexp(pts, -expo[..., None])
+    est = geometry._minor_estimates(scaled, table)
+    unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)
+    lost = np.ldexp(scaled, expo[..., None]) != pts
+    unsure[lost.any(axis=(1, 2))] = True
+    return np.sign(est).astype(np.int8), unsure
+
+
+def axis_sum_facets(rec) -> np.ndarray:
+    """``geometry._SignRecord.facets`` as numpy's sum over the other-point
+    axis: the replaced reduction."""
+    return np.abs(rec.sides.sum(axis=1, dtype=np.int32)) == rec.sides.shape[1]
+
+
 def row_complement(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Orthonormal columns spanning the orthogonal complement of the row
     span, and the rank of the rows."""

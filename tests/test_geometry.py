@@ -39,6 +39,8 @@ from conic_walks.geometry import (
 
 from oracles import (
     _nnls_projection,
+    axis_max_filtered_signs,
+    axis_sum_facets,
     brute_force_is_face,
     fraction_det,
     fraction_feasible,
@@ -993,6 +995,45 @@ class TestOneSignRecord:
             assert table.facet_others.shape == table.facet_minor.shape == shape
             assert table.facet_parity.shape == shape
         assert geometry._subsets.cache_info().misses - misses <= 6
+
+
+class TestShortAxisReductions:
+    """The filter's row max and the facet test's sum over the other points
+    run column by column; they give what numpy's axis reductions gave."""
+
+    @staticmethod
+    def point_sets():
+        rng = np.random.default_rng(20261020)
+        for n, d in ((1, 1), (6, 1), (3, 2), (6, 4), (9, 3), (1, 3), (2, 4), (3, 4)):
+            pts = rng.standard_normal((64, n, d))
+            yield pts
+            zero = pts.copy()
+            zero[::4, -1] = 0.0  # zero rows
+            yield zero
+            # entries 2^-1074 to 2^1000 apart in a row: scaled down by the
+            # row's max, the small ones lose bits
+            yield pts * np.ldexp(1.0, rng.integers(-1074, 1000, pts.shape))
+
+    def test_filtered_signs_match_the_axis_max(self):
+        lost = 0
+        for pts in self.point_sets():
+            table = geometry._minor_table(*pts.shape[1:])
+            signs, unsure = geometry._filtered_signs(pts, table)
+            want_signs, want_unsure = axis_max_filtered_signs(pts, table)
+            assert signs.tobytes() == want_signs.tobytes()
+            assert unsure.tobytes() == want_unsure.tobytes()
+            _, expo = np.frexp(np.abs(pts).max(axis=2))
+            lost += int((np.ldexp(np.ldexp(pts, -expo[..., None]), expo[..., None]) != pts).sum())
+        assert lost > 0
+
+    def test_facets_match_the_axis_sum(self):
+        shapes = set()
+        for pts in self.point_sets():
+            rec = geometry._SignRecord.of(pts)
+            shapes.add(rec.sides.shape[1])
+            assert rec.facets.shape == axis_sum_facets(rec).shape
+            assert (rec.facets == axis_sum_facets(rec)).all()
+        assert 0 in shapes and max(shapes) > 1  # n < d keeps an empty axis of other points
 
 
 class TestBareiss:

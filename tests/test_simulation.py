@@ -199,6 +199,13 @@ def draws_alone(sampler, streams, samples, draw):
     return steps, gauss
 
 
+def fast_words(streams, samples, count):
+    """Which of the first ``count`` words of draw 0 of samples 0, 1, ...
+    are on numpy's fast path."""
+    words = streams.words(np.arange(samples, dtype=np.uint64), count)
+    return simulation._ziggurat(words, *simulation._ziggurat_tables())[1]
+
+
 def assert_draws_alone(sampler, streams, samples):
     # draw 0 from the arrays, continued by numpy, and a later draw from numpy alone
     for draw in (0, 3):
@@ -267,9 +274,24 @@ class TestBatchedDraws:
             blocks = words(self, samples, 4 * -(-count // 4)).reshape(len(samples), -1, 4)
             return blocks[:, :, ::-1].reshape(len(samples), -1)[:, :count]
 
-        monkeypatch.setattr(_SampleStreams, "words", reversed_blocks)
-        with pytest.raises(SamplingError, match="draws normals unlike the arrays"):
-            simulation._ziggurat_tables.__wrapped__()
+        with monkeypatch.context() as m:
+            m.setattr(_SampleStreams, "words", reversed_blocks)
+            with pytest.raises(SamplingError, match="draws normals unlike the arrays"):
+                simulation._ziggurat_tables.__wrapped__()
+        # a wedge height fi out of place: rows k and k + 1 swapped turn the
+        # wedge test of a layer upside down, and numpy's verdict differs
+        heights = simulation._heights
+        for k in (0, 38, 254):
+            def swapped(wi, k=k):
+                fi = heights(wi)
+                fi[[k, k + 1]] = fi[[k + 1, k]]
+                return fi
+
+            with monkeypatch.context() as m:
+                m.setattr(simulation, "_heights", swapped)
+                with pytest.raises(SamplingError, match="draws normals unlike the arrays"):
+                    simulation._ziggurat_tables.__wrapped__()
+        simulation._ziggurat_tables.__wrapped__()  # the true heights pass
 
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_first_round_matches_numpy_for_every_block_shape(self, family):
@@ -303,7 +325,7 @@ class TestBatchedDraws:
         sampler = simulation._Sampler(query, DistributionSpec(family, 2))
         streams = _SampleStreams(self.KEY)
         count = sampler.draw.n_words + 2
-        fast = streams.normals(np.arange(20_000, dtype=np.uint64), count)[1]
+        fast = fast_words(streams, 20_000, count)
         first = np.where(fast.all(axis=1), count, np.argmin(fast, axis=1))
         index = int(np.flatnonzero(first == where)[0])
         assert_draws_alone(sampler, streams, [index, index + 1, index + 2])
@@ -312,10 +334,106 @@ class TestBatchedDraws:
         query = FunctionalQuery("fk", Model("B", 3, 2), k=1)
         sampler = simulation._Sampler(query, DistributionSpec("heavy_tail_iid", 2))
         streams = _SampleStreams(self.KEY)
-        fast = streams.normals(np.arange(20_000, dtype=np.uint64), sampler.draw.n_words)[1]
+        fast = fast_words(streams, 20_000, sampler.draw.n_words)
         alone = np.flatnonzero((~fast).sum(axis=1) == 1)
         index = int(next(i for i in alone if np.argmin(fast[i]) % 2 == 1))
         assert_draws_alone(sampler, streams, [index])
+
+
+def run_words(width):
+    """The words the arrays read for a run of ``width`` normals: whole
+    Philox blocks, with _SPARE_WORDS or more to spare."""
+    return 4 * -(-(width + simulation._SPARE_WORDS) // 4)
+
+
+def numpy_continues(monkeypatch, sampler, streams, samples):
+    """The samples whose draw 0 numpy continues, one per ``at`` call."""
+    continued = []
+    at = _SampleStreams.at
+
+    def counting(self, index, draw=0, word=0):
+        continued.append(index)
+        return at(self, index, draw, word)
+
+    with monkeypatch.context() as m:
+        m.setattr(_SampleStreams, "at", counting)
+        sampler.draws(streams, np.array(samples, dtype=np.uint64), 0)
+    return continued
+
+
+def off_path_cases(streams, width, samples=20_000):
+    """A sample per way a run of ``width`` normals of draw 0 leaves numpy's
+    fast path, told apart by the words and by how many numpy reads."""
+    words = streams.words(np.arange(samples, dtype=np.uint64), run_words(width))
+    off = ~simulation._ziggurat(words, *simulation._ziggurat_tables())[1]
+    wedge = (words & 0xFF) > 0  # layer 0 is the tail
+
+    def read(i):  # the words numpy reads for the run
+        rng = streams.at(int(i))
+        rng.standard_normal(width)
+        return position(rng)[2]
+
+    p = off.argmax(axis=1)
+    one = np.flatnonzero((off.sum(axis=1) == 1) & (p < width))
+    two = [(i, *np.flatnonzero(off[i])) for i in np.flatnonzero(off.sum(axis=1) == 2)]
+    cases = {
+        # the wedge reads one U word when it accepts, and starts again when it rejects
+        "accepted": next(i for i in one if wedge[i, p[i]] and read(i) == width + 1),
+        "rejected": next(i for i in one if wedge[i, p[i]] and read(i) == width + 2),
+        "tail": next(i for i in one if not wedge[i, p[i]]),
+        "last normal": next(i for i in one
+                            if p[i] == width - 1 and wedge[i, p[i]] and read(i) == width + 1),
+        # the second word off the fast path is the first one's U
+        "adjacent": next(i for i, a, b in two if b == a + 1 < width and wedge[i, a]),
+        # a rejected wedge, so the run's last try is the last word the arrays
+        # read, a wedge whose U they did not read
+        "last word": next(i for i, a, b in two if a < width and b == words.shape[1] - 1
+                          and wedge[i, a] and wedge[i, b] and read(i) > words.shape[1]),
+    }
+    return {case: int(i) for case, i in cases.items()}
+
+
+class TestWedgeWords:
+    # a bridge of 4 steps in d = 2 and a U1 block of 2 words: 10 normals in
+    # 12 words for the Gaussian law
+    QUERY = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
+    KEY = 987654321
+
+    @pytest.mark.parametrize("case, in_arrays", [
+        ("accepted", True), ("rejected", True), ("adjacent", True), ("last normal", True),
+        ("tail", False), ("last word", False),
+    ])
+    def test_runs_match_numpy_through_the_draw_seam(self, case, in_arrays, monkeypatch):
+        sampler = simulation._Sampler(self.QUERY, GAUSS2)
+        streams = _SampleStreams(self.KEY)
+        index = off_path_cases(streams, sampler.draw.n_words + 2)[case]
+        continued = numpy_continues(monkeypatch, sampler, streams, [index])
+        assert continued == ([] if in_arrays else [index])
+        assert_draws_alone(sampler, streams, [index, index + 1])
+
+    def test_near_ties_go_to_numpy(self, monkeypatch):
+        # an infinite bound makes every wedge a near-tie: numpy continues
+        # each run from its first word off the fast path, and the bytes stay
+        sampler = simulation._Sampler(self.QUERY, GAUSS2)
+        streams = _SampleStreams(self.KEY)
+        width = sampler.draw.n_words + 2
+        samples = list(off_path_cases(streams, width).values()) + list(range(1024))
+        off = ~fast_words(streams, 20_000, width)
+        simulation._ziggurat_tables()  # derived and checked with the true bound
+        monkeypatch.setattr(simulation, "_WEDGE_TIE", np.inf)
+        continued = numpy_continues(monkeypatch, sampler, streams, samples)
+        assert continued == [i for i in samples if off[i].any()]
+        assert_draws_alone(sampler, streams, samples)
+
+    def test_numpy_continues_few_runs(self, monkeypatch):
+        # runs of 11 normals (the scaled law, a U1 block); about 17% of them
+        # leave the fast path, and the arrays decide nearly every wedge
+        scaled = DistributionSpec("scaled_gaussian_exchangeable", 2)
+        sampler = simulation._Sampler(self.QUERY, scaled)
+        streams = _SampleStreams(self.KEY)
+        width = sampler.draw.n_words + 2
+        assert (~fast_words(streams, 2048, width)).any(axis=1).mean() > 0.15
+        assert len(numpy_continues(monkeypatch, sampler, streams, range(2048))) < 0.02 * 2048
 
 
 class TestDrawNumbers:
