@@ -26,7 +26,9 @@ walk; :func:`~conic_walks.combinatorics.bridge_roots` and
 :func:`~conic_walks.combinatorics.walk_roots`), the
 second-kind family (``second`` or ``second_B``) and the per-step
 denominator ``base`` (1 or 2).  Every value is a numerator over
-``base**n * n!``, which is the row's value at t = 1.  Most expectations are
+``base**n * n!``, which is the row's value at t = 1; the identity suite of
+:mod:`~conic_walks.verify` checks this for every unconditioned value it
+reads.  Most expectations are
 built from ``bulk(j, x) = sum over i = x-1+s, x-3+s, ... >= 0 of
 row_n[i] * second(i, j+s)`` and the weight ``(j+s)! * base**j``.
 

@@ -5,8 +5,14 @@ against direct polynomial expansion, row sums, the truncated root products
 the closed forms read against the full triangles, signed convolution
 identities, the composition convolutions behind the face probabilities,
 and the web of exact cross-identities tying every expectation formula to
-the others.  The Monte Carlo matrix then samples cones and checks each
-estimate against its exact value at |z| <= 4, per distribution family.
+the others.  The web is stated on integers: every unconditioned value of a
+model must be a numerator over D = n! base^n (n! for a bridge, 2^n n! for a
+walk), which the suite checks, and every conditioned one a numerator over
+the survival probability's numerator; sums and differences compare those
+numerators, and ratios cross-multiply.  The composition convolutions read
+each composition's block product once, whole, and add integer numerators.
+The Monte Carlo matrix then samples cones and checks each estimate against
+its exact value at |z| <= 4, per distribution family.
 
 Reports are plain dicts with deterministic serialization: same seed, same
 bytes, independent of worker count.
@@ -28,8 +34,6 @@ from .combinatorics import (
     StirlingTables,
     binomial,
     bridge_roots,
-    coeff_P,
-    coeff_Q,
     compositions,
     default_tables,
     poly_mul,
@@ -184,8 +188,9 @@ def _check_composition_convolutions(t: StirlingTables, max_n: int) -> None:
     # reads for a walk over all block compositions collapses to a product of
     # the two B families, read from the triangles.  The terms are added as
     # integer numerators over n! 2^n (over n! for bridges), with the
-    # multinomial n! / (prod p! * tail!) as the weight; every q is read off one
-    # composition's product, the highest first so that it is built once.
+    # multinomial n! / (prod p! * tail!) as the weight.  Each composition's
+    # product is read once, to its degree n - m (n - m - 1 for bridges),
+    # under the key coeff_P (coeff_Q) reads it by.
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             acc = [0] * (n - m + 1)
@@ -193,27 +198,24 @@ def _check_composition_convolutions(t: StirlingTables, max_n: int) -> None:
                 for parts in compositions(n - tail, m):
                     weight = (math.factorial(n) // math.prod(map(math.factorial, parts))
                               // math.factorial(tail)) << (n - tail)
-                    for q in reversed(range(n - m + 1)):
-                        acc[q] += weight * coeff_P(n, parts, q, t)
+                    coeffs = t.block_product(parts, (tail,), n - m + 1).coeffs
+                    acc = [a + weight * c for a, c in zip(acc, coeffs)]
             for q, num in enumerate(acc):
-                rhs = Fraction(math.factorial(m) * t.first_b(n, q + m) * t.second_b(q + m, m),
-                               (1 << (n - m)) * math.factorial(n))
-                assert Fraction(num, math.factorial(n) << n) == rhs, \
-                    f"walk composition convolution at (n={n}, m={m}, q={q})"
+                # the right side is m! B1(n, q+m) B2(q+m, m) over 2^(n-m) n!
+                rhs = math.factorial(m) * t.first_b(n, q + m) * t.second_b(q + m, m)
+                assert num == rhs << m, f"walk composition convolution at (n={n}, m={m}, q={q})"
     # pure bridge blocks, the product read for a bridge: same collapse onto
-    # the plain families
+    # the plain families, whose right side is also over n!
     for n in range(2, max_n + 1):
         for m in range(1, n):
             acc = [0] * (n - m)
             for parts in compositions(n, m + 1):
                 weight = math.factorial(n) // math.prod(map(math.factorial, parts))
-                for q in reversed(range(n - m)):
-                    acc[q] += weight * coeff_Q(n, parts[:m], q, t)
+                coeffs = t.block_product(parts, (), n - m).coeffs
+                acc = [a + weight * c for a, c in zip(acc, coeffs)]
             for q, num in enumerate(acc):
-                rhs = Fraction(math.factorial(m + 1) * t.first(n, q + m + 1)
-                               * t.second(q + m + 1, m + 1), math.factorial(n))
-                assert Fraction(num, math.factorial(n)) == rhs, \
-                    f"bridge composition convolution at (n={n}, m={m}, q={q})"
+                rhs = math.factorial(m + 1) * t.first(n, q + m + 1) * t.second(q + m + 1, m + 1)
+                assert num == rhs, f"bridge composition convolution at (n={n}, m={m}, q={q})"
 
 
 def _desk_models(max_n: int, max_d: int) -> list[Model]:
@@ -231,7 +233,6 @@ def _desk_models(max_n: int, max_d: int) -> list[Model]:
 
 
 def _check_formula_identities(t: StirlingTables, max_n: int, max_d: int) -> None:
-    one = Fraction(1)
     # joint hulls specialize to the single-block formulas; checked first and
     # at the largest d first, since they read more coefficients of a block
     # product than the face probabilities below
@@ -249,106 +250,112 @@ def _check_formula_identities(t: StirlingTables, max_n: int, max_d: int) -> None
 
     for model in _desk_models(max_n, max_d):
         d = model.d
-        absorbed = absorption_probability(model, t)
-        survived = nonabsorption_probability(model, t)
-        assert absorbed + survived == one, f"absorption split at {model}"
-        assert 0 <= absorbed <= 1 and 0 <= survived <= 1, f"probability range at {model}"
+        # every unconditioned value is an integer over D = n! base^n, so each
+        # sum and difference below is an integer equation on numerators over D
+        D = math.factorial(model.n) << (0 if model.is_bridge else model.n)
+
+        def num(value: Fraction, den: int = D) -> int:
+            q, r = divmod(den, value.denominator)
+            assert r == 0, f"denominator of {value} does not divide {den} at {model}"
+            return value.numerator * q
+
+        absorbed = num(absorption_probability(model, t))
+        survived = num(nonabsorption_probability(model, t))
+        assert absorbed + survived == D, f"absorption split at {model}"
+        assert 0 <= absorbed <= D and 0 <= survived <= D, f"probability range at {model}"
+        assert survived > 0, f"survival probability at {model}"
+
+        vk = [num(expected_vk(model, k, False, t)) for k in range(d + 1)]
+        fk = [num(expected_fk(model, k, False, t)) for k in range(d)]
+        uk = [num(expected_Uk(model, k, False, t)) for k in range(d + 1)]
+        z = {(j, k): num(expected_Z(model, j, k, False, t))
+             for j in range(d + 1) for k in range(j, d + 1)}
+        # a conditioned value is an integer over the survival numerator, so
+        # the conditioned sums are integer equations on numerators over it
+        vk_c = [num(expected_vk(model, k, True, t), survived) for k in range(d + 1)]
 
         # intrinsic volumes sum to one, conditioned or not
-        assert sum(expected_vk(model, k, False, t) for k in range(d + 1)) == one, \
-            f"intrinsic volume closure at {model}"
-        assert sum(expected_vk(model, k, True, t) for k in range(d + 1)) == one, \
-            f"conditioned intrinsic volume closure at {model}"
+        assert sum(vk) == D, f"intrinsic volume closure at {model}"
+        assert sum(vk_c) == survived, f"conditioned intrinsic volume closure at {model}"
 
         # doubling edge sums gives face counts
         for k in range(1, d):
-            assert 2 * expected_Y(model, k, 0, False, t) == expected_fk(model, k, False, t), \
+            assert 2 * num(expected_Y(model, k, 0, False, t)) == fk[k], \
                 f"edge-sum doubling at {model}, k={k}"
 
         # conic Crofton at expectation level
         for k in range(d + 1):
-            crofton = sum(expected_vk(model, k + j, False, t)
-                          for j in range(1, d - k + 1, 2))
-            assert expected_Uk(model, k, False, t) == crofton, f"crofton at {model}, k={k}"
-            crofton_c = sum(expected_vk(model, k + j, True, t)
-                            for j in range(1, d - k + 1, 2))
-            assert expected_Uk(model, k, True, t) == crofton_c, \
+            assert uk[k] == sum(vk[k + 1::2]), f"crofton at {model}, k={k}"
+            assert num(expected_Uk(model, k, True, t), survived) == sum(vk_c[k + 1::2]), \
                 f"conditioned crofton at {model}, k={k}"
 
-        # conditioned values divide by the survival probability
+        # conditioned values divide by the survival probability: a/b is
+        # x / survived exactly when a * survived == b * x
         for k in range(d):
-            assert expected_fk(model, k, True, t) == expected_fk(model, k, False, t) / survived
-            assert expected_vk(model, k, True, t) == expected_vk(model, k, False, t) / survived
+            fk_c = expected_fk(model, k, True, t)
+            assert fk_c.numerator * survived == fk_c.denominator * fk[k]
+            assert vk_c[k] == vk[k]
+        lam = {k: num(expected_Lambda(model, k, False, t)) for k in range(1, d)}
         for k in range(1, d):
-            assert expected_Lambda(model, k, True, t) == \
-                expected_Lambda(model, k, False, t) / survived
+            lam_c = expected_Lambda(model, k, True, t)
+            assert lam_c.numerator * survived == lam_c.denominator * lam[k]
 
         # total face content is the top-index face sum
         for k in range(1, d):
-            assert expected_Lambda(model, k, False, t) == expected_Y(model, k, k - 1, False, t)
-            assert expected_face_intrinsic_sum(model, k, k, t) == \
-                expected_Lambda(model, k, False, t), f"face content vs intrinsic at {model}"
+            assert lam[k] == num(expected_Y(model, k, k - 1, False, t))
+            assert num(expected_face_intrinsic_sum(model, k, k, t)) == lam[k], \
+                f"face content vs intrinsic at {model}"
 
         # duality: dual face sums against primal face counts and tangent sums
         for m in range(1, d + 1):
+            dual = [num(expected_Y_dual(model, m, l, t)) for l in range(m)]
             for l in range(m):
-                dual = expected_Y_dual(model, m, l, t)
-                primal = (expected_fk(model, d - m, False, t) / 2
-                          - expected_Z(model, d - m, d - l, False, t))
-                assert dual == primal, f"duality at {model}, m={m}, l={l}"
-            assert 2 * expected_Y_dual(model, m, 0, t) == expected_fk(model, d - m, False, t), \
-                f"dual face count at {model}, m={m}"
+                assert 2 * dual[l] == fk[d - m] - 2 * z[d - m, d - l], \
+                    f"duality at {model}, m={m}, l={l}"
+            assert 2 * dual[0] == fk[d - m], f"dual face count at {model}, m={m}"
 
         # crofton inside the face sums
         for m in range(1, d):
             for l in range(m):
-                lhs = sum(expected_face_intrinsic_sum(model, m, l + j, t)
+                lhs = sum(num(expected_face_intrinsic_sum(model, m, l + j, t))
                           for j in range(1, m - l + 1, 2))
-                assert lhs == expected_Y(model, m, l, False, t), \
+                assert lhs == num(expected_Y(model, m, l, False, t)), \
                     f"face-sum crofton at {model}, m={m}, l={l}"
 
         # tangent sums: differencing, top cases, and closure to face counts
         for j in range(d):
-            closure = sum(expected_tangent_intrinsic_sum(model, j, k, t)
-                          for k in range(j, d + 1))
-            assert closure == expected_fk(model, j, False, t), \
-                f"tangent closure at {model}, j={j}"
-            assert expected_tangent_intrinsic_sum(model, j, d, t) == \
-                expected_Z(model, j, d - 1, False, t), f"top tangent sum at {model}, j={j}"
+            tangent = {k: num(expected_tangent_intrinsic_sum(model, j, k, t))
+                       for k in range(j, d + 1)}
+            assert sum(tangent.values()) == fk[j], f"tangent closure at {model}, j={j}"
+            assert tangent[d] == z[j, d - 1], f"top tangent sum at {model}, j={j}"
             if j <= d - 2:
-                assert expected_tangent_intrinsic_sum(model, j, d - 1, t) == \
-                    expected_Z(model, j, d - 2, False, t), \
+                assert tangent[d - 1] == z[j, d - 2], \
                     f"next-to-top tangent sum at {model}, j={j}"
             for k in range(j + 1, d - 1):
-                diff = expected_Z(model, j, k - 1, False, t) - expected_Z(model, j, k + 1, False, t)
-                assert expected_tangent_intrinsic_sum(model, j, k, t) == diff, \
+                assert tangent[k] == z[j, k - 1] - z[j, k + 1], \
                     f"tangent differencing at {model}, j={j}, k={k}"
 
         # tangent sums at the apex against the absorption-corrected quermassintegrals
         for k in range(d + 1):
-            correction = absorbed if (d - k) % 2 == 1 and k < d else Fraction(0)
-            assert expected_Z(model, 0, k, False, t) == \
-                expected_Uk(model, k, False, t) - correction, \
-                f"apex tangent sum at {model}, k={k}"
-            assert expected_Z(model, k, d, False, t) == 0, f"top tangent vanishes at {model}"
+            correction = absorbed if (d - k) % 2 == 1 and k < d else 0
+            assert z[0, k] == uk[k] - correction, f"apex tangent sum at {model}, k={k}"
+            assert z[k, d] == 0, f"top tangent vanishes at {model}"
 
         # subspace intersections against the apex sums
         for k in range(d):
-            assert subspace_intersection_probability(model, k, t) == \
-                2 * expected_Z(model, 0, k, False, t) + absorbed, \
-                f"subspace hit probability at {model}, k={k}"
+            assert num(subspace_intersection_probability(model, k, t)) == \
+                2 * z[0, k] + absorbed, f"subspace hit probability at {model}, k={k}"
 
         # per-tuple face probabilities: complement and aggregation
         gens = model.generator_count
         for k in range(1, d):
-            total = Fraction(0)
+            total = 0
             for idx in itertools.combinations(range(1, gens + 1), k):
-                p_in = face_probability(model, idx, False, t)
-                p_out = face_probability(model, idx, True, t)
-                assert p_in + p_out == one, f"face probability split at {model}, idx={idx}"
+                p_in = num(face_probability(model, idx, False, t))
+                p_out = num(face_probability(model, idx, True, t))
+                assert p_in + p_out == D, f"face probability split at {model}, idx={idx}"
                 total += p_in
-            assert total == expected_fk(model, k, False, t), \
-                f"face probability aggregation at {model}, k={k}"
+            assert total == fk[k], f"face probability aggregation at {model}, k={k}"
 
 
 def _check_distinguished_values(t: StirlingTables) -> None:

@@ -22,7 +22,7 @@ from conic_walks.combinatorics import (
     root_product,
     walk_block_poly,
 )
-from conic_walks import geometry, simulation
+from conic_walks import geometry, simulation, verify
 from conic_walks.errors import DegenerateInputError, DomainError, NumericError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
 from conic_walks.geometry import DEFAULT_TOL, ConeSample, count_k_faces, is_face, is_full_cone
@@ -643,6 +643,135 @@ def per_call_coeff_P(n: int, parts: Sequence[int], r: int) -> int:
 def per_call_coeff_Q(n: int, parts: Sequence[int], r: int) -> int:
     parts, tail = _validated_parts(n, parts, final_bridge=True)
     return _per_call_coefficient(block_roots(parts + (tail,)), r)
+
+
+# ---------------------------------------------------------------------------
+# Fraction identity web
+#
+# The cross-formula identity group as it was before it compared integer
+# numerators over n! base^n: every sum, difference and ratio in Fraction
+# arithmetic.  Moved unchanged, except that it reads the closed forms from
+# verify's namespace, so a closed form patched there reaches both groups.
+
+def fraction_formula_identities(t: StirlingTables, max_n: int, max_d: int) -> None:
+    one = Fraction(1)
+    # joint hulls specialize to the single-block formulas; checked first and
+    # at the largest d first, since they read more coefficients of a block
+    # product than the face probabilities below
+    for d in range(max_d, 0, -1):
+        for n in range(d, max_n + 1):
+            walk = Model(verify.B_WALK, n, d)
+            assert verify.joint_absorption_probability([n], [], d, tables=t) == \
+                verify.absorption_probability(walk, t), f"joint hull of one walk at {walk}"
+        for n in range(d + 1, max_n + 1):
+            bridge = Model(verify.A_BRIDGE, n, d)
+            assert verify.joint_absorption_probability([], [n], d, tables=t) == \
+                verify.absorption_probability(bridge, t), f"joint hull of one bridge at {bridge}"
+    assert verify.joint_absorption_probability([1], [2], 1, tables=t) == Fraction(1, 2)
+    assert verify.joint_absorption_probability([1], [2], 1, complement=True, tables=t) == Fraction(1, 2)
+
+    for model in verify._desk_models(max_n, max_d):
+        d = model.d
+        absorbed = verify.absorption_probability(model, t)
+        survived = verify.nonabsorption_probability(model, t)
+        assert absorbed + survived == one, f"absorption split at {model}"
+        assert 0 <= absorbed <= 1 and 0 <= survived <= 1, f"probability range at {model}"
+
+        # intrinsic volumes sum to one, conditioned or not
+        assert sum(verify.expected_vk(model, k, False, t) for k in range(d + 1)) == one, \
+            f"intrinsic volume closure at {model}"
+        assert sum(verify.expected_vk(model, k, True, t) for k in range(d + 1)) == one, \
+            f"conditioned intrinsic volume closure at {model}"
+
+        # doubling edge sums gives face counts
+        for k in range(1, d):
+            assert 2 * verify.expected_Y(model, k, 0, False, t) == verify.expected_fk(model, k, False, t), \
+                f"edge-sum doubling at {model}, k={k}"
+
+        # conic Crofton at expectation level
+        for k in range(d + 1):
+            crofton = sum(verify.expected_vk(model, k + j, False, t)
+                          for j in range(1, d - k + 1, 2))
+            assert verify.expected_Uk(model, k, False, t) == crofton, f"crofton at {model}, k={k}"
+            crofton_c = sum(verify.expected_vk(model, k + j, True, t)
+                            for j in range(1, d - k + 1, 2))
+            assert verify.expected_Uk(model, k, True, t) == crofton_c, \
+                f"conditioned crofton at {model}, k={k}"
+
+        # conditioned values divide by the survival probability
+        for k in range(d):
+            assert verify.expected_fk(model, k, True, t) == verify.expected_fk(model, k, False, t) / survived
+            assert verify.expected_vk(model, k, True, t) == verify.expected_vk(model, k, False, t) / survived
+        for k in range(1, d):
+            assert verify.expected_Lambda(model, k, True, t) == \
+                verify.expected_Lambda(model, k, False, t) / survived
+
+        # total face content is the top-index face sum
+        for k in range(1, d):
+            assert verify.expected_Lambda(model, k, False, t) == verify.expected_Y(model, k, k - 1, False, t)
+            assert verify.expected_face_intrinsic_sum(model, k, k, t) == \
+                verify.expected_Lambda(model, k, False, t), f"face content vs intrinsic at {model}"
+
+        # duality: dual face sums against primal face counts and tangent sums
+        for m in range(1, d + 1):
+            for l in range(m):
+                dual = verify.expected_Y_dual(model, m, l, t)
+                primal = (verify.expected_fk(model, d - m, False, t) / 2
+                          - verify.expected_Z(model, d - m, d - l, False, t))
+                assert dual == primal, f"duality at {model}, m={m}, l={l}"
+            assert 2 * verify.expected_Y_dual(model, m, 0, t) == verify.expected_fk(model, d - m, False, t), \
+                f"dual face count at {model}, m={m}"
+
+        # crofton inside the face sums
+        for m in range(1, d):
+            for l in range(m):
+                lhs = sum(verify.expected_face_intrinsic_sum(model, m, l + j, t)
+                          for j in range(1, m - l + 1, 2))
+                assert lhs == verify.expected_Y(model, m, l, False, t), \
+                    f"face-sum crofton at {model}, m={m}, l={l}"
+
+        # tangent sums: differencing, top cases, and closure to face counts
+        for j in range(d):
+            closure = sum(verify.expected_tangent_intrinsic_sum(model, j, k, t)
+                          for k in range(j, d + 1))
+            assert closure == verify.expected_fk(model, j, False, t), \
+                f"tangent closure at {model}, j={j}"
+            assert verify.expected_tangent_intrinsic_sum(model, j, d, t) == \
+                verify.expected_Z(model, j, d - 1, False, t), f"top tangent sum at {model}, j={j}"
+            if j <= d - 2:
+                assert verify.expected_tangent_intrinsic_sum(model, j, d - 1, t) == \
+                    verify.expected_Z(model, j, d - 2, False, t), \
+                    f"next-to-top tangent sum at {model}, j={j}"
+            for k in range(j + 1, d - 1):
+                diff = verify.expected_Z(model, j, k - 1, False, t) - verify.expected_Z(model, j, k + 1, False, t)
+                assert verify.expected_tangent_intrinsic_sum(model, j, k, t) == diff, \
+                    f"tangent differencing at {model}, j={j}, k={k}"
+
+        # tangent sums at the apex against the absorption-corrected quermassintegrals
+        for k in range(d + 1):
+            correction = absorbed if (d - k) % 2 == 1 and k < d else Fraction(0)
+            assert verify.expected_Z(model, 0, k, False, t) == \
+                verify.expected_Uk(model, k, False, t) - correction, \
+                f"apex tangent sum at {model}, k={k}"
+            assert verify.expected_Z(model, k, d, False, t) == 0, f"top tangent vanishes at {model}"
+
+        # subspace intersections against the apex sums
+        for k in range(d):
+            assert verify.subspace_intersection_probability(model, k, t) == \
+                2 * verify.expected_Z(model, 0, k, False, t) + absorbed, \
+                f"subspace hit probability at {model}, k={k}"
+
+        # per-tuple face probabilities: complement and aggregation
+        gens = model.generator_count
+        for k in range(1, d):
+            total = Fraction(0)
+            for idx in itertools.combinations(range(1, gens + 1), k):
+                p_in = verify.face_probability(model, idx, False, t)
+                p_out = verify.face_probability(model, idx, True, t)
+                assert p_in + p_out == one, f"face probability split at {model}, idx={idx}"
+                total += p_in
+            assert total == verify.expected_fk(model, k, False, t), \
+                f"face probability aggregation at {model}, k={k}"
 
 
 # ---------------------------------------------------------------------------

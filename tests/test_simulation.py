@@ -3,11 +3,12 @@
 import io
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conic_walks import combinatorics, geometry, simulation
+from conic_walks import combinatorics, geometry, simulation, verify
 from conic_walks.combinatorics import StirlingTables
 from conic_walks.cli import EXIT_NUMERIC, EXIT_USAGE, main
 from conic_walks.errors import DomainError, SamplingError
@@ -648,6 +649,82 @@ class TestVerifySuite:
         exact = result["exact"]
         assert len(exact["den"]) > 4300
         assert exact["num"].isdigit() and exact["den"].isdigit()
+
+
+def denominator(model):
+    """n! base^n, the denominator every unconditioned value of the model divides."""
+    return math.factorial(model.n) << (0 if model.is_bridge else model.n)
+
+
+def poke(monkeypatch, name, model, key, offset):
+    """Patch the closed form ``name`` in verify's namespace: its value at
+    ``model`` with the next positional arguments ``key`` moves by ``offset``."""
+    real = getattr(verify, name)
+
+    def poked(*args):
+        value = real(*args)
+        if args[0] == model and args[1:1 + len(key)] == key:
+            value += offset
+        return value
+
+    monkeypatch.setattr(verify, name, poked)
+
+
+def identity_verdicts(tables):
+    """The verdicts of the integer-numerator group and of the Fraction oracle,
+    each on its own tables from ``tables()``."""
+    new = verify._check("new", lambda: verify._check_formula_identities(tables(), 10, 5))
+    old = verify._check("oracle", lambda: oracles.fraction_formula_identities(tables(), 10, 5))
+    return new.status, old.status
+
+
+A63, B42 = Model("A", 6, 3), Model("B", 4, 2)
+ONE_OFF = {
+    "vk closure": [("expected_vk", A63, (1, False), 1)],
+    "Uk crofton": [("expected_Uk", B42, (1, False), 1)],
+    "fk conditioned ratio": [("expected_fk", A63, (2, True), 1)],
+    "Y_dual duality": [("expected_Y_dual", A63, (2, 1), -1)],
+    "face split": [("face_probability", B42, ((2,), False), 1)],
+    "face aggregation": [("face_probability", A63, ((1, 4), False), 1),
+                         ("face_probability", A63, ((1, 4), True), -1)],
+}
+
+
+class TestIntegerIdentityWeb:
+    def test_fresh_and_corrupted_tables_get_the_oracle_verdict(self):
+        assert identity_verdicts(StirlingTables) == ("pass", "pass")
+        assert identity_verdicts(corrupted_tables) == ("fail", "fail")
+
+    @pytest.mark.parametrize("case", sorted(ONE_OFF))
+    def test_a_value_off_by_one_over_the_denominator_fails_both(self, monkeypatch, case):
+        for name, model, key, sign in ONE_OFF[case]:
+            poke(monkeypatch, name, model, key, Fraction(sign, denominator(model)))
+        assert identity_verdicts(StirlingTables) == ("fail", "fail")
+
+    def test_a_value_off_the_denominator_is_named(self, monkeypatch):
+        poke(monkeypatch, "expected_vk", A63, (1, False), Fraction(1, 2 * denominator(A63)))
+        failed = {c.name: c.detail for c in identity_checks(tables=StirlingTables())
+                  if c.status == "fail"}
+        assert list(failed) == ["cross-formula identities"]
+        assert failed["cross-formula identities"].startswith("denominator of ")
+        assert f"does not divide {denominator(A63)} at {A63}" in failed["cross-formula identities"]
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        # both groups leave only the closed forms' own divisions
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name,
+                                lambda a, b, real=real: calls.append(a) or real(a, b))
+        t = StirlingTables()
+        verify._check_composition_convolutions(t, 8)
+        verify._check_formula_identities(t, 10, 5)
+        new = len(calls)
+        oracles.fraction_formula_identities(StirlingTables(), 10, 5)
+        monkeypatch.undo()
+        assert new == 0
+        # the oracle's additions show that the counter sees Fraction arithmetic
+        assert len(calls) > 8000
 
 
 def replace_draws(monkeypatch, replace, block=lambda i, t, gauss: gauss):
