@@ -16,8 +16,8 @@ Every law is a fixed transform of i.i.d. standard normals, so a sample's
 draw is one run of them: its increments' normals, then its Gaussian
 block.  Every draw 0 of a batch is computed in arrays, bit for bit as
 numpy's Generator draws it, wedge words of the ziggurat included; numpy
-continues a run from its first tail word, near-tie or try past the words
-the arrays read, and makes every later draw.
+redraws from word 0 every run the arrays leave undecided (a tail word, a
+near-tie or a try past the words they read), and makes every later draw.
 ``sample_walk`` and ``sample_bridge`` draw consecutively from the
 caller's generator instead.
 """
@@ -277,15 +277,13 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     wedges = np.full((510, 4), 2 | 1 << 9, dtype=np.uint64)
     wedges[:, 0] = np.tile(np.arange(1, 256, dtype=np.uint64) | rabs << 9, 2)
     wedges[:, 1] = (np.concatenate([tie / 2, (1 + tie) / 2]) * 2.0 ** 53).astype(np.uint64) << 11
-    z, made, _ = _runs(wedges, 2, wi, ki)
-    bad = (made < 2).any() or any(z[r].tobytes() != probe(w, 2)[0].tobytes()
-                                 for r, w in enumerate(wedges))
+    z, done = _runs(wedges, 2, wi, ki)
+    bad = not done.all() or any(z[r].tobytes() != probe(w, 2)[0].tobytes()
+                                for r, w in enumerate(wedges))
     streams, count = _SampleStreams(1), 13  # and numpy's word layout, on 64 runs
-    z, made, word = _runs(streams.words(np.arange(64, dtype=np.uint64), 16), count, wi, ki)
-    for s in np.flatnonzero(made < count).tolist():  # as _Sampler.draws continues them
-        z[s, made[s]:] = streams.at(s, 0, int(word[s])).standard_normal(count - made[s])
+    z, done = _runs(streams.words(np.arange(64, dtype=np.uint64), 16), count, wi, ki)
     if bad or any(streams.at(s).standard_normal(count).tobytes() != z[s].tobytes()
-                  for s in range(64)):
+                  for s in np.flatnonzero(done).tolist()):
         raise SamplingError(f"numpy {np.__version__} draws normals unlike the arrays")
     return wi, ki
 
@@ -304,13 +302,13 @@ def _ziggurat(words: np.ndarray, wi: np.ndarray, ki: np.ndarray) -> tuple[np.nda
 
 
 def _runs(words: np.ndarray, count: int, wi: np.ndarray,
-          ki: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """numpy's first ``count`` normals from each row of words, as far as
-    the arrays decide them: the normals (S, count), how many each row
-    decides, and the word numpy continues the others from.  A try off the
-    fast path reads the next word as its U, so of adjacent words off it
-    every second is a U word; a row stops at the first try numpy decides:
-    the tail, a near-tie or a try with no next word."""
+          ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's first ``count`` normals from each row of words (S, count),
+    and whether the arrays decide all of a row's normals; the values of
+    the other rows are not numpy's.  A try off the fast path reads the
+    next word as its U, so of adjacent words off it every second is a U
+    word; a row stops at the first try only numpy decides: the tail, a
+    near-tie or a try with no next word."""
     x, fast = _ziggurat(words, wi, ki)
     width = words.shape[1]
     flat = np.flatnonzero(~fast)  # in order along each row; 2-d nonzero is slower
@@ -329,9 +327,9 @@ def _runs(words: np.ndarray, count: int, wi: np.ndarray,
     keep[s[sure & (lhs > rhs)], p[sure & (lhs > rhs)]] = False
     source = np.argsort(~keep, axis=1, kind="stable")[:, :count]  # the word of each normal
     x[rows, :count] = x[rows[:, None], source]
-    made, word = np.full((2, len(words)), count)
-    made[rows], word[rows] = np.minimum(keep.sum(axis=1), count), stop
-    return x[:, :count], made, word
+    done = np.ones(len(words), dtype=bool)
+    done[rows] = keep.sum(axis=1) >= count
+    return x[:, :count], done
 
 
 class _SampleStreams:
@@ -339,8 +337,9 @@ class _SampleStreams:
 
     Draw t of sample i is the Philox sequence with key (seed, 0) and
     starting counter (0, 0, t, i), with 2^130 words of room.  ``at`` resets
-    one reused bit generator to any word of one draw; ``normals`` makes the
-    runs of many samples' draw 0 in arrays, as far as they decide them.
+    one reused bit generator to the first word of one draw; ``normals``
+    makes one draw of many samples, in arrays where it can and through
+    ``at`` where it cannot.
     """
 
     def __init__(self, seed: int) -> None:
@@ -352,13 +351,11 @@ class _SampleStreams:
         self._state = self._bg.state  # a copy; setting it copies it back
         self._state["buffer_pos"] = 4  # mark the output buffer as drained
 
-    def at(self, index: int, draw: int = 0, word: int = 0) -> np.random.Generator:
-        """numpy's generator on draw ``draw`` of sample ``index``, before its
-        word ``word``."""
-        self._state["state"]["counter"][:] = (word // 4, 0, draw, index & _MASK64)
+    def at(self, index: int, draw: int = 0) -> np.random.Generator:
+        """numpy's generator at the first word of draw ``draw`` of sample
+        ``index``."""
+        self._state["state"]["counter"][:] = (0, 0, draw, index & _MASK64)
         self._bg.state = self._state
-        if word % 4:
-            self._bg.random_raw(word % 4)
         return self._gen
 
     def words(self, samples: np.ndarray, count: int) -> np.ndarray:
@@ -372,21 +369,25 @@ class _SampleStreams:
         x, y = _philox(x, y, self._keys)
         return np.stack([x[0], y[0], x[1], y[1]], axis=1).reshape(len(samples), -1)[:, :count]
 
-    def normals(self, samples: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first ``count`` normals z (S, count) of draw 0 of the
-        samples as far as the arrays decide them, how many they decide
-        (``made``), and the word numpy continues the others from
-        (``_runs``).  Each run reads whole Philox blocks, _SPARE_WORDS
-        words or more past it."""
+    def normals(self, samples: np.ndarray, count: int, draw: int) -> np.ndarray:
+        """The first ``count`` normals (S, count) of draw ``draw`` of the
+        samples, bit for bit as numpy draws them.  The arrays decide whole
+        runs of draw 0, each from whole Philox blocks with _SPARE_WORDS
+        words or more past it, and numpy redraws every other run from its
+        first word.  Later draws stay off the arrays: their rounds are
+        small, and an array call's fixed cost is that of 50 to 100 numpy runs."""
         z = np.empty((len(samples), count))
-        made, word = np.empty((2, len(samples)), dtype=int)
-        blocks = -(-(count + _SPARE_WORDS) // 4)
-        step = max(1, 4096 // blocks)  # 4,096 blocks a pass; more leave the cache
-        for lo in range(0, len(samples), step):
-            at = slice(lo, lo + step)
-            z[at], made[at], word[at] = _runs(self.words(samples[at], 4 * blocks), count,
-                                              *_ziggurat_tables())
-        return z, made, word
+        done = np.zeros(len(samples), dtype=bool)
+        if draw == 0:
+            blocks = -(-(count + _SPARE_WORDS) // 4)
+            step = max(1, 4096 // blocks)  # 4,096 blocks a pass; more leave the cache
+            for lo in range(0, len(samples), step):
+                at = slice(lo, lo + step)
+                z[at], done[at] = _runs(self.words(samples[at], 4 * blocks), count,
+                                        *_ziggurat_tables())
+        for p in np.flatnonzero(~done):
+            self.at(int(samples[p]), draw).standard_normal(out=z[p])
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -645,17 +646,9 @@ class _Sampler:
               draw: int) -> tuple[np.ndarray, np.ndarray]:
         """Each sample's increments and Gaussian block, made of the first
         standard normals of its draw ``draw``, bit for bit as numpy draws
-        them.  Draw 0 computes the runs in arrays, and numpy continues each
-        from the first word they leave undecided; numpy draws every later
-        draw from its word 0."""
+        them (``_SampleStreams.normals``)."""
         count = self.draw.n_words
-        width = count + math.prod(self.block)
-        if draw:
-            z, made, word = np.empty((len(samples), width)), *np.zeros((2, len(samples)), int)
-        else:
-            z, made, word = streams.normals(samples, width)
-        for p in np.flatnonzero(made < width):
-            streams.at(int(samples[p]), draw, int(word[p])).standard_normal(out=z[p, made[p]:])
+        z = streams.normals(samples, count + math.prod(self.block), draw)
         return self.draw.increments(z), z[:, count:].reshape(len(samples), *self.block)
 
 

@@ -164,12 +164,13 @@ class TestSampleStreams:
     def test_streams_match_fresh_construction(self):
         streams = _SampleStreams(99)
         for idx in (0, 1, 17, 54321):
-            expected = np.random.Generator(
-                np.random.Philox(key=np.array([99, 0], dtype=np.uint64),
-                                 counter=np.array([0, 0, 0, idx], dtype=np.uint64))
-            ).standard_normal(6)
-            got = streams.at(idx).standard_normal(6)
-            assert np.array_equal(expected, got)
+            for draw in (0, 1, 2 ** 64 - 1):
+                expected = np.random.Generator(
+                    np.random.Philox(key=np.array([99, 0], dtype=np.uint64),
+                                     counter=np.array([0, 0, draw, idx], dtype=np.uint64))
+                ).standard_normal(6)
+                got = streams.at(idx, draw).standard_normal(6)
+                assert np.array_equal(expected, got), (idx, draw)
 
     def test_streams_are_disjoint(self):
         streams = _SampleStreams(5)
@@ -208,7 +209,7 @@ def fast_words(streams, samples, count):
 
 
 def assert_draws_alone(sampler, streams, samples):
-    # draw 0 from the arrays, continued by numpy, and a later draw from numpy alone
+    # draw 0 from the arrays and numpy, and a later draw from numpy alone
     for draw in (0, 3):
         steps, gauss = sampler.draws(streams, np.array(samples, dtype=np.uint64), draw)
         want_steps, want_gauss = draws_alone(sampler, streams, samples, draw)
@@ -222,9 +223,9 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("index", [0, 1, 2 ** 63, 2 ** 64 - 1])
     def test_philox_words_match_numpy(self, index):
-        # 13 words span four blocks, so every word offset mod 4 meets a
-        # block boundary; at(i, t, w) positions numpy at each of them, on
-        # draw 0, which the arrays read too, and on later draws
+        # 13 words span four blocks; the arrays read draw 0 from its first
+        # word, and at(i, t) positions numpy at the first word of draw 0
+        # and of later draws
         streams = _SampleStreams(self.KEY)
         for draw in (0, 1, 2 ** 64 - 1):
             want = np.random.Philox(key=np.array([self.KEY, 0], dtype=np.uint64),
@@ -233,10 +234,9 @@ class TestBatchedDraws:
             if draw == 0:
                 assert np.array_equal(streams.words(np.array([index], dtype=np.uint64), 13)[0],
                                       want)
-            for word in range(9):
-                rng = streams.at(index, draw, word)
-                assert position(rng) == (index, draw, word)
-                assert np.array_equal(rng.bit_generator.random_raw(4), want[word:word + 4])
+            rng = streams.at(index, draw)
+            assert position(rng) == (index, draw, 0)
+            assert np.array_equal(rng.bit_generator.random_raw(13), want)
 
     def test_tables_match_a_full_bisection_of_numpy(self):
         # numpy reads the words (w, 1, 0, 0) of its output buffer next; rabs
@@ -347,19 +347,21 @@ def run_words(width):
     return 4 * -(-(width + simulation._SPARE_WORDS) // 4)
 
 
-def numpy_continues(monkeypatch, sampler, streams, samples):
-    """The samples whose draw 0 numpy continues, one per ``at`` call."""
-    continued = []
+def numpy_redraws(monkeypatch, sampler, streams, samples, draw=0):
+    """Where each generator that draw ``draw`` of the samples takes from
+    ``at`` stands, as ``position`` reads it: one per run numpy draws."""
+    stands = []
     at = _SampleStreams.at
 
-    def counting(self, index, draw=0, word=0):
-        continued.append(index)
-        return at(self, index, draw, word)
+    def recording(self, *args):
+        rng = at(self, *args)
+        stands.append(position(rng))
+        return rng
 
     with monkeypatch.context() as m:
-        m.setattr(_SampleStreams, "at", counting)
-        sampler.draws(streams, np.array(samples, dtype=np.uint64), 0)
-    return continued
+        m.setattr(_SampleStreams, "at", recording)
+        sampler.draws(streams, np.array(samples, dtype=np.uint64), draw)
+    return stands
 
 
 def off_path_cases(streams, width, samples=20_000):
@@ -408,13 +410,13 @@ class TestWedgeWords:
         sampler = simulation._Sampler(self.QUERY, GAUSS2)
         streams = _SampleStreams(self.KEY)
         index = off_path_cases(streams, sampler.draw.n_words + 2)[case]
-        continued = numpy_continues(monkeypatch, sampler, streams, [index])
-        assert continued == ([] if in_arrays else [index])
+        redrawn = numpy_redraws(monkeypatch, sampler, streams, [index])
+        assert [i for i, _, _ in redrawn] == ([] if in_arrays else [index])
         assert_draws_alone(sampler, streams, [index, index + 1])
 
     def test_near_ties_go_to_numpy(self, monkeypatch):
-        # an infinite bound makes every wedge a near-tie: numpy continues
-        # each run from its first word off the fast path, and the bytes stay
+        # an infinite bound makes every wedge a near-tie: numpy redraws
+        # each run with a word off the fast path, and the bytes stay
         sampler = simulation._Sampler(self.QUERY, GAUSS2)
         streams = _SampleStreams(self.KEY)
         width = sampler.draw.n_words + 2
@@ -422,8 +424,8 @@ class TestWedgeWords:
         off = ~fast_words(streams, 20_000, width)
         simulation._ziggurat_tables()  # derived and checked with the true bound
         monkeypatch.setattr(simulation, "_WEDGE_TIE", np.inf)
-        continued = numpy_continues(monkeypatch, sampler, streams, samples)
-        assert continued == [i for i in samples if off[i].any()]
+        redrawn = numpy_redraws(monkeypatch, sampler, streams, samples)
+        assert [i for i, _, _ in redrawn] == [i for i in samples if off[i].any()]
         assert_draws_alone(sampler, streams, samples)
 
     def test_numpy_continues_few_runs(self, monkeypatch):
@@ -434,7 +436,23 @@ class TestWedgeWords:
         streams = _SampleStreams(self.KEY)
         width = sampler.draw.n_words + 2
         assert (~fast_words(streams, 2048, width)).any(axis=1).mean() > 0.15
-        assert len(numpy_continues(monkeypatch, sampler, streams, range(2048))) < 0.02 * 2048
+        assert len(numpy_redraws(monkeypatch, sampler, streams, range(2048))) < 0.02 * 2048
+
+    def test_numpy_redraws_runs_from_their_first_word(self, monkeypatch):
+        # a tail word, a wedge on the last word read, and under an infinite
+        # bound every wedge as a near-tie: each generator the draw seam
+        # takes from at() stands at word 0 of its draw
+        sampler = simulation._Sampler(self.QUERY, GAUSS2)
+        streams = _SampleStreams(self.KEY)
+        cases = off_path_cases(streams, sampler.draw.n_words + 2)
+        undecided = [cases["tail"], cases["last word"]]
+        got = numpy_redraws(monkeypatch, sampler, streams, undecided)
+        assert got == [(i, 0, 0) for i in undecided]
+        monkeypatch.setattr(simulation, "_WEDGE_TIE", np.inf)
+        samples = list(cases.values())
+        for draw in (0, 3):
+            got = numpy_redraws(monkeypatch, sampler, streams, samples, draw)
+            assert got == [(i, draw, 0) for i in samples]
 
 
 class TestDrawNumbers:
@@ -678,7 +696,7 @@ def identity_verdicts(tables):
     return new.status, old.status
 
 
-A63, B42 = Model("A", 6, 3), Model("B", 4, 2)
+A63, B42, B53 = Model("A", 6, 3), Model("B", 4, 2), Model("B", 5, 3)
 ONE_OFF = {
     "vk closure": [("expected_vk", A63, (1, False), 1)],
     "Uk crofton": [("expected_Uk", B42, (1, False), 1)],
@@ -687,6 +705,8 @@ ONE_OFF = {
     "face split": [("face_probability", B42, ((2,), False), 1)],
     "face aggregation": [("face_probability", A63, ((1, 4), False), 1),
                          ("face_probability", A63, ((1, 4), True), -1)],
+    # duality at l = 0 holds, 2 Y_dual(2, 0) = f_1 - 2 Z_(1,3); only Z_(k,d) = 0 sees it
+    "top tangent": [("expected_Z", B53, (1, 3), 1), ("expected_Y_dual", B53, (2, 0), -1)],
 }
 
 
@@ -864,7 +884,7 @@ class TestConditionedFullConeTest:
         # measurement reads the rounds' verdicts, so it never tests an
         # accepted cone again; every draw comes through the seam once, also
         # for a sample whose first increments leave numpy's fast path and
-        # numpy continues its run in round 1
+        # numpy redraws its run in round 1
         decided = []
         full_cones = geometry._full_cones
 
@@ -1066,6 +1086,14 @@ class TestCroftonOnFixedCones:
                 assert abs(error) <= 4 * se if se > 0 else abs(error) < 1e-12, (name, k)
 
 
+def at_word(streams, index, draw, word):
+    """numpy's generator on draw ``draw`` of sample ``index``, before its
+    word ``word``."""
+    rng = streams.at(index, draw)
+    rng.bit_generator.random_raw(word)
+    return rng
+
+
 @pytest.mark.slow
 class TestFaceLoopOracle:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
@@ -1091,7 +1119,7 @@ class TestFaceLoopOracle:
                                    else simulation._Sampler(q, dist))
                         got, _ = sampler.values(streams, range(samples))
                         for cone, (i, t, word) in drawn:  # after the accepted increments
-                            rng = streams.at(i, t, word)
+                            rng = at_word(streams, i, t, word)
                             want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
                             assert got[i] == want, (family, q, i)
 
