@@ -6,19 +6,19 @@ Cauchy increments (no mean), and Gaussians multiplied by one shared
 standard log-normal scale (dependent but still exchangeable with symmetric
 signs).
 
-Estimates are reproducible by construction: draw t of sample ``i`` (t = 0
-first, then 1, 2, ... each time the sample draws again) is the Philox
-stream with key ``seed`` and counter (0, 0, t, i), read from its first
-word, so results do not depend on worker count or scheduling, and chunk
-partial sums are reduced in fixed chunk order.
+Estimates are reproducible by construction.  Samples are decided in
+chunks of at most _CHUNK, and draw 0 of the chunk that starts at sample s
+is numpy's Generator over the Philox stream with key ``seed`` and counter
+(0, 0, 0, s), read in C order, one run of standard normals per sample.
+Draw t >= 1 of sample ``i`` (1, 2, ... each time the sample draws again)
+is the stream with counter (0, 0, t, i), read from its first word.  So
+results depend on the seed, _CHUNK and the sample index, not on worker
+count, batch size or scheduling, and chunk partial sums are reduced in
+fixed chunk order.
 
 Every law is a fixed transform of i.i.d. standard normals, so a sample's
 draw is one run of them: its increments' normals, then its Gaussian
-block.  Every draw 0 of a batch is computed in arrays, bit for bit as
-numpy's Generator draws it, wedge words of the ziggurat included; numpy
-redraws from word 0 every run the arrays leave undecided (a tail word, a
-near-tie or a try past the words they read), and makes every later draw.
-``sample_walk`` and ``sample_bridge`` draw consecutively from the
+block.  ``sample_walk`` and ``sample_bridge`` draw consecutively from the
 caller's generator instead.
 """
 
@@ -47,7 +47,6 @@ from .geometry import ConeSample
 FAMILIES = ("gaussian_iid", "heavy_tail_iid", "scaled_gaussian_exchangeable")
 
 _MASK64 = (1 << 64) - 1
-_LO32 = 0xFFFFFFFF
 _CHUNK = 2048
 _MAX_DRAW_RETRIES = 128
 _MAX_CONDITION_RETRIES = 200_000
@@ -153,15 +152,21 @@ class _Draw:
         A walk block keeps all its partial sums.  A bridge block first
         recentres its increments by their mean, which preserves
         exchangeability and forces its last partial sum to vanish, and keeps
-        the others.
+        the others.  The mean adds the n increments in order, a third of
+        the time of numpy's mean over the short axis.
         """
         parts = []
         at = 0
         for n, bridge in self.blocks:
             x = steps[:, at:at + n]
             at += n
-            parts.append(np.cumsum(x - x.mean(axis=1, keepdims=True), axis=1)[:, :-1] if bridge
-                         else np.cumsum(x, axis=1))
+            if not bridge:
+                parts.append(np.cumsum(x, axis=1))
+                continue
+            total = x[:, 0].copy()
+            for k in range(1, n):
+                total += x[:, k]
+            parts.append(np.cumsum(x - (total / n)[:, None], axis=1)[:, :-1])
         gens = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         if not np.isfinite(gens).all():
             raise DomainError("generators must be finite")
@@ -196,197 +201,48 @@ def sample_bridge(dist: DistributionSpec, n: int, rng: np.random.Generator) -> C
 
 
 # ---------------------------------------------------------------------------
-# per-sample random streams
-
-
-# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): the multipliers of
-# counter words 0 and 2, and the Weyl steps of the key words
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-
-
-def _philox(x: np.ndarray, y: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Philox4x64-10 of the counters with words 0, 2 in x (2, N) and 1, 3
-    in y (2, N), which it overwrites; the blocks come back split alike."""
-    m = np.repeat(_PHILOX_M, x.shape[1], axis=1)  # full rows: equal shapes skip the broadcast
-    m_lo, m_hi = m & _LO32, m >> 32
-    x0, x1, t, u = (np.empty_like(x) for _ in range(4))  # every ufunc writes into one of them
-    for k in keys:  # x1 becomes the high words of x * m, from 32-bit halves
-        np.bitwise_and(x, _LO32, out=x0)
-        np.right_shift(x, 32, out=x1)
-        np.multiply(x0, m_lo, out=t)
-        t >>= 32
-        t += np.multiply(x1, m_lo, out=u)  # x1 m_lo + (x0 m_lo >> 32)
-        x0 *= m_hi
-        x0 += np.bitwise_and(t, _LO32, out=u)
-        x0 >>= 32
-        x1 *= m_hi
-        t >>= 32
-        x1 += t
-        x1 += x0
-        x *= m
-        y ^= x1[::-1]
-        y ^= k
-        x, y = y, x[::-1]
-    return x, y
-
-
-# Words read past a draw-0 run for wedges' U words; 4 cost more than they saved.
-_SPARE_WORDS = 2
-# The share of exp(-x^2/2) by which the two sides of a wedge test must differ
-# to be decided in arrays: many times the error of np.exp, which need not be
-# libm's exp as numpy's C code calls it, and of fi, one ulp off at layer 38.
-_WEDGE_TIE = 2.0 ** -44
-
-
-@functools.cache
-def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's 256-layer ziggurat (Marsaglia & Tsang, JSS 2000), unexported:
-    a word with idx = bits 0-7, sign = bit 8 and rabs = bits 9-60 gives x =
-    +-rabs * wi[idx], reading no other word, iff rabs < ki[idx].  Off that
-    fast path, layer 0 is the tail, and another reads the next word's top
-    53 bits as U and accepts x iff (fi[idx-1] - fi[idx]) U + fi[idx] <
-    exp(-x^2/2), with fi from ``_heights``.  numpy gives wi and ki from its
-    buffer set to (word, 1, 0, 0): at rabs = 1 the wedge test too accepts
-    x = wi[idx], and the next word shows if it took the fast path."""
-    bg = np.random.Philox(key=0)
-    gen, state = np.random.Generator(bg), bg.state
-    buffer = state["buffer"]
-
-    def probe(words, count=1):  # numpy's first normals from these 4 words, and its next word
-        buffer[:], state["buffer_pos"] = words, 0
-        bg.state = state
-        return gen.standard_normal(count), bg.random_raw()
-
-    wi, ki = np.array([probe((i | 1 << 9, 1, 0, 0))[0][0] for i in range(256)]), []
-    for i, (w_prev, w) in enumerate(zip(np.roll(wi, 1).tolist(), wi.tolist())):
-        (a, b), (c, e) = w_prev.as_integer_ratio(), w.as_integer_ratio()
-        g = (a * e << 52) // (b * c)  # 2^52 wi[idx - 1] / wi[idx]: ki is near, then bisect
-        lo, hi, tries = -1, 1 << 52, iter((g, g + 1, g - 1, 0))  # rabs lo fast, hi not
-        while hi - lo > 1:
-            r = next(tries, (lo + hi) // 2)
-            if lo < r < hi:
-                lo, hi = (r, hi) if probe((i | r << 9, 1, 0, 0))[1] == 1 else (lo, r)
-        ki.append(hi)
-    ki = np.array(ki, dtype=np.uint64)
-    wi.flags.writeable = ki.flags.writeable = False  # cached, so shared by every caller
-    # per layer > 0, a word in mid-wedge that its U accepts, and one that
-    # its U rejects; fast words follow (layer 2, rabs 1)
-    fi, rabs = _heights(wi), (ki[1:] + (1 << 52)) // 2
-    tie = (np.exp(-0.5 * (rabs * wi[1:]) ** 2) - fi[1:]) / (fi[:-1] - fi[1:])  # U at lhs = rhs
-    wedges = np.full((510, 4), 2 | 1 << 9, dtype=np.uint64)
-    wedges[:, 0] = np.tile(np.arange(1, 256, dtype=np.uint64) | rabs << 9, 2)
-    wedges[:, 1] = (np.concatenate([tie / 2, (1 + tie) / 2]) * 2.0 ** 53).astype(np.uint64) << 11
-    z, done = _runs(wedges, 2, wi, ki)
-    bad = not done.all() or any(z[r].tobytes() != probe(w, 2)[0].tobytes()
-                                for r, w in enumerate(wedges))
-    streams, count = _SampleStreams(1), 13  # and numpy's word layout, on 64 runs
-    z, done = _runs(streams.words(np.arange(64, dtype=np.uint64), 16), count, wi, ki)
-    if bad or any(streams.at(s).standard_normal(count).tobytes() != z[s].tobytes()
-                  for s in np.flatnonzero(done).tolist()):
-        raise SamplingError(f"numpy {np.__version__} draws normals unlike the arrays")
-    return wi, ki
-
-
-def _heights(wi: np.ndarray) -> np.ndarray:
-    """fi: exp(-x^2/2) at each layer's outer edge x = 2^52 wi[idx], and fi[0] = 1."""
-    return np.concatenate([[1.0], np.exp(-0.5 * (wi[1:] * 2.0 ** 52) ** 2)])
-
-
-def _ziggurat(words: np.ndarray, wi: np.ndarray, ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's x of each word read as the first of a try, and whether it is
-    on the fast path, where x is the normal the try gives."""
-    layer = (words & 0x1FF).astype(np.intp)  # idx and the sign bit
-    rabs = (words >> 9) & ((1 << 52) - 1)
-    return rabs.astype(np.float64) * np.concatenate([wi, -wi])[layer], rabs < np.tile(ki, 2)[layer]
-
-
-def _runs(words: np.ndarray, count: int, wi: np.ndarray,
-          ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's first ``count`` normals from each row of words (S, count),
-    and whether the arrays decide all of a row's normals; the values of
-    the other rows are not numpy's.  A try off the fast path reads the
-    next word as its U, so of adjacent words off it every second is a U
-    word; a row stops at the first try only numpy decides: the tail, a
-    near-tie or a try with no next word."""
-    x, fast = _ziggurat(words, wi, ki)
-    width = words.shape[1]
-    flat = np.flatnonzero(~fast)  # in order along each row; 2-d nonzero is slower
-    s, p = np.divmod(flat, width)
-    new = (p == 0) | (np.diff(flat, prepend=-2) != 1)  # no word off it just before
-    tries = (flat - np.maximum.accumulate(np.where(new, flat, 0))) % 2 == 0
-    (rows, s), p = np.unique(s[tries], return_inverse=True), p[tries]
-    idx, fi = (words[rows[s], p] & 0xFF).astype(np.intp), _heights(wi)
-    lhs = (fi[idx - 1] - fi[idx]) * ((words[rows[s], (p + 1) % width] >> 11) * 2.0 ** -53) + fi[idx]
-    rhs = np.exp(-0.5 * x[rows[s], p] * x[rows[s], p])
-    sure = (idx > 0) & (p + 1 < width) & (np.abs(lhs - rhs) > _WEDGE_TIE * rhs)
-    stop = np.full(len(rows), width)
-    np.minimum.at(stop, s[~sure], p[~sure])
-    keep = np.arange(width) < stop[:, None]  # the words that give normals
-    keep[s[sure], p[sure] + 1] = False
-    keep[s[sure & (lhs > rhs)], p[sure & (lhs > rhs)]] = False
-    source = np.argsort(~keep, axis=1, kind="stable")[:, :count]  # the word of each normal
-    x[rows, :count] = x[rows[:, None], source]
-    done = np.ones(len(words), dtype=bool)
-    done[rows] = keep.sum(axis=1) >= count
-    return x[:, :count], done
+# random streams
 
 
 class _SampleStreams:
-    """Generators addressed by sample index and draw number over one Philox key.
+    """The random streams of one chunk of samples, over one Philox key.
 
-    Draw t of sample i is the Philox sequence with key (seed, 0) and
-    starting counter (0, 0, t, i), with 2^130 words of room.  ``at`` resets
-    one reused bit generator to the first word of one draw; ``normals``
-    makes one draw of many samples, in arrays where it can and through
-    ``at`` where it cannot.
+    Draw 0 of the chunk that starts at sample s is one stream, numpy's
+    Generator over the Philox sequence with key (seed, 0) and counter
+    (0, 0, 0, s): ``first`` gives its standard normals in C order, a run
+    of ``count`` per sample, to the chunk's samples in turn, so the batches
+    of a chunk read the bytes of one call.  Draw t >= 1 of sample i is the
+    sequence with counter (0, 0, t, i), read from its first word.  A stream
+    adds one to its counter per block of four words, and no stream reads
+    2^64 blocks, so no two streams share a counter.
     """
 
-    def __init__(self, seed: int) -> None:
-        seed = int(seed) & _MASK64
-        self._keys = (np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W  # round keys
-                      + np.array([[seed], [0]], dtype=np.uint64))
-        self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    def __init__(self, seed: int, start: int) -> None:
+        key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+        self.first = np.random.Generator(np.random.Philox(
+            key=key, counter=np.array([0, 0, 0, start & _MASK64], dtype=np.uint64)))
+        self._bg = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bg)
         self._state = self._bg.state  # a copy; setting it copies it back
         self._state["buffer_pos"] = 4  # mark the output buffer as drained
 
-    def at(self, index: int, draw: int = 0) -> np.random.Generator:
+    def at(self, index: int, draw: int) -> np.random.Generator:
         """numpy's generator at the first word of draw ``draw`` of sample
         ``index``."""
         self._state["state"]["counter"][:] = (0, 0, draw, index & _MASK64)
         self._bg.state = self._state
         return self._gen
 
-    def words(self, samples: np.ndarray, count: int) -> np.ndarray:
-        """The first ``count`` words (S, count) of draw 0 of the samples:
-        numpy steps the counter before it fills its buffer, so words 4b to
-        4b + 3 of sample i are the block of the counter (b + 1, 0, 0, i)."""
-        blocks = -(-count // 4)
-        x, y = np.zeros((2, 2, len(samples) * blocks), dtype=np.uint64)
-        x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(samples))
-        y[1] = np.repeat(samples, blocks)
-        x, y = _philox(x, y, self._keys)
-        return np.stack([x[0], y[0], x[1], y[1]], axis=1).reshape(len(samples), -1)[:, :count]
-
     def normals(self, samples: np.ndarray, count: int, draw: int) -> np.ndarray:
         """The first ``count`` normals (S, count) of draw ``draw`` of the
-        samples, bit for bit as numpy draws them.  The arrays decide whole
-        runs of draw 0, each from whole Philox blocks with _SPARE_WORDS
-        words or more past it, and numpy redraws every other run from its
-        first word.  Later draws stay off the arrays: their rounds are
-        small, and an array call's fixed cost is that of 50 to 100 numpy runs."""
-        z = np.empty((len(samples), count))
-        done = np.zeros(len(samples), dtype=bool)
+        samples.  Draw 0 reads the next S runs of ``first``, so its samples
+        are the chunk's next ones in order; a later draw reads each sample's
+        own stream, so that it does not depend on which samples draw again."""
         if draw == 0:
-            blocks = -(-(count + _SPARE_WORDS) // 4)
-            step = max(1, 4096 // blocks)  # 4,096 blocks a pass; more leave the cache
-            for lo in range(0, len(samples), step):
-                at = slice(lo, lo + step)
-                z[at], done[at] = _runs(self.words(samples[at], 4 * blocks), count,
-                                        *_ziggurat_tables())
-        for p in np.flatnonzero(~done):
-            self.at(int(samples[p]), draw).standard_normal(out=z[p])
+            return self.first.standard_normal((len(samples), count))
+        z = np.empty((len(samples), count))
+        for p, i in enumerate(samples.tolist()):
+            self.at(i, draw).standard_normal(out=z[p])
         return z
 
 
@@ -645,8 +501,7 @@ class _Sampler:
     def draws(self, streams: _SampleStreams, samples: np.ndarray,
               draw: int) -> tuple[np.ndarray, np.ndarray]:
         """Each sample's increments and Gaussian block, made of the first
-        standard normals of its draw ``draw``, bit for bit as numpy draws
-        them (``_SampleStreams.normals``)."""
+        standard normals of its draw ``draw`` (``_SampleStreams.normals``)."""
         count = self.draw.n_words
         z = streams.normals(samples, count + math.prod(self.block), draw)
         return self.draw.increments(z), z[:, count:].reshape(len(samples), *self.block)
@@ -654,7 +509,7 @@ class _Sampler:
 
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:
     query, dist, seed, start, count = args
-    streams = _SampleStreams(seed)
+    streams = _SampleStreams(seed, start)
     sampler = _Sampler(query, dist)
     total = 0.0
     total_sq = 0.0

@@ -1,5 +1,6 @@
 """Brute-force oracles shared by the geometry, formula and acceptance tests."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -1236,10 +1237,11 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
 #
 # The chunk loop of the simulator before one array program decided each
 # chunk, moved with its names prefixed and its docstrings dropped.  Every
-# sample draws a ConeSample, attempt t from ``streams.at(i, t)``, redraws
-# until the cone is in general position and, under ``conditioned``, until
-# it is not full, then measures it with per-cone kernels.  A face sum draws
-# one Gaussian block after the increments, shared by every face, and a
+# sample draws a ConeSample, attempt 0 from its run of the chunk's first
+# stream and attempt t >= 1 from ``streams.at(i, t)``, redraws until the
+# cone is in general position and, under ``conditioned``, until it is not
+# full, then measures it with per-cone kernels.  A face sum draws one
+# Gaussian block after the increments, shared by every face, and a
 # projection with an exactly zero minor makes the sample draw again.  It
 # draws its increments with numpy's own distributions, as the simulator
 # did before it built every law from standard normals.  The batched chunks
@@ -1267,7 +1269,7 @@ def _loop_walk_generators(steps):
 
 
 def _loop_bridge_generators(steps):
-    centered = steps - steps.mean(axis=0)
+    centered = steps - functools.reduce(np.add, steps) / len(steps)
     return np.cumsum(centered, axis=0)[:-1]
 
 
@@ -1297,10 +1299,34 @@ def _loop_joint_generators(query: FunctionalQuery, dist, rng: np.random.Generato
                      + [_loop_bridge_generators(b) for b in blocks[walks:]])
 
 
-def sample_draws(streams, index: int) -> Iterator[np.random.Generator]:
-    """The generators of draws 0, 1, 2, ... of one sample, each set on its
-    first word when it is taken."""
-    return (streams.at(index, t) for t in itertools.count())
+class SampleDraw(np.random.Generator):
+    """numpy's generator on draw ``draw`` of sample ``sample``."""
+
+    def __init__(self, bit_generator, sample: int, draw: int) -> None:
+        super().__init__(bit_generator)
+        self.sample, self.draw = sample, draw
+
+
+def row_width(sampler: "simulation._Sampler") -> int:
+    """The standard normals of one draw of the sampler's samples: the
+    increments', then the Gaussian block's."""
+    return sampler.draw.n_words + math.prod(sampler.block)
+
+
+def _later_draws(streams, index: int) -> Iterator[SampleDraw]:
+    return (SampleDraw(streams.at(index, t).bit_generator, index, t) for t in itertools.count(1))
+
+
+def chunk_draws(streams, samples: range, width: int) -> Iterator[Iterator[SampleDraw]]:
+    """Per sample of the chunk, in order, the generators of its draws 0, 1,
+    2, ...: draw 0 stands at the first of the sample's ``width`` normals in
+    the chunk's first stream, which then moves past them, and draw t >= 1
+    is ``streams.at(i, t)``, set on its first word when it is taken."""
+    for i in samples:
+        row = np.random.Philox(0)
+        row.state = streams.first.bit_generator.state
+        streams.first.standard_normal(width)
+        yield itertools.chain([SampleDraw(row, i, 0)], _later_draws(streams, i))
 
 
 def loop_draw_sample(query: FunctionalQuery, dist, rngs: Iterator[np.random.Generator]
@@ -1431,13 +1457,13 @@ LOOP_MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Genera
 def loop_chunk_stats(args: tuple) -> tuple[float, float, int]:
     """(total, total_sq, rejected) of one chunk, one sample at a time."""
     query, dist, seed, start, count = args
-    streams = simulation._SampleStreams(seed)
+    draws = chunk_draws(simulation._SampleStreams(seed, start), range(start, start + count),
+                        row_width(simulation._Sampler(query, dist)))
     measure = LOOP_MEASURES[query.functional]
     total = 0.0
     total_sq = 0.0
     rejected = 0
-    for i in range(start, start + count):
-        rngs = sample_draws(streams, i)
+    for rngs in draws:
         value = math.nan
         while math.isnan(value):  # NaN: a projection out of general position
             sample, rej, rng = loop_draw_sample(query, dist, rngs)

@@ -1,6 +1,8 @@
 """Samplers, estimator plumbing, and the verification harness."""
 
+import hashlib
 import io
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -39,10 +41,11 @@ from conic_walks.verify import (
 import oracles
 from oracles import (
     FACE_LOOP_MEASURES,
+    chunk_draws,
     face_loop_queries,
     loop_chunk_stats,
     loop_draw_sample,
-    sample_draws,
+    row_width,
 )
 
 GAUSS2 = DistributionSpec("gaussian_iid", 2)
@@ -160,145 +163,57 @@ class TestSamplers:
             assert sample_walk(GAUSS2, 4, rng).in_general_position()
 
 
-class TestSampleStreams:
-    def test_streams_match_fresh_construction(self):
-        streams = _SampleStreams(99)
-        for idx in (0, 1, 17, 54321):
-            for draw in (0, 1, 2 ** 64 - 1):
-                expected = np.random.Generator(
-                    np.random.Philox(key=np.array([99, 0], dtype=np.uint64),
-                                     counter=np.array([0, 0, draw, idx], dtype=np.uint64))
-                ).standard_normal(6)
-                got = streams.at(idx, draw).standard_normal(6)
-                assert np.array_equal(expected, got), (idx, draw)
-
-    def test_streams_are_disjoint(self):
-        streams = _SampleStreams(5)
-        a = streams.at(0).standard_normal(4)
-        b = streams.at(1).standard_normal(4)
-        assert not np.allclose(a, b)
-
-
 def position(rng):
-    """(sample, draw, word) of a Philox generator: its counter's sample and
-    draw words, as ``_SampleStreams.at`` sets them, and the word it stands
-    before."""
+    """(counter word 3, counter word 2, word) of a Philox generator: for a
+    generator from ``_SampleStreams.at``, its sample, its draw and the word
+    it stands before."""
     state = rng.bit_generator.state
     counter = state["state"]["counter"]
     return int(counter[3]), int(counter[2]), 4 * int(counter[0]) - 4 + state["buffer_pos"]
 
 
-def draws_alone(sampler, streams, samples, draw):
-    """Draw ``draw`` of ``sampler`` one sample at a time through numpy's
-    own distributions: each sample's increments and its Gaussian block."""
+def philox(seed, counter):
+    """numpy's generator over the Philox stream with key (seed, 0) and this counter."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64),
+                                                counter=np.array(counter, dtype=np.uint64)))
+
+
+KEY = 987654321
+
+
+def draws_alone(sampler, samples, draw):
+    """Draw ``draw`` of ``sampler`` on the chunk of ``samples`` one sample at
+    a time through numpy's own distributions: each sample's increments and
+    its Gaussian block, from the generator ``chunk_draws`` gives that draw."""
     spec = sampler.draw
     steps = np.empty((len(samples), spec.n_steps, spec.dist.d))
     gauss = np.empty((len(samples), *sampler.block))
-    for s, i in enumerate(samples):
-        rng = streams.at(int(i), draw)
+    draws = chunk_draws(_SampleStreams(KEY, samples.start), samples, row_width(sampler))
+    for s, rngs in enumerate(draws):
+        rng = next(itertools.islice(rngs, draw, None))
         steps[s] = oracles.numpy_draw(spec.dist, [n for n, _ in spec.blocks], rng)
         rng.standard_normal(out=gauss[s])
     return steps, gauss
 
 
-def fast_words(streams, samples, count):
-    """Which of the first ``count`` words of draw 0 of samples 0, 1, ...
-    are on numpy's fast path."""
-    words = streams.words(np.arange(samples, dtype=np.uint64), count)
-    return simulation._ziggurat(words, *simulation._ziggurat_tables())[1]
-
-
-def assert_draws_alone(sampler, streams, samples):
-    # draw 0 from the arrays and numpy, and a later draw from numpy alone
-    for draw in (0, 3):
-        steps, gauss = sampler.draws(streams, np.array(samples, dtype=np.uint64), draw)
-        want_steps, want_gauss = draws_alone(sampler, streams, samples, draw)
-        # bit for bit: the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
-        assert steps.tobytes() == want_steps.tobytes()
-        assert gauss.tobytes() == want_gauss.tobytes()
-
-
 class TestBatchedDraws:
-    KEY = 987654321
-
     @pytest.mark.parametrize("index", [0, 1, 2 ** 63, 2 ** 64 - 1])
     def test_philox_words_match_numpy(self, index):
-        # 13 words span four blocks; the arrays read draw 0 from its first
-        # word, and at(i, t) positions numpy at the first word of draw 0
-        # and of later draws
-        streams = _SampleStreams(self.KEY)
+        # 13 words span four blocks; draw 0 of the chunk at ``index`` and
+        # draw t >= 1 of sample ``index`` read numpy's Philox words from
+        # their first one
         for draw in (0, 1, 2 ** 64 - 1):
-            want = np.random.Philox(key=np.array([self.KEY, 0], dtype=np.uint64),
-                                    counter=np.array([0, 0, draw, index], dtype=np.uint64)
-                                    ).random_raw(13)
-            if draw == 0:
-                assert np.array_equal(streams.words(np.array([index], dtype=np.uint64), 13)[0],
-                                      want)
-            rng = streams.at(index, draw)
+            want = philox(KEY, [0, 0, draw, index]).bit_generator.random_raw(13)
+            streams = _SampleStreams(KEY, index)
+            rng = streams.at(index, draw) if draw else streams.first
             assert position(rng) == (index, draw, 0)
             assert np.array_equal(rng.bit_generator.random_raw(13), want)
-
-    def test_tables_match_a_full_bisection_of_numpy(self):
-        # numpy reads the words (w, 1, 0, 0) of its output buffer next; rabs
-        # is on the fast path iff numpy's normal reads one word, so the next word is 1
-        bg = np.random.Philox(key=7)
-        gen, state = np.random.Generator(bg), bg.state
-
-        def numpy_normals(words):
-            out = []
-            for w in words.tolist():
-                state["buffer"][:], state["buffer_pos"] = (w, 1, 0, 0), 0
-                bg.state = state
-                out.append((gen.standard_normal(), bg.random_raw() == 1))
-            return out
-
-        layers = np.arange(256, dtype=np.uint64)
-        lo = np.full(256, -1, dtype=object)  # rabs lo is on the fast path, rabs hi is not
-        hi = np.full(256, 2 ** 52, dtype=object)
-        while (hi - lo > 1).any():
-            mid = (lo + hi) // 2
-            fast = np.array([f for _, f in numpy_normals(layers | mid.astype(np.uint64) << 9)])
-            lo, hi = np.where(fast, mid, lo), np.where(fast, hi, mid)
-        wi, ki = simulation._ziggurat_tables()
-        assert ki.tolist() == hi.tolist()
-        assert ki[1] == 0 and (ki[2:] > 2 ** 51).all()
-        # rabs = 1 and the largest fast rabs give wi[idx] and its multiple
-        assert [z for z, _ in numpy_normals(layers | 1 << 9)] == wi.tolist()
-        top = [z for z, f in numpy_normals(layers[2:] | (ki[2:] - 1) << 9)]
-        assert top == ((ki[2:] - 1).astype(float) * wi[2:]).tolist()
-
-    def test_tables_check_that_numpy_draws_as_the_arrays_assume(self, monkeypatch):
-        # arrays that took the four words of each Philox block in reverse order
-        words = _SampleStreams.words
-
-        def reversed_blocks(self, samples, count):
-            blocks = words(self, samples, 4 * -(-count // 4)).reshape(len(samples), -1, 4)
-            return blocks[:, :, ::-1].reshape(len(samples), -1)[:, :count]
-
-        with monkeypatch.context() as m:
-            m.setattr(_SampleStreams, "words", reversed_blocks)
-            with pytest.raises(SamplingError, match="draws normals unlike the arrays"):
-                simulation._ziggurat_tables.__wrapped__()
-        # a wedge height fi out of place: rows k and k + 1 swapped turn the
-        # wedge test of a layer upside down, and numpy's verdict differs
-        heights = simulation._heights
-        for k in (0, 38, 254):
-            def swapped(wi, k=k):
-                fi = heights(wi)
-                fi[[k, k + 1]] = fi[[k + 1, k]]
-                return fi
-
-            with monkeypatch.context() as m:
-                m.setattr(simulation, "_heights", swapped)
-                with pytest.raises(SamplingError, match="draws normals unlike the arrays"):
-                    simulation._ziggurat_tables.__wrapped__()
-        simulation._ziggurat_tables.__wrapped__()  # the true heights pass
 
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_first_round_matches_numpy_for_every_block_shape(self, family):
         # every measured functional's block shape on walks and bridges in
-        # d = 1..4, and a joint draw; each batch holds samples off the fast path
-        streams = _SampleStreams(self.KEY)
+        # d = 1..4, and a joint draw: the batched draws 0 and 3 have the
+        # bytes of numpy's own distributions drawn sample by sample
         samples = range(3, 83)
         for d in (1, 2, 3, 4):
             dist = DistributionSpec(family, d)
@@ -309,187 +224,117 @@ class TestBatchedDraws:
                 queries += oracle_queries(model)
             for q in queries:
                 sampler = simulation._Sampler(q, dist)
-                if (sampler.draw.blocks, sampler.block) not in seen:
-                    seen.add((sampler.draw.blocks, sampler.block))
-                    assert_draws_alone(sampler, streams, samples)
+                if (sampler.draw.blocks, sampler.block) in seen:
+                    continue
+                seen.add((sampler.draw.blocks, sampler.block))
+                for draw in (0, 3):
+                    steps, gauss = sampler.draws(_SampleStreams(KEY, samples.start),
+                                                 np.array(samples, dtype=np.uint64), draw)
+                    want_steps, want_gauss = draws_alone(sampler, samples, draw)
+                    # the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
+                    assert steps.tobytes() == want_steps.tobytes(), (q, draw)
+                    assert gauss.tobytes() == want_gauss.tobytes(), (q, draw)
 
-    @pytest.mark.parametrize("family, where", [
-        ("gaussian_iid", 0), ("gaussian_iid", 7), ("gaussian_iid", 8), ("gaussian_iid", 9),
-        ("scaled_gaussian_exchangeable", 0), ("scaled_gaussian_exchangeable", 8),
-        ("heavy_tail_iid", 0), ("heavy_tail_iid", 15), ("heavy_tail_iid", 16),
-    ])
-    def test_first_word_off_the_fast_path(self, family, where):
-        # a bridge of 4 steps in d = 2 and a U1 block of 2 words: the first
-        # word off the fast path is the first or last increment word, the
-        # scale, or the first or last block word
+
+class TestSampleStreams:
+    def test_streams_match_fresh_construction(self):
+        # draw 0 of the chunk at s is the stream (0, 0, 0, s), read in C
+        # order by its batches in turn; draw t >= 1 of sample i is the
+        # stream (0, 0, t, i) from its first word
+        for start in (0, 17, 2048, 2 ** 64 - 1):
+            streams = _SampleStreams(99, start)
+            got = np.concatenate([streams.first.standard_normal((rows, 6)) for rows in (3, 1, 5)])
+            assert got.tobytes() == philox(99, [0, 0, 0, start]).standard_normal((9, 6)).tobytes()
+            for idx in (0, 1, 17, 54321):
+                for draw in (1, 2, 2 ** 64 - 1):
+                    want = philox(99, [0, 0, draw, idx]).standard_normal(6)
+                    assert streams.at(idx, draw).standard_normal(6).tobytes() == want.tobytes()
+
+    def test_streams_are_disjoint(self):
+        streams = _SampleStreams(5, 0)
+        a = streams.at(0, 1).standard_normal(4)
+        b = streams.at(1, 1).standard_normal(4)
+        assert not np.allclose(a, b)
+        assert not np.allclose(streams.first.standard_normal(4), a)
+
+    def test_no_counter_is_shared(self, monkeypatch):
+        # a stream adds one to its 256-bit counter per block of four words,
+        # so while it reads fewer than 2^64 blocks its three high words name
+        # it: (0, 0, s) for draw 0 of the chunk at s, (0, t, i) for draw t
+        # of sample i; the sampler takes at() for redraws only, each at
+        # word 0 of its draw
+        def high(rng):
+            return tuple(int(w) for w in rng.bit_generator.state["state"]["counter"][1:])
+
+        taken = []
+        at = _SampleStreams.at
+
+        def recording(self, index, draw):
+            rng = at(self, index, draw)
+            assert position(rng) == (index, draw, 0)
+            taken.append((index, draw, high(rng)))
+            return rng
+
+        monkeypatch.setattr(_SampleStreams, "at", recording)
+        query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
+        streams = _SampleStreams(7, 2048)
+        sampler = simulation._Sampler(query, GAUSS2)
+        for lo in range(2048, 4096, sampler.batch):
+            sampler.values(streams, range(lo, min(lo + sampler.batch, 4096)))
+        assert streams.first.bit_generator.state["state"]["counter"][0] >= 2048 * 10 // 4
+        assert high(streams.first) == (0, 0, 2048)
+        assert len(taken) > 100 and all(key == (0, t, i) and t >= 1 for i, t, key in taken)
+        keys = {key for _, _, key in taken} | {high(streams.first)}
+        assert len(keys) == len(taken) + 1
+        rng = streams.at(5, 1)
+        rng.standard_normal(100_000)
+        assert high(rng) == (0, 1, 5)
+
+    DIGESTS = {"gaussian_iid": "950704a924a71563", "heavy_tail_iid": "d98a16b70ce46d2d",
+               "scaled_gaussian_exchangeable": "b32a9b8322e96f9e"}
+
+    @pytest.mark.parametrize("family", simulation.FAMILIES)
+    def test_a_chunks_first_draw_is_pinned(self, family):
+        # numpy does not promise its Generator's stream across versions (NEP
+        # 19): a numpy that draws other normals fails here instead of
+        # moving every estimate
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
         sampler = simulation._Sampler(query, DistributionSpec(family, 2))
-        streams = _SampleStreams(self.KEY)
-        count = sampler.draw.n_words + 2
-        fast = fast_words(streams, 20_000, count)
-        first = np.where(fast.all(axis=1), count, np.argmin(fast, axis=1))
-        index = int(np.flatnonzero(first == where)[0])
-        assert_draws_alone(sampler, streams, [index, index + 1, index + 2])
-
-    def test_cauchy_denominator_alone_off_the_fast_path(self):
-        query = FunctionalQuery("fk", Model("B", 3, 2), k=1)
-        sampler = simulation._Sampler(query, DistributionSpec("heavy_tail_iid", 2))
-        streams = _SampleStreams(self.KEY)
-        fast = fast_words(streams, 20_000, sampler.draw.n_words)
-        alone = np.flatnonzero((~fast).sum(axis=1) == 1)
-        index = int(next(i for i in alone if np.argmin(fast[i]) % 2 == 1))
-        assert_draws_alone(sampler, streams, [index])
-
-
-def run_words(width):
-    """The words the arrays read for a run of ``width`` normals: whole
-    Philox blocks, with _SPARE_WORDS or more to spare."""
-    return 4 * -(-(width + simulation._SPARE_WORDS) // 4)
-
-
-def numpy_redraws(monkeypatch, sampler, streams, samples, draw=0):
-    """Where each generator that draw ``draw`` of the samples takes from
-    ``at`` stands, as ``position`` reads it: one per run numpy draws."""
-    stands = []
-    at = _SampleStreams.at
-
-    def recording(self, *args):
-        rng = at(self, *args)
-        stands.append(position(rng))
-        return rng
-
-    with monkeypatch.context() as m:
-        m.setattr(_SampleStreams, "at", recording)
-        sampler.draws(streams, np.array(samples, dtype=np.uint64), draw)
-    return stands
-
-
-def off_path_cases(streams, width, samples=20_000):
-    """A sample per way a run of ``width`` normals of draw 0 leaves numpy's
-    fast path, told apart by the words and by how many numpy reads."""
-    words = streams.words(np.arange(samples, dtype=np.uint64), run_words(width))
-    off = ~simulation._ziggurat(words, *simulation._ziggurat_tables())[1]
-    wedge = (words & 0xFF) > 0  # layer 0 is the tail
-
-    def read(i):  # the words numpy reads for the run
-        rng = streams.at(int(i))
-        rng.standard_normal(width)
-        return position(rng)[2]
-
-    p = off.argmax(axis=1)
-    one = np.flatnonzero((off.sum(axis=1) == 1) & (p < width))
-    two = [(i, *np.flatnonzero(off[i])) for i in np.flatnonzero(off.sum(axis=1) == 2)]
-    cases = {
-        # the wedge reads one U word when it accepts, and starts again when it rejects
-        "accepted": next(i for i in one if wedge[i, p[i]] and read(i) == width + 1),
-        "rejected": next(i for i in one if wedge[i, p[i]] and read(i) == width + 2),
-        "tail": next(i for i in one if not wedge[i, p[i]]),
-        "last normal": next(i for i in one
-                            if p[i] == width - 1 and wedge[i, p[i]] and read(i) == width + 1),
-        # the second word off the fast path is the first one's U
-        "adjacent": next(i for i, a, b in two if b == a + 1 < width and wedge[i, a]),
-        # a rejected wedge, so the run's last try is the last word the arrays
-        # read, a wedge whose U they did not read
-        "last word": next(i for i, a, b in two if a < width and b == words.shape[1] - 1
-                          and wedge[i, a] and wedge[i, b] and read(i) > words.shape[1]),
-    }
-    return {case: int(i) for case, i in cases.items()}
-
-
-class TestWedgeWords:
-    # a bridge of 4 steps in d = 2 and a U1 block of 2 words: 10 normals in
-    # 12 words for the Gaussian law
-    QUERY = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
-    KEY = 987654321
-
-    @pytest.mark.parametrize("case, in_arrays", [
-        ("accepted", True), ("rejected", True), ("adjacent", True), ("last normal", True),
-        ("tail", False), ("last word", False),
-    ])
-    def test_runs_match_numpy_through_the_draw_seam(self, case, in_arrays, monkeypatch):
-        sampler = simulation._Sampler(self.QUERY, GAUSS2)
-        streams = _SampleStreams(self.KEY)
-        index = off_path_cases(streams, sampler.draw.n_words + 2)[case]
-        redrawn = numpy_redraws(monkeypatch, sampler, streams, [index])
-        assert [i for i, _, _ in redrawn] == ([] if in_arrays else [index])
-        assert_draws_alone(sampler, streams, [index, index + 1])
-
-    def test_near_ties_go_to_numpy(self, monkeypatch):
-        # an infinite bound makes every wedge a near-tie: numpy redraws
-        # each run with a word off the fast path, and the bytes stay
-        sampler = simulation._Sampler(self.QUERY, GAUSS2)
-        streams = _SampleStreams(self.KEY)
-        width = sampler.draw.n_words + 2
-        samples = list(off_path_cases(streams, width).values()) + list(range(1024))
-        off = ~fast_words(streams, 20_000, width)
-        simulation._ziggurat_tables()  # derived and checked with the true bound
-        monkeypatch.setattr(simulation, "_WEDGE_TIE", np.inf)
-        redrawn = numpy_redraws(monkeypatch, sampler, streams, samples)
-        assert [i for i, _, _ in redrawn] == [i for i in samples if off[i].any()]
-        assert_draws_alone(sampler, streams, samples)
-
-    def test_numpy_continues_few_runs(self, monkeypatch):
-        # runs of 11 normals (the scaled law, a U1 block); about 17% of them
-        # leave the fast path, and the arrays decide nearly every wedge
-        scaled = DistributionSpec("scaled_gaussian_exchangeable", 2)
-        sampler = simulation._Sampler(self.QUERY, scaled)
-        streams = _SampleStreams(self.KEY)
-        width = sampler.draw.n_words + 2
-        assert (~fast_words(streams, 2048, width)).any(axis=1).mean() > 0.15
-        assert len(numpy_redraws(monkeypatch, sampler, streams, range(2048))) < 0.02 * 2048
-
-    def test_numpy_redraws_runs_from_their_first_word(self, monkeypatch):
-        # a tail word, a wedge on the last word read, and under an infinite
-        # bound every wedge as a near-tie: each generator the draw seam
-        # takes from at() stands at word 0 of its draw
-        sampler = simulation._Sampler(self.QUERY, GAUSS2)
-        streams = _SampleStreams(self.KEY)
-        cases = off_path_cases(streams, sampler.draw.n_words + 2)
-        undecided = [cases["tail"], cases["last word"]]
-        got = numpy_redraws(monkeypatch, sampler, streams, undecided)
-        assert got == [(i, 0, 0) for i in undecided]
-        monkeypatch.setattr(simulation, "_WEDGE_TIE", np.inf)
-        samples = list(cases.values())
-        for draw in (0, 3):
-            got = numpy_redraws(monkeypatch, sampler, streams, samples, draw)
-            assert got == [(i, draw, 0) for i in samples]
+        samples = np.arange(2048, 4096, dtype=np.uint64)
+        steps, gauss = sampler.draws(_SampleStreams(20_250_810, 2048), samples, 0)
+        digest = hashlib.sha256(steps.tobytes() + gauss.tobytes()).hexdigest()[:16]
+        assert digest == self.DIGESTS[family]
 
 
 class TestDrawNumbers:
     def test_a_redraw_reads_the_philox_stream_of_its_draw_number(self):
-        # draw t of sample i is the Philox stream with counter (0, 0, t, i)
-        # from its first word: a conditioned sample whose draw 0 is a full
-        # cone is measured on draw 1, bit for bit, whatever draw 0 read,
-        # and draw 0 is the stream (0, 0, 0, i) that every first round reads
+        # draw 0 of the chunk at s is the stream (0, 0, 0, s), a run of
+        # increments and block per sample, and draw t of sample i is the
+        # stream (0, 0, t, i) from its first word: a conditioned sample
+        # whose draw 0 is a full cone is measured on a later draw, bit for
+        # bit, whatever draw 0 read
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
-        seed, samples = 3, 128
-
-        def draw(i, t):  # increments, cone and generator after the increments of draw t
-            rng = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, 0, t, i]))
-            steps = oracles.numpy_draw(GAUSS2, [4], rng)
-            cone = ConeSample(np.cumsum(steps - steps.mean(axis=0), axis=0)[:-1])
-            assert cone.in_general_position()
-            return steps, cone, rng
-
+        seed, start, samples = 3, 2048, 128
+        indices = np.arange(start, start + samples, dtype=np.uint64)
         sampler = simulation._Sampler(query, GAUSS2)
-        streams = _SampleStreams(seed)
-        got, rejected = sampler.values(streams, range(samples))
+        got, rejected = sampler.values(_SampleStreams(seed, start), range(start, start + samples))
         assert rejected == 0
-        first = [draw(i, 0) for i in range(samples)]
-        steps, _ = sampler.draws(streams, np.arange(samples, dtype=np.uint64), 0)
-        assert steps.tobytes() == np.stack([s for s, _, _ in first]).tobytes()
-        redrawn = [i for i, (_, cone, _) in enumerate(first) if is_full_cone(cone)]
-        assert len(redrawn) > 5
-        second = [draw(i, 1) for i in redrawn]
-        steps, _ = sampler.draws(streams, np.array(redrawn, dtype=np.uint64), 1)
-        assert steps.tobytes() == np.stack([s for s, _, _ in second]).tobytes()
+        rows = philox(seed, [0, 0, 0, start]).standard_normal((samples, 10))  # 8 steps, a (2, 1) block
+        steps, gauss = sampler.draws(_SampleStreams(seed, start), indices, 0)
+        assert steps.tobytes() == rows[:, :8].reshape(samples, 4, 2).tobytes()
+        assert gauss.tobytes() == rows[:, 8:].reshape(samples, 2, 1).tobytes()
+        full = [p for p in range(samples)
+                if is_full_cone(ConeSample(sampler.draw.partial_sums(steps[p:p + 1])[0]))]
+        assert len(full) > 5
+        steps, _ = sampler.draws(_SampleStreams(seed, start), indices[full], 1)
+        want = [philox(seed, [0, 0, 1, i]).standard_normal((4, 2)) for i in indices[full].tolist()]
+        assert steps.tobytes() == np.stack(want).tobytes()
         measure = oracles.LOOP_MEASURES["Uk"]
-        for i, (_, cone, rng) in zip(redrawn, second):
-            assert not is_full_cone(cone), i
-            assert got[i] == measure(query, cone, rng), i
-        for i in sorted(set(range(samples)) - set(redrawn)):
-            _, cone, rng = first[i]
-            assert got[i] == measure(query, cone, rng), i
+        draws = chunk_draws(_SampleStreams(seed, start), range(start, start + samples), 10)
+        for p, rngs in enumerate(draws):
+            cone, _, rng = loop_draw_sample(query, GAUSS2, rngs)
+            assert (rng.draw > 0) == (p in full), p
+            assert got[p] == measure(query, cone, rng), p
 
 
 class TestEstimate:
@@ -502,6 +347,21 @@ class TestEstimate:
                                       seed=42, workers=3))
         assert first == again
         assert first == parallel
+
+    @pytest.mark.parametrize("query", [
+        FunctionalQuery("nonabsorption", Model("A", 4, 2)),
+        FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True),
+    ])
+    def test_batch_size_moves_no_estimate(self, query, monkeypatch):
+        # the batches of a chunk read its first stream in turn, so batches
+        # of a few samples give the bytes of the default ones; 2,100 samples
+        # make a full chunk and a short one, and the conditioned query
+        # redraws full cones in later rounds of every batch
+        config = RunConfig(query=query, dist=GAUSS2, samples=2100, seed=42)
+        want = estimate(config)
+        monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 100)
+        assert simulation._Sampler(query, GAUSS2).batch < 10
+        assert estimate(config) == want
 
     def test_seed_changes_estimate(self):
         query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
@@ -754,9 +614,8 @@ def replace_draws(monkeypatch, replace, block=lambda i, t, gauss: gauss):
     then 1, 2, ... each time it draws again.  The sampler's draws come
     through one seam, ``_Sampler.draws``, which is given the draw number;
     the per-sample loop's through ``oracles.numpy_draw`` and
-    ``oracles.numpy_block``, each from a generator that ``at(i, t)`` set.
-    Returns the (sample, t) of every draw, in order."""
-    simulation._ziggurat_tables()  # derived and checked before the seams change
+    ``oracles.numpy_block``, each from an ``oracles.SampleDraw`` that names
+    its sample and draw.  Returns the (sample, t) of every draw, in order."""
     drawn = []
     draws = simulation._Sampler.draws
     numpy_draw = oracles.numpy_draw
@@ -771,13 +630,11 @@ def replace_draws(monkeypatch, replace, block=lambda i, t, gauss: gauss):
         return steps, gauss
 
     def numpy_drawing(dist, lengths, rng):
-        i, t, _ = position(rng)
-        drawn.append((i, t))
-        return replace(i, t, numpy_draw(dist, lengths, rng))
+        drawn.append((rng.sample, rng.draw))
+        return replace(rng.sample, rng.draw, numpy_draw(dist, lengths, rng))
 
     def numpy_blocking(shape, rng):
-        i, t, _ = position(rng)
-        return block(i, t, numpy_block(shape, rng))
+        return block(rng.sample, rng.draw, numpy_block(shape, rng))
 
     monkeypatch.setattr(simulation._Sampler, "draws", drawing)
     monkeypatch.setattr(oracles, "numpy_draw", numpy_drawing)
@@ -882,9 +739,7 @@ class TestConditionedFullConeTest:
     def test_runs_once_per_draw(self, query, monkeypatch):
         # every round takes one full-cone verdict per cone it draws, and the
         # measurement reads the rounds' verdicts, so it never tests an
-        # accepted cone again; every draw comes through the seam once, also
-        # for a sample whose first increments leave numpy's fast path and
-        # numpy redraws its run in round 1
+        # accepted cone again; every draw comes through the seam once
         decided = []
         full_cones = geometry._full_cones
 
@@ -900,14 +755,6 @@ class TestConditionedFullConeTest:
         assert decided[0] == samples
         assert len(set(drawn)) > samples  # some full cones were conditioned away
         assert sum(decided) == len(set(drawn))
-        streams = _SampleStreams(3)
-        off_path = []
-        for i in range(samples):  # a normal off the fast path reads more than one word
-            rng = streams.at(i)
-            rng.standard_normal((query.model.n, 2))
-            if position(rng)[2] > 2 * query.model.n:
-                off_path.append(i)
-        assert off_path
         assert len(drawn) == len(set(drawn))
 
 
@@ -928,10 +775,11 @@ class TestSharedMinorTable:
         query = next(g.query for g in default_gates() if g.name == gate)
         dist = DistributionSpec("gaussian_iid", query.dimension)
         projections = []
-        if query.functional == "Y":  # the m-faces come from the same increments
-            faces = FunctionalQuery("fk", query.model, k=query.m)
-            count = estimate(RunConfig(query=faces, dist=dist, samples=64, seed=3)).mean * 64
-            projections = [(int(count), query.m, query.l)]
+        if query.functional == "Y":  # the m-faces of the chunk's draws
+            sampler = simulation._Sampler(query, dist)
+            steps, _ = sampler.draws(_SampleStreams(3, 0), np.arange(64, dtype=np.uint64), 0)
+            rec = geometry._SignRecord.of(sampler.draw.partial_sums(steps))
+            projections = [(int(geometry._face_masks(rec, query.m).sum()), query.m, query.l)]
         monkeypatch.setattr(geometry, "_minor_signs", counting)
         est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
         assert est.rejected == 0
@@ -1030,15 +878,16 @@ class TestTangentConesByProjection:
         # of G^T projected onto the complement of F's span; the Z row sums
         # half these verdicts, sample by sample on the same streams
         samples = 48
-        streams = _SampleStreams(23)
         for d in (2, 3, 4):
             dist = DistributionSpec(family, d)
             for model in (Model("A", d + 2, d), Model("B", d + 2, d)):
                 for j, k in ((j, k) for j in range(d - 1) for k in range(j + 1, d)):
                     query = FunctionalQuery("Z", model, j=j, k=k)
-                    got, _ = simulation._Sampler(query, dist).values(streams, range(samples))
-                    for i in range(samples):
-                        cone, _, rng = loop_draw_sample(query, dist, sample_draws(streams, i))
+                    sampler = simulation._Sampler(query, dist)
+                    got, _ = sampler.values(_SampleStreams(23, 0), range(samples))
+                    draws = chunk_draws(_SampleStreams(23, 0), range(samples), row_width(sampler))
+                    for i, rngs in enumerate(draws):
+                        cone, _, rng = loop_draw_sample(query, dist, rngs)
                         gauss = rng.standard_normal((d, k))
                         projected = geometry._faces(geometry.ConeSample(cone.generators @ gauss), j)
                         meets = [oracles.tangent_meets_kernel(cone.generators, face, gauss)
@@ -1086,14 +935,6 @@ class TestCroftonOnFixedCones:
                 assert abs(error) <= 4 * se if se > 0 else abs(error) < 1e-12, (name, k)
 
 
-def at_word(streams, index, draw, word):
-    """numpy's generator on draw ``draw`` of sample ``index``, before its
-    word ``word``."""
-    rng = streams.at(index, draw)
-    rng.bit_generator.random_raw(word)
-    return rng
-
-
 @pytest.mark.slow
 class TestFaceLoopOracle:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
@@ -1105,23 +946,16 @@ class TestFaceLoopOracle:
         for d in (1, 2, 3, 4):
             dist = DistributionSpec(family, d)
             for model in (Model("A", d + 2, d), Model("B", d + 2, d)):
-                queries = face_loop_queries(model)
-                for conditioned in (False, True):
-                    draw = FunctionalQuery("fk", model, k=0, conditioned=conditioned)
-                    streams = _SampleStreams(17)
-                    drawn = []
-                    for i in range(samples):
-                        cone, _, rng = loop_draw_sample(draw, dist, sample_draws(streams, i))
-                        drawn.append((cone, position(rng)))
-                    for q in (q for q in queries if q.conditioned == conditioned):
-                        sampler = (oracles.replaced_sampler(q, dist)
-                                   if q.functional in oracles.REPLACED_MEASURES
-                                   else simulation._Sampler(q, dist))
-                        got, _ = sampler.values(streams, range(samples))
-                        for cone, (i, t, word) in drawn:  # after the accepted increments
-                            rng = at_word(streams, i, t, word)
-                            want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
-                            assert got[i] == want, (family, q, i)
+                for q in face_loop_queries(model):
+                    sampler = (oracles.replaced_sampler(q, dist)
+                               if q.functional in oracles.REPLACED_MEASURES
+                               else simulation._Sampler(q, dist))
+                    got, _ = sampler.values(_SampleStreams(17, 0), range(samples))
+                    draws = chunk_draws(_SampleStreams(17, 0), range(samples), row_width(sampler))
+                    for i, rngs in enumerate(draws):  # rng after the accepted increments
+                        cone, _, rng = loop_draw_sample(q, dist, rngs)
+                        want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
+                        assert got[i] == want, (family, q, i)
 
 
 def oracle_queries(model):
@@ -1216,14 +1050,18 @@ class TestProjectionOnFullCones:
                                                ("scaled_gaussian_exchangeable", 25876)])
     def test_v2_gate_draws_that_aborted_the_nnls(self, family, index):
         # both draws are full cones on which the active-set NNLS ran out its
-        # iteration cap; the support rule finds g inside, so v_2 scores 0
-        seed = 20_250_810
+        # iteration cap; the support rule finds g inside, so v_2 scores 0.
+        # They were draw 0 of the sample alone, the stream (0, 0, 0, index)
+        # that draw 0 of a chunk starting at the sample reads
+        seed = _gate_seed(20_250_810, "v2/A n=6 d=4", family)
         gate = next(g for g in default_gates() if g.name == "v2/A n=6 d=4")
         dist = DistributionSpec(family, 4)
-        streams = _SampleStreams(_gate_seed(seed, gate.name, family))
-        values, _ = simulation._Sampler(gate.query, dist).values(streams, range(index, index + 1))
+        sampler = simulation._Sampler(gate.query, dist)
+        samples = range(index, index + 1)
+        values, _ = sampler.values(_SampleStreams(seed, index), samples)
         assert values[0] == 0.0
-        cone, _, rng = loop_draw_sample(gate.query, dist, sample_draws(streams, index))
+        rngs = next(chunk_draws(_SampleStreams(seed, index), samples, row_width(sampler)))
+        cone, _, rng = loop_draw_sample(gate.query, dist, rngs)
         assert is_full_cone(cone)
         g = rng.standard_normal(4)
         assert geometry.project_onto_cone(g, cone).face_dim == 4
