@@ -306,6 +306,47 @@ class TestSampleStreams:
         assert digest == self.DIGESTS[family]
 
 
+class TestWedgeWords:
+    # numpy's ziggurat reads one word per normal on its fast path and more
+    # where a word falls in a wedge or the tail; a later draw hands each
+    # sample to numpy at the first word of its own stream, so a run that
+    # reads such words is drawn whole, with numpy's own bytes
+    QUERY = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
+
+    def test_numpy_redraws_runs_from_their_first_word(self, monkeypatch):
+        sampler = simulation._Sampler(self.QUERY, GAUSS2)
+        width = row_width(sampler)  # 8 increment normals and a (2, 1) block
+
+        def fresh(i, t):
+            return philox(KEY, [0, 0, t, i]).standard_normal(width)
+
+        def words_read(i, t):
+            rng = philox(KEY, [0, 0, t, i])
+            rng.standard_normal(width)
+            return position(rng)[2]
+
+        at = _SampleStreams.at
+        for draw in (1, 3, 2 ** 64 - 1):
+            off = [i for i in range(400) if words_read(i, draw) > width]
+            assert len(off) >= 8
+            samples = off[:8] + [i for i in range(16) if i not in off]
+            stands = []
+
+            def recording(self, *args):
+                rng = at(self, *args)
+                stands.append(position(rng))
+                return rng
+
+            with monkeypatch.context() as m:
+                m.setattr(_SampleStreams, "at", recording)
+                steps, gauss = sampler.draws(_SampleStreams(KEY, 0),
+                                             np.array(samples, dtype=np.uint64), draw)
+            assert stands == [(i, draw, 0) for i in samples]
+            got = np.concatenate([steps.reshape(len(samples), -1),
+                                  gauss.reshape(len(samples), -1)], axis=1)
+            assert got.tobytes() == np.stack([fresh(i, draw) for i in samples]).tobytes()
+
+
 class TestDrawNumbers:
     def test_a_redraw_reads_the_philox_stream_of_its_draw_number(self):
         # draw 0 of the chunk at s is the stream (0, 0, 0, s), a run of
