@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -63,7 +63,7 @@ class ConeSample:
 
     @cached_property
     def _signs(self) -> _SignRecord:
-        return _SignRecord.of(self.generators[None])  # a batch of one
+        return _SignRecord.of(self.generators.T[:, :, None])  # a batch of one
 
     def in_general_position(self) -> bool:
         """There are at least d generators and no d x d minor of them is
@@ -167,9 +167,9 @@ def _origin_in_hull(pts: np.ndarray) -> bool:
     """Exact verdict for any finite 2-d array of points; callers validate.
     In general position the origin is outside exactly when a facet exists;
     other points, fewer than dimensions included, take :func:`_hull_descent`."""
-    rec = _SignRecord.of(pts[None])
+    rec = _SignRecord.of(pts.T[:, :, None])
     if rec.general[0]:
-        return not rec.facets[0].any()
+        return not rec.facets[:, 0].any()
     return _hull_descent(pts, rec)
 
 
@@ -188,7 +188,7 @@ def _hull_descent(pts: np.ndarray, rec: _SignRecord) -> bool:
         return True
     if not rec.signs.any():
         return _origin_in_hull(pts[:, _bareiss(_integer_rows(pts))[0]])
-    sides = rec.sides[0]
+    sides = rec.sides[:, :, 0]
     support = _weakly_supporting(sides)
     if not support.any():
         return True
@@ -201,47 +201,47 @@ class _SignRecord:
     """Exact signs of all d x d minors of S sets of n points each, read as
     geometry.  A single cone is a batch of one.
 
-    ``signs`` has shape (S, T), T = C(n, d), and ``general[s]`` says set s
-    has a minor and none is zero (n < d gives T = 0).  ``sides[s, :, t]``
-    holds the side of every point outside (d-1)-subset t
-    (``table.facet_others[t]``) relative to the hyperplane it spans, 0 on
-    it, and ``facets[s]`` marks the subsets with every other point strictly
-    on one side; both are derived on first use.  The other points run along
-    the middle axis of ``sides``, so each facet test reduces across rows.
+    The sample axis is last throughout, so every reduction over subsets or
+    points adds whole contiguous rows of samples.  ``signs`` has shape
+    (T, S), T = C(n, d), and ``general[s]`` says set s has a minor and none
+    is zero (n < d gives T = 0).  ``sides[:, t, s]`` holds the side of every
+    point outside (d-1)-subset t (``table.facet_others[t]``) relative to the
+    hyperplane it spans, 0 on it, and ``facets[t, s]`` marks the subsets
+    with every other point strictly on one side; both are derived on first
+    use.
     """
 
     def __init__(self, table: _MinorTable, signs: np.ndarray) -> None:
         self.table = table
         self.signs = signs
-        self.general = signs.all(axis=1) & (signs.shape[1] > 0)
+        self.general = signs.all(axis=0) & (signs.shape[0] > 0)
 
     @classmethod
     def of(cls, pts: np.ndarray) -> _SignRecord:
-        count, n, d = pts.shape
+        """The record of the point sets pts, (d, n, S)."""
+        d, n, count = pts.shape
         table = _minor_table(n, d)
-        return cls(table, _minor_signs(pts, table) if n >= d else np.zeros((count, 0), np.int8))
+        return cls(table, _minor_signs(pts, table) if n >= d else np.zeros((0, count), np.int8))
 
     def take(self, which) -> _SignRecord:
         """The record of the selected sets."""
-        return _SignRecord(self.table, self.signs[which])
+        return _SignRecord(self.table, self.signs[:, which])
 
     @cached_property
     def sides(self) -> np.ndarray:
-        return self.signs.take(self.table.facet_minor.T, axis=1) * self.table.facet_parity.T
+        return self.signs[self.table.facet_minor.T] * self.table.facet_parity.T[:, :, None]
 
     @cached_property
     def facets(self) -> np.ndarray:
-        # point by point: numpy's sum over the short middle axis is slow
-        total = np.zeros((len(self.signs), self.sides.shape[2]), dtype=np.int32)
-        return np.abs(reduce(np.add, self.sides.transpose(1, 0, 2), total)) == self.sides.shape[1]
+        return np.abs(self.sides.sum(axis=0, dtype=np.int32)) == self.sides.shape[0]
 
 
 def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
-    """Per (d-1)-subset (the last axis; the one before it holds the other
+    """Per (d-1)-subset (the second axis; the first holds the other
     points): some other point is off its hyperplane and all other points
     lie weakly on one side of it."""
-    off = np.abs(sides).sum(axis=-2, dtype=np.int32)
-    return (off > 0) & (np.abs(sides.sum(axis=-2, dtype=np.int32)) == off)
+    off = np.abs(sides).sum(axis=0, dtype=np.int32)
+    return (off > 0) & (np.abs(sides.sum(axis=0, dtype=np.int32)) == off)
 
 
 def _full_cones(rec: _SignRecord) -> np.ndarray:
@@ -252,29 +252,25 @@ def _full_cones(rec: _SignRecord) -> np.ndarray:
     side of it.  In general position no point lies on such a hyperplane,
     so this reads: the set has no facet.
     """
-    full = ~rec.facets.any(axis=1)
+    full = ~rec.facets.any(axis=0)
     odd = ~rec.general
     if odd.any():
-        full[odd] = rec.signs[odd].any(axis=1) & ~_weakly_supporting(rec.sides[odd]).any(axis=1)
+        full[odd] = (rec.signs[:, odd].any(axis=0)
+                     & ~_weakly_supporting(rec.sides[:, :, odd]).any(axis=0))
     return full
 
 
 def _face_masks(rec: _SignRecord, k: int) -> np.ndarray:
     """Per set in general position, which k-subsets of its points span a
-    face of their cone (0 <= k <= d-1): a mask of shape (S, C(n, k)) over
+    face of their cone (0 <= k <= d-1): a mask of shape (C(n, k), S) over
     the k-subsets in combinations order.
 
     In general position a cone is full or pointed with simplicial facets,
-    so a subset spans a face exactly when it lies inside a facet.  The
-    apex, k = 0, lies inside every facet, so a cone has it exactly when it
-    is pointed.
+    so a subset spans a face exactly when it lies inside a facet: its row
+    ORs the facet rows of the (d-1)-subsets holding it.  The apex, k = 0,
+    lies inside every facet, so a cone has it exactly when it is pointed.
     """
-    n, d = rec.table.shape
-    inside = _facet_subsets(n, d, k)
-    mask = np.zeros((len(rec.signs), math.comb(n, k)), dtype=bool)
-    s, f = np.nonzero(rec.facets)
-    mask[s[:, None], inside[f]] = True
-    return mask
+    return rec.facets[_subset_walls(*rec.table.shape, k)].any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -285,8 +281,8 @@ class _MinorTable:
     in combinations order, its rows, the positions of R without R_i among
     the (k-1)-subsets, and the cofactor signs: the k x k minor on the first
     k columns is sum_i (-1)^(i+k-1) x[R_i, k-1] minor(R without R_i).  The
-    rows and positions are stored transposed, one row per i, so a batch
-    gathers each term i along a contiguous row.  For every (d-1)-subset S,
+    rows and positions are stored transposed, one index row per i, so term
+    i of a batch gathers one sample row per subset.  For every (d-1)-subset S,
     ``facet_minor`` and ``facet_parity`` turn the minors into
     det[x_S; x_j] for each other row j (in ``facet_others``), the side of
     x_j relative to the hyperplane spanned by S.
@@ -347,63 +343,67 @@ def _minor_table(n: int, d: int) -> _MinorTable:
 
 
 @lru_cache(maxsize=256)
-def _facet_subsets(n: int, d: int, k: int) -> np.ndarray:
+def _subset_walls(n: int, d: int, k: int) -> np.ndarray:
     """The incidence of k-subsets and (d-1)-subsets of range(n): per
-    (d-1)-subset in combinations order, the positions of its k-subsets
-    among all k-subsets of range(n)."""
+    k-subset in combinations order, the positions of the C(n-k, d-1-k)
+    (d-1)-subsets holding it, in combinations order."""
     position = {tuple(s): t for t, s in enumerate(_subsets(n, k).tolist())}
-    walls = _subsets(n, d - 1).tolist()
-    inside = np.array([[position[c] for c in combinations(wall, k)] for wall in walls],
-                      dtype=np.intp).reshape(len(walls), math.comb(d - 1, k))
-    inside.flags.writeable = False
-    return inside
+    holding: list[list[int]] = [[] for _ in position]
+    for w, wall in enumerate(_subsets(n, d - 1).tolist()):
+        for c in combinations(wall, k):
+            holding[position[c]].append(w)
+    walls = np.array(holding, dtype=np.intp).reshape(
+        len(holding), math.comb(n - k, d - 1 - k) if k <= n else 0)
+    walls.flags.writeable = False
+    return walls
 
 
 def _minor_estimates(x: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Floating-point values of all d x d minors of each set in x, (S, n, d).
+    """Floating-point values of all d x d minors of each set in x, (d, n, S),
+    as (T, S).
 
-    The k cofactor terms of a level are added one at a time, so every
-    temporary has the shape (S, C(n, k)) of one level.  Stacked k-fold, a
-    batch's products are large enough that the allocator maps them afresh,
-    and the kernel faults them in page by page, on every batch.
+    The k cofactor terms of a level are added one at a time, each gathering
+    whole sample rows, so every temporary has the shape (C(n, k), S) of one
+    level.  Stacked k-fold, a batch's products are large enough that the
+    allocator maps them afresh, and the kernel faults them in page by page,
+    on every batch.
     """
-    m = x[:, :, 0]
+    m = x[0]
     for k, (rows, below, cofactor) in enumerate(table.levels, start=2):
-        col = x[:, :, k - 1]
-        level = np.zeros((len(x), rows.shape[1]))
+        col = x[k - 1]
+        level = np.zeros((rows.shape[1], x.shape[2]))
         for r, b, c in zip(rows, below, cofactor):
-            level += col.take(r, axis=1) * c * m.take(b, axis=1)
+            level += col[r] * c * m[b]
         m = level
     return m
 
 
 def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np.ndarray]:
-    """Signs of all d x d minors of each set in pts, (S, n, d), as the
-    filter sees them, and the mask of those it cannot certify."""
-    d = pts.shape[2]
-    # each row's max, column by column: numpy's max over the short last axis is slow
-    _, expo = np.frexp(reduce(np.maximum, np.abs(pts).transpose(2, 0, 1)))
-    scaled = np.ldexp(pts, -expo[..., None])
+    """Signs of all d x d minors of each set in pts, (d, n, S), as the
+    filter sees them, and the mask of those it cannot certify, both (T, S)."""
+    d = pts.shape[0]
+    _, expo = np.frexp(np.abs(pts).max(axis=0))
+    scaled = np.ldexp(pts, -expo)
     est = _minor_estimates(scaled, table)
     unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)
-    lost = np.ldexp(scaled, expo[..., None]) != pts
+    lost = np.ldexp(scaled, expo) != pts
     if lost.any():  # a set with a row that lost low bits to underflow when scaled down
-        unsure[lost.any(axis=(1, 2))] = True
+        unsure[:, lost.any(axis=(0, 1))] = True
     return np.sign(est).astype(np.int8), unsure
 
 
 def _minor_signs(pts: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Exact signs of all d x d minors of each set in pts, (S, n, d), in
-    combinations order."""
+    """Exact signs of all d x d minors of each set in pts, (d, n, S), in
+    combinations order: (T, S)."""
     signs, unsure = _filtered_signs(pts, table)
     if not unsure.any():
         return signs
     subsets = _subsets(*table.shape)
-    for s in np.flatnonzero(unsure.any(axis=1)):
-        rows = _integer_rows(pts[s])
-        for t in np.flatnonzero(unsure[s]):
+    for s in np.flatnonzero(unsure.any(axis=0)):
+        rows = _integer_rows(pts[:, :, s].T)
+        for t in np.flatnonzero(unsure[:, s]):
             det = _bareiss([rows[i] for i in subsets[t]])[1]
-            signs[s, t] = (det > 0) - (det < 0)
+            signs[t, s] = (det > 0) - (det < 0)
     return signs
 
 
@@ -505,7 +505,7 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     rec = cone._signs
     subsets = _subsets(cone.n_generators, k)
     if rec.general[0]:
-        return [tuple(s) for s in subsets[_face_masks(rec, k)[0]].tolist()]
+        return [tuple(s) for s in subsets[_face_masks(rec, k)[:, 0]].tolist()]
     if k == 0:
         nonzero = cone.generators[cone.generators.any(axis=1)]
         return [] if nonzero.shape[0] and _origin_in_hull(nonzero) else [()]

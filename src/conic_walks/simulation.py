@@ -80,7 +80,7 @@ def sample_increments(dist: DistributionSpec, n: int, rng: np.random.Generator) 
     n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"need at least one increment, got n={n}")
-    return _law(dist, n, rng.standard_normal((1, _word_count(dist, n))))[0]
+    return _law(dist, n, rng.standard_normal((_word_count(dist, n), 1)))[:, :, 0].T
 
 
 def _word_count(dist: DistributionSpec, n: int) -> int:
@@ -90,17 +90,17 @@ def _word_count(dist: DistributionSpec, n: int) -> int:
 
 
 def _law(dist: DistributionSpec, n: int, z: np.ndarray) -> np.ndarray:
-    """Increments (S, n, d) made of runs z (S, _word_count) of standard
-    normals as numpy's own draws of the family make them: a Cauchy value is
-    a normal over the next one, and the log-normal scale is libm's exp of
-    the run's first normal."""
+    """Increments (d, n, S) made of runs z (_word_count, S) of standard
+    normals, one column per sample, as numpy's own draws of the family make
+    them: a Cauchy value is a normal over the next one, and the log-normal
+    scale is libm's exp of the run's first normal."""
     if dist.family == "gaussian_iid":
-        return z.reshape(-1, n, dist.d)
+        return z.reshape(n, dist.d, -1).transpose(1, 0, 2)
     if dist.family == "heavy_tail_iid":
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (z[:, 0::2] / z[:, 1::2]).reshape(-1, n, dist.d)
-    scale = np.array([math.exp(v) for v in z[:, 0].tolist()])
-    return scale[:, None, None] * z[:, 1:].reshape(-1, n, dist.d)
+            return (z[0::2] / z[1::2]).reshape(n, dist.d, -1).transpose(1, 0, 2)
+    scale = np.fromiter(map(math.exp, z[0].tolist()), float, z.shape[1])
+    return scale * z[1:].reshape(n, dist.d, -1).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -137,40 +137,44 @@ class _Draw:
         return sum(_word_count(self.dist, n) for n, _ in self.blocks)
 
     def increments(self, z: np.ndarray) -> np.ndarray:
-        """Increments (S, n_steps, d) made of runs z (S, >= n_words) of
-        standard normals, block by block."""
+        """Increments (d, n_steps, S) made of runs z (>= n_words, S) of
+        standard normals, one column per sample, block by block."""
         parts, at = [], 0
         for n, _ in self.blocks:
             count = _word_count(self.dist, n)
-            parts.append(_law(self.dist, n, z[:, at:at + count]))
+            parts.append(_law(self.dist, n, z[at:at + count]))
             at += count
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def partial_sums(self, steps: np.ndarray) -> np.ndarray:
-        """Generators (S, N, d) from increments (S, n_steps, d).
+        """Generators (d, N, S) from increments (d, n_steps, S).
 
         A walk block keeps all its partial sums.  A bridge block first
         recentres its increments by their mean, which preserves
         exchangeability and forces its last partial sum to vanish, and keeps
-        the others.  The mean adds the n increments in order, a third of
-        the time of numpy's mean over the short axis.
+        the others.  Each sum, the mean's included, adds the (d, S) slabs
+        of its increments in order; numpy's cumsum and mean over the short
+        middle axis take several times as long.
         """
-        parts = []
-        at = 0
+        d, _, count = steps.shape
+        gens = np.empty((self.n_generators, d, count))  # one slab per generator
+        at = row = 0
         for n, bridge in self.blocks:
             x = steps[:, at:at + n]
             at += n
-            if not bridge:
-                parts.append(np.cumsum(x, axis=1))
-                continue
-            total = x[:, 0].copy()
-            for k in range(1, n):
-                total += x[:, k]
-            parts.append(np.cumsum(x - (total / n)[:, None], axis=1)[:, :-1])
-        gens = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            if bridge:
+                total = x[:, 0].copy()
+                for k in range(1, n):
+                    total += x[:, k]
+                x = x - (total / n)[:, None]
+            kept = n - bridge
+            gens[row:row + kept] = x[:, :kept].transpose(1, 0, 2)
+            for k in range(row + 1, row + kept):
+                gens[k] += gens[k - 1]
+            row += kept
         if not np.isfinite(gens).all():
             raise DomainError("generators must be finite")
-        return gens
+        return gens.transpose(1, 0, 2)
 
     def failed(self) -> SamplingError:
         return SamplingError(f"no {self.what} in general position after {_MAX_DRAW_RETRIES} attempts")
@@ -179,8 +183,8 @@ class _Draw:
         """The first cone drawn from ``rng`` in general position, and the
         number of draws rejected before it."""
         for attempt in range(_MAX_DRAW_RETRIES):
-            steps = self.increments(rng.standard_normal((1, self.n_words)))
-            cone = ConeSample(self.partial_sums(steps)[0])
+            steps = self.increments(rng.standard_normal((self.n_words, 1)))
+            cone = ConeSample(self.partial_sums(steps)[:, :, 0].T)
             if cone.in_general_position():
                 return cone, attempt
         raise self.failed()
@@ -214,24 +218,31 @@ class _SampleStreams:
     of a chunk read the bytes of one call.  Draw t >= 1 of sample i is the
     sequence with counter (0, 0, t, i), read from its first word.  A stream
     adds one to its counter per block of four words, and no stream reads
-    2^64 blocks, so no two streams share a counter.
+    2^64 blocks, so no two streams share a counter.  Most chunks draw
+    nothing again, so the generator of later draws is built on first use.
     """
 
     def __init__(self, seed: int, start: int) -> None:
-        key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+        self._key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
         self.first = np.random.Generator(np.random.Philox(
-            key=key, counter=np.array([0, 0, 0, start & _MASK64], dtype=np.uint64)))
-        self._bg = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state  # a copy; setting it copies it back
-        self._state["buffer_pos"] = 4  # mark the output buffer as drained
+            key=self._key, counter=np.array([0, 0, 0, start & _MASK64], dtype=np.uint64)))
+
+    @functools.cached_property
+    def _later(self) -> tuple[np.random.Generator, dict]:
+        """The generator of later draws, and a copy of its bit generator's
+        state with the output buffer marked as drained."""
+        gen = np.random.Generator(np.random.Philox(key=self._key))
+        state = gen.bit_generator.state  # a copy; setting it copies it back
+        state["buffer_pos"] = 4
+        return gen, state
 
     def at(self, index: int, draw: int) -> np.random.Generator:
         """numpy's generator at the first word of draw ``draw`` of sample
         ``index``."""
-        self._state["state"]["counter"][:] = (0, 0, draw, index & _MASK64)
-        self._bg.state = self._state
-        return self._gen
+        gen, state = self._later
+        state["state"]["counter"][:] = (0, 0, draw, index & _MASK64)
+        gen.bit_generator.state = state
+        return gen
 
     def normals(self, samples: np.ndarray, count: int, draw: int) -> np.ndarray:
         """The first ``count`` normals (S, count) of draw ``draw`` of the
@@ -290,10 +301,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class _Chunk:
-    """Samples decided together, all in general position.
+    """Samples decided together, all in general position, the sample axis
+    last.
 
-    ``gens`` (S, N, d) holds each sample's generators, ``rec`` their sign
-    record and ``full`` marks the full cones.  ``gauss`` (S, d, c) holds the
+    ``gens`` (d, N, S) holds each sample's generators, ``rec`` their sign
+    record and ``full`` marks the full cones.  ``gauss`` (d, c, S) holds the
     Gaussian block each sample drew right after its increments, which all
     of its faces share: by linearity of expectation a sum over faces needs
     no independence between them.
@@ -305,16 +317,20 @@ class _Chunk:
     gauss: np.ndarray
 
     def take(self, which: np.ndarray) -> _Chunk:
-        return _Chunk(self.gens[which], self.rec.take(which), self.full[which], self.gauss[which])
+        return _Chunk(self.gens[..., which], self.rec.take(which), self.full[which],
+                      self.gauss[..., which])
 
     @functools.cached_property
     def proj(self) -> np.ndarray:
-        """The generators times the Gaussian block, (S, N, c): their
+        """The generators times the Gaussian block, (c, N, S): their
         coordinates on the Haar c-subspace its columns span.  The first i
         columns give the projection onto a Haar i-subspace, whose
         orthogonal complement, the kernel of those columns, is a Haar
-        subspace of codimension i."""
-        return self.gens @ self.gauss
+        subspace of codimension i.  The product is one stacked matmul over
+        the samples, whose sums round as numpy's own kernel rounds them."""
+        gens = np.ascontiguousarray(self.gens.transpose(2, 1, 0))
+        return np.ascontiguousarray((gens @ np.ascontiguousarray(
+            self.gauss.transpose(2, 0, 1))).transpose(2, 1, 0))
 
 
 def _undecided(verdicts: np.ndarray, rec: geometry._SignRecord) -> np.ndarray:
@@ -339,14 +355,14 @@ def _tangent_u(c: _Chunk, j: int, i: int) -> np.ndarray:
     contains the j-dimensional span of F, so it meets every subspace of
     codimension i <= j, and it is no subspace, so U_i = 0 for i >= d.
     """
-    d = c.gens.shape[2]
+    d = c.gens.shape[0]
     if i >= d:
-        return np.zeros(len(c.gens))
+        return np.zeros(len(c.full))
     faces = geometry._face_masks(c.rec, j)
     if i <= j:
-        return 0.5 * faces.sum(axis=1)
-    rec = geometry._SignRecord.of(c.proj[:, :, :i])
-    return 0.5 * _undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=1), rec)
+        return 0.5 * faces.sum(axis=0)
+    rec = geometry._SignRecord.of(c.proj[:i])
+    return 0.5 * _undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=0), rec)
 
 
 def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
@@ -360,41 +376,41 @@ def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
     face of a batch is projected from ``c.proj`` and decided in one record.
     """
     if i >= m:
-        return np.zeros(len(c.gens))
+        return np.zeros(len(c.full))
     faces = geometry._face_masks(c.rec, m)
     if i <= 0:
-        return 0.5 * faces.sum(axis=1)
-    s, f = np.nonzero(faces)
+        return 0.5 * faces.sum(axis=0)
+    f, s = np.nonzero(faces)
     rows = geometry._subsets(c.gens.shape[1], m)[f]
-    rec = geometry._SignRecord.of(c.proj[s[:, None], rows, :i])
-    hits = _undecided(~rec.facets.any(axis=1), rec)
-    return 0.5 * np.bincount(s, weights=hits, minlength=len(c.gens))
+    rec = geometry._SignRecord.of(c.proj[:i, rows.T, s])
+    hits = _undecided(~rec.facets.any(axis=0), rec)
+    return 0.5 * np.bincount(s, weights=hits, minlength=len(c.full))
 
 
 def _quermassintegral(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
     # the full space scores by the subspace convention
-    return _tangent_u(c, 0, q.k) + np.where(c.full, float((c.gens.shape[2] - q.k) % 2), 0.0)
+    return _tangent_u(c, 0, q.k) + np.where(c.full, float((c.gens.shape[0] - q.k) % 2), 0.0)
 
 
 def _intrinsic_volume(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
     # Crofton: v_k = U_{k-1} - U_{k+1}, with U_{-1} = 1/2; the nested
     # kernels make each value 0 or 1/2.  A full cone has v_d = 1.
-    top = c.full & (q.k == c.gens.shape[2])
+    top = c.full & (q.k == c.gens.shape[0])
     return _tangent_u(c, 0, q.k - 1) - _tangent_u(c, 0, q.k + 1) + top
 
 
 def _face_intrinsic(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
     if q.m == 0:  # the apex {0} is a subspace, with v_0 = 1
         return (~c.full).astype(float)
-    if q.m == c.gens.shape[2]:  # no d-face, as the closed form reads
-        return np.zeros(len(c.gens))
+    if q.m == c.gens.shape[0]:  # no d-face, as the closed form reads
+        return np.zeros(len(c.full))
     return _face_u(c, q.m, q.l - 1) - _face_u(c, q.m, q.l + 1)
 
 
 def _face_prob(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
     rows = [i - 1 for i in q.indices]  # 1-based partial sums -> generator rows
     at = np.flatnonzero((geometry._subsets(c.gens.shape[1], len(rows)) == rows).all(axis=1))[0]
-    return geometry._face_masks(c.rec, len(rows))[:, at].astype(float)
+    return geometry._face_masks(c.rec, len(rows))[at].astype(float)
 
 
 def _columns(low: int, high: int, *counts: int) -> int:
@@ -417,7 +433,7 @@ class _Measure(NamedTuple):
 MEASURES: dict[str, _Measure] = {
     "absorption": _Measure(lambda q, c: c.full.astype(float)),
     "nonabsorption": _Measure(lambda q, c: (~c.full).astype(float)),
-    "fk": _Measure(lambda q, c: geometry._face_masks(c.rec, q.k).sum(axis=1).astype(float)),
+    "fk": _Measure(lambda q, c: geometry._face_masks(c.rec, q.k).sum(axis=0).astype(float)),
     "Uk": _Measure(_quermassintegral, lambda q, d: (d, _columns(0, d, q.k))),
     "vk": _Measure(_intrinsic_volume, lambda q, d: (d, _columns(0, d, q.k - 1, q.k + 1))),
     "Lambda": _Measure(lambda q, c: _face_u(c, q.k, q.k - 1),
@@ -500,11 +516,12 @@ class _Sampler:
 
     def draws(self, streams: _SampleStreams, samples: np.ndarray,
               draw: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each sample's increments and Gaussian block, made of the first
-        standard normals of its draw ``draw`` (``_SampleStreams.normals``)."""
+        """Each sample's increments (d, n_steps, S) and Gaussian block
+        (d, c, S), made of the first standard normals of its draw ``draw``
+        (``_SampleStreams.normals``), turned once to one row per normal."""
         count = self.draw.n_words
-        z = streams.normals(samples, count + math.prod(self.block), draw)
-        return self.draw.increments(z), z[:, count:].reshape(len(samples), *self.block)
+        z = streams.normals(samples, count + math.prod(self.block), draw).T.copy()
+        return self.draw.increments(z), z[count:].reshape(*self.block, len(samples))
 
 
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:

@@ -5,7 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -942,29 +942,123 @@ def tangent_bases(gens: np.ndarray, which: np.ndarray, faces: np.ndarray) -> np.
 def origin_in_hulls(pts: np.ndarray) -> np.ndarray:
     """geometry._origin_in_hull of each point set of pts (S, n, d), from
     one sign record of the batch."""
-    rec = geometry._SignRecord.of(pts)
-    inside = ~rec.facets.any(axis=1)
+    rec = geometry._SignRecord.of(pts.transpose(2, 1, 0))
+    inside = ~rec.facets.any(axis=0)
     for s in np.flatnonzero(~rec.general):
         inside[s] = geometry._hull_descent(pts[s], rec.take([s]))
     return inside
 
 
+# ---------------------------------------------------------------------------
+# the sign record with the samples first
+#
+# geometry's sign record before the sample axis moved last, moved unchanged:
+# point sets (S, n, d), signs (S, T), sides (S, others, walls), facets and
+# face masks (S, subsets).  Its short axes are reduced column by column or
+# point by point, as numpy's reductions over them were slow.
+
+def samples_first_minor_estimates(x: np.ndarray, table) -> np.ndarray:
+    """Floating-point values of all d x d minors of each set in x, (S, n, d)."""
+    m = x[:, :, 0]
+    for k, (rows, below, cofactor) in enumerate(table.levels, start=2):
+        col = x[:, :, k - 1]
+        level = np.zeros((len(x), rows.shape[1]))
+        for r, b, c in zip(rows, below, cofactor):
+            level += col.take(r, axis=1) * c * m.take(b, axis=1)
+        m = level
+    return m
+
+
+def samples_first_filtered_signs(pts: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """Signs of all d x d minors of each set in pts, (S, n, d), as the
+    filter sees them, and the mask of those it cannot certify."""
+    d = pts.shape[2]
+    # each row's max, column by column
+    _, expo = np.frexp(functools.reduce(np.maximum, np.abs(pts).transpose(2, 0, 1)))
+    scaled = np.ldexp(pts, -expo[..., None])
+    est = samples_first_minor_estimates(scaled, table)
+    unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)
+    lost = np.ldexp(scaled, expo[..., None]) != pts
+    if lost.any():
+        unsure[lost.any(axis=(1, 2))] = True
+    return np.sign(est).astype(np.int8), unsure
+
+
+@functools.lru_cache(maxsize=None)
+def _facet_subsets(n: int, d: int, k: int) -> np.ndarray:
+    """Per (d-1)-subset of range(n) in combinations order, the positions of
+    its k-subsets among all k-subsets of range(n)."""
+    position = {tuple(s): t for t, s in enumerate(geometry._subsets(n, k).tolist())}
+    walls = geometry._subsets(n, d - 1).tolist()
+    return np.array([[position[c] for c in combinations(wall, k)] for wall in walls],
+                    dtype=np.intp).reshape(len(walls), math.comb(d - 1, k))
+
+
+class SamplesFirstRecord:
+    """The sign record of point sets pts (S, n, d), samples first: ``signs``
+    exact after the integer fallback, ``unsure`` the filter's mask."""
+
+    def __init__(self, pts: np.ndarray) -> None:
+        count, n, d = pts.shape
+        self.table = geometry._minor_table(n, d)
+        if n < d:
+            self.signs = np.zeros((count, 0), np.int8)
+            self.unsure = np.zeros((count, 0), bool)
+        else:
+            self.signs, self.unsure = samples_first_filtered_signs(pts, self.table)
+            subsets = geometry._subsets(n, d)
+            for s in np.flatnonzero(self.unsure.any(axis=1)):
+                rows = geometry._integer_rows(pts[s])
+                for t in np.flatnonzero(self.unsure[s]):
+                    det = geometry._bareiss([rows[i] for i in subsets[t]])[1]
+                    self.signs[s, t] = (det > 0) - (det < 0)
+        self.general = self.signs.all(axis=1) & (self.signs.shape[1] > 0)
+
+    @functools.cached_property
+    def sides(self) -> np.ndarray:
+        return self.signs.take(self.table.facet_minor.T, axis=1) * self.table.facet_parity.T
+
+    @functools.cached_property
+    def facets(self) -> np.ndarray:
+        # point by point
+        total = np.zeros((len(self.signs), self.sides.shape[2]), dtype=np.int32)
+        return np.abs(functools.reduce(np.add, self.sides.transpose(1, 0, 2), total)) \
+            == self.sides.shape[1]
+
+    def full_cones(self) -> np.ndarray:
+        full = ~self.facets.any(axis=1)
+        odd = ~self.general
+        if odd.any():
+            sides = self.sides[odd]
+            off = np.abs(sides).sum(axis=-2, dtype=np.int32)
+            weak = (off > 0) & (np.abs(sides.sum(axis=-2, dtype=np.int32)) == off)
+            full[odd] = self.signs[odd].any(axis=1) & ~weak.any(axis=1)
+        return full
+
+    def face_masks(self, k: int) -> np.ndarray:
+        n, d = self.table.shape
+        inside = _facet_subsets(n, d, k)
+        mask = np.zeros((len(self.signs), math.comb(n, k)), dtype=bool)
+        s, f = np.nonzero(self.facets)
+        mask[s[:, None], inside[f]] = True
+        return mask
+
+
 def axis_max_filtered_signs(pts: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
-    """``geometry._filtered_signs`` with each row's max as numpy's max over
-    the coordinate axis: the replaced reduction."""
+    """``samples_first_filtered_signs`` with each row's max as numpy's max
+    over the coordinate axis."""
     d = pts.shape[2]
     _, expo = np.frexp(np.abs(pts).max(axis=2))
     scaled = np.ldexp(pts, -expo[..., None])
-    est = geometry._minor_estimates(scaled, table)
+    est = samples_first_minor_estimates(scaled, table)
     unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)
     lost = np.ldexp(scaled, expo[..., None]) != pts
     unsure[lost.any(axis=(1, 2))] = True
     return np.sign(est).astype(np.int8), unsure
 
 
-def axis_sum_facets(rec) -> np.ndarray:
-    """``geometry._SignRecord.facets`` as numpy's sum over the other-point
-    axis: the replaced reduction."""
+def axis_sum_facets(rec: SamplesFirstRecord) -> np.ndarray:
+    """``SamplesFirstRecord.facets`` as numpy's sum over the other-point axis."""
     return np.abs(rec.sides.sum(axis=1, dtype=np.int32)) == rec.sides.shape[1]
 
 
@@ -1030,8 +1124,22 @@ def replaced_v(gens: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
     return (projection_supports(gens, g)[0].sum(axis=1) == k).astype(float)
 
 
+class _SamplesFirstChunk(NamedTuple):
+    """A chunk's generators (S, N, d) and Gaussian blocks with the samples
+    first, as the replaced rows read them, and its sign record."""
+
+    gens: np.ndarray
+    rec: "geometry._SignRecord"
+    gauss: np.ndarray
+
+
+def _samples_first(c: "simulation._Chunk") -> _SamplesFirstChunk:
+    return _SamplesFirstChunk(np.ascontiguousarray(c.gens.transpose(2, 1, 0)), c.rec,
+                              np.moveaxis(c.gauss, -1, 0))
+
+
 def _face_sum(c, j: int, tangent: bool, value: Callable) -> np.ndarray:
-    mask = geometry._face_masks(c.rec, j)
+    mask = geometry._face_masks(c.rec, j).T
     s, f = np.nonzero(mask)
     rank = np.cumsum(mask, axis=1)[s, f] - 1
     faces = geometry._subsets(c.gens.shape[1], j)[f]
@@ -1066,7 +1174,7 @@ def replaced_sampler(query: FunctionalQuery, dist) -> "simulation._Sampler":
     """A sampler of the query that draws and measures as the replaced row."""
     sampler = simulation._Sampler(query, dist)
     value, block = REPLACED_MEASURES[query.functional]
-    sampler.measure = simulation._Measure(value)
+    sampler.measure = simulation._Measure(lambda q, c: value(q, _samples_first(c)))
     sampler.block = block(query, sampler.draw.n_generators, dist.d)
     return sampler
 

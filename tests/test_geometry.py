@@ -39,6 +39,7 @@ from conic_walks.geometry import (
 
 from oracles import (
     _nnls_projection,
+    SamplesFirstRecord,
     axis_max_filtered_signs,
     axis_sum_facets,
     brute_force_is_face,
@@ -53,6 +54,7 @@ from oracles import (
     projection_supports,
     random_cone_generators,
     row_complement,
+    samples_first_filtered_signs,
     tangent_base,
     tangent_bases,
 )
@@ -310,7 +312,7 @@ class TestSubspaceIntersection:
             sub = sample_uniform_subspace(4, 2, rng)
             calls.clear()
             assert intersects_subspace(cone, sub) or not full
-            assert calls == ([] if full else [(1, 5, 2)])
+            assert calls == ([] if full else [(2, 5, 1)])
             seen.add(full)
         assert seen == {False, True}
 
@@ -657,9 +659,11 @@ def orbit_cones(model, steps):
 
 def orbit_chunk(model):
     """The whole orbit of a model's increments as one chunk of cones."""
-    gens = np.stack([cone.generators for cone in orbit_cones(model, ORBIT_STEPS[model])])
+    gens = np.stack([cone.generators.T for cone in orbit_cones(model, ORBIT_STEPS[model])],
+                    axis=-1)
     rec = geometry._SignRecord.of(gens)
-    return simulation._Chunk(gens, rec, geometry._full_cones(rec), np.empty((len(gens), 0)))
+    return simulation._Chunk(gens, rec, geometry._full_cones(rec),
+                             np.empty((model.d, 0, gens.shape[2])))
 
 
 class TestOrbitAverages:
@@ -693,7 +697,7 @@ class TestOrbitAverages:
 
         def average(query, c=chunk):
             return Fraction(simulation.MEASURES[query.functional].value(query, c).sum()) \
-                / len(c.gens)
+                / len(c.full)
 
         for k in range(model.d):
             assert average(FunctionalQuery("fk", model, k=k)) == expected_fk(model, k)
@@ -829,13 +833,13 @@ def exact_minor_signs(pts):
 
 def filter_signs(pts):
     n, d = pts.shape
-    signs, unsure = geometry._filtered_signs(pts[None], geometry._minor_table(n, d))
-    return signs[0], unsure[0]
+    signs, unsure = geometry._filtered_signs(pts.T[:, :, None], geometry._minor_table(n, d))
+    return signs[:, 0], unsure[:, 0]
 
 
 def minor_signs(pts):
     n, d = pts.shape
-    return geometry._minor_signs(pts[None], geometry._minor_table(n, d))[0].tolist()
+    return geometry._minor_signs(pts.T[:, :, None], geometry._minor_table(n, d))[:, 0].tolist()
 
 
 class TestExactHullPredicate:
@@ -929,7 +933,7 @@ class TestExactHullPredicate:
     def test_batch_temporaries_stay_one_level_wide(self):
         # a level's k cofactor terms are summed one at a time: stacked
         # k-fold, a chunk's products are mapped afresh on every batch
-        x = np.random.default_rng(5).standard_normal((128, 9, 3))
+        x = np.random.default_rng(5).standard_normal((3, 9, 128))
         table = geometry._minor_table(9, 3)
         geometry._minor_estimates(x, table)
         tracemalloc.start()
@@ -938,7 +942,7 @@ class TestExactHullPredicate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.shape == (128, 84)
+        assert est.shape == (84, 128)
         assert peak < 6 * est.nbytes
 
 
@@ -985,8 +989,8 @@ class TestOneSignRecord:
         assert time.perf_counter() - start < 0.1
 
     def test_short_records_have_no_minor_and_no_level_above_n(self):
-        rec = geometry._SignRecord.of(np.ones((4, 2, 3)))
-        assert rec.signs.shape == (4, 0) and not rec.general.any()
+        rec = geometry._SignRecord.of(np.ones((3, 2, 4)))
+        assert rec.signs.shape == (0, 4) and not rec.general.any()
         misses = geometry._subsets.cache_info().misses
         for n, d in ((1, 2999), (2, 2999), (3, 7)):
             table = geometry._minor_table(n, d)
@@ -998,8 +1002,8 @@ class TestOneSignRecord:
 
 
 class TestShortAxisReductions:
-    """The filter's row max and the facet test's sum over the other points
-    run column by column; they give what numpy's axis reductions gave."""
+    """The samples-first record's row max and facet sum run column by column
+    and point by point; they give what numpy's axis reductions gave."""
 
     @staticmethod
     def point_sets():
@@ -1018,7 +1022,7 @@ class TestShortAxisReductions:
         lost = 0
         for pts in self.point_sets():
             table = geometry._minor_table(*pts.shape[1:])
-            signs, unsure = geometry._filtered_signs(pts, table)
+            signs, unsure = samples_first_filtered_signs(pts, table)
             want_signs, want_unsure = axis_max_filtered_signs(pts, table)
             assert signs.tobytes() == want_signs.tobytes()
             assert unsure.tobytes() == want_unsure.tobytes()
@@ -1029,11 +1033,57 @@ class TestShortAxisReductions:
     def test_facets_match_the_axis_sum(self):
         shapes = set()
         for pts in self.point_sets():
-            rec = geometry._SignRecord.of(pts)
+            rec = SamplesFirstRecord(pts)
             shapes.add(rec.sides.shape[1])
             assert rec.facets.shape == axis_sum_facets(rec).shape
             assert (rec.facets == axis_sum_facets(rec)).all()
         assert 0 in shapes and max(shapes) > 1  # n < d keeps an empty axis of other points
+
+
+class TestSampleLastRecord:
+    """The sign record with the samples last decides every set as the
+    samples-first record it replaced, filter mask included."""
+
+    @staticmethod
+    def point_sets():
+        rng = np.random.default_rng(20261021)
+        for n, d in ((1, 1), (5, 1), (2, 2), (4, 2), (5, 3), (7, 3), (6, 4), (8, 4), (1, 3),
+                     (2, 4), (3, 4)):
+            yield "gaussian", rng.standard_normal((96, n, d))
+            yield "cauchy", rng.standard_cauchy((96, n, d))
+            odd = rng.standard_normal((96, n, d))
+            odd[::3, -1] = odd[::3, 0]  # a repeated point
+            odd[1::3, 0] = 0.0  # a zero point
+            yield "zero minors", odd
+            tiny = rng.standard_normal((96, n, d))
+            tiny[::2, -1] *= 2.0 ** -1060  # a subnormal row
+            tiny[1::2, 0, 0] *= 2.0 ** -1060  # scaled by its row's max, an entry loses bits
+            yield "underflow", tiny
+
+    def test_matches_the_samples_first_record(self):
+        seen = set()
+        for kind, pts in self.point_sets():
+            _, n, d = pts.shape
+            want = SamplesFirstRecord(pts)
+            last = np.ascontiguousarray(pts.transpose(2, 1, 0))
+            if n >= d:
+                _, unsure = geometry._filtered_signs(last, geometry._minor_table(n, d))
+                assert np.array_equal(unsure.T, want.unsure), kind
+                _, expo = np.frexp(np.abs(pts).max(axis=2, keepdims=True))
+                lost = (np.ldexp(np.ldexp(pts, -expo), expo) != pts).any(axis=(1, 2))
+                assert unsure[:, lost].all(), kind
+                seen |= {"exact fallback"} if unsure.any() else set()
+                seen |= {"lost bits"} if lost.any() else set()
+            rec = geometry._SignRecord.of(last)
+            assert rec.signs.dtype == want.signs.dtype
+            assert np.array_equal(rec.signs.T, want.signs), kind
+            assert np.array_equal(rec.general, want.general), kind
+            assert np.array_equal(rec.facets.T, want.facets), kind
+            assert np.array_equal(geometry._full_cones(rec), want.full_cones()), kind
+            for k in range(d):
+                assert np.array_equal(geometry._face_masks(rec, k).T, want.face_masks(k)), (kind, k)
+            seen.add("short" if n < d else "odd" if not rec.general.all() else "general")
+        assert seen == {"exact fallback", "lost bits", "short", "odd", "general"}
 
 
 class TestBareiss:

@@ -181,6 +181,12 @@ def philox(seed, counter):
 KEY = 987654321
 
 
+def samples_first(steps, gauss):
+    """A round's increments (S, n_steps, d) and Gaussian blocks (S, d, c),
+    from the sampler's (d, n_steps, S) and (d, c, S)."""
+    return steps.transpose(2, 1, 0), gauss.transpose(2, 0, 1)
+
+
 def draws_alone(sampler, samples, draw):
     """Draw ``draw`` of ``sampler`` on the chunk of ``samples`` one sample at
     a time through numpy's own distributions: each sample's increments and
@@ -228,8 +234,9 @@ class TestBatchedDraws:
                     continue
                 seen.add((sampler.draw.blocks, sampler.block))
                 for draw in (0, 3):
-                    steps, gauss = sampler.draws(_SampleStreams(KEY, samples.start),
-                                                 np.array(samples, dtype=np.uint64), draw)
+                    steps, gauss = samples_first(*sampler.draws(
+                        _SampleStreams(KEY, samples.start), np.array(samples, dtype=np.uint64),
+                        draw))
                     want_steps, want_gauss = draws_alone(sampler, samples, draw)
                     # the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
                     assert steps.tobytes() == want_steps.tobytes(), (q, draw)
@@ -290,6 +297,24 @@ class TestSampleStreams:
         rng.standard_normal(100_000)
         assert high(rng) == (0, 1, 5)
 
+    def test_a_chunk_that_draws_nothing_again_builds_one_philox(self, monkeypatch):
+        # the generator of later draws is built on a chunk's first redraw
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("counter"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        for query, philoxes in ((FunctionalQuery("fk", Model("A", 4, 2), k=1), 1),
+                                (FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True), 2)):
+            built.clear()
+            total, _, rejected = simulation._chunk_stats((query, GAUSS2, 3, 0, 256))
+            assert rejected == 0 and total > 0
+            assert len(built) == philoxes, query
+            assert built[0] is not None and all(c is None for c in built[1:])
+
     DIGESTS = {"gaussian_iid": "950704a924a71563", "heavy_tail_iid": "d98a16b70ce46d2d",
                "scaled_gaussian_exchangeable": "b32a9b8322e96f9e"}
 
@@ -301,7 +326,7 @@ class TestSampleStreams:
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
         sampler = simulation._Sampler(query, DistributionSpec(family, 2))
         samples = np.arange(2048, 4096, dtype=np.uint64)
-        steps, gauss = sampler.draws(_SampleStreams(20_250_810, 2048), samples, 0)
+        steps, gauss = samples_first(*sampler.draws(_SampleStreams(20_250_810, 2048), samples, 0))
         digest = hashlib.sha256(steps.tobytes() + gauss.tobytes()).hexdigest()[:16]
         assert digest == self.DIGESTS[family]
 
@@ -378,8 +403,8 @@ class TestWedgeWords:
 
             with monkeypatch.context() as m:
                 m.setattr(_SampleStreams, "at", recording)
-                steps, gauss = sampler.draws(_SampleStreams(KEY, 0),
-                                             np.array(samples, dtype=np.uint64), draw)
+                steps, gauss = samples_first(*sampler.draws(
+                    _SampleStreams(KEY, 0), np.array(samples, dtype=np.uint64), draw))
             assert stands == [(i, draw, 0) for i in samples]
             got = np.concatenate([steps.reshape(len(samples), -1),
                                   gauss.reshape(len(samples), -1)], axis=1)
@@ -401,12 +426,13 @@ class TestDrawNumbers:
         assert rejected == 0
         rows = philox(seed, [0, 0, 0, start]).standard_normal((samples, 10))  # 8 steps, a (2, 1) block
         steps, gauss = sampler.draws(_SampleStreams(seed, start), indices, 0)
+        gens = sampler.draw.partial_sums(steps)
+        steps, gauss = samples_first(steps, gauss)
         assert steps.tobytes() == rows[:, :8].reshape(samples, 4, 2).tobytes()
         assert gauss.tobytes() == rows[:, 8:].reshape(samples, 2, 1).tobytes()
-        full = [p for p in range(samples)
-                if is_full_cone(ConeSample(sampler.draw.partial_sums(steps[p:p + 1])[0]))]
+        full = [p for p in range(samples) if is_full_cone(ConeSample(gens[:, :, p].T))]
         assert len(full) > 5
-        steps, _ = sampler.draws(_SampleStreams(seed, start), indices[full], 1)
+        steps, _ = samples_first(*sampler.draws(_SampleStreams(seed, start), indices[full], 1))
         want = [philox(seed, [0, 0, 1, i]).standard_normal((4, 2)) for i in indices[full].tolist()]
         assert steps.tobytes() == np.stack(want).tobytes()
         measure = oracles.LOOP_MEASURES["Uk"]
@@ -705,8 +731,8 @@ def replace_draws(monkeypatch, replace, block=lambda i, t, gauss: gauss):
         steps, gauss = draws(self, streams, samples, draw)
         for s, i in enumerate(samples.tolist()):
             drawn.append((i, draw))
-            steps[s] = replace(i, draw, steps[s])
-            gauss[s] = block(i, draw, gauss[s])
+            steps[:, :, s] = replace(i, draw, steps[:, :, s].T).T
+            gauss[:, :, s] = block(i, draw, gauss[:, :, s])
         return steps, gauss
 
     def numpy_drawing(dist, lengths, rng):
@@ -824,7 +850,7 @@ class TestConditionedFullConeTest:
         full_cones = geometry._full_cones
 
         def counting(rec):
-            decided.append(len(rec.signs))
+            decided.append(rec.signs.shape[1])
             return full_cones(rec)
 
         monkeypatch.setattr(geometry, "_full_cones", counting)
@@ -859,11 +885,11 @@ class TestSharedMinorTable:
             sampler = simulation._Sampler(query, dist)
             steps, _ = sampler.draws(_SampleStreams(3, 0), np.arange(64, dtype=np.uint64), 0)
             rec = geometry._SignRecord.of(sampler.draw.partial_sums(steps))
-            projections = [(int(geometry._face_masks(rec, query.m).sum()), query.m, query.l)]
+            projections = [(query.l, query.m, int(geometry._face_masks(rec, query.m).sum()))]
         monkeypatch.setattr(geometry, "_minor_signs", counting)
         est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
         assert est.rejected == 0
-        assert calls == [(64, query.model.generator_count, query.dimension)] + projections
+        assert calls == [(query.dimension, query.model.generator_count, 64)] + projections
 
     def test_replayed_draws_compute_their_minors_once(self, monkeypatch):
         # two samples reject their first draw and draw again in round 2:
@@ -880,7 +906,7 @@ class TestSharedMinorTable:
         query = FunctionalQuery("fk", Model("A", 4, 2), k=1)
         est = estimate(RunConfig(query=query, dist=GAUSS2, samples=64, seed=3))
         assert est.rejected == 2
-        assert calls == [(64, 3, 2), (2, 3, 2)]
+        assert calls == [(2, 3, 64), (2, 3, 2)]
 
 
 class TestHaarHits:
@@ -950,6 +976,23 @@ class TestDegenerateProjections:
         assert simulation._chunk_stats(args) == got
 
 
+class TestSampleLastChunk:
+    def test_projection_is_the_samples_first_matmul(self):
+        # projected verdicts read these values, so they keep the bits of
+        # numpy's stacked matmul over the samples; a sum over the short
+        # coordinate axis, or a matmul of strided views, rounds otherwise
+        rng = np.random.default_rng(20261020)
+        for d, n, c in ((2, 4, 1), (3, 5, 2), (4, 6, 3)):
+            gens = rng.standard_cauchy((500, n, d))
+            gauss = rng.standard_normal((500, d, c))
+            last = np.ascontiguousarray(gens.transpose(2, 1, 0))
+            rec = geometry._SignRecord.of(last)
+            chunk = simulation._Chunk(last, rec, geometry._full_cones(rec),
+                                      np.ascontiguousarray(gauss.transpose(1, 2, 0)))
+            assert chunk.proj.shape == (c, n, 500)
+            assert chunk.proj.transpose(2, 1, 0).tobytes() == (gens @ gauss).tobytes()
+
+
 class TestTangentConesByProjection:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_faces_of_the_projection_match_the_svd_tangent_bases(self, family):
@@ -997,12 +1040,13 @@ class TestCroftonOnFixedCones:
         samples = 20_000
         rng = np.random.default_rng(20_250_810)
         batch = np.broadcast_to(gens, (samples, n, d)).copy()
-        rec = geometry._SignRecord.of(batch)
+        rec = geometry._SignRecord.of(batch.transpose(2, 1, 0))
         assert rec.general.all()
         for k in range(d + 1):
             query = FunctionalQuery("vk", Model("B", n, d), k=k)
             gauss = rng.standard_normal((samples, *simulation.MEASURES["vk"].block(query, d)))
-            chunk = simulation._Chunk(batch, rec, geometry._full_cones(rec), gauss)
+            chunk = simulation._Chunk(batch.transpose(2, 1, 0), rec, geometry._full_cones(rec),
+                                      gauss.transpose(1, 2, 0))
             crofton = simulation.MEASURES["vk"].value(query, chunk)
             projection = oracles.replaced_v(batch, k, rng.standard_normal((samples, d)))
             assert set(np.unique(crofton)) <= {0.0, 0.5, 1.0}
