@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check raising one."""
+"""Exception types shared across the package, and the integer checks raising one."""
 
 import operator
 
@@ -25,6 +25,16 @@ def as_index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_seed(value) -> int:
+    """``value`` as a seed, an exact integer in [0, 2^64), the Philox key
+    word it sets; anything else raises DomainError rather than alias
+    another seed."""
+    seed = as_index(value, "seed")
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def as_indices(values, what: str) -> tuple[int, ...]:

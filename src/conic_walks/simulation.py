@@ -7,12 +7,12 @@ standard log-normal scale (dependent but still exchangeable with symmetric
 signs).
 
 Estimates are reproducible by construction.  Samples are decided in
-chunks of at most _CHUNK, and draw 0 of the chunk that starts at sample s
-is numpy's Generator over the Philox stream with key ``seed`` and counter
-(0, 0, 0, s), read in C order, one run of standard normals per sample.
-Draw t >= 1 of sample ``i`` (1, 2, ... each time the sample draws again)
-is the stream with counter (0, 0, t, i), read from its first word.  So
-results depend on the seed, _CHUNK and the sample index, not on worker
+chunks of at most _CHUNK, and draw t of the chunk that starts at sample s
+(t = 0 first, then 1, 2, ... each time a sample draws again) is numpy's
+Generator over the Philox stream with key ``seed`` and counter
+(0, 0, t, s): the chunk's samples that make draw t read its standard
+normals in C order, one run each, in sample order.  So results depend on
+the seed, _CHUNK and which samples of a chunk draw again, not on worker
 count, batch size or scheduling, and chunk partial sums are reduced in
 fixed chunk order.
 
@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, SamplingError, as_index
+from .errors import DomainError, SamplingError, as_index, as_seed
 from .formulas import (
     A_BRIDGE,
     B_WALK,
@@ -46,7 +46,6 @@ from .geometry import ConeSample
 
 FAMILIES = ("gaussian_iid", "heavy_tail_iid", "scaled_gaussian_exchangeable")
 
-_MASK64 = (1 << 64) - 1
 _CHUNK = 2048
 _MAX_DRAW_RETRIES = 128
 _MAX_CONDITION_RETRIES = 200_000
@@ -211,50 +210,28 @@ def sample_bridge(dist: DistributionSpec, n: int, rng: np.random.Generator) -> C
 class _SampleStreams:
     """The random streams of one chunk of samples, over one Philox key.
 
-    Draw 0 of the chunk that starts at sample s is one stream, numpy's
+    Draw t of the chunk that starts at sample s is one stream, numpy's
     Generator over the Philox sequence with key (seed, 0) and counter
-    (0, 0, 0, s): ``first`` gives its standard normals in C order, a run
-    of ``count`` per sample, to the chunk's samples in turn, so the batches
-    of a chunk read the bytes of one call.  Draw t >= 1 of sample i is the
-    sequence with counter (0, 0, t, i), read from its first word.  A stream
-    adds one to its counter per block of four words, and no stream reads
-    2^64 blocks, so no two streams share a counter.  Most chunks draw
-    nothing again, so the generator of later draws is built on first use.
+    (0, 0, t, s).  The chunk's samples that make draw t read its standard
+    normals in C order, a run of ``count`` each, in sample order, so the
+    batches of a chunk read each stream one after another.  A stream adds
+    one to its counter per block of four words, and no stream reads 2^64
+    blocks, so no two streams share a counter.  Most chunks draw nothing
+    again, so a stream's generator is built on its first use.
     """
 
     def __init__(self, seed: int, start: int) -> None:
-        self._key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
-        self.first = np.random.Generator(np.random.Philox(
-            key=self._key, counter=np.array([0, 0, 0, start & _MASK64], dtype=np.uint64)))
-
-    @functools.cached_property
-    def _later(self) -> tuple[np.random.Generator, dict]:
-        """The generator of later draws, and a copy of its bit generator's
-        state with the output buffer marked as drained."""
-        gen = np.random.Generator(np.random.Philox(key=self._key))
-        state = gen.bit_generator.state  # a copy; setting it copies it back
-        state["buffer_pos"] = 4
-        return gen, state
-
-    def at(self, index: int, draw: int) -> np.random.Generator:
-        """numpy's generator at the first word of draw ``draw`` of sample
-        ``index``."""
-        gen, state = self._later
-        state["state"]["counter"][:] = (0, 0, draw, index & _MASK64)
-        gen.bit_generator.state = state
-        return gen
+        self._key = np.array([seed, 0], dtype=np.uint64)
+        self._start = start
+        self._draws: dict[int, np.random.Generator] = {}
 
     def normals(self, samples: np.ndarray, count: int, draw: int) -> np.ndarray:
-        """The first ``count`` normals (S, count) of draw ``draw`` of the
-        samples.  Draw 0 reads the next S runs of ``first``, so its samples
-        are the chunk's next ones in order; a later draw reads each sample's
-        own stream, so that it does not depend on which samples draw again."""
-        if draw == 0:
-            return self.first.standard_normal((len(samples), count))
-        z = np.empty((len(samples), count))
-        for p, i in enumerate(samples.tolist()):
-            self.at(i, draw).standard_normal(out=z[p])
-        return z
+        """The next ``count`` normals (S, count) of stream ``draw`` for each
+        of the samples, the chunk's next ones to make that draw, in order."""
+        if draw not in self._draws:
+            self._draws[draw] = np.random.Generator(np.random.Philox(
+                key=self._key, counter=np.array([0, 0, draw, self._start], dtype=np.uint64)))
+        return self._draws[draw].standard_normal((len(samples), count))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +255,8 @@ class RunConfig:
     """One reproducible estimation run.
 
     The same (config, seed) pair yields bit-identical estimates for any
-    worker count.
+    worker count.  The seed is the first word of the Philox key, an
+    integer in [0, 2^64).
     """
 
     query: FunctionalQuery
@@ -288,8 +266,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for key in ("samples", "seed", "workers"):
+        for key in ("samples", "workers"):
             object.__setattr__(self, key, as_index(getattr(self, key), key))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.samples < 1:
             raise DomainError("need at least one sample")
         if self.workers < 1:
@@ -477,11 +456,13 @@ class _Sampler:
         """Each sample's value, and the draws rejected on the way.
 
         Every sample draws its increments and then its Gaussian block, and
-        round t decides draw t of every pending sample at once.  A sample
-        whose draw is not in general position, or is a full cone under
-        ``conditioned``, is pending in the next round.  So is a sample whose
-        measurement projects points with an exactly zero minor (probability
-        zero): that draw counts as one not in general position.
+        round t decides draw t of every pending sample at once, from the
+        next runs of stream t, so ``indices`` are the chunk's next samples
+        in order.  A sample whose draw is not in general position, or is a
+        full cone under ``conditioned``, is pending in the next round.  So
+        is a sample whose measurement projects points with an exactly zero
+        minor (probability zero): that draw counts as one not in general
+        position.
         """
         values = np.empty(len(indices))
         misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
@@ -517,7 +498,7 @@ class _Sampler:
     def draws(self, streams: _SampleStreams, samples: np.ndarray,
               draw: int) -> tuple[np.ndarray, np.ndarray]:
         """Each sample's increments (d, n_steps, S) and Gaussian block
-        (d, c, S), made of the first standard normals of its draw ``draw``
+        (d, c, S), made of its run of standard normals in stream ``draw``
         (``_SampleStreams.normals``), turned once to one row per normal."""
         count = self.draw.n_words
         z = streams.normals(samples, count + math.prod(self.block), draw).T.copy()
@@ -558,7 +539,9 @@ def estimate(config: RunConfig) -> MCEstimate:
     chunks = [(query, config.dist, config.seed, start, min(_CHUNK, n - start))
               for start in range(0, n, _CHUNK)]
     if config.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a pool starts all its workers at its first task, so more workers
+        # than chunks would only be idle processes
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(chunks))) as pool:
             parts = list(pool.map(_chunk_stats, chunks, chunksize=1))
     else:
         parts = [_chunk_stats(c) for c in chunks]

@@ -40,7 +40,7 @@ from .combinatorics import (
     root_product,
     walk_roots,
 )
-from .errors import DomainError, as_index
+from .errors import DomainError, as_index, as_seed
 from .formulas import (
     A_BRIDGE,
     B_WALK,
@@ -545,10 +545,10 @@ def verify_suite(budget: int = 100_000,
     so the Monte Carlo matrix is marked skipped and only identities count.
     With ``tamper=True`` the identities run against deliberately corrupted
     tables, which must make at least one of them fail.  Non-integer
-    arguments, a negative budget or no worker raise DomainError at once.
+    arguments, a negative budget, a seed outside [0, 2^64) or no worker
+    raise DomainError at once.
     """
-    budget, seed, workers = (as_index(budget, "budget"), as_index(seed, "seed"),
-                             as_index(workers, "workers"))
+    budget, seed, workers = as_index(budget, "budget"), as_seed(seed), as_index(workers, "workers")
     if budget < 0:
         raise DomainError(f"budget must be nonnegative, got {budget}")
     if workers < 1:

@@ -1345,15 +1345,14 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
 #
 # The chunk loop of the simulator before one array program decided each
 # chunk, moved with its names prefixed and its docstrings dropped.  Every
-# sample draws a ConeSample, attempt 0 from its run of the chunk's first
-# stream and attempt t >= 1 from ``streams.at(i, t)``, redraws until the
-# cone is in general position and, under ``conditioned``, until it is not
-# full, then measures it with per-cone kernels.  A face sum draws one
-# Gaussian block after the increments, shared by every face, and a
-# projection with an exactly zero minor makes the sample draw again.  It
-# draws its increments with numpy's own distributions, as the simulator
-# did before it built every law from standard normals.  The batched chunks
-# must give the same sums.
+# sample draws a ConeSample, attempt t from its run of the chunk's stream t
+# (``chunk_draws``), redraws until the cone is in general position and,
+# under ``conditioned``, until it is not full, then measures it with
+# per-cone kernels.  A face sum draws one Gaussian block after the
+# increments, shared by every face, and a projection with an exactly zero
+# minor makes the sample draw again.  It draws its increments with numpy's
+# own distributions, as the simulator did before it built every law from
+# standard normals.  The batched chunks must give the same sums.
 
 def numpy_increments(dist, n: int, rng: np.random.Generator) -> np.ndarray:
     """n increments of the family from numpy's own distributions: the
@@ -1421,20 +1420,27 @@ def row_width(sampler: "simulation._Sampler") -> int:
     return sampler.draw.n_words + math.prod(sampler.block)
 
 
-def _later_draws(streams, index: int) -> Iterator[SampleDraw]:
-    return (SampleDraw(streams.at(index, t).bit_generator, index, t) for t in itertools.count(1))
-
-
-def chunk_draws(streams, samples: range, width: int) -> Iterator[Iterator[SampleDraw]]:
+def chunk_draws(seed: int, samples: range, width: int) -> Iterator[Iterator[SampleDraw]]:
     """Per sample of the chunk, in order, the generators of its draws 0, 1,
-    2, ...: draw 0 stands at the first of the sample's ``width`` normals in
-    the chunk's first stream, which then moves past them, and draw t >= 1
-    is ``streams.at(i, t)``, set on its first word when it is taken."""
-    for i in samples:
+    2, ..., built here from the stream rule alone: draw t of the chunk that
+    starts at sample s is numpy's Generator over Philox with key (seed, 0)
+    and counter (0, 0, t, s), and a sample's draw t stands at the first of
+    its ``width`` normals there when it is taken, which the stream then
+    moves past.  So the samples that make draw t read stream t in order."""
+    streams: dict[int, np.random.Generator] = {}
+
+    def take(i: int, t: int) -> SampleDraw:
+        if t not in streams:
+            streams[t] = np.random.Generator(np.random.Philox(
+                key=np.array([seed, 0], dtype=np.uint64),
+                counter=np.array([0, 0, t, samples.start], dtype=np.uint64)))
         row = np.random.Philox(0)
-        row.state = streams.first.bit_generator.state
-        streams.first.standard_normal(width)
-        yield itertools.chain([SampleDraw(row, i, 0)], _later_draws(streams, i))
+        row.state = streams[t].bit_generator.state
+        streams[t].standard_normal(width)
+        return SampleDraw(row, i, t)
+
+    for i in samples:
+        yield map(functools.partial(take, i), itertools.count())
 
 
 def loop_draw_sample(query: FunctionalQuery, dist, rngs: Iterator[np.random.Generator]
@@ -1565,7 +1571,7 @@ LOOP_MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Genera
 def loop_chunk_stats(args: tuple) -> tuple[float, float, int]:
     """(total, total_sq, rejected) of one chunk, one sample at a time."""
     query, dist, seed, start, count = args
-    draws = chunk_draws(simulation._SampleStreams(seed, start), range(start, start + count),
+    draws = chunk_draws(seed, range(start, start + count),
                         row_width(simulation._Sampler(query, dist)))
     measure = LOOP_MEASURES[query.functional]
     total = 0.0

@@ -275,6 +275,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "CONIC_WALKS_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_the_key_word_exits_usage(self, seed, monkeypatch, capsys):
+        # -1 and 2^64 would alias 2^64 - 1 and 0, by flag or by environment
+        args = ("simulate", "--model", "B", "--functional", "nonabsorption",
+                "--n", "2", "--d", "1", "--samples", "100")
+        for flags, env in (((f"--seed={seed}",), None), ((), seed)):
+            if env is not None:
+                monkeypatch.setenv("CONIC_WALKS_SEED", env)
+            code, text = run_cli(*args, *flags)
+            assert code == EXIT_USAGE and text == ""
+            assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
     def test_face_intrinsic_at_m_equal_d_is_zero(self):
         code, text = run_cli("simulate", "--model", "A", "--n", "4", "--d", "2",
                              "--functional", "face_intrinsic", "--m", "2", "--l", "1",
@@ -319,6 +331,15 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert text == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_the_key_word_is_a_usage_error(self, seed, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        code, text = run_cli("verify", "--budget", "100", f"--seed={seed}", "--out", str(out))
+        assert code == EXIT_USAGE and text == "" and not out.exists()
+        monkeypatch.setenv("CONIC_WALKS_SEED", seed)
+        code, text = run_cli("verify", "--budget", "100", "--out", str(out))
+        assert code == EXIT_USAGE and text == "" and not out.exists()
 
     def test_report_bytes_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

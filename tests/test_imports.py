@@ -71,6 +71,19 @@ def _package_references(path):
     return refs
 
 
+def test_no_source_file_touches_a_bit_generator_state():
+    # numpy documents a bit generator's state dict for saving and restoring
+    # it, not its layout (NEP 19): the package reaches every stream through
+    # a Philox key and counter only
+    touched = []
+    for path in sorted(Path(conic_walks.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "state"
+                    or isinstance(node, ast.Constant) and node.value in ("state", "buffer_pos")):
+                touched.append((path.name, node.lineno))
+    assert touched == []
+
+
 def test_benchmark_harness_names_resolve():
     # the traced benchmark imports perfbench/layers.py, which no other test
     # runs, so a package name it uses that moved or went must fail here

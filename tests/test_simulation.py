@@ -82,6 +82,23 @@ class TestDistributions:
         with pytest.raises(DomainError, match=f"^{named} must be an integer"):
             build()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seeds_outside_the_key_word_are_rejected(self, seed):
+        # a seed is the first word of the Philox key, so -1 and 2^64 would
+        # alias 2^64 - 1 and 0
+        query = FunctionalQuery("fk", Model("B", 3, 2), k=1)
+        refused = re.escape(f"seed must be in [0, 2**64), got {seed}")
+        with pytest.raises(DomainError, match=refused):
+            RunConfig(query=query, dist=GAUSS2, samples=100, seed=seed)
+        with pytest.raises(DomainError, match=refused):
+            verify_suite(budget=0, seed=seed)
+
+    def test_the_largest_seed_is_accepted(self):
+        query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
+        runs = [estimate(RunConfig(query=query, dist=GAUSS2, samples=64, seed=seed))
+                for seed in (0, 2 ** 64 - 1)]
+        assert runs[0].mean != runs[1].mean
+
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_increments_match_numpys_own_distributions(self, family):
         # runs of 20,000 normals or more, so numpy's ziggurat leaves its
@@ -164,12 +181,30 @@ class TestSamplers:
 
 
 def position(rng):
-    """(counter word 3, counter word 2, word) of a Philox generator: for a
-    generator from ``_SampleStreams.at``, its sample, its draw and the word
-    it stands before."""
-    state = rng.bit_generator.state
+    """(counter word 3, counter word 2, word) of a Philox generator or bit
+    generator: for stream (0, 0, t, s), its chunk start s, its draw t and
+    the word it stands before."""
+    state = getattr(rng, "bit_generator", rng).state
     counter = state["state"]["counter"]
     return int(counter[3]), int(counter[2]), 4 * int(counter[0]) - 4 + state["buffer_pos"]
+
+
+def high(bit_generator):
+    """The three high words of a Philox bit generator's 256-bit counter."""
+    return tuple(int(w) for w in bit_generator.state["state"]["counter"][1:])
+
+
+def built_philoxes(monkeypatch):
+    """Every Philox bit generator built from now on, in order."""
+    built = []
+    real = np.random.Philox
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "Philox", recording)
+    return built
 
 
 def philox(seed, counter):
@@ -194,7 +229,7 @@ def draws_alone(sampler, samples, draw):
     spec = sampler.draw
     steps = np.empty((len(samples), spec.n_steps, spec.dist.d))
     gauss = np.empty((len(samples), *sampler.block))
-    draws = chunk_draws(_SampleStreams(KEY, samples.start), samples, row_width(sampler))
+    draws = chunk_draws(KEY, samples, row_width(sampler))
     for s, rngs in enumerate(draws):
         rng = next(itertools.islice(rngs, draw, None))
         steps[s] = oracles.numpy_draw(spec.dist, [n for n, _ in spec.blocks], rng)
@@ -204,16 +239,18 @@ def draws_alone(sampler, samples, draw):
 
 class TestBatchedDraws:
     @pytest.mark.parametrize("index", [0, 1, 2 ** 63, 2 ** 64 - 1])
-    def test_philox_words_match_numpy(self, index):
-        # 13 words span four blocks; draw 0 of the chunk at ``index`` and
-        # draw t >= 1 of sample ``index`` read numpy's Philox words from
-        # their first one
+    def test_philox_words_match_numpy(self, index, monkeypatch):
+        # 13 words span four blocks; draw t of the chunk at ``index`` reads
+        # numpy's Philox words of the stream (0, 0, t, index) from its first
+        # one
+        built = built_philoxes(monkeypatch)
+        streams = _SampleStreams(KEY, index)
         for draw in (0, 1, 2 ** 64 - 1):
+            streams.normals(np.arange(0, dtype=np.uint64), 0, draw)  # builds it, reads nothing
+            bit = built[-1]
+            assert position(bit) == (index, draw, 0)
             want = philox(KEY, [0, 0, draw, index]).bit_generator.random_raw(13)
-            streams = _SampleStreams(KEY, index)
-            rng = streams.at(index, draw) if draw else streams.first
-            assert position(rng) == (index, draw, 0)
-            assert np.array_equal(rng.bit_generator.random_raw(13), want)
+            assert np.array_equal(bit.random_raw(13), want)
 
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_first_round_matches_numpy_for_every_block_shape(self, family):
@@ -244,76 +281,66 @@ class TestBatchedDraws:
 
 
 class TestSampleStreams:
+    DRAWS = (0, 1, 2, 2 ** 64 - 1)
+
     def test_streams_match_fresh_construction(self):
-        # draw 0 of the chunk at s is the stream (0, 0, 0, s), read in C
-        # order by its batches in turn; draw t >= 1 of sample i is the
-        # stream (0, 0, t, i) from its first word
+        # draw t of the chunk at s is the stream (0, 0, t, s), read in C
+        # order by its batches in turn, whatever the other draws read
+        # between them
         for start in (0, 17, 2048, 2 ** 64 - 1):
             streams = _SampleStreams(99, start)
-            got = np.concatenate([streams.first.standard_normal((rows, 6)) for rows in (3, 1, 5)])
-            assert got.tobytes() == philox(99, [0, 0, 0, start]).standard_normal((9, 6)).tobytes()
-            for idx in (0, 1, 17, 54321):
-                for draw in (1, 2, 2 ** 64 - 1):
-                    want = philox(99, [0, 0, draw, idx]).standard_normal(6)
-                    assert streams.at(idx, draw).standard_normal(6).tobytes() == want.tobytes()
+            got = {t: [] for t in self.DRAWS}
+            for rows in (3, 1, 5):
+                for t in self.DRAWS:
+                    got[t].append(streams.normals(np.arange(rows, dtype=np.uint64), 6, t))
+            for t in self.DRAWS:
+                want = philox(99, [0, 0, t, start]).standard_normal((9, 6))
+                assert np.concatenate(got[t]).tobytes() == want.tobytes(), (start, t)
 
     def test_streams_are_disjoint(self):
-        streams = _SampleStreams(5, 0)
-        a = streams.at(0, 1).standard_normal(4)
-        b = streams.at(1, 1).standard_normal(4)
-        assert not np.allclose(a, b)
-        assert not np.allclose(streams.first.standard_normal(4), a)
+        # other draw numbers, chunk starts and seeds read other normals
+        one = np.arange(1, dtype=np.uint64)
+        runs = [_SampleStreams(seed, start).normals(one, 4, draw)
+                for seed, start, draw in ((5, 0, 0), (5, 0, 1), (5, 1, 0), (5, 1, 1), (6, 0, 1))]
+        for a, b in itertools.combinations(runs, 2):
+            assert not np.allclose(a, b)
 
     def test_no_counter_is_shared(self, monkeypatch):
         # a stream adds one to its 256-bit counter per block of four words,
         # so while it reads fewer than 2^64 blocks its three high words name
-        # it: (0, 0, s) for draw 0 of the chunk at s, (0, t, i) for draw t
-        # of sample i; the sampler takes at() for redraws only, each at
-        # word 0 of its draw
-        def high(rng):
-            return tuple(int(w) for w in rng.bit_generator.state["state"]["counter"][1:])
-
-        taken = []
-        at = _SampleStreams.at
-
-        def recording(self, index, draw):
-            rng = at(self, index, draw)
-            assert position(rng) == (index, draw, 0)
-            taken.append((index, draw, high(rng)))
-            return rng
-
-        monkeypatch.setattr(_SampleStreams, "at", recording)
+        # it, (0, t, s) for draw t of the chunk at s; the batches of a
+        # conditioned chunk build one stream per draw number, at word 0,
+        # and each reads a run of 10 normals per sample that makes its draw
+        built = built_philoxes(monkeypatch)
+        drawn = count_draws(monkeypatch)
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
         streams = _SampleStreams(7, 2048)
         sampler = simulation._Sampler(query, GAUSS2)
         for lo in range(2048, 4096, sampler.batch):
             sampler.values(streams, range(lo, min(lo + sampler.batch, 4096)))
-        assert streams.first.bit_generator.state["state"]["counter"][0] >= 2048 * 10 // 4
-        assert high(streams.first) == (0, 0, 2048)
-        assert len(taken) > 100 and all(key == (0, t, i) and t >= 1 for i, t, key in taken)
-        keys = {key for _, _, key in taken} | {high(streams.first)}
-        assert len(keys) == len(taken) + 1
-        rng = streams.at(5, 1)
-        rng.standard_normal(100_000)
-        assert high(rng) == (0, 1, 5)
+        rounds = max(t for _, t in drawn) + 1
+        assert rounds >= 3
+        assert [high(bit) for bit in built] == [(0, t, 2048) for t in range(rounds)]
+        for t, bit in enumerate(built):
+            assert position(bit)[2] >= 10 * sum(u == t for _, u in drawn)
+        streams.normals(np.arange(10_000, dtype=np.uint64), 10, rounds)
+        assert high(built[-1]) == (0, rounds, 2048)
 
     def test_a_chunk_that_draws_nothing_again_builds_one_philox(self, monkeypatch):
-        # the generator of later draws is built on a chunk's first redraw
-        built = []
-        real = np.random.Philox
-
-        def counting(*args, **kwargs):
-            built.append(kwargs.get("counter"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "Philox", counting)
-        for query, philoxes in ((FunctionalQuery("fk", Model("A", 4, 2), k=1), 1),
-                                (FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True), 2)):
+        # a chunk builds the stream of a draw number on its first use: one
+        # Philox when no sample draws again, one per round otherwise
+        built = built_philoxes(monkeypatch)
+        drawn = count_draws(monkeypatch)
+        for query, redraws in ((FunctionalQuery("fk", Model("A", 4, 2), k=1), False),
+                               (FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True),
+                                True)):
             built.clear()
+            drawn.clear()
             total, _, rejected = simulation._chunk_stats((query, GAUSS2, 3, 0, 256))
             assert rejected == 0 and total > 0
-            assert len(built) == philoxes, query
-            assert built[0] is not None and all(c is None for c in built[1:])
+            rounds = max(t for _, t in drawn) + 1
+            assert (rounds > 1) == redraws, query
+            assert [high(bit) for bit in built] == [(0, t, 0) for t in range(rounds)], query
 
     DIGESTS = {"gaussian_iid": "950704a924a71563", "heavy_tail_iid": "d98a16b70ce46d2d",
                "scaled_gaussian_exchangeable": "b32a9b8322e96f9e"}
@@ -350,7 +377,7 @@ class TestSampleStreams:
     }
     VALUE_DIGESTS = {
         "absorption": "f5e27d1b69db6c3b", "nonabsorption": "fe88a2910f067d0b",
-        "fk": "10c47189ab381209", "Uk": "e5ea40f59209a076", "vk": "39fff56670d83aa1",
+        "fk": "dc626946b8776abb", "Uk": "c2f86a6bda2b8764", "vk": "39fff56670d83aa1",
         "Lambda": "7f068103d79056ed", "Y": "1627ba47c9194f54", "Z": "ef1daf70fcb6c06d",
         "face_intrinsic": "28c8fdb64736c0b7", "tangent_intrinsic": "e2e5cac3426335e5",
         "face_prob": "7acdfd054c34aab8", "subspace_prob": "8934b1d75611dab9",
@@ -370,54 +397,13 @@ class TestSampleStreams:
         assert digest.hexdigest()[:16] == self.VALUE_DIGESTS[name]
 
 
-class TestWedgeWords:
-    # numpy's ziggurat reads one word per normal on its fast path and more
-    # where a word falls in a wedge or the tail; a later draw hands each
-    # sample to numpy at the first word of its own stream, so a run that
-    # reads such words is drawn whole, with numpy's own bytes
-    QUERY = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
-
-    def test_numpy_redraws_runs_from_their_first_word(self, monkeypatch):
-        sampler = simulation._Sampler(self.QUERY, GAUSS2)
-        width = row_width(sampler)  # 8 increment normals and a (2, 1) block
-
-        def fresh(i, t):
-            return philox(KEY, [0, 0, t, i]).standard_normal(width)
-
-        def words_read(i, t):
-            rng = philox(KEY, [0, 0, t, i])
-            rng.standard_normal(width)
-            return position(rng)[2]
-
-        at = _SampleStreams.at
-        for draw in (1, 3, 2 ** 64 - 1):
-            off = [i for i in range(400) if words_read(i, draw) > width]
-            assert len(off) >= 8
-            samples = off[:8] + [i for i in range(16) if i not in off]
-            stands = []
-
-            def recording(self, *args):
-                rng = at(self, *args)
-                stands.append(position(rng))
-                return rng
-
-            with monkeypatch.context() as m:
-                m.setattr(_SampleStreams, "at", recording)
-                steps, gauss = samples_first(*sampler.draws(
-                    _SampleStreams(KEY, 0), np.array(samples, dtype=np.uint64), draw))
-            assert stands == [(i, draw, 0) for i in samples]
-            got = np.concatenate([steps.reshape(len(samples), -1),
-                                  gauss.reshape(len(samples), -1)], axis=1)
-            assert got.tobytes() == np.stack([fresh(i, draw) for i in samples]).tobytes()
-
-
 class TestDrawNumbers:
     def test_a_redraw_reads_the_philox_stream_of_its_draw_number(self):
-        # draw 0 of the chunk at s is the stream (0, 0, 0, s), a run of
-        # increments and block per sample, and draw t of sample i is the
-        # stream (0, 0, t, i) from its first word: a conditioned sample
-        # whose draw 0 is a full cone is measured on a later draw, bit for
-        # bit, whatever draw 0 read
+        # draw t of the chunk at s is the stream (0, 0, t, s), a run of
+        # increments and block per sample that makes the draw, in sample
+        # order: a conditioned sample whose draw 0 is a full cone reads the
+        # run of stream 1 after those of the full cones before it, whatever
+        # draw 0 read, and is measured on it bit for bit
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
         seed, start, samples = 3, 2048, 128
         indices = np.arange(start, start + samples, dtype=np.uint64)
@@ -433,10 +419,10 @@ class TestDrawNumbers:
         full = [p for p in range(samples) if is_full_cone(ConeSample(gens[:, :, p].T))]
         assert len(full) > 5
         steps, _ = samples_first(*sampler.draws(_SampleStreams(seed, start), indices[full], 1))
-        want = [philox(seed, [0, 0, 1, i]).standard_normal((4, 2)) for i in indices[full].tolist()]
-        assert steps.tobytes() == np.stack(want).tobytes()
+        rows = philox(seed, [0, 0, 1, start]).standard_normal((len(full), 10))
+        assert steps.tobytes() == rows[:, :8].reshape(len(full), 4, 2).tobytes()
         measure = oracles.LOOP_MEASURES["Uk"]
-        draws = chunk_draws(_SampleStreams(seed, start), range(start, start + samples), 10)
+        draws = chunk_draws(seed, range(start, start + samples), 10)
         for p, rngs in enumerate(draws):
             cone, _, rng = loop_draw_sample(query, GAUSS2, rngs)
             assert (rng.draw > 0) == (p in full), p
@@ -454,20 +440,58 @@ class TestEstimate:
         assert first == again
         assert first == parallel
 
-    @pytest.mark.parametrize("query", [
-        FunctionalQuery("nonabsorption", Model("A", 4, 2)),
-        FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True),
-    ])
-    def test_batch_size_moves_no_estimate(self, query, monkeypatch):
-        # the batches of a chunk read its first stream in turn, so batches
-        # of a few samples give the bytes of the default ones; 2,100 samples
-        # make a full chunk and a short one, and the conditioned query
-        # redraws full cones in later rounds of every batch
+    @pytest.mark.parametrize("query, counts", [
+        (FunctionalQuery("nonabsorption", Model("A", 4, 2)), {}),
+        (FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True), {}),
+        (FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True),
+         {0: 3, 1: 1, 5: 2, 9: 3, 2047: 1, 2048: 3, 2099: 2}),
+    ], ids=["query0", "query1", "redrawn"])
+    def test_batch_size_moves_no_estimate(self, query, counts, monkeypatch):
+        # the batches of a chunk read each of its streams in turn, so
+        # batches of a few samples give the bytes of the default ones; 2,100
+        # samples make a full chunk and a short one, the conditioned query
+        # redraws full cones in later rounds of every batch, and the zeroed
+        # draws make samples of several batches draw again over several
+        # rounds
+        zero_draws(monkeypatch, counts)
         config = RunConfig(query=query, dist=GAUSS2, samples=2100, seed=42)
         want = estimate(config)
+        assert want.rejected == sum(counts.values())
         monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 100)
         assert simulation._Sampler(query, GAUSS2).batch < 10
         assert estimate(config) == want
+
+    def test_the_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # a process pool starts all its workers at its first task, so 5,000
+        # workers for the two chunks of 4,096 samples would start 5,000
+        # processes; the recorder maps in this process and starts none
+        opened = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorder)
+        query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
+        want = estimate(RunConfig(query=query, dist=GAUSS2, samples=4096, seed=42))
+        for workers, samples, pool in ((5000, 4096, 2), (2, 6000, 2), (3, 2049, 2)):
+            got = estimate(RunConfig(query=query, dist=GAUSS2, samples=samples, seed=42,
+                                     workers=workers))
+            assert opened.pop() == pool and got.samples == samples
+            if samples == 4096:
+                assert got == want
+        code = main(["simulate", "--model", "A", "--functional", "nonabsorption", "--n", "4",
+                     "--d", "2", "--samples", "4096", "--workers", "5000"], out=io.StringIO())
+        assert code == 0 and opened == [2]
 
     def test_seed_changes_estimate(self):
         query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
@@ -1008,7 +1032,7 @@ class TestTangentConesByProjection:
                     query = FunctionalQuery("Z", model, j=j, k=k)
                     sampler = simulation._Sampler(query, dist)
                     got, _ = sampler.values(_SampleStreams(23, 0), range(samples))
-                    draws = chunk_draws(_SampleStreams(23, 0), range(samples), row_width(sampler))
+                    draws = chunk_draws(23, range(samples), row_width(sampler))
                     for i, rngs in enumerate(draws):
                         cone, _, rng = loop_draw_sample(query, dist, rngs)
                         gauss = rng.standard_normal((d, k))
@@ -1075,7 +1099,7 @@ class TestFaceLoopOracle:
                                if q.functional in oracles.REPLACED_MEASURES
                                else simulation._Sampler(q, dist))
                     got, _ = sampler.values(_SampleStreams(17, 0), range(samples))
-                    draws = chunk_draws(_SampleStreams(17, 0), range(samples), row_width(sampler))
+                    draws = chunk_draws(17, range(samples), row_width(sampler))
                     for i, rngs in enumerate(draws):  # rng after the accepted increments
                         cone, _, rng = loop_draw_sample(q, dist, rngs)
                         want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
@@ -1184,7 +1208,7 @@ class TestProjectionOnFullCones:
         samples = range(index, index + 1)
         values, _ = sampler.values(_SampleStreams(seed, index), samples)
         assert values[0] == 0.0
-        rngs = next(chunk_draws(_SampleStreams(seed, index), samples, row_width(sampler)))
+        rngs = next(chunk_draws(seed, samples, row_width(sampler)))
         cone, _, rng = loop_draw_sample(gate.query, dist, rngs)
         assert is_full_cone(cone)
         g = rng.standard_normal(4)
