@@ -61,8 +61,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .combinatorics import (LowOrderProduct, StirlingTables, _check_factor_count, binomial,
-                            block_degree, bridge_roots, default_tables, walk_roots)
+from .combinatorics import (LowOrderProduct, StirlingTables, _check_factor_count, block_degree,
+                            bridge_roots, default_tables, walk_roots)
 from .errors import DomainError, as_index, as_indices
 
 A_BRIDGE = "A"
@@ -145,13 +145,18 @@ def wendel_probability(n: int, d: int) -> Fraction:
     Equals 2^-(n-1) * sum_{k<d} C(n-1, k); in particular 7/8 for four
     symmetric points around the origin in dimension three.  For d >= n the
     sum holds every C(n-1, k) and the probability is 1.  The C(n-1, k) are
-    the coefficients of (1 + t)^(n-1), so its n - 1 factors are capped.
+    the coefficients of (1 + t)^(n-1), so its n - 1 factors are capped, and
+    each is the last times (n-1-k)/(k+1), so the sum takes at most n steps.
     """
     n, d = as_index(n, "n"), as_index(d, "d")
     if n < 1 or d < 1:
         raise DomainError(f"wendel probability requires n >= 1 and d >= 1, got n={n}, d={d}")
     _check_factor_count(n - 1)
-    return Fraction(sum(binomial(n - 1, k) for k in range(min(d, n))), 1 << (n - 1))
+    total = c = 1
+    for k in range(min(d, n) - 1):
+        c = c * (n - 1 - k) // (k + 1)
+        total += c
+    return Fraction(total, 1 << (n - 1))
 
 
 def nonabsorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:

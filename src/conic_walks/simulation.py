@@ -17,19 +17,19 @@ count, batch size or scheduling, and chunk partial sums are reduced in
 fixed chunk order.
 
 Every law is a fixed transform of i.i.d. standard normals, so a sample's
-draw is one run of them: its increments' normals, then its Gaussian
-block.  ``sample_walk`` and ``sample_bridge`` draw consecutively from the
-caller's generator instead.
+draw is one run of them, its increments' normals, and nothing else is
+random: a Crofton measurement decides the cone against fixed coordinate
+subspaces.  ``sample_walk`` and ``sample_bridge`` draw consecutively from
+the caller's generator instead.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,8 +49,8 @@ FAMILIES = ("gaussian_iid", "heavy_tail_iid", "scaled_gaussian_exchangeable")
 _CHUNK = 2048
 _MAX_DRAW_RETRIES = 128
 _MAX_CONDITION_RETRIES = 200_000
-# Rough cap on the array elements of one batch of samples (increments,
-# Gaussian block, minor products); a chunk is decided in batches this size.
+# Rough cap on the array elements of one batch of samples (increments and
+# minor products); a chunk is decided in batches this size.
 _BATCH_ELEMENTS = 1 << 16
 
 
@@ -284,32 +284,15 @@ class _Chunk:
     last.
 
     ``gens`` (d, N, S) holds each sample's generators, ``rec`` their sign
-    record and ``full`` marks the full cones.  ``gauss`` (d, c, S) holds the
-    Gaussian block each sample drew right after its increments, which all
-    of its faces share: by linearity of expectation a sum over faces needs
-    no independence between them.
+    record and ``full`` marks the full cones.
     """
 
     gens: np.ndarray
     rec: geometry._SignRecord
     full: np.ndarray
-    gauss: np.ndarray
 
     def take(self, which: np.ndarray) -> _Chunk:
-        return _Chunk(self.gens[..., which], self.rec.take(which), self.full[which],
-                      self.gauss[..., which])
-
-    @functools.cached_property
-    def proj(self) -> np.ndarray:
-        """The generators times the Gaussian block, (c, N, S): their
-        coordinates on the Haar c-subspace its columns span.  The first i
-        columns give the projection onto a Haar i-subspace, whose
-        orthogonal complement, the kernel of those columns, is a Haar
-        subspace of codimension i.  The product is one stacked matmul over
-        the samples, whose sums round as numpy's own kernel rounds them."""
-        gens = np.ascontiguousarray(self.gens.transpose(2, 1, 0))
-        return np.ascontiguousarray((gens @ np.ascontiguousarray(
-            self.gauss.transpose(2, 0, 1))).transpose(2, 1, 0))
+        return _Chunk(self.gens[..., which], self.rec.take(which), self.full[which])
 
 
 def _undecided(verdicts: np.ndarray, rec: geometry._SignRecord) -> np.ndarray:
@@ -321,18 +304,22 @@ def _undecided(verdicts: np.ndarray, rec: geometry._SignRecord) -> np.ndarray:
 
 
 def _tangent_u(c: _Chunk, j: int, i: int) -> np.ndarray:
-    """Per sample, the sum over its j-faces F of U_i(T_F C), the i-th conic
-    quermassintegral of the tangent cone at F; the apex is the 0-face of a
-    pointed cone, and its tangent cone is the cone.
+    """Per sample, a value whose mean is the sum over its j-faces F of
+    U_i(T_F C), the i-th conic quermassintegral of the tangent cone at F;
+    the apex is the 0-face of a pointed cone, and its tangent cone is the
+    cone.
 
-    By the conic Crofton formula, U_i of a cone that is not a subspace is
-    half the probability that it meets a Haar subspace of codimension i,
-    here the kernel of the first i columns G_i of the Gaussian block.  For
-    i > j, T_F C meets that kernel exactly when F is not a face of the
-    projected cone G_i^T C (Farkas), so the verdict reads the face masks of
-    the projected generators; a projected full cone has no face.  T_F C
-    contains the j-dimensional span of F, so it meets every subspace of
-    codimension i <= j, and it is no subspace, so U_i = 0 for i >= d.
+    T_F C contains the j-dimensional span of F, so it meets every subspace
+    of codimension i <= j, and it is no subspace, so U_i = 0 for i >= d.
+    Otherwise the value is half the number of j-faces F whose T_F C meets
+    one fixed subspace of codimension i, the kernel of the projection P_i
+    onto the first i coordinates.  That happens exactly when F is not a
+    face of the projected cone P_i C (Farkas); a projected full cone has
+    no face.  By the conic Crofton formula U_i is half the probability of
+    meeting a Haar subspace of codimension i; the mean of this value is
+    instead half of E f_j(C) - E f_j(P_i C).  P_i C is the cone of the
+    projected increments, again an exchangeable, sign-symmetric walk or
+    bridge, in R^i, so the closed forms give both terms whatever the law.
     """
     d = c.gens.shape[0]
     if i >= d:
@@ -340,19 +327,23 @@ def _tangent_u(c: _Chunk, j: int, i: int) -> np.ndarray:
     faces = geometry._face_masks(c.rec, j)
     if i <= j:
         return 0.5 * faces.sum(axis=0)
-    rec = geometry._SignRecord.of(c.proj[:i])
+    rec = geometry._SignRecord.of(c.gens[:i])
     return 0.5 * _undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=0), rec)
 
 
 def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
-    """Per sample, the sum over its m-faces F of U_i(F), the i-th conic
-    quermassintegral of the face itself (1 <= m <= d-1).
+    """Per sample, a value whose mean is the sum over its m-faces F of
+    U_i(F), the i-th conic quermassintegral of the face itself
+    (1 <= m <= d-1).
 
-    F meets the kernel of G_i exactly when the origin lies in the hull of
-    its generators projected by G_i, that is when those points have no
-    facet.  F is a pointed m-dimensional cone: it meets every subspace of
-    codimension i <= 0 and almost surely none of codimension i >= m.  Every
-    face of a batch is projected from ``c.proj`` and decided in one record.
+    F is a pointed m-dimensional cone: it meets every subspace of
+    codimension i <= 0 and almost surely none of codimension i >= m.
+    Otherwise the value is half the number of m-faces that meet the kernel
+    of the projection onto the first i coordinates, that is whose
+    generators, so projected, hold the origin in their hull (have no
+    facet).  No proof ties its mean to the closed form as for
+    :func:`_tangent_u`; the exact orbit averages of the tests do.  Every
+    face of a batch is projected and decided in one record.
     """
     if i >= m:
         return np.zeros(len(c.full))
@@ -361,7 +352,7 @@ def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
         return 0.5 * faces.sum(axis=0)
     f, s = np.nonzero(faces)
     rows = geometry._subsets(c.gens.shape[1], m)[f]
-    rec = geometry._SignRecord.of(c.proj[:i, rows.T, s])
+    rec = geometry._SignRecord.of(c.gens[:i, rows.T, s])
     hits = _undecided(~rec.facets.any(axis=0), rec)
     return 0.5 * np.bincount(s, weights=hits, minlength=len(c.full))
 
@@ -392,49 +383,31 @@ def _face_prob(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
     return geometry._face_masks(c.rec, len(rows))[at].astype(float)
 
 
-def _columns(low: int, high: int, *counts: int) -> int:
-    """The Gaussian columns a measurement reads: the largest of the
-    kernel codimensions ``counts`` strictly between low and high, the
-    others being decided without a block; 0 if none."""
-    return max((i for i in counts if low < i < high), default=0)
-
-
-class _Measure(NamedTuple):
-    """``value(query, chunk)`` gives one value per sample whose expectation
-    is the functional, or NaN where a projection of the sample has an
-    exactly zero minor; ``block(query, d)`` is the shape (d, c) of the
-    Gaussian block each sample draws for it in R^d."""
-
-    value: Callable[[FunctionalQuery, _Chunk], np.ndarray]
-    block: Callable[[FunctionalQuery, int], tuple[int, int]] = lambda q, d: (d, 0)
-
-
-MEASURES: dict[str, _Measure] = {
-    "absorption": _Measure(lambda q, c: c.full.astype(float)),
-    "nonabsorption": _Measure(lambda q, c: (~c.full).astype(float)),
-    "fk": _Measure(lambda q, c: geometry._face_masks(c.rec, q.k).sum(axis=0).astype(float)),
-    "Uk": _Measure(_quermassintegral, lambda q, d: (d, _columns(0, d, q.k))),
-    "vk": _Measure(_intrinsic_volume, lambda q, d: (d, _columns(0, d, q.k - 1, q.k + 1))),
-    "Lambda": _Measure(lambda q, c: _face_u(c, q.k, q.k - 1),
-                       lambda q, d: (d, _columns(0, q.k, q.k - 1))),
-    "Y": _Measure(lambda q, c: _face_u(c, q.m, q.l), lambda q, d: (d, _columns(0, q.m, q.l))),
-    "Z": _Measure(lambda q, c: _tangent_u(c, q.j, q.k), lambda q, d: (d, _columns(q.j, d, q.k))),
-    "face_intrinsic": _Measure(_face_intrinsic,
-                               lambda q, d: (d, _columns(0, q.m, q.l - 1, q.l + 1))),
-    "tangent_intrinsic": _Measure(
-        lambda q, c: _tangent_u(c, q.j, q.k - 1) - _tangent_u(c, q.j, q.k + 1),
-        lambda q, d: (d, _columns(q.j, d, q.k - 1, q.k + 1))),
-    "face_prob": _Measure(_face_prob),
-    "subspace_prob": _Measure(lambda q, c: 2.0 * _tangent_u(c, 0, q.k) + c.full,
-                              lambda q, d: (d, _columns(0, d, q.k))),
+MEASURES: dict[str, Callable[[FunctionalQuery, _Chunk], np.ndarray]] = {
+    "absorption": lambda q, c: c.full.astype(float),
+    "nonabsorption": lambda q, c: (~c.full).astype(float),
+    "fk": lambda q, c: geometry._face_masks(c.rec, q.k).sum(axis=0).astype(float),
+    "Uk": _quermassintegral,
+    "vk": _intrinsic_volume,
+    "Lambda": lambda q, c: _face_u(c, q.k, q.k - 1),
+    "Y": lambda q, c: _face_u(c, q.m, q.l),
+    "Z": lambda q, c: _tangent_u(c, q.j, q.k),
+    "face_intrinsic": _face_intrinsic,
+    "tangent_intrinsic": lambda q, c: _tangent_u(c, q.j, q.k - 1) - _tangent_u(c, q.j, q.k + 1),
+    "face_prob": _face_prob,
+    "subspace_prob": lambda q, c: 2.0 * _tangent_u(c, 0, q.k) + c.full,
     # in general position the origin is in the points' hull iff they span R^d
-    "joint_absorption": _Measure(lambda q, c: c.full.astype(float)),
+    "joint_absorption": lambda q, c: c.full.astype(float),
 }
-"""Per functional name, the measurement over a chunk of cones.  A
-joint_absorption cone is spanned by the stacked points of all blocks,
-every other cone is drawn from the query's model.  Every verdict reads the
-face masks of a sign record: of the cones, or of their generators (or a
-face's) projected by the first columns of their Gaussian block."""
+"""Per functional name, the measurement (query, chunk) -> one value per
+sample whose expectation is the functional, or NaN where a projection of
+the sample has an exactly zero minor.  A joint_absorption cone is spanned
+by the stacked points of all blocks, every other cone is drawn from the
+query's model.  Every verdict reads the face masks of a sign record: of
+the cones, or of their generators (or a face's) on their first
+coordinates.  So a Crofton value is the cone against one fixed subspace,
+not the cone's own U_i, and its mean is the functional by
+distribution-freeness (:func:`_tangent_u`, :func:`_face_u`)."""
 
 
 class _Sampler:
@@ -447,22 +420,19 @@ class _Sampler:
         n, d = self.draw.n_generators, dist.d
         if n < d:  # no d x d minor, so no draw is in general position
             raise DomainError(f"{self.draw.what} of {n} points in R^{d}: never in general position")
-        self.block = self.measure.block(query, d)
-        size = (self.draw.n_steps * d + math.prod(self.block)
-                + sum(math.comb(n, k) * k for k in range(1, d + 1)))
+        size = self.draw.n_steps * d + sum(math.comb(n, k) * k for k in range(1, d + 1))
         self.batch = max(1, _BATCH_ELEMENTS // size)
 
     def values(self, streams: _SampleStreams, indices: range) -> tuple[np.ndarray, int]:
         """Each sample's value, and the draws rejected on the way.
 
-        Every sample draws its increments and then its Gaussian block, and
-        round t decides draw t of every pending sample at once, from the
-        next runs of stream t, so ``indices`` are the chunk's next samples
-        in order.  A sample whose draw is not in general position, or is a
-        full cone under ``conditioned``, is pending in the next round.  So
-        is a sample whose measurement projects points with an exactly zero
-        minor (probability zero): that draw counts as one not in general
-        position.
+        Every sample draws its increments, and round t decides draw t of
+        every pending sample at once, from the next runs of stream t, so
+        ``indices`` are the chunk's next samples in order.  A sample whose
+        draw is not in general position, or is a full cone under
+        ``conditioned``, is pending in the next round.  So is a sample whose
+        measurement projects points with an exactly zero minor (probability
+        zero): that draw counts as one not in general position.
         """
         values = np.empty(len(indices))
         misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
@@ -470,10 +440,9 @@ class _Sampler:
         pending = np.arange(len(indices))
         rejected = draw = 0
         while pending.size:
-            steps, gauss = self.draws(streams, samples[pending], draw)
-            gens = self.draw.partial_sums(steps)
+            gens = self.draw.partial_sums(self.draws(streams, samples[pending], draw))
             rec = geometry._SignRecord.of(gens)
-            chunk = _Chunk(gens, rec, geometry._full_cones(rec), gauss)
+            chunk = _Chunk(gens, rec, geometry._full_cones(rec))
             miss = ~rec.general
             redo = miss.copy()
             if self.query.conditioned:
@@ -481,7 +450,7 @@ class _Sampler:
                 fulls[pending] += chunk.full & rec.general
             kept = np.flatnonzero(~redo)
             if kept.size:
-                got = self.measure.value(self.query, chunk.take(kept) if redo.any() else chunk)
+                got = self.measure(self.query, chunk.take(kept) if redo.any() else chunk)
                 values[pending[kept]] = got
                 lost = kept[np.isnan(got)]
                 miss[lost] = redo[lost] = True
@@ -495,14 +464,12 @@ class _Sampler:
             draw += 1
         return values, rejected
 
-    def draws(self, streams: _SampleStreams, samples: np.ndarray,
-              draw: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each sample's increments (d, n_steps, S) and Gaussian block
-        (d, c, S), made of its run of standard normals in stream ``draw``
-        (``_SampleStreams.normals``), turned once to one row per normal."""
-        count = self.draw.n_words
-        z = streams.normals(samples, count + math.prod(self.block), draw).T.copy()
-        return self.draw.increments(z), z[count:].reshape(*self.block, len(samples))
+    def draws(self, streams: _SampleStreams, samples: np.ndarray, draw: int) -> np.ndarray:
+        """Each sample's increments (d, n_steps, S), made of its run of
+        standard normals in stream ``draw`` (``_SampleStreams.normals``),
+        turned once to one row per normal."""
+        return self.draw.increments(
+            streams.normals(samples, self.draw.n_words, draw).T.copy())
 
 
 def _chunk_stats(args: tuple) -> tuple[float, float, int]:

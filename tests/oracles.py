@@ -5,7 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -26,7 +26,8 @@ from conic_walks.combinatorics import (
 from conic_walks import geometry, simulation, verify
 from conic_walks.errors import DegenerateInputError, DomainError, NumericError, SamplingError
 from conic_walks.formulas import FunctionalQuery, Model
-from conic_walks.geometry import DEFAULT_TOL, ConeSample, count_k_faces, is_face, is_full_cone
+from conic_walks.geometry import (DEFAULT_TOL, ConeSample, count_k_faces, is_face, is_full_cone,
+                                  origin_in_convex_hull)
 
 
 def brute_force_is_face(gens, subset, tol=1e-9):
@@ -780,14 +781,8 @@ def fraction_formula_identities(t: StirlingTables, max_n: int, max_d: int) -> No
 #
 # The Lawson-Hanson projection the support rule of geometry replaced,
 # moved unchanged: a lowest-index pivot, two iteration caps, a banned-column
-# set and NumericError when a cap runs out.  The face-loop rows below read
-# it, so the simulator's rows are compared with it sample by sample.
-
-def _projection_face_dim(gens: np.ndarray, g: np.ndarray) -> int:
-    """Dimension of the face the metric projection of g lands in (d if inside)."""
-    _, active, inside = _nnls_projection(gens, g)
-    return gens.shape[1] if inside else len(active)
-
+# set and NumericError when a cap runs out.  The support rule must agree
+# with it wherever it converges.
 
 def _nnls_projection(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Residual of the metric projection of g onto the positive hull of the
@@ -873,8 +868,8 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #
 # The batched kernels of geometry before it projected one cone and took one
 # face's tangent base at a time, moved unchanged but for their docstrings.
-# The replaced rows below measure with them, and the one-cone kernels must
-# give the same bits on every cone of a batch (S, n, d).
+# The one-cone kernels must give the same bits on every cone of a batch
+# (S, n, d).
 
 def projection_supports(gens: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rule of geometry._projection_support for the points g (S, d) and
@@ -937,16 +932,6 @@ def tangent_bases(gens: np.ndarray, which: np.ndarray, faces: np.ndarray) -> np.
     rest = (np.arange(n) != faces[:, :, None]).all(axis=1)
     others = np.nonzero(rest)[1].reshape(p, n - j)
     return gens[which[:, None], others] @ vt[:, j:].transpose(0, 2, 1)
-
-
-def origin_in_hulls(pts: np.ndarray) -> np.ndarray:
-    """geometry._origin_in_hull of each point set of pts (S, n, d), from
-    one sign record of the batch."""
-    rec = geometry._SignRecord.of(pts.transpose(2, 1, 0))
-    inside = ~rec.facets.any(axis=0)
-    for s in np.flatnonzero(~rec.general):
-        inside[s] = geometry._hull_descent(pts[s], rec.take([s]))
-    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -1100,21 +1085,101 @@ def tangent_meets_kernel(gens: np.ndarray, face: Sequence[int], gauss: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# per-face Gaussian blocks and projection supports
+# Gaussian-block measurements
 #
-# The rows of simulation.MEASURES before every face sum read the face masks
-# of one Gaussian projection, moved unchanged.  Each face of a sample read
-# its own Gaussian block, the f-th face (in combinations order) block f; v_k,
-# face_intrinsic and tangent_intrinsic counted the support of the metric
-# projection of a Gaussian point (the stacked support solve above); Z and
-# tangent_intrinsic projected onto the stacked SVD tangent bases.
-# ``replaced_sampler`` gives a sampler that draws their blocks and measures
-# with them, so the face loops below check them sample by sample.
+# The Crofton rows of simulation.MEASURES before they projected the cones
+# onto their first coordinates, moved with the blocks' generator as an
+# argument.  Each sample drew a d x c standard Gaussian block G after its
+# increments, which all of its faces shared, and a verdict read the
+# generators projected by the first i columns of G, whose kernel is a Haar
+# subspace of codimension i.  So by the conic Crofton formula each value's
+# mean is the cone's own U_i, and on one fixed cone these rows estimate its
+# intrinsic volumes, which coordinate projections cannot.  Beside them, the
+# projection estimator of v_k that the Crofton difference replaced.
 
-def _haar_hits(gens: np.ndarray, gauss: np.ndarray) -> np.ndarray:
-    if gauss.shape[-1] == 0:
-        return np.ones(len(gens), dtype=bool)
-    return origin_in_hulls(gens @ gauss)
+def _haar_columns(low: int, high: int, *counts: int) -> int:
+    """The Gaussian columns a measurement reads: the largest of the kernel
+    codimensions ``counts`` strictly between low and high, the others being
+    decided without a block; 0 if none."""
+    return max((i for i in counts if low < i < high), default=0)
+
+
+def _haar_undecided(verdicts: np.ndarray, rec: "geometry._SignRecord") -> np.ndarray:
+    out = verdicts.astype(float)
+    out[~rec.general] = np.nan
+    return out
+
+
+def _haar_tangent_u(c, proj: np.ndarray, j: int, i: int) -> np.ndarray:
+    """Sum over j-faces F of U_i(T_F C): F is not a face of G_i^T C."""
+    d = c.gens.shape[0]
+    if i >= d:
+        return np.zeros(len(c.full))
+    faces = geometry._face_masks(c.rec, j)
+    if i <= j:
+        return 0.5 * faces.sum(axis=0)
+    rec = geometry._SignRecord.of(proj[:i])
+    return 0.5 * _haar_undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=0), rec)
+
+
+def _haar_face_u(c, proj: np.ndarray, m: int, i: int) -> np.ndarray:
+    """Sum over m-faces F of U_i(F): the origin is in the hull of G_i^T F."""
+    if i >= m:
+        return np.zeros(len(c.full))
+    faces = geometry._face_masks(c.rec, m)
+    if i <= 0:
+        return 0.5 * faces.sum(axis=0)
+    f, s = np.nonzero(faces)
+    rows = geometry._subsets(c.gens.shape[1], m)[f]
+    rec = geometry._SignRecord.of(proj[:i, rows.T, s])
+    hits = _haar_undecided(~rec.facets.any(axis=0), rec)
+    return 0.5 * np.bincount(s, weights=hits, minlength=len(c.full))
+
+
+def _haar_face_intrinsic(q: FunctionalQuery, c, p: np.ndarray) -> np.ndarray:
+    if q.m == 0:
+        return (~c.full).astype(float)
+    if q.m == c.gens.shape[0]:
+        return np.zeros(len(c.full))
+    return _haar_face_u(c, p, q.m, q.l - 1) - _haar_face_u(c, p, q.m, q.l + 1)
+
+
+HAAR_MEASURES = {
+    "Uk": (lambda q, c, p: _haar_tangent_u(c, p, 0, q.k)
+           + np.where(c.full, float((c.gens.shape[0] - q.k) % 2), 0.0),
+           lambda q, d: _haar_columns(0, d, q.k)),
+    "vk": (lambda q, c, p: _haar_tangent_u(c, p, 0, q.k - 1) - _haar_tangent_u(c, p, 0, q.k + 1)
+           + (c.full & (q.k == c.gens.shape[0])),
+           lambda q, d: _haar_columns(0, d, q.k - 1, q.k + 1)),
+    "Lambda": (lambda q, c, p: _haar_face_u(c, p, q.k, q.k - 1),
+               lambda q, d: _haar_columns(0, q.k, q.k - 1)),
+    "Y": (lambda q, c, p: _haar_face_u(c, p, q.m, q.l), lambda q, d: _haar_columns(0, q.m, q.l)),
+    "Z": (lambda q, c, p: _haar_tangent_u(c, p, q.j, q.k),
+          lambda q, d: _haar_columns(q.j, d, q.k)),
+    "face_intrinsic": (_haar_face_intrinsic,
+                       lambda q, d: _haar_columns(0, q.m, q.l - 1, q.l + 1)),
+    "tangent_intrinsic": (lambda q, c, p: (_haar_tangent_u(c, p, q.j, q.k - 1)
+                                           - _haar_tangent_u(c, p, q.j, q.k + 1)),
+                          lambda q, d: _haar_columns(q.j, d, q.k - 1, q.k + 1)),
+    "subspace_prob": (lambda q, c, p: 2.0 * _haar_tangent_u(c, p, 0, q.k) + c.full,
+                      lambda q, d: _haar_columns(0, d, q.k)),
+}
+"""Per functional whose row read a Gaussian block, its measurement
+(query, chunk, projected generators) -> values and its block width
+(query, d) -> c."""
+
+
+def haar_values(query: FunctionalQuery, chunk: "simulation._Chunk",
+                rng: np.random.Generator) -> np.ndarray:
+    """The replaced measurement of a chunk, each sample in turn drawing its
+    d x c Gaussian block from ``rng``.  The generators times the blocks,
+    (c, N, S), are one stacked matmul over the samples, as the simulator
+    took it."""
+    value, width = HAAR_MEASURES[query.functional]
+    d = chunk.gens.shape[0]
+    gauss = rng.standard_normal((len(chunk.full), d, width(query, d)))
+    proj = np.ascontiguousarray(chunk.gens.transpose(2, 1, 0)) @ gauss
+    return value(query, chunk, np.ascontiguousarray(proj.transpose(2, 1, 0)))
 
 
 def replaced_v(gens: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
@@ -1124,205 +1189,15 @@ def replaced_v(gens: np.ndarray, k: int, g: np.ndarray) -> np.ndarray:
     return (projection_supports(gens, g)[0].sum(axis=1) == k).astype(float)
 
 
-class _SamplesFirstChunk(NamedTuple):
-    """A chunk's generators (S, N, d) and Gaussian blocks with the samples
-    first, as the replaced rows read them, and its sign record."""
-
-    gens: np.ndarray
-    rec: "geometry._SignRecord"
-    gauss: np.ndarray
-
-
-def _samples_first(c: "simulation._Chunk") -> _SamplesFirstChunk:
-    return _SamplesFirstChunk(np.ascontiguousarray(c.gens.transpose(2, 1, 0)), c.rec,
-                              np.moveaxis(c.gauss, -1, 0))
-
-
-def _face_sum(c, j: int, tangent: bool, value: Callable) -> np.ndarray:
-    mask = geometry._face_masks(c.rec, j).T
-    s, f = np.nonzero(mask)
-    rank = np.cumsum(mask, axis=1)[s, f] - 1
-    faces = geometry._subsets(c.gens.shape[1], j)[f]
-    bases = tangent_bases(c.gens, s, faces) if tangent else c.gens[s[:, None], faces]
-    return np.bincount(s, weights=value(bases, c.gauss[s, rank]), minlength=len(c.gens))
-
-
-def _half_hits(bases: np.ndarray, gauss: np.ndarray) -> np.ndarray:
-    return 0.5 * _haar_hits(bases, gauss)
-
-
-REPLACED_MEASURES = {
-    "vk": (lambda q, c: replaced_v(c.gens, q.k, c.gauss), lambda q, n, d: (d,)),
-    "Lambda": (lambda q, c: _face_sum(c, q.k, False, _half_hits),
-               lambda q, n, d: (math.comb(n, q.k), d, q.k - 1)),
-    "Y": (lambda q, c: _face_sum(c, q.m, False, _half_hits),
-          lambda q, n, d: (math.comb(n, q.m), d, q.l)),
-    "Z": (lambda q, c: np.zeros(len(c.gens)) if q.k == c.gens.shape[2] else _face_sum(
-        c, q.j, True, _half_hits),
-        lambda q, n, d: (math.comb(n, q.j), d - q.j, q.k - q.j) if q.k < d else (0,)),
-    "face_intrinsic": (lambda q, c: _face_sum(c, q.m, False, lambda b, g: replaced_v(b, q.l, g)),
-                       lambda q, n, d: (math.comb(n, q.m), d)),
-    "tangent_intrinsic": (lambda q, c: _face_sum(c, q.j, True,
-                                                 lambda b, g: replaced_v(b, q.k - q.j, g)),
-                          lambda q, n, d: (math.comb(n, q.j), d - q.j)),
-}
-"""Per replaced functional, its measurement (query, chunk) -> values and
-its block shape (query, N, d)."""
-
-
-def replaced_sampler(query: FunctionalQuery, dist) -> "simulation._Sampler":
-    """A sampler of the query that draws and measures as the replaced row."""
-    sampler = simulation._Sampler(query, dist)
-    value, block = REPLACED_MEASURES[query.functional]
-    sampler.measure = simulation._Measure(lambda q, c: value(q, _samples_first(c)))
-    sampler.block = block(query, sampler.draw.n_generators, dist.d)
-    return sampler
-
-
-# ---------------------------------------------------------------------------
-# per-functional face loops
-#
-# The Monte Carlo measurements before one face loop and two per-cone kernels
-# replaced them, with the apex and the full cone special-cased in each.
-# They are kept unchanged, except that the NNLS slack no longer travels on
-# the cone, as the reference the registry rows must match sample by sample;
-# their projections run the active-set NNLS above.
-# Their Haar hits project onto an orthonormal basis, which the simulator
-# no longer builds.
-
-def haar_basis(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal d x m basis of a rotation-invariant random subspace."""
-    if m == 0:
-        return np.zeros((d, 0))
-    for _ in range(32):
-        gauss = rng.standard_normal((d, m))
-        if m == 1:
-            nrm = math.sqrt(float(gauss[:, 0] @ gauss[:, 0]))
-            if nrm <= 1e-154:
-                continue
-            return gauss / nrm
-        q, r = np.linalg.qr(gauss)
-        diag = np.diagonal(r)
-        if np.min(np.abs(diag)) <= 1e-12 * max(float(np.abs(diag).max()), 1e-300):
-            continue
-        return q * np.sign(diag)
-    raise SamplingError("could not orthonormalize a Gaussian basis after 32 draws")
-
-
-def _hits_random_subspace(gens: np.ndarray, perp_dim: int, rng: np.random.Generator) -> bool:
-    """Whether the cone meets a Haar subspace of codimension ``perp_dim``.
-
-    Sampling the orthogonal complement directly is equivalent (complements
-    of Haar subspaces are Haar) and reduces the test to projecting the
-    generators onto an orthonormal basis of ``perp_dim`` coordinates.
-    """
-    if perp_dim == 0:
-        return True
-    basis = haar_basis(gens.shape[1], perp_dim, rng)
-    return geometry._origin_in_hull(gens @ basis)
-
-
-def _full(query: FunctionalQuery, cone: ConeSample) -> bool:
-    # a conditioned query only ever sees cones the sampler found not full
-    return not query.conditioned and is_full_cone(cone)
-
-
-def _face_count(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    if q.k == 0:
-        return 0.0 if _full(q, cone) else 1.0
-    return float(count_k_faces(cone, q.k))
-
-
-def _intrinsic_volume(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    g = rng.standard_normal(cone.d)
-    return 1.0 if _projection_face_dim(cone.generators, g) == q.k else 0.0
-
-
-def _quermassintegral(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    d, k = cone.d, q.k
-    if _full(q, cone):
-        # the full space scores by the subspace convention
-        return 1.0 if (d - k) % 2 == 1 else 0.0
-    if k == d:
-        return 0.0
-    return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
-
-
-def _face_sum_u(m: int, l: int, cone: ConeSample, rng: np.random.Generator) -> float:
-    gens = cone.generators
-    total = 0.0
-    for face in geometry._faces(cone, m):
-        if _hits_random_subspace(gens[list(face)], l, rng):
-            total += 0.5
-    return total
-
-
-def _tangent_sum_u(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    j, k, d = q.j, q.k, cone.d
-    if j == 0:
-        if k == d or _full(q, cone):
-            return 0.0
-        return 0.5 if _hits_random_subspace(cone.generators, k, rng) else 0.0
-    if k == d:
-        return 0.0  # top quermassintegral of a tangent cone vanishes
-    total = 0.0
-    for face in geometry._faces(cone, j):
-        if _hits_random_subspace(tangent_base(cone.generators, face), k - j, rng):
-            total += 0.5
-    return total
-
-
-def _face_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    if q.m > cone.d - 1:
-        raise DomainError(
-            "face_intrinsic simulation enumerates proper faces and requires m <= d-1")
-    gens = cone.generators
-    total = 0.0
-    for face in geometry._faces(cone, q.m):
-        g = rng.standard_normal(cone.d)
-        if _projection_face_dim(gens[list(face)], g) == q.l:
-            total += 1.0
-    return total
-
-
-def _tangent_sum_v(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    j, k, d = q.j, q.k, cone.d
-    if j == 0:
-        if _full(q, cone):
-            return 0.0
-        g = rng.standard_normal(d)
-        return 1.0 if _projection_face_dim(cone.generators, g) == k else 0.0
-    total = 0.0
-    for face in geometry._faces(cone, j):
-        g = rng.standard_normal(d - j)
-        base = tangent_base(cone.generators, face)
-        if _projection_face_dim(base, g) == k - j:
-            total += 1.0
-    return total
-
-
-FACE_LOOP_MEASURES = {
-    "fk": _face_count,
-    "Uk": _quermassintegral,
-    "vk": _intrinsic_volume,
-    "Lambda": lambda q, cone, rng: _face_sum_u(q.k, q.k - 1, cone, rng),
-    "Y": lambda q, cone, rng: _face_sum_u(q.m, q.l, cone, rng),
-    "Z": _tangent_sum_u,
-    "face_intrinsic": _face_sum_v,
-    "tangent_intrinsic": _tangent_sum_v,
-    "subspace_prob": lambda q, cone, rng: float(_hits_random_subspace(cone.generators, q.k, rng)),
-}
-"""The rows ``replaced_sampler`` measures with, and the orthonormal-basis
-reference for the fk, Uk and subspace_prob rows of ``simulation.MEASURES``,
-by functional name."""
-
-
-def face_loop_queries(model: Model) -> list[FunctionalQuery]:
-    """Every legal query of the face and tangent functionals and of
-    subspace_prob on a model, conditioned variants included; face_intrinsic
-    stops at m = d-1."""
+def measured_queries(model: Model, faces=None) -> list[FunctionalQuery]:
+    """Every legal query of every per-model row of ``simulation.MEASURES``
+    on a model, conditioned variants included; face_prob on the index
+    tuples ``faces``, by default on every one."""
     d = model.d
-    out = []
+    if faces is None:
+        faces = [idx for size in range(1, d)
+                 for idx in combinations(range(1, model.generator_count + 1), size)]
+    out = [FunctionalQuery("absorption", model), FunctionalQuery("nonabsorption", model)]
     for cond in (False, True):
         out += [FunctionalQuery("fk", model, k=k, conditioned=cond) for k in range(d)]
         out += [FunctionalQuery("Uk", model, k=k, conditioned=cond) for k in range(d + 1)]
@@ -1333,10 +1208,11 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
         out += [FunctionalQuery("Z", model, j=j, k=k, conditioned=cond)
                 for j in range(d + 1) for k in range(j, d + 1)]
     out += [FunctionalQuery("face_intrinsic", model, m=m, l=l)
-            for m in range(d) for l in range(m + 1)]
+            for m in range(d + 1) for l in range(m + 1)]
     out += [FunctionalQuery("tangent_intrinsic", model, j=j, k=k)
             for j in range(d) for k in range(j, d + 1)]
     out += [FunctionalQuery("subspace_prob", model, k=k) for k in range(d)]
+    out += [FunctionalQuery("face_prob", model, indices=idx) for idx in faces]
     return out
 
 
@@ -1347,12 +1223,12 @@ def face_loop_queries(model: Model) -> list[FunctionalQuery]:
 # chunk, moved with its names prefixed and its docstrings dropped.  Every
 # sample draws a ConeSample, attempt t from its run of the chunk's stream t
 # (``chunk_draws``), redraws until the cone is in general position and,
-# under ``conditioned``, until it is not full, then measures it with
-# per-cone kernels.  A face sum draws one Gaussian block after the
-# increments, shared by every face, and a projection with an exactly zero
-# minor makes the sample draw again.  It draws its increments with numpy's
-# own distributions, as the simulator did before it built every law from
-# standard normals.  The batched chunks must give the same sums.
+# under ``conditioned``, until it is not full, then measures it with the
+# public single-cone predicates.  A Crofton value reads the cone's
+# generators on their first i coordinates, and a projection with an exactly
+# zero minor makes the sample draw again.  It draws its increments with
+# numpy's own distributions, as the simulator did before it built every
+# law from standard normals.  The batched chunks must give the same sums.
 
 def numpy_increments(dist, n: int, rng: np.random.Generator) -> np.ndarray:
     """n increments of the family from numpy's own distributions: the
@@ -1414,12 +1290,6 @@ class SampleDraw(np.random.Generator):
         self.sample, self.draw = sample, draw
 
 
-def row_width(sampler: "simulation._Sampler") -> int:
-    """The standard normals of one draw of the sampler's samples: the
-    increments', then the Gaussian block's."""
-    return sampler.draw.n_words + math.prod(sampler.block)
-
-
 def chunk_draws(seed: int, samples: range, width: int) -> Iterator[Iterator[SampleDraw]]:
     """Per sample of the chunk, in order, the generators of its draws 0, 1,
     2, ..., built here from the stream rule alone: draw t of the chunk that
@@ -1464,115 +1334,80 @@ def loop_draw_sample(query: FunctionalQuery, dist, rngs: Iterator[np.random.Gene
     return cone, rejected, rng
 
 
-def _loop_u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
-    if k == 0:
-        return 0.5
-    gauss = rng.standard_normal((gens.shape[1], k))
-    return 0.5 if geometry._origin_in_hull(gens @ gauss) else 0.0
+def _loop_faces(cone: ConeSample, j: int) -> set[tuple[int, ...]]:
+    """The j-subsets of generators that span a face (the apex for j = 0)."""
+    if j == 0:
+        return {()} if count_k_faces(cone, 0) else set()
+    return {f for f in combinations(range(cone.n_generators), j) if is_face(cone, f)}
 
 
-def numpy_block(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """One sample's Gaussian block, drawn after its increments."""
-    return rng.standard_normal(shape)
-
-
-def _loop_block(cone: ConeSample, rng: np.random.Generator, low: int, high: int,
-                *codims: int) -> np.ndarray:
-    """The d x c block of the kernels of codimension strictly between low
-    and high, the widest of them, shared by every face."""
-    return numpy_block((cone.d, max((i for i in codims if low < i < high), default=0)), rng)
-
-
-def _loop_tangent_u(cone: ConeSample, j: int, i: int, gauss: np.ndarray) -> float:
-    """Sum over j-faces F of U_i(T_F C): F is not a face of the projected cone."""
+def _loop_tangent_u(cone: ConeSample, j: int, i: int) -> float:
+    """Sum over j-faces F of U_i(T_F C) against the kernel of the first i
+    coordinates: F is not a face of the projected cone."""
     if i >= cone.d:
         return 0.0
-    faces = geometry._faces(cone, j)
     if i <= j:
-        return 0.5 * len(faces)
-    projected = ConeSample(cone.generators @ gauss[:, :i])
+        return 0.5 * len(_loop_faces(cone, j))
+    projected = ConeSample(cone.generators[:, :i])
     if not projected.in_general_position():
         return math.nan
-    return 0.5 * len(set(faces) - set(geometry._faces(projected, j)))
+    return 0.5 * len(_loop_faces(cone, j) - _loop_faces(projected, j))
 
 
-def _loop_face_u(cone: ConeSample, m: int, i: int, gauss: np.ndarray) -> float:
-    """Sum over m-faces F of U_i(F): the origin is in the projected face's hull."""
+def _loop_face_u(cone: ConeSample, m: int, i: int) -> float:
+    """Sum over m-faces F of U_i(F): the origin is in the hull of the
+    face's generators on their first i coordinates."""
     if i >= m:
         return 0.0
-    faces = geometry._faces(cone, m)
+    faces = _loop_faces(cone, m)
     if i <= 0:
         return 0.5 * len(faces)
     total = 0.0
-    for face in faces:
-        points = cone.generators[list(face)] @ gauss[:, :i]
+    for face in sorted(faces):
+        points = cone.generators[list(face), :i]
         if not ConeSample(points).in_general_position():
             return math.nan
-        total += 0.5 * geometry._origin_in_hull(points)
+        total += 0.5 * origin_in_convex_hull(points)
     return total
 
 
-def _loop_vk(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
-    g = _loop_block(cone, rng, 0, cone.d, q.k - 1, q.k + 1)
-    top = 1.0 if q.k == cone.d and not geometry._faces(cone, 0) else 0.0
-    return _loop_tangent_u(cone, 0, q.k - 1, g) - _loop_tangent_u(cone, 0, q.k + 1, g) + top
-
-
-def _loop_face_intrinsic(q: FunctionalQuery, cone: ConeSample, rng: np.random.Generator) -> float:
+def _loop_face_intrinsic(q: FunctionalQuery, cone: ConeSample) -> float:
     if q.m == 0:
-        return float(len(geometry._faces(cone, 0)))
+        return 0.0 if is_full_cone(cone) else 1.0
     if q.m == cone.d:
         return 0.0
-    g = _loop_block(cone, rng, 0, q.m, q.l - 1, q.l + 1)
-    return _loop_face_u(cone, q.m, q.l - 1, g) - _loop_face_u(cone, q.m, q.l + 1, g)
+    return _loop_face_u(cone, q.m, q.l - 1) - _loop_face_u(cone, q.m, q.l + 1)
 
 
-def _loop_tangent_intrinsic(q: FunctionalQuery, cone: ConeSample,
-                            rng: np.random.Generator) -> float:
-    g = _loop_block(cone, rng, q.j, cone.d, q.k - 1, q.k + 1)
-    return _loop_tangent_u(cone, q.j, q.k - 1, g) - _loop_tangent_u(cone, q.j, q.k + 1, g)
+def _loop_full(cone: ConeSample) -> float:
+    return 1.0 if is_full_cone(cone) else 0.0
 
 
-def _loop_u(gens: np.ndarray, k: int, rng: np.random.Generator) -> float:
-    if k == 0:
-        return 0.5
-    gauss = rng.standard_normal((gens.shape[1], k))
-    return 0.5 if geometry._origin_in_hull(gens @ gauss) else 0.0
-
-
-def _loop_quermassintegral(q: FunctionalQuery, cone: ConeSample,
-                           rng: np.random.Generator) -> float:
-    d, k = cone.d, q.k
-    if not geometry._faces(cone, 0):
-        return 1.0 if (d - k) % 2 == 1 else 0.0
-    return 0.0 if k == d else _loop_u(cone.generators, k, rng)
-
-
-LOOP_MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample, np.random.Generator], float]] = {
-    "absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
-    "nonabsorption": lambda q, cone, rng: 0.0 if is_full_cone(cone) else 1.0,
-    "fk": lambda q, cone, rng: float(len(geometry._faces(cone, q.k))),
-    "Uk": _loop_quermassintegral,
-    "vk": _loop_vk,
-    "Lambda": lambda q, cone, rng: _loop_face_u(
-        cone, q.k, q.k - 1, _loop_block(cone, rng, 0, q.k, q.k - 1)),
-    "Y": lambda q, cone, rng: _loop_face_u(cone, q.m, q.l, _loop_block(cone, rng, 0, q.m, q.l)),
-    "Z": lambda q, cone, rng: _loop_tangent_u(
-        cone, q.j, q.k, _loop_block(cone, rng, q.j, cone.d, q.k)),
+LOOP_MEASURES: dict[str, Callable[[FunctionalQuery, ConeSample], float]] = {
+    "absorption": lambda q, cone: _loop_full(cone),
+    "nonabsorption": lambda q, cone: 1.0 - _loop_full(cone),
+    "fk": lambda q, cone: float(count_k_faces(cone, q.k)),
+    "Uk": lambda q, cone: _loop_tangent_u(cone, 0, q.k) + _loop_full(cone) * ((cone.d - q.k) % 2),
+    "vk": lambda q, cone: (_loop_tangent_u(cone, 0, q.k - 1) - _loop_tangent_u(cone, 0, q.k + 1)
+                           + _loop_full(cone) * (q.k == cone.d)),
+    "Lambda": lambda q, cone: _loop_face_u(cone, q.k, q.k - 1),
+    "Y": lambda q, cone: _loop_face_u(cone, q.m, q.l),
+    "Z": lambda q, cone: _loop_tangent_u(cone, q.j, q.k),
     "face_intrinsic": _loop_face_intrinsic,
-    "tangent_intrinsic": _loop_tangent_intrinsic,
-    "face_prob": lambda q, cone, rng: 1.0 if is_face(cone, [i - 1 for i in q.indices]) else 0.0,
-    "subspace_prob": lambda q, cone, rng: 2.0 * _loop_u(cone.generators, q.k, rng),
-    "joint_absorption": lambda q, cone, rng: 1.0 if is_full_cone(cone) else 0.0,
+    "tangent_intrinsic": lambda q, cone: (_loop_tangent_u(cone, q.j, q.k - 1)
+                                          - _loop_tangent_u(cone, q.j, q.k + 1)),
+    "face_prob": lambda q, cone: 1.0 if is_face(cone, [i - 1 for i in q.indices]) else 0.0,
+    "subspace_prob": lambda q, cone: 2.0 * _loop_tangent_u(cone, 0, q.k) + _loop_full(cone),
+    "joint_absorption": lambda q, cone: _loop_full(cone),
 }
-"""Per functional name, the replaced per-cone measurement (query, cone, rng) -> value."""
+"""Per functional name, the per-cone measurement (query, cone) -> value."""
 
 
 def loop_chunk_stats(args: tuple) -> tuple[float, float, int]:
     """(total, total_sq, rejected) of one chunk, one sample at a time."""
     query, dist, seed, start, count = args
     draws = chunk_draws(seed, range(start, start + count),
-                        row_width(simulation._Sampler(query, dist)))
+                        simulation._Sampler(query, dist).draw.n_words)
     measure = LOOP_MEASURES[query.functional]
     total = 0.0
     total_sq = 0.0
@@ -1580,8 +1415,8 @@ def loop_chunk_stats(args: tuple) -> tuple[float, float, int]:
     for rngs in draws:
         value = math.nan
         while math.isnan(value):  # NaN: a projection out of general position
-            sample, rej, rng = loop_draw_sample(query, dist, rngs)
-            value = measure(query, sample, rng)
+            sample, rej, _ = loop_draw_sample(query, dist, rngs)
+            value = measure(query, sample)
             rejected += rej + math.isnan(value)
         total += value
         total_sq += value * value

@@ -444,6 +444,54 @@ class TestLargeN:
         assert time.perf_counter() - start < 0.1
 
 
+    def test_wendel_sums_a_long_row_at_once(self):
+        # half a row of C(20000, k): the sum below the middle is
+        # (2^20000 - C(20000, 10000)) / 2
+        start = time.perf_counter()
+        got = wendel_probability(20_001, 10_000)
+        assert time.perf_counter() - start < 5.0
+        assert got == F(1, 2) - F(math.comb(20_000, 10_000), 2 ** 20_001)
+
+    @pytest.mark.slow
+    def test_wendel_at_the_factor_cap_finishes(self):
+        # the largest input the cap accepts sums the whole row, 2^(n-1)
+        start = time.perf_counter()
+        assert wendel_probability(MAX_FACTORS + 1, MAX_FACTORS + 1) == 1
+        assert time.perf_counter() - start < 60.0
+
+
+class TestCrossDimensionIdentities:
+    """The projection of a walk or bridge onto its first k coordinates is a
+    walk or bridge of the same kind in R^k, so fixed coordinate subspaces
+    give the Crofton sums their means: the closed forms in R^d and R^k are
+    tied together, for every k, at zero tolerance."""
+
+    @staticmethod
+    def models():
+        return [Model(tag, n, d) for d in range(2, 7) for n in range(d, 13)
+                for tag in ("A", "B") if n >= d + (tag == "A")]
+
+    def test_tangent_sums_are_halved_face_count_differences(self):
+        # E Z_{j,k}(n, d) = (E f_j(n, d) - E f_j(n, k)) / 2 for j < k <= d
+        for model in self.models():
+            for k in range(1, model.d + 1):
+                low = Model(model.tag, model.n, k)
+                for j in range(k):
+                    assert expected_Z(model, j, k) == \
+                        (expected_fk(model, j) - expected_fk(low, j)) / 2, (model, j, k)
+
+    def test_quermassintegrals_are_halved_survival_differences(self):
+        # E U_k(n, d) = (P_nf(n, d) - P_nf(n, k)) / 2, plus P_full(n, d) when
+        # d - k is odd, for 1 <= k <= d
+        for model in self.models():
+            for k in range(1, model.d + 1):
+                low = Model(model.tag, model.n, k)
+                want = (nonabsorption_probability(model) - nonabsorption_probability(low)) / 2
+                if (model.d - k) % 2:
+                    want += absorption_probability(model)
+                assert expected_Uk(model, k) == want, (model, k)
+
+
 class TestModelValidation:
     def test_bridge_needs_one_extra_increment(self):
         with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ from conic_walks.formulas import (
     FunctionalQuery,
     Model,
     absorption_probability,
+    evaluate_query,
     expected_fk,
     face_probability,
 )
@@ -49,6 +50,7 @@ from oracles import (
     fraction_positively_spans,
     int_det,
     lp_origin_in_hull,
+    measured_queries,
     pivot_columns,
     projection_is_face,
     projection_supports,
@@ -638,11 +640,19 @@ class TestCountFaces:
             count_k_faces(ConeSample(np.eye(3)), 1.5)
 
 
-# One list of Gaussian increments per model, drawn in this order from one
-# seeded generator.
+# Increment lists drawn in this order from one seeded generator: one
+# Gaussian list per model, then Cauchy lists for two of them.
 _ORBIT_RNG = np.random.default_rng(20250810)
-ORBIT_STEPS = {model: _ORBIT_RNG.standard_normal((model.n, model.d)) for model in (
-    Model("A", 4, 2), Model("A", 5, 3), Model("B", 3, 2), Model("B", 4, 3), Model("A", 6, 3))}
+ORBIT_STEPS = {(model, "gaussian"): _ORBIT_RNG.standard_normal((model.n, model.d)) for model in (
+    Model("A", 4, 2), Model("A", 5, 3), Model("B", 3, 2), Model("B", 4, 3), Model("A", 6, 3),
+    Model("B", 4, 4), Model("A", 6, 4))}
+ORBIT_STEPS.update({(model, "cauchy"): _ORBIT_RNG.standard_cauchy((model.n, model.d))
+                    for model in (Model("A", 5, 3), Model("B", 4, 4))})
+
+
+def orbit_id(case):
+    model, law = case
+    return f"{model.tag}-n{model.n}-d{model.d}" + ("" if law == "gaussian" else f"-{law}")
 
 
 def orbit_cones(model, steps):
@@ -657,13 +667,12 @@ def orbit_cones(model, steps):
             for p in permutations(range(model.n)) for s in signs]
 
 
-def orbit_chunk(model):
+def orbit_chunk(case):
     """The whole orbit of a model's increments as one chunk of cones."""
-    gens = np.stack([cone.generators.T for cone in orbit_cones(model, ORBIT_STEPS[model])],
+    gens = np.stack([cone.generators.T for cone in orbit_cones(case[0], ORBIT_STEPS[case])],
                     axis=-1)
     rec = geometry._SignRecord.of(gens)
-    return simulation._Chunk(gens, rec, geometry._full_cones(rec),
-                             np.empty((model.d, 0, gens.shape[2])))
+    return simulation._Chunk(gens, rec, geometry._full_cones(rec))
 
 
 class TestOrbitAverages:
@@ -672,9 +681,10 @@ class TestOrbitAverages:
     forms need nothing more.  So over an orbit in general position every
     expectation is a finite average, and it equals its closed form exactly."""
 
-    @pytest.mark.parametrize("model", list(ORBIT_STEPS), ids=lambda m: f"{m.tag}-n{m.n}-d{m.d}")
-    def test_face_counts_absorption_and_face_probabilities(self, model):
-        cones = orbit_cones(model, ORBIT_STEPS[model])
+    @pytest.mark.parametrize("case", list(ORBIT_STEPS), ids=orbit_id)
+    def test_face_counts_absorption_and_face_probabilities(self, case):
+        model = case[0]
+        cones = orbit_cones(model, ORBIT_STEPS[case])
         assert all(cone.in_general_position() for cone in cones)
 
         def average(value):
@@ -688,37 +698,36 @@ class TestOrbitAverages:
                 assert average(lambda cone: is_face(cone, [i - 1 for i in idx])) == \
                     face_probability(model, idx)
 
-    @pytest.mark.parametrize("model", list(ORBIT_STEPS), ids=lambda m: f"{m.tag}-n{m.n}-d{m.d}")
-    def test_whole_orbit_as_one_batch(self, model):
-        # the batched sign record and the simulator's counting measurements
-        # decide the whole orbit at once
-        chunk = orbit_chunk(model)
+    @pytest.mark.parametrize("case", list(ORBIT_STEPS), ids=orbit_id)
+    def test_whole_orbit_as_one_batch(self, case):
+        # every measurement of the simulator decides the whole orbit at
+        # once, the Crofton rows against the fixed subspaces of the last
+        # coordinates: the projected increments of an orbit are an orbit
+        # too, so the average of every row at every legal index is its
+        # closed form, a conditioned row's over the members that are not
+        # full.  A joint draw of the one walk or bridge is the model's draw
+        model = case[0]
+        chunk = orbit_chunk(case)
         assert chunk.rec.general.all()
-
-        def average(query, c=chunk):
-            return Fraction(simulation.MEASURES[query.functional].value(query, c).sum()) \
-                / len(c.full)
-
-        for k in range(model.d):
-            assert average(FunctionalQuery("fk", model, k=k)) == expected_fk(model, k)
-        assert average(FunctionalQuery("absorption", model)) == absorption_probability(model)
-        for size in range(1, model.d):
-            for idx in combinations(range(1, model.generator_count + 1), size):
-                assert average(FunctionalQuery("face_prob", model, indices=idx)) == \
-                    face_probability(model, idx)
         pointed = chunk.take(~chunk.full)
-        for k in range(model.d):
-            assert average(FunctionalQuery("fk", model, k=k, conditioned=True), pointed) == \
-                expected_fk(model, k, conditioned=True)
+        lengths = {"bridge_lengths" if model.is_bridge else "walk_lengths": (model.n,)}
+        queries = measured_queries(model) + [
+            FunctionalQuery("joint_absorption", d=model.d, **lengths)]
+        for q in queries:
+            c = pointed if q.conditioned else chunk
+            values = simulation.MEASURES[q.functional](q, c)
+            assert not np.isnan(values).any(), q
+            assert Fraction(float(values.sum())) / len(values) == evaluate_query(q).exact, q
+        assert {q.functional for q in queries} == set(simulation.MEASURES)
 
     def test_conditioned_edge_count_of_a_bridge_orbit(self):
         # the orbit members that are not full, as the conditioned simulator
         # keeps them
         model = Model("A", 6, 3)
-        chunk = orbit_chunk(model)
+        chunk = orbit_chunk((model, "gaussian"))
         pointed = chunk.take(~chunk.full)
         q = FunctionalQuery("fk", model, k=1, conditioned=True)
-        edges = simulation.MEASURES["fk"].value(q, pointed)
+        edges = simulation.MEASURES["fk"](q, pointed)
         assert Fraction(edges.sum()) / len(edges) == Fraction(90, 23)
 
 

@@ -40,12 +40,10 @@ from conic_walks.verify import (
 
 import oracles
 from oracles import (
-    FACE_LOOP_MEASURES,
     chunk_draws,
-    face_loop_queries,
     loop_chunk_stats,
     loop_draw_sample,
-    row_width,
+    measured_queries,
 )
 
 GAUSS2 = DistributionSpec("gaussian_iid", 2)
@@ -216,25 +214,22 @@ def philox(seed, counter):
 KEY = 987654321
 
 
-def samples_first(steps, gauss):
-    """A round's increments (S, n_steps, d) and Gaussian blocks (S, d, c),
-    from the sampler's (d, n_steps, S) and (d, c, S)."""
-    return steps.transpose(2, 1, 0), gauss.transpose(2, 0, 1)
+def samples_first(steps):
+    """A round's increments (S, n_steps, d), from the sampler's (d, n_steps, S)."""
+    return steps.transpose(2, 1, 0)
 
 
 def draws_alone(sampler, samples, draw):
     """Draw ``draw`` of ``sampler`` on the chunk of ``samples`` one sample at
-    a time through numpy's own distributions: each sample's increments and
-    its Gaussian block, from the generator ``chunk_draws`` gives that draw."""
+    a time through numpy's own distributions: each sample's increments, from
+    the generator ``chunk_draws`` gives that draw."""
     spec = sampler.draw
     steps = np.empty((len(samples), spec.n_steps, spec.dist.d))
-    gauss = np.empty((len(samples), *sampler.block))
-    draws = chunk_draws(KEY, samples, row_width(sampler))
+    draws = chunk_draws(KEY, samples, spec.n_words)
     for s, rngs in enumerate(draws):
         rng = next(itertools.islice(rngs, draw, None))
         steps[s] = oracles.numpy_draw(spec.dist, [n for n, _ in spec.blocks], rng)
-        rng.standard_normal(out=gauss[s])
-    return steps, gauss
+    return steps
 
 
 class TestBatchedDraws:
@@ -254,8 +249,8 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_first_round_matches_numpy_for_every_block_shape(self, family):
-        # every measured functional's block shape on walks and bridges in
-        # d = 1..4, and a joint draw: the batched draws 0 and 3 have the
+        # every measured functional's increment blocks on walks and bridges
+        # in d = 1..4, and a joint draw: the batched draws 0 and 3 have the
         # bytes of numpy's own distributions drawn sample by sample
         samples = range(3, 83)
         for d in (1, 2, 3, 4):
@@ -267,17 +262,16 @@ class TestBatchedDraws:
                 queries += oracle_queries(model)
             for q in queries:
                 sampler = simulation._Sampler(q, dist)
-                if (sampler.draw.blocks, sampler.block) in seen:
+                if sampler.draw.blocks in seen:
                     continue
-                seen.add((sampler.draw.blocks, sampler.block))
+                seen.add(sampler.draw.blocks)
                 for draw in (0, 3):
-                    steps, gauss = samples_first(*sampler.draws(
+                    steps = samples_first(sampler.draws(
                         _SampleStreams(KEY, samples.start), np.array(samples, dtype=np.uint64),
                         draw))
-                    want_steps, want_gauss = draws_alone(sampler, samples, draw)
+                    want = draws_alone(sampler, samples, draw)
                     # the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
-                    assert steps.tobytes() == want_steps.tobytes(), (q, draw)
-                    assert gauss.tobytes() == want_gauss.tobytes(), (q, draw)
+                    assert steps.tobytes() == want.tobytes(), (q, draw)
 
 
 class TestSampleStreams:
@@ -310,7 +304,7 @@ class TestSampleStreams:
         # so while it reads fewer than 2^64 blocks its three high words name
         # it, (0, t, s) for draw t of the chunk at s; the batches of a
         # conditioned chunk build one stream per draw number, at word 0,
-        # and each reads a run of 10 normals per sample that makes its draw
+        # and each reads a run of 8 normals per sample that makes its draw
         built = built_philoxes(monkeypatch)
         drawn = count_draws(monkeypatch)
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
@@ -322,7 +316,7 @@ class TestSampleStreams:
         assert rounds >= 3
         assert [high(bit) for bit in built] == [(0, t, 2048) for t in range(rounds)]
         for t, bit in enumerate(built):
-            assert position(bit)[2] >= 10 * sum(u == t for _, u in drawn)
+            assert position(bit)[2] >= 8 * sum(u == t for _, u in drawn)
         streams.normals(np.arange(10_000, dtype=np.uint64), 10, rounds)
         assert high(built[-1]) == (0, rounds, 2048)
 
@@ -342,8 +336,8 @@ class TestSampleStreams:
             assert (rounds > 1) == redraws, query
             assert [high(bit) for bit in built] == [(0, t, 0) for t in range(rounds)], query
 
-    DIGESTS = {"gaussian_iid": "950704a924a71563", "heavy_tail_iid": "d98a16b70ce46d2d",
-               "scaled_gaussian_exchangeable": "b32a9b8322e96f9e"}
+    DIGESTS = {"gaussian_iid": "49106bcc2433a81c", "heavy_tail_iid": "82b86bbad127b3b7",
+               "scaled_gaussian_exchangeable": "5e35d4b5fe97fc21"}
 
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_a_chunks_first_draw_is_pinned(self, family):
@@ -353,12 +347,12 @@ class TestSampleStreams:
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
         sampler = simulation._Sampler(query, DistributionSpec(family, 2))
         samples = np.arange(2048, 4096, dtype=np.uint64)
-        steps, gauss = samples_first(*sampler.draws(_SampleStreams(20_250_810, 2048), samples, 0))
-        digest = hashlib.sha256(steps.tobytes() + gauss.tobytes()).hexdigest()[:16]
+        steps = samples_first(sampler.draws(_SampleStreams(20_250_810, 2048), samples, 0))
+        digest = hashlib.sha256(steps.tobytes()).hexdigest()[:16]
         assert digest == self.DIGESTS[family]
 
-    # one query per MEASURES row, d = 1..4, the projected Crofton verdicts
-    # of _face_u and _tangent_u included
+    # one query per MEASURES row, d = 1..4, the coordinate-projected
+    # Crofton verdicts of _face_u and _tangent_u included
     VALUE_QUERIES = {
         "absorption": FunctionalQuery("absorption", Model("B", 5, 3)),
         "nonabsorption": FunctionalQuery("nonabsorption", Model("A", 3, 1)),
@@ -377,10 +371,10 @@ class TestSampleStreams:
     }
     VALUE_DIGESTS = {
         "absorption": "f5e27d1b69db6c3b", "nonabsorption": "fe88a2910f067d0b",
-        "fk": "dc626946b8776abb", "Uk": "c2f86a6bda2b8764", "vk": "39fff56670d83aa1",
-        "Lambda": "7f068103d79056ed", "Y": "1627ba47c9194f54", "Z": "ef1daf70fcb6c06d",
-        "face_intrinsic": "28c8fdb64736c0b7", "tangent_intrinsic": "e2e5cac3426335e5",
-        "face_prob": "7acdfd054c34aab8", "subspace_prob": "8934b1d75611dab9",
+        "fk": "dc626946b8776abb", "Uk": "0ec8233d682dc755", "vk": "2b039021644f5230",
+        "Lambda": "55acffb3d937ec7d", "Y": "dd9fe80684afbdb4", "Z": "617632af56728212",
+        "face_intrinsic": "670bc2ddbac8358c", "tangent_intrinsic": "7d9a5f357e17dc27",
+        "face_prob": "7acdfd054c34aab8", "subspace_prob": "9e80c8ff5207569d",
         "joint_absorption": "f43361c279a42747"}
 
     @pytest.mark.parametrize("name", list(VALUE_QUERIES))
@@ -400,33 +394,31 @@ class TestSampleStreams:
 class TestDrawNumbers:
     def test_a_redraw_reads_the_philox_stream_of_its_draw_number(self):
         # draw t of the chunk at s is the stream (0, 0, t, s), a run of
-        # increments and block per sample that makes the draw, in sample
-        # order: a conditioned sample whose draw 0 is a full cone reads the
-        # run of stream 1 after those of the full cones before it, whatever
-        # draw 0 read, and is measured on it bit for bit
+        # increments per sample that makes the draw, in sample order: a
+        # conditioned sample whose draw 0 is a full cone reads the run of
+        # stream 1 after those of the full cones before it, whatever draw 0
+        # read, and is measured on it bit for bit
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
         seed, start, samples = 3, 2048, 128
         indices = np.arange(start, start + samples, dtype=np.uint64)
         sampler = simulation._Sampler(query, GAUSS2)
         got, rejected = sampler.values(_SampleStreams(seed, start), range(start, start + samples))
         assert rejected == 0
-        rows = philox(seed, [0, 0, 0, start]).standard_normal((samples, 10))  # 8 steps, a (2, 1) block
-        steps, gauss = sampler.draws(_SampleStreams(seed, start), indices, 0)
+        rows = philox(seed, [0, 0, 0, start]).standard_normal((samples, 8))  # 4 steps in R^2
+        steps = sampler.draws(_SampleStreams(seed, start), indices, 0)
         gens = sampler.draw.partial_sums(steps)
-        steps, gauss = samples_first(steps, gauss)
-        assert steps.tobytes() == rows[:, :8].reshape(samples, 4, 2).tobytes()
-        assert gauss.tobytes() == rows[:, 8:].reshape(samples, 2, 1).tobytes()
+        assert samples_first(steps).tobytes() == rows.reshape(samples, 4, 2).tobytes()
         full = [p for p in range(samples) if is_full_cone(ConeSample(gens[:, :, p].T))]
         assert len(full) > 5
-        steps, _ = samples_first(*sampler.draws(_SampleStreams(seed, start), indices[full], 1))
-        rows = philox(seed, [0, 0, 1, start]).standard_normal((len(full), 10))
-        assert steps.tobytes() == rows[:, :8].reshape(len(full), 4, 2).tobytes()
+        steps = samples_first(sampler.draws(_SampleStreams(seed, start), indices[full], 1))
+        rows = philox(seed, [0, 0, 1, start]).standard_normal((len(full), 8))
+        assert steps.tobytes() == rows.reshape(len(full), 4, 2).tobytes()
         measure = oracles.LOOP_MEASURES["Uk"]
-        draws = chunk_draws(seed, range(start, start + samples), 10)
+        draws = chunk_draws(seed, range(start, start + samples), 8)
         for p, rngs in enumerate(draws):
             cone, _, rng = loop_draw_sample(query, GAUSS2, rngs)
             assert (rng.draw > 0) == (p in full), p
-            assert got[p] == measure(query, cone, rng), p
+            assert got[p] == measure(query, cone), p
 
 
 class TestEstimate:
@@ -737,38 +729,31 @@ class TestIntegerIdentityWeb:
         assert len(calls) > 8000
 
 
-def replace_draws(monkeypatch, replace, block=lambda i, t, gauss: gauss):
+def replace_draws(monkeypatch, replace):
     """Pass every sample's increments through ``replace(sample, t, steps)``,
-    and the Gaussian block drawn after them through ``block(sample, t,
-    gauss)``, where t is the draw number: 0 for the sample's first draw,
-    then 1, 2, ... each time it draws again.  The sampler's draws come
-    through one seam, ``_Sampler.draws``, which is given the draw number;
-    the per-sample loop's through ``oracles.numpy_draw`` and
-    ``oracles.numpy_block``, each from an ``oracles.SampleDraw`` that names
-    its sample and draw.  Returns the (sample, t) of every draw, in order."""
+    where t is the draw number: 0 for the sample's first draw, then 1, 2,
+    ... each time it draws again.  The sampler's draws come through one
+    seam, ``_Sampler.draws``, which is given the draw number; the
+    per-sample loop's through ``oracles.numpy_draw``, from an
+    ``oracles.SampleDraw`` that names its sample and draw.  Returns the
+    (sample, t) of every draw, in order."""
     drawn = []
     draws = simulation._Sampler.draws
     numpy_draw = oracles.numpy_draw
-    numpy_block = oracles.numpy_block
 
     def drawing(self, streams, samples, draw):
-        steps, gauss = draws(self, streams, samples, draw)
+        steps = draws(self, streams, samples, draw)
         for s, i in enumerate(samples.tolist()):
             drawn.append((i, draw))
             steps[:, :, s] = replace(i, draw, steps[:, :, s].T).T
-            gauss[:, :, s] = block(i, draw, gauss[:, :, s])
-        return steps, gauss
+        return steps
 
     def numpy_drawing(dist, lengths, rng):
         drawn.append((rng.sample, rng.draw))
         return replace(rng.sample, rng.draw, numpy_draw(dist, lengths, rng))
 
-    def numpy_blocking(shape, rng):
-        return block(rng.sample, rng.draw, numpy_block(shape, rng))
-
     monkeypatch.setattr(simulation._Sampler, "draws", drawing)
     monkeypatch.setattr(oracles, "numpy_draw", numpy_drawing)
-    monkeypatch.setattr(oracles, "numpy_block", numpy_blocking)
     return drawn
 
 
@@ -893,8 +878,8 @@ class TestSharedMinorTable:
     def test_one_minor_table_per_draw(self, gate, monkeypatch):
         # the general-position check and every verdict on the chunk read one
         # sign record, computed in one call for the whole chunk; the Y gate
-        # projects the generators of every m-face to 1-d points for its Haar
-        # hits, and those read one more record, for all the faces at once
+        # takes the first coordinate of the generators of every m-face, and
+        # those 1-d points read one more record, for all the faces at once
         calls = []
         signs = geometry._minor_signs
 
@@ -907,7 +892,7 @@ class TestSharedMinorTable:
         projections = []
         if query.functional == "Y":  # the m-faces of the chunk's draws
             sampler = simulation._Sampler(query, dist)
-            steps, _ = sampler.draws(_SampleStreams(3, 0), np.arange(64, dtype=np.uint64), 0)
+            steps = sampler.draws(_SampleStreams(3, 0), np.arange(64, dtype=np.uint64), 0)
             rec = geometry._SignRecord.of(sampler.draw.partial_sums(steps))
             projections = [(query.l, query.m, int(geometry._face_masks(rec, query.m).sum()))]
         monkeypatch.setattr(geometry, "_minor_signs", counting)
@@ -933,26 +918,11 @@ class TestSharedMinorTable:
         assert calls == [(2, 3, 64), (2, 3, 2)]
 
 
-class TestHaarHits:
-    @pytest.mark.parametrize("query", [
-        FunctionalQuery("Uk", Model("B", 6, 4), k=2, conditioned=True),
-        FunctionalQuery("Y", Model("A", 7, 4), m=3, l=2),
-    ])
-    def test_no_orthonormal_basis(self, query, monkeypatch):
-        # a hit projects onto the Gaussian matrix itself, even for k >= 2
-        def qr(*args, **kwargs):
-            raise AssertionError("a Haar hit orthonormalized its subspace")
-
-        monkeypatch.setattr(np.linalg, "qr", qr)
-        dist = DistributionSpec("gaussian_iid", 4)
-        est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
-        assert est.samples == 64
-
-
 class TestOnePredicate:
     def test_no_support_solve_tangent_basis_or_svd(self, monkeypatch):
         # every row of every measured functional in d = 2..4 reads sign
-        # records only, from one (d, c) Gaussian block per sample
+        # records only, and every sample's draw asks for its increments'
+        # normals and no others
         def refuse(*args, **kwargs):
             raise AssertionError("a measurement solved a support or took an SVD")
 
@@ -960,6 +930,14 @@ class TestOnePredicate:
             monkeypatch.setattr(geometry, name, refuse)
         monkeypatch.setattr(np.linalg, "solve", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
+        asked = []
+        normals = _SampleStreams.normals
+
+        def counting(self, samples, count, draw):
+            asked.append(count)
+            return normals(self, samples, count, draw)
+
+        monkeypatch.setattr(_SampleStreams, "normals", counting)
         measured = set()
         for d in (2, 3, 4):
             dist = DistributionSpec("gaussian_iid", d)
@@ -968,11 +946,29 @@ class TestOnePredicate:
             for model in (Model("A", d + 2, d), Model("B", d + 1, d)):
                 queries += oracle_queries(model)
             for q in queries:
-                block = simulation._Sampler(q, dist).block
-                assert len(block) == 2 and block[0] == d, (q, block)
+                asked.clear()
                 assert estimate(RunConfig(query=q, dist=dist, samples=32, seed=3)).samples == 32
+                words = simulation._Draw.of(dist, q.model, q.walk_lengths, q.bridge_lengths).n_words
+                assert asked and set(asked) == {words}, (q, asked)
                 measured.add(q.functional)
         assert measured == set(simulation.MEASURES)
+
+
+def axis_generator_steps(model):
+    """Integer increments of the model whose cone is in general position
+    while its first generator lies on the last coordinate axis.  On its
+    first i < d coordinates that generator is the origin, so every i x i
+    minor of the projected generators that holds it is zero.  The
+    increments are integers, so every partial sum, and a bridge's mean, is
+    exact."""
+    rng = np.random.default_rng(31)
+    while True:
+        gens = rng.integers(-4, 5, size=(model.generator_count, model.d)).astype(float)
+        gens[0, :-1] = 0.0
+        if ConeSample(gens).in_general_position():
+            break
+    steps = np.diff(gens, axis=0, prepend=0.0)
+    return np.vstack([steps, -gens[-1:]]) if model.is_bridge else steps
 
 
 class TestDegenerateProjections:
@@ -983,13 +979,14 @@ class TestDegenerateProjections:
         FunctionalQuery("tangent_intrinsic", Model("B", 5, 3), j=1, k=1),
     ])
     def test_a_zero_minor_draws_again(self, query, monkeypatch):
-        # a zero Gaussian block projects every generator to the origin, so
-        # every minor of the projection is zero: the sample takes its next
-        # draw, as a draw out of general position does, whatever the batch;
-        # the per-sample loop agrees bit for bit
+        # the chosen draws are replaced by a cone in general position whose
+        # first generator projects to the origin, so the projection the
+        # measurement reads has a zero minor: the sample takes its next
+        # draw, as a draw out of general position does, whatever the
+        # batch; the per-sample loop agrees bit for bit
+        steps = axis_generator_steps(query.model)
         counts = {0: 1, 7: 2, 19: 1}
-        replace_draws(monkeypatch, lambda i, t, steps: steps,
-                      lambda i, t, gauss: 0.0 * gauss if t < counts.get(i, 0) else gauss)
+        replace_draws(monkeypatch, lambda i, t, s: steps if t < counts.get(i, 0) else s)
         dist = DistributionSpec("gaussian_iid", query.dimension)
         args = (query, dist, 11, 0, 32)
         got = simulation._chunk_stats(args)
@@ -999,31 +996,14 @@ class TestDegenerateProjections:
         assert simulation._Sampler(query, dist).batch == 1
         assert simulation._chunk_stats(args) == got
 
-
-class TestSampleLastChunk:
-    def test_projection_is_the_samples_first_matmul(self):
-        # projected verdicts read these values, so they keep the bits of
-        # numpy's stacked matmul over the samples; a sum over the short
-        # coordinate axis, or a matmul of strided views, rounds otherwise
-        rng = np.random.default_rng(20261020)
-        for d, n, c in ((2, 4, 1), (3, 5, 2), (4, 6, 3)):
-            gens = rng.standard_cauchy((500, n, d))
-            gauss = rng.standard_normal((500, d, c))
-            last = np.ascontiguousarray(gens.transpose(2, 1, 0))
-            rec = geometry._SignRecord.of(last)
-            chunk = simulation._Chunk(last, rec, geometry._full_cones(rec),
-                                      np.ascontiguousarray(gauss.transpose(1, 2, 0)))
-            assert chunk.proj.shape == (c, n, 500)
-            assert chunk.proj.transpose(2, 1, 0).tobytes() == (gens @ gauss).tobytes()
-
-
 class TestTangentConesByProjection:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
     def test_faces_of_the_projection_match_the_svd_tangent_bases(self, family):
-        # for every j-face F of every sample, F is not a face of the projected
-        # cone G^T C exactly when the SVD tangent base at F meets the kernel
-        # of G^T projected onto the complement of F's span; the Z row sums
-        # half these verdicts, sample by sample on the same streams
+        # for every j-face F of every sample, F is not a face of the cone's
+        # projection onto its first k coordinates exactly when the SVD
+        # tangent base at F meets the kernel of that projection projected
+        # onto the complement of F's span; the Z row sums half these
+        # verdicts, sample by sample on the same streams
         samples = 48
         for d in (2, 3, 4):
             dist = DistributionSpec(family, d)
@@ -1032,16 +1012,45 @@ class TestTangentConesByProjection:
                     query = FunctionalQuery("Z", model, j=j, k=k)
                     sampler = simulation._Sampler(query, dist)
                     got, _ = sampler.values(_SampleStreams(23, 0), range(samples))
-                    draws = chunk_draws(23, range(samples), row_width(sampler))
+                    draws = chunk_draws(23, range(samples), sampler.draw.n_words)
                     for i, rngs in enumerate(draws):
-                        cone, _, rng = loop_draw_sample(query, dist, rngs)
-                        gauss = rng.standard_normal((d, k))
-                        projected = geometry._faces(geometry.ConeSample(cone.generators @ gauss), j)
-                        meets = [oracles.tangent_meets_kernel(cone.generators, face, gauss)
+                        cone, _, _ = loop_draw_sample(query, dist, rngs)
+                        projected = geometry._faces(ConeSample(cone.generators[:, :k]), j)
+                        meets = [oracles.tangent_meets_kernel(cone.generators, face, np.eye(d)[:, :k])
                                  for face in geometry._faces(cone, j)]
                         assert meets == [face not in projected
                                          for face in geometry._faces(cone, j)], (query, i)
                         assert got[i] == 0.5 * sum(meets), (query, i)
+
+
+class TestHaarOracle:
+    # one query per block-reading row, d = 2..4
+    QUERIES = [q for name, q in TestSampleStreams.VALUE_QUERIES.items()
+               if name in oracles.HAAR_MEASURES]
+
+    @pytest.mark.parametrize("family", simulation.FAMILIES)
+    def test_means_match_the_gaussian_blocks(self, family):
+        # on the same cones, the coordinate projections and the replaced
+        # Gaussian blocks estimate one mean: the mean of their per-sample
+        # differences is within four of its standard errors of zero;
+        # conditioned rows read the cones that are not full
+        assert {q.functional for q in self.QUERIES} == set(oracles.HAAR_MEASURES)
+        samples = 8192
+        rng = np.random.default_rng(20_261_020)
+        for q in self.QUERIES:
+            dist = DistributionSpec(family, q.dimension)
+            sampler = simulation._Sampler(q, dist)
+            gens = sampler.draw.partial_sums(sampler.draws(
+                _SampleStreams(5, 0), np.arange(samples, dtype=np.uint64), 0))
+            rec = geometry._SignRecord.of(gens)
+            chunk = simulation._Chunk(gens, rec, geometry._full_cones(rec))
+            assert rec.general.all()
+            if q.conditioned:
+                chunk = chunk.take(~chunk.full)
+            diff = simulation.MEASURES[q.functional](q, chunk) - oracles.haar_values(q, chunk, rng)
+            assert not np.isnan(diff).any(), q
+            se = math.sqrt(diff.var(ddof=1) / len(diff))
+            assert abs(diff.mean()) <= 4 * se, (q, diff.mean(), se)
 
 
 class TestCroftonOnFixedCones:
@@ -1056,9 +1065,11 @@ class TestCroftonOnFixedCones:
 
     @pytest.mark.parametrize("name", list(CONES))
     def test_crofton_against_the_projection_estimator(self, name):
-        # the Crofton difference and the projection estimator measure the
-        # same v_k of one fixed cone, each from its own Gaussians; both
-        # agree with each other, and with v_k where it is known
+        # the Crofton difference of the replaced Gaussian blocks and the
+        # projection estimator measure the same v_k of one fixed cone, each
+        # from its own Gaussians; both agree with each other, and with v_k
+        # where it is known.  Coordinate projections give one fixed value
+        # per cone, so only the Haar blocks can measure v_k of one cone
         gens, exact = self.CONES[name]
         n, d = gens.shape
         samples = 20_000
@@ -1066,12 +1077,10 @@ class TestCroftonOnFixedCones:
         batch = np.broadcast_to(gens, (samples, n, d)).copy()
         rec = geometry._SignRecord.of(batch.transpose(2, 1, 0))
         assert rec.general.all()
+        chunk = simulation._Chunk(batch.transpose(2, 1, 0), rec, geometry._full_cones(rec))
         for k in range(d + 1):
             query = FunctionalQuery("vk", Model("B", n, d), k=k)
-            gauss = rng.standard_normal((samples, *simulation.MEASURES["vk"].block(query, d)))
-            chunk = simulation._Chunk(batch.transpose(2, 1, 0), rec, geometry._full_cones(rec),
-                                      gauss.transpose(1, 2, 0))
-            crofton = simulation.MEASURES["vk"].value(query, chunk)
+            crofton = oracles.haar_values(query, chunk, rng)
             projection = oracles.replaced_v(batch, k, rng.standard_normal((samples, d)))
             assert set(np.unique(crofton)) <= {0.0, 0.5, 1.0}
             se = math.sqrt((crofton.var(ddof=1) + projection.var(ddof=1)) / samples)
@@ -1083,38 +1092,11 @@ class TestCroftonOnFixedCones:
                 assert abs(error) <= 4 * se if se > 0 else abs(error) < 1e-12, (name, k)
 
 
-@pytest.mark.slow
-class TestFaceLoopOracle:
-    @pytest.mark.parametrize("family", simulation.FAMILIES)
-    def test_rows_match_the_replaced_face_loops(self, family):
-        # the replaced per-face-block rows (and the fk, Uk and subspace_prob
-        # rows of the batched chunk) against the per-functional loop they
-        # replaced, at zero tolerance, sample by sample on the same streams
-        samples = 64
-        for d in (1, 2, 3, 4):
-            dist = DistributionSpec(family, d)
-            for model in (Model("A", d + 2, d), Model("B", d + 2, d)):
-                for q in face_loop_queries(model):
-                    sampler = (oracles.replaced_sampler(q, dist)
-                               if q.functional in oracles.REPLACED_MEASURES
-                               else simulation._Sampler(q, dist))
-                    got, _ = sampler.values(_SampleStreams(17, 0), range(samples))
-                    draws = chunk_draws(17, range(samples), row_width(sampler))
-                    for i, rngs in enumerate(draws):  # rng after the accepted increments
-                        cone, _, rng = loop_draw_sample(q, dist, rngs)
-                        want = FACE_LOOP_MEASURES[q.functional](q, cone, rng)
-                        assert got[i] == want, (family, q, i)
-
-
 def oracle_queries(model):
     """Every legal query of every measured functional on a model,
     conditioned variants included, with two face_prob index tuples."""
-    out = face_loop_queries(model) + [FunctionalQuery("absorption", model),
-                                      FunctionalQuery("nonabsorption", model)]
-    if model.d >= 2:
-        out += [FunctionalQuery("face_prob", model, indices=(1,)),
-                FunctionalQuery("face_prob", model, indices=tuple(range(2, model.d + 1)))]
-    return out
+    faces = [(1,), tuple(range(2, model.d + 1))] if model.d >= 2 else []
+    return measured_queries(model, faces)
 
 
 class TestChunkOracle:
@@ -1208,7 +1190,7 @@ class TestProjectionOnFullCones:
         samples = range(index, index + 1)
         values, _ = sampler.values(_SampleStreams(seed, index), samples)
         assert values[0] == 0.0
-        rngs = next(chunk_draws(seed, samples, row_width(sampler)))
+        rngs = next(chunk_draws(seed, samples, sampler.draw.n_words))
         cone, _, rng = loop_draw_sample(gate.query, dist, rngs)
         assert is_full_cone(cone)
         g = rng.standard_normal(4)
