@@ -126,23 +126,28 @@ MAX_SUBSETS = 200_000
 """Most row subsets a minor table may enumerate; larger inputs raise
 DomainError before anything is allocated."""
 
-# Filter for the sign of a d x d minor.  Rows are first scaled by powers of
-# two so that their largest entry lies in [1/2, 1); that is exact and
-# changes no minor's sign.  Level k of the expansion multiplies once and
-# adds k terms, so each monomial of a d x d minor passes through at most
-# D = 2 + 3 + ... + d = d(d+1)/2 - 1 roundings.  With unit roundoff
+# Filter for the sign of an i x i minor of the points' first i coordinates,
+# level i of the expansion; level d holds the d x d minors.  Points are
+# first scaled by powers of two so that their largest entry over all d
+# coordinates lies in [1/2, 1); that is exact, changes no minor's sign and
+# leaves every entry below one.  Level k of the expansion multiplies once
+# and adds k terms, so each monomial of an i x i minor passes through at
+# most D = 2 + 3 + ... + i = i(i+1)/2 - 1 roundings.  With unit roundoff
 # u = 2^-53 the computed minor m~ then satisfies |m~ - m| <= gamma_D * P,
 # where gamma_D = D u / (1 - D u) and P, the sum of the absolute values of
-# the d! monomials, is below d! because every scaled entry is below one
+# the i! monomials, is below i! because every scaled entry is below one
 # (Higham, "Accuracy and Stability of Numerical Algorithms", Lemma 3.1).
 # An underflowing product errs by at most 2^-1075 more; later factors have
-# magnitude below one, so at most e * d! such errors reach one minor.
-# MAX_SUBSETS keeps d <= 17 (2^d - 1 subsets at least), so D u < 2^-45 and
-# the bound 2 D u d! exceeds gamma_D * d! by more than D u d! / 2, which
-# covers those errors and the rounding of the bound itself.  A minor with
-# |m~| above the bound has the sign of m~; the others get an exact integer
-# determinant (Shewchuk 1997, "Adaptive precision floating-point arithmetic
-# and fast robust geometric predicates", filters the same way).
+# magnitude below one, so at most e * i! such errors reach one minor.
+# MAX_SUBSETS keeps i <= d <= 17 (2^d - 1 subsets at least), so D u < 2^-45
+# and the bound 2 D u i! exceeds gamma_D * i! by more than D u i! / 2, which
+# covers those errors and the rounding of the bound itself; level 1, the
+# scaled coordinates, is exact, with bound 0.  A minor with |m~| above the
+# bound has the sign of m~; the others, and those of a set with a point that
+# lost low bits to underflow when scaled, get an exact integer determinant
+# (Shewchuk 1997, "Adaptive precision floating-point arithmetic and fast
+# robust geometric predicates", filters the same way).  Scaled over all d
+# coordinates, a level below d may defer more minors than it would alone.
 
 
 def origin_in_convex_hull(points: Sequence[Sequence[float]] | np.ndarray) -> bool:
@@ -209,23 +214,50 @@ class _SignRecord:
     hyperplane it spans, 0 on it, and ``facets[t, s]`` marks the subsets
     with every other point strictly on one side; both are derived on first
     use.
+
+    A record made by :meth:`of` keeps its points ``pts``, the estimates
+    ``est[i - 1]`` of each level i < d of the expansion and the sets
+    ``lost`` that lost bits when scaled, which :meth:`level` reads.
     """
 
-    def __init__(self, table: _MinorTable, signs: np.ndarray) -> None:
+    def __init__(self, table: _MinorTable, signs: np.ndarray, pts: np.ndarray | None = None,
+                 est: Sequence[np.ndarray] = (), lost: np.ndarray | None = None) -> None:
         self.table = table
         self.signs = signs
         self.general = signs.all(axis=0) & (signs.shape[0] > 0)
+        self.pts, self.est, self.lost = pts, est, lost
 
     @classmethod
     def of(cls, pts: np.ndarray) -> _SignRecord:
         """The record of the point sets pts, (d, n, S)."""
         d, n, count = pts.shape
         table = _minor_table(n, d)
-        return cls(table, _minor_signs(pts, table) if n >= d else np.zeros((0, count), np.int8))
+        if n < d:
+            return cls(table, np.zeros((0, count), np.int8), pts, (), np.zeros(count, bool))
+        signs, est, lost = _minor_signs(pts, table)
+        return cls(table, signs, pts, est[:-1], lost)
 
     def take(self, which) -> _SignRecord:
         """The record of the selected sets."""
-        return _SignRecord(self.table, self.signs[:, which])
+        return _SignRecord(self.table, self.signs[:, which], self.pts[..., which],
+                           [e[:, which] for e in self.est], self.lost[which])
+
+    def level(self, i: int) -> _SignRecord:
+        """The record of the sets' first i coordinates (1 <= i < d), read
+        off level i of this record's expansion."""
+        pts = self.pts[:i]
+        return _SignRecord(_minor_table(self.table.shape[0], i),
+                           _level_signs(pts, self.est[i - 1], self.lost)[0],
+                           pts, self.est[:i - 1], self.lost)
+
+    def subset_level(self, m: int, i: int, f: np.ndarray, s: np.ndarray) -> _SignRecord:
+        """The record of the first i <= m coordinates of m-subset f[k] (in
+        combinations order) of the points of set s[k], one set per k.  The
+        signs are gathered by flat position with ``take``, which keeps them
+        contiguous, where fancy indexing runs per element."""
+        signs = self.level(i).signs
+        parts = _subset_parts(self.table.shape[0], m, i).take(f, axis=1)
+        return _SignRecord(_minor_table(m, i), signs.take(parts * signs.shape[1] + s))
 
     @cached_property
     def sides(self) -> np.ndarray:
@@ -358,9 +390,22 @@ def _subset_walls(n: int, d: int, k: int) -> np.ndarray:
     return walls
 
 
-def _minor_estimates(x: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Floating-point values of all d x d minors of each set in x, (d, n, S),
-    as (T, S).
+@lru_cache(maxsize=256)
+def _subset_parts(n: int, m: int, i: int) -> np.ndarray:
+    """The positions of the C(m, i) i-subsets of each m-subset of range(n)
+    among the i-subsets of range(n), all in combinations order: one column
+    per m-subset, (C(m, i), C(n, m))."""
+    position = {tuple(s): t for t, s in enumerate(_subsets(n, i).tolist())}
+    parts = np.array([[position[c] for c in combinations(s, i)] for s in _subsets(n, m).tolist()],
+                     dtype=np.intp).reshape(math.comb(n, m), math.comb(m, i)).T.copy()
+    parts.flags.writeable = False
+    return parts
+
+
+def _minor_estimates(x: np.ndarray, table: _MinorTable) -> list[np.ndarray]:
+    """Floating-point values of the minors of each set in x, (d, n, S),
+    level by level: entry i - 1 holds the i x i minors of the first i
+    coordinates, (C(n, i), S), for i = 1..min(n, d); level 1 is x[0].
 
     The k cofactor terms of a level are added one at a time, each gathering
     whole sample rows, so every temporary has the shape (C(n, k), S) of one
@@ -368,43 +413,45 @@ def _minor_estimates(x: np.ndarray, table: _MinorTable) -> np.ndarray:
     allocator maps them afresh, and the kernel faults them in page by page,
     on every batch.
     """
-    m = x[0]
+    levels = [x[0]]
     for k, (rows, below, cofactor) in enumerate(table.levels, start=2):
-        col = x[k - 1]
+        col, m = x[k - 1], levels[-1]
         level = np.zeros((rows.shape[1], x.shape[2]))
-        for r, b, c in zip(rows, below, cofactor):
-            level += col[r] * c * m[b]
-        m = level
-    return m
+        for r, b, c in zip(rows, below, cofactor):  # c = +-1 adds or subtracts, exactly
+            (np.add if c > 0 else np.subtract)(level, col[r] * m[b], out=level)
+        levels.append(level)
+    return levels
 
 
-def _filtered_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, np.ndarray]:
-    """Signs of all d x d minors of each set in pts, (d, n, S), as the
-    filter sees them, and the mask of those it cannot certify, both (T, S)."""
-    d = pts.shape[0]
+def _minor_signs(pts: np.ndarray, table: _MinorTable) -> tuple[np.ndarray, list, np.ndarray]:
+    """Exact signs of all d x d minors of each set in pts, (d, n, S), in
+    combinations order, (T, S), by :func:`_level_signs` at level d; with
+    every level's estimates and the sets that lost bits when scaled."""
     _, expo = np.frexp(np.abs(pts).max(axis=0))
     scaled = np.ldexp(pts, -expo)
     est = _minor_estimates(scaled, table)
-    unsure = ~(np.abs(est) > (d * (d + 1) // 2 - 1) * math.factorial(d) * 2.0 ** -52)
-    lost = np.ldexp(scaled, expo) != pts
-    if lost.any():  # a set with a row that lost low bits to underflow when scaled down
-        unsure[:, lost.any(axis=(0, 1))] = True
-    return np.sign(est).astype(np.int8), unsure
+    lost = (np.ldexp(scaled, expo) != pts).any(axis=(0, 1))
+    return _level_signs(pts, est[-1], lost)[0], est, lost
 
 
-def _minor_signs(pts: np.ndarray, table: _MinorTable) -> np.ndarray:
-    """Exact signs of all d x d minors of each set in pts, (d, n, S), in
-    combinations order: (T, S)."""
-    signs, unsure = _filtered_signs(pts, table)
+def _level_signs(pts: np.ndarray, est: np.ndarray, lost: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Exact signs of all i x i minors of each set in pts, (i, n, S), in
+    combinations order, (C(n, i), S), from their estimates ``est`` and the
+    ``lost`` sets, and the mask of those the filter left to integers."""
+    i, n, _ = pts.shape
+    bound = (i * (i + 1) // 2 - 1) * math.factorial(i) * 2.0 ** -52
+    signs = (est > bound).view(np.int8) - (est < -bound).view(np.int8)  # 0 where unsure
+    unsure = signs == 0
+    unsure[:, lost] = True
     if not unsure.any():
-        return signs
-    subsets = _subsets(*table.shape)
+        return signs, unsure
+    subsets = _subsets(n, i)
     for s in np.flatnonzero(unsure.any(axis=0)):
         rows = _integer_rows(pts[:, :, s].T)
         for t in np.flatnonzero(unsure[:, s]):
-            det = _bareiss([rows[i] for i in subsets[t]])[1]
+            det = _bareiss([rows[r] for r in subsets[t]])[1]
             signs[t, s] = (det > 0) - (det < 0)
-    return signs
+    return signs, unsure
 
 
 def _integer_rows(pts: np.ndarray) -> list[list[int]]:

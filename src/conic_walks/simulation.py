@@ -284,7 +284,8 @@ class _Chunk:
     last.
 
     ``gens`` (d, N, S) holds each sample's generators, ``rec`` their sign
-    record and ``full`` marks the full cones.
+    record, which carries the levels its projections read, and ``full``
+    marks the full cones.
     """
 
     gens: np.ndarray
@@ -292,7 +293,8 @@ class _Chunk:
     full: np.ndarray
 
     def take(self, which: np.ndarray) -> _Chunk:
-        return _Chunk(self.gens[..., which], self.rec.take(which), self.full[which])
+        rec = self.rec.take(which)
+        return _Chunk(rec.pts, rec, self.full[which])
 
 
 def _undecided(verdicts: np.ndarray, rec: geometry._SignRecord) -> np.ndarray:
@@ -320,14 +322,16 @@ def _tangent_u(c: _Chunk, j: int, i: int) -> np.ndarray:
     instead half of E f_j(C) - E f_j(P_i C).  P_i C is the cone of the
     projected increments, again an exchangeable, sign-symmetric walk or
     bridge, in R^i, so the closed forms give both terms whatever the law.
+    P_i C's record is level i of the cone's own (``_SignRecord.level``),
+    and the apex masks are the pointed cones, ``~c.full``.
     """
     d = c.gens.shape[0]
     if i >= d:
         return np.zeros(len(c.full))
-    faces = geometry._face_masks(c.rec, j)
+    faces = (~c.full)[None] if j == 0 else geometry._face_masks(c.rec, j)
     if i <= j:
         return 0.5 * faces.sum(axis=0)
-    rec = geometry._SignRecord.of(c.gens[:i])
+    rec = c.rec.level(i)
     return 0.5 * _undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=0), rec)
 
 
@@ -343,16 +347,16 @@ def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
     generators, so projected, hold the origin in their hull (have no
     facet).  No proof ties its mean to the closed form as for
     :func:`_tangent_u`; the exact orbit averages of the tests do.  Every
-    face of a batch is projected and decided in one record.
+    face of a batch is decided in one record, read off level i of the
+    cone's record (``_SignRecord.subset_level``).
     """
     if i >= m:
         return np.zeros(len(c.full))
     faces = geometry._face_masks(c.rec, m)
     if i <= 0:
         return 0.5 * faces.sum(axis=0)
-    f, s = np.nonzero(faces)
-    rows = geometry._subsets(c.gens.shape[1], m)[f]
-    rec = geometry._SignRecord.of(c.gens[:i, rows.T, s])
+    f, s = np.divmod(np.flatnonzero(faces), faces.shape[1])  # np.nonzero, without its 2-d cost
+    rec = c.rec.subset_level(m, i, f, s)
     hits = _undecided(~rec.facets.any(axis=0), rec)
     return 0.5 * np.bincount(s, weights=hits, minlength=len(c.full))
 
@@ -405,9 +409,10 @@ the sample has an exactly zero minor.  A joint_absorption cone is spanned
 by the stacked points of all blocks, every other cone is drawn from the
 query's model.  Every verdict reads the face masks of a sign record: of
 the cones, or of their generators (or a face's) on their first
-coordinates.  So a Crofton value is the cone against one fixed subspace,
-not the cone's own U_i, and its mean is the functional by
-distribution-freeness (:func:`_tangent_u`, :func:`_face_u`)."""
+coordinates, all read off the cone's one minor expansion.  So a Crofton
+value is the cone against one fixed subspace, not the cone's own U_i, and
+its mean is the functional by distribution-freeness (:func:`_tangent_u`,
+:func:`_face_u`)."""
 
 
 class _Sampler:
@@ -436,7 +441,7 @@ class _Sampler:
         """
         values = np.empty(len(indices))
         misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
-        samples = np.array(indices, dtype=np.uint64)
+        samples = np.arange(indices.start, indices.stop, dtype=np.uint64)
         pending = np.arange(len(indices))
         rejected = draw = 0
         while pending.size:

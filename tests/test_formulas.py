@@ -33,7 +33,7 @@ from conic_walks import (
     subspace_intersection_probability,
     wendel_probability,
 )
-from conic_walks.combinatorics import MAX_FACTORS, coeff_P, coeff_Q, compositions
+from conic_walks.combinatorics import MAX_FACTORS, MAX_PRODUCT_TERMS, coeff_P, coeff_Q, compositions
 from conic_walks.errors import DomainError
 
 F = Fraction
@@ -458,6 +458,25 @@ class TestLargeN:
         start = time.perf_counter()
         assert wendel_probability(MAX_FACTORS + 1, MAX_FACTORS + 1) == 1
         assert time.perf_counter() - start < 60.0
+
+    @pytest.mark.slow
+    def test_closed_forms_at_the_edge_of_their_caps_finish(self):
+        # the largest inputs the caps accept: MAX_FACTORS linear factors
+        # (a bridge's face blocks drop one per gap) and, with every
+        # coefficient read, n = d = isqrt(MAX_PRODUCT_TERMS); each call on
+        # fresh tables, as a cold query pays for its rows
+        edge = math.isqrt(MAX_PRODUCT_TERMS)
+        square = Model("B", edge, edge)
+        calls = [lambda t: expected_fk(Model("A", MAX_FACTORS, 3), 1, tables=t),
+                 lambda t: expected_tangent_intrinsic_sum(square, edge // 3, edge // 2, tables=t),
+                 lambda t: expected_Y(square, edge // 2, edge // 3, tables=t),
+                 lambda t: expected_Y_dual(square, edge // 2, edge // 3, tables=t),
+                 lambda t: face_probability(Model("B", MAX_FACTORS + 3, 4), [1, 2, 3], tables=t),
+                 lambda t: joint_absorption_probability([1] * MAX_FACTORS, [], 3, tables=t)]
+        for call in calls:
+            start = time.perf_counter()
+            assert call(cw.StirlingTables()) >= 0
+            assert time.perf_counter() - start < 60.0
 
 
 class TestCrossDimensionIdentities:

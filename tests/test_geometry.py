@@ -840,15 +840,22 @@ def exact_minor_signs(pts):
             for rows in combinations(range(pts.shape[0]), d)]
 
 
+def level_d_signs(x):
+    """Exact signs of the d x d minors of the point sets x, (d, n, S), and
+    the filter's mask of those it could not certify."""
+    d, n, _ = x.shape
+    _, est, lost = geometry._minor_signs(x, geometry._minor_table(n, d))
+    return geometry._level_signs(x, est[-1], lost)
+
+
 def filter_signs(pts):
-    n, d = pts.shape
-    signs, unsure = geometry._filtered_signs(pts.T[:, :, None], geometry._minor_table(n, d))
+    signs, unsure = level_d_signs(pts.T[:, :, None])
     return signs[:, 0], unsure[:, 0]
 
 
 def minor_signs(pts):
     n, d = pts.shape
-    return geometry._minor_signs(pts.T[:, :, None], geometry._minor_table(n, d))[:, 0].tolist()
+    return geometry._minor_signs(pts.T[:, :, None], geometry._minor_table(n, d))[0][:, 0].tolist()
 
 
 class TestExactHullPredicate:
@@ -947,7 +954,7 @@ class TestExactHullPredicate:
         geometry._minor_estimates(x, table)
         tracemalloc.start()
         try:
-            est = geometry._minor_estimates(x, table)
+            est = geometry._minor_estimates(x, table)[-1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1076,7 +1083,7 @@ class TestSampleLastRecord:
             want = SamplesFirstRecord(pts)
             last = np.ascontiguousarray(pts.transpose(2, 1, 0))
             if n >= d:
-                _, unsure = geometry._filtered_signs(last, geometry._minor_table(n, d))
+                _, unsure = level_d_signs(last)
                 assert np.array_equal(unsure.T, want.unsure), kind
                 _, expo = np.frexp(np.abs(pts).max(axis=2, keepdims=True))
                 lost = (np.ldexp(np.ldexp(pts, -expo), expo) != pts).any(axis=(1, 2))

@@ -873,44 +873,66 @@ class TestConditionedFullConeTest:
         assert len(drawn) == len(set(drawn))
 
 
+def count_expansions(monkeypatch):
+    """Record the point-set shape (d, n, S) of every minor expansion."""
+    calls = []
+    signs = geometry._minor_signs
+
+    def counting(pts, table):
+        calls.append(pts.shape)
+        return signs(pts, table)
+
+    monkeypatch.setattr(geometry, "_minor_signs", counting)
+    return calls
+
+
 class TestSharedMinorTable:
     @pytest.mark.parametrize("gate", ["f1/A n=4 d=2", "Y m=2 l=1/B n=5 d=3"])
     def test_one_minor_table_per_draw(self, gate, monkeypatch):
         # the general-position check and every verdict on the chunk read one
         # sign record, computed in one call for the whole chunk; the Y gate
         # takes the first coordinate of the generators of every m-face, and
-        # those 1-d points read one more record, for all the faces at once
-        calls = []
-        signs = geometry._minor_signs
-
-        def counting(pts, table):
-            calls.append(pts.shape)
-            return signs(pts, table)
-
+        # reads their signs off level 1 of that record
+        calls = count_expansions(monkeypatch)
         query = next(g.query for g in default_gates() if g.name == gate)
         dist = DistributionSpec("gaussian_iid", query.dimension)
-        projections = []
-        if query.functional == "Y":  # the m-faces of the chunk's draws
-            sampler = simulation._Sampler(query, dist)
-            steps = sampler.draws(_SampleStreams(3, 0), np.arange(64, dtype=np.uint64), 0)
-            rec = geometry._SignRecord.of(sampler.draw.partial_sums(steps))
-            projections = [(query.l, query.m, int(geometry._face_masks(rec, query.m).sum()))]
-        monkeypatch.setattr(geometry, "_minor_signs", counting)
         est = estimate(RunConfig(query=query, dist=dist, samples=64, seed=3))
         assert est.rejected == 0
-        assert calls == [(query.dimension, query.model.generator_count, 64)] + projections
+        assert calls == [(query.dimension, query.model.generator_count, 64)]
+
+    def test_every_row_expands_its_minors_once_per_round(self, monkeypatch):
+        # every row of every measured functional in d = 2..4, conditioned
+        # rows with their redraws included, runs one minor expansion per
+        # round, over the round's draws: every projection of a cone or of
+        # its faces reads a level of the cone's own record
+        calls = count_expansions(monkeypatch)
+        rounds = []
+        draws = simulation._Sampler.draws
+
+        def drawing(self, streams, samples, draw):
+            rounds.append((self.draw.dist.d, self.draw.n_generators, len(samples)))
+            return draws(self, streams, samples, draw)
+
+        monkeypatch.setattr(simulation._Sampler, "draws", drawing)
+        measured = set()
+        for d in (2, 3, 4):
+            dist = DistributionSpec("gaussian_iid", d)
+            queries = [FunctionalQuery("joint_absorption", walk_lengths=(2,),
+                                       bridge_lengths=(3,), d=d)]
+            for model in (Model("A", d + 2, d), Model("B", d + 1, d)):
+                queries += oracle_queries(model)
+            for q in queries:
+                calls.clear()
+                rounds.clear()
+                assert estimate(RunConfig(query=q, dist=dist, samples=32, seed=3)).samples == 32
+                assert calls == rounds, q
+                measured.add(q.functional)
+        assert measured == set(simulation.MEASURES)
 
     def test_replayed_draws_compute_their_minors_once(self, monkeypatch):
         # two samples reject their first draw and draw again in round 2:
         # one sign record per round
-        calls = []
-        signs = geometry._minor_signs
-
-        def counting(pts, table):
-            calls.append(pts.shape)
-            return signs(pts, table)
-
-        monkeypatch.setattr(geometry, "_minor_signs", counting)
+        calls = count_expansions(monkeypatch)
         zero_draws(monkeypatch, {5: 1, 40: 1})
         query = FunctionalQuery("fk", Model("A", 4, 2), k=1)
         est = estimate(RunConfig(query=query, dist=GAUSS2, samples=64, seed=3))
@@ -995,6 +1017,75 @@ class TestDegenerateProjections:
         monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 1)
         assert simulation._Sampler(query, dist).batch == 1
         assert simulation._chunk_stats(args) == got
+
+
+class TestLevelRecords:
+    """Every projected record the sampler reads, of the cones' first i
+    coordinates or of one face's, is read off the cones' own record; the
+    standalone records of the projected points, which the sampler built
+    before, are the oracle."""
+
+    @staticmethod
+    def point_sets():
+        rng = np.random.default_rng(20261022)
+        count = 48
+        for d in (2, 3, 4):
+            for model in (Model("A", d + 2, d), Model("B", d + 2, d)):
+                draw = simulation._Draw.of(DistributionSpec("gaussian_iid", d), model)
+                steps = rng.standard_normal((d, model.n, count))
+                yield "gaussian", draw.partial_sums(steps)
+                yield "cauchy", draw.partial_sums(rng.standard_cauchy((d, model.n, count)))
+                axis = steps.copy()
+                axis[:, :, ::3] = axis_generator_steps(model).T[:, :, None]
+                yield "zero minors", draw.partial_sums(axis)
+                gens = draw.partial_sums(steps)
+                n = gens.shape[1]
+                # the first d-1 coordinates of one point are 2^-60 of its
+                # last, so its minors at the levels 2..d-1 fall below their
+                # bounds on the cones' scale, not on their own
+                tiny = gens.copy()
+                tiny[:-1, rng.integers(0, n, count), np.arange(count)] *= 2.0 ** -60
+                yield "tiny", tiny
+                # on its first i0 coordinates the last point rounds a
+                # combination of the first i0 - 1, so an i0 x i0 minor is
+                # below its rounding noise
+                near = gens.copy()
+                for i0 in range(2, d):
+                    base = near[:i0, :i0 - 1, i0::d].transpose(1, 0, 2)
+                    mix = rng.uniform(0.1, 0.9, (i0 - 1, 1, base.shape[2]))
+                    near[:i0, -1, i0::d] = (mix * base).sum(axis=0)
+                yield "near zero", near
+                # entries 2^-1074 to 2^1000 apart in a point: scaled down by
+                # its largest, the small ones lose bits
+                wide = gens.copy()
+                wide[:, :, :6] *= np.ldexp(1.0, rng.integers(-1074, 1000, (d, n, 6)))
+                yield "underflow", wide
+
+    def test_levels_and_subsets_match_the_standalone_records(self):
+        seen = set()
+        for kind, pts in self.point_sets():
+            d, n, count = pts.shape
+            rec = geometry._SignRecord.of(pts)
+            seen |= {"lost"} if rec.lost.any() else set()
+            for i in range(1, d):
+                got = rec.level(i)
+                want = geometry._SignRecord.of(np.ascontiguousarray(pts[:i]))
+                assert np.array_equal(got.signs, want.signs), (kind, i)
+                assert np.array_equal(got.general, want.general), (kind, i)
+                seen |= {"zero"} if not got.general.all() else set()
+                _, est, lost = geometry._minor_signs(pts[:i], want.table)
+                alone = geometry._level_signs(pts[:i], est[-1], lost)[1]
+                unsure = geometry._level_signs(pts[:i], rec.est[i - 1], rec.lost)[1]
+                seen |= {"level falls back alone"} if (unsure & ~alone).any() else set()
+                for m in range(i + 1, n + 1):
+                    f, s = np.divmod(np.arange(math.comb(n, m) * count), count)
+                    rows = geometry._subsets(n, m)[f]
+                    got = rec.subset_level(m, i, f, s)
+                    want = geometry._SignRecord.of(pts[:i, rows.T, s])
+                    assert np.array_equal(got.signs, want.signs), (kind, i, m)
+                    assert np.array_equal(got.general, want.general), (kind, i, m)
+        assert seen == {"lost", "zero", "level falls back alone"}
+
 
 class TestTangentConesByProjection:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
