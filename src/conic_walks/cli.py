@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, NumericError, SamplingError
 from .formulas import FUNCTIONALS, FunctionalQuery, Model, evaluate_query
-from .simulation import DistributionSpec, MCEstimate, RunConfig, estimate
+from .simulation import DistributionSpec, MCEstimate, RunConfig, sampling
 from .verify import fraction_dict, report_to_json, verify_suite
 
 EXIT_OK = 0
@@ -145,7 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _queries_from_args(args: argparse.Namespace) -> Iterator[FunctionalQuery]:
     """The queries the flags ask for, built one at a time, so a sweep that
-    reaches an invalid index fails there without building the rest."""
+    reaches an invalid index fails there without building the rest.
+    ``exact`` evaluates each query as it is built; ``simulate`` builds all
+    of them before it samples any, so a bad index fails before any
+    sampling."""
     functional, pinned_k = _canonical_functional(args.functional)
     if args.dual:  # a spelling of Y_dual
         if functional not in ("Y", "Y_dual"):
@@ -235,13 +238,13 @@ def _cmd_exact(args: argparse.Namespace, out) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, out) -> int:
     seed = _resolve_seed(args.seed)
-    records = []
-    for query in _queries_from_args(args):
-        dist = DistributionSpec(_DIST_NAMES[args.dist], query.dimension)
-        config = RunConfig(query=query, dist=dist, samples=args.samples,
-                           seed=seed, workers=args.workers)
-        est = estimate(config)
-        records.append(_record(query, est.exact_ref, est))
+    family = _DIST_NAMES[args.dist]
+    configs = [RunConfig(query=query, dist=DistributionSpec(family, query.dimension),
+                         samples=args.samples, seed=seed, workers=args.workers)
+               for query in _queries_from_args(args)]
+    with sampling(configs) as estimates:  # the whole sweep, so a run opens one pool
+        records = [_record(config.query, est.exact_ref, est)
+                   for config, est in zip(configs, estimates())]
     _emit(records, args.format, out)
     return EXIT_OK
 

@@ -16,6 +16,16 @@ the seed, _CHUNK and which samples of a chunk draw again, not on worker
 count, batch size or scheduling, and chunk partial sums are reduced in
 fixed chunk order.
 
+So ``--workers`` changes no byte of a result, only where the chunks are
+decided.  One :func:`sampling` block (a ``verify`` run, or a ``simulate``
+sweep) maps all its chunks through at most one process pool, and
+``concurrent.futures`` is imported only when that pool opens, so a
+one-worker run never loads ``multiprocessing``.  A second worker pays
+only over seconds of sampling: ``verify --budget 100000`` takes about 0.6
+of its one-worker time with two workers on two cores, while one gate of
+10^5 samples, a tenth of a second on one worker, takes longer on two,
+whose fresh processes start cold.
+
 Every law is a fixed transform of i.i.d. standard normals, so a sample's
 draw is one run of them, its increments' normals, and nothing else is
 random: a Crofton measurement decides the cone against fixed coordinate
@@ -25,11 +35,12 @@ the caller's generator instead.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -495,28 +506,53 @@ def _chunk_stats(args: tuple) -> tuple[float, float, int]:
     return total, total_sq, rejected
 
 
-def estimate(config: RunConfig) -> MCEstimate:
-    """Unbiased Monte Carlo estimate of the queried functional.
+@contextmanager
+def sampling(configs: Sequence[RunConfig]) -> Iterator[Callable[[], list[MCEstimate]]]:
+    """Decide every chunk of the configs; the context gives a function that,
+    called once, returns their estimates, in order, once all are decided.
 
-    Returns the sample mean and standard error, plus the z-score against
-    the exact value from the formula layer.
+    Each estimate is the sample mean and standard error, plus the z-score
+    against the exact value from the formula layer.  The chunks are decided
+    in this process when the function is called or, when a config asks for
+    several workers and there are several chunks, in one process pool from
+    the start of the block on, so the block can work in this process while
+    the pool samples.  The pool has as many workers as the most any config
+    asks for, and no more than chunks.  Each config's chunk sums are
+    reduced in chunk order, so no estimate depends on the pool.
     """
-    query = config.query
-    if query.functional not in MEASURES:
-        raise DomainError(
-            f"functional {query.functional!r} has no Monte Carlo measurement; "
-            "evaluate it exactly instead")
-    exact = evaluate_query(query).exact
-    n = config.samples
-    chunks = [(query, config.dist, config.seed, start, min(_CHUNK, n - start))
-              for start in range(0, n, _CHUNK)]
-    if config.workers > 1 and len(chunks) > 1:
-        # a pool starts all its workers at its first task, so more workers
-        # than chunks would only be idle processes
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(chunks))) as pool:
-            parts = list(pool.map(_chunk_stats, chunks, chunksize=1))
+    for config in configs:
+        if config.query.functional not in MEASURES:
+            raise DomainError(
+                f"functional {config.query.functional!r} has no Monte Carlo measurement; "
+                "evaluate it exactly instead")
+    exacts = [evaluate_query(config.query).exact for config in configs]
+    tasks = [[(c.query, c.dist, c.seed, start, min(_CHUNK, c.samples - start))
+              for start in range(0, c.samples, _CHUNK)] for c in configs]
+    flat = [task for chunks in tasks for task in chunks]
+
+    def estimates(parts: Iterator[tuple[float, float, int]]) -> list[MCEstimate]:
+        return [_reduced(config.samples, exact, itertools.islice(parts, len(chunks)))
+                for config, exact, chunks in zip(configs, exacts, tasks)]
+
+    # a pool starts all its workers at its first task, so more workers than
+    # tasks would only be idle processes
+    workers = min(max((config.workers for config in configs), default=1), len(flat))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool's run pays its import
+
+        # a chunk takes about a millisecond, a round trip to a worker a
+        # good part of one: send the tasks in runs of 1/32 of a worker's
+        # share, so that no worker idles long behind another's last run
+        chunksize = max(1, len(flat) // (32 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_chunk_stats, flat, chunksize=chunksize)  # sends every task now
+            yield lambda: estimates(parts)
     else:
-        parts = [_chunk_stats(c) for c in chunks]
+        yield lambda: estimates(map(_chunk_stats, flat))
+
+
+def _reduced(n: int, exact: Fraction, parts: Iterable[tuple[float, float, int]]) -> MCEstimate:
+    """The estimate of n samples from its chunks' sums, in chunk order."""
     total = 0.0
     total_sq = 0.0
     rejected = 0
@@ -530,3 +566,10 @@ def estimate(config: RunConfig) -> MCEstimate:
     z = (mean - float(exact)) / stderr if stderr > 0 else None
     return MCEstimate(mean=mean, stderr=stderr, samples=n,
                       exact_ref=exact, z=z, rejected=rejected)
+
+
+def estimate(config: RunConfig) -> MCEstimate:
+    """Unbiased Monte Carlo estimate of the queried functional
+    (:func:`sampling` of the one config)."""
+    with sampling([config]) as estimates:
+        return estimates()[0]

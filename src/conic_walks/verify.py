@@ -63,7 +63,7 @@ from .formulas import (
     wendel_probability,
 )
 from .formulas import _FAMILY
-from .simulation import FAMILIES, DistributionSpec, RunConfig, estimate
+from .simulation import FAMILIES, DistributionSpec, MCEstimate, RunConfig, estimate, sampling
 
 SCHEMA_VERSION = 1
 Z_GATE = 4.0
@@ -485,12 +485,13 @@ def _gate_seed(base_seed: int, gate_name: str, family: str) -> int:
     return (int(base_seed) + (tag << 16)) & ((1 << 64) - 1)
 
 
-def run_gate(gate: Gate, family: str, budget: int, seed: int, workers: int = 1) -> dict:
-    """Estimate one gate under one distribution and compare to the exact value."""
-    dist = DistributionSpec(family, gate.query.dimension)
-    config = RunConfig(query=gate.query, dist=dist, samples=budget,
-                       seed=_gate_seed(seed, gate.name, family), workers=workers)
-    est = estimate(config)
+def _gate_config(gate: Gate, family: str, budget: int, seed: int, workers: int) -> RunConfig:
+    return RunConfig(query=gate.query, dist=DistributionSpec(family, gate.query.dimension),
+                     samples=budget, seed=_gate_seed(seed, gate.name, family), workers=workers)
+
+
+def _gate_record(gate: Gate, family: str, est: MCEstimate) -> dict:
+    """The report entry of one gate's estimate under one distribution."""
     exact = est.exact_ref
     if est.stderr > 0:
         passed = abs(est.z) <= Z_GATE
@@ -508,6 +509,11 @@ def run_gate(gate: Gate, family: str, budget: int, seed: int, workers: int = 1) 
         "rejected": est.rejected,
         "status": "pass" if passed else "fail",
     }
+
+
+def run_gate(gate: Gate, family: str, budget: int, seed: int, workers: int = 1) -> dict:
+    """Estimate one gate under one distribution and compare to the exact value."""
+    return _gate_record(gate, family, estimate(_gate_config(gate, family, budget, seed, workers)))
 
 
 def fraction_dict(x: Fraction) -> dict:
@@ -553,26 +559,27 @@ def verify_suite(budget: int = 100_000,
         raise DomainError(f"budget must be nonnegative, got {budget}")
     if workers < 1:
         raise DomainError("worker count must be >= 1")
-    tables = corrupted_tables() if tamper else None
-    identities = identity_checks(tables=tables)
+    pairs = [(gate, family) for family in FAMILIES for gate in default_gates()]
+    run_mc = budget >= MIN_MC_BUDGET and not tamper
+    configs = [_gate_config(gate, family, budget, seed, workers)
+               for gate, family in pairs] if run_mc else []
+    # every pair samples in one block, so a run opens one pool, and the
+    # identity suite runs in this process while the pool samples
+    with sampling(configs) as estimates:
+        identities = identity_checks(tables=corrupted_tables() if tamper else None)
+        mc = estimates()
     if tamper and all(c.status == "pass" for c in identities):
         identities.append(CheckResult("tamper detection", "fail",
                                       "corrupted tables went unnoticed"))
-    mc_checks: list[dict] = []
-    run_mc = budget >= MIN_MC_BUDGET and not tamper
-    skip_note = (f"budget {budget} below the minimum of {MIN_MC_BUDGET}"
-                 if budget < MIN_MC_BUDGET else "tampered run checks identities only")
-    for family in FAMILIES:
-        for gate in default_gates():
-            if run_mc:
-                mc_checks.append(run_gate(gate, family, budget, seed, workers))
-            else:
-                mc_checks.append({
-                    "name": gate.name, "distribution": family,
-                    "functional": gate.query.functional,
-                    "status": "skipped",
-                    "detail": skip_note,
-                })
+    if run_mc:
+        mc_checks = [_gate_record(gate, family, est) for (gate, family), est in zip(pairs, mc)]
+    else:
+        skip_note = (f"budget {budget} below the minimum of {MIN_MC_BUDGET}"
+                     if budget < MIN_MC_BUDGET else "tampered run checks identities only")
+        mc_checks = [{"name": gate.name, "distribution": family,
+                      "functional": gate.query.functional,
+                      "status": "skipped", "detail": skip_note}
+                     for gate, family in pairs]
     id_failed = sum(1 for c in identities if c.status == "fail")
     mc_run = [c for c in mc_checks if c["status"] != "skipped"]
     mc_passed = sum(1 for c in mc_run if c["status"] == "pass")

@@ -14,15 +14,27 @@ import conic_walks
 from conic_walks import simulation
 
 
-def test_import_loads_no_scipy():
+def imported_by_the_package(*packages):
+    """The modules of ``packages`` that ``import conic_walks`` loads in a
+    fresh interpreter."""
     src = str(Path(conic_walks.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, conic_walks; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert imported_by_the_package("scipy") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only a call that opens a pool imports it, so a one-worker run never
+    # pays for multiprocessing
+    assert imported_by_the_package("multiprocessing", "concurrent") == "[]"
 
 
 def test_every_exported_name_resolves():

@@ -1,9 +1,11 @@
 """Samplers, estimator plumbing, and the verification harness."""
 
+import concurrent.futures
 import hashlib
 import io
 import itertools
 import math
+import multiprocessing
 import re
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from conic_walks.simulation import (
     sample_walk,
 )
 from conic_walks.verify import (
+    MIN_MC_BUDGET,
     Gate,
     _gate_seed,
     corrupted_tables,
@@ -51,6 +54,39 @@ GAUSS2 = DistributionSpec("gaussian_iid", 2)
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+class InProcessPool:
+    """A stand-in for a process pool: it maps in this process and starts
+    no process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def record_pools(monkeypatch, pool=InProcessPool):
+    """Open every process pool of the package as ``pool`` and return the
+    worker counts of the pools opened, in order.  The package imports the
+    executor from concurrent.futures where it opens a pool, so that is
+    where it is replaced."""
+    opened = []
+
+    class Recorder(pool):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return opened
 
 
 class TestDistributions:
@@ -457,22 +493,7 @@ class TestEstimate:
         # a process pool starts all its workers at its first task, so 5,000
         # workers for the two chunks of 4,096 samples would start 5,000
         # processes; the recorder maps in this process and starts none
-        opened = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorder)
+        opened = record_pools(monkeypatch)
         query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
         want = estimate(RunConfig(query=query, dist=GAUSS2, samples=4096, seed=42))
         for workers, samples, pool in ((5000, 4096, 2), (2, 6000, 2), (3, 2049, 2)):
@@ -484,6 +505,36 @@ class TestEstimate:
         code = main(["simulate", "--model", "A", "--functional", "nonabsorption", "--n", "4",
                      "--d", "2", "--samples", "4096", "--workers", "5000"], out=io.StringIO())
         assert code == 0 and opened == [2]
+
+    def test_a_simulate_sweep_opens_one_pool(self, monkeypatch):
+        # every query of the sweep samples through one real pool, to the
+        # bytes of one worker; a bad index fails before any sampling
+        args = ["simulate", "--model", "A", "--functional", "vk", "--n", "4", "--d", "2",
+                "--samples", "4096", "--seed", "5", "--k"]
+        opened = record_pools(monkeypatch, concurrent.futures.ProcessPoolExecutor)
+        serial, pooled, failed = io.StringIO(), io.StringIO(), io.StringIO()
+        assert main(args + ["0..2", "--workers", "1"], out=serial) == 0 and opened == []
+        assert main(args + ["0..2", "--workers", "2"], out=pooled) == 0 and opened == [2]
+        assert pooled.getvalue() == serial.getvalue()
+        assert len(serial.getvalue().splitlines()) == 3
+        assert main(args + ["0..3", "--workers", "2"], out=failed) == EXIT_USAGE
+        assert failed.getvalue() == "" and opened == [2]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must fork from the process that replaced the draws")
+    def test_a_failed_chunk_in_the_pool_reaches_the_caller(self, monkeypatch):
+        # sample 5 of every config never draws a cone in general position,
+        # in the forked workers too; the error stops the run, and no worker
+        # outlives it
+        replace_draws(monkeypatch, lambda i, t, steps: 0.0 * steps if i == 5 else steps)
+        no_draw = "in general position after 128 attempts"
+        with pytest.raises(SamplingError, match=no_draw):
+            verify_suite(budget=10_000, seed=1, workers=2)
+        assert multiprocessing.active_children() == []
+        query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
+        with pytest.raises(SamplingError, match=no_draw):
+            estimate(RunConfig(query=query, dist=GAUSS2, samples=4096, seed=42, workers=2))
+        assert multiprocessing.active_children() == []
 
     def test_seed_changes_estimate(self):
         query = FunctionalQuery("nonabsorption", Model("A", 4, 2))
@@ -591,6 +642,18 @@ class TestVerifySuite:
         t.block_product((2, 3), (), 4).coeffs[0] += 1  # test-only: poke one coefficient
         failed = {c.name for c in identity_checks(tables=t) if c.status == "fail"}
         assert {"cross-formula identities", "composition convolutions"} <= failed
+
+    def test_a_verify_run_opens_one_pool(self, monkeypatch):
+        # every gate pair's chunks go through one pool; a run that samples
+        # in this process or samples nothing opens none
+        opened = record_pools(monkeypatch)
+        pooled = verify_suite(budget=10_000, seed=1, workers=2)
+        assert opened == [2]
+        serial = verify_suite(budget=10_000, seed=1, workers=1)
+        verify_suite(budget=MIN_MC_BUDGET - 1, seed=1, workers=2)
+        verify_suite(budget=10_000, seed=1, workers=2, tamper=True)
+        assert opened == [2]
+        assert {**pooled, "workers": 1} == serial
 
     def test_small_budget_skips_mc(self):
         report = verify_suite(budget=100, seed=5)
