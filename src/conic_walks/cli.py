@@ -1,7 +1,8 @@
 """Command-line front end: exact queries, Monte Carlo runs, verification.
 
 Exit codes: 0 success, 2 usage error (including violated formula
-hypotheses), 3 numeric or sampling failure, 4 verification failure.
+hypotheses and a report path that cannot be written), 3 numeric or
+sampling failure, 4 verification failure.
 Records stream as JSON lines or CSV rows; exact values are serialized as
 decimal strings since they outgrow doubles quickly.
 """
@@ -251,11 +252,23 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     seed = _resolve_seed(args.seed)
-    report = verify_suite(budget=args.budget, seed=seed, workers=args.workers,
-                          tamper=args.inject_table_corruption)
-    payload = report_to_json(report)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    # opened before the run, so a bad path fails at once; a failed run keeps
+    # an old report and removes a file it created
+    created = not os.path.exists(args.out)
+    try:
+        fh = open(args.out, "a", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write the report to {args.out}: {exc.strerror}") from None
+    with fh:
+        try:
+            report = verify_suite(budget=args.budget, seed=seed, workers=args.workers,
+                                  tamper=args.inject_table_corruption)
+        except BaseException:
+            if created:
+                os.remove(args.out)
+            raise
+        fh.truncate(0)
+        fh.write(report_to_json(report))
     summary = report["summary"]
     out.write(f"identities: {summary['identities_total'] - summary['identities_failed']}"
               f"/{summary['identities_total']} passed\n")

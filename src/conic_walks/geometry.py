@@ -212,8 +212,8 @@ class _SignRecord:
     is zero (n < d gives T = 0).  ``sides[:, t, s]`` holds the side of every
     point outside (d-1)-subset t (``table.facet_others[t]``) relative to the
     hyperplane it spans, 0 on it, and ``facets[t, s]`` marks the subsets
-    with every other point strictly on one side; both are derived on first
-    use.
+    with every other point strictly on one side; these and ``full`` are
+    derived on first use.
 
     A record made by :meth:`of` keeps its points ``pts``, the estimates
     ``est[i - 1]`` of each level i < d of the expansion and the sets
@@ -238,9 +238,13 @@ class _SignRecord:
         return cls(table, signs, pts, est[:-1], lost)
 
     def take(self, which) -> _SignRecord:
-        """The record of the selected sets."""
-        return _SignRecord(self.table, self.signs[:, which], self.pts[..., which],
-                           [e[:, which] for e in self.est], self.lost[which])
+        """The record of the selected sets, with the masks already derived."""
+        rec = _SignRecord(self.table, self.signs[:, which], self.pts[..., which],
+                          [e[:, which] for e in self.est], self.lost[which])
+        for name in ("facets", "full"):
+            if name in self.__dict__:
+                rec.__dict__[name] = self.__dict__[name][..., which]
+        return rec
 
     def level(self, i: int) -> _SignRecord:
         """The record of the sets' first i coordinates (1 <= i < d), read
@@ -250,14 +254,19 @@ class _SignRecord:
                            _level_signs(pts, self.est[i - 1], self.lost)[0],
                            pts, self.est[:i - 1], self.lost)
 
-    def subset_level(self, m: int, i: int, f: np.ndarray, s: np.ndarray) -> _SignRecord:
-        """The record of the first i <= m coordinates of m-subset f[k] (in
-        combinations order) of the points of set s[k], one set per k.  The
-        signs are gathered by flat position with ``take``, which keeps them
-        contiguous, where fancy indexing runs per element."""
+    def subset_level(self, m: int, i: int, which: np.ndarray) -> tuple[_SignRecord, np.ndarray]:
+        """The record of the first i <= m coordinates of each m-subset of
+        points that ``which`` (C(n, m), S) marks, in flat order, and its set.
+        The signs are gathered by flat position with ``take``, which keeps
+        them contiguous, where fancy indexing runs per element."""
+        f, s = np.divmod(np.flatnonzero(which), which.shape[1])  # np.nonzero, without its 2-d cost
         signs = self.level(i).signs
         parts = _subset_parts(self.table.shape[0], m, i).take(f, axis=1)
-        return _SignRecord(_minor_table(m, i), signs.take(parts * signs.shape[1] + s))
+        return _SignRecord(_minor_table(m, i), signs.take(parts * signs.shape[1] + s)), s
+
+    def decided(self, verdicts: np.ndarray) -> np.ndarray:
+        """The verdicts as floats, NaN for a set with a zero minor or none."""
+        return np.where(self.general, verdicts, np.nan)
 
     @cached_property
     def sides(self) -> np.ndarray:
@@ -267,6 +276,34 @@ class _SignRecord:
     def facets(self) -> np.ndarray:
         return np.abs(self.sides.sum(axis=0, dtype=np.int32)) == self.sides.shape[0]
 
+    @cached_property
+    def full(self) -> np.ndarray:
+        """Per set: whether its points positively span R^d, exactly: they
+        do when they have rank d and no (d-1)-subset spanning a hyperplane
+        has every other point weakly on one side of it; in general position,
+        when the set has no facet."""
+        full = ~self.facets.any(axis=0)
+        odd = ~self.general
+        if odd.any():
+            full[odd] = (self.signs[:, odd].any(axis=0)
+                         & ~_weakly_supporting(self.sides[:, :, odd]).any(axis=0))
+        return full
+
+    def faces(self, k: int) -> np.ndarray:
+        """Per set in general position, which k-subsets of its points span a
+        face of their cone (0 <= k <= d-1): a mask (C(n, k), S) over the
+        k-subsets in combinations order.  Such a cone is full or pointed with
+        simplicial facets, so a subset spans a face exactly when it lies
+        inside a facet: its row ORs the facet rows of the (d-1)-subsets
+        holding it.  The apex, k = 0, lies inside every facet of a pointed
+        cone."""
+        return self.facets[_subset_walls(*self.table.shape, k)].any(axis=1)
+
+    def face(self, rows: Sequence[int]) -> np.ndarray:
+        """Row ``rows`` (a sorted k-subset, k >= 1) of :meth:`faces`."""
+        at = np.flatnonzero((_subsets(self.table.shape[0], len(rows)) == rows).all(axis=1))[0]
+        return self.facets[_subset_walls(*self.table.shape, len(rows))[at]].any(axis=0)
+
 
 def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
     """Per (d-1)-subset (the second axis; the first holds the other
@@ -274,35 +311,6 @@ def _weakly_supporting(sides: np.ndarray) -> np.ndarray:
     lie weakly on one side of it."""
     off = np.abs(sides).sum(axis=0, dtype=np.int32)
     return (off > 0) & (np.abs(sides.sum(axis=0, dtype=np.int32)) == off)
-
-
-def _full_cones(rec: _SignRecord) -> np.ndarray:
-    """Per set: whether its points positively span R^d.
-
-    Exact for any input: they do exactly when they have rank d and no
-    (d-1)-subset spanning a hyperplane has every other point weakly on one
-    side of it.  In general position no point lies on such a hyperplane,
-    so this reads: the set has no facet.
-    """
-    full = ~rec.facets.any(axis=0)
-    odd = ~rec.general
-    if odd.any():
-        full[odd] = (rec.signs[:, odd].any(axis=0)
-                     & ~_weakly_supporting(rec.sides[:, :, odd]).any(axis=0))
-    return full
-
-
-def _face_masks(rec: _SignRecord, k: int) -> np.ndarray:
-    """Per set in general position, which k-subsets of its points span a
-    face of their cone (0 <= k <= d-1): a mask of shape (C(n, k), S) over
-    the k-subsets in combinations order.
-
-    In general position a cone is full or pointed with simplicial facets,
-    so a subset spans a face exactly when it lies inside a facet: its row
-    ORs the facet rows of the (d-1)-subsets holding it.  The apex, k = 0,
-    lies inside every facet, so a cone has it exactly when it is pointed.
-    """
-    return rec.facets[_subset_walls(*rec.table.shape, k)].any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -506,9 +514,9 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
 
 def is_full_cone(cone: ConeSample) -> bool:
     """Whether the generators positively span R^d, i.e. the cone is R^d.
-    Exact for any input, by the rule of :func:`_full_cones`; in general
-    position it reads: the cone has no facet."""
-    return bool(_full_cones(cone._signs)[0])
+    Exact for any input, by the rule of :attr:`_SignRecord.full`; in
+    general position it reads: the cone has no facet."""
+    return bool(cone._signs.full[0])
 
 
 def _validated_subset(cone: ConeSample, subset: Sequence[int]) -> tuple[int, ...]:
@@ -531,7 +539,7 @@ def _full_or_checked(cone: ConeSample) -> bool:
         raise DegenerateInputError(
             f"{n} generators in R^{d} are linearly dependent; face test undefined")
     rec = cone._signs
-    full = bool(_full_cones(rec)[0])
+    full = bool(rec.full[0])
     if full or rec.general[0] or n < d:
         return full
     raise DegenerateInputError(
@@ -552,7 +560,7 @@ def _faces(cone: ConeSample, k: int) -> list[tuple[int, ...]]:
     rec = cone._signs
     subsets = _subsets(cone.n_generators, k)
     if rec.general[0]:
-        return [tuple(s) for s in subsets[_face_masks(rec, k)[:, 0]].tolist()]
+        return [tuple(s) for s in subsets[rec.faces(k)[:, 0]].tolist()]
     if k == 0:
         nonzero = cone.generators[cone.generators.any(axis=1)]
         return [] if nonzero.shape[0] and _origin_in_hull(nonzero) else [()]

@@ -1,10 +1,12 @@
 """Samplers for exchangeable walks and bridges, and seeded Monte Carlo estimators.
 
 Sampling distributions only need the model's symmetry hypotheses, so three
-stress levels are provided: i.i.d. Gaussian increments, componentwise
-Cauchy increments (no mean), and Gaussians multiplied by one shared
-standard log-normal scale (dependent but still exchangeable with symmetric
-signs).
+laws are provided: i.i.d. Gaussian increments, componentwise Cauchy
+increments (no mean), and Gaussians multiplied by one standard log-normal
+scale per block.  A positive factor shared by a block's generators leaves
+the cone and every verdict unchanged, so the scaled law's measurements
+equal those of Gaussian cones: it tests the law's transform, not a
+dependence that the cone can see.
 
 Estimates are reproducible by construction.  Samples are decided in
 chunks of at most _CHUNK, and draw t of the chunk that starts at sample s
@@ -56,6 +58,10 @@ from .formulas import (
 from .geometry import ConeSample
 
 FAMILIES = ("gaussian_iid", "heavy_tail_iid", "scaled_gaussian_exchangeable")
+"""The increment laws.  ``scaled_gaussian_exchangeable`` multiplies a
+block's Gaussian increments by one shared positive factor, which leaves
+the cone and every verdict unchanged: its measurements are those of the
+Gaussian cones of its normals without each block's first."""
 
 _CHUNK = 2048
 _MAX_DRAW_RETRIES = 128
@@ -289,34 +295,7 @@ class RunConfig:
                 f"query dimension {self.query.dimension} != distribution dimension {self.dist.d}")
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """Samples decided together, all in general position, the sample axis
-    last.
-
-    ``gens`` (d, N, S) holds each sample's generators, ``rec`` their sign
-    record, which carries the levels its projections read, and ``full``
-    marks the full cones.
-    """
-
-    gens: np.ndarray
-    rec: geometry._SignRecord
-    full: np.ndarray
-
-    def take(self, which: np.ndarray) -> _Chunk:
-        rec = self.rec.take(which)
-        return _Chunk(rec.pts, rec, self.full[which])
-
-
-def _undecided(verdicts: np.ndarray, rec: geometry._SignRecord) -> np.ndarray:
-    """The verdicts as floats, NaN where the projected points ``rec`` have
-    an exactly zero minor: such a sample draws again."""
-    out = verdicts.astype(float)
-    out[~rec.general] = np.nan
-    return out
-
-
-def _tangent_u(c: _Chunk, j: int, i: int) -> np.ndarray:
+def _tangent_u(rec: geometry._SignRecord, j: int, i: int) -> np.ndarray:
     """Per sample, a value whose mean is the sum over its j-faces F of
     U_i(T_F C), the i-th conic quermassintegral of the tangent cone at F;
     the apex is the 0-face of a pointed cone, and its tangent cone is the
@@ -334,19 +313,18 @@ def _tangent_u(c: _Chunk, j: int, i: int) -> np.ndarray:
     projected increments, again an exchangeable, sign-symmetric walk or
     bridge, in R^i, so the closed forms give both terms whatever the law.
     P_i C's record is level i of the cone's own (``_SignRecord.level``),
-    and the apex masks are the pointed cones, ``~c.full``.
+    and the apex masks are the pointed cones, ``~rec.full``.
     """
-    d = c.gens.shape[0]
-    if i >= d:
-        return np.zeros(len(c.full))
-    faces = (~c.full)[None] if j == 0 else geometry._face_masks(c.rec, j)
+    if i >= rec.table.shape[1]:
+        return np.zeros(len(rec.general))
+    faces = (~rec.full)[None] if j == 0 else rec.faces(j)
     if i <= j:
         return 0.5 * faces.sum(axis=0)
-    rec = c.rec.level(i)
-    return 0.5 * _undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=0), rec)
+    projected = rec.level(i)
+    return 0.5 * projected.decided((faces & ~projected.faces(j)).sum(axis=0))
 
 
-def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
+def _face_u(rec: geometry._SignRecord, m: int, i: int) -> np.ndarray:
     """Per sample, a value whose mean is the sum over its m-faces F of
     U_i(F), the i-th conic quermassintegral of the face itself
     (1 <= m <= d-1).
@@ -362,68 +340,65 @@ def _face_u(c: _Chunk, m: int, i: int) -> np.ndarray:
     cone's record (``_SignRecord.subset_level``).
     """
     if i >= m:
-        return np.zeros(len(c.full))
-    faces = geometry._face_masks(c.rec, m)
+        return np.zeros(len(rec.general))
+    faces = rec.faces(m)
     if i <= 0:
         return 0.5 * faces.sum(axis=0)
-    f, s = np.divmod(np.flatnonzero(faces), faces.shape[1])  # np.nonzero, without its 2-d cost
-    rec = c.rec.subset_level(m, i, f, s)
-    hits = _undecided(~rec.facets.any(axis=0), rec)
-    return 0.5 * np.bincount(s, weights=hits, minlength=len(c.full))
+    projected, s = rec.subset_level(m, i, faces)
+    hits = projected.decided(~projected.facets.any(axis=0))
+    return 0.5 * np.bincount(s, weights=hits, minlength=len(rec.general))
 
 
-def _quermassintegral(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
+def _quermassintegral(q: FunctionalQuery, rec: geometry._SignRecord) -> np.ndarray:
     # the full space scores by the subspace convention
-    return _tangent_u(c, 0, q.k) + np.where(c.full, float((c.gens.shape[0] - q.k) % 2), 0.0)
+    d = rec.table.shape[1]
+    return _tangent_u(rec, 0, q.k) + np.where(rec.full, float((d - q.k) % 2), 0.0)
 
 
-def _intrinsic_volume(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
+def _intrinsic_volume(q: FunctionalQuery, rec: geometry._SignRecord) -> np.ndarray:
     # Crofton: v_k = U_{k-1} - U_{k+1}, with U_{-1} = 1/2; the nested
     # kernels make each value 0 or 1/2.  A full cone has v_d = 1.
-    top = c.full & (q.k == c.gens.shape[0])
-    return _tangent_u(c, 0, q.k - 1) - _tangent_u(c, 0, q.k + 1) + top
+    top = rec.full & (q.k == rec.table.shape[1])
+    return _tangent_u(rec, 0, q.k - 1) - _tangent_u(rec, 0, q.k + 1) + top
 
 
-def _face_intrinsic(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
+def _face_intrinsic(q: FunctionalQuery, rec: geometry._SignRecord) -> np.ndarray:
     if q.m == 0:  # the apex {0} is a subspace, with v_0 = 1
-        return (~c.full).astype(float)
-    if q.m == c.gens.shape[0]:  # no d-face, as the closed form reads
-        return np.zeros(len(c.full))
-    return _face_u(c, q.m, q.l - 1) - _face_u(c, q.m, q.l + 1)
+        return (~rec.full).astype(float)
+    if q.m == rec.table.shape[1]:  # no d-face, as the closed form reads
+        return np.zeros(len(rec.general))
+    return _face_u(rec, q.m, q.l - 1) - _face_u(rec, q.m, q.l + 1)
 
 
-def _face_prob(q: FunctionalQuery, c: _Chunk) -> np.ndarray:
-    rows = [i - 1 for i in q.indices]  # 1-based partial sums -> generator rows
-    at = np.flatnonzero((geometry._subsets(c.gens.shape[1], len(rows)) == rows).all(axis=1))[0]
-    return geometry._face_masks(c.rec, len(rows))[at].astype(float)
-
-
-MEASURES: dict[str, Callable[[FunctionalQuery, _Chunk], np.ndarray]] = {
-    "absorption": lambda q, c: c.full.astype(float),
-    "nonabsorption": lambda q, c: (~c.full).astype(float),
-    "fk": lambda q, c: geometry._face_masks(c.rec, q.k).sum(axis=0).astype(float),
+MEASURES: dict[str, Callable[[FunctionalQuery, geometry._SignRecord], np.ndarray]] = {
+    "absorption": lambda q, rec: rec.full.astype(float),
+    "nonabsorption": lambda q, rec: (~rec.full).astype(float),
+    "fk": lambda q, rec: rec.faces(q.k).sum(axis=0).astype(float),
     "Uk": _quermassintegral,
     "vk": _intrinsic_volume,
-    "Lambda": lambda q, c: _face_u(c, q.k, q.k - 1),
-    "Y": lambda q, c: _face_u(c, q.m, q.l),
-    "Z": lambda q, c: _tangent_u(c, q.j, q.k),
+    "Lambda": lambda q, rec: _face_u(rec, q.k, q.k - 1),
+    "Y": lambda q, rec: _face_u(rec, q.m, q.l),
+    "Z": lambda q, rec: _tangent_u(rec, q.j, q.k),
     "face_intrinsic": _face_intrinsic,
-    "tangent_intrinsic": lambda q, c: _tangent_u(c, q.j, q.k - 1) - _tangent_u(c, q.j, q.k + 1),
-    "face_prob": _face_prob,
-    "subspace_prob": lambda q, c: 2.0 * _tangent_u(c, 0, q.k) + c.full,
+    "tangent_intrinsic": lambda q, rec: (_tangent_u(rec, q.j, q.k - 1)
+                                         - _tangent_u(rec, q.j, q.k + 1)),
+    # 1-based partial sums -> generator rows
+    "face_prob": lambda q, rec: rec.face([i - 1 for i in q.indices]).astype(float),
+    "subspace_prob": lambda q, rec: 2.0 * _tangent_u(rec, 0, q.k) + rec.full,
     # in general position the origin is in the points' hull iff they span R^d
-    "joint_absorption": lambda q, c: c.full.astype(float),
+    "joint_absorption": lambda q, rec: rec.full.astype(float),
 }
-"""Per functional name, the measurement (query, chunk) -> one value per
-sample whose expectation is the functional, or NaN where a projection of
-the sample has an exactly zero minor.  A joint_absorption cone is spanned
-by the stacked points of all blocks, every other cone is drawn from the
-query's model.  Every verdict reads the face masks of a sign record: of
-the cones, or of their generators (or a face's) on their first
-coordinates, all read off the cone's one minor expansion.  So a Crofton
-value is the cone against one fixed subspace, not the cone's own U_i, and
-its mean is the functional by distribution-freeness (:func:`_tangent_u`,
-:func:`_face_u`)."""
+"""Per functional name, the measurement (query, sign record) -> one value
+per sample whose expectation is the functional, or NaN where a projection
+of the sample has an exactly zero minor.  The record is of the sampled
+cones, all in general position, sample axis last.  A joint_absorption
+cone is spanned by the stacked points of all blocks, every other cone is
+drawn from the query's model.  Every verdict reads the full-cone and face
+masks of a sign record: of the cones, or of their generators (or a
+face's) on their first coordinates, all read off the cone's one minor
+expansion.  So a Crofton value is the cone against one fixed subspace,
+not the cone's own U_i, and its mean is the functional by
+distribution-freeness (:func:`_tangent_u`, :func:`_face_u`)."""
 
 
 class _Sampler:
@@ -456,17 +431,16 @@ class _Sampler:
         pending = np.arange(len(indices))
         rejected = draw = 0
         while pending.size:
-            gens = self.draw.partial_sums(self.draws(streams, samples[pending], draw))
-            rec = geometry._SignRecord.of(gens)
-            chunk = _Chunk(gens, rec, geometry._full_cones(rec))
+            rec = geometry._SignRecord.of(
+                self.draw.partial_sums(self.draws(streams, samples[pending], draw)))
             miss = ~rec.general
             redo = miss.copy()
             if self.query.conditioned:
-                redo |= chunk.full
-                fulls[pending] += chunk.full & rec.general
+                redo |= rec.full
+                fulls[pending] += rec.full & rec.general
             kept = np.flatnonzero(~redo)
             if kept.size:
-                got = self.measure(self.query, chunk.take(kept) if redo.any() else chunk)
+                got = self.measure(self.query, rec.take(kept) if redo.any() else rec)
                 values[pending[kept]] = got
                 lost = kept[np.isnan(got)]
                 miss[lost] = redo[lost] = True

@@ -1112,25 +1112,25 @@ def _haar_undecided(verdicts: np.ndarray, rec: "geometry._SignRecord") -> np.nda
 
 def _haar_tangent_u(c, proj: np.ndarray, j: int, i: int) -> np.ndarray:
     """Sum over j-faces F of U_i(T_F C): F is not a face of G_i^T C."""
-    d = c.gens.shape[0]
+    d = c.pts.shape[0]
     if i >= d:
         return np.zeros(len(c.full))
-    faces = geometry._face_masks(c.rec, j)
+    faces = c.faces(j)
     if i <= j:
         return 0.5 * faces.sum(axis=0)
     rec = geometry._SignRecord.of(proj[:i])
-    return 0.5 * _haar_undecided((faces & ~geometry._face_masks(rec, j)).sum(axis=0), rec)
+    return 0.5 * _haar_undecided((faces & ~rec.faces(j)).sum(axis=0), rec)
 
 
 def _haar_face_u(c, proj: np.ndarray, m: int, i: int) -> np.ndarray:
     """Sum over m-faces F of U_i(F): the origin is in the hull of G_i^T F."""
     if i >= m:
         return np.zeros(len(c.full))
-    faces = geometry._face_masks(c.rec, m)
+    faces = c.faces(m)
     if i <= 0:
         return 0.5 * faces.sum(axis=0)
     f, s = np.nonzero(faces)
-    rows = geometry._subsets(c.gens.shape[1], m)[f]
+    rows = geometry._subsets(c.pts.shape[1], m)[f]
     rec = geometry._SignRecord.of(proj[:i, rows.T, s])
     hits = _haar_undecided(~rec.facets.any(axis=0), rec)
     return 0.5 * np.bincount(s, weights=hits, minlength=len(c.full))
@@ -1139,17 +1139,17 @@ def _haar_face_u(c, proj: np.ndarray, m: int, i: int) -> np.ndarray:
 def _haar_face_intrinsic(q: FunctionalQuery, c, p: np.ndarray) -> np.ndarray:
     if q.m == 0:
         return (~c.full).astype(float)
-    if q.m == c.gens.shape[0]:
+    if q.m == c.pts.shape[0]:
         return np.zeros(len(c.full))
     return _haar_face_u(c, p, q.m, q.l - 1) - _haar_face_u(c, p, q.m, q.l + 1)
 
 
 HAAR_MEASURES = {
     "Uk": (lambda q, c, p: _haar_tangent_u(c, p, 0, q.k)
-           + np.where(c.full, float((c.gens.shape[0] - q.k) % 2), 0.0),
+           + np.where(c.full, float((c.pts.shape[0] - q.k) % 2), 0.0),
            lambda q, d: _haar_columns(0, d, q.k)),
     "vk": (lambda q, c, p: _haar_tangent_u(c, p, 0, q.k - 1) - _haar_tangent_u(c, p, 0, q.k + 1)
-           + (c.full & (q.k == c.gens.shape[0])),
+           + (c.full & (q.k == c.pts.shape[0])),
            lambda q, d: _haar_columns(0, d, q.k - 1, q.k + 1)),
     "Lambda": (lambda q, c, p: _haar_face_u(c, p, q.k, q.k - 1),
                lambda q, d: _haar_columns(0, q.k, q.k - 1)),
@@ -1165,20 +1165,20 @@ HAAR_MEASURES = {
                       lambda q, d: _haar_columns(0, d, q.k)),
 }
 """Per functional whose row read a Gaussian block, its measurement
-(query, chunk, projected generators) -> values and its block width
-(query, d) -> c."""
+(query, sign record of the cones, projected generators) -> values and its
+block width (query, d) -> c."""
 
 
-def haar_values(query: FunctionalQuery, chunk: "simulation._Chunk",
+def haar_values(query: FunctionalQuery, chunk: "geometry._SignRecord",
                 rng: np.random.Generator) -> np.ndarray:
     """The replaced measurement of a chunk, each sample in turn drawing its
     d x c Gaussian block from ``rng``.  The generators times the blocks,
     (c, N, S), are one stacked matmul over the samples, as the simulator
     took it."""
     value, width = HAAR_MEASURES[query.functional]
-    d = chunk.gens.shape[0]
+    d = chunk.pts.shape[0]
     gauss = rng.standard_normal((len(chunk.full), d, width(query, d)))
-    proj = np.ascontiguousarray(chunk.gens.transpose(2, 1, 0)) @ gauss
+    proj = np.ascontiguousarray(chunk.pts.transpose(2, 1, 0)) @ gauss
     return value(query, chunk, np.ascontiguousarray(proj.transpose(2, 1, 0)))
 
 

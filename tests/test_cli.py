@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conic_walks import cli
 from conic_walks.cli import CSV_HEADER, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, QUERY_COLUMNS, main
 from conic_walks.formulas import FUNCTIONALS
 
@@ -340,6 +341,25 @@ class TestVerify:
         monkeypatch.setenv("CONIC_WALKS_SEED", seed)
         code, text = run_cli("verify", "--budget", "100", "--out", str(out))
         assert code == EXIT_USAGE and text == "" and not out.exists()
+
+    def test_unwritable_report_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the report file is opened before the run, so a bad path costs no run
+        calls = []
+        monkeypatch.setattr(cli, "verify_suite", lambda **kw: calls.append(kw))
+        out = tmp_path / "missing" / "report.json"
+        code, text = run_cli("verify", "--budget", "0", "--out", str(out))
+        assert code == EXIT_USAGE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+        assert calls == [] and not out.parent.exists()
+
+    def test_failed_run_keeps_an_old_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old")
+        code, _ = run_cli("verify", "--budget", "100", "--workers", "0", "--out", str(out))
+        assert code == EXIT_USAGE and out.read_text() == "old"
+        code, _ = run_cli("verify", "--budget", "100", "--seed", "3", "--out", str(out))
+        assert code == EXIT_OK and json.loads(out.read_text())["schema"] == 1
 
     def test_report_bytes_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

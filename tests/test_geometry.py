@@ -668,11 +668,9 @@ def orbit_cones(model, steps):
 
 
 def orbit_chunk(case):
-    """The whole orbit of a model's increments as one chunk of cones."""
-    gens = np.stack([cone.generators.T for cone in orbit_cones(case[0], ORBIT_STEPS[case])],
-                    axis=-1)
-    rec = geometry._SignRecord.of(gens)
-    return simulation._Chunk(gens, rec, geometry._full_cones(rec))
+    """The whole orbit of a model's increments as one sign record of cones."""
+    return geometry._SignRecord.of(np.stack(
+        [cone.generators.T for cone in orbit_cones(case[0], ORBIT_STEPS[case])], axis=-1))
 
 
 class TestOrbitAverages:
@@ -708,7 +706,7 @@ class TestOrbitAverages:
         # full.  A joint draw of the one walk or bridge is the model's draw
         model = case[0]
         chunk = orbit_chunk(case)
-        assert chunk.rec.general.all()
+        assert chunk.general.all()
         pointed = chunk.take(~chunk.full)
         lengths = {"bridge_lengths" if model.is_bridge else "walk_lengths": (model.n,)}
         queries = measured_queries(model) + [
@@ -1095,11 +1093,62 @@ class TestSampleLastRecord:
             assert np.array_equal(rec.signs.T, want.signs), kind
             assert np.array_equal(rec.general, want.general), kind
             assert np.array_equal(rec.facets.T, want.facets), kind
-            assert np.array_equal(geometry._full_cones(rec), want.full_cones()), kind
+            assert np.array_equal(rec.full, want.full_cones()), kind
             for k in range(d):
-                assert np.array_equal(geometry._face_masks(rec, k).T, want.face_masks(k)), (kind, k)
+                assert np.array_equal(rec.faces(k).T, want.face_masks(k)), (kind, k)
             seen.add("short" if n < d else "odd" if not rec.general.all() else "general")
         assert seen == {"exact fallback", "lost bits", "short", "odd", "general"}
+
+
+class TestTake:
+    """``take`` gives the selected sets the record that they make alone,
+    whether or not this record had derived its masks yet; it carries over
+    only the masks already derived."""
+
+    @staticmethod
+    def point_sets():
+        rng = np.random.default_rng(20261022)
+        for n, d in ((4, 1), (5, 2), (6, 3), (7, 4), (1, 2), (2, 4)):
+            pts = rng.standard_normal((d, n, 96))
+            pts[:, -1, 1::4] = pts[:, 0, 1::4]  # a repeated point
+            pts[:, 0, 2::4] = 0.0  # a zero point
+            pts[-1, :, 3::4] *= 2.0 ** -1060  # scaled by each point's max, entries lose bits
+            yield rng, pts
+
+    @staticmethod
+    def assert_same(got, want, kind):
+        d = want.table.shape[1]
+        assert np.array_equal(got.signs, want.signs), kind
+        assert np.array_equal(got.general, want.general), kind
+        assert np.array_equal(got.lost, want.lost), kind
+        assert np.array_equal(got.full, want.full), kind
+        assert np.array_equal(got.facets, want.facets), kind
+        for k in range(d):
+            assert np.array_equal(got.faces(k), want.faces(k)), (kind, k)
+        for i in range(1, d if want.signs.shape[0] else 1):  # a short set has no expansion
+            got_i, want_i = got.level(i), want.level(i)
+            assert np.array_equal(got_i.signs, want_i.signs), (kind, i)
+            assert np.array_equal(got_i.general, want_i.general), (kind, i)
+            assert np.array_equal(got_i.facets, want_i.facets), (kind, i)
+
+    def test_matches_the_record_of_the_selected_sets(self):
+        seen = set()
+        for rng, pts in self.point_sets():
+            d, n, count = pts.shape
+            for which in (rng.random(count) < 0.5, rng.permutation(count)[:count // 3]):
+                want = geometry._SignRecord.of(pts[..., which])
+                fresh = geometry._SignRecord.of(pts).take(which)
+                assert "full" not in vars(fresh) and "facets" not in vars(fresh)
+                self.assert_same(fresh, want, ("fresh", n, d))
+                read = geometry._SignRecord.of(pts)
+                read.full, read.facets, [read.faces(k) for k in range(d)]  # derived first
+                taken = read.take(which)
+                assert "full" in vars(taken) and "facets" in vars(taken)
+                self.assert_same(taken, want, ("read", n, d))
+                seen |= {"short"} if n < d else {"lost"} if want.lost.any() else set()
+                seen |= {"zero"} if n >= d and not want.general.all() else set()
+                seen |= {"general"} if want.general.any() else set()
+        assert seen == {"short", "lost", "zero", "general"}
 
 
 class TestBareiss:

@@ -96,6 +96,22 @@ def test_no_source_file_touches_a_bit_generator_state():
     assert touched == []
 
 
+def test_the_simulator_reads_geometry_through_the_sign_record():
+    # every verdict of a measurement reads one sign record per batch, so
+    # the simulator reaches no private of geometry but that record
+    path = Path(simulation.__file__)
+    reached = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "geometry"):
+            reached.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry"):
+            reached += [(alias.name, node.lineno) for alias in node.names]
+    assert [(name, line) for name, line in reached
+            if name.startswith("_") and name != "_SignRecord"] == []
+    assert "_SignRecord" in {name for name, _ in reached}
+
+
 def test_benchmark_harness_names_resolve():
     # the traced benchmark imports perfbench/layers.py, which no other test
     # runs, so a package name it uses that moved or went must fail here

@@ -1,6 +1,7 @@
 """Samplers, estimator plumbing, and the verification harness."""
 
 import concurrent.futures
+import functools
 import hashlib
 import io
 import itertools
@@ -919,13 +920,15 @@ class TestConditionedFullConeTest:
         # measurement reads the rounds' verdicts, so it never tests an
         # accepted cone again; every draw comes through the seam once
         decided = []
-        full_cones = geometry._full_cones
+        full_cones = geometry._SignRecord.full.func
 
         def counting(rec):
             decided.append(rec.signs.shape[1])
             return full_cones(rec)
 
-        monkeypatch.setattr(geometry, "_full_cones", counting)
+        full = functools.cached_property(counting)
+        full.__set_name__(geometry._SignRecord, "full")
+        monkeypatch.setattr(geometry._SignRecord, "full", full)
         drawn = count_draws(monkeypatch)
         samples = 64
         est = estimate(RunConfig(query=query, dist=GAUSS2, samples=samples, seed=3))
@@ -1143,7 +1146,8 @@ class TestLevelRecords:
                 for m in range(i + 1, n + 1):
                     f, s = np.divmod(np.arange(math.comb(n, m) * count), count)
                     rows = geometry._subsets(n, m)[f]
-                    got = rec.subset_level(m, i, f, s)
+                    got, sets = rec.subset_level(m, i, np.ones((math.comb(n, m), count), bool))
+                    assert np.array_equal(sets, s)
                     want = geometry._SignRecord.of(pts[:i, rows.T, s])
                     assert np.array_equal(got.signs, want.signs), (kind, i, m)
                     assert np.array_equal(got.general, want.general), (kind, i, m)
@@ -1196,9 +1200,8 @@ class TestHaarOracle:
             sampler = simulation._Sampler(q, dist)
             gens = sampler.draw.partial_sums(sampler.draws(
                 _SampleStreams(5, 0), np.arange(samples, dtype=np.uint64), 0))
-            rec = geometry._SignRecord.of(gens)
-            chunk = simulation._Chunk(gens, rec, geometry._full_cones(rec))
-            assert rec.general.all()
+            chunk = geometry._SignRecord.of(gens)
+            assert chunk.general.all()
             if q.conditioned:
                 chunk = chunk.take(~chunk.full)
             diff = simulation.MEASURES[q.functional](q, chunk) - oracles.haar_values(q, chunk, rng)
@@ -1229,9 +1232,8 @@ class TestCroftonOnFixedCones:
         samples = 20_000
         rng = np.random.default_rng(20_250_810)
         batch = np.broadcast_to(gens, (samples, n, d)).copy()
-        rec = geometry._SignRecord.of(batch.transpose(2, 1, 0))
-        assert rec.general.all()
-        chunk = simulation._Chunk(batch.transpose(2, 1, 0), rec, geometry._full_cones(rec))
+        chunk = geometry._SignRecord.of(batch.transpose(2, 1, 0))
+        assert chunk.general.all()
         for k in range(d + 1):
             query = FunctionalQuery("vk", Model("B", n, d), k=k)
             crofton = oracles.haar_values(query, chunk, rng)
