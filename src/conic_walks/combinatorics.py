@@ -16,7 +16,13 @@ linear in the number of factors.  The roots are written once, here:
 :func:`bridge_roots` and :func:`walk_roots` for the rows, :func:`block_roots`
 for the block products, whose coefficients ``coeff_P`` (walk-terminated)
 and ``coeff_Q`` (pure bridge) read.  A :class:`StirlingTables` instance
-caches the rows and the block products it has built.  The full triangles
+caches, in one store bounded at ``_STORE_BYTES``, the rows and the block
+products it has built, each block product with the two face values read
+off it, and the one record per model that the closed forms of
+:mod:`~conic_walks.formulas` keep; so on warm tables a closed-form call
+is mostly argument checks and one ``Fraction`` (``face_probability`` 4.0
+to 1.5 µs, ``expected_Z`` 4.4 to 1.5 µs, ``expected_fk`` 3.7 to 1.3 µs,
+before and after the records and face values).  The full triangles
 are built by recurrence; they serve as lookups for the small second-kind
 rows, and they and the triangle-built block polynomials (``coeff_P_poly``,
 ``coeff_Q_poly``) are independent oracles for the products.
@@ -28,7 +34,7 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, as_index, as_indices
@@ -54,18 +60,26 @@ class StirlingTables:
     forked worker processes.  The instance also caches low-order products:
     the rows of :meth:`low_row` and the block products of
     :meth:`block_product`, the latter keyed by the multiset of block
-    lengths, since the blocks commute.  An entry is only ever replaced by
-    an equal or longer one, so two threads racing on it at worst compute it
-    twice.  The store is bounded: past ``_STORE_BYTES`` of products, the
-    entries stored first are dropped first, and are built again if asked
-    for; storing and dropping hold a lock, so the byte count stays exact
-    under threads.  A new instance holds no product.
+    lengths, since the blocks commute.  Its readers store more entries with
+    :meth:`store` and read any entry with ``stored(key)``: the closed forms
+    keep one record per model there, and values derived from an entry go
+    into its ``memo`` through :meth:`memoize` (a block product keeps the
+    two face probabilities read off it, a model record its second-kind
+    weighted sums).  An entry is only ever replaced by an equal or longer
+    one, so two threads racing on it at worst compute it twice.  The store
+    is bounded: past ``_STORE_BYTES`` of entries and their memos, the
+    entries stored first are dropped first, with their memos, and are built
+    again if asked for; storing, memoizing and dropping hold a lock, so the
+    byte count stays exact under threads.  A new instance holds no entry.
     """
 
     def __init__(self, max_n: int = 0) -> None:
         self._rows: dict[str, list[list[int]]] = {kind: [[1]] for kind in KINDS}
         self._columns: dict[tuple[str, int], tuple[int, ...]] = {}
         self._products: dict[tuple, LowOrderProduct] = {}
+        # the entry stored under a key, or None; the dict's own lookup, as
+        # the closed forms ask for one on every call
+        self.stored = self._products.get
         self._stored = 0  # the _footprint of the entries of _products
         self._store_lock = threading.Lock()
         if max_n > 0:
@@ -126,28 +140,52 @@ class StirlingTables:
         prod = self._products.get((roots, n))
         if prod is not None and len(prod.coeffs) >= m:
             return prod
-        return self._store((roots, n), LowOrderProduct.of(roots(n), m))
+        return self.store((roots, n), LowOrderProduct.of(roots(n), m))
 
     def block_product(self, bridges: Sequence[int], walks: Sequence[int],
                       m: int) -> LowOrderProduct:
         """``LowOrderProduct.of(block_roots(bridges, walks), m)``, cached on this
         instance per multiset of bridge lengths and of walk lengths; blocks
         without roots (bridges of length 1, walks of length 0) are left out."""
-        key = (tuple(sorted(filter((1).__lt__, bridges))), tuple(sorted(filter(None, walks))))
+        return self.keyed_block_product(
+            (tuple(sorted(filter((1).__lt__, bridges))), tuple(sorted(filter(None, walks)))), m)
+
+    def keyed_block_product(self, key: tuple[tuple[int, ...], tuple[int, ...]],
+                            m: int) -> LowOrderProduct:
+        """:meth:`block_product` by its key: the sorted bridge lengths >= 2
+        and the sorted walk lengths >= 1."""
         prod = self._products.get(key)
         if prod is not None and len(prod.coeffs) >= m:
             return prod
-        return self._store(key, LowOrderProduct.of(block_roots(*key), m))
+        return self.store(key, LowOrderProduct.of(block_roots(*key), m))
 
-    def _store(self, key: tuple, prod: LowOrderProduct) -> LowOrderProduct:
+    def store(self, key: tuple, entry):
+        """Store ``entry`` under ``key`` in place of any entry there, and
+        return it.  An entry is a product, or a record whose ``row`` is one;
+        either keeps its derived values in ``memo``."""
         # the new entry goes last; then the oldest go until the store fits
         with self._store_lock:
             old = self._products.pop(key, None)
-            self._stored += _footprint(prod) - (0 if old is None else _footprint(old))
-            self._products[key] = prod
-            while self._stored > _STORE_BYTES and len(self._products) > 1:
-                self._stored -= _footprint(self._products.pop(next(iter(self._products))))
-        return prod
+            self._stored += _footprint(entry) - (0 if old is None else _footprint(old))
+            self._products[key] = entry
+            self._evict()
+        return entry
+
+    def memoize(self, key: tuple, entry, slot, value: tuple) -> tuple:
+        """Keep ``value``, a tuple of ints or Fractions derived from ``entry``,
+        in ``entry.memo[slot]`` and count it, if ``entry`` is still the one
+        stored under ``key``; return ``value`` either way."""
+        with self._store_lock:
+            if self._products.get(key) is entry and slot not in entry.memo:
+                entry.memo[slot] = value
+                self._stored += _memo_bytes(value)
+                self._evict()
+        return value
+
+    def _evict(self) -> None:
+        # the oldest entries go until the store fits; the caller holds the lock
+        while self._stored > _STORE_BYTES and len(self._products) > 1:
+            self._stored -= _footprint(self._products.pop(next(iter(self._products))))
 
     def _lookup(self, kind: str, n: int, k: int) -> int:
         if n < 0:
@@ -160,17 +198,30 @@ class StirlingTables:
         return rows[n][k]
 
 
-# A tables instance keeps at most about this many bytes of products: each
-# entry counts the bytes of its integers' digits plus _ENTRY_BYTES for its
-# objects.  20,000 three-index face probabilities on a bridge with n = 1000
-# in R^4 (about 2.2 KB each) left 43.7 MB more peak RSS without a bound.
+# A tables instance keeps at most about this many bytes of products and
+# records: each entry counts the bytes of its product's integers' digits
+# plus _ENTRY_BYTES for its objects, and each value in its memo the bytes of
+# its digits plus _MEMO_BYTES.  20,000 three-index face probabilities on a
+# bridge with n = 1000 in R^4 (about 2.2 KB each) left 43.7 MB more peak
+# RSS without a bound.
 _STORE_BYTES = 8 << 20
 _ENTRY_BYTES = 512
+_MEMO_BYTES = 256
 
 
-def _footprint(prod: LowOrderProduct) -> int:
+def _footprint(entry) -> int:
+    # a record counts the digits of the row it keeps alive, which bound
+    # those of its own numbers, even while the row has its own entry
+    prod = getattr(entry, "row", entry)
     digits = sum(map(int.bit_length, prod.coeffs))
-    return _ENTRY_BYTES + (digits + prod.at_one.bit_length() + prod.at_minus_one.bit_length()) // 8
+    return (_ENTRY_BYTES + (digits + prod.at_one.bit_length() + prod.at_minus_one.bit_length()) // 8
+            + sum(map(_memo_bytes, entry.memo.values())))
+
+
+def _memo_bytes(value: tuple) -> int:
+    # an int's denominator is 1, so ints and Fractions count alike
+    return _MEMO_BYTES + sum(x.numerator.bit_length() + x.denominator.bit_length()
+                             for x in value) // 8
 
 
 _TABLES = StirlingTables(32)
@@ -350,6 +401,9 @@ class LowOrderProduct:
     coeffs: list[int]
     at_one: int
     at_minus_one: int
+    # values derived from the product by its readers, per slot; a stored
+    # product's are counted against its tables' store (StirlingTables.memoize)
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, roots: Sequence[int], m: int) -> LowOrderProduct:
@@ -472,11 +526,8 @@ def compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:
     if count == 0:
         if total == 0:
             yield ()
-        return
-    if count == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for head in range(1, total - count + 2):
-        for rest in compositions(total - head, count - 1):
-            yield (head,) + rest
+    elif total >= count:
+        # stars and bars: the count - 1 cut points among the total - 1 gaps,
+        # in lexicographic order, which is that of the parts they cut
+        for cuts in itertools.combinations(range(1, total), count - 1):
+            yield tuple([b - a for a, b in zip((0,) + cuts, cuts + (total,))])

@@ -21,6 +21,8 @@ class SamplingError(RuntimeError):
 
 def as_index(value, what: str) -> int:
     """``value`` as an exact integer; a non-integer raises DomainError."""
+    if type(value) is int:
+        return value
     try:
         return operator.index(value)
     except TypeError:
@@ -41,6 +43,11 @@ def as_indices(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of exact integers; the first non-integer raises
     DomainError as :func:`as_index` words it."""
     values = tuple(values)
+    for value in values:
+        if type(value) is not int:
+            break
+    else:
+        return values
     try:
         return tuple(map(operator.index, values))
     except TypeError:

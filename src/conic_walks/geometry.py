@@ -248,8 +248,11 @@ class _SignRecord:
 
     def level(self, i: int) -> _SignRecord:
         """The record of the sets' first i coordinates (1 <= i < d), read
-        off level i of this record's expansion."""
+        off level i of this record's expansion.  Sets of fewer points than
+        dimensions have no expansion; theirs is made afresh."""
         pts = self.pts[:i]
+        if self.pts.shape[1] < self.pts.shape[0]:
+            return _SignRecord.of(pts)
         return _SignRecord(_minor_table(self.table.shape[0], i),
                            _level_signs(pts, self.est[i - 1], self.lost)[0],
                            pts, self.est[:i - 1], self.lost)

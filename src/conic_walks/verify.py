@@ -152,9 +152,15 @@ def _check_low_order_products(t: StirlingTables, max_n: int) -> None:
             half = n // 2 + 1
             assert root_product(roots, half) == row[:half], f"{name} truncated row {n}"
             low = LowOrderProduct.of(roots, n + 1)
+            # tails[a] = sum(row[a:]) and parity[a] = sum(row[a::2]), summed
+            # from the top down, so each a costs one addition
+            tails, parity = [0] * (n + 3), [0] * (n + 3)
+            for a in range(n, -1, -1):
+                tails[a] = row[a] + tails[a + 1]
+                parity[a] = row[a] + parity[a + 2]
             for a in range(n + 2):
-                assert low.parity_tail(a) == sum(row[a::2]), f"{name} parity tail ({n},{a})"
-                assert low.tail(a) == sum(row[a:]), f"{name} tail ({n},{a})"
+                assert low.parity_tail(a) == parity[a], f"{name} parity tail ({n},{a})"
+                assert low.tail(a) == tails[a], f"{name} tail ({n},{a})"
 
 
 def _check_convolution_identities(t: StirlingTables, max_n: int) -> None:
@@ -171,7 +177,8 @@ def _check_convolution_identities(t: StirlingTables, max_n: int) -> None:
             expect = math.factorial(n) // math.factorial(j + 1) * binomial(n - 1, j)
             assert sum(terms) == expect, f"plain convolution at (n={n}, j={j})"
             if n >= j + 2:
-                alt = sum((-1) ** k * x for k, x in enumerate(terms, j + 1))
+                # the terms at even k less those at odd k, up to sign
+                alt = sum(terms[::2]) - sum(terms[1::2])
                 assert alt == 0, f"alternating convolution at (n={n}, j={j})"
         for j in range(n + 1):
             terms_b = [first_b[k] * second_b[k][j] for k in range(j, n + 1)]
@@ -179,7 +186,7 @@ def _check_convolution_identities(t: StirlingTables, max_n: int) -> None:
                         // ((1 << j) * math.factorial(j)))
             assert sum(terms_b) == expect_b, f"plain B convolution at (n={n}, j={j})"
             if n >= j + 1:
-                alt_b = sum((-1) ** k * x for k, x in enumerate(terms_b, j))
+                alt_b = sum(terms_b[::2]) - sum(terms_b[1::2])
                 assert alt_b == 0, f"alternating B convolution at (n={n}, j={j})"
 
 
@@ -255,9 +262,10 @@ def _check_formula_identities(t: StirlingTables, max_n: int, max_d: int) -> None
         D = math.factorial(model.n) << (0 if model.is_bridge else model.n)
 
         def num(value: Fraction, den: int = D) -> int:
-            q, r = divmod(den, value.denominator)
+            top, bottom = value.as_integer_ratio()
+            q, r = divmod(den, bottom)
             assert r == 0, f"denominator of {value} does not divide {den} at {model}"
-            return value.numerator * q
+            return top * q
 
         absorbed = num(absorption_probability(model, t))
         survived = num(nonabsorption_probability(model, t))

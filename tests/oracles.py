@@ -647,6 +647,22 @@ def per_call_coeff_Q(n: int, parts: Sequence[int], r: int) -> int:
     return _per_call_coefficient(block_roots(parts + (tail,)), r)
 
 
+def recursive_compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:
+    """All ordered tuples of ``count`` integers >= 1 summing to ``total``, by
+    recursion on the first part: the enumeration stars and bars replaced."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    if count == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for head in range(1, total - count + 2):
+        for rest in recursive_compositions(total - head, count - 1):
+            yield (head,) + rest
+
+
 # ---------------------------------------------------------------------------
 # Fraction identity web
 #

@@ -34,7 +34,7 @@ from conic_walks.combinatorics import (
     stirling,
 )
 from conic_walks.errors import DomainError
-from conic_walks.formulas import Model, face_probability
+from conic_walks.formulas import Model, expected_fk, face_probability
 
 T = StirlingTables(40)
 
@@ -307,6 +307,14 @@ class TestCompositionEnumeration:
         assert list(compositions(0, 0)) == [()]
         assert list(compositions(3, 0)) == []
 
+    def test_matches_the_replaced_recursion_tuple_for_tuple(self):
+        # stars and bars must give the recursion's tuples in the recursion's
+        # order, count = 0 and count > total included
+        for total in range(13):
+            for count in range(total + 2):
+                assert list(compositions(total, count)) == \
+                    list(oracles.recursive_compositions(total, count)), (total, count)
+
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 40), k=st.integers(0, 40))
@@ -438,6 +446,41 @@ class TestRootProduct:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert t._stored == sum(map(_footprint, t._products.values())) <= 4_000
+
+    def test_memo_count_survives_threads_racing(self, monkeypatch):
+        # four threads read face probabilities and closed forms on one
+        # instance, memoizing into entries that the others evict: a value
+        # counted twice, or counted for an entry no longer stored, would
+        # leave _stored off its entries and their memos
+        monkeypatch.setattr(combinatorics, "_STORE_BYTES", 20_000)
+        t = StirlingTables()
+        want = {}
+
+        def read(first):
+            for g in range(first, first + 150):
+                model = Model("AB"[g % 2], g % 20 + 6, 4)
+                idx = (g % 3 + 1, g % 3 + 3)
+                got = (face_probability(model, idx, False, t), face_probability(model, idx, True, t),
+                       expected_fk(model, g % 4, g % 3 == 0, t))
+                want.setdefault((model, idx, g % 4, g % 3 == 0), set()).add(got)
+
+        threads = [threading.Thread(target=read, args=(150 * i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert t._stored == sum(map(_footprint, t._products.values())) <= 20_000
+        fresh = StirlingTables()
+        for (model, idx, k, conditioned), got in want.items():
+            assert got == {(face_probability(model, idx, False, fresh),
+                            face_probability(model, idx, True, fresh),
+                            expected_fk(model, k, conditioned, fresh))}
 
     def test_default_store_stays_bounded(self):
         # 20,000 cold three-index face probabilities on a long bridge, none

@@ -1,9 +1,11 @@
 """Exact expectation formulas: frozen values and the identity web."""
 
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -735,3 +737,37 @@ def test_cold_tables_build_no_first_kind_triangle():
         face_probability(model, (1, 2, 299), True, t)
     joint_absorption_probability((1, 40), (2, 60), 5, tables=t)
     assert len(t._rows["first"]) == 1 and len(t._rows["first_B"]) == 1
+
+
+def test_caches_create_no_reference_cycle():
+    # with the cyclic collector off, one tables instance must die with its
+    # last reference after every closed form has cached on it: no row,
+    # block product, face value or model record may point back at it
+    gc.disable()
+    try:
+        t = cw.StirlingTables()
+        for tag in "AB":
+            model = Model(tag, 7, 3)
+            for conditioned in (False, True):
+                expected_fk(model, 1, conditioned, t)
+                expected_Uk(model, 1, conditioned, t)
+                expected_vk(model, 3, conditioned, t)
+                expected_Lambda(model, 2, conditioned, t)
+                expected_Y(model, 2, 1, conditioned, t)
+                expected_Z(model, 1, 2, conditioned, t)
+            absorption_probability(model, t)
+            nonabsorption_probability(model, t)
+            expected_face_intrinsic_sum(model, 2, 1, t)
+            expected_tangent_intrinsic_sum(model, 1, 3, t)
+            expected_Y_dual(model, 2, 1, t)
+            subspace_intersection_probability(model, 1, t)
+            for complement in (False, True):
+                face_probability(model, (2, 5), complement, t)
+        for complement in (False, True):
+            joint_absorption_probability((2,), (3, 4), 2, complement, t)
+        assert len(t._products) > 4  # rows, block products and any records
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
