@@ -237,15 +237,6 @@ class _SignRecord:
         signs, est, lost = _minor_signs(pts, table)
         return cls(table, signs, pts, est[:-1], lost)
 
-    def take(self, which) -> _SignRecord:
-        """The record of the selected sets, with the masks already derived."""
-        rec = _SignRecord(self.table, self.signs[:, which], self.pts[..., which],
-                          [e[:, which] for e in self.est], self.lost[which])
-        for name in ("facets", "full"):
-            if name in self.__dict__:
-                rec.__dict__[name] = self.__dict__[name][..., which]
-        return rec
-
     def level(self, i: int) -> _SignRecord:
         """The record of the sets' first i coordinates (1 <= i < d), read
         off level i of this record's expansion.  Sets of fewer points than

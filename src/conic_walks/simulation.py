@@ -242,13 +242,14 @@ class _SampleStreams:
         self._start = start
         self._draws: dict[int, np.random.Generator] = {}
 
-    def normals(self, samples: np.ndarray, count: int, draw: int) -> np.ndarray:
-        """The next ``count`` normals (S, count) of stream ``draw`` for each
-        of the samples, the chunk's next ones to make that draw, in order."""
+    def normals(self, samples: int, count: int, draw: int) -> np.ndarray:
+        """The next ``count`` normals of stream ``draw`` for each of the
+        chunk's next ``samples`` samples to make that draw, in order:
+        (samples, count)."""
         if draw not in self._draws:
             self._draws[draw] = np.random.Generator(np.random.Philox(
                 key=self._key, counter=np.array([0, 0, draw, self._start], dtype=np.uint64)))
-        return self._draws[draw].standard_normal((len(samples), count))
+        return self._draws[draw].standard_normal((samples, count))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +391,9 @@ MEASURES: dict[str, Callable[[FunctionalQuery, geometry._SignRecord], np.ndarray
 }
 """Per functional name, the measurement (query, sign record) -> one value
 per sample whose expectation is the functional, or NaN where a projection
-of the sample has an exactly zero minor.  The record is of the sampled
-cones, all in general position, sample axis last.  A joint_absorption
+of the sample has an exactly zero minor.  The record is of the cones one
+round drew, sample axis last; it may hold sets out of general position,
+whose values the sampler discards.  A joint_absorption
 cone is spanned by the stacked points of all blocks, every other cone is
 drawn from the query's model.  Every verdict reads the full-cone and face
 masks of a sign record: of the cones, or of their generators (or a
@@ -414,48 +416,45 @@ class _Sampler:
         size = self.draw.n_steps * d + sum(math.comb(n, k) * k for k in range(1, d + 1))
         self.batch = max(1, _BATCH_ELEMENTS // size)
 
-    def values(self, streams: _SampleStreams, indices: range) -> tuple[np.ndarray, int]:
-        """Each sample's value, and the draws rejected on the way.
+    def values(self, streams: _SampleStreams, count: int) -> tuple[np.ndarray, int]:
+        """The values of the chunk's next ``count`` samples, and the draws
+        rejected on the way.
 
-        Every sample draws its increments, and round t decides draw t of
-        every pending sample at once, from the next runs of stream t, so
-        ``indices`` are the chunk's next samples in order.  A sample whose
-        draw is not in general position, or is a full cone under
-        ``conditioned``, is pending in the next round.  So is a sample whose
-        measurement projects points with an exactly zero minor (probability
-        zero): that draw counts as one not in general position.
+        Every sample draws its increments, and round t measures draw t of
+        every pending sample at once, from the next runs of stream t, on the
+        round's whole sign record, sets out of general position included.
+        A miss is a draw not in general position, or one whose value is NaN
+        (a projection with an exactly zero minor, probability zero) and that
+        is not a full cone under ``conditioned``; it counts as a rejected
+        draw.  A miss, or a full cone under ``conditioned``, is pending in
+        the next round, which overwrites the value it got.
         """
-        values = np.empty(len(indices))
-        misses, fulls = np.zeros((2, len(indices)), dtype=int)  # misses in a row, full cones
-        samples = np.arange(indices.start, indices.stop, dtype=np.uint64)
-        pending = np.arange(len(indices))
+        values = np.empty(count)
+        pending = np.ones(count, dtype=bool)
+        misses = fulls = 0  # per pending sample: misses in a row, full cones
         rejected = draw = 0
-        while pending.size:
+        while pending.any():
             rec = geometry._SignRecord.of(
-                self.draw.partial_sums(self.draws(streams, samples[pending], draw)))
-            miss = ~rec.general
-            redo = miss.copy()
-            if self.query.conditioned:
-                redo |= rec.full
-                fulls[pending] += rec.full & rec.general
-            kept = np.flatnonzero(~redo)
-            if kept.size:
-                got = self.measure(self.query, rec.take(kept) if redo.any() else rec)
-                values[pending[kept]] = got
-                lost = kept[np.isnan(got)]
-                miss[lost] = redo[lost] = True
+                self.draw.partial_sums(self.draws(streams, np.count_nonzero(pending), draw)))
+            got = values[pending] = self.measure(self.query, rec)
+            full = rec.general & (rec.full if self.query.conditioned else False)
+            miss = ~rec.general | (np.isnan(got) & ~full)
             rejected += int(np.count_nonzero(miss))
-            misses[pending] = np.where(miss, misses[pending] + 1, 0)
+            misses = np.where(miss, misses + 1, 0)
+            fulls = fulls + full
             if misses.max() >= _MAX_DRAW_RETRIES:
                 raise self.draw.failed()
             if fulls.max() > _MAX_CONDITION_RETRIES:
                 raise SamplingError("conditioning on a non-full cone exceeded the retry budget")
-            pending = pending[redo]
+            again = miss | full
+            misses, fulls = misses[again], fulls[again]
+            pending[pending] = again
             draw += 1
         return values, rejected
 
-    def draws(self, streams: _SampleStreams, samples: np.ndarray, draw: int) -> np.ndarray:
-        """Each sample's increments (d, n_steps, S), made of its run of
+    def draws(self, streams: _SampleStreams, samples: int, draw: int) -> np.ndarray:
+        """The increments (d, n_steps, samples) of the chunk's next
+        ``samples`` samples to make draw ``draw``, made of their runs of
         standard normals in stream ``draw`` (``_SampleStreams.normals``),
         turned once to one row per normal."""
         return self.draw.increments(
@@ -469,9 +468,8 @@ def _chunk_stats(args: tuple) -> tuple[float, float, int]:
     total = 0.0
     total_sq = 0.0
     rejected = 0
-    stop = start + count
-    for lo in range(start, stop, sampler.batch):
-        values, rej = sampler.values(streams, range(lo, min(lo + sampler.batch, stop)))
+    for lo in range(0, count, sampler.batch):
+        values, rej = sampler.values(streams, min(sampler.batch, count - lo))
         # values are integers or halves and their squares quarters, so these
         # sums are exact in any order
         total += float(values.sum())

@@ -134,6 +134,38 @@ class TestFaceCounts:
                 assert 2 * expected_Y(model, k, 0) == expected_fk(model, k)
 
 
+def lattice_relation_failures(tables=None):
+    """The models checked, and those whose conditioned expected f-vector
+    breaks Euler's relation or Dehn-Sommerville, at zero tolerance: walks
+    and bridges with at least d generators, d = 2..7, n <= 13.
+
+    Given C != R^d, a cone in general position is pointed, and its
+    cross-section is a simplicial (d-1)-polytope P whose (k-1)-faces are
+    the k-faces of C.  So (1, E f_1, ..., E f_{d-1}) given pointedness is an
+    expected f-vector of P; its h-vector, h_i = sum_j (-1)^(i-j)
+    C(d-1-j, i-j) f_{j-1}(P), is symmetric (Klee 1964), and
+    sum_{k=1}^{d-1} (-1)^(k-1) E f_k = 1 + (-1)^d (Euler), because both
+    are linear and hold for every P."""
+    checked, failed = 0, []
+    for d in range(2, 8):
+        for kind in ("A", "B"):
+            for n in range(d + (kind == "A"), 14):
+                model = Model(kind, n, d)
+                f = [F(1)] + [expected_fk(model, k, True, tables) for k in range(1, d)]
+                h = [sum((-1) ** (i - j) * math.comb(d - 1 - j, i - j) * f[j]
+                         for j in range(i + 1)) for i in range(d)]
+                euler = sum((-1) ** (k - 1) * f[k] for k in range(1, d))
+                checked += 1
+                if h != h[::-1] or euler != 1 + (-1) ** d:
+                    failed.append(model)
+    return checked, failed
+
+
+class TestFaceLatticeInExpectation:
+    def test_conditioned_f_vectors_obey_euler_and_dehn_sommerville(self):
+        assert lattice_relation_failures() == (108, [])
+
+
 class TestSizeFunctionals:
     def test_bridge_Y_example(self):
         assert expected_Y(A43, 2, 1) == F(1, 2)

@@ -1,5 +1,6 @@
 """Cone geometry predicates against brute-force and library oracles."""
 
+import functools
 import math
 import time
 import tracemalloc
@@ -640,6 +641,77 @@ class TestCountFaces:
             count_k_faces(ConeSample(np.eye(3)), 1.5)
 
 
+def lattice_violations():
+    """The pointed samples of a fixed seeded batch, and how often the face
+    lattice read off their sign records breaks a relation it obeys exactly:
+    walks and bridges, d = 2..5, n up to 9, every law, 256 samples each.
+
+    A pointed cone C in general position has a simplicial (d-1)-polytope
+    as its cross-section, whose (k-1)-faces are the k-faces of C, so
+    Euler's relation reads sum_{k=1}^{d-1} (-1)^(k-1) f_k = 1 + (-1)^d, and
+    in d = 4 Dehn-Sommerville gives f_2 = 3 f_1 - 6 and f_3 = 2 f_1 - 4.
+    Pull-back: if the projection of a j-subset onto the first i
+    coordinates spans a face of the projected cone, the subset spans a face
+    of the cone (j = 0: a projected cone that is pointed is the projection
+    of a pointed one), so every level's face masks, where that level is in
+    general position, lie inside the cone's; and a full cone projects to a
+    full one.  Each subset or sample that breaks a relation counts once."""
+    rng = np.random.default_rng(20261022)
+    pointed = violations = 0
+    for d in range(2, 6):
+        for kind in ("A", "B"):
+            for n in range(d + (kind == "A"), 10):  # a bridge of n steps has n - 1 generators
+                for family in simulation.FAMILIES:
+                    draw = simulation._Draw.of(simulation.DistributionSpec(family, d),
+                                               Model(kind, n, d))
+                    rec = geometry._SignRecord.of(draw.partial_sums(
+                        draw.increments(rng.standard_normal((draw.n_words, 256)))))
+                    for i in range(1, d):
+                        level = rec.level(i)
+                        both = rec.general & level.general
+                        for j in range(i):
+                            violations += np.count_nonzero(
+                                (level.faces(j) & ~rec.faces(j))[:, both])
+                        violations += np.count_nonzero(rec.general & rec.full & ~level.full)
+                    cones = rec.general & ~rec.full
+                    f = [rec.faces(k).sum(axis=0)[cones] for k in range(d)]
+                    euler = sum((-1) ** (k - 1) * f[k] for k in range(1, d))
+                    violations += np.count_nonzero(euler != 1 + (-1) ** d)
+                    if d == 4:
+                        violations += np.count_nonzero(f[2] != 3 * f[1] - 6)
+                        violations += np.count_nonzero(f[3] != 2 * f[1] - 4)
+                    pointed += np.count_nonzero(cones)
+    return pointed, violations
+
+
+def first_facet_only(rec):
+    facets = np.abs(rec.sides.sum(axis=0, dtype=np.int32)) == rec.sides.shape[0]
+    return facets & (np.cumsum(facets, axis=0) == 1)
+
+
+class TestFaceLattice:
+    FAULTS = {
+        "faces with all for any": ("faces", lambda rec, k: rec.facets[
+            geometry._subset_walls(*rec.table.shape, k)].all(axis=1)),
+        "facets without abs": ("facets", functools.cached_property(
+            lambda rec: rec.sides.sum(axis=0, dtype=np.int32) == rec.sides.shape[0])),
+        "only the first facet kept": ("facets", functools.cached_property(first_facet_only)),
+    }
+
+    def test_every_sample_obeys_euler_dehn_sommerville_and_pull_back(self):
+        pointed, violations = lattice_violations()
+        assert violations == 0
+        assert pointed > 30_000
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_injected_face_faults_break_the_relations(self, fault, monkeypatch):
+        name, replaced = self.FAULTS[fault]
+        if isinstance(replaced, functools.cached_property):
+            replaced.__set_name__(geometry._SignRecord, name)
+        monkeypatch.setattr(geometry._SignRecord, name, replaced)
+        assert lattice_violations()[1] > 1000
+
+
 # Increment lists drawn in this order from one seeded generator: one
 # Gaussian list per model, then Cauchy lists for two of them.
 _ORBIT_RNG = np.random.default_rng(20250810)
@@ -707,7 +779,7 @@ class TestOrbitAverages:
         model = case[0]
         chunk = orbit_chunk(case)
         assert chunk.general.all()
-        pointed = chunk.take(~chunk.full)
+        pointed = geometry._SignRecord.of(chunk.pts[..., ~chunk.full])
         lengths = {"bridge_lengths" if model.is_bridge else "walk_lengths": (model.n,)}
         queries = measured_queries(model) + [
             FunctionalQuery("joint_absorption", d=model.d, **lengths)]
@@ -723,7 +795,7 @@ class TestOrbitAverages:
         # keeps them
         model = Model("A", 6, 3)
         chunk = orbit_chunk((model, "gaussian"))
-        pointed = chunk.take(~chunk.full)
+        pointed = geometry._SignRecord.of(chunk.pts[..., ~chunk.full])
         q = FunctionalQuery("fk", model, k=1, conditioned=True)
         edges = simulation.MEASURES["fk"](q, pointed)
         assert Fraction(edges.sum()) / len(edges) == Fraction(90, 23)
@@ -1098,57 +1170,6 @@ class TestSampleLastRecord:
                 assert np.array_equal(rec.faces(k).T, want.face_masks(k)), (kind, k)
             seen.add("short" if n < d else "odd" if not rec.general.all() else "general")
         assert seen == {"exact fallback", "lost bits", "short", "odd", "general"}
-
-
-class TestTake:
-    """``take`` gives the selected sets the record that they make alone,
-    whether or not this record had derived its masks yet; it carries over
-    only the masks already derived."""
-
-    @staticmethod
-    def point_sets():
-        rng = np.random.default_rng(20261022)
-        for n, d in ((4, 1), (5, 2), (6, 3), (7, 4), (1, 2), (2, 4)):
-            pts = rng.standard_normal((d, n, 96))
-            pts[:, -1, 1::4] = pts[:, 0, 1::4]  # a repeated point
-            pts[:, 0, 2::4] = 0.0  # a zero point
-            pts[-1, :, 3::4] *= 2.0 ** -1060  # scaled by each point's max, entries lose bits
-            yield rng, pts
-
-    @staticmethod
-    def assert_same(got, want, kind):
-        d = want.table.shape[1]
-        assert np.array_equal(got.signs, want.signs), kind
-        assert np.array_equal(got.general, want.general), kind
-        assert np.array_equal(got.lost, want.lost), kind
-        assert np.array_equal(got.full, want.full), kind
-        assert np.array_equal(got.facets, want.facets), kind
-        for k in range(d):
-            assert np.array_equal(got.faces(k), want.faces(k)), (kind, k)
-        for i in range(1, d):  # a short set's levels are made afresh
-            got_i, want_i = got.level(i), want.level(i)
-            assert np.array_equal(got_i.signs, want_i.signs), (kind, i)
-            assert np.array_equal(got_i.general, want_i.general), (kind, i)
-            assert np.array_equal(got_i.facets, want_i.facets), (kind, i)
-
-    def test_matches_the_record_of_the_selected_sets(self):
-        seen = set()
-        for rng, pts in self.point_sets():
-            d, n, count = pts.shape
-            for which in (rng.random(count) < 0.5, rng.permutation(count)[:count // 3]):
-                want = geometry._SignRecord.of(pts[..., which])
-                fresh = geometry._SignRecord.of(pts).take(which)
-                assert "full" not in vars(fresh) and "facets" not in vars(fresh)
-                self.assert_same(fresh, want, ("fresh", n, d))
-                read = geometry._SignRecord.of(pts)
-                read.full, read.facets, [read.faces(k) for k in range(d)]  # derived first
-                taken = read.take(which)
-                assert "full" in vars(taken) and "facets" in vars(taken)
-                self.assert_same(taken, want, ("read", n, d))
-                seen |= {"short"} if n < d else {"lost"} if want.lost.any() else set()
-                seen |= {"zero"} if n >= d and not want.general.all() else set()
-                seen |= {"general"} if want.general.any() else set()
-        assert seen == {"short", "lost", "zero", "general"}
 
 
 class TestBareiss:

@@ -47,7 +47,7 @@ def test_the_sampler_runs_no_closed_form():
     for query in QUERIES:
         sampler = simulation._Sampler(query, dist)
         called = modules_called(
-            lambda: sampler.values(simulation._SampleStreams(5, 0), range(256)))
+            lambda: sampler.values(simulation._SampleStreams(5, 0), 256))
         assert {"conic_walks.simulation", "conic_walks.geometry"} <= called, query
         assert not called & {"conic_walks.formulas", "conic_walks.combinatorics"}, query
 

@@ -8,6 +8,7 @@ import itertools
 import math
 import multiprocessing
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -278,7 +279,7 @@ class TestBatchedDraws:
         built = built_philoxes(monkeypatch)
         streams = _SampleStreams(KEY, index)
         for draw in (0, 1, 2 ** 64 - 1):
-            streams.normals(np.arange(0, dtype=np.uint64), 0, draw)  # builds it, reads nothing
+            streams.normals(0, 0, draw)  # builds it, reads nothing
             bit = built[-1]
             assert position(bit) == (index, draw, 0)
             want = philox(KEY, [0, 0, draw, index]).bit_generator.random_raw(13)
@@ -304,8 +305,7 @@ class TestBatchedDraws:
                 seen.add(sampler.draw.blocks)
                 for draw in (0, 3):
                     steps = samples_first(sampler.draws(
-                        _SampleStreams(KEY, samples.start), np.array(samples, dtype=np.uint64),
-                        draw))
+                        _SampleStreams(KEY, samples.start), len(samples), draw))
                     want = draws_alone(sampler, samples, draw)
                     # the same bytes, so -0.0 differs from 0.0 and each NaN payload counts
                     assert steps.tobytes() == want.tobytes(), (q, draw)
@@ -323,15 +323,14 @@ class TestSampleStreams:
             got = {t: [] for t in self.DRAWS}
             for rows in (3, 1, 5):
                 for t in self.DRAWS:
-                    got[t].append(streams.normals(np.arange(rows, dtype=np.uint64), 6, t))
+                    got[t].append(streams.normals(rows, 6, t))
             for t in self.DRAWS:
                 want = philox(99, [0, 0, t, start]).standard_normal((9, 6))
                 assert np.concatenate(got[t]).tobytes() == want.tobytes(), (start, t)
 
     def test_streams_are_disjoint(self):
         # other draw numbers, chunk starts and seeds read other normals
-        one = np.arange(1, dtype=np.uint64)
-        runs = [_SampleStreams(seed, start).normals(one, 4, draw)
+        runs = [_SampleStreams(seed, start).normals(1, 4, draw)
                 for seed, start, draw in ((5, 0, 0), (5, 0, 1), (5, 1, 0), (5, 1, 1), (6, 0, 1))]
         for a, b in itertools.combinations(runs, 2):
             assert not np.allclose(a, b)
@@ -348,13 +347,13 @@ class TestSampleStreams:
         streams = _SampleStreams(7, 2048)
         sampler = simulation._Sampler(query, GAUSS2)
         for lo in range(2048, 4096, sampler.batch):
-            sampler.values(streams, range(lo, min(lo + sampler.batch, 4096)))
+            sampler.values(streams, min(sampler.batch, 4096 - lo))
         rounds = max(t for _, t in drawn) + 1
         assert rounds >= 3
         assert [high(bit) for bit in built] == [(0, t, 2048) for t in range(rounds)]
         for t, bit in enumerate(built):
             assert position(bit)[2] >= 8 * sum(u == t for _, u in drawn)
-        streams.normals(np.arange(10_000, dtype=np.uint64), 10, rounds)
+        streams.normals(10_000, 10, rounds)
         assert high(built[-1]) == (0, rounds, 2048)
 
     def test_a_chunk_that_draws_nothing_again_builds_one_philox(self, monkeypatch):
@@ -383,8 +382,7 @@ class TestSampleStreams:
         # moving every estimate
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1)
         sampler = simulation._Sampler(query, DistributionSpec(family, 2))
-        samples = np.arange(2048, 4096, dtype=np.uint64)
-        steps = samples_first(sampler.draws(_SampleStreams(20_250_810, 2048), samples, 0))
+        steps = samples_first(sampler.draws(_SampleStreams(20_250_810, 2048), 2048, 0))
         digest = hashlib.sha256(steps.tobytes()).hexdigest()[:16]
         assert digest == self.DIGESTS[family]
 
@@ -423,7 +421,7 @@ class TestSampleStreams:
         digest = hashlib.sha256()
         for family in simulation.FAMILIES:
             sampler = simulation._Sampler(query, DistributionSpec(family, query.dimension))
-            values, rejected = sampler.values(_SampleStreams(20_250_810, 0), range(256))
+            values, rejected = sampler.values(_SampleStreams(20_250_810, 0), 256)
             digest.update(values.tobytes() + np.int64(rejected).tobytes())
         assert digest.hexdigest()[:16] == self.VALUE_DIGESTS[name]
 
@@ -437,17 +435,16 @@ class TestDrawNumbers:
         # read, and is measured on it bit for bit
         query = FunctionalQuery("Uk", Model("A", 4, 2), k=1, conditioned=True)
         seed, start, samples = 3, 2048, 128
-        indices = np.arange(start, start + samples, dtype=np.uint64)
         sampler = simulation._Sampler(query, GAUSS2)
-        got, rejected = sampler.values(_SampleStreams(seed, start), range(start, start + samples))
+        got, rejected = sampler.values(_SampleStreams(seed, start), samples)
         assert rejected == 0
         rows = philox(seed, [0, 0, 0, start]).standard_normal((samples, 8))  # 4 steps in R^2
-        steps = sampler.draws(_SampleStreams(seed, start), indices, 0)
+        steps = sampler.draws(_SampleStreams(seed, start), samples, 0)
         gens = sampler.draw.partial_sums(steps)
         assert samples_first(steps).tobytes() == rows.reshape(samples, 4, 2).tobytes()
         full = [p for p in range(samples) if is_full_cone(ConeSample(gens[:, :, p].T))]
         assert len(full) > 5
-        steps = samples_first(sampler.draws(_SampleStreams(seed, start), indices[full], 1))
+        steps = samples_first(sampler.draws(_SampleStreams(seed, start), len(full), 1))
         rows = philox(seed, [0, 0, 1, start]).standard_normal((len(full), 8))
         assert steps.tobytes() == rows.reshape(len(full), 4, 2).tobytes()
         measure = oracles.LOOP_MEASURES["Uk"]
@@ -796,27 +793,52 @@ class TestIntegerIdentityWeb:
 def replace_draws(monkeypatch, replace):
     """Pass every sample's increments through ``replace(sample, t, steps)``,
     where t is the draw number: 0 for the sample's first draw, then 1, 2,
-    ... each time it draws again.  The sampler's draws come through one
-    seam, ``_Sampler.draws``, which is given the draw number; the
-    per-sample loop's through ``oracles.numpy_draw``, from an
-    ``oracles.SampleDraw`` that names its sample and draw.  Returns the
-    (sample, t) of every draw, in order."""
+    ... each time it draws again.  Returns the (sample, t) of every draw, in
+    order.
+
+    The sampler's draws come through one seam, ``_Sampler.draws``, which is
+    given a count and the draw number.  Draw 0 is made by the chunk's next
+    samples, and draw t + 1 by the samples of draw t that draw again: those
+    not in general position, valued NaN, or full under a conditioned query,
+    read off the round's measurement.  A round that draws another count
+    than that rule gives fails here.  The per-sample loop's draws come
+    through ``oracles.numpy_draw``, from an ``oracles.SampleDraw`` that
+    names its sample and draw."""
     drawn = []
     draws = simulation._Sampler.draws
     numpy_draw = oracles.numpy_draw
+    chunks = weakref.WeakKeyDictionary()  # per chunk: its next sample, the last round's samples
+    measured = []  # the chunk whose round is being measured
 
-    def drawing(self, streams, samples, draw):
-        steps = draws(self, streams, samples, draw)
-        for s, i in enumerate(samples.tolist()):
+    def drawing(self, streams, count, draw):
+        chunk = chunks.setdefault(streams, [streams._start, []])
+        if draw == 0:
+            chunk[1] = list(range(chunk[0], chunk[0] + count))
+            chunk[0] += count
+        assert len(chunk[1]) == count, (chunk[1], count)
+        measured[:] = [chunk]
+        steps = draws(self, streams, count, draw)
+        for s, i in enumerate(chunk[1]):
             drawn.append((i, draw))
             steps[:, :, s] = replace(i, draw, steps[:, :, s].T).T
         return steps
+
+    def measuring(measure):
+        def redrawn(q, rec):
+            got = measure(q, rec)
+            chunk, = measured
+            again = ~rec.general | np.isnan(got) | (rec.full if q.conditioned else False)
+            chunk[1] = [i for i, a in zip(chunk[1], again.tolist()) if a]
+            return got
+        return redrawn
 
     def numpy_drawing(dist, lengths, rng):
         drawn.append((rng.sample, rng.draw))
         return replace(rng.sample, rng.draw, numpy_draw(dist, lengths, rng))
 
     monkeypatch.setattr(simulation._Sampler, "draws", drawing)
+    for name, measure in list(simulation.MEASURES.items()):
+        monkeypatch.setitem(simulation.MEASURES, name, measuring(measure))
     monkeypatch.setattr(oracles, "numpy_draw", numpy_drawing)
     return drawn
 
@@ -976,7 +998,7 @@ class TestSharedMinorTable:
         draws = simulation._Sampler.draws
 
         def drawing(self, streams, samples, draw):
-            rounds.append((self.draw.dist.d, self.draw.n_generators, len(samples)))
+            rounds.append((self.draw.dist.d, self.draw.n_generators, samples))
             return draws(self, streams, samples, draw)
 
         monkeypatch.setattr(simulation._Sampler, "draws", drawing)
@@ -1085,6 +1107,24 @@ class TestDegenerateProjections:
         assert simulation._chunk_stats(args) == got
 
 
+class TestDegenerateDraws:
+    @pytest.mark.parametrize("name", list(TestSampleStreams.VALUE_QUERIES))
+    def test_measuring_zero_draws_raises_no_floating_point_error(self, name, monkeypatch):
+        # a round measures every cone it drew, those out of general
+        # position included, and discards their values: all-zero draws,
+        # on every row, raise no floating-point error, count as rejected
+        # and leave the chunk as the per-sample loop makes it
+        query = TestSampleStreams.VALUE_QUERIES[name]
+        counts = {0: 1, 3: 2, 9: 1, 31: 1}
+        zero_draws(monkeypatch, counts)
+        dist = DistributionSpec("gaussian_iid", query.dimension)
+        args = (query, dist, 11, 0, 32)
+        with np.errstate(all="raise"):
+            got = simulation._chunk_stats(args)
+        assert got[2] == sum(counts.values())
+        assert got == loop_chunk_stats(args)
+
+
 class TestLevelRecords:
     """Every projected record the sampler reads, of the cones' first i
     coordinates or of one face's, is read off the cones' own record; the
@@ -1153,6 +1193,24 @@ class TestLevelRecords:
                     assert np.array_equal(got.general, want.general), (kind, i, m)
         assert seen == {"lost", "zero", "level falls back alone"}
 
+    def test_short_sets_levels_match_the_standalone_records(self):
+        # a set of fewer points than dimensions has no expansion to read
+        # its levels off, so they are made afresh: repeated, zero and
+        # underflowing points included
+        rng = np.random.default_rng(20261022)
+        for n, d in ((1, 2), (2, 4), (3, 4)):
+            pts = rng.standard_normal((d, n, 96))
+            pts[:, -1, 1::4] = pts[:, 0, 1::4]  # a repeated point
+            pts[:, 0, 2::4] = 0.0  # a zero point
+            pts[-1, :, 3::4] *= 2.0 ** -1060  # scaled by each point's max, entries lose bits
+            rec = geometry._SignRecord.of(pts)
+            for i in range(1, d):
+                got = rec.level(i)
+                want = geometry._SignRecord.of(np.ascontiguousarray(pts[:i]))
+                assert np.array_equal(got.signs, want.signs), (n, d, i)
+                assert np.array_equal(got.general, want.general), (n, d, i)
+                assert np.array_equal(got.facets, want.facets), (n, d, i)
+
 
 class TestTangentConesByProjection:
     @pytest.mark.parametrize("family", simulation.FAMILIES)
@@ -1169,7 +1227,7 @@ class TestTangentConesByProjection:
                 for j, k in ((j, k) for j in range(d - 1) for k in range(j + 1, d)):
                     query = FunctionalQuery("Z", model, j=j, k=k)
                     sampler = simulation._Sampler(query, dist)
-                    got, _ = sampler.values(_SampleStreams(23, 0), range(samples))
+                    got, _ = sampler.values(_SampleStreams(23, 0), samples)
                     draws = chunk_draws(23, range(samples), sampler.draw.n_words)
                     for i, rngs in enumerate(draws):
                         cone, _, _ = loop_draw_sample(query, dist, rngs)
@@ -1198,12 +1256,11 @@ class TestHaarOracle:
         for q in self.QUERIES:
             dist = DistributionSpec(family, q.dimension)
             sampler = simulation._Sampler(q, dist)
-            gens = sampler.draw.partial_sums(sampler.draws(
-                _SampleStreams(5, 0), np.arange(samples, dtype=np.uint64), 0))
+            gens = sampler.draw.partial_sums(sampler.draws(_SampleStreams(5, 0), samples, 0))
             chunk = geometry._SignRecord.of(gens)
             assert chunk.general.all()
             if q.conditioned:
-                chunk = chunk.take(~chunk.full)
+                chunk = geometry._SignRecord.of(chunk.pts[..., ~chunk.full])
             diff = simulation.MEASURES[q.functional](q, chunk) - oracles.haar_values(q, chunk, rng)
             assert not np.isnan(diff).any(), q
             se = math.sqrt(diff.var(ddof=1) / len(diff))
@@ -1344,7 +1401,7 @@ class TestProjectionOnFullCones:
         dist = DistributionSpec(family, 4)
         sampler = simulation._Sampler(gate.query, dist)
         samples = range(index, index + 1)
-        values, _ = sampler.values(_SampleStreams(seed, index), samples)
+        values, _ = sampler.values(_SampleStreams(seed, index), len(samples))
         assert values[0] == 0.0
         rngs = next(chunk_draws(seed, samples, sampler.draw.n_words))
         cone, _, rng = loop_draw_sample(gate.query, dist, rngs)
