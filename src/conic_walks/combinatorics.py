@@ -9,23 +9,21 @@ rational results elsewhere are built on :class:`fractions.Fraction`.
 
 Every first-kind row, and every block product behind the face and joint
 probabilities, is the coefficient list of a product of linear factors
-``prod (t + a)`` over a list of integer roots.  The closed forms read only
-its lowest coefficients and its values at t = 1 and t = -1, which
-:func:`root_product` and :class:`LowOrderProduct` compute in time nearly
-linear in the number of factors.  The roots are written once, here:
-:func:`bridge_roots` and :func:`walk_roots` for the rows, :func:`block_roots`
-for the block products, whose coefficients ``coeff_P`` (walk-terminated)
-and ``coeff_Q`` (pure bridge) read.  A :class:`StirlingTables` instance
-caches, in one store bounded at ``_STORE_BYTES``, the rows and the block
-products it has built, each block product with the two face values read
-off it, and the one record per model that the closed forms of
-:mod:`~conic_walks.formulas` keep; so on warm tables a closed-form call
-is mostly argument checks and one ``Fraction`` (``face_probability`` 4.0
-to 1.5 µs, ``expected_Z`` 4.4 to 1.5 µs, ``expected_fk`` 3.7 to 1.3 µs,
-before and after the records and face values).  The full triangles
-are built by recurrence; they serve as lookups for the small second-kind
-rows, and they and the triangle-built block polynomials (``coeff_P_poly``,
-``coeff_Q_poly``) are independent oracles for the products.
+``prod (t + a)`` over integer roots, which :func:`block_roots` alone
+writes: ``(t+1)...(t+g-1)`` per bridge block of length g and
+``(t+1)(t+3)...(t+2w-1)`` per walk block of length w.  A row is the block
+product of one block, a bridge's row without its factor t.  The closed
+forms read only the lowest coefficients and the values at t = 1 and t = -1,
+which :func:`root_product` and :class:`LowOrderProduct` compute in time
+nearly linear in the number of factors; ``coeff_P`` (walk-terminated) and
+``coeff_Q`` (pure bridge) read the same products.  A
+:class:`StirlingTables` instance caches them in one store bounded at
+``_STORE_BYTES``, one entry per key: the products, and the records,
+weighted sums and face values that :mod:`~conic_walks.formulas` derives
+from them.  The full triangles are built by recurrence; they serve as
+lookups for the small second-kind rows, and they and the triangle-built
+block polynomials (``coeff_P_poly``, ``coeff_Q_poly``) are independent
+oracles for the products.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, as_index, as_indices
@@ -57,26 +55,24 @@ class StirlingTables:
     Entry ``(n, k)`` with ``k`` outside ``{0, ..., n}`` reads as 0, and the
     ``(0, 0)`` entry of every family is 1.  Rows are appended once and never
     mutated, so a warm instance can be shared read-only across threads or
-    forked worker processes.  The instance also caches low-order products:
-    the rows of :meth:`low_row` and the block products of
-    :meth:`block_product`, the latter keyed by the multiset of block
-    lengths, since the blocks commute.  Its readers store more entries with
-    :meth:`store` and read any entry with ``stored(key)``: the closed forms
-    keep one record per model there, and values derived from an entry go
-    into its ``memo`` through :meth:`memoize` (a block product keeps the
-    two face probabilities read off it, a model record its second-kind
-    weighted sums).  An entry is only ever replaced by an equal or longer
-    one, so two threads racing on it at worst compute it twice.  The store
-    is bounded: past ``_STORE_BYTES`` of entries and their memos, the
-    entries stored first are dropped first, with their memos, and are built
-    again if asked for; storing, memoizing and dropping hold a lock, so the
-    byte count stays exact under threads.  A new instance holds no entry.
+    forked worker processes.  The instance also keeps a store of entries,
+    one per key: the block products of :meth:`block_product`, keyed by the
+    multiset of block lengths, since the blocks commute (a model's row is
+    the block product of its one block), and whatever its readers put there
+    with :meth:`store` and read back with ``stored(key)``.  The closed forms
+    keep one record per model there, and every value they derive from a
+    record or a product under a key of its own.  An entry is only ever
+    replaced by an equal or longer one, so two threads racing on it at worst
+    compute it twice.  The store is bounded: past ``_STORE_BYTES`` of
+    entries, the entries stored first are dropped first and are built again
+    if asked for; storing and dropping hold a lock, so the byte count stays
+    exact under threads.  A new instance holds no entry.
     """
 
     def __init__(self, max_n: int = 0) -> None:
         self._rows: dict[str, list[list[int]]] = {kind: [[1]] for kind in KINDS}
         self._columns: dict[tuple[str, int], tuple[int, ...]] = {}
-        self._products: dict[tuple, LowOrderProduct] = {}
+        self._products: dict[tuple, object] = {}
         # the entry stored under a key, or None; the dict's own lookup, as
         # the closed forms ask for one on every call
         self.stored = self._products.get
@@ -120,6 +116,7 @@ class StirlingTables:
 
     def row(self, kind: str, n: int) -> tuple[int, ...]:
         """Row ``n`` of a family, entries k = 0..n, as a read-only copy."""
+        _check_kind(kind)
         self._lookup(kind, n, 0)
         return tuple(self._rows[kind][n])
 
@@ -128,19 +125,12 @@ class StirlingTables:
         of them, cached on this instance per (kind, k)."""
         col = self._columns.get((kind, k))
         if col is None or len(col) < length:
+            _check_kind(kind)
+            k, length = as_index(k, "k"), as_index(length, "length")
             self._grow(kind, length - 1)
             col = self._columns[kind, k] = tuple(row[k] if k < len(row) else 0
                                                  for row in self._rows[kind])
         return col
-
-    def low_row(self, roots: Callable[[int], Sequence[int]], n: int,
-                m: int) -> LowOrderProduct:
-        """``LowOrderProduct.of(roots(n), m)``, cached on this instance per (roots, n)."""
-        # a cached product with at least m coefficients is reused as is
-        prod = self._products.get((roots, n))
-        if prod is not None and len(prod.coeffs) >= m:
-            return prod
-        return self.store((roots, n), LowOrderProduct.of(roots(n), m))
 
     def block_product(self, bridges: Sequence[int], walks: Sequence[int],
                       m: int) -> LowOrderProduct:
@@ -152,8 +142,8 @@ class StirlingTables:
 
     def keyed_block_product(self, key: tuple[tuple[int, ...], tuple[int, ...]],
                             m: int) -> LowOrderProduct:
-        """:meth:`block_product` by its key: the sorted bridge lengths >= 2
-        and the sorted walk lengths >= 1."""
+        """:meth:`block_product` by its key, the sorted bridge lengths >= 2 and
+        walk lengths >= 1; a stored product with >= ``m`` coefficients is reused."""
         prod = self._products.get(key)
         if prod is not None and len(prod.coeffs) >= m:
             return prod
@@ -161,8 +151,8 @@ class StirlingTables:
 
     def store(self, key: tuple, entry):
         """Store ``entry`` under ``key`` in place of any entry there, and
-        return it.  An entry is a product, or a record whose ``row`` is one;
-        either keeps its derived values in ``memo``."""
+        return it.  An entry is a product, a record whose ``row`` is one, or
+        a tuple of ints or Fractions derived from one of those."""
         # the new entry goes last; then the oldest go until the store fits
         with self._store_lock:
             old = self._products.pop(key, None)
@@ -171,23 +161,14 @@ class StirlingTables:
             self._evict()
         return entry
 
-    def memoize(self, key: tuple, entry, slot, value: tuple) -> tuple:
-        """Keep ``value``, a tuple of ints or Fractions derived from ``entry``,
-        in ``entry.memo[slot]`` and count it, if ``entry`` is still the one
-        stored under ``key``; return ``value`` either way."""
-        with self._store_lock:
-            if self._products.get(key) is entry and slot not in entry.memo:
-                entry.memo[slot] = value
-                self._stored += _memo_bytes(value)
-                self._evict()
-        return value
-
     def _evict(self) -> None:
         # the oldest entries go until the store fits; the caller holds the lock
         while self._stored > _STORE_BYTES and len(self._products) > 1:
             self._stored -= _footprint(self._products.pop(next(iter(self._products))))
 
     def _lookup(self, kind: str, n: int, k: int) -> int:
+        if type(n) is not int or type(k) is not int:
+            n, k = as_index(n, "n"), as_index(k, "k")
         if n < 0:
             raise DomainError(f"row index must be nonnegative, got n={n}")
         if k < 0 or k > n:
@@ -198,30 +179,32 @@ class StirlingTables:
         return rows[n][k]
 
 
-# A tables instance keeps at most about this many bytes of products and
-# records: each entry counts the bytes of its product's integers' digits
-# plus _ENTRY_BYTES for its objects, and each value in its memo the bytes of
-# its digits plus _MEMO_BYTES.  20,000 three-index face probabilities on a
+# A tables instance keeps at most about this many bytes of entries: a
+# product or record counts the bytes of its product's integers' digits plus
+# _ENTRY_BYTES for its objects, a tuple of derived values the bytes of its
+# digits plus _VALUE_BYTES.  20,000 three-index face probabilities on a
 # bridge with n = 1000 in R^4 (about 2.2 KB each) left 43.7 MB more peak
 # RSS without a bound.
 _STORE_BYTES = 8 << 20
 _ENTRY_BYTES = 512
-_MEMO_BYTES = 256
+_VALUE_BYTES = 256
 
 
 def _footprint(entry) -> int:
+    if type(entry) is tuple:
+        # an int's denominator is 1, so ints and Fractions count alike
+        return _VALUE_BYTES + sum(x.numerator.bit_length() + x.denominator.bit_length()
+                                  for x in entry) // 8
     # a record counts the digits of the row it keeps alive, which bound
     # those of its own numbers, even while the row has its own entry
     prod = getattr(entry, "row", entry)
     digits = sum(map(int.bit_length, prod.coeffs))
-    return (_ENTRY_BYTES + (digits + prod.at_one.bit_length() + prod.at_minus_one.bit_length()) // 8
-            + sum(map(_memo_bytes, entry.memo.values())))
+    return _ENTRY_BYTES + (digits + prod.at_one.bit_length() + prod.at_minus_one.bit_length()) // 8
 
 
-def _memo_bytes(value: tuple) -> int:
-    # an int's denominator is 1, so ints and Fractions count alike
-    return _MEMO_BYTES + sum(x.numerator.bit_length() + x.denominator.bit_length()
-                             for x in value) // 8
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise DomainError(f"unknown family {kind!r}; expected one of {KINDS}")
 
 
 _TABLES = StirlingTables(32)
@@ -234,13 +217,13 @@ def default_tables() -> StirlingTables:
 
 def stirling(kind: str, n: int, k: int, tables: StirlingTables | None = None) -> int:
     """Exact value of the requested family at (n, k); 0 outside the triangle."""
-    if kind not in KINDS:
-        raise DomainError(f"unknown family {kind!r}; expected one of {KINDS}")
+    _check_kind(kind)
     return (tables if tables is not None else _TABLES)._lookup(kind, n, k)
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention that out-of-range k gives 0."""
+    n, k = as_index(n, "n"), as_index(k, "k")
     if n < 0:
         raise DomainError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
@@ -263,16 +246,6 @@ def _check_factor_count(count: int) -> None:
         raise DomainError(f"a product of {count} linear factors exceeds the cap of {MAX_FACTORS}")
 
 
-def bridge_roots(n: int) -> range:
-    """Roots of t(t+1)...(t+n-1), the first-kind row n."""
-    return range(n)
-
-
-def walk_roots(n: int) -> range:
-    """Roots of (t+1)(t+3)...(t+2n-1), the first-kind-B row n."""
-    return range(1, 2 * n, 2)
-
-
 def block_degree(bridges: Sequence[int], walks: Sequence[int] = ()) -> int:
     """Number of roots of a block product (see :func:`block_roots`); more
     than ``MAX_FACTORS`` raise DomainError."""
@@ -283,11 +256,12 @@ def block_degree(bridges: Sequence[int], walks: Sequence[int] = ()) -> int:
 
 def block_roots(bridges: Sequence[int], walks: Sequence[int] = ()) -> list[int]:
     """Roots of a block product: (t+1)...(t+g-1) per bridge block of length g,
-    the bridge row without its factor t, and (t+1)(t+3)...(t+2w-1) per walk
-    block of length w.  More than ``MAX_FACTORS`` roots raise DomainError."""
+    the first-kind row g without its factor t, and (t+1)(t+3)...(t+2w-1) per
+    walk block of length w, the first-kind-B row w.  More than
+    ``MAX_FACTORS`` roots raise DomainError."""
     block_degree(bridges, walks)
-    return ([a for g in bridges for a in bridge_roots(g)[1:]]
-            + [a for w in walks for a in walk_roots(w)])
+    return ([a for g in bridges for a in range(1, g)]
+            + [a for w in walks for a in range(1, 2 * w, 2)])
 
 
 def _validated_parts(n: int, parts: Sequence[int],
@@ -401,9 +375,6 @@ class LowOrderProduct:
     coeffs: list[int]
     at_one: int
     at_minus_one: int
-    # values derived from the product by its readers, per slot; a stored
-    # product's are counted against its tables' store (StirlingTables.memoize)
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, roots: Sequence[int], m: int) -> LowOrderProduct:

@@ -19,39 +19,33 @@ walks and bridges.
 
 Each closed form is written once, for both models, over a :class:`Family`
 record picked by the model tag.  The bridge and walk cases differ only in
-its four parameters: the index shift ``s`` (1 for a bridge, 0 for a walk),
-the roots of the first-kind row (row n is the coefficient list of
-``t(t+1)...(t+n-1)`` for a bridge and of ``(t+1)(t+3)...(t+2n-1)`` for a
-walk; :func:`~conic_walks.combinatorics.bridge_roots` and
-:func:`~conic_walks.combinatorics.walk_roots`), the
+its three parameters: the shift ``s`` (1 for a bridge, 0 for a walk), the
 second-kind family (``second`` or ``second_B``) and the per-step
-denominator ``base`` (1 or 2).  Every value is a numerator over
-``base**n * n!``, which is the row's value at t = 1; the identity suite of
+denominator ``base`` (1 or 2).  A model reads the first-kind row n over
+t^s, the block product of one block of n steps of its kind:
+``(t+1)...(t+n-1)`` for a bridge, whose row is ``t(t+1)...(t+n-1)``, and
+``(t+1)(t+3)...(t+2n-1)`` for a walk.  So ``s`` indexes no row; it offsets
+the second-kind column and the weight.  Every value is a numerator over
+``base**n * n!``, the row's value at t = 1; the identity suite of
 :mod:`~conic_walks.verify` checks this for every unconditioned value it
-reads.  Most expectations are
-built from ``bulk(j, x) = sum over i = x-1+s, x-3+s, ... >= 0 of
-row_n[i] * second(i, j+s)`` and the weight ``(j+s)! * base**j``.
+reads.  Most expectations are built from the weight ``(j+s)! * base**j``
+and ``bulk(j, x) = sum over i = x-1, x-3, ... >= 0 of row[i] * second(i+s, j+s)``.
 
-The closed forms read only the coefficients of index below d+s of row n,
-below d-k of a face product and below d of a joint block product, so rows
-and products are built as truncated root products
-(:class:`~conic_walks.combinatorics.LowOrderProduct`), rows and block
-products cached on the tables instance passed in; no first-kind triangle
-is built.  Every sum over a row or product is one of its methods
-(``down``, ``alternating``, ``parity_tail``, ``tail``); upper tails come
-from the product's values at t = 1 and t = -1.  The second-kind numbers are
-read from the tables as one column per sum, at rows i <= d only.
+The closed forms read only the coefficients of index below d of a model's
+row, below d-k of a face product and below d of a joint block product, so
+these are truncated root products, each a
+:class:`~conic_walks.combinatorics.LowOrderProduct` cached on the tables
+passed in; no first-kind triangle is built.  Every sum over a row or product
+is one of its methods (``down``, ``alternating``, ``parity_tail``, ``tail``),
+upper tails read off its values at t = 1 and t = -1.  The second-kind
+numbers are read as one column of the tables per sum, at rows i <= d only.
 
-The tables instance also keeps one record per model (tag, n, d): its row,
-P(1), the survival numerator 2 down(d-1+s) and, per j, bulk(j, x) for
-every x, the last built on first use.  ``face_probability`` keeps its two
-values, in and out, with the block product they are read off, per
-d - len(indices), so every index tuple of one gap multiset reads them
-once built.  Records and face values count against the tables' bounded
-store, and neither refers back to the tables.  On warm tables (a 2-core
-x86 host, Python 3.11, the suite's calls with n <= 10 and d <= 5)
-``face_probability`` went from 4.0 to 1.5 µs per call, ``expected_Z``
-from 4.4 to 1.5 µs and ``expected_fk`` from 3.7 to 1.3 µs.
+The tables instance also keeps one record per model (tag, n, d), holding
+its row, P(1) and the survival numerator 2 down(d-1), and, each under a
+key of its own, the sums bulk(j, x) per j and the two values that
+``face_probability`` reads off a block product per d - len(indices), so
+every index tuple of one gap multiset reads them once built.  All count
+against the tables' bounded store, and none refers back to the tables.
 
 Conditioned variants (``conditioned=True``) refer to the cone conditioned
 on being a proper subset of R^d; for functionals vanishing on R^d this is
@@ -74,7 +68,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .combinatorics import (LowOrderProduct, StirlingTables, _check_factor_count, block_degree,
-                            bridge_roots, default_tables, walk_roots)
+                            default_tables)
 from .errors import DomainError, as_index, as_indices
 
 A_BRIDGE = "A"
@@ -116,13 +110,17 @@ class Family:
     """The parameters that turn one closed form into its bridge or walk case."""
 
     shift: int
-    roots: Callable[[int], range]
     second: str
     base: int
 
-    def full_row(self, t: StirlingTables, n: int) -> LowOrderProduct:
-        """All of row n; the face sums read such rows for n <= d+1."""
-        return t.low_row(self.roots, n, n + 1)
+    def row(self, t: StirlingTables, n: int, m: int) -> LowOrderProduct:
+        """Row n over t^s to m coefficients: the block product of one block of
+        n steps of this kind, keyed as block_product keys it; a bridge row's n
+        factors, t included, count against the factor cap.  The face sums
+        read the row of an m-face's m + s steps, with m + 1 coefficients."""
+        _check_factor_count(n)
+        key = ((n,), ()) if self.shift else ((), (n,))
+        return t.keyed_block_product(key if n > self.shift else ((), ()), m)
 
     def weight(self, j: int) -> int:
         """(j+s)! * base**j."""
@@ -130,41 +128,40 @@ class Family:
 
 
 _FAMILY = {
-    A_BRIDGE: Family(1, bridge_roots, "second", 1),
-    B_WALK: Family(0, walk_roots, "second_B", 2),
+    A_BRIDGE: Family(1, "second", 1),
+    B_WALK: Family(0, "second_B", 2),
 }
 
 
 class _Record:
     """What the closed forms of one model read, stored once per tables
-    instance under the key (tag, n, d): the row to index d-1+s, the highest
-    a closed form in R^d reads from it, its value ``at_one`` (the
-    denominator of every unconditioned value), the survival numerator
-    2 down(d-1+s) (that of every conditioned value), and per j the sums
-    bulk(j, x) for x = 0..d, built on first use.  It keeps no reference to
-    its tables."""
+    instance under the key (tag, n, d): the row to index d-1, the highest a
+    closed form in R^d reads from it, its value ``at_one`` (the denominator
+    of every unconditioned value) and the survival numerator 2 down(d-1)
+    (that of every conditioned value).  Its sums bulk(j, x) for x = 0..d
+    are stored per j, under (key, j), on first use.  It keeps no reference
+    to its tables."""
 
-    __slots__ = ("key", "family", "row", "at_one", "survival", "memo")
+    __slots__ = ("key", "family", "row", "at_one", "survival")
 
     def __init__(self, t: StirlingTables, key: tuple[str, int, int]) -> None:
         tag, n, d = key
         self.key, self.family = key, _FAMILY[tag]
-        self.row = t.low_row(self.family.roots, n, d + self.family.shift)
+        self.row = self.family.row(t, n, d)
         self.at_one = self.row.at_one
-        self.survival = 2 * self.row.down(d - 1 + self.family.shift)
-        self.memo: dict[int, tuple[int, ...]] = {}
+        self.survival = 2 * self.row.down(d - 1)
 
     def bulk(self, t: StirlingTables, j: int, x: int) -> int:
-        """row[i] * second(i, j+s) summed over i = x-1+s, x-3+s, ... >= 0."""
-        sums = self.memo.get(j)
+        """row[i] * second(i+s, j+s) summed over i = x-1, x-3, ... >= 0."""
+        sums = t.stored((self.key, j))
         if sums is None:
             s, d = self.family.shift, self.key[2]
             second = t.column(self.family.second, j + s, d + s)
-            # acc[i + 2]: the sum over i, i-2, ... >= 0, for i = -2..d-1+s
+            # acc[i + 2]: the sum over i, i-2, ... >= 0, for i = -2..d-1
             acc = [0, 0]
-            for c, w in zip(self.row.coeffs[:d + s], second):
+            for c, w in zip(self.row.coeffs, second[s:]):
                 acc.append(c * w + acc[-2])
-            sums = t.memoize(self.key, self, j, tuple(acc[1 + s:]))
+            sums = t.store((self.key, j), tuple(acc[1:]))
         return sums[x]
 
     def value(self, num: int, conditioned: bool) -> Fraction:
@@ -213,7 +210,7 @@ def nonabsorption_probability(model: Model, tables: StirlingTables | None = None
 def absorption_probability(model: Model, tables: StirlingTables | None = None) -> Fraction:
     """P[cone = R^d]."""
     _, rec = _record(model, tables)
-    return Fraction(2 * rec.row.parity_tail(model.d + 1 + rec.family.shift), rec.at_one)
+    return Fraction(2 * rec.row.parity_tail(model.d + 1), rec.at_one)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +225,7 @@ def expected_Y(model: Model, m: int, l: int, conditioned: bool = False,
     if not 0 <= l < m <= d - 1:
         raise DomainError(f"expected_Y requires 0 <= l < m <= d-1, got m={m}, l={l}, d={d}")
     t, rec = _record(model, tables)
-    f = rec.family
-    edge = f.full_row(t, m + f.shift).parity_tail(l + 1 + f.shift)
+    edge = rec.family.row(t, m + rec.family.shift, m + 1).parity_tail(l + 1)
     return rec.value(2 * edge * rec.bulk(t, m, d), conditioned)
 
 
@@ -272,12 +268,11 @@ def expected_Uk(model: Model, k: int, conditioned: bool = False,
     if not 0 <= k <= d:
         raise DomainError(f"expected_Uk requires 0 <= k <= d, got k={k}, d={d}")
     _, rec = _record(model, tables)
-    row, s = rec.row, rec.family.shift
-    full, part = rec.survival >> 1, row.down(k - 1 + s)
+    full, part = rec.survival >> 1, rec.row.down(k - 1)
     if conditioned:
         return Fraction(full - part, rec.survival)
     if (d - k) % 2 == 1:
-        total = row.parity_tail(k + 1 + s) + row.parity_tail(d + 1 + s)
+        total = rec.row.parity_tail(k + 1) + rec.row.parity_tail(d + 1)
     else:
         total = full - part
     return Fraction(total, rec.at_one)
@@ -291,11 +286,11 @@ def expected_vk(model: Model, k: int, conditioned: bool = False,
     if not 0 <= k <= d:
         raise DomainError(f"expected_vk requires 0 <= k <= d, got k={k}, d={d}")
     _, rec = _record(model, tables)
-    row, s = rec.row, rec.family.shift
+    row = rec.row
     if conditioned:
-        num = row.alternating(d - 1 + s) if k == d else row.coeffs[k + s]
+        num = row.alternating(d - 1) if k == d else row.coeffs[k]
         return Fraction(num, rec.survival)
-    return Fraction(row.tail(d + s) if k == d else row.coeffs[k + s], rec.at_one)
+    return Fraction(row.tail(d) if k == d else row.coeffs[k], rec.at_one)
 
 
 def expected_Lambda(model: Model, k: int, conditioned: bool = False,
@@ -318,8 +313,7 @@ def expected_face_intrinsic_sum(model: Model, m: int, l: int,
         raise DomainError(
             f"expected_face_intrinsic_sum requires 0 <= l <= m <= d, got m={m}, l={l}, d={d}")
     t, rec = _record(model, tables)
-    f = rec.family
-    face = f.full_row(t, m + f.shift).coeffs[l + f.shift]
+    face = rec.family.row(t, m + rec.family.shift, m + 1).coeffs[l]
     return Fraction(2 * face * rec.bulk(t, m, d), rec.at_one)
 
 
@@ -340,7 +334,7 @@ def expected_tangent_intrinsic_sum(model: Model, j: int, k: int,
     row, f = rec.row, rec.family
     s = f.shift
     second = t.column(f.second, j + s, d + s)
-    total = row.alternating(d - 1 + s, second) if k == d else row.coeffs[k + s] * second[k + s]
+    total = row.alternating(d - 1, second[s:]) if k == d else row.coeffs[k] * second[k + s]
     return Fraction(f.weight(j) * total, rec.at_one)
 
 
@@ -401,17 +395,17 @@ def face_probability(model: Model, indices: Sequence[int], complement: bool = Fa
     two always add to one.  The block product is read from the products
     cached on ``tables`` (the default instance if None); it depends only on
     the multiset of the gaps between the indices and on the steps after the
-    last one.  Both values are kept with the product, per d - len(indices).
+    last one.  Both values are stored too, under the product's key and
+    d - len(indices).
     """
     key, m = _face_key(model, indices)
     t = tables if tables is not None else default_tables()
-    prod = t.stored(key)
-    values = prod.memo.get(m) if prod is not None else None
+    values = t.stored((key, m))
     if values is None:
         # the product's value at t = 1 is prod g! * tail! * base**tail
         prod = t.keyed_block_product(key, m)
-        values = t.memoize(key, prod, m, (Fraction(2 * prod.down(m - 1), prod.at_one),
-                                          Fraction(2 * prod.parity_tail(m + 1), prod.at_one)))
+        values = t.store((key, m), (Fraction(2 * prod.down(m - 1), prod.at_one),
+                                    Fraction(2 * prod.parity_tail(m + 1), prod.at_one)))
     return values[1] if complement else values[0]
 
 
@@ -423,7 +417,7 @@ def subspace_intersection_probability(model: Model, k: int,
     if not 0 <= k <= d - 1:
         raise DomainError(f"subspace intersection requires 0 <= k <= d-1, got k={k}, d={d}")
     _, rec = _record(model, tables)
-    return Fraction(2 * rec.row.parity_tail(k + 1 + rec.family.shift), rec.at_one)
+    return Fraction(2 * rec.row.parity_tail(k + 1), rec.at_one)
 
 
 def joint_absorption_probability(walk_lengths: Sequence[int], bridge_lengths: Sequence[int],

@@ -33,12 +33,11 @@ from .combinatorics import (
     LowOrderProduct,
     StirlingTables,
     binomial,
-    bridge_roots,
+    block_roots,
     compositions,
     default_tables,
     poly_mul,
     root_product,
-    walk_roots,
 )
 from .errors import DomainError, as_index, as_seed
 from .formulas import (
@@ -141,24 +140,28 @@ def _check_row_sums(t: StirlingTables, max_n: int) -> None:
 
 
 def _check_low_order_products(t: StirlingTables, max_n: int) -> None:
-    # the closed forms read truncated root products instead of the triangles:
-    # their coefficients must be the triangle rows, whole and truncated, and
-    # their upper tails from P(1) and P(-1) the direct sums over the row
+    # the closed forms read single-block products instead of the triangles:
+    # a bridge's row n without its factor t and a walk's row n.  Built here
+    # afresh, never read from the store, their coefficients must be the
+    # triangle rows, whole and truncated, and their upper tails from P(1)
+    # and P(-1) the direct sums over the row
     for n in range(max_n + 1):
-        for name, roots, lookup in (("first", bridge_roots(n), t.first),
-                                    ("first_B", walk_roots(n), t.first_b)):
-            row = [lookup(n, k) for k in range(n + 1)]
-            assert root_product(roots, n + 1) == row, f"{name} product row {n}"
-            half = n // 2 + 1
+        blocks = [("first_B", block_roots((), (n,)), [t.first_b(n, k) for k in range(n + 1)])]
+        if n:
+            blocks.append(("first", block_roots((n,)), [t.first(n, k + 1) for k in range(n)]))
+        for name, roots, row in blocks:
+            size = len(row)
+            assert root_product(roots, size) == row, f"{name} product row {n}"
+            half = size // 2 + 1
             assert root_product(roots, half) == row[:half], f"{name} truncated row {n}"
-            low = LowOrderProduct.of(roots, n + 1)
+            low = LowOrderProduct.of(roots, size)
             # tails[a] = sum(row[a:]) and parity[a] = sum(row[a::2]), summed
             # from the top down, so each a costs one addition
-            tails, parity = [0] * (n + 3), [0] * (n + 3)
-            for a in range(n, -1, -1):
+            tails, parity = [0] * (size + 2), [0] * (size + 2)
+            for a in range(size - 1, -1, -1):
                 tails[a] = row[a] + tails[a + 1]
                 parity[a] = row[a] + parity[a + 2]
-            for a in range(n + 2):
+            for a in range(size + 1):
                 assert low.parity_tail(a) == parity[a], f"{name} parity tail ({n},{a})"
                 assert low.tail(a) == tails[a], f"{name} tail ({n},{a})"
 
@@ -420,8 +423,9 @@ def corrupted_tables() -> StirlingTables:
     """A deliberately damaged table set for mutation-testing the suite."""
     t = StirlingTables(12)
     t._rows["first"][6][3] += 1  # test-only: poke one triangle entry
-    # and the same coefficient of the cached product the closed forms read
-    _FAMILY[A_BRIDGE].full_row(t, 6).coeffs[3] += 1
+    # and the same coefficient of the cached product the closed forms read,
+    # row 6 over its factor t
+    _FAMILY[A_BRIDGE].row(t, 6, 6).coeffs[2] += 1
     return t
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -34,7 +35,8 @@ from conic_walks.combinatorics import (
     stirling,
 )
 from conic_walks.errors import DomainError
-from conic_walks.formulas import Model, expected_fk, face_probability
+from conic_walks.formulas import _FAMILY, Model, _face_key, _Record, expected_fk, face_probability
+from conic_walks.verify import identity_checks
 
 T = StirlingTables(40)
 
@@ -157,6 +159,27 @@ class TestConventions:
         with pytest.raises(DomainError):
             stirling("third", 3, 1)
 
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(DomainError, match=r"^k must be an integer, got 1\.5$"):
+            stirling("first", 3, 1.5)
+        with pytest.raises(DomainError, match=r"^n must be an integer, got 2\.5$"):
+            StirlingTables().first(2.5, 1)
+        for lookup in (T.second, T.first_b, T.second_b):
+            with pytest.raises(DomainError, match="must be an integer"):
+                lookup(3, 1.0)
+
+    def test_unknown_kind_rejected_by_rows_and_columns(self):
+        t = StirlingTables()
+        with pytest.raises(DomainError, match="^unknown family 'bogus'"):
+            t.row("bogus", 2)
+        with pytest.raises(DomainError, match="^unknown family 'bogus'"):
+            t.column("bogus", 1, 3)
+        with pytest.raises(DomainError, match=r"^n must be an integer, got 2\.0$"):
+            t.row("first", 2.0)
+        with pytest.raises(DomainError, match=r"^k must be an integer, got 1\.5$"):
+            t.column("first", 1.5, 3)
+        assert t._columns == {}
+
     @pytest.mark.parametrize("kind", ["first", "second", "first_B", "second_B"])
     def test_columns_read_the_triangle(self, kind):
         t = StirlingTables()
@@ -184,6 +207,10 @@ class TestBinomial:
         assert binomial(4, 5) == 0
         with pytest.raises(DomainError):
             binomial(-2, 0)
+        with pytest.raises(DomainError, match=r"^n must be an integer, got 3\.5$"):
+            binomial(3.5, 1)
+        with pytest.raises(DomainError, match=r"^k must be an integer, got 1\.0$"):
+            binomial(3, 1.0)
 
 
 class TestCoefficientPolynomials:
@@ -360,12 +387,17 @@ class TestRootProduct:
 
     def test_cached_rows_are_reused_and_extended(self):
         t = StirlingTables()
-        rule = lambda n: range(1, 2 * n, 2)
-        row = t.low_row(rule, 50, 6)
-        assert t.low_row(rule, 50, 4) is row
-        longer = t.low_row(rule, 50, 9)
+        walk, bridge = _FAMILY["B"], _FAMILY["A"]
+        row = walk.row(t, 50, 6)
+        assert walk.row(t, 50, 4) is row
+        longer = walk.row(t, 50, 9)
         assert longer.coeffs[:6] == row.coeffs and len(longer.coeffs) == 9
-        assert t.low_row(rule, 50, 6) is longer
+        assert walk.row(t, 50, 6) is longer
+        # a row is the block product of its one block, a bridge's over t
+        assert t.block_product((), (50,), 9) is longer
+        assert longer.coeffs == [T.first_b(50, k) for k in range(9)]
+        assert bridge.row(t, 30, 5) is t.block_product((30,), (), 5)
+        assert bridge.row(t, 30, 5).coeffs == [T.first(30, k + 1) for k in range(5)]
 
     def test_cached_block_products_are_shared_and_extended(self, monkeypatch):
         built = []
@@ -388,7 +420,8 @@ class TestRootProduct:
                         bridges = gaps + [tail] if tag == "A" else gaps
                         walks = [tail] if tag == "B" and tail else []
                         multisets.add((tuple(sorted(g for g in bridges if g > 1)), tuple(walks)))
-        assert len(built) == len(multisets) == len(t._products)
+        products = [e for e in t._products.values() if isinstance(e, LowOrderProduct)]
+        assert len(built) == len(multisets) == len(products)
         # permuted bridge gaps share one entry
         count = len(built)
         assert face_probability(Model("A", 9, 4), (2, 5), tables=t) == \
@@ -421,7 +454,7 @@ class TestRootProduct:
         assert t._stored == sum(map(_footprint, t._products.values()))
         # an entry larger than the whole bound is still kept, alone
         monkeypatch.setattr(combinatorics, "_STORE_BYTES", 1)
-        big = t.low_row(range, 30, 3)
+        big = _FAMILY["A"].row(t, 30, 3)
         assert list(t._products.values()) == [big] and t._stored == _footprint(big)
 
     def test_store_count_survives_threads_racing(self, monkeypatch):
@@ -447,11 +480,11 @@ class TestRootProduct:
         assert not any(th.is_alive() for th in threads)
         assert t._stored == sum(map(_footprint, t._products.values())) <= 4_000
 
-    def test_memo_count_survives_threads_racing(self, monkeypatch):
+    def test_derived_entry_count_survives_threads_racing(self, monkeypatch):
         # four threads read face probabilities and closed forms on one
-        # instance, memoizing into entries that the others evict: a value
-        # counted twice, or counted for an entry no longer stored, would
-        # leave _stored off its entries and their memos
+        # instance, storing derived entries (face values, weighted sums)
+        # while the others store and evict theirs: a value counted twice,
+        # or an eviction not counted, would leave _stored off its entries
         monkeypatch.setattr(combinatorics, "_STORE_BYTES", 20_000)
         t = StirlingTables()
         want = {}
@@ -481,6 +514,36 @@ class TestRootProduct:
             assert got == {(face_probability(model, idx, False, fresh),
                             face_probability(model, idx, True, fresh),
                             expected_fk(model, k, conditioned, fresh))}
+
+    def test_every_entry_is_one_product_record_or_value_tuple(self, monkeypatch):
+        # one identity pass and 200 face probabilities (each with an edge
+        # count, so records stay too) on a small store: each entry is
+        # counted alone, and a face value outlives its product
+        monkeypatch.setattr(combinatorics, "_STORE_BYTES", 30_000)
+        t = StirlingTables()
+        assert all(c.status == "pass" for c in identity_checks(tables=t))
+        rng = random.Random(20250810)
+        faces = []
+        for _ in range(200):
+            d = rng.randrange(2, 6)
+            model = Model(rng.choice("AB"), rng.randrange(d + 1, 16), d)
+            idx = tuple(sorted(rng.sample(range(1, model.generator_count + 1),
+                                          rng.randrange(1, d))))
+            faces.append((model, idx, face_probability(model, idx, tables=t)))
+            expected_fk(model, 1, tables=t)
+        entries = list(t._products.values())
+        assert all(isinstance(e, (LowOrderProduct, _Record, tuple)) for e in entries)
+        assert {type(e) for e in entries} == {LowOrderProduct, _Record, tuple}
+        assert t._stored == sum(map(_footprint, entries)) <= 30_000
+        orphans = 0
+        fresh = StirlingTables()
+        for model, idx, value in faces:
+            key, m = _face_key(model, idx)
+            if (key, m) in t._products and key not in t._products:
+                orphans += 1
+                assert face_probability(model, idx, tables=t) == value == \
+                    face_probability(model, idx, tables=fresh)
+        assert orphans > 0, "no face value outlived its product"
 
     def test_default_store_stays_bounded(self):
         # 20,000 cold three-index face probabilities on a long bridge, none

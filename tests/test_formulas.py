@@ -544,6 +544,27 @@ class TestCrossDimensionIdentities:
                     want += absorption_probability(model)
                 assert expected_Uk(model, k) == want, (model, k)
 
+    def test_intrinsic_volumes_are_halved_absorption_differences(self):
+        # with A(n, k) the absorption probability in R^k and A(n, 0) = 1:
+        # E v_k(n, d) = (A(n, k-1) - A(n, k+1)) / 2 for 1 <= k <= d-1,
+        # E v_0 = (1 - A(n, 1)) / 2 and E v_d = (A(n, d-1) + A(n, d)) / 2
+        cases = 0
+        for d in range(1, 8):
+            for n in range(d, 15):
+                for tag in "AB":
+                    if n < d + (tag == "A"):
+                        continue
+                    model = Model(tag, n, d)
+                    absorbed = [F(1)] + [absorption_probability(Model(tag, n, k))
+                                         for k in range(1, d + 1)]
+                    want = ([(1 - absorbed[1]) / 2]
+                            + [(absorbed[k - 1] - absorbed[k + 1]) / 2 for k in range(1, d)]
+                            + [(absorbed[d - 1] + absorbed[d]) / 2])
+                    for k in range(d + 1):
+                        assert expected_vk(model, k) == want[k], (model, k)
+                        cases += 1
+        assert cases == 679
+
 
 class TestModelValidation:
     def test_bridge_needs_one_extra_increment(self):
